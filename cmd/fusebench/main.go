@@ -29,7 +29,7 @@ func main() {
 		window  = flag.Duration("window", 0, "override steady-state measurement window (0 = default)")
 		short   = flag.Bool("short", false, "reduced-scale run")
 		paper   = flag.Bool("paper", false, "paper-scale run where supported (e.g. 16k-node svtree)")
-		workers = flag.Int("workers", 0, "sharded parallel scheduler worker goroutines where supported (paperscale); 0 = serial")
+		workers = flag.Int("workers", 0, "event-loop worker goroutines where supported (paperscale); 0 = all nodes on one shard, one goroutine")
 		metOut  = flag.String("metrics-out", "", "write each experiment's end-of-run telemetry snapshot to this file")
 	)
 	flag.Parse()

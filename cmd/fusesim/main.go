@@ -95,7 +95,7 @@ func main() {
 		short   = flag.Bool("short", false, "trim scenario windows (with -scenario)")
 		list    = flag.Bool("list-scenarios", false, "list the built-in scenario presets and exit")
 		dump    = flag.Bool("dump", false, "with -scenario: print the scenario as canonical JSON instead of running it")
-		workers = flag.Int("workers", 0, "sharded parallel scheduler worker goroutines; 0 = serial (traces are identical either way)")
+		workers = flag.Int("workers", 0, "event-loop worker goroutines over the default shard count; 0 = all nodes on one shard, one goroutine (traces are identical at every count >= 1)")
 		traceTo = flag.String("trace", "", "write the protocol-event trace as JSON Lines to this file (deterministic: diff two runs directly)")
 		pings   = flag.Bool("trace-pings", false, "with -trace: include per-ping/ack events (verbose; large)")
 		metrics = flag.Bool("metrics", false, "print the end-of-run telemetry snapshot table")
@@ -169,9 +169,9 @@ func main() {
 		crashed[v] = true
 	}
 
-	// One pre-allocated slot per (group, member) registration: under the
-	// sharded scheduler (-workers) handlers run on shard worker
-	// goroutines, so each writes only its own slot, timestamped with the
+	// One pre-allocated slot per (group, member) registration: handlers
+	// run in their node's event context (with -workers, on shard worker
+	// goroutines), so each writes only its own slot, timestamped with the
 	// member's own node clock; exactly-once delivery means a slot is hit
 	// at most once.
 	type event struct {

@@ -34,14 +34,14 @@ type Options struct {
 	Overlay    *overlay.Config  // nil => overlay.DefaultConfig()
 	Fuse       *core.Config     // nil => core.DefaultConfig()
 
-	// Workers selects the execution mode of the event loop. 0 (the
-	// default) keeps the classic serial scheduler. Workers >= 1 enables
-	// the sharded conservative-parallel scheduler with that many worker
-	// goroutines; nodes are partitioned router-wise into Shards event
+	// Workers is how many goroutines execute the event loop's windows.
+	// 0 (the default) is one goroutine and one event shard: every node
+	// on a single lane, the same run as Workers=1 with Shards=1. With
+	// Workers >= 1 nodes are partitioned router-wise into Shards event
 	// lanes and the lookahead horizon is derived from the network's
-	// minimum delivery delay. Workers=1 runs the identical sharded
-	// logical order on one goroutine - useful for determinism
-	// cross-checks against higher worker counts.
+	// minimum delivery delay; the logical event order depends on the
+	// shard count only, so Workers=1 is the determinism cross-check for
+	// higher worker counts.
 	Workers int
 
 	// Shards overrides DefaultShards when Workers > 0.
@@ -73,9 +73,9 @@ type Cluster struct {
 	Nodes []*Node
 
 	// Telemetry is the deployment-wide metrics registry and protocol
-	// trace, striped one lane per event shard (lane 0 = control/serial).
-	// Always attached; hot-path cost is per-lane atomic adds. Read at
-	// fences only (or after the run).
+	// trace, striped one lane per event shard after lane 0, the control
+	// lane's. Always attached; hot-path cost is per-lane atomic adds.
+	// Read at fences only (or after the run).
 	Telemetry *telemetry.Registry
 
 	overlayCfg overlay.Config
@@ -119,25 +119,19 @@ func New(opts Options) *Cluster {
 
 	sim := eventsim.New(opts.Seed)
 	topo := netmodel.Generate(netCfg)
-	net := simnet.New(sim, topo, simOpts)
-	lanes := 1
+	shardN := 1
 	if opts.Workers > 0 {
-		shardN := opts.Shards
+		shardN = opts.Shards
 		if shardN <= 0 {
 			shardN = DefaultShards
 		}
-		lookahead := net.MinDeliveryDelay()
-		if lookahead <= 0 {
-			panic("cluster: sharded mode needs a positive minimum delivery delay (topology without links?)")
-		}
-		shards := sim.EnableShards(shardN, opts.Workers, lookahead)
-		net.UseShards(shards, func(r netmodel.RouterID) int { return int(r) % shardN })
-		lanes = 1 + shardN
 	}
+	sim.EnableShards(shardN, opts.Workers, simnet.MinDeliveryDelay(topo, simOpts))
+	net := simnet.New(sim, topo, simOpts)
 	// The lane count is a function of the shard count only (like the
 	// logical event order), so metric snapshots and traces stay
 	// byte-identical across worker counts.
-	reg := telemetry.New(eventsim.Epoch, lanes)
+	reg := telemetry.New(eventsim.Epoch, 1+shardN)
 	reg.CounterFunc("eventsim_events_executed_total",
 		"simulation events executed", func() int64 { return int64(sim.Executed()) })
 	reg.GaugeFunc("eventsim_events_pending",
@@ -235,13 +229,13 @@ func (c *Cluster) AddNode() *Node {
 	return c.addNode(router)
 }
 
-// Workers returns the event loop's worker count (0 = serial scheduler).
+// Workers returns the event loop's worker count (at least 1).
 func (c *Cluster) Workers() int { return c.Sim.Workers() }
 
-// ShardCount returns the number of event shards (0 = serial scheduler).
+// ShardCount returns the number of event shards (at least 1).
 func (c *Cluster) ShardCount() int { return c.Sim.NumShards() }
 
-// ShardOf returns node i's shard index, or -1 under the serial scheduler.
+// ShardOf returns node i's shard index.
 func (c *Cluster) ShardOf(i int) int { return c.Net.ShardIndex(c.Nodes[i].Addr) }
 
 // Crash fail-stops node i.

@@ -1,22 +1,23 @@
 // Package eventsim provides a deterministic discrete-event simulation
 // engine: a virtual clock, a pending-event queue, and cancellable timers.
 //
-// The engine has two execution modes. In the default serial mode all
-// scheduled callbacks run on the goroutine that calls Run (or Step), one
-// at a time, in deterministic order: events fire in ascending virtual-time
-// order, and events scheduled for the same instant fire in the order they
-// were scheduled. Combined with a seeded random source this makes every
-// simulation reproducible, which the test suite and the experiment harness
-// rely on.
+// A simulation is a control lane plus zero or more shard lanes
+// (EnableShards), all driven by one loop (shard.go). Each lane fires its
+// events in ascending virtual-time order, events scheduled on a lane for
+// the same instant fire in the order they were scheduled, and across
+// lanes the logical order is the total order (time, lane, sequence) with
+// the control lane first. Control events run alone at fences; between
+// fences the shard lanes advance independently inside windows bounded by
+// the minimum cross-shard event delay, exchanging cross-shard events at
+// window barriers. That order is a pure function of the seed and the
+// shard count - the number of worker goroutines changes wall-clock speed
+// only, never the trace - which is what the test suite and the experiment
+// harness rely on.
 //
-// EnableShards switches the engine to conservative parallel mode: events
-// are partitioned across per-core shard lanes that advance independently
-// within a lookahead window bounded by the minimum cross-shard event
-// delay, exchanging cross-shard events at window barriers (see shard.go).
-// The logical event order in sharded mode is the total order
-// (time, lane, sequence) and is a pure function of the shard count - the
-// number of worker goroutines changes wall-clock speed only, never the
-// trace.
+// There is no separate serial engine: a Sim without shards runs every
+// event at a fence on the caller's goroutine, and with one shard nothing
+// ever crosses a barrier, so a window runs straight through to the next
+// control event or the deadline.
 //
 // The engine is built for sustained high event rates (a 16,000-node
 // overlay arms hundreds of thousands of periodic timers): events live on
@@ -45,9 +46,9 @@ var Epoch = time.Date(2004, 10, 4, 0, 0, 0, 0, time.UTC) // OSDI 2004
 const globalLane = -1
 
 // lane is one event queue with its own clock, schedule-order counter, and
-// recycling pool. The serial engine is a single lane; sharded mode adds
-// one lane per shard. A lane's events always fire in (at, seq) order, and
-// the cross-lane total order is (at, lane id, seq).
+// recycling pool: the control lane, or one per shard. A lane's events
+// always fire in (at, seq) order, and the cross-lane total order is
+// (at, lane id, seq).
 type lane struct {
 	id  int // globalLane for the control lane, shard index otherwise
 	sim *Sim
@@ -67,7 +68,7 @@ type lane struct {
 
 // Sim is a discrete-event simulator. The zero value is not usable; call New.
 type Sim struct {
-	lane    // the control lane (all events, in serial mode)
+	lane    // the control lane
 	rng     *rand.Rand
 	stopped bool
 
@@ -76,7 +77,19 @@ type Sim struct {
 	// goroutine (e.g. a progress reporter) without racing the run loop.
 	pending atomic.Int64
 
-	sh *sharding // nil in serial mode
+	// The shard lanes and how windows over them run (see shard.go); all
+	// zero until EnableShards.
+	shards    []*Shard
+	workers   int
+	lookahead time.Duration
+
+	// inWindow is true while shard callbacks may be executing. It is
+	// written only by the run-loop goroutine outside the parallel region
+	// (the worker spawn/join edges order it), and steers Post between
+	// direct heap insertion (fences) and outbox buffering (windows).
+	inWindow bool
+
+	busy []int // scratch: indices of shards with work in the window
 }
 
 // New returns a simulator whose random source is seeded with seed.
@@ -87,35 +100,32 @@ func New(seed int64) *Sim {
 	return s
 }
 
-// Now returns the current virtual time of the control lane. In sharded
-// mode individual shards may have advanced further inside the current
-// window; use Shard.Now for a node-local clock.
+// Now returns the current virtual time of the control lane: exact at
+// fences, between run calls and while stepping. Inside a window the shards
+// run ahead of it; shard callbacks read Shard.Now, their own clock.
 func (s *Sim) Now() time.Time { return Epoch.Add(s.lane.now) }
 
 // Elapsed returns the virtual time elapsed since the simulation epoch.
 func (s *Sim) Elapsed() time.Duration { return s.lane.now }
 
-// Rand returns the simulation's deterministic random source. In sharded
-// mode it must only be used at fences (setup, or control-lane events),
-// never from shard callbacks.
+// Rand returns the simulation's deterministic random source. It must only
+// be used at fences (setup, or control-lane events), never from shard
+// callbacks.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // Executed reports how many events have fired so far, across all lanes.
 func (s *Sim) Executed() uint64 {
 	n := s.lane.executed
-	if s.sh != nil {
-		for _, x := range s.sh.shards {
-			n += x.executed
-		}
+	for _, x := range s.shards {
+		n += x.executed
 	}
 	return n
 }
 
 // Pending reports how many events are scheduled but have not fired.
 // Stopped timers leave the queue immediately, so the count is exact. The
-// counter is atomic: Pending is safe to call from any goroutine, and in
-// sharded mode aggregates every shard lane and in-flight cross-shard
-// mailbox entry.
+// counter is atomic: Pending is safe to call from any goroutine, and
+// aggregates every lane and in-flight cross-shard outbox entry.
 func (s *Sim) Pending() int { return int(s.pending.Load()) }
 
 // event states. A pending event sits in the heap; a fired event is the one
@@ -132,10 +142,9 @@ const (
 // its storage is recycled for an unrelated event), Stop and Reset on the
 // stale handle report false and touch nothing.
 //
-// A Timer is owned by the lane it was scheduled on: in sharded mode it
-// must only be used from that shard's callbacks (or at fences for
-// control-lane timers), which is the natural pattern - a node's timers
-// live on the node's shard.
+// A Timer is owned by the lane it was scheduled on: it must only be used
+// from that shard's callbacks or at fences, which is the natural pattern -
+// a node's timers live on the node's shard.
 type Timer struct {
 	l   *lane
 	ev  *event
@@ -222,7 +231,7 @@ func (l *lane) base() time.Duration {
 		return l.now
 	}
 	s := l.sim
-	if s.sh.inWindow {
+	if s.inWindow {
 		return l.now
 	}
 	if g := s.lane.now; g > l.now {
@@ -295,9 +304,9 @@ func (l *lane) execOne() {
 
 // After schedules fn to run d from now and returns a cancellable handle.
 // A negative d is treated as zero: the event fires at the current instant,
-// after any events already scheduled for that instant. In sharded mode
-// this schedules on the control lane, which runs only at fences; node
-// callbacks must schedule through their Shard instead.
+// after any events already scheduled for that instant. The event goes on
+// the control lane, which runs only at fences; node callbacks schedule
+// through their Shard instead.
 func (s *Sim) After(d time.Duration, fn func()) *Timer {
 	ev := s.lane.alloc(d, fn)
 	return &Timer{l: &s.lane, ev: ev, gen: ev.gen}
@@ -323,59 +332,13 @@ func (s *Sim) ScheduleAt(t time.Time, fn func()) {
 	s.lane.alloc(t.Sub(s.Now()), fn)
 }
 
-// Step fires the single next pending event in the logical order. It
-// reports false when every queue is empty or the simulation has been
-// stopped. In sharded mode Step executes serially on the caller's
-// goroutine in strict (time, lane, sequence) order, so stepping drivers
-// (group-creation loops) behave identically at any worker count.
-func (s *Sim) Step() bool {
-	if s.stopped {
-		return false
-	}
-	if s.sh != nil {
-		return s.stepSharded()
-	}
-	if len(s.lane.queue) == 0 {
-		return false
-	}
-	s.lane.execOne()
-	return true
-}
-
-// Run fires events until the queues drain or Stop is called.
-func (s *Sim) Run() {
-	if s.sh != nil {
-		s.runUntilSharded(maxDuration - s.sh.lookahead)
-		return
-	}
-	for s.Step() {
-	}
-}
-
-// RunUntil fires events with timestamps at or before deadline, then
-// advances the clock to deadline. Events scheduled after deadline remain
-// pending, so simulations can be resumed with further RunUntil or Run calls.
-func (s *Sim) RunUntil(deadline time.Time) {
-	limit := deadline.Sub(Epoch)
-	if s.sh != nil {
-		s.runUntilSharded(limit)
-		return
-	}
-	for !s.stopped && len(s.lane.queue) > 0 && s.lane.queue[0].at <= limit {
-		s.Step()
-	}
-	if !s.stopped && s.lane.now < limit {
-		s.lane.now = limit
-	}
-}
-
 // RunFor is RunUntil(Now().Add(d)).
 func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.Now().Add(d)) }
 
 // Stop halts the simulation: no further events fire. Pending events stay
-// queued so that inspection after Stop is possible. In sharded mode Stop
-// takes effect at the next window barrier and must be called from a
-// fence (a control-lane event), not from shard callbacks.
+// queued so that inspection after Stop is possible. Stop must be called
+// from a fence (a control-lane event, or between run calls), not from
+// shard callbacks.
 func (s *Sim) Stop() { s.stopped = true }
 
 // Stopped reports whether Stop has been called.

@@ -10,7 +10,7 @@ import (
 
 const maxDuration = time.Duration(math.MaxInt64)
 
-// Sharded execution: conservative parallel discrete-event simulation.
+// The event loop: conservative parallel discrete-event simulation.
 //
 // EnableShards partitions future node events across per-shard lanes. The
 // run loop alternates two regimes:
@@ -28,6 +28,8 @@ const maxDuration = time.Duration(math.MaxInt64)
 //     window can schedule work into this window, so shards are
 //     independent within it. Cross-shard events are buffered in per-shard
 //     outboxes and merged into destination lanes at the window barrier.
+//     With a single shard there is no other shard to wait for, so the
+//     window is clipped by the control lane and the deadline alone.
 //
 // Determinism holds by construction, not by scheduling luck: every event
 // carries a (time, lane, sequence) key, window contents depend only on
@@ -35,21 +37,6 @@ const maxDuration = time.Duration(math.MaxInt64)
 // order. Worker count parallelizes shard execution inside a window but
 // never reorders the logical total order, so traces are byte-identical
 // from workers=1 to workers=N.
-
-// sharding is the parallel-mode state hung off a Sim.
-type sharding struct {
-	shards    []*Shard
-	workers   int
-	lookahead time.Duration
-
-	// inWindow is true while shard callbacks may be executing. It is
-	// written only by the run-loop goroutine outside the parallel region
-	// (the worker spawn/join edges order it), and steers Post between
-	// direct heap insertion (fences) and outbox buffering (windows).
-	inWindow bool
-
-	busy []int // scratch: indices of shards with work in the window
-}
 
 // Shard is one partition of the simulation's events. Nodes are assigned
 // to shards at setup; each node schedules its timers on its own shard and
@@ -66,73 +53,53 @@ type xevent struct {
 	fn func()
 }
 
-// EnableShards switches the simulation to conservative parallel mode with
-// n shard lanes executed by up to workers goroutines per window, and
-// returns the shards for node assignment. lookahead must be a lower bound
-// on the virtual delay of every cross-shard event (for a simulated
-// network: send overhead + minimum link latency + deliver overhead); the
-// barrier merge panics if a cross-shard event ever undercuts it.
+// EnableShards gives the simulation n shard lanes executed by up to
+// workers goroutines per window, and returns the shards for node
+// assignment. lookahead must be a lower bound on the virtual delay of
+// every cross-shard event (for a simulated network: send overhead +
+// minimum link latency + deliver overhead); the barrier merge panics if a
+// cross-shard event ever undercuts it. One shard has no cross-shard
+// events, so its lookahead is never consulted and may be anything.
 //
 // The shard count is part of the logical event order: runs with equal
 // shard counts and seeds are byte-identical at any worker count, runs
 // with different shard counts are not comparable. Call once, before any
 // node events are scheduled.
 func (s *Sim) EnableShards(n, workers int, lookahead time.Duration) []*Shard {
-	if s.sh != nil {
+	if len(s.shards) > 0 {
 		panic("eventsim: EnableShards called twice")
 	}
 	if n < 1 {
 		panic("eventsim: EnableShards needs at least one shard")
 	}
-	if lookahead <= 0 {
+	if n > 1 && lookahead <= 0 {
 		panic("eventsim: EnableShards needs a positive lookahead")
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	sh := &sharding{
-		shards:    make([]*Shard, n),
-		workers:   workers,
-		lookahead: lookahead,
-		busy:      make([]int, 0, n),
-	}
-	for i := range sh.shards {
+	s.shards = make([]*Shard, n)
+	s.workers = max(workers, 1)
+	s.lookahead = lookahead
+	s.busy = make([]int, 0, n)
+	for i := range s.shards {
 		x := &Shard{outbox: make([][]xevent, n)}
 		x.lane.id = i
 		x.lane.sim = s
 		x.lane.now = s.lane.now
-		sh.shards[i] = x
+		s.shards[i] = x
 	}
-	s.sh = sh
-	return sh.shards
+	return s.shards
 }
 
-// Sharded reports whether EnableShards has been called.
-func (s *Sim) Sharded() bool { return s.sh != nil }
+// Shards returns the shard lanes (none before EnableShards).
+func (s *Sim) Shards() []*Shard { return s.shards }
 
-// NumShards returns the shard count (0 in serial mode).
-func (s *Sim) NumShards() int {
-	if s.sh == nil {
-		return 0
-	}
-	return len(s.sh.shards)
-}
+// NumShards returns the shard count.
+func (s *Sim) NumShards() int { return len(s.shards) }
 
-// Workers returns the configured worker count (0 in serial mode).
-func (s *Sim) Workers() int {
-	if s.sh == nil {
-		return 0
-	}
-	return s.sh.workers
-}
+// Workers returns how many goroutines execute a window.
+func (s *Sim) Workers() int { return s.workers }
 
-// Lookahead returns the configured conservative horizon (0 in serial mode).
-func (s *Sim) Lookahead() time.Duration {
-	if s.sh == nil {
-		return 0
-	}
-	return s.sh.lookahead
-}
+// Lookahead returns the EnableShards bound on cross-shard event delay.
+func (s *Sim) Lookahead() time.Duration { return s.lookahead }
 
 // Index returns the shard's position in the EnableShards result.
 func (x *Shard) Index() int { return x.lane.id }
@@ -170,7 +137,7 @@ func (x *Shard) Post(dst *Shard, d time.Duration, fn func()) {
 	}
 	at := x.base() + d
 	s := x.lane.sim
-	if dst == x || !s.sh.inWindow {
+	if dst == x || !s.inWindow {
 		dst.lane.allocAt(at, fn)
 		return
 	}
@@ -186,17 +153,23 @@ func (l *lane) headAt() time.Duration {
 	return l.queue[0].at
 }
 
-// stepSharded fires the single logically-next event across all lanes,
-// serially. Ties at equal times resolve control lane first, then shards
-// by index. Cross-shard posts insert directly here (no barrier), so
-// same-instant interleavings can differ from a windowed run of the same
-// schedule - but stepping is itself fully deterministic, and any driver
-// that makes the same Step/RunFor call sequence gets the same trace at
-// every worker count, which is the determinism contract the harnesses
-// pin.
-func (s *Sim) stepSharded() bool {
+// Step fires the single logically-next event across all lanes, on the
+// caller's goroutine, and reports false when every queue is empty or the
+// simulation has been stopped. Ties at equal times resolve control lane
+// first, then shards by index, so stepping drivers (group-creation loops)
+// behave identically at any worker count. Cross-shard posts insert
+// directly here (no barrier), so with several shards a same-instant
+// interleaving can differ from a windowed run of the same schedule - but
+// any driver that makes the same Step/RunFor call sequence gets the same
+// trace at every worker count, which is the contract the harnesses pin.
+// With at most one shard nothing crosses, and Step and RunUntil fire the
+// same events in the same order.
+func (s *Sim) Step() bool {
+	if s.stopped {
+		return false
+	}
 	best := &s.lane
-	for _, x := range s.sh.shards {
+	for _, x := range s.shards {
 		if x.lane.headAt() < best.headAt() {
 			best = &x.lane
 		}
@@ -205,76 +178,83 @@ func (s *Sim) stepSharded() bool {
 	if at == maxDuration {
 		return false
 	}
-	best.execOne()
-	// Keep the control clock abreast so fence-relative scheduling and
-	// Sim.Now stay correct while stepping.
+	// Keep the control clock abreast so Sim.Now and fence-relative
+	// scheduling are exact while stepping, inside the callback too.
 	if s.lane.now < at {
 		s.lane.now = at
 	}
+	best.execOne()
 	return true
 }
 
-// runUntilSharded is the windowed run loop (see the package comment at
-// the top of this file).
-func (s *Sim) runUntilSharded(limit time.Duration) {
-	sh := s.sh
+// Run fires events until the queues drain or Stop is called, leaving the
+// clock at the last event fired.
+func (s *Sim) Run() { s.run(maxDuration) }
+
+// RunUntil fires events with timestamps at or before deadline, then
+// advances the clock to deadline. Events scheduled after deadline remain
+// pending, so simulations can be resumed with further RunUntil or Run calls.
+func (s *Sim) RunUntil(deadline time.Time) {
+	limit := deadline.Sub(Epoch)
+	s.run(limit)
+	if !s.stopped && s.lane.now < limit {
+		s.lane.now = limit
+	}
+}
+
+// run is the fence/window loop (see the comment at the top of this
+// file): it fires every event at or before limit.
+func (s *Sim) run(limit time.Duration) {
+	// Window ends are exclusive and maxDuration is headAt's "empty"
+	// answer, so the last representable instant is out of reach.
+	limit = min(limit, maxDuration-1)
 	for !s.stopped {
 		gt := s.lane.headAt()
 		st := maxDuration
-		for _, x := range sh.shards {
-			if h := x.lane.headAt(); h < st {
-				st = h
-			}
+		for _, x := range s.shards {
+			st = min(st, x.lane.headAt())
 		}
-		t := gt
-		if st < t {
-			t = st
-		}
-		if t == maxDuration || t > limit {
+		t := min(gt, st)
+		if t > limit {
 			break
 		}
 		if gt <= st {
 			// Fence: drain every control event at this instant before
 			// opening a window (control lane wins ties).
 			s.lane.now = t
-			for !s.stopped && len(s.lane.queue) > 0 && s.lane.queue[0].at == t {
+			for !s.stopped && s.lane.headAt() == t {
 				s.lane.execOne()
 			}
 			continue
 		}
-		end := t + sh.lookahead
-		if gt < end {
-			end = gt
-		}
-		if limit+1 < end {
-			end = limit + 1 // events at the deadline itself still fire
+		end := min(gt, limit+1) // events at the deadline itself still fire
+		if len(s.shards) > 1 && s.lookahead < end-t {
+			end = t + s.lookahead
 		}
 		s.runWindow(t, end)
-	}
-	if !s.stopped && s.lane.now < limit {
-		s.lane.now = limit
 	}
 }
 
 // runWindow executes every shard event in [start, end), in parallel when
 // more than one shard has work, then merges the outboxes.
 func (s *Sim) runWindow(start, end time.Duration) {
-	sh := s.sh
-	busy := sh.busy[:0]
-	for i, x := range sh.shards {
+	s.busy = s.busy[:0]
+	for i, x := range s.shards {
 		if x.lane.now < start {
 			x.lane.now = start
 		}
 		if x.lane.headAt() < end {
-			busy = append(busy, i)
+			s.busy = append(s.busy, i)
 		}
 	}
-	sh.busy = busy
+	// Assigned once, so the workers' closure captures it by value and a
+	// window that spawns none allocates nothing.
+	busy := s.busy
 
-	sh.inWindow = true
-	if w := min(sh.workers, len(busy)); w <= 1 {
+	s.inWindow = true
+	if w := min(s.workers, len(busy)); w <= 1 {
 		for _, i := range busy {
-			sh.shards[i].runTo(end)
+			s.shards[i].runTo(end)
 		}
 	} else {
 		var next atomic.Int32
@@ -288,20 +268,27 @@ func (s *Sim) runWindow(start, end time.Duration) {
 					if j >= len(busy) {
 						return
 					}
-					sh.shards[busy[j]].runTo(end)
+					s.shards[busy[j]].runTo(end)
 				}
 			}()
 		}
 		wg.Wait()
 	}
-	sh.inWindow = false
+	s.inWindow = false
+
+	// The control clock follows the last event fired, so a run that ends
+	// on this window (Run draining, Stop at the next fence) reads the time
+	// it got to and not the time the window opened.
+	for _, i := range busy {
+		s.lane.now = max(s.lane.now, s.shards[i].lane.now)
+	}
 
 	// Barrier: merge cross-shard events in fixed (destination, source,
 	// FIFO) order. Destination-lane sequence numbers are assigned here,
 	// so arrival order - and with it the whole downstream trace - is a
 	// pure function of shard count, not of worker interleaving.
-	for di, dst := range sh.shards {
-		for _, src := range sh.shards {
+	for di, dst := range s.shards {
+		for _, src := range s.shards {
 			box := src.outbox[di]
 			if len(box) == 0 {
 				continue

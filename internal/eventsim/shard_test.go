@@ -121,7 +121,7 @@ func TestShardedRunDrainsAndCountsExecuted(t *testing.T) {
 }
 
 // TestPendingIsSafeConcurrently polls Pending from another goroutine
-// while the simulation runs - serial and sharded. Under -race this pins
+// while the simulation runs - without shards and with. Under -race this pins
 // the satellite fix: Pending used to read len(queue) unsynchronized.
 func TestPendingIsSafeConcurrently(t *testing.T) {
 	for _, workers := range []int{0, 4} {
@@ -221,28 +221,111 @@ func TestFenceSchedulingUsesGlobalClock(t *testing.T) {
 	}
 }
 
-// TestSerialModeUnchanged cross-checks the serial scheduler's totals
-// against a sharded run of one synthetic workload whose events never
-// share an instant across lanes: the execution counts must agree (the
-// two modes differ only in lane bookkeeping).
-func TestSerialModeUnchanged(t *testing.T) {
-	count := func(shard bool) uint64 {
-		sim := New(9)
-		fire := 0
-		var tick func()
-		tick = func() {
-			if fire++; fire < 500 {
-				sim.Schedule(time.Millisecond, tick)
-			}
-		}
-		if shard {
-			sim.EnableShards(2, 2, time.Millisecond)
-		}
-		sim.Schedule(0, tick)
-		sim.Run()
-		return sim.Executed()
+// TestRunLeavesClockAtLastEvent pins Run's clock: draining through the
+// window loop stops at the last event fired, not at the loop's horizon.
+func TestRunLeavesClockAtLastEvent(t *testing.T) {
+	sim := New(1)
+	shards := sim.EnableShards(2, 1, time.Millisecond)
+	shards[1].Schedule(5*time.Millisecond, func() {})
+	sim.Run()
+	if got, want := sim.Elapsed(), 5*time.Millisecond; got != want {
+		t.Fatalf("Elapsed after Run = %v, want %v", got, want)
 	}
-	if s, p := count(false), count(true); s != p {
-		t.Fatalf("serial executed %d events, sharded control lane %d", s, p)
+}
+
+// TestOneShardStepMatchesRunUntil drives one seeded schedule - shard
+// tickers on colliding periods, self-posts, zero-delay follow-ups and
+// control events that land on the same instants and kick the shard from
+// the fence - once through RunUntil(T) and once through Step. With one
+// shard nothing crosses a barrier, so the same-instant divergence Step
+// documents for several shards cannot occur: same events, same order.
+func TestOneShardStepMatchesRunUntil(t *testing.T) {
+	const T = 100 * time.Millisecond
+	build := func() (*Sim, *[]string) {
+		sim := New(11)
+		sh := sim.EnableShards(1, 1, 0)[0]
+		var log []string
+		rng := sim.Rand()
+		for k := 0; k < 20; k++ {
+			k := k
+			period := time.Duration(1+rng.Intn(4)) * time.Millisecond
+			n := 0
+			var tick func()
+			tick = func() {
+				log = append(log, fmt.Sprintf("shard at=%v tick=%d#%d", sh.Elapsed(), k, n))
+				if n++; n%3 == 0 {
+					sh.Post(sh, time.Duration(k%3)*time.Millisecond, func() {
+						log = append(log, fmt.Sprintf("shard at=%v post=%d", sh.Elapsed(), k))
+					})
+				}
+				if sh.Elapsed() < 150*time.Millisecond {
+					sh.Schedule(period, tick)
+				}
+			}
+			sh.Schedule(period, tick)
+		}
+		for at := 5 * time.Millisecond; at <= 150*time.Millisecond; at += 5 * time.Millisecond {
+			sim.After(at, func() {
+				log = append(log, fmt.Sprintf("ctl   at=%v", sim.Elapsed()))
+				sh.Schedule(0, func() {
+					log = append(log, fmt.Sprintf("shard at=%v fence-kick", sh.Elapsed()))
+				})
+			})
+		}
+		return sim, &log
+	}
+
+	ran, ranLog := build()
+	ran.RunUntil(Epoch.Add(T))
+	n := ran.Executed()
+	if n < 500 || ran.Pending() == 0 {
+		t.Fatalf("schedule too small to mean anything: %d executed, %d pending", n, ran.Pending())
+	}
+
+	stepped, stepLog := build()
+	for stepped.Executed() < n && stepped.Step() {
+	}
+	if got, want := strings.Join(*stepLog, "\n"), strings.Join(*ranLog, "\n"); got != want {
+		t.Fatalf("Step and RunUntil(T) fired different events or orders:\nstep:\n%s\nrun:\n%s", got, want)
+	}
+	if stepped.Elapsed() > T || !stepped.Step() || stepped.Elapsed() <= T {
+		t.Fatalf("RunUntil(T) did not stop exactly at T: the step after its %d events lands at %v", n, stepped.Elapsed())
+	}
+}
+
+// TestControlLaneOnlySim pins the shard-less Sim (a bare event queue, as
+// unit tests and micro-benchmarks use it) on the one loop: every event is
+// a fence, Stop takes effect between two events of one instant, a stopped
+// RunUntil neither fires more nor moves the clock, and a deadline beyond
+// the representable range drains like Run.
+func TestControlLaneOnlySim(t *testing.T) {
+	sim := New(1)
+	var fired []int
+	for i := 0; i < 4; i++ {
+		i := i
+		sim.After(time.Second, func() {
+			fired = append(fired, i)
+			if i == 1 {
+				sim.Stop()
+			}
+		})
+	}
+	sim.After(3*time.Second, func() { fired = append(fired, 4) })
+	sim.RunUntil(Epoch.Add(2 * time.Second))
+	if fmt.Sprint(fired) != "[0 1]" {
+		t.Fatalf("fired = %v, want [0 1] (Stop halts mid-instant)", fired)
+	}
+	if sim.Elapsed() != time.Second || sim.Pending() != 3 {
+		t.Fatalf("after Stop: Elapsed = %v, Pending = %d; want 1s, 3", sim.Elapsed(), sim.Pending())
+	}
+	if sim.Step() {
+		t.Fatal("Step fired an event on a stopped Sim")
+	}
+
+	sim = New(1)
+	sim.After(3*time.Second, func() { fired = append(fired, 5) })
+	sim.RunUntil(Epoch.Add(maxDuration).Add(time.Hour))
+	if fired[len(fired)-1] != 5 || sim.Pending() != 0 {
+		t.Fatalf("far deadline did not drain: fired = %v, Pending = %d", fired, sim.Pending())
 	}
 }

@@ -144,7 +144,7 @@ func overlayFuseRun(p Params, n, groups, size int, window time.Duration) (load, 
 			m := m
 			c.Nodes[m].Fuse.RegisterFailureHandler(func(core.Notice) {
 				if !victims[m] {
-					lat.Add(c.Sim.Now().Sub(crashAt).Seconds())
+					lat.Add(c.Nodes[m].Env.Now().Sub(crashAt).Seconds())
 				}
 			}, g.id)
 		}
@@ -167,11 +167,13 @@ func livetopoRun(p Params, kind livetopo.Kind, n, groups, size int, window time.
 	cfg := livetopo.DefaultConfig(kind)
 	cfg.Server = overlay.NodeRef{Name: "lt000", Addr: "lt-000"}
 	svcs := make([]*livetopo.Service, n)
+	envs := make([]transport.Env, n)
 	refs := make([]overlay.NodeRef, n)
 	for i := 0; i < n; i++ {
 		addr := transport.Addr(fmt.Sprintf("lt-%03d", i))
 		refs[i] = overlay.NodeRef{Name: fmt.Sprintf("lt%03d", i), Addr: addr}
 		env := net.AddNode(addr, pts[i])
+		envs[i] = env
 		svc := livetopo.New(env, cfg, refs[i])
 		svcs[i] = svc
 		func(svc *livetopo.Service) {
@@ -230,7 +232,7 @@ func livetopoRun(p Params, kind livetopo.Kind, n, groups, size int, window time.
 			m := m
 			svcs[m].RegisterFailureHandler(func(livetopo.Notice) {
 				if !victims[m] {
-					lat.Add(sim.Now().Sub(crashAt).Seconds())
+					lat.Add(envs[m].Now().Sub(crashAt).Seconds())
 				}
 			}, g.id)
 		}

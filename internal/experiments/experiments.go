@@ -38,10 +38,11 @@ type Params struct {
 	// Window overrides the steady-state measurement window for drivers
 	// that have one; 0 means the driver's default.
 	Window time.Duration
-	// Workers selects the sharded parallel scheduler with that many
-	// worker goroutines for drivers that plumb it through (paperscale);
-	// 0 keeps the serial scheduler. Results are identical across worker
-	// counts; only wall-clock throughput changes.
+	// Workers is cluster.Options.Workers for drivers that plumb it
+	// through (paperscale): 0 runs every node on one event shard, >= 1
+	// that many goroutines over the default shard count. Results are
+	// identical across worker counts >= 1; only wall-clock throughput
+	// changes.
 	Workers int
 }
 

@@ -63,7 +63,7 @@ func Fig6RPCLatency(p Params) (*Result, error) {
 		start := c.Sim.Now()
 		done := false
 		peers[a].Call(c.Nodes[b].Addr, "ping", time.Minute, func(any, error) {
-			sample.AddDuration(c.Sim.Now().Sub(start))
+			sample.AddDuration(c.Nodes[a].Env.Now().Sub(start))
 			done = true
 		})
 		for !done && c.Sim.Step() {
@@ -159,7 +159,7 @@ func Fig8SignaledNotification(p Params) (*Result, error) {
 			for _, m := range g.members {
 				m := m
 				c.Nodes[m].Fuse.RegisterFailureHandler(func(core.Notice) {
-					lat.AddDuration(c.Sim.Now().Sub(signalAt))
+					lat.AddDuration(c.Nodes[m].Env.Now().Sub(signalAt))
 					remaining--
 				}, g.id)
 				remaining++
@@ -211,7 +211,7 @@ func Fig9CrashNotification(p Params) (*Result, error) {
 			m := m
 			c.Nodes[m].Fuse.RegisterFailureHandler(func(core.Notice) {
 				if !crashed[m] && !crashAt.IsZero() {
-					times.Add(c.Sim.Now().Sub(crashAt).Minutes())
+					times.Add(c.Nodes[m].Env.Now().Sub(crashAt).Minutes())
 				}
 			}, g.id)
 		}

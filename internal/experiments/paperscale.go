@@ -122,8 +122,8 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 
 	// Failure phase: crash nodes together (the paper disconnects whole
 	// machines) and check one-way agreement at scale - every live member
-	// of an affected group hears the notification exactly once. Under the
-	// sharded scheduler handlers fire on shard worker goroutines, so each
+	// of an affected group hears the notification exactly once. With
+	// several workers handlers fire on shard worker goroutines, so each
 	// registration records into its own pre-allocated slot (only the
 	// member's shard ever writes it; barrier joins order it against the
 	// fence-time aggregation below) and timestamps with the member's own
@@ -173,13 +173,9 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 		}
 	}
 
-	sched := "serial scheduler"
-	if p.Workers > 0 {
-		sched = fmt.Sprintf("sharded scheduler: %d shards, %d workers", c.ShardCount(), c.Workers())
-	}
 	r := newResult("paperscale", fmt.Sprintf(
-		"§7.3 paper-scale simulation: %d nodes, %d groups of %d, %d crashed (%s)",
-		n, groups, size, kill, sched))
+		"§7.3 paper-scale simulation: %d nodes, %d groups of %d, %d crashed (%d shards, %d workers)",
+		n, groups, size, kill, c.ShardCount(), c.Workers()))
 	r.addLine("setup: route warmup %.1fs wall, %d groups created in %.1fs wall",
 		warmWall.Seconds(), groups, createWall.Seconds())
 	r.addLine("steady state:  %10.1f msg/s background  (%d monitored pairs, %d shared timers)",

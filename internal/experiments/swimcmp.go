@@ -75,11 +75,13 @@ func swimRun(p Params, n int) (loadPerNode, medianDetectSec float64, masked bool
 	net := simnet.New(sim, topo, simnet.Options{})
 	pts := topo.AttachPoints(n, sim.Rand())
 	svcs := make([]*swim.Service, n)
+	envs := make([]transport.Env, n)
 	refs := make([]overlay.NodeRef, n)
 	addr := func(i int) transport.Addr { return transport.Addr(fmt.Sprintf("sw-%03d", i)) }
 	for i := 0; i < n; i++ {
 		refs[i] = overlay.NodeRef{Name: fmt.Sprintf("sw%03d", i), Addr: addr(i)}
 		env := net.AddNode(addr(i), pts[i])
+		envs[i] = env
 		svc := swim.New(env, swim.DefaultConfig(), refs[i])
 		svcs[i] = svc
 		func(svc *swim.Service) {
@@ -110,11 +112,10 @@ func swimRun(p Params, n int) (loadPerNode, medianDetectSec float64, masked bool
 		if i == n-1 {
 			continue
 		}
-		i := i
+		env := envs[i]
 		svc.OnChange = func(ref overlay.NodeRef, s swim.State) {
 			if ref.Name == refs[n-1].Name && s == swim.Dead {
-				detect.Add(sim.Now().Sub(crashAt).Seconds())
-				_ = i
+				detect.Add(env.Now().Sub(crashAt).Seconds())
 			}
 		}
 	}
@@ -154,10 +155,9 @@ func fuseRun(p Params, n int) (loadPerNode, medianDetectSec float64, appScoped b
 	detect := stats.NewSample(n - 1)
 	crashAt := c.Sim.Now()
 	for i := 0; i < n-1; i++ {
-		i := i
+		env := c.Nodes[i].Env
 		c.Nodes[i].Fuse.RegisterFailureHandler(func(core.Notice) {
-			detect.Add(c.Sim.Now().Sub(crashAt).Seconds())
-			_ = i
+			detect.Add(env.Now().Sub(crashAt).Seconds())
 		}, id)
 	}
 	c.Crash(n - 1)

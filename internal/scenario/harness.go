@@ -119,35 +119,11 @@ func (r *Report) violationf(format string, args ...any) {
 // mergeSinks folds the per-lane sinks into the tracks and the final
 // trace, in (time, lane) order with per-lane FIFO stability - the
 // logical delivery order, independent of how many workers executed the
-// run. Under the serial scheduler there is a single sink and the merge
-// degenerates to its append order.
+// run.
 func (e *Engine) mergeSinks() string {
-	idx := make([]int, len(e.sinks))
-	for {
-		best := -1
-		for li, sk := range e.sinks {
-			if idx[li] >= len(sk.notices) {
-				continue
-			}
-			if best == -1 || sk.notices[idx[li]].n.at < e.sinks[best].notices[idx[best]].n.at {
-				best = li
-			}
-		}
-		if best == -1 {
-			break
-		}
-		gn := e.sinks[best].notices[idx[best]]
-		idx[best]++
-		tr := e.tracks[gn.group]
-		tr.counts[incKey{gn.n.node, gn.n.inc}]++
-		tr.notices = append(tr.notices, gn.n)
-	}
-
 	var b strings.Builder
 	b.WriteString(e.trace.String()) // setup lines
-	for i := range idx {
-		idx[i] = 0
-	}
+	idx := make([]int, len(e.sinks))
 	for {
 		best := -1
 		for li, sk := range e.sinks {
@@ -164,6 +140,11 @@ func (e *Engine) mergeSinks() string {
 		ln := e.sinks[best].lines[idx[best]]
 		idx[best]++
 		fmt.Fprintf(&b, "t=+%09.3fs  %s\n", ln.at.Seconds(), ln.text)
+		if gn := ln.notice; gn != nil {
+			tr := e.tracks[gn.group]
+			tr.counts[incKey{gn.n.node, gn.n.inc}]++
+			tr.notices = append(tr.notices, gn.n)
+		}
 	}
 	return b.String()
 }

@@ -27,9 +27,10 @@ type Params struct {
 	MeanDwell time.Duration
 	// Window overrides the churn preset's churn window; 0 means default.
 	Window time.Duration
-	// Workers selects the sharded parallel scheduler with that many
-	// worker goroutines; 0 keeps the serial scheduler. Traces and
-	// reports are byte-identical across worker counts (>= 1).
+	// Workers is cluster.Options.Workers: 0 runs every node on one
+	// event shard; >= 1 partitions them into the default shard count,
+	// executed by that many goroutines. Traces and reports are
+	// byte-identical across worker counts (>= 1).
 	Workers int
 }
 

@@ -86,14 +86,13 @@ type Script struct {
 
 // Engine executes one Script over one cluster. It is single-use.
 //
-// The engine works unchanged under the serial and the sharded scheduler.
-// All of its own bookkeeping (fault records, incarnations, churn/ramp
-// processes) mutates only at fences: actions run as control-lane events.
-// The one structure failure handlers write from node context - the trace
-// and notice stream - is striped into per-lane sinks (one per event
-// shard, plus one for the control lane) and k-way merged by (time, lane)
-// when the run is audited, so the report and trace are byte-identical at
-// every worker count.
+// All of the engine's own bookkeeping (fault records, incarnations,
+// churn/ramp processes) mutates only at fences: actions run as
+// control-lane events. The one structure failure handlers write from node
+// context - the trace and notice stream - is striped into per-lane sinks
+// (one per event shard, plus one for the control lane) and k-way merged
+// by (time, lane) when the run is audited, so the report and trace are
+// byte-identical at every worker count.
 type Engine struct {
 	c      *cluster.Cluster
 	script Script
@@ -168,25 +167,26 @@ func (e *Engine) setup() error {
 	return nil
 }
 
-// laneSink buffers the trace lines and notices produced on one event
-// lane. Each sink is appended to by exactly one lane - the control lane
-// for action lines, a node's shard for its notification handlers - so
-// sharded windows write without synchronization; the harness merges the
-// sinks by (time, lane) when it audits the run. Timestamps within a sink
-// are non-decreasing (lanes execute in time order), which is what makes
-// the k-way merge exact.
+// laneSink buffers the trace lines produced on one event lane. Each sink
+// is appended to by exactly one lane - the control lane for action lines,
+// a node's shard for its notification handlers - so parallel windows
+// write without synchronization; the harness merges the sinks by (time,
+// lane) when it audits the run. Timestamps within a sink are
+// non-decreasing (lanes execute in time order), which is what makes the
+// k-way merge exact.
 type laneSink struct {
-	lines   []traceLine
-	notices []groupNotice
+	lines []traceLine
 }
 
 type traceLine struct {
 	at   time.Duration // timeline-relative
 	text string
+	// notice is set on a failure handler's line: the invocation itself,
+	// which the merge routes to its group's track.
+	notice *groupNotice
 }
 
-// groupNotice is one handler invocation, tagged with its group index so
-// the merge can route it to the right track.
+// groupNotice is one handler invocation, tagged with its group index.
 type groupNotice struct {
 	group int
 	n     notice
@@ -285,26 +285,24 @@ func (e *Engine) attribute(gi int) int {
 }
 
 // attach registers a failure handler for group gi on node's current
-// incarnation. The handler runs in the node's event context - under the
-// sharded scheduler that is the node's shard worker - so it writes only
-// to the node's lane sink, reads the node-local clock, and consults
-// engine state that mutates exclusively at fences (the fault schedule).
+// incarnation. The handler runs in the node's event context - possibly on
+// its shard's worker goroutine - so it writes only to the node's lane
+// sink, reads the node-local clock, and consults engine state that
+// mutates exclusively at fences (the fault schedule).
 func (e *Engine) attach(gi, node int) {
 	tr := e.tracks[gi]
 	inc := e.inc[node]
 	tr.attached[node] = inc
-	lane := 0
-	if sh := e.c.ShardOf(node); sh >= 0 {
-		lane = 1 + sh
-	}
-	sk := e.sinks[lane]
+	sk := e.sinks[1+e.c.ShardOf(node)]
 	env := e.c.Nodes[node].Env
 	e.c.Nodes[node].Fuse.RegisterFailureHandler(func(n core.Notice) {
 		at := env.Now().Sub(eventsim.Epoch) - e.t0
 		fs := e.attribute(gi)
-		sk.notices = append(sk.notices, groupNotice{group: gi, n: notice{node: node, inc: inc, at: at, reason: n.Reason, fault: fs}})
-		sk.lines = append(sk.lines, traceLine{at: at, text: fmt.Sprintf(
-			"notify group=%d node=%d inc=%d reason=%s fault=%d", gi, node, inc, n.Reason, fs)})
+		sk.lines = append(sk.lines, traceLine{
+			at:     at,
+			text:   fmt.Sprintf("notify group=%d node=%d inc=%d reason=%s fault=%d", gi, node, inc, n.Reason, fs),
+			notice: &groupNotice{group: gi, n: notice{node: node, inc: inc, at: at, reason: n.Reason, fault: fs}},
+		})
 	}, tr.id)
 }
 

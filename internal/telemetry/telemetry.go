@@ -5,7 +5,7 @@
 //
 // The design follows the same per-lane-sink pattern the scenario
 // engine's observers use. A Registry owns one Lane per event-scheduler
-// lane (lane 0 is the control/serial lane; lanes 1..S map to eventsim
+// lane (lane 0 is the control lane; lanes 1..S map to eventsim
 // shards), and every hot-path write is an indexed atomic add into that
 // lane's preallocated slot slab — no allocation, no locks, no
 // cross-lane contention. Snapshots merge lanes by summation, which is
@@ -103,7 +103,7 @@ type Lane struct {
 
 // New creates a registry with the given number of lanes. Pass the
 // owning clock's epoch (eventsim.Epoch in sim, time.Now() in live) and
-// 1 lane for serial/live or 1+shards for a sharded scheduler.
+// 1 lane for a live node or 1+shards for a simulation.
 func New(epoch time.Time, lanes int) *Registry {
 	if lanes < 1 {
 		lanes = 1
@@ -119,7 +119,7 @@ func New(epoch time.Time, lanes int) *Registry {
 	return r
 }
 
-// Lane returns stripe i (0 = control/serial lane). Out-of-range lanes
+// Lane returns stripe i (0 = control lane). Out-of-range lanes
 // fall back to lane 0 so callers never index past the stripe set.
 func (r *Registry) Lane(i int) *Lane {
 	if r == nil {

@@ -77,12 +77,12 @@ func DefaultOptions() Options {
 
 // Net connects simulated nodes over a topology.
 //
-// In sharded mode (UseShards) every node belongs to one eventsim shard
-// and all mutable steady-state structures - delivery pools, traffic
-// counters - are striped per shard (netSlot), so parallel windows touch
-// disjoint state. Fault-injection methods and the aggregate counters must
-// only be called at fences (between Run calls or from control-lane
-// events), which is where every caller in this repository already sits.
+// Every node belongs to one eventsim shard and all mutable steady-state
+// structures - delivery pools, traffic counters - are striped per shard
+// (netSlot), so parallel windows touch disjoint state. Fault-injection
+// methods and the aggregate counters must only be called at fences
+// (between Run calls or from control-lane events), which is where every
+// caller in this repository already sits.
 type Net struct {
 	sim  *eventsim.Sim
 	topo *netmodel.Topology
@@ -91,27 +91,21 @@ type Net struct {
 	nodes map[transport.Addr]*node
 	rules map[rulePair]rule
 
-	// shards is non-nil in sharded mode; shardOf maps an attachment
-	// router to a shard index. Keying the assignment on the router (not
-	// the node) keeps same-router nodes - whose mutual path latency is
-	// zero - on one shard, preserving the cross-shard lookahead bound.
-	shards  []*eventsim.Shard
-	shardOf func(netmodel.RouterID) int
-
-	// slots holds the per-shard state stripes; a single slot 0 serves the
-	// serial mode.
-	slots []netSlot
+	// shards are the simulator's event lanes; slots holds the matching
+	// per-shard state stripes. shardOf places nodes on them.
+	shards []*eventsim.Shard
+	slots  []netSlot
 
 	// OnDeliver, if set, observes every successful delivery. Experiments
 	// use it to classify traffic. The observed message is only valid for
 	// the duration of the call (pooled records are recycled afterwards).
-	// In sharded mode it runs on the destination's worker goroutine and
-	// must only touch per-shard state.
+	// It runs in the destination's event context (with several workers,
+	// on its shard's goroutine) and must only touch per-shard state.
 	OnDeliver func(from, to transport.Addr, msg transport.Message)
 
 	// telemetry, when attached, hands each node the registry lane
-	// matching its event shard (lane 1+shard, or lane 0 in serial mode)
-	// via the transport-level LaneProvider interface.
+	// matching its event shard (lane 1+shard; lane 0 is the control
+	// lane's) via the transport-level LaneProvider interface.
 	telemetry *telemetry.Registry
 }
 
@@ -157,62 +151,49 @@ type rule struct {
 	hasLoss bool
 }
 
-// New creates a simulated network over topo driven by sim.
+// New creates a simulated network over topo driven by sim. Nodes are
+// placed on sim's shards; a sim that was given none gets one, on which the
+// whole network then runs in a single lane with nothing to synchronize.
+// With several, sim's lookahead must not exceed MinDeliveryDelay (the
+// simulator's barrier merge panics on a delivery that undercuts it).
 func New(sim *eventsim.Sim, topo *netmodel.Topology, opts Options) *Net {
 	if opts.RetriesBeforeBreak < 1 {
 		opts.RetriesBeforeBreak = 1
 	}
+	shards := sim.Shards()
+	if len(shards) == 0 {
+		shards = sim.EnableShards(1, 1, 0)
+	}
 	return &Net{
-		sim:   sim,
-		topo:  topo,
-		opts:  opts,
-		nodes: make(map[transport.Addr]*node),
-		rules: make(map[rulePair]rule),
-		slots: make([]netSlot, 1),
+		sim:    sim,
+		topo:   topo,
+		opts:   opts,
+		nodes:  make(map[transport.Addr]*node),
+		rules:  make(map[rulePair]rule),
+		shards: shards,
+		slots:  make([]netSlot, len(shards)),
 	}
 }
 
 // Sim returns the underlying simulator.
 func (n *Net) Sim() *eventsim.Sim { return n.sim }
 
-// UseShards switches the network to sharded mode: every node added
-// afterwards is assigned to shards[shardOf(router)] and schedules its
-// timers and deliveries there. Must be called before any AddNode.
-//
-// shardOf must be a pure function of the router so that nodes attached to
-// the same router always share a shard; cross-shard deliveries then
-// always cross at least one topology link and respect the simulator's
-// lookahead.
-func (n *Net) UseShards(shards []*eventsim.Shard, shardOf func(netmodel.RouterID) int) {
-	if len(n.nodes) > 0 {
-		panic("simnet: UseShards must be called before AddNode")
-	}
-	if len(shards) == 0 {
-		panic("simnet: UseShards with no shards")
-	}
-	n.shards = shards
-	n.shardOf = shardOf
-	n.slots = make([]netSlot, len(shards))
-}
-
-// Sharded reports whether UseShards has been called.
-func (n *Net) Sharded() bool { return n.shards != nil }
-
-// ShardIndex returns addr's shard assignment, or -1 in serial mode.
-func (n *Net) ShardIndex(addr transport.Addr) int {
-	if n.shards == nil {
-		return -1
-	}
-	return n.mustNode(addr).slot
-}
-
 // MinDeliveryDelay returns the smallest virtual delay any cross-shard
 // delivery can experience: serialization overhead, one traversal of the
-// topology's cheapest link, and receiver overhead. Cluster setup feeds
-// this to eventsim.EnableShards as the conservative lookahead.
-func (n *Net) MinDeliveryDelay() time.Duration {
-	return n.opts.SendOverhead + n.topo.MinLinkLatency() + n.opts.DeliverOverhead
+// topology's cheapest link, and receiver overhead. It is the lookahead to
+// give eventsim.EnableShards for a network over topo with these options.
+func MinDeliveryDelay(topo *netmodel.Topology, opts Options) time.Duration {
+	return opts.SendOverhead + topo.MinLinkLatency() + opts.DeliverOverhead
 }
+
+// shardOf maps an attachment router to a shard index. Keying the
+// assignment on the router (not the node) keeps same-router nodes - whose
+// mutual path latency is zero - on one shard, so every cross-shard
+// delivery crosses at least one topology link and clears MinDeliveryDelay.
+func (n *Net) shardOf(router netmodel.RouterID) int { return int(router) % len(n.shards) }
+
+// ShardIndex returns addr's shard assignment.
+func (n *Net) ShardIndex(addr transport.Addr) int { return n.mustNode(addr).slot }
 
 // node implements transport.Env for one simulated endpoint.
 type node struct {
@@ -221,8 +202,8 @@ type node struct {
 	router  netmodel.RouterID
 	handler transport.Handler
 	rng     *rand.Rand
-	// shard is the node's event lane in sharded mode (nil in serial
-	// mode); slot indexes the net's state stripes (0 in serial mode).
+	// shard is the node's event lane; slot is its index, which is also
+	// the node's stripe in the net's per-shard state.
 	shard   *eventsim.Shard
 	slot    int
 	crashed bool
@@ -251,10 +232,7 @@ func (nd *node) TelemetryLane() *telemetry.Lane {
 	if reg == nil {
 		return nil
 	}
-	if nd.shard != nil {
-		return reg.Lane(1 + nd.slot)
-	}
-	return reg.Lane(0)
+	return reg.Lane(1 + nd.slot)
 }
 
 // route is one resolved destination in a node's send cache.
@@ -318,19 +296,17 @@ func (n *Net) AddNode(addr transport.Addr, router netmodel.RouterID) transport.E
 	if _, dup := n.nodes[addr]; dup {
 		panic(fmt.Sprintf("simnet: duplicate node %q", addr))
 	}
+	slot := n.shardOf(router)
 	nd := &node{
-		net:    n,
-		addr:   addr,
-		router: router,
-		rng:    rand.New(rand.NewSource(n.sim.Rand().Int63())),
-		routes: make(map[transport.Addr]route),
+		net:      n,
+		addr:     addr,
+		router:   router,
+		rng:      rand.New(rand.NewSource(n.sim.Rand().Int63())),
+		shard:    n.shards[slot],
+		slot:     slot,
+		nextFree: n.sim.Elapsed(),
+		routes:   make(map[transport.Addr]route),
 	}
-	if n.shards != nil {
-		idx := n.shardOf(router)
-		nd.shard = n.shards[idx]
-		nd.slot = idx
-	}
-	nd.nextFree = n.sim.Elapsed()
 	n.nodes[addr] = nd
 	return nd
 }
@@ -547,24 +523,10 @@ func (n *Net) Dropped() uint64 {
 func (nd *node) Addr() transport.Addr { return nd.addr }
 func (nd *node) Rand() *rand.Rand     { return nd.rng }
 
-// Now returns the node's local virtual clock: its shard's clock in
-// sharded mode (which may run ahead of other shards inside a window, but
-// is exactly the executing event's time), the global clock otherwise.
-func (nd *node) Now() time.Time {
-	if nd.shard != nil {
-		return nd.shard.Now()
-	}
-	return nd.net.sim.Now()
-}
-
-// elapsed is Now as an offset from the simulation epoch (plain integer
-// arithmetic for the send path).
-func (nd *node) elapsed() time.Duration {
-	if nd.shard != nil {
-		return nd.shard.Elapsed()
-	}
-	return nd.net.sim.Elapsed()
-}
+// Now returns the node's local virtual clock, its shard's: inside a
+// window it may run ahead of other shards and of the simulator's fence
+// clock, but it is exactly the executing event's time.
+func (nd *node) Now() time.Time { return nd.shard.Now() }
 
 func (nd *node) Logf(format string, args ...any) {
 	if nd.logf != nil {
@@ -585,10 +547,7 @@ func (nd *node) After(d time.Duration, fn func()) transport.Timer {
 		}
 		fn()
 	}
-	if nd.shard != nil {
-		return nd.shard.After(d, wrapped)
-	}
-	return nd.net.sim.After(d, wrapped)
+	return nd.shard.After(d, wrapped)
 }
 
 func (nd *node) Send(to transport.Addr, msg transport.Message) {
@@ -632,7 +591,7 @@ func (nd *node) Send(to transport.Addr, msg transport.Message) {
 	// Sender-side serialization: messages leave one at a time, each
 	// paying SendOverhead. This serial queue is what the paper's Figure 8
 	// attributes its group-size dependence to.
-	now := nd.elapsed()
+	now := nd.shard.Elapsed()
 	depart := now
 	if nd.nextFree > depart {
 		depart = nd.nextFree
@@ -664,15 +623,11 @@ func (nd *node) Send(to transport.Addr, msg transport.Message) {
 	dl.from, dl.dst, dl.msg, dl.epoch = nd.addr, rt.dst, msg, rt.dst.epoch
 	// The total delay is at least SendOverhead + path latency +
 	// DeliverOverhead; a cross-shard destination is attached to a
-	// different router (UseShards keys shards on routers), so its path
+	// different router (shardOf keys shards on routers), so its path
 	// crosses at least one link and the delay clears MinDeliveryDelay -
 	// the lookahead bound the barrier merge enforces.
 	delay := depart - now + rt.path.Latency + retryDelay + net.opts.DeliverOverhead
-	if nd.shard != nil {
-		nd.shard.Post(rt.dst.shard, delay, dl.run)
-	} else {
-		net.sim.Schedule(delay, dl.run)
-	}
+	nd.shard.Post(rt.dst.shard, delay, dl.run)
 }
 
 var _ transport.Env = (*node)(nil)

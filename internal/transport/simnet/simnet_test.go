@@ -51,7 +51,7 @@ func TestDeliveryAndLatency(t *testing.T) {
 	var gotMsg string
 	var at time.Time
 	net.SetHandler(addrs[1], func(from transport.Addr, msg transport.Message) {
-		gotFrom, gotMsg, at = from, msg.(*tmsg).V, net.sim.Now()
+		gotFrom, gotMsg, at = from, msg.(*tmsg).V, net.nodes[addrs[1]].Now()
 	})
 	net.SetHandler(addrs[0], func(transport.Addr, transport.Message) {})
 	env := net.nodes[addrs[0]]
@@ -71,7 +71,7 @@ func TestSendOverheadSerializesSender(t *testing.T) {
 	net, addrs := testNet(t, 2, opts)
 	var arrivals []time.Time
 	net.SetHandler(addrs[1], func(transport.Addr, transport.Message) {
-		arrivals = append(arrivals, net.sim.Now())
+		arrivals = append(arrivals, net.nodes[addrs[1]].Now())
 	})
 	env := net.nodes[addrs[0]]
 	for i := 0; i < 3; i++ {
@@ -231,7 +231,7 @@ func TestRetriesAddLatency(t *testing.T) {
 	base := net.topo.Path(net.Router(addrs[0]), net.Router(addrs[1])).Latency
 	net.SetHandler(addrs[1], func(_ transport.Addr, msg transport.Message) {
 		i := msg.(*imsg).I
-		if d := net.sim.Now().Sub(sentAt[i]) - base; d > maxDelay {
+		if d := net.nodes[addrs[1]].Now().Sub(sentAt[i]) - base; d > maxDelay {
 			maxDelay = d
 		}
 	})

@@ -26,12 +26,13 @@ func NewSim(n int, seed int64) *Sim {
 	return NewSimWorkers(n, seed, 0)
 }
 
-// NewSimWorkers is NewSim with the sharded parallel scheduler: nodes are
-// partitioned into event shards that advance in parallel windows bounded
-// by the network's minimum delivery latency, executed by the given
-// number of worker goroutines. workers=0 keeps the serial scheduler.
-// Runs are deterministic and identical across all worker counts >= 1;
-// only wall-clock speed changes.
+// NewSimWorkers is NewSim with the event loop's windows executed by the
+// given number of worker goroutines: nodes are partitioned into event
+// shards that advance in parallel windows bounded by the network's
+// minimum delivery latency. workers=0 is NewSim: every node on one shard,
+// one goroutine (the same run as one worker over one shard). Runs are
+// deterministic and identical across all worker counts >= 1; only
+// wall-clock speed changes.
 func NewSimWorkers(n int, seed int64, workers int) *Sim {
 	return &Sim{c: cluster.New(cluster.Options{N: n, Seed: seed, Workers: workers})}
 }
@@ -46,8 +47,8 @@ func NewSimPaperScale(n int, seed int64) *Sim {
 	return NewSimPaperScaleWorkers(n, seed, 0)
 }
 
-// NewSimPaperScaleWorkers is NewSimPaperScale with the sharded parallel
-// scheduler (see NewSimWorkers).
+// NewSimPaperScaleWorkers is NewSimPaperScale on several event shards
+// and worker goroutines (see NewSimWorkers).
 func NewSimPaperScaleWorkers(n int, seed int64, workers int) *Sim {
 	cfg := netmodel.PaperScaleConfig(seed)
 	s := &Sim{c: cluster.New(cluster.Options{N: n, Seed: seed, NetConfig: &cfg, Workers: workers})}
@@ -67,14 +68,16 @@ func (s *Sim) Telemetry() *telemetry.Registry { return s.c.Telemetry }
 // Peer returns the identity of node i.
 func (s *Sim) Peer(i int) Peer { return s.c.Nodes[i].Ref() }
 
-// Now returns the current virtual time.
+// Now returns the current virtual time as the driver sees it: the
+// simulator's fence clock, exact between RunFor and CreateGroup calls.
+// While RunFor is executing events it lags the nodes by up to a whole
+// window, so a failure handler that wants to know when it ran reads
+// NodeNow.
 func (s *Sim) Now() time.Time { return s.c.Sim.Now() }
 
-// NodeNow returns node i's own virtual clock. Under the serial
-// scheduler it equals Now; under the sharded scheduler (NewSimWorkers)
-// it is the node's shard clock, the correct timestamp inside a failure
-// handler, which may run while the node's shard is ahead of the global
-// clock.
+// NodeNow returns node i's own virtual clock: the time of the event the
+// node is executing, and therefore the correct timestamp inside a failure
+// handler. Between run calls it equals Now.
 func (s *Sim) NodeNow(i int) time.Time { return s.c.Nodes[i].Env.Now() }
 
 // RunFor advances virtual time by d, executing all protocol events due in
