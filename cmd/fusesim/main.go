@@ -272,12 +272,7 @@ func runScenario(name string, sp scenario.Params, dump bool, topts telemetryOpts
 		os.Exit(2)
 	}
 	if dump {
-		sf, err := scenario.ToFile(len(c.Nodes), seed, s)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fusesim: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := sf.Marshal()
+		data, err := scenario.ToFile(len(c.Nodes), seed, s).Marshal()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fusesim: %v\n", err)
 			os.Exit(1)

@@ -31,8 +31,8 @@ func TestLatencyAttributionUnderOverlap(t *testing.T) {
 		Name:   "attribution-overlap",
 		Groups: []GroupSpec{{Root: 0, Members: []int{1, 2}}},
 		Events: []Event{
-			{At: 30 * time.Second, Do: ChurnStart{First: 12, Count: 8, MeanDwell: 2 * time.Minute, Bootstrap: 3}},
-			{At: time.Minute, Do: LossRamp{A: 0, B: 1, From: 0, To: 1, Steps: 5, Over: 8 * time.Minute}},
+			{At: 30 * time.Second, Do: ChurnStart{First: 12, Count: 8, MeanDwell: Duration(2 * time.Minute), Bootstrap: 3}},
+			{At: time.Minute, Do: LossRamp{A: 0, B: 1, From: 0, To: 1, Steps: 5, Over: Duration(8 * time.Minute)}},
 			{At: 10 * time.Minute, Do: ChurnStop{}},
 		},
 		Duration:     20 * time.Minute,

@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 )
@@ -42,34 +44,15 @@ import (
 // Everything is driven by the one seed: same seed, same script, and -
 // because the engine is deterministic - the same trace, byte for byte.
 
-// GenConfig bounds the generator. The zero value means defaults
-// (16-28 nodes, up to 3 groups, up to 10 scheduled events, 12 minute
-// settle tail).
-type GenConfig struct {
-	MinNodes, MaxNodes int
-	MaxGroups          int
-	MaxEvents          int
-	Settle             time.Duration
-}
-
-func (c GenConfig) withDefaults() GenConfig {
-	if c.MinNodes == 0 {
-		c.MinNodes = 16
-	}
-	if c.MaxNodes == 0 {
-		c.MaxNodes = 28
-	}
-	if c.MaxGroups == 0 {
-		c.MaxGroups = 3
-	}
-	if c.MaxEvents < 3 {
-		c.MaxEvents = 10
-	}
-	if c.Settle == 0 {
-		c.Settle = 12 * time.Minute
-	}
-	return c
-}
+// The generator's bounds: deployment size, group count, scheduled events
+// (before the quiet tail) and the settle window after it.
+const (
+	genMinNodes  = 16
+	genMaxNodes  = 28
+	genMaxGroups = 3
+	genMaxEvents = 10
+	genSettle    = 12 * time.Minute
+)
 
 // genState tracks the generator's model of the deployment so every
 // emitted event is applicable when its time comes.
@@ -87,17 +70,16 @@ type genState struct {
 	churning    bool
 	churnedOnce bool
 
-	groups []GroupJSON
+	groups []GroupSpec
 	stores map[int]bool // nodes with a declared store
 }
 
 // GenerateScript draws one well-formed scenario from seed. It is pure:
-// the same seed and config always produce the identical script.
-func GenerateScript(seed int64, cfg GenConfig) *ScriptFile {
-	cfg = cfg.withDefaults()
+// the same seed always produces the identical script.
+func GenerateScript(seed int64) *ScriptFile {
 	rng := rand.New(rand.NewSource(seed))
 
-	nodes := cfg.MinNodes + rng.Intn(cfg.MaxNodes-cfg.MinNodes+1)
+	nodes := genMinNodes + rng.Intn(genMaxNodes-genMinNodes+1)
 	churnCount := 4 + rng.Intn(4)
 	g := &genState{
 		rng:       rng,
@@ -109,18 +91,16 @@ func GenerateScript(seed int64, cfg GenConfig) *ScriptFile {
 		losses:    make(map[[2]int]bool),
 		stores:    make(map[int]bool),
 	}
-	g.makeGroups(1 + rng.Intn(cfg.MaxGroups))
+	g.makeGroups(1 + rng.Intn(genMaxGroups))
 
-	var events []EventJSON
+	var events []Event
 	t := 30 * time.Second
-	want := 3 + rng.Intn(cfg.MaxEvents-2)
+	want := 3 + rng.Intn(genMaxEvents-2)
 	for len(events) < want {
 		t += time.Duration(20+rng.Intn(70)) * time.Second
-		ev, ok := g.next(t)
-		if !ok {
-			continue
+		if do, ok := g.next(); ok {
+			events = append(events, Event{At: t, Do: do})
 		}
-		events = append(events, ev)
 	}
 
 	// The quiet tail: stop churn, end every loss override still in
@@ -128,10 +108,10 @@ func GenerateScript(seed int64, cfg GenConfig) *ScriptFile {
 	// triggered to finish notifying before the audit.
 	tEnd := t + time.Minute
 	if g.churning {
-		events = append(events, EventJSON{At: Duration(tEnd), Do: "churn-stop"})
+		events = append(events, Event{At: tEnd, Do: ChurnStop{}})
 	}
 	for _, p := range sortedPairs(g.losses) {
-		events = append(events, EventJSON{At: Duration(tEnd), Do: "clear-loss", A: ip(p[0]), B: ip(p[1])})
+		events = append(events, Event{At: tEnd, Do: ClearLoss{A: p[0], B: p[1]}})
 	}
 
 	return &ScriptFile{
@@ -140,7 +120,7 @@ func GenerateScript(seed int64, cfg GenConfig) *ScriptFile {
 		Seed:     seed,
 		Groups:   g.groups,
 		Events:   events,
-		Duration: Duration(tEnd + cfg.Settle),
+		Duration: Duration(tEnd + genSettle),
 	}
 }
 
@@ -154,7 +134,7 @@ func (g *genState) makeGroups(n int) {
 		for j := range sel {
 			sel[j] = perm[j] + 1
 		}
-		spec := GroupJSON{Root: sel[0], Members: sel[1:]}
+		spec := GroupSpec{Root: sel[0], Members: sel[1:]}
 		for _, m := range sel {
 			if g.rng.Intn(3) == 0 {
 				spec.Stores = append(spec.Stores, m)
@@ -165,129 +145,98 @@ func (g *genState) makeGroups(n int) {
 	}
 }
 
-// next draws one event applicable in the current state, or reports false
-// when the drawn kind has no applicable operands (the caller redraws).
-func (g *genState) next(at time.Duration) (EventJSON, bool) {
-	ev := EventJSON{At: Duration(at)}
+// next draws one action applicable in the current state, or reports
+// false when the drawn kind has no applicable operands (the caller
+// redraws).
+func (g *genState) next() (Action, bool) {
 	switch g.rng.Intn(14) {
 	case 0, 1: // crash is twice as likely: down nodes drive the protocol
 		n, ok := g.pickUp()
-		if !ok {
-			return ev, false
+		if ok {
+			g.crashed[n] = true
 		}
-		g.crashed[n] = true
-		ev.Do = "crash"
-		ev.Node = ip(n)
+		return Crash{Node: n}, ok
 	case 2:
 		n, ok := g.pickUp()
-		if !ok {
-			return ev, false
+		if ok {
+			g.crashed[n] = true
 		}
-		g.crashed[n] = true
-		ev.Do = "stop"
-		ev.Node = ip(n)
+		return Stop{Node: n}, ok
 	case 3:
 		n, ok := g.pickFrom(g.crashed)
 		if !ok {
-			return ev, false
+			return nil, false
 		}
 		delete(g.crashed, n)
-		ev.Do = "restart"
-		ev.Node = ip(n)
-		ev.Bootstrap = ip(0)
-		ev.Recover = g.stores[n] && g.rng.Intn(2) == 0
+		return Restart{Node: n, Bootstrap: 0, Recover: g.stores[n] && g.rng.Intn(2) == 0}, true
 	case 4:
 		n, ok := g.pickUp()
-		if !ok {
-			return ev, false
+		if ok {
+			g.detached[n] = true
 		}
-		g.detached[n] = true
-		ev.Do = "detach"
-		ev.Node = ip(n)
+		return Detach{Node: n}, ok
 	case 5:
 		n, ok := g.pickFrom(g.detached)
-		if !ok {
-			return ev, false
-		}
-		delete(g.detached, n)
-		ev.Do = "rejoin"
-		ev.Node = ip(n)
+		delete(g.detached, n) // !ok means the set is empty: nothing to delete
+		return Rejoin{Node: n}, ok
 	case 6:
 		p := g.pickPair()
 		g.blocks[p] = true
-		ev.Do = "block"
-		ev.A = ip(p[0])
-		ev.B = ip(p[1])
+		return BlockPair{A: p[0], B: p[1]}, true
 	case 7:
 		p, ok := g.pickPairFrom(g.blocks)
-		if !ok {
-			return ev, false
-		}
 		delete(g.blocks, p)
-		ev.Do = "unblock"
-		ev.A = ip(p[0])
-		ev.B = ip(p[1])
+		return UnblockPair{A: p[0], B: p[1]}, ok
 	case 8:
 		p := g.pickPair()
 		g.losses[p] = true
-		ev.Do = "loss"
-		ev.A = ip(p[0])
-		ev.B = ip(p[1])
-		ev.Loss = fp(float64(2+g.rng.Intn(8)) / 10)
+		return SetLoss{A: p[0], B: p[1], Loss: float64(2+g.rng.Intn(8)) / 10}, true
 	case 9:
 		p := g.pickPair()
 		g.losses[p] = true
-		ev.Do = "loss-ramp"
-		ev.A = ip(p[0])
-		ev.B = ip(p[1])
-		ev.From = fp(0)
-		ev.To = fp(float64(3+g.rng.Intn(8)) / 10)
-		ev.Steps = 3 + g.rng.Intn(4)
-		ev.Over = Duration(time.Duration(2+g.rng.Intn(4)) * time.Minute)
+		return LossRamp{
+			A: p[0], B: p[1],
+			From:  0,
+			To:    float64(3+g.rng.Intn(8)) / 10,
+			Steps: 3 + g.rng.Intn(4),
+			Over:  Duration(time.Duration(2+g.rng.Intn(4)) * time.Minute),
+		}, true
 	case 10:
 		if g.sides != nil {
 			// Heal the active partition instead of stacking a second one
 			// (two overlapping cuts would need set-subtraction to heal by
 			// name; heal-all covers that composition elsewhere).
-			ev.Do = "heal"
-			ev.Sides = g.sides
+			healed := g.sides
 			g.sides = nil
-			return ev, true
+			return Heal{Sides: healed}, true
 		}
 		g.sides = g.makeSides()
-		ev.Do = "partition"
-		ev.Sides = g.sides
+		return Partition{Sides: g.sides}, true
 	case 11:
-		ev.Do = "heal-all"
 		g.blocks = make(map[[2]int]bool)
 		g.losses = make(map[[2]int]bool)
 		g.sides = nil
+		return HealAll{}, true
 	case 12:
 		gi := g.rng.Intn(len(g.groups))
 		n, ok := g.pickGroupNode(gi)
-		if !ok {
-			return ev, false
-		}
-		ev.Do = "signal"
-		ev.Group = ip(gi)
-		ev.Node = ip(n)
-	case 13:
+		return Signal{Node: n, Group: gi}, ok
+	default: // 13
 		if g.churning {
 			g.churning = false
-			ev.Do = "churn-stop"
-			return ev, true
+			return ChurnStop{}, true
 		}
 		if g.churnedOnce {
-			return ev, false
+			return nil, false
 		}
 		g.churning, g.churnedOnce = true, true
-		ev.Do = "churn-start"
-		ev.First = ip(g.stableEnd)
-		ev.Count = ip(g.nodes - g.stableEnd)
-		ev.Bootstrap = ip(0)
-		ev.MeanDwell = Duration(time.Duration(2+g.rng.Intn(5)) * time.Minute)
+		return ChurnStart{
+			Bootstrap: 0,
+			First:     g.stableEnd,
+			Count:     g.nodes - g.stableEnd,
+			MeanDwell: Duration(time.Duration(2+g.rng.Intn(5)) * time.Minute),
+		}, true
 	}
-	return ev, true
 }
 
 // pickUp draws a stable node that is up and attached (never node 0).
@@ -309,11 +258,7 @@ func (g *genState) pickFrom(set map[int]bool) (int, bool) {
 	if len(set) == 0 {
 		return 0, false
 	}
-	cands := make([]int, 0, len(set))
-	for n := range set {
-		cands = append(cands, n)
-	}
-	sort.Ints(cands)
+	cands := slices.Sorted(maps.Keys(set))
 	return cands[g.rng.Intn(len(cands))], true
 }
 
@@ -355,14 +300,11 @@ func (g *genState) pickGroupNode(gi int) (int, bool) {
 }
 
 // makeSides splits 4-8 stable nodes (never node 0) into two disjoint
-// partition sides of at least two each.
+// partition sides of at least two each. The stable pool always has that
+// many: at least genMinNodes - 7 churners - node 0 = 8.
 func (g *genState) makeSides() [][]int {
-	pool := g.stableEnd - 1
 	k := 4 + g.rng.Intn(5)
-	if k > pool {
-		k = pool
-	}
-	perm := g.rng.Perm(pool)
+	perm := g.rng.Perm(g.stableEnd - 1)
 	sel := make([]int, k)
 	for i := range sel {
 		sel[i] = perm[i] + 1
@@ -376,18 +318,5 @@ func (g *genState) makeSides() [][]int {
 }
 
 func sortedPairs(set map[[2]int]bool) [][2]int {
-	pairs := make([][2]int, 0, len(set))
-	for p := range set {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	return pairs
+	return slices.SortedFunc(maps.Keys(set), func(p, q [2]int) int { return slices.Compare(p[:], q[:]) })
 }
-
-func ip(v int) *int         { return &v }
-func fp(v float64) *float64 { return &v }

@@ -34,7 +34,7 @@ func FuzzScheduleInvariants(f *testing.F) {
 // same path fusesim uses for .json files: generate, marshal, load,
 // build, run, audit.
 func runGenerated(t *testing.T, seed int64) {
-	sf := GenerateScript(seed, GenConfig{})
+	sf := GenerateScript(seed)
 	if err := sf.Validate(); err != nil {
 		t.Fatalf("generator emitted an invalid script for seed %d: %v", seed, err)
 	}
@@ -84,7 +84,7 @@ func writeCounterexample(t *testing.T, seed int64, data []byte) string {
 // its JSON artifact alone.
 func TestGeneratedScriptsReplayIdentically(t *testing.T) {
 	for _, seed := range []int64{1, 5} {
-		sf := GenerateScript(seed, GenConfig{})
+		sf := GenerateScript(seed)
 		data, err := sf.Marshal()
 		if err != nil {
 			t.Fatalf("seed %d: marshal: %v", seed, err)
@@ -116,11 +116,11 @@ func TestGeneratedScriptsReplayIdentically(t *testing.T) {
 // replay workflow both rely on this).
 func TestGeneratorIsPure(t *testing.T) {
 	for _, seed := range corpusSeeds {
-		a, err := GenerateScript(seed, GenConfig{}).Marshal()
+		a, err := GenerateScript(seed).Marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := GenerateScript(seed, GenConfig{}).Marshal()
+		b, err := GenerateScript(seed).Marshal()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,8 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"fuse/internal/cluster"
@@ -34,60 +35,40 @@ type Params struct {
 	Workers int
 }
 
-type presetBuilder func(p Params) (*cluster.Cluster, Script, error)
-
-var presets = map[string]presetBuilder{
-	"churn":          churnPreset,
-	"intransitive":   intransitivePreset,
-	"partition-heal": partitionHealPreset,
-	"restart":        restartPreset,
-}
-
-// minNodes is each preset's smallest usable deployment: the scripts pin
-// concrete node indices (members, ramp endpoints, churn population), so
-// a smaller override would index past the node slice mid-run. The churn
-// floor additionally guarantees that the default six groups keep a
-// surviving member outside the crash set (churnPreset re-checks this
-// exactly for custom group counts).
-var minNodes = map[string]int{
-	"churn":          20,
-	"intransitive":   16,
-	"partition-heal": 32,
-	"restart":        21,
-}
-
-// descriptions summarizes each preset in one line (fusesim
-// -list-scenarios); keep in step with the presets map.
-var descriptions = map[string]string{
-	"churn":          "§7.4: groups pinned to stable nodes ride out Poisson churn, then one member of each crashes",
-	"intransitive":   "§3.4: two members lose only their mutual connectivity; the application signals fail-on-send",
-	"partition-heal": "§3: a partition with a straddling group and a contained group, healed selectively",
-	"restart":        "§3.6: a brief crash masked by stable storage vs. the same crash without it",
+// presets is the one table of drills. minNodes is each preset's smallest
+// usable deployment: the scripts pin concrete node indices (members, ramp
+// endpoints, churn population), so a smaller override would index past
+// the node slice mid-run. The churn floor additionally guarantees that
+// the default six groups keep a surviving member outside the crash set
+// (churnPreset re-checks this exactly for custom group counts). describe
+// is the one-line summary fusesim -list-scenarios prints.
+var presets = map[string]struct {
+	build    func(p Params) (*cluster.Cluster, Script, error)
+	minNodes int
+	describe string
+}{
+	"churn":          {churnPreset, 20, "§7.4: groups pinned to stable nodes ride out Poisson churn, then one member of each crashes"},
+	"intransitive":   {intransitivePreset, 16, "§3.4: two members lose only their mutual connectivity; the application signals fail-on-send"},
+	"partition-heal": {partitionHealPreset, 32, "§3: a partition with a straddling group and a contained group, healed selectively"},
+	"restart":        {restartPreset, 21, "§3.6: a brief crash masked by stable storage vs. the same crash without it"},
 }
 
 // Describe returns the one-line summary of a preset ("" if unknown).
-func Describe(name string) string { return descriptions[name] }
+func Describe(name string) string { return presets[name].describe }
 
 // Names lists the available presets, sorted.
-func Names() []string {
-	out := make([]string, 0, len(presets))
-	for k := range presets {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return slices.Sorted(maps.Keys(presets)) }
 
 // BuildPreset constructs the named preset's cluster and script.
 func BuildPreset(name string, p Params) (*cluster.Cluster, Script, error) {
-	b, ok := presets[name]
+	ps, ok := presets[name]
 	if !ok {
 		return nil, Script{}, fmt.Errorf("scenario: unknown preset %q (have %v)", name, Names())
 	}
-	if p.Nodes != 0 && p.Nodes < minNodes[name] {
-		return nil, Script{}, fmt.Errorf("scenario: preset %q needs at least %d nodes (got %d)", name, minNodes[name], p.Nodes)
+	if p.Nodes != 0 && p.Nodes < ps.minNodes {
+		return nil, Script{}, fmt.Errorf("scenario: preset %q needs at least %d nodes (got %d)", name, ps.minNodes, p.Nodes)
 	}
-	return b(p)
+	return ps.build(p)
 }
 
 func (p Params) nodes(def int) int {
@@ -168,7 +149,7 @@ func partitionHealPreset(p Params) (*cluster.Cluster, Script, error) {
 			{Root: 8, Members: []int{11, 14}},      // inside side A
 		},
 		Events: []Event{
-			{At: time.Minute, Do: LossRamp{A: half + 10, B: half + 15, From: 0, To: 0.3, Steps: 4, Over: 4 * time.Minute}},
+			{At: time.Minute, Do: LossRamp{A: half + 10, B: half + 15, From: 0, To: 0.3, Steps: 4, Over: Duration(4 * time.Minute)}},
 			{At: 2 * time.Minute, Do: Partition{Sides: sides}},
 			{At: 21 * time.Minute, Do: Heal{Sides: sides}},
 		},
@@ -270,16 +251,11 @@ func churnPreset(p Params) (*cluster.Cluster, Script, error) {
 
 	churnStart := 30 * time.Second
 	s.Events = append(s.Events,
-		Event{At: churnStart, Do: ChurnStart{First: stable, Count: n - stable, MeanDwell: dwell, Bootstrap: 0}},
+		Event{At: churnStart, Do: ChurnStart{First: stable, Count: n - stable, MeanDwell: Duration(dwell), Bootstrap: 0}},
 		Event{At: churnStart + window, Do: ChurnStop{}},
 	)
 	crashAt := churnStart + window + time.Minute
-	victims := make([]int, 0, len(crash))
-	for v := range crash {
-		victims = append(victims, v)
-	}
-	sort.Ints(victims)
-	for _, v := range victims {
+	for _, v := range slices.Sorted(maps.Keys(crash)) {
 		s.Events = append(s.Events, Event{At: crashAt, Do: Crash{Node: v}})
 	}
 	s.Duration = crashAt + 10*time.Minute

@@ -44,13 +44,14 @@ import (
 // node indices, and optionally which of those nodes get stable storage
 // (a core.MemStore) attached before creation.
 type GroupSpec struct {
-	Root    int
-	Members []int
-	Stores  []int
+	Root    int   `json:"root"`
+	Members []int `json:"members"`
+	Stores  []int `json:"stores,omitempty"`
 }
 
 // Event is one scheduled Action on the script timeline. At is relative
-// to the end of setup (all groups created).
+// to the end of setup (all groups created). In a scenario file it is
+// {"at", "do", ...the action's own fields} (script.go).
 type Event struct {
 	At time.Duration
 	Do Action
@@ -60,6 +61,9 @@ type Event struct {
 type Action interface {
 	apply(e *Engine)
 	String() string
+	// validate reports what is wrong with the action as an event of
+	// v.sf, naming each offending field.
+	validate(v *validator)
 }
 
 // Script is a complete declarative scenario.

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"reflect"
+	"slices"
 	"strings"
 	"time"
 
@@ -35,9 +38,13 @@ import (
 //	  "latency_bound": "10m0s"
 //	}
 //
-// Durations are Go duration strings. Validation is strict and names the
-// offending field ("events[3].node: 40 out of range [0, 32)"): a typo'd
-// schedule must fail loudly, not silently drill the wrong scenario.
+// There is no separate wire schema: a group is a GroupSpec, and an event
+// is "at", a "do" kind from the registry in actions.go, and then that
+// kind's own struct fields, in the struct's order - actions.go is the
+// reference for what each kind takes. Durations are Go duration
+// strings. Validation is strict and names the offending field
+// ("events[3].node: 40 out of range [0, 32)"): a typo'd schedule must
+// fail loudly, not silently drill the wrong scenario.
 
 // ScriptFile is the on-disk form of a scenario.
 type ScriptFile struct {
@@ -45,8 +52,8 @@ type ScriptFile struct {
 	Nodes int    `json:"nodes"`
 	Seed  int64  `json:"seed"`
 
-	Groups []GroupJSON `json:"groups"`
-	Events []EventJSON `json:"events"`
+	Groups []GroupSpec `json:"groups"`
+	Events []Event     `json:"events"`
 
 	Duration      Duration `json:"duration"`
 	ExpectFail    []int    `json:"expect_fail,omitempty"`
@@ -54,41 +61,104 @@ type ScriptFile struct {
 	LatencyBound  Duration `json:"latency_bound,omitempty"`
 }
 
-// GroupJSON mirrors GroupSpec.
-type GroupJSON struct {
-	Root    int   `json:"root"`
-	Members []int `json:"members"`
-	Stores  []int `json:"stores,omitempty"`
-}
-
-// EventJSON is one timeline entry: "at" plus a "do" kind selecting which
-// of the remaining fields apply. Index fields are pointers so that an
-// omitted field is distinguishable from node 0.
-type EventJSON struct {
+// eventHead is the part of an event's JSON object every kind shares.
+type eventHead struct {
 	At Duration `json:"at"`
 	Do string   `json:"do"`
-
-	Node      *int     `json:"node,omitempty"`      // crash, stop, restart, detach, rejoin, signal
-	Bootstrap *int     `json:"bootstrap,omitempty"` // restart, churn-start
-	Recover   bool     `json:"recover,omitempty"`   // restart
-	A         *int     `json:"a,omitempty"`         // block, unblock, loss, clear-loss, loss-ramp
-	B         *int     `json:"b,omitempty"`
-	Loss      *float64 `json:"loss,omitempty"` // loss
-	From      *float64 `json:"from,omitempty"` // loss-ramp
-	To        *float64 `json:"to,omitempty"`
-	Steps     int      `json:"steps,omitempty"`
-	Over      Duration `json:"over,omitempty"`
-	Sides     [][]int  `json:"sides,omitempty"`      // partition, heal
-	Group     *int     `json:"group,omitempty"`      // signal
-	First     *int     `json:"first,omitempty"`      // churn-start
-	Count     *int     `json:"count,omitempty"`      // churn-start
-	MeanDwell Duration `json:"mean_dwell,omitempty"` // churn-start
 }
+
+// MarshalJSON renders {"at", "do", ...the action's own fields}.
+func (ev Event) MarshalJSON() ([]byte, error) {
+	head := eventHead{At: Duration(ev.At)}
+	for kind, zero := range kinds {
+		if reflect.TypeOf(zero) == reflect.TypeOf(ev.Do) {
+			head.Do = kind
+			break
+		}
+	}
+	if head.Do == "" {
+		return nil, fmt.Errorf("scenario: action %T has no JSON encoding", ev.Do)
+	}
+	out, _ := json.Marshal(head) // two strings: cannot fail
+	fields, err := json.Marshal(ev.Do)
+	if err != nil {
+		return nil, err
+	}
+	if len(fields) > len("{}") {
+		out = append(append(out[:len(out)-1], ','), fields[1:]...)
+	}
+	return out, nil
+}
+
+// UnmarshalJSON decodes an event into the value type its "do" names,
+// rejecting fields that kind does not have. What is wrong with the
+// event itself - no kind, an unknown kind, a required field left out -
+// is not an error here: it is left in Do (nil, or a malformed) for
+// Validate to report under the event's path, like every other mistake.
+func (ev *Event) UnmarshalJSON(data []byte) error {
+	var head eventHead
+	if err := json.Unmarshal(data, &head); err != nil {
+		return err
+	}
+	*ev = Event{At: time.Duration(head.At)}
+	zero, known := kinds[head.Do]
+	if !known {
+		if head.Do != "" {
+			ev.Do = malformed{{"do", fmt.Sprintf("unknown action %q (one of %v)", head.Do, kindNames())}}
+		}
+		return nil
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		return err
+	}
+	delete(fields, "at")
+	delete(fields, "do")
+	rest, _ := json.Marshal(fields) // re-encodes what was just decoded: cannot fail
+	typ := reflect.TypeOf(zero)
+	action := reflect.New(typ)
+	dec := json.NewDecoder(bytes.NewReader(rest))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(action.Interface()); err != nil {
+		return err
+	}
+	ev.Do = action.Elem().Interface().(Action)
+	// A field without omitempty is required: an omitted (or null) index
+	// must not silently become node 0.
+	var missing malformed
+	for i := range typ.NumField() {
+		name, opts, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		if raw, ok := fields[name]; opts != "omitempty" && (!ok || string(raw) == "null") {
+			missing = append(missing, [2]string{name, "required field missing"})
+		}
+	}
+	if missing != nil {
+		ev.Do = missing
+	}
+	return nil
+}
+
+// malformed stands in for an action that could not be decoded; it lists
+// why as (field, problem) pairs.
+type malformed [][2]string
+
+func (a malformed) apply(*Engine)  { panic("scenario: event did not pass Validate: " + a.String()) }
+func (a malformed) String() string { return fmt.Sprint([][2]string(a)) }
+func (a malformed) validate(v *validator) {
+	for _, p := range a {
+		v.errf(p[0], "%s", p[1])
+	}
+}
+
+// kindNames lists the registered kinds in sorted order, for error texts.
+func kindNames() []string { return slices.Sorted(maps.Keys(kinds)) }
 
 // Duration marshals as a Go duration string ("2m10s"); it round-trips
 // exactly because time.Duration.String output always reparses to the
 // same value.
 type Duration time.Duration
+
+func (d Duration) String() string { return time.Duration(d).String() }
 
 // MarshalJSON implements json.Marshaler.
 func (d Duration) MarshalJSON() ([]byte, error) {
@@ -135,11 +205,16 @@ func (sf *ScriptFile) Marshal() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// validator accumulates field-naming errors.
-type validator struct{ errs []string }
+// validator accumulates field-naming errors: every message starts with
+// the path of the field it is about, at + field.
+type validator struct {
+	sf   *ScriptFile
+	at   string // path prefix of the entry being checked: "" or "events[3]."
+	errs []string
+}
 
-func (v *validator) errf(format string, args ...any) {
-	v.errs = append(v.errs, fmt.Sprintf(format, args...))
+func (v *validator) errf(field, format string, args ...any) {
+	v.errs = append(v.errs, v.at+field+": "+fmt.Sprintf(format, args...))
 }
 
 func (v *validator) err() error {
@@ -150,295 +225,136 @@ func (v *validator) err() error {
 }
 
 // node checks a node index against the deployment size.
-func (v *validator) node(path string, n, nodes int) {
-	if n < 0 || n >= nodes {
-		v.errf("%s: %d out of range [0, %d)", path, n, nodes)
+func (v *validator) node(field string, n int) {
+	if n < 0 || n >= v.sf.Nodes {
+		v.errf(field, "%d out of range [0, %d)", n, v.sf.Nodes)
 	}
 }
 
-// req dereferences a required index field, reporting it when missing.
-func (v *validator) req(path string, p *int) (int, bool) {
-	if p == nil {
-		v.errf("%s: required field missing", path)
-		return 0, false
+// pair checks the two ends of a link fault.
+func (v *validator) pair(a, b int) {
+	v.node("a", a)
+	v.node("b", b)
+	if a == b {
+		v.errf("b", "a and b must differ")
 	}
-	return *p, true
 }
 
-// reqNode combines req and node.
-func (v *validator) reqNode(path string, p *int, nodes int) (int, bool) {
-	n, ok := v.req(path, p)
-	if ok {
-		v.node(path, n, nodes)
+// prob checks a loss probability.
+func (v *validator) prob(field string, p float64) {
+	if p < 0 || p > 1 {
+		v.errf(field, "%g out of range [0, 1]", p)
 	}
-	return n, ok
 }
 
-func (v *validator) reqFloat(path string, p *float64) (float64, bool) {
-	if p == nil {
-		v.errf("%s: required field missing", path)
-		return 0, false
+// sides checks the sides of a partition: at least two, none empty, no
+// node on more than one.
+func (v *validator) sides(sides [][]int) {
+	if len(sides) < 2 {
+		v.errf("sides", "need at least two sides")
 	}
-	if *p < 0 || *p > 1 {
-		v.errf("%s: %g out of range [0, 1]", path, *p)
+	seen := make(map[int]bool)
+	for si, side := range sides {
+		if len(side) == 0 {
+			v.errf(fmt.Sprintf("sides[%d]", si), "side is empty")
+		}
+		for ni, n := range side {
+			field := fmt.Sprintf("sides[%d][%d]", si, ni)
+			v.node(field, n)
+			if seen[n] {
+				v.errf(field, "node %d appears on more than one side", n)
+			}
+			seen[n] = true
+		}
 	}
-	return *p, true
 }
 
 // Validate checks the whole file for structural and referential errors,
 // naming each offending field.
 func (sf *ScriptFile) Validate() error {
-	v := &validator{}
+	v := &validator{sf: sf}
 	if sf.Nodes < 2 {
-		v.errf("nodes: %d, need at least 2", sf.Nodes)
+		v.errf("nodes", "%d, need at least 2", sf.Nodes)
 	}
 	if sf.Duration <= 0 {
-		v.errf("duration: must be positive")
+		v.errf("duration", "must be positive")
 	}
 	if len(sf.Groups) == 0 {
-		v.errf("groups: at least one group required")
+		v.errf("groups", "at least one group required")
 	}
 	for gi, g := range sf.Groups {
-		path := fmt.Sprintf("groups[%d]", gi)
-		v.node(path+".root", g.Root, sf.Nodes)
+		v.at = fmt.Sprintf("groups[%d].", gi)
+		v.node("root", g.Root)
 		if len(g.Members) == 0 {
-			v.errf("%s.members: at least one member required", path)
+			v.errf("members", "at least one member required")
 		}
 		seen := map[int]bool{g.Root: true}
 		for mi, m := range g.Members {
-			v.node(fmt.Sprintf("%s.members[%d]", path, mi), m, sf.Nodes)
+			field := fmt.Sprintf("members[%d]", mi)
+			v.node(field, m)
 			if seen[m] {
-				v.errf("%s.members[%d]: node %d listed twice in the group", path, mi, m)
+				v.errf(field, "node %d listed twice in the group", m)
 			}
 			seen[m] = true
 		}
 		for si, st := range g.Stores {
 			if st < 0 || st >= sf.Nodes || !seen[st] {
-				v.errf("%s.stores[%d]: node %d is not in the group", path, si, st)
+				v.errf(fmt.Sprintf("stores[%d]", si), "node %d is not in the group", st)
 			}
 		}
 	}
-	sf.validateExpectations(v)
-	for ei := range sf.Events {
-		sf.Events[ei].validate(v, fmt.Sprintf("events[%d]", ei), sf)
+	v.at = ""
+	failed := v.expect("expect_fail", sf.ExpectFail, nil)
+	v.expect("expect_survive", sf.ExpectSurvive, failed)
+	for ei, ev := range sf.Events {
+		v.at = fmt.Sprintf("events[%d].", ei)
+		if ev.At < 0 {
+			v.errf("at", "must not be negative")
+		}
+		if time.Duration(sf.Duration) < ev.At {
+			v.errf("at", "%s is past the script duration %s", ev.At, sf.Duration)
+		}
+		if ev.Do == nil {
+			v.errf("do", "required field missing (one of %v)", kindNames())
+			continue
+		}
+		ev.Do.validate(v)
 	}
 	return v.err()
 }
 
-func (sf *ScriptFile) validateExpectations(v *validator) {
-	mark := func(field string, idxs []int, other map[int]bool) map[int]bool {
-		seen := make(map[int]bool, len(idxs))
-		for i, gi := range idxs {
-			path := fmt.Sprintf("%s[%d]", field, i)
-			if gi < 0 || gi >= len(sf.Groups) {
-				v.errf("%s: group %d out of range [0, %d)", path, gi, len(sf.Groups))
-				continue
-			}
-			if seen[gi] {
-				v.errf("%s: group %d listed twice", path, gi)
-			}
-			if other[gi] {
-				v.errf("%s: group %d cannot both fail and survive", path, gi)
-			}
-			seen[gi] = true
+// expect checks one list of group expectations and returns the groups
+// it names; other is the opposite list's result.
+func (v *validator) expect(list string, idxs []int, other map[int]bool) map[int]bool {
+	seen := make(map[int]bool, len(idxs))
+	for i, gi := range idxs {
+		field := fmt.Sprintf("%s[%d]", list, i)
+		if gi < 0 || gi >= len(v.sf.Groups) {
+			v.errf(field, "group %d out of range [0, %d)", gi, len(v.sf.Groups))
+			continue
 		}
-		return seen
+		if seen[gi] {
+			v.errf(field, "group %d listed twice", gi)
+		}
+		if other[gi] {
+			v.errf(field, "group %d cannot both fail and survive", gi)
+		}
+		seen[gi] = true
 	}
-	failed := mark("expect_fail", sf.ExpectFail, nil)
-	mark("expect_survive", sf.ExpectSurvive, failed)
-}
-
-// validate checks one event's fields for its kind.
-func (ev *EventJSON) validate(v *validator, path string, sf *ScriptFile) {
-	if ev.At < 0 {
-		v.errf("%s.at: must not be negative", path)
-	}
-	if Duration(sf.Duration) < ev.At {
-		v.errf("%s.at: %s is past the script duration %s", path, time.Duration(ev.At), time.Duration(sf.Duration))
-	}
-	nodes := sf.Nodes
-	switch ev.Do {
-	case "crash", "stop", "detach", "rejoin":
-		v.reqNode(path+".node", ev.Node, nodes)
-	case "restart":
-		n, _ := v.reqNode(path+".node", ev.Node, nodes)
-		b, ok := v.reqNode(path+".bootstrap", ev.Bootstrap, nodes)
-		if ok && b == n {
-			v.errf("%s.bootstrap: a node cannot bootstrap through itself", path)
-		}
-		if ev.Recover {
-			stored := false
-			for _, g := range sf.Groups {
-				for _, st := range g.Stores {
-					if st == n {
-						stored = true
-					}
-				}
-			}
-			if !stored {
-				v.errf("%s.recover: node %d has no store (declare it in a group's stores)", path, n)
-			}
-		}
-	case "partition", "heal":
-		if len(ev.Sides) < 2 {
-			v.errf("%s.sides: need at least two sides", path)
-		}
-		seen := make(map[int]bool)
-		for si, side := range ev.Sides {
-			if len(side) == 0 {
-				v.errf("%s.sides[%d]: side is empty", path, si)
-			}
-			for ni, n := range side {
-				p := fmt.Sprintf("%s.sides[%d][%d]", path, si, ni)
-				v.node(p, n, nodes)
-				if seen[n] {
-					v.errf("%s: node %d appears on more than one side", p, n)
-				}
-				seen[n] = true
-			}
-		}
-	case "heal-all", "churn-stop":
-		// no operands
-	case "block", "unblock", "clear-loss":
-		ev.validatePair(v, path, nodes)
-	case "loss":
-		ev.validatePair(v, path, nodes)
-		v.reqFloat(path+".loss", ev.Loss)
-	case "loss-ramp":
-		ev.validatePair(v, path, nodes)
-		v.reqFloat(path+".from", ev.From)
-		v.reqFloat(path+".to", ev.To)
-		if ev.Steps < 0 {
-			v.errf("%s.steps: must not be negative", path)
-		}
-		if ev.Over <= 0 {
-			v.errf("%s.over: must be positive", path)
-		}
-	case "signal":
-		g, ok := v.req(path+".group", ev.Group)
-		if ok && (g < 0 || g >= len(sf.Groups)) {
-			v.errf("%s.group: %d out of range [0, %d)", path, g, len(sf.Groups))
-			ok = false
-		}
-		n, nok := v.reqNode(path+".node", ev.Node, nodes)
-		if ok && nok {
-			in := sf.Groups[g].Root == n
-			for _, m := range sf.Groups[g].Members {
-				if m == n {
-					in = true
-				}
-			}
-			if !in {
-				v.errf("%s.node: node %d is not in group %d", path, n, g)
-			}
-		}
-	case "churn-start":
-		first, fok := v.req(path+".first", ev.First)
-		count, cok := v.req(path+".count", ev.Count)
-		if fok && (first < 0 || first >= nodes) {
-			v.errf("%s.first: %d out of range [0, %d)", path, first, nodes)
-		}
-		if cok && count < 1 {
-			v.errf("%s.count: must be at least 1", path)
-		}
-		if fok && cok && first+count > nodes {
-			v.errf("%s.count: churn range [%d, %d) exceeds %d nodes", path, first, first+count, nodes)
-		}
-		if b, ok := v.reqNode(path+".bootstrap", ev.Bootstrap, nodes); ok && fok && cok && b >= first && b < first+count {
-			v.errf("%s.bootstrap: node %d is inside the churning range", path, b)
-		}
-		if ev.MeanDwell <= 0 {
-			v.errf("%s.mean_dwell: must be positive", path)
-		}
-	case "":
-		v.errf("%s.do: required field missing (one of %v)", path, actionKinds)
-	default:
-		v.errf("%s.do: unknown action %q (one of %v)", path, ev.Do, actionKinds)
-	}
-}
-
-func (ev *EventJSON) validatePair(v *validator, path string, nodes int) {
-	a, aok := v.reqNode(path+".a", ev.A, nodes)
-	b, bok := v.reqNode(path+".b", ev.B, nodes)
-	if aok && bok && a == b {
-		v.errf("%s.b: a and b must differ", path)
-	}
-}
-
-var actionKinds = []string{
-	"block", "churn-start", "churn-stop", "clear-loss", "crash", "detach",
-	"heal", "heal-all", "loss", "loss-ramp", "partition", "rejoin",
-	"restart", "signal", "stop", "unblock",
+	return seen
 }
 
 // Script converts the validated file to an engine Script.
 func (sf *ScriptFile) Script() Script {
-	s := Script{
+	return Script{
 		Name:          sf.Name,
+		Groups:        sf.Groups,
+		Events:        sf.Events,
 		Duration:      time.Duration(sf.Duration),
 		ExpectFail:    sf.ExpectFail,
 		ExpectSurvive: sf.ExpectSurvive,
 		LatencyBound:  time.Duration(sf.LatencyBound),
 	}
-	for _, g := range sf.Groups {
-		s.Groups = append(s.Groups, GroupSpec{Root: g.Root, Members: g.Members, Stores: g.Stores})
-	}
-	for _, ev := range sf.Events {
-		s.Events = append(s.Events, Event{At: time.Duration(ev.At), Do: ev.action()})
-	}
-	return s
-}
-
-// action builds the Action for a validated event; it must only run after
-// Validate accepted the file.
-func (ev *EventJSON) action() Action {
-	deref := func(p *int) int {
-		if p == nil {
-			return 0
-		}
-		return *p
-	}
-	fl := func(p *float64) float64 {
-		if p == nil {
-			return 0
-		}
-		return *p
-	}
-	switch ev.Do {
-	case "crash":
-		return Crash{Node: deref(ev.Node)}
-	case "stop":
-		return Stop{Node: deref(ev.Node)}
-	case "restart":
-		return Restart{Node: deref(ev.Node), Bootstrap: deref(ev.Bootstrap), Recover: ev.Recover}
-	case "partition":
-		return Partition{Sides: ev.Sides}
-	case "heal":
-		return Heal{Sides: ev.Sides}
-	case "heal-all":
-		return HealAll{}
-	case "block":
-		return BlockPair{A: deref(ev.A), B: deref(ev.B)}
-	case "unblock":
-		return UnblockPair{A: deref(ev.A), B: deref(ev.B)}
-	case "loss":
-		return SetLoss{A: deref(ev.A), B: deref(ev.B), Loss: fl(ev.Loss)}
-	case "clear-loss":
-		return ClearLoss{A: deref(ev.A), B: deref(ev.B)}
-	case "loss-ramp":
-		return LossRamp{A: deref(ev.A), B: deref(ev.B), From: fl(ev.From), To: fl(ev.To), Steps: ev.Steps, Over: time.Duration(ev.Over)}
-	case "detach":
-		return Detach{Node: deref(ev.Node)}
-	case "rejoin":
-		return Rejoin{Node: deref(ev.Node)}
-	case "signal":
-		return Signal{Node: deref(ev.Node), Group: deref(ev.Group)}
-	case "churn-start":
-		return ChurnStart{First: deref(ev.First), Count: deref(ev.Count), MeanDwell: time.Duration(ev.MeanDwell), Bootstrap: deref(ev.Bootstrap)}
-	case "churn-stop":
-		return ChurnStop{}
-	}
-	panic(fmt.Sprintf("scenario: unvalidated event kind %q", ev.Do))
 }
 
 // Build constructs the cluster and Script for the file. Nonzero p.Seed
@@ -461,70 +377,19 @@ func (sf *ScriptFile) Build(p Params) (*cluster.Cluster, Script, error) {
 	return c, eff.Script(), nil
 }
 
-// ToFile converts a Script (plus the cluster sizing that accompanies it)
-// to its on-disk form. Every built-in preset and every generated script
-// converts losslessly; a hand-built Script using an Action type this
-// encoder does not know is an error.
-func ToFile(nodes int, seed int64, s Script) (*ScriptFile, error) {
-	sf := &ScriptFile{
+// ToFile pairs a Script with the cluster sizing that accompanies it: the
+// on-disk form. Marshal fails on a hand-built Script whose Action type
+// is not in the registry.
+func ToFile(nodes int, seed int64, s Script) *ScriptFile {
+	return &ScriptFile{
 		Name:          s.Name,
 		Nodes:         nodes,
 		Seed:          seed,
+		Groups:        s.Groups,
+		Events:        s.Events,
 		Duration:      Duration(s.Duration),
 		ExpectFail:    s.ExpectFail,
 		ExpectSurvive: s.ExpectSurvive,
 		LatencyBound:  Duration(s.LatencyBound),
 	}
-	for _, g := range s.Groups {
-		sf.Groups = append(sf.Groups, GroupJSON{Root: g.Root, Members: g.Members, Stores: g.Stores})
-	}
-	for i, ev := range s.Events {
-		enc, err := encodeAction(ev.Do)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: events[%d]: %w", i, err)
-		}
-		enc.At = Duration(ev.At)
-		sf.Events = append(sf.Events, enc)
-	}
-	return sf, nil
-}
-
-func encodeAction(a Action) (EventJSON, error) {
-	ip := func(v int) *int { return &v }
-	fp := func(v float64) *float64 { return &v }
-	switch a := a.(type) {
-	case Crash:
-		return EventJSON{Do: "crash", Node: ip(a.Node)}, nil
-	case Stop:
-		return EventJSON{Do: "stop", Node: ip(a.Node)}, nil
-	case Restart:
-		return EventJSON{Do: "restart", Node: ip(a.Node), Bootstrap: ip(a.Bootstrap), Recover: a.Recover}, nil
-	case Partition:
-		return EventJSON{Do: "partition", Sides: a.Sides}, nil
-	case Heal:
-		return EventJSON{Do: "heal", Sides: a.Sides}, nil
-	case HealAll:
-		return EventJSON{Do: "heal-all"}, nil
-	case BlockPair:
-		return EventJSON{Do: "block", A: ip(a.A), B: ip(a.B)}, nil
-	case UnblockPair:
-		return EventJSON{Do: "unblock", A: ip(a.A), B: ip(a.B)}, nil
-	case SetLoss:
-		return EventJSON{Do: "loss", A: ip(a.A), B: ip(a.B), Loss: fp(a.Loss)}, nil
-	case ClearLoss:
-		return EventJSON{Do: "clear-loss", A: ip(a.A), B: ip(a.B)}, nil
-	case LossRamp:
-		return EventJSON{Do: "loss-ramp", A: ip(a.A), B: ip(a.B), From: fp(a.From), To: fp(a.To), Steps: a.Steps, Over: Duration(a.Over)}, nil
-	case Detach:
-		return EventJSON{Do: "detach", Node: ip(a.Node)}, nil
-	case Rejoin:
-		return EventJSON{Do: "rejoin", Node: ip(a.Node)}, nil
-	case Signal:
-		return EventJSON{Do: "signal", Node: ip(a.Node), Group: ip(a.Group)}, nil
-	case ChurnStart:
-		return EventJSON{Do: "churn-start", First: ip(a.First), Count: ip(a.Count), MeanDwell: Duration(a.MeanDwell), Bootstrap: ip(a.Bootstrap)}, nil
-	case ChurnStop:
-		return EventJSON{Do: "churn-stop"}, nil
-	}
-	return EventJSON{}, fmt.Errorf("action %T has no JSON encoding", a)
 }

@@ -58,8 +58,9 @@ type Node struct {
 	delivered atomic.Uint64
 	dials     atomic.Uint64
 
-	idleTimeout atomic.Int64 // ns; <= 0 disables the reaper
-	openOut     atomic.Int64 // outbound TCP connections currently open
+	idleTimeout atomic.Int64  // ns; <= 0 disables the reaper
+	idleSet     chan struct{} // poked by SetIdleTimeout so the reaper re-reads it now
+	openOut     atomic.Int64  // outbound TCP connections currently open
 	evictions   atomic.Uint64
 
 	// tele is the process-wide telemetry registry (lane 0 — live nodes
@@ -137,6 +138,7 @@ func Listen(bind string, seed int64) (*Node, error) {
 		ln:      ln,
 		mailbox: make(chan func(), 1024),
 		done:    make(chan struct{}),
+		idleSet: make(chan struct{}, 1),
 		conns:   make(map[transport.Addr]*outConn),
 		rng:     rand.New(rand.NewSource(seed)),
 	}
@@ -205,9 +207,15 @@ func (n *Node) CachedConns() int {
 
 // SetIdleTimeout sets how long a cached outbound connection may sit
 // unused before the reaper closes it. Zero or negative disables
-// reaping. Takes effect on the reaper's next scan (within a quarter of
-// the previous timeout).
-func (n *Node) SetIdleTimeout(d time.Duration) { n.idleTimeout.Store(int64(d)) }
+// reaping. Takes effect at once: the reaper is woken from whatever
+// sleep the previous timeout gave it.
+func (n *Node) SetIdleTimeout(d time.Duration) {
+	n.idleTimeout.Store(int64(d))
+	select {
+	case n.idleSet <- struct{}{}:
+	default: // a wake-up is already pending
+	}
+}
 
 // SetLogf installs a debug logger.
 func (n *Node) SetLogf(f func(format string, args ...any)) { n.logf.Store(f) }
@@ -389,9 +397,16 @@ func (n *Node) acceptLoop() {
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer conn.Close()
+	ended := make(chan struct{})
+	defer close(ended)
+	n.wg.Add(1)
 	go func() { // tear the connection down on shutdown to unblock reads
-		<-n.done
-		conn.Close()
+		defer n.wg.Done()
+		select {
+		case <-n.done:
+			conn.Close()
+		case <-ended: // the peer hung up first (e.g. its idle reaper): nothing left to watch
+		}
 	}()
 	r := bufio.NewReader(conn)
 	from, err := readHeader(r)
@@ -519,6 +534,8 @@ func (n *Node) reapLoop() {
 		select {
 		case <-n.done:
 			return
+		case <-n.idleSet:
+			continue // sleep again, by the new timeout
 		case <-time.After(wait):
 		}
 		n.reapIdle(time.Now())

@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -494,6 +495,55 @@ func TestIdleConnsAreReaped(t *testing.T) {
 	}
 	if v, _ := reg.Value("tcpnet_idle_evictions_total"); v != peers {
 		t.Fatalf("tcpnet_idle_evictions_total = %d, want %d", v, peers)
+	}
+}
+
+// TestInboundConnGoroutinesConverge: a listener must not keep anything
+// per inbound connection once that connection has ended. With the idle
+// reaper cycling connections, a long-lived node otherwise leaks one
+// goroutine per redial it receives.
+func TestInboundConnGoroutinesConverge(t *testing.T) {
+	const cycles = 12
+	a := newNode(t, 1)
+	b := newNode(t, 2)
+	a.SetIdleTimeout(20 * time.Millisecond)
+	_, ch := collect(b)
+
+	// One redial cycle: a dials b and delivers, a's reaper hangs up, and
+	// b's read loop for that connection ends.
+	cycle := func(seq int) {
+		a.Send(b.Addr(), &testMsg{Seq: seq, Body: "cycle"})
+		waitN(t, ch, 1)
+		deadline := time.Now().Add(5 * time.Second)
+		for a.OpenConns() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("cycle %d: conn never reaped: open=%d", seq, a.OpenConns())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	// settle reads the goroutine count once it has stopped moving: b's
+	// side of a connection ends a moment after a's does.
+	settle := func() int {
+		got := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+			time.Sleep(50 * time.Millisecond)
+			now := runtime.NumGoroutine()
+			if now == got {
+				break
+			}
+			got = now
+		}
+		return got
+	}
+	cycle(0) // warm up: every long-lived goroutine of both nodes is running
+	before := settle()
+	for i := 1; i <= cycles; i++ {
+		cycle(i)
+	}
+	if after := settle(); after > before {
+		t.Fatalf("goroutines grew from %d to %d over %d redial cycles (%.1f per cycle)",
+			before, after, cycles, float64(after-before)/cycles)
 	}
 }
 
