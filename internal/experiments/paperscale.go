@@ -89,6 +89,7 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	}
 	c.WarmRoutes(extra)
 	warmWall := time.Since(setup)
+	routes := c.Topo.RouteStats()
 
 	createStart := time.Now()
 	made := make([]madeGroup, 0, groups)
@@ -176,8 +177,8 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	r := newResult("paperscale", fmt.Sprintf(
 		"§7.3 paper-scale simulation: %d nodes, %d groups of %d, %d crashed (%d shards, %d workers)",
 		n, groups, size, kill, c.ShardCount(), c.Workers()))
-	r.addLine("setup: route warmup %.1fs wall, %d groups created in %.1fs wall",
-		warmWall.Seconds(), groups, createWall.Seconds())
+	r.addLine("setup: route warmup %.1fs wall (%d sweeps for %d pairs over %d border routers, %d edges), %d groups created in %.1fs wall",
+		warmWall.Seconds(), routes.Sweeps, routes.Pairs, routes.Borders, routes.BorderEdges, groups, createWall.Seconds())
 	r.addLine("steady state:  %10.1f msg/s background  (%d monitored pairs, %d shared timers)",
 		msgRate, pairs, timers)
 	r.addLine("sim throughput: %9.1f virtual s / wall s  (%.0f events/s wall)", simSpeed, evRate)

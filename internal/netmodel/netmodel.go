@@ -12,10 +12,23 @@
 // continents -> autonomous systems -> router rings, where inter-continent
 // links are T3 (300-500 ms) and everything else is OC3 (10-40 ms), matching
 // the paper's 97%/3% link-class mix and latency assignments.
+//
+// Routes are answered from a contracted graph, not from the router graph.
+// ASes meet only at border routers (routers with an inter-AS link; ~19.6k
+// of the ~104k at paper scale), so every route is a walk inside the
+// source's AS, a walk over border routers, and a walk inside the
+// destination's AS. The topology keeps the intra-AS links as one flat
+// adjacency and, built on first use, a second flat adjacency over border
+// routers only: the inter-AS links plus, per AS, the best intra-AS route
+// between each pair of its border routers. A single-source sweep is
+// then Dijkstra over the border graph with a 39-router pass at either
+// end, which is ~6x less work than a sweep over every router and gives
+// the same answers.
 package netmodel
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -111,20 +124,60 @@ func PaperScaleConfig(seed int64) Config {
 // RouterID names a router within a Topology.
 type RouterID int32
 
-// link is one undirected edge endpoint in the adjacency list.
-type link struct {
-	to      RouterID
-	latency time.Duration
-	class   LinkClass
+// route is a cost - latency, then hop count - and the vertex it leads
+// to. One type serves as an adjacency entry (the cost of the edge and its
+// far end), as a heap item and as a sweep's result (the best known cost
+// from the source to v). A vertex is a router in the intra-AS adjacency
+// and an index into Topology.borders in the border graph.
+type route struct {
+	lat  time.Duration
+	hops int32
+	v    int32
 }
 
-// Topology is an immutable router graph plus two path caches: a memo of
-// answered (src, dst) queries (exact, never evicted - the working set of
-// a simulation is the pairs its nodes actually talk over) and a bounded
-// pool of full single-source shortest-path trees (a paper-scale topology
-// has ~104k routers, so a tree costs ~2 MB; an unbounded per-source
-// cache at 16,000 attachment points would be tens of GB). WarmRoutes
-// bulk-fills the pair memo with parallel sweeps.
+// unreached compares worse than any real route.
+var unreached = route{lat: math.MaxInt64}
+
+// less is the package's one ordering of routes: lower latency, then fewer
+// hops. The heap, every relaxation and the final minimum all use it, so a
+// tie never falls to traversal order.
+func (r route) less(o route) bool {
+	return r.lat < o.lat || r.lat == o.lat && r.hops < o.hops
+}
+
+// via extends r by the edge (or onward route) e.
+func (r route) via(e route) route { return route{r.lat + e.lat, r.hops + e.hops, e.v} }
+
+// rawLink is an undirected link as the generator draws it.
+type rawLink struct {
+	a, b int32
+	lat  time.Duration
+}
+
+// Topology is an immutable router graph in contracted form plus two path
+// caches.
+//
+// The graph: intra holds every intra-AS link (row r of intraStart is
+// router r's neighbours), which is all a route needs inside an AS -
+// RoutersPer routers, so a pass over one is microseconds. The border
+// graph (borders, asBorders, borderStart, borderAdj) has one vertex per
+// border router, numbered in router order so an AS's are contiguous; a
+// row holds the best intra-AS route to each other border router of the
+// same AS, then the router's inter-AS links. It is built by contract on
+// first use rather than in Generate, because it costs one intra-AS pass
+// per border router (~0.8 ms on the default topology, ~25 ms at paper
+// scale, on one goroutine) and generating the default topology takes a
+// third of that; until then inter holds the generator's inter-AS links.
+// Nothing else of the router graph is kept.
+//
+// The caches: a memo of answered (src, dst) queries (exact, never evicted
+// - the working set of a simulation is the pairs its nodes actually talk
+// over) and a bounded FIFO pool of single-source trees. A tree is one
+// route per border router, 16 bytes each: ~310 KB at paper scale, ~24 KB
+// on the default topology, against a ~64 MB budget for the pool. An
+// evicted tree's array becomes the next sweep's, so a cold miss on a full
+// pool allocates nothing that grows with the topology. WarmRoutes
+// bulk-fills the pair memo with parallel sweeps and pools nothing.
 //
 // Concurrency: Path serializes its memo and tree pool behind a mutex, so
 // cold route-cache misses from parallel simulation shards are safe (and
@@ -134,16 +187,27 @@ type link struct {
 // any violation into a panic instead of silent memo corruption.
 type Topology struct {
 	cfg      Config
-	adj      [][]link
 	numLinks int
 	t3Links  int
 	minLink  time.Duration // smallest single-link latency (lookahead bound)
 
-	mu         sync.Mutex // guards pairs, cache, cacheOrder
-	pairs      map[pairKey]Path
-	cache      map[RouterID]*pathTree
-	cacheOrder []RouterID // FIFO eviction order for cache
-	maxTrees   int
+	intraStart []int32
+	intra      []route
+
+	inter       []rawLink  // inter-AS links; nil once contracted
+	borders     []RouterID // border vertex -> router
+	asBorders   []int32    // AS -> its first border vertex; ASes+1 long
+	borderStart []int32
+	borderAdj   []route
+
+	mu       sync.Mutex // guards everything below, and contract
+	pairs    map[pairKey]Path
+	cache    map[RouterID][]route // pooled trees by source
+	order    []RouterID           // ring of pooled sources, oldest at head
+	head     int
+	maxTrees int
+	sw       *sweep // Path's scratch
+	sweeps   int
 
 	// warming is set for the duration of WarmRoutes; Path panics while it
 	// is up. onWarmStart is a test hook invoked (on the caller goroutine)
@@ -164,13 +228,6 @@ func mkPair(x, y RouterID) pairKey {
 	return pairKey{x, y}
 }
 
-// pathTree holds single-source shortest-path results.
-type pathTree struct {
-	latency []time.Duration
-	hops    []int32
-	deliver []float64 // product of (1 - loss) along the path
-}
-
 // Path describes the route between two attachment points.
 type Path struct {
 	Latency time.Duration // one-way propagation latency
@@ -188,23 +245,29 @@ func Generate(cfg Config) *Topology {
 		panic(fmt.Sprintf("netmodel: %d continent weights for %d continents", len(cfg.ContinentWeights), cfg.Continents))
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := cfg.ASes * cfg.RoutersPer
 	t := &Topology{
 		cfg:   cfg,
-		adj:   make([][]link, n),
 		pairs: make(map[pairKey]Path),
-		cache: make(map[RouterID]*pathTree),
+		cache: make(map[RouterID][]route),
 	}
-	// Bound the tree pool by a ~64 MB memory budget so small topologies
-	// keep effectively unlimited trees and paper-scale ones stay cheap.
-	const treeBudget = 64 << 20
-	bytesPerTree := n * 20 // latency (8) + hops (4, padded) + deliver (8)
-	t.maxTrees = treeBudget / bytesPerTree
-	if t.maxTrees < 16 {
-		t.maxTrees = 16
-	}
-	if t.maxTrees > 1024 {
-		t.maxTrees = 1024
+	// A link inside one AS goes to the intra-AS adjacency, one between
+	// two to the list contract turns into the border graph.
+	intra := make([]rawLink, 0, cfg.ASes*(cfg.RoutersPer+cfg.IntraASDegree))
+	t.inter = make([]rawLink, 0, cfg.ASes*(1+cfg.InterASDegree)+cfg.InterContinentLinks)
+	addLink := func(a, b RouterID, lat time.Duration, class LinkClass) {
+		l := rawLink{int32(a), int32(b), lat}
+		if int(a)/cfg.RoutersPer == int(b)/cfg.RoutersPer {
+			intra = append(intra, l)
+		} else {
+			t.inter = append(t.inter, l)
+		}
+		t.numLinks++
+		if class == T3 {
+			t.t3Links++
+		}
+		if t.minLink == 0 || lat < t.minLink {
+			t.minLink = lat
+		}
 	}
 
 	uniform := func(lo, hi time.Duration) time.Duration {
@@ -246,12 +309,12 @@ func Generate(cfg Config) *Topology {
 	// internal paths, mimicking a metro/regional ISP backbone.
 	for as := 0; as < cfg.ASes; as++ {
 		for i := 0; i < cfg.RoutersPer; i++ {
-			t.addLink(router(as, i), router(as, (i+1)%cfg.RoutersPer), metro(), OC3)
+			addLink(router(as, i), router(as, (i+1)%cfg.RoutersPer), metro(), OC3)
 		}
 		for c := 0; c < cfg.IntraASDegree; c++ {
 			a, b := rng.Intn(cfg.RoutersPer), rng.Intn(cfg.RoutersPer)
 			if a != b {
-				t.addLink(router(as, a), router(as, b), metro(), OC3)
+				addLink(router(as, a), router(as, b), metro(), OC3)
 			}
 		}
 	}
@@ -263,14 +326,14 @@ func Generate(cfg Config) *Topology {
 		members := byContinent[c]
 		for i := 1; i < len(members); i++ {
 			parent := members[rng.Intn(i)]
-			t.addLink(router(members[i], rng.Intn(cfg.RoutersPer)), router(parent, rng.Intn(cfg.RoutersPer)), oc3(), OC3)
+			addLink(router(members[i], rng.Intn(cfg.RoutersPer)), router(parent, rng.Intn(cfg.RoutersPer)), oc3(), OC3)
 		}
 		for range members {
 			for d := 0; d < cfg.InterASDegree; d++ {
 				a := members[rng.Intn(len(members))]
 				b := members[rng.Intn(len(members))]
 				if a != b {
-					t.addLink(router(a, rng.Intn(cfg.RoutersPer)), router(b, rng.Intn(cfg.RoutersPer)), oc3(), OC3)
+					addLink(router(a, rng.Intn(cfg.RoutersPer)), router(b, rng.Intn(cfg.RoutersPer)), oc3(), OC3)
 				}
 			}
 		}
@@ -281,27 +344,39 @@ func Generate(cfg Config) *Topology {
 	for c := 0; c < cfg.Continents; c++ {
 		a := c // AS index c is the anchor of continent c
 		b := (c + 1) % cfg.Continents
-		t.addLink(router(a, rng.Intn(cfg.RoutersPer)), router(b, rng.Intn(cfg.RoutersPer)), t3(), T3)
+		addLink(router(a, rng.Intn(cfg.RoutersPer)), router(b, rng.Intn(cfg.RoutersPer)), t3(), T3)
 	}
 	for i := cfg.Continents; i < cfg.InterContinentLinks; i++ {
 		a, b := rng.Intn(cfg.ASes), rng.Intn(cfg.ASes)
 		if continentOf[a] != continentOf[b] {
-			t.addLink(router(a, rng.Intn(cfg.RoutersPer)), router(b, rng.Intn(cfg.RoutersPer)), t3(), T3)
+			addLink(router(a, rng.Intn(cfg.RoutersPer)), router(b, rng.Intn(cfg.RoutersPer)), t3(), T3)
 		}
 	}
+	t.intraStart = make([]int32, t.NumRouters()+1)
+	t.intra = flatten(t.intraStart, intra)
 	return t
 }
 
-func (t *Topology) addLink(a, b RouterID, lat time.Duration, class LinkClass) {
-	t.adj[a] = append(t.adj[a], link{to: b, latency: lat, class: class})
-	t.adj[b] = append(t.adj[b], link{to: a, latency: lat, class: class})
-	t.numLinks++
-	if class == T3 {
-		t.t3Links++
+// flatten lays undirected links out as a flat adjacency: on return row v
+// is adj[start[v]:start[v+1]]. On entry start[v+1] holds the number of
+// leading entries to leave empty in row v for the caller to fill.
+func flatten(start []int32, links []rawLink) (adj []route) {
+	for _, l := range links {
+		start[l.a+1]++
+		start[l.b+1]++
 	}
-	if t.minLink == 0 || lat < t.minLink {
-		t.minLink = lat
+	for v := 1; v < len(start); v++ {
+		start[v] += start[v-1]
 	}
+	adj = make([]route, start[len(start)-1])
+	next := append([]int32(nil), start[1:]...) // rows fill from their ends
+	for _, l := range links {
+		next[l.a]--
+		adj[next[l.a]] = route{l.lat, 1, l.b}
+		next[l.b]--
+		adj[next[l.b]] = route{l.lat, 1, l.a}
+	}
+	return adj
 }
 
 // MinLinkLatency returns the smallest single-link latency in the
@@ -312,7 +387,7 @@ func (t *Topology) addLink(a, b RouterID, lat time.Duration, class LinkClass) {
 func (t *Topology) MinLinkLatency() time.Duration { return t.minLink }
 
 // NumRouters returns the number of routers in the topology.
-func (t *Topology) NumRouters() int { return len(t.adj) }
+func (t *Topology) NumRouters() int { return t.cfg.ASes * t.cfg.RoutersPer }
 
 // NumLinks returns the number of undirected links.
 func (t *Topology) NumLinks() int { return t.numLinks }
@@ -331,10 +406,10 @@ func (t *Topology) LinkLoss() float64 { return t.cfg.LinkLoss }
 // AttachPoints returns n distinct routers chosen uniformly at random with
 // rng, used as overlay-node attachment points.
 func (t *Topology) AttachPoints(n int, rng *rand.Rand) []RouterID {
-	if n > len(t.adj) {
-		panic(fmt.Sprintf("netmodel: %d attach points requested, only %d routers", n, len(t.adj)))
+	if n > t.NumRouters() {
+		panic(fmt.Sprintf("netmodel: %d attach points requested, only %d routers", n, t.NumRouters()))
 	}
-	perm := rng.Perm(len(t.adj))
+	perm := rng.Perm(t.NumRouters())
 	out := make([]RouterID, n)
 	for i := 0; i < n; i++ {
 		out[i] = RouterID(perm[i])
@@ -342,9 +417,14 @@ func (t *Topology) AttachPoints(n int, rng *rand.Rand) []RouterID {
 	return out
 }
 
-// Path returns the latency-shortest route between two routers. Answered
-// pairs are memoized exactly; full source trees are pooled with FIFO
-// eviction under the memory budget. Path(a, a) is the zero Path.
+// Path returns the best route between two routers: the lowest latency,
+// and among routes of equal latency the fewest hops. That order is total
+// over what Path reports (Loss follows from Hops), so an answer depends on
+// the graph alone - not on which end was swept, on whether WarmRoutes or
+// Path computed it, or on the order links were generated in - and
+// Path(a, b) == Path(b, a). Answered pairs are memoized exactly; source
+// trees are pooled with FIFO eviction under the memory budget. Path(a, a)
+// is the zero Path.
 func (t *Topology) Path(from, to RouterID) Path {
 	if from == to {
 		return Path{}
@@ -358,42 +438,131 @@ func (t *Topology) Path(from, to RouterID) Path {
 	if p, ok := t.pairs[k]; ok {
 		return p
 	}
-	tree := t.cache[from]
-	if tree == nil {
-		// A cached tree from the destination answers the same query:
-		// the graph is undirected so distances are symmetric.
-		if rev := t.cache[to]; rev != nil {
-			tree, to = rev, from
+	t.contract(1)
+	tree, ok := t.cache[from]
+	if !ok {
+		// A pooled tree from the destination answers the same query.
+		if tree, ok = t.cache[to]; ok {
+			from, to = to, from
 		} else {
-			tree = newSweep(len(t.adj)).run(t, from)
-			t.insertTree(from, tree)
+			tree = t.poolTree(from)
+			t.sw.run(t, from, tree)
+			t.sweeps++
 		}
 	}
-	p := tree.path(to)
+	p := t.sw.path(t, tree, from, to)
 	t.pairs[k] = p
 	return p
 }
 
-// insertTree pools a computed source tree, evicting the oldest beyond the
-// budget. Evictions lose nothing exact: every answered query stays in the
-// pair memo.
-func (t *Topology) insertTree(src RouterID, tree *pathTree) {
-	if len(t.cache) >= t.maxTrees {
-		old := t.cacheOrder[0]
-		t.cacheOrder = t.cacheOrder[1:]
+// poolTree returns the array for src's tree and pools it, taking over the
+// oldest pooled tree's array once the pool is full. Evictions lose nothing
+// exact: every answered query stays in the pair memo.
+func (t *Topology) poolTree(src RouterID) []route {
+	var tree []route
+	if len(t.order) < t.maxTrees {
+		tree = make([]route, len(t.borders))
+		t.order = append(t.order, src)
+	} else {
+		old := t.order[t.head]
+		tree = t.cache[old]
 		delete(t.cache, old)
+		t.order[t.head] = src
+		t.head = (t.head + 1) % len(t.order)
 	}
 	t.cache[src] = tree
-	t.cacheOrder = append(t.cacheOrder, src)
+	return tree
+}
+
+// RouteStats counts the routing work a topology has done.
+type RouteStats struct {
+	Sweeps      int // single-source sweeps: WarmRoutes sources plus cold Path misses
+	Pairs       int // memoized (src, dst) answers
+	Trees       int // source trees in the pool
+	Borders     int // border-graph vertices; 0 until the first sweep
+	BorderEdges int // border-graph adjacency entries (two per link)
+}
+
+// RouteStats reports the counters; like Path, not during WarmRoutes.
+func (t *Topology) RouteStats() RouteStats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return RouteStats{t.sweeps, len(t.pairs), len(t.cache), len(t.borders), len(t.borderAdj)}
+}
+
+// contract builds the border graph if it is not built yet, computing the
+// intra-AS border-to-border routes with the given number of goroutines.
+// The caller holds mu or, in WarmRoutes, the warming flag.
+func (t *Topology) contract(workers int) {
+	if t.borderStart != nil {
+		return
+	}
+	per := t.cfg.RoutersPer
+	vertex := make([]int32, t.NumRouters()) // router -> border vertex
+	for _, l := range t.inter {
+		vertex[l.a], vertex[l.b] = 1, 1
+	}
+	t.asBorders = make([]int32, t.cfg.ASes+1)
+	for as := 0; as < t.cfg.ASes; as++ {
+		for r := as * per; r < (as+1)*per; r++ {
+			if vertex[r] != 0 {
+				vertex[r] = int32(len(t.borders))
+				t.borders = append(t.borders, RouterID(r))
+			}
+		}
+		t.asBorders[as+1] = int32(len(t.borders))
+	}
+	// A row starts with one entry per other border router of the AS.
+	start := make([]int32, len(t.borders)+1)
+	for v, r := range t.borders {
+		as := int(r) / per
+		start[v+1] = t.asBorders[as+1] - t.asBorders[as] - 1
+	}
+	for i, l := range t.inter {
+		t.inter[i].a, t.inter[i].b = vertex[l.a], vertex[l.b]
+	}
+	adj := flatten(start, t.inter)
+	t.inter = nil
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sw := t.newSweep()
+			for as := w; as < t.cfg.ASes; as += workers {
+				lo, hi := t.asBorders[as], t.asBorders[as+1]
+				for v := lo; v < hi; v++ {
+					sw.within(t, t.borders[v])
+					row := adj[start[v]:]
+					for o := lo; o < hi; o++ {
+						if o != v {
+							row[0] = sw.toBorder(t, o)
+							row = row[1:]
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	t.borderStart, t.borderAdj = start, adj
+	t.sw = t.newSweep()
+
+	// Bound the tree pool by a ~64 MB memory budget so small topologies
+	// keep effectively unlimited trees and paper-scale ones stay cheap.
+	const treeBudget, routeBytes = 64 << 20, 16
+	t.maxTrees = min(max(treeBudget/(routeBytes*len(t.borders)+1), 16), 1024)
 }
 
 // WarmRoutes computes and memoizes the paths for the given router pairs,
 // running up to workers single-source sweeps concurrently (the graph is
-// immutable; each sweep has private state). Large simulations call this
-// once with every pair their overlay links will use: one sweep per
-// distinct source resolves all of that source's pairs, where resolving
-// them lazily through Path would recompute sweeps as trees rotate out of
-// the bounded pool. Results are identical to Path's, and the memo insert
+// immutable; each sweep has private state), after building the border
+// graph with the same workers if this is its first use. Large simulations
+// call this once with every pair their overlay links will use: one sweep
+// per distinct source resolves all of that source's pairs, where
+// resolving them lazily through Path would recompute sweeps as trees
+// rotate out of the bounded pool. Results are identical to Path's, and the memo insert
 // order is deterministic. WarmRoutes must not run concurrently with Path
 // (or itself); violations panic via the warming flag rather than
 // corrupting the memo silently.
@@ -459,6 +628,8 @@ func (t *Topology) WarmRoutes(routePairs [][2]RouterID, workers int) {
 	if workers < 1 {
 		workers = 1
 	}
+	t.contract(workers)
+	t.sweeps += len(tasks)
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
@@ -473,13 +644,13 @@ func (t *Topology) WarmRoutes(routePairs [][2]RouterID, workers int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sw := newSweep(len(t.adj))
+			sw, tree := t.newSweep(), make([]route, len(t.borders))
 			for i := range next {
 				tk := tasks[i]
-				tree := sw.run(t, tk.src)
+				sw.run(t, tk.src, tree)
 				out := make([]answer, len(tk.dsts))
 				for j, dst := range tk.dsts {
-					out[j] = answer{k: mkPair(tk.src, dst), p: tree.path(dst)}
+					out[j] = answer{k: mkPair(tk.src, dst), p: sw.path(t, tree, tk.src, dst)}
 				}
 				answers[i] = out
 			}
@@ -497,84 +668,102 @@ func (t *Topology) WarmRoutes(routePairs [][2]RouterID, workers int) {
 	}
 }
 
-func (pt *pathTree) path(to RouterID) Path {
-	return Path{
-		Latency: pt.latency[to],
-		Hops:    int(pt.hops[to]),
-		Loss:    1 - pt.deliver[to],
-	}
-}
-
-// sweep is the reusable working state of one single-source shortest-path
-// computation: result arrays plus a typed binary heap (no interface
-// boxing, no per-run allocation after the first).
+// sweep is the reusable working state of route computation: a typed
+// binary heap (no interface boxing) and one AS's worth of routes. Nothing
+// is allocated per run after the first.
 type sweep struct {
-	pt   pathTree
-	done []bool
-	pq   []distItem
+	pq    []route
+	intra []route  // set by within; indexed by router minus base
+	base  RouterID // first router of the AS within last covered
 }
 
-type distItem struct {
-	router RouterID
-	dist   time.Duration
+func (t *Topology) newSweep() *sweep {
+	return &sweep{pq: make([]route, 0, 1024), intra: make([]route, t.cfg.RoutersPer)}
 }
 
-func newSweep(n int) *sweep {
-	return &sweep{
-		pt: pathTree{
-			latency: make([]time.Duration, n),
-			hops:    make([]int32, n),
-			deliver: make([]float64, n),
-		},
-		done: make([]bool, n),
-		pq:   make([]distItem, 0, 1024),
-	}
-}
-
-// run computes single-source shortest paths by latency. Loss and hop
-// count are accumulated along the chosen shortest-latency tree, matching
-// how a routing protocol would pin one route per destination. The
-// returned tree aliases the sweep's buffers until the next run, so run's
-// caller must copy or finish with it first; Path's tree pool therefore
-// uses a fresh sweep per pooled tree.
-func (sw *sweep) run(t *Topology, src RouterID) *pathTree {
-	const inf = time.Duration(1<<63 - 1)
-	pt := &sw.pt
-	for i := range pt.latency {
-		pt.latency[i] = inf
-		pt.hops[i] = 0
-		pt.deliver[i] = 0
-		sw.done[i] = false
-	}
-	pt.latency[src] = 0
-	pt.deliver[src] = 1
-	sw.pq = append(sw.pq[:0], distItem{router: src, dist: 0})
+// settle runs Dijkstra from the routes in the heap over a flat adjacency;
+// dist[v-base] is the best route to vertex v.
+func (sw *sweep) settle(dist []route, base int32, start []int32, adj []route) {
 	for len(sw.pq) > 0 {
-		item := sw.popMin()
-		u := item.router
-		if sw.done[u] {
-			continue
+		at := sw.popMin()
+		if at != dist[at.v-base] {
+			continue // superseded after it was pushed
 		}
-		sw.done[u] = true
-		for _, e := range t.adj[u] {
-			alt := pt.latency[u] + e.latency
-			if alt < pt.latency[e.to] {
-				pt.latency[e.to] = alt
-				pt.hops[e.to] = pt.hops[u] + 1
-				pt.deliver[e.to] = pt.deliver[u] * (1 - t.cfg.LinkLoss)
-				sw.push(distItem{router: e.to, dist: alt})
+		for _, e := range adj[start[at.v]:start[at.v+1]] {
+			if alt := at.via(e); alt.less(dist[e.v-base]) {
+				dist[e.v-base] = alt
+				sw.push(alt)
 			}
 		}
 	}
-	return pt
 }
 
-func (sw *sweep) push(it distItem) {
+// within sets sw.intra to the best routes from r that stay inside its AS,
+// and returns the AS.
+func (sw *sweep) within(t *Topology, r RouterID) (as int) {
+	as = int(r) / t.cfg.RoutersPer
+	sw.base = RouterID(as * t.cfg.RoutersPer)
+	for i := range sw.intra {
+		sw.intra[i] = unreached
+	}
+	sw.intra[r-sw.base] = route{v: int32(r)}
+	sw.push(sw.intra[r-sw.base])
+	sw.settle(sw.intra, int32(sw.base), t.intraStart, t.intra)
+	return as
+}
+
+// toBorder is within's route to border vertex v of the same AS, as a
+// border-graph entry.
+func (sw *sweep) toBorder(t *Topology, v int32) route {
+	r := sw.intra[t.borders[v]-sw.base]
+	r.v = v
+	return r
+}
+
+// run fills tree with the best route from src to every border router:
+// src's AS's border routers start at their intra-AS routes, and the
+// border graph carries those outward.
+func (sw *sweep) run(t *Topology, src RouterID, tree []route) {
+	for i := range tree {
+		tree[i] = unreached
+	}
+	as := sw.within(t, src)
+	for v := t.asBorders[as]; v < t.asBorders[as+1]; v++ {
+		tree[v] = sw.toBorder(t, v)
+		sw.push(tree[v])
+	}
+	sw.settle(tree, 0, t.borderStart, t.borderAdj)
+}
+
+// path reads the route src -> dst off src's tree: the best over dst's
+// AS's border routers of the tree's route there plus the intra-AS route
+// on to dst, or the route inside the AS when src shares it. Delivery
+// probability compounds per hop by repeated multiplication, so it is
+// bit-for-bit a function of the hop count.
+func (sw *sweep) path(t *Topology, tree []route, src, dst RouterID) Path {
+	as := sw.within(t, dst)
+	best := unreached
+	if int(src)/t.cfg.RoutersPer == as {
+		best = sw.intra[src-sw.base]
+	}
+	for v := t.asBorders[as]; v < t.asBorders[as+1]; v++ {
+		if r := tree[v].via(sw.toBorder(t, v)); r.less(best) {
+			best = r
+		}
+	}
+	deliver, keep := 1.0, 1-t.cfg.LinkLoss
+	for i := int32(0); i < best.hops; i++ {
+		deliver *= keep
+	}
+	return Path{Latency: best.lat, Hops: int(best.hops), Loss: 1 - deliver}
+}
+
+func (sw *sweep) push(it route) {
 	sw.pq = append(sw.pq, it)
 	i := len(sw.pq) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if sw.pq[parent].dist <= sw.pq[i].dist {
+		if !sw.pq[i].less(sw.pq[parent]) {
 			break
 		}
 		sw.pq[parent], sw.pq[i] = sw.pq[i], sw.pq[parent]
@@ -582,7 +771,7 @@ func (sw *sweep) push(it distItem) {
 	}
 }
 
-func (sw *sweep) popMin() distItem {
+func (sw *sweep) popMin() route {
 	top := sw.pq[0]
 	last := len(sw.pq) - 1
 	sw.pq[0] = sw.pq[last]
@@ -591,10 +780,10 @@ func (sw *sweep) popMin() distItem {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < last && sw.pq[l].dist < sw.pq[small].dist {
+		if l < last && sw.pq[l].less(sw.pq[small]) {
 			small = l
 		}
-		if r < last && sw.pq[r].dist < sw.pq[small].dist {
+		if r < last && sw.pq[r].less(sw.pq[small]) {
 			small = r
 		}
 		if small == i {

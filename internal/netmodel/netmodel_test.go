@@ -1,8 +1,10 @@
 package netmodel
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -244,7 +246,19 @@ func TestWarmRoutesMatchesPath(t *testing.T) {
 		}
 	}
 	// Warming twice is a no-op.
+	before := warm.RouteStats()
 	warm.WarmRoutes(pairs, 2)
+	st := warm.RouteStats()
+	if st != before {
+		t.Fatalf("second warmup changed the stats: %+v -> %+v", before, st)
+	}
+	// One sweep per source at most, nothing pooled, every pair memoized.
+	if st.Sweeps < 1 || st.Sweeps > len(pts) || st.Trees != 0 || st.Pairs != len(pairs)-1 {
+		t.Fatalf("stats after warmup of %d pairs from %d sources: %+v", len(pairs)-1, len(pts), st)
+	}
+	if lst := lazy.RouteStats(); lst.Trees != lst.Sweeps || lst.Borders != st.Borders || lst.BorderEdges != st.BorderEdges {
+		t.Fatalf("lazy stats %+v, warmed %+v", lst, st)
+	}
 }
 
 // TestBoundedTreeCacheStaysExact drives more distinct sources than the
@@ -252,6 +266,7 @@ func TestWarmRoutesMatchesPath(t *testing.T) {
 // eviction may cost recomputation but never correctness.
 func TestBoundedTreeCacheStaysExact(t *testing.T) {
 	a := testTopology(t, 15)
+	a.Path(0, 1)   // first use sizes the pool
 	a.maxTrees = 4 // force heavy eviction
 	b := testTopology(t, 15)
 	rng := rand.New(rand.NewSource(37))
@@ -272,12 +287,270 @@ func TestBoundedTreeCacheStaysExact(t *testing.T) {
 	}
 }
 
-func BenchmarkPathQuery(b *testing.B) {
-	topo := Generate(DefaultConfig(1))
-	rng := rand.New(rand.NewSource(1))
-	pts := topo.AttachPoints(100, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		topo.Path(pts[i%100], pts[(i+37)%100])
+// referenceGraph rebuilds the plain router-level adjacency - every link,
+// intra-AS and inter-AS - from a topology that has not answered a route
+// yet (the first route turns the inter-AS links into the border graph).
+func referenceGraph(t *testing.T, topo *Topology) [][]route {
+	t.Helper()
+	if topo.borderStart != nil {
+		t.Fatal("referenceGraph after the topology was contracted")
+	}
+	adj := make([][]route, topo.NumRouters())
+	for r := range adj {
+		adj[r] = append(adj[r], topo.intra[topo.intraStart[r]:topo.intraStart[r+1]]...)
+	}
+	for _, l := range topo.inter {
+		adj[l.a] = append(adj[l.a], route{l.lat, 1, l.b})
+		adj[l.b] = append(adj[l.b], route{l.lat, 1, l.a})
+	}
+	ends := 0
+	for _, row := range adj {
+		ends += len(row)
+	}
+	if ends != 2*topo.NumLinks() {
+		t.Fatalf("reference graph has %d link ends, topology reports %d links", ends, topo.NumLinks())
+	}
+	return adj
+}
+
+// refBetter spells the tie rule out again, and refHeap is container/heap,
+// so the oracle shares only the route struct with the package.
+func refBetter(a, b route) bool {
+	if a.lat != b.lat {
+		return a.lat < b.lat
+	}
+	return a.hops < b.hops
+}
+
+type refHeap []route
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return refBetter(h[i], h[j]) }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(route)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
+}
+
+// referenceSweep is the routing this package used before it contracted
+// the graph: one Dijkstra from src over every router, loss compounded
+// link by link along the tree. It is the oracle Path is held to, bit for
+// bit. Ties break as Path documents: lower latency, then fewer hops.
+func referenceSweep(adj [][]route, src RouterID, linkLoss float64) []Path {
+	dist := make([]route, len(adj))
+	deliver := make([]float64, len(adj))
+	done := make([]bool, len(adj))
+	for i := range dist {
+		dist[i].lat = math.MaxInt64
+	}
+	dist[src] = route{v: int32(src)}
+	deliver[src] = 1
+	pq := &refHeap{dist[src]}
+	for pq.Len() > 0 {
+		u := heap.Pop(pq).(route).v
+		if done[u] {
+			continue
+		}
+		done[u] = true
+		for _, e := range adj[u] {
+			alt := route{dist[u].lat + e.lat, dist[u].hops + 1, e.v}
+			if refBetter(alt, dist[e.v]) {
+				dist[e.v] = alt
+				deliver[e.v] = deliver[u] * (1 - linkLoss)
+				heap.Push(pq, alt)
+			}
+		}
+	}
+	out := make([]Path, len(adj))
+	for v, d := range dist {
+		if RouterID(v) != src {
+			out[v] = Path{Latency: d.lat, Hops: int(d.hops), Loss: 1 - deliver[v]}
+		}
+	}
+	return out
+}
+
+// tiedConfig gives every link of a class the same latency, so nearly
+// every pair has several latency-shortest routes of different lengths.
+func tiedConfig(seed int64) Config {
+	cfg := DefaultConfig(seed)
+	cfg.IntraASLatencyMax = cfg.IntraASLatencyMin
+	cfg.OC3LatencyMax = cfg.OC3LatencyMin
+	cfg.T3LatencyMax = cfg.T3LatencyMin
+	return cfg
+}
+
+// TestRoutesMatchReference holds Path to the full-graph sweep for every
+// destination of many sources, over the shapes the contraction has to
+// get right: lossy links, tiny and chordless ASes, ASes with a single
+// border router, ASes whose only inter-AS links are T3, sources that are
+// and are not border routers (same-AS destinations come with "every
+// destination"), latency ties, and - unless -short - paper scale.
+func TestRoutesMatchReference(t *testing.T) {
+	with := func(edit func(*Config)) Config {
+		cfg := DefaultConfig(21)
+		edit(&cfg)
+		return cfg
+	}
+	type oracleCase struct {
+		name    string
+		cfg     Config
+		sources int
+	}
+	cases := []oracleCase{
+		{"default-1", DefaultConfig(1), 50},
+		{"default-2", DefaultConfig(2), 50},
+		{"default-3", DefaultConfig(3), 50},
+		{"lossy", with(func(c *Config) { c.LinkLoss = 0.016 }), 50},
+		{"three-routers", with(func(c *Config) { c.RoutersPer = 3 }), 50},
+		{"no-chords", with(func(c *Config) { c.IntraASDegree = 0 }), 50},
+		{"tree-only", with(func(c *Config) { c.InterASDegree = 0 }), 50},
+		{"one-as-per-continent", with(func(c *Config) {
+			c.ASes, c.Continents, c.InterContinentLinks = 12, 12, 40
+			c.ContinentWeights = make([]float64, 12)
+		}), 50},
+		{"one-as", with(func(c *Config) {
+			c.ASes, c.Continents, c.ContinentWeights = 1, 1, []float64{1}
+		}), 12},
+		{"ties", tiedConfig(4), 50},
+	}
+	if !testing.Short() {
+		cases = append(cases, oracleCase{"paper-scale", PaperScaleConfig(1), 10})
+	}
+	singleBorder := false
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			topo := Generate(tc.cfg)
+			adj := referenceGraph(t, topo)
+			topo.contract(1)
+
+			// Random sources, plus a border and an interior router of
+			// the AS with the fewest border routers.
+			rng := rand.New(rand.NewSource(77))
+			srcs := topo.AttachPoints(min(tc.sources, topo.NumRouters()), rng)
+			lone := 0
+			for as := 0; as < tc.cfg.ASes; as++ {
+				if n, least := topo.asBorders[as+1]-topo.asBorders[as], topo.asBorders[lone+1]-topo.asBorders[lone]; n < least {
+					lone = as
+				}
+			}
+			if lo, hi := topo.asBorders[lone], topo.asBorders[lone+1]; lo < hi {
+				singleBorder = singleBorder || hi-lo == 1
+				b := topo.borders[lo]
+				beside := b + 1
+				if int(beside)%tc.cfg.RoutersPer == 0 {
+					beside = b - 1
+				}
+				srcs = append(srcs, b, beside)
+			}
+			isBorder := make(map[RouterID]bool)
+			for _, b := range topo.borders {
+				isBorder[b] = true
+			}
+			fromBorder, fromInterior := 0, 0
+			for _, src := range srcs {
+				if isBorder[src] {
+					fromBorder++
+				} else {
+					fromInterior++
+				}
+				want := referenceSweep(adj, src, tc.cfg.LinkLoss)
+				for dst := range want {
+					if got := topo.Path(src, RouterID(dst)); got != want[dst] {
+						t.Fatalf("Path(%d, %d) = %+v, full-graph sweep says %+v", src, dst, got, want[dst])
+					}
+				}
+			}
+			if tc.cfg.ASes > 1 && (fromBorder == 0 || fromInterior == 0) {
+				t.Fatalf("%d border and %d interior sources; want both", fromBorder, fromInterior)
+			}
+		})
+	}
+	if !singleBorder {
+		t.Fatal("no case had an AS with a single border router")
+	}
+}
+
+// TestTiesResolveByGraphNotBySweep pins the tie rule where ties are
+// everywhere: the answer for a pair is the same whichever end is swept,
+// and whether WarmRoutes or Path computes it.
+func TestTiesResolveByGraphNotBySweep(t *testing.T) {
+	cfg := tiedConfig(5)
+	fwd, rev, warm := Generate(cfg), Generate(cfg), Generate(cfg)
+	pts := fwd.AttachPoints(80, rand.New(rand.NewSource(41)))
+	var pairs [][2]RouterID
+	for i := range pts {
+		for j := 1; j <= 3; j++ {
+			pairs = append(pairs, [2]RouterID{pts[i], pts[(i+7*j)%len(pts)]})
+		}
+	}
+	warm.WarmRoutes(pairs, 2)
+	tied := 0
+	for _, pr := range pairs {
+		// fwd sweeps from pr[0]; rev, a separate topology with an
+		// empty pool, from pr[1].
+		p := fwd.Path(pr[0], pr[1])
+		if q := rev.Path(pr[1], pr[0]); q != p {
+			t.Fatalf("Path(%d, %d) = %+v but Path(%d, %d) = %+v", pr[0], pr[1], p, pr[1], pr[0], q)
+		}
+		if q := warm.Path(pr[0], pr[1]); q != p {
+			t.Fatalf("Path(%d, %d) = %+v alone, %+v after WarmRoutes", pr[0], pr[1], p, q)
+		}
+		if time.Duration(p.Hops)*cfg.IntraASLatencyMin < p.Latency {
+			tied++ // crosses ASes, where equal-latency detours exist
+		}
+	}
+	if tied == 0 {
+		t.Fatal("no sampled pair left its AS; the config does not exercise ties")
+	}
+}
+
+// TestWarmRoutesWorkerCountDoesNotChangeMemo: one worker and four leave
+// the same pair memo (and build the same border graph).
+func TestWarmRoutesWorkerCountDoesNotChangeMemo(t *testing.T) {
+	one, four := testTopology(t, 16), testTopology(t, 16)
+	pts := one.AttachPoints(90, rand.New(rand.NewSource(43)))
+	var pairs [][2]RouterID
+	for i := range pts {
+		for j := 1; j <= 5; j++ {
+			pairs = append(pairs, [2]RouterID{pts[i], pts[(i+j)%len(pts)]})
+		}
+	}
+	one.WarmRoutes(pairs, 1)
+	four.WarmRoutes(pairs, 4)
+	if !reflect.DeepEqual(one.pairs, four.pairs) {
+		t.Fatal("pair memo differs between workers=1 and workers=4")
+	}
+	if !reflect.DeepEqual(one.borderAdj, four.borderAdj) {
+		t.Fatal("border graph differs between workers=1 and workers=4")
+	}
+}
+
+// TestColdMissOnFullPoolReusesTree: once the pool is full a cold miss
+// sweeps into the evicted tree's array; what it still allocates (pair
+// memo growth) does not scale with the router or border count.
+func TestColdMissOnFullPoolReusesTree(t *testing.T) {
+	topo := testTopology(t, 17)
+	topo.Path(0, 1)
+	topo.maxTrees = 8
+	pts := topo.AttachPoints(600, rand.New(rand.NewSource(47)))
+	next := 0
+	miss := func() {
+		topo.Path(pts[next], pts[next+1])
+		next += 2
+	}
+	for i := 0; i < 16; i++ {
+		miss() // fill the pool and go round the ring once
+	}
+	sweeps := topo.RouteStats().Sweeps
+	avg := testing.AllocsPerRun(200, miss)
+	if avg >= 1 {
+		t.Fatalf("%.2f allocations per cold miss on a full pool, want < 1", avg)
+	}
+	if st := topo.RouteStats(); st.Sweeps-sweeps != 201 || st.Trees != 8 {
+		t.Fatalf("201 cold misses ran %d sweeps and left %d trees pooled (max 8)", st.Sweeps-sweeps, st.Trees)
 	}
 }
