@@ -22,16 +22,24 @@
 // The engine is built for sustained high event rates (a 16,000-node
 // overlay arms hundreds of thousands of periodic timers): events live on
 // a free list and are recycled after they fire or are stopped, Stop
-// removes its event from the heap eagerly (the queue never accumulates
+// unlinks its event from the queue eagerly (the queue never accumulates
 // cancelled entries), Reset re-arms a pending or currently-firing timer
-// in place without allocating, and Schedule provides a handle-free path
-// for fire-and-forget events whose callback closures are themselves
-// reused. Steady-state workloads built on Reset and Schedule run without
+// without allocating, and Schedule provides a handle-free path for
+// fire-and-forget events whose callback closures are themselves reused.
+// Steady-state workloads built on Reset and Schedule run without
 // per-event allocations.
+//
+// Each lane's queue is a timing wheel in front of a heap (see "The
+// pending queue" below): nearly every event of a simulated overlay is a
+// timer drawn from a few fixed intervals of a minute or so, and for those
+// scheduling, cancelling and re-arming are O(1) list operations; only the
+// events of the few milliseconds being executed are ever sorted.
 package eventsim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -53,9 +61,24 @@ type lane struct {
 	id  int // globalLane for the control lane, shard index otherwise
 	sim *Sim
 
-	now   time.Duration // offset from Epoch
-	queue eventQueue
-	seq   uint64
+	now time.Duration // offset from Epoch
+	seq uint64
+
+	// The pending queue (see the comment above slotShift): the heap, the
+	// slot up to which events go straight to it, and the ring of buckets
+	// holding the ringSlots-1 slots after that one. The ring is allocated
+	// on the lane's first bucketed event, so a lane that never holds a
+	// near-future timer (an idle control lane) costs nothing.
+	queue  eventQueue
+	loaded int64
+	ring   *ring
+	inRing int // events linked into buckets
+
+	// pending counts this lane's scheduled-but-unfired events, plus, on a
+	// shard, the entries waiting in its outboxes. Only the goroutine that
+	// currently owns the lane writes it; it is atomic so Sim.Pending may
+	// sum the lanes from any goroutine.
+	pending atomic.Int64
 
 	// free is the event recycling pool. Events are pushed when they fire
 	// or are stopped and popped by the next After/Schedule; reuse is LIFO
@@ -71,11 +94,6 @@ type Sim struct {
 	lane    // the control lane
 	rng     *rand.Rand
 	stopped bool
-
-	// pending counts scheduled-but-unfired events across every lane and
-	// outbox, maintained atomically so Pending may be read from any
-	// goroutine (e.g. a progress reporter) without racing the run loop.
-	pending atomic.Int64
 
 	// The shard lanes and how windows over them run (see shard.go); all
 	// zero until EnableShards.
@@ -122,15 +140,24 @@ func (s *Sim) Executed() uint64 {
 	return n
 }
 
-// Pending reports how many events are scheduled but have not fired.
-// Stopped timers leave the queue immediately, so the count is exact. The
-// counter is atomic: Pending is safe to call from any goroutine, and
-// aggregates every lane and in-flight cross-shard outbox entry.
-func (s *Sim) Pending() int { return int(s.pending.Load()) }
+// Pending reports how many events are scheduled but have not fired,
+// across every lane and in-flight cross-shard outbox entry. Stopped timers
+// leave the queue immediately, so at a fence or between run calls the
+// count is exact. Each lane keeps its own atomic count, so Pending is safe
+// to call from any goroutine (e.g. a progress reporter); read while
+// windows are running it is a sum of per-lane readings taken at slightly
+// different moments.
+func (s *Sim) Pending() int {
+	n := s.lane.pending.Load()
+	for _, x := range s.shards {
+		n += x.lane.pending.Load()
+	}
+	return int(n)
+}
 
-// event states. A pending event sits in the heap; a fired event is the one
-// whose callback is currently executing (observable only from within that
-// callback); a free event sits on the recycling pool.
+// event states. A pending event sits in the queue (heap or bucket); a
+// fired event is the one whose callback is currently executing (observable
+// only from within that callback); a free event sits on the recycling pool.
 const (
 	statePending = iota
 	stateFired
@@ -165,16 +192,17 @@ func (t *Timer) Stop() bool {
 	if !t.live() || t.ev.state != statePending {
 		return false
 	}
-	t.l.removeEvent(t.ev.index)
+	t.l.pending.Add(-1)
+	t.l.unlink(t.ev)
 	t.l.recycle(t.ev)
 	return true
 }
 
 // Reset re-arms the timer to fire d from now with its original callback,
 // reporting whether it succeeded. It succeeds while the timer is pending
-// (the deadline moves in place, without allocating) and from within the
-// timer's own callback (the firing event is re-queued, which is how
-// periodic timers reuse one event forever). After Stop, or once the
+// (the event is unlinked and queued again, without allocating) and from
+// within the timer's own callback (the firing event is re-queued, which is
+// how periodic timers reuse one event forever). After Stop, or once the
 // callback has completed, Reset reports false and the caller must
 // schedule anew with After.
 func (t *Timer) Reset(d time.Duration) bool {
@@ -188,20 +216,18 @@ func (t *Timer) Reset(d time.Duration) bool {
 	}
 	switch ev.state {
 	case statePending:
-		ev.at = l.base() + d
-		ev.seq = l.seq
-		l.seq++
-		l.fixEvent(ev.index)
-		return true
+		l.unlink(ev)
 	case stateFired:
-		ev.at = l.base() + d
-		ev.seq = l.seq
-		l.seq++
 		ev.state = statePending
-		l.pushEvent(ev)
-		return true
+		l.pending.Add(1)
+	default:
+		return false
 	}
-	return false
+	ev.at = l.base() + d
+	ev.seq = l.seq
+	l.seq++
+	l.link(ev)
+	return true
 }
 
 // Stopped reports whether the timer is no longer pending (stopped, fired,
@@ -216,8 +242,14 @@ type event struct {
 	fn    func()
 	gen   uint32 // incremented on recycle; stale Timer handles mismatch
 	state uint8
-	index int // heap index
+	index int // heap index, inBucket, or -1 when not queued
+
+	// next and prev link a bucketed event into its bucket's list.
+	next, prev *event
 }
+
+// inBucket is the event.index of an event linked into a ring bucket.
+const inBucket = -2
 
 // base returns the reference instant for relative scheduling on this
 // lane. On the control lane, and for a shard executing inside a window,
@@ -241,7 +273,7 @@ func (l *lane) base() time.Duration {
 }
 
 // alloc takes an event from the pool (or allocates one), initializes it
-// to fire d after the lane's scheduling base, and pushes it on the queue.
+// to fire d after the lane's scheduling base, and queues it.
 func (l *lane) alloc(d time.Duration, fn func()) *event {
 	if d < 0 {
 		d = 0
@@ -271,7 +303,8 @@ func (l *lane) allocAt(at time.Duration, fn func()) *event {
 	l.seq++
 	ev.fn = fn
 	ev.state = statePending
-	l.pushEvent(ev)
+	l.pending.Add(1)
+	l.link(ev)
 	return ev
 }
 
@@ -286,7 +319,9 @@ func (l *lane) recycle(ev *event) {
 }
 
 // execOne pops and fires the lane's next event, advancing the lane clock.
+// The caller has just read headAt, which settled the queue.
 func (l *lane) execOne() {
+	l.pending.Add(-1)
 	ev := l.popEvent()
 	if ev.at < l.now {
 		panic(fmt.Sprintf("eventsim: time went backwards: %v < %v", ev.at, l.now))
@@ -344,12 +379,156 @@ func (s *Sim) Stop() { s.stopped = true }
 // Stopped reports whether Stop has been called.
 func (s *Sim) Stopped() bool { return s.stopped }
 
-// The pending queue is a hand-rolled 4-ary min-heap ordered by (time,
-// schedule sequence), chosen over container/heap to avoid interface
-// dispatch on the hottest loop in the simulator and to halve the sift
-// depth. The (at, seq) pair is unique per pending event, so the pop order
-// is a total order independent of the heap's internal layout - removals
-// in any order cannot perturb determinism.
+// The pending queue: a timing wheel in front of a 4-ary min-heap.
+//
+// Virtual time is cut into slots of 2^slotShift ns, and every lane keeps
+// a watermark, loaded. An event whose slot is at or before loaded, or at
+// least ringSlots slots after it, goes on the heap, which orders by
+// (time, schedule sequence). Every other event - a slot in (loaded,
+// loaded+ringSlots) - is linked into the ring bucket of its slot through
+// its own next/prev pointers: scheduling, Stop and Reset of such an event
+// are O(1), allocate nothing, and compare nothing, and the order inside a
+// bucket does not matter. Within that span a slot maps to exactly one
+// bucket, and a bitmap of occupied buckets finds the next one.
+//
+// Before the head of the queue is read, settle makes the heap's top the
+// lane's earliest event: unless the top already lies in a slot before the
+// first occupied bucket, that whole bucket is pushed on the heap and
+// loaded advances to its slot. Every bucketed event is therefore in a
+// strictly later slot than loaded, so strictly later than any event the
+// heap was given because of loaded, and the pop order is exactly (at,
+// seq) - the same total order a single heap yields, independent of the
+// layout of either structure, so removals in any order cannot perturb
+// determinism. A pop also advances loaded to the popped event's slot:
+// the popped event was the earliest, so no bucket is skipped, and an
+// empty ring that virtual time has run past does not leave later
+// schedules stranded on the heap.
+//
+// The heap thus holds the slot being executed plus the rare event beyond
+// the ring's span, and a pop sifts through a handful of events instead of
+// all that are pending. The two constants are sized to the protocol's
+// timers. A slot (16.8 ms) is short enough that the events sharing one
+// stay a handful at paper scale. The span (8,192 slots, 137 s) has to
+// exceed the longest periodic interval, the 90 s CheckTimeout, or that
+// timer class would live on the heap; the ring costs 64 KB of heads and a
+// 1 KB bitmap per lane that uses it.
+const (
+	slotShift = 24
+	ringSlots = 8192
+)
+
+// ring is a lane's buckets: the head of each slot's list, and one bit per
+// bucket that is not empty.
+type ring struct {
+	heads    [ringSlots]*event
+	occupied [ringSlots / 64]uint64
+}
+
+func slotOf(at time.Duration) int64 { return int64(at >> slotShift) }
+
+// after returns the first occupied bucket at or, cyclically, after bucket
+// from. The ring must not be empty.
+func (r *ring) after(from int) int {
+	w := from >> 6
+	if b := r.occupied[w] >> (from & 63); b != 0 {
+		return from + bits.TrailingZeros64(b)
+	}
+	// The last turn looks at the first word again, for its low bits.
+	for {
+		w = (w + 1) & (len(r.occupied) - 1)
+		if b := r.occupied[w]; b != 0 {
+			return w<<6 + bits.TrailingZeros64(b)
+		}
+	}
+}
+
+// link queues a pending event: in its bucket if its slot is within the
+// ring's span, on the heap otherwise.
+func (l *lane) link(ev *event) {
+	slot := slotOf(ev.at)
+	if d := slot - l.loaded; d <= 0 || d >= ringSlots {
+		l.pushEvent(ev)
+		return
+	}
+	r := l.ring
+	if r == nil {
+		r = new(ring)
+		l.ring = r
+	}
+	b := slot & (ringSlots - 1)
+	head := r.heads[b]
+	if head == nil {
+		r.occupied[b>>6] |= 1 << (b & 63)
+	} else {
+		head.prev = ev
+	}
+	ev.next = head
+	r.heads[b] = ev
+	ev.index = inBucket
+	l.inRing++
+}
+
+// unlink takes a pending event out of the queue (a stopped or re-armed
+// timer).
+func (l *lane) unlink(ev *event) {
+	if ev.index != inBucket {
+		l.removeEvent(ev.index)
+		return
+	}
+	if ev.next != nil {
+		ev.next.prev = ev.prev
+	}
+	if ev.prev != nil {
+		ev.prev.next = ev.next
+	} else {
+		b := slotOf(ev.at) & (ringSlots - 1)
+		l.ring.heads[b] = ev.next
+		if ev.next == nil {
+			l.ring.occupied[b>>6] &^= 1 << (b & 63)
+		}
+	}
+	ev.next, ev.prev = nil, nil
+	ev.index = -1
+	l.inRing--
+}
+
+// settle makes the heap's top the lane's earliest pending event, moving
+// the first occupied bucket onto the heap unless the top is in an earlier
+// slot than that bucket.
+func (l *lane) settle() {
+	top := int64(math.MaxInt64)
+	if len(l.queue) > 0 {
+		top = slotOf(l.queue[0].at)
+		if top <= l.loaded {
+			return
+		}
+	}
+	if l.inRing == 0 {
+		return
+	}
+	r := l.ring
+	from := int(l.loaded+1) & (ringSlots - 1)
+	b := r.after(from)
+	slot := l.loaded + 1 + int64((b-from)&(ringSlots-1))
+	if top < slot {
+		return
+	}
+	ev := r.heads[b]
+	r.heads[b] = nil
+	r.occupied[b>>6] &^= 1 << (b & 63)
+	for ev != nil {
+		next := ev.next
+		ev.next, ev.prev = nil, nil
+		l.pushEvent(ev)
+		l.inRing--
+		ev = next
+	}
+	l.loaded = slot
+}
+
+// eventQueue is the heap: hand-rolled and 4-ary, chosen over
+// container/heap to avoid interface dispatch on the hottest loop in the
+// simulator and to halve the sift depth.
 type eventQueue []*event
 
 // before reports strict (at, seq) order between two events.
@@ -361,25 +540,12 @@ func before(a, b *event) bool {
 }
 
 func (l *lane) pushEvent(ev *event) {
-	l.sim.pending.Add(1)
-	q := append(l.queue, ev)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !before(ev, q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		q[i].index = i
-		i = parent
-	}
-	q[i] = ev
-	ev.index = i
-	l.queue = q
+	l.queue = append(l.queue, ev)
+	l.siftUp(ev, len(l.queue)-1)
 }
 
+// popEvent takes the top off a settled, non-empty heap.
 func (l *lane) popEvent() *event {
-	l.sim.pending.Add(-1)
 	q := l.queue
 	top := q[0]
 	last := len(q) - 1
@@ -391,12 +557,14 @@ func (l *lane) popEvent() *event {
 		l.siftDown(moved, 0)
 	}
 	top.index = -1
+	if slot := slotOf(top.at); slot > l.loaded {
+		l.loaded = slot
+	}
 	return top
 }
 
-// removeEvent deletes the event at heap index i (a stopped timer).
+// removeEvent deletes the event at heap index i.
 func (l *lane) removeEvent(i int) {
-	l.sim.pending.Add(-1)
 	q := l.queue
 	last := len(q) - 1
 	removed := q[i]
@@ -410,30 +578,30 @@ func (l *lane) removeEvent(i int) {
 	removed.index = -1
 }
 
-// fixEvent restores heap order for the event at index i after its
-// deadline changed in place (Timer.Reset on a pending timer).
-func (l *lane) fixEvent(i int) {
-	l.fixFrom(l.queue[i], i)
-}
-
 // fixFrom places ev at index i, sifting whichever direction order needs.
 func (l *lane) fixFrom(ev *event, i int) {
-	q := l.queue
-	if i > 0 && before(ev, q[(i-1)/4]) {
-		for i > 0 {
-			parent := (i - 1) / 4
-			if !before(ev, q[parent]) {
-				break
-			}
-			q[i] = q[parent]
-			q[i].index = i
-			i = parent
-		}
-		q[i] = ev
-		ev.index = i
+	if i > 0 && before(ev, l.queue[(i-1)/4]) {
+		l.siftUp(ev, i)
 		return
 	}
 	l.siftDown(ev, i)
+}
+
+// siftUp places ev at index i, moving it toward the root while it sorts
+// earlier than its parent.
+func (l *lane) siftUp(ev *event, i int) {
+	q := l.queue
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !before(ev, q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		q[i].index = i
+		i = parent
+	}
+	q[i] = ev
+	ev.index = i
 }
 
 // siftDown places ev at index i, moving it toward the leaves while a

@@ -142,11 +142,13 @@ func (x *Shard) Post(dst *Shard, d time.Duration, fn func()) {
 		return
 	}
 	x.outbox[dst.lane.id] = append(x.outbox[dst.lane.id], xevent{at: at, fn: fn})
-	s.pending.Add(1)
+	x.lane.pending.Add(1)
 }
 
-// headAt returns the lane's earliest pending time, or maxDuration.
+// headAt returns the lane's earliest pending time, or maxDuration. It
+// leaves the queue settled: the event at that time is the heap's top.
 func (l *lane) headAt() time.Duration {
+	l.settle()
 	if len(l.queue) == 0 {
 		return maxDuration
 	}
@@ -168,13 +170,12 @@ func (s *Sim) Step() bool {
 	if s.stopped {
 		return false
 	}
-	best := &s.lane
+	best, at := &s.lane, s.lane.headAt()
 	for _, x := range s.shards {
-		if x.lane.headAt() < best.headAt() {
-			best = &x.lane
+		if t := x.lane.headAt(); t < at {
+			best, at = &x.lane, t
 		}
 	}
-	at := best.headAt()
 	if at == maxDuration {
 		return false
 	}
@@ -293,7 +294,7 @@ func (s *Sim) runWindow(start, end time.Duration) {
 			if len(box) == 0 {
 				continue
 			}
-			s.pending.Add(-int64(len(box)))
+			src.lane.pending.Add(-int64(len(box)))
 			for i := range box {
 				xe := &box[i]
 				if xe.at < end {
@@ -312,7 +313,7 @@ func (s *Sim) runWindow(start, end time.Duration) {
 // runTo drains the shard's events strictly before end (worker goroutine
 // body; touches only this shard's lane plus its outboxes).
 func (x *Shard) runTo(end time.Duration) {
-	for len(x.lane.queue) > 0 && x.lane.queue[0].at < end {
+	for x.lane.headAt() < end {
 		x.lane.execOne()
 	}
 }

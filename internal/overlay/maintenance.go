@@ -109,10 +109,13 @@ type pingState struct {
 	ackSeq   uint64    // seq of the last matching ack received
 	sentAt   time.Time // when the last ping went out (RTT base)
 	awaiting bool      // between a send and its ack deadline
+	retired  bool      // no longer in Node.pings; a late tick must do nothing
 	timer    transport.Timer
 }
 
-func (ps *pingState) stopTimers() {
+// retire stops the cycle; the caller takes ps out of Node.pings.
+func (ps *pingState) retire() {
+	ps.retired = true
 	if ps.timer != nil {
 		ps.timer.Stop()
 	}
@@ -135,7 +138,7 @@ func (n *Node) syncPings() {
 	}
 	for addr, ps := range n.pings {
 		if !want[addr] {
-			ps.stopTimers()
+			ps.retire()
 			delete(n.pings, addr)
 		}
 	}
@@ -157,7 +160,7 @@ func (n *Node) syncPings() {
 // pingTick advances a neighbor's ping cycle: either the next ping is due,
 // or the previous ping's ack deadline has arrived.
 func (n *Node) pingTick(ps *pingState) {
-	if n.stopped || n.pings[ps.ref.Addr] != ps {
+	if n.stopped || ps.retired {
 		return
 	}
 	if ps.awaiting {

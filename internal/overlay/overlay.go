@@ -237,7 +237,7 @@ func (n *Node) SetClient(c Client) {
 func (n *Node) Stop() {
 	n.stopped = true
 	for _, ps := range n.pings {
-		ps.stopTimers()
+		ps.retire()
 	}
 	n.pings = map[transport.Addr]*pingState{}
 }
