@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/sha1"
+	"encoding/binary"
 	"sort"
 
 	"fuse/internal/overlay"
@@ -35,8 +36,7 @@ func (f *Fuse) addTreeLink(id GroupID, seq uint64, neighbor overlay.NodeRef) {
 	}
 	l := &treeLink{neighbor: neighbor, installedAt: f.env.Now()}
 	cs.links[neighbor.Addr] = l
-	ls.groups[id] = l
-	ls.invalidate()
+	ls.attach(id)
 	f.ensureLinkTimer(ls)
 }
 
@@ -256,7 +256,7 @@ func (f *Fuse) OnNeighborDown(neighbor overlay.NodeRef) {
 	if !ok {
 		return
 	}
-	for _, id := range ls.linkIDs() {
+	for _, id := range ls.snapshot() {
 		if cs, ok := f.checking[id]; ok && cs.links[neighbor.Addr] != nil {
 			span := f.tm.lane.NewSpan()
 			if span != 0 {
@@ -267,43 +267,48 @@ func (f *Fuse) OnNeighborDown(neighbor overlay.NodeRef) {
 	}
 }
 
-// groupsOnLink lists the groups whose checking tree crosses the link to
-// addr, in deterministic order, read from the per-link index. Cold-path
+// linkEntries lists the groups whose checking tree crosses the link to
+// addr with their sequence numbers, in the index's order. Cold-path
 // helper for reconciliation; the ping paths use the cached hash directly.
-func (f *Fuse) groupsOnLink(addr transport.Addr) []GroupID {
+func (f *Fuse) linkEntries(addr transport.Addr) []listEntry {
 	ls, ok := f.links[addr]
 	if !ok {
 		return nil
 	}
-	return ls.linkIDs()
-}
-
-func (f *Fuse) linkEntries(addr transport.Addr) []listEntry {
-	ids := f.groupsOnLink(addr)
-	entries := make([]listEntry, len(ids))
-	for i, id := range ids {
+	entries := make([]listEntry, len(ls.sorted))
+	for i, id := range ls.sorted {
 		entries[i] = listEntry{ID: id, Seq: f.checking[id].seq}
 	}
 	return entries
 }
 
-// hashGroupIDs produces the 20-byte piggyback digest. An empty set hashes
-// to nil so that idle links carry no payload at all.
+// hashGroupIDs produces the 20-byte piggyback digest: SHA-1 over each
+// ID's root name, a zero byte and its little-endian counter, in slice
+// order. An empty set hashes to nil so that idle links carry no payload
+// at all. The input is gathered into one buffer and hashed in one call.
+// The buffer is on the stack for the hundred-odd groups a link usually
+// carries, so a refresh allocates only the digest; a busier link gets one
+// buffer of the exact size rather than a series of doublings.
 func hashGroupIDs(ids []GroupID) []byte {
 	if len(ids) == 0 {
 		return nil
 	}
-	h := sha1.New()
-	for _, id := range ids {
-		h.Write([]byte(id.Root.Name))
-		h.Write([]byte{0})
-		var num [8]byte
-		for i := 0; i < 8; i++ {
-			num[i] = byte(id.Num >> (8 * i))
-		}
-		h.Write(num[:])
+	need := 0
+	for i := range ids {
+		need += len(ids[i].Root.Name) + 9
 	}
-	return h.Sum(nil)
+	var stack [4096]byte
+	buf := stack[:0]
+	if need > len(stack) {
+		buf = make([]byte, 0, need)
+	}
+	for _, id := range ids {
+		buf = append(buf, id.Root.Name...)
+		buf = append(buf, 0)
+		buf = binary.LittleEndian.AppendUint64(buf, id.Num)
+	}
+	sum := sha1.Sum(buf)
+	return sum[:]
 }
 
 // handleGroupLists reconciles after a hash mismatch (§6.3): agreement on
@@ -319,7 +324,11 @@ func (f *Fuse) handleGroupLists(m *msgGroupLists) {
 	}
 	now := f.env.Now()
 	agreed := false
-	for _, id := range f.groupsOnLink(m.From.Addr) {
+	var ours []GroupID
+	if ls, ok := f.links[m.From.Addr]; ok {
+		ours = ls.snapshot()
+	}
+	for _, id := range ours {
 		cs, ok := f.checking[id]
 		if !ok || cs.links[m.From.Addr] == nil {
 			continue // torn down earlier in this same pass

@@ -190,10 +190,10 @@ func TestLinkHashCacheCoherence(t *testing.T) {
 	}
 	indexed := 0
 	for addr, ls := range f.links {
-		if len(ls.groups) == 0 {
+		if len(ls.sorted) == 0 {
 			t.Fatalf("empty linkState for %s survived", addr)
 		}
-		indexed += len(ls.groups)
+		indexed += len(ls.sorted)
 	}
 	if indexed != pairs {
 		t.Fatalf("index holds %d pairs, checking map holds %d", indexed, pairs)
@@ -453,7 +453,7 @@ func TestGracePeriodSurvivesSharedLinkTimer(t *testing.T) {
 	if _, ok := f.checking[agreedID]; !ok {
 		t.Fatal("failing the disagreed group tore down the agreed one")
 	}
-	if ls := f.links[peer.Addr]; ls == nil || len(ls.groups) != 1 {
+	if ls := f.links[peer.Addr]; ls == nil || len(ls.sorted) != 1 {
 		t.Fatalf("link index out of sync after partial teardown: %+v", f.links[peer.Addr])
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"fuse/internal/overlay"
 	"fuse/internal/transport"
@@ -13,36 +15,38 @@ import (
 // at scale: every ping send and receive recomputed the piggyback hash
 // from a scan over all groups on the node, and every (group, link) pair
 // armed its own CheckTimeout timer. This index inverts the structure:
-// each overlay link carries the set of groups monitored across it, a
-// hash over their sorted IDs cached until the membership changes, and
-// one shared CheckTimeout deadline - all groups on a link are refreshed
-// by the same matching-hash ping, so they share a clock. Ping sends and
-// receives become O(1), and timers collapse from O(groups x links) to
-// O(links). Per-group installedAt stays on the treeLink for the
-// reconciliation grace period.
+// each overlay link carries the IDs of the groups monitored across it,
+// the hash over them, and one shared CheckTimeout deadline - all groups
+// on a link are refreshed by the same matching-hash ping, so they share
+// a clock. Ping sends and receives are O(1), and timers collapse from
+// O(groups x links) to O(links).
+//
+// Maintained on every change: the ID list, kept sorted in place - an
+// install or teardown is a binary search and one copy, not a re-collect
+// and re-sort of the link's whole membership. Cached until the next
+// change: only the 20-byte hash, recomputed by the first ping after it
+// (one SHA-1 pass over the list). The treeLink itself, with the
+// per-group installedAt the reconciliation grace period reads, is
+// reached through checkState.links.
 
 // linkState aggregates the checking state crossing one overlay link.
 type linkState struct {
 	neighbor overlay.NodeRef
-	groups   map[GroupID]*treeLink
 
-	// sorted and hash cache the piggyback digest over the IDs in groups.
-	// They are valid only while fresh, which any membership change
-	// clears; refreshes allocate new slices, so snapshots returned by
-	// linkIDs stay stable across concurrent teardown.
+	// sorted is the link's membership: the IDs of the groups monitored
+	// across it, ordered by (Root.Name, Num) - the order the hash is
+	// taken in. attach and detach edit it in place, so a caller that
+	// tears groups down while walking the link iterates a snapshot.
 	sorted []GroupID
-	hash   []byte
-	fresh  bool
+
+	// hash is the piggyback digest over sorted, nil until the first ping
+	// after a membership change asks for it (and always nil for an empty
+	// link, which carries no payload).
+	hash []byte
 
 	// timer is the single CheckTimeout deadline shared by every group on
 	// the link.
 	timer transport.Timer
-}
-
-func (ls *linkState) invalidate() {
-	ls.fresh = false
-	ls.sorted = nil
-	ls.hash = nil
 }
 
 // linkFor returns (creating if needed) the index entry for the link to
@@ -51,53 +55,61 @@ func (ls *linkState) invalidate() {
 func (f *Fuse) linkFor(neighbor overlay.NodeRef) *linkState {
 	ls, ok := f.links[neighbor.Addr]
 	if !ok {
-		ls = &linkState{neighbor: neighbor, groups: make(map[GroupID]*treeLink)}
+		ls = &linkState{neighbor: neighbor}
 		f.links[neighbor.Addr] = ls
 	}
 	ls.neighbor = neighbor
 	return ls
 }
 
-// refresh recomputes the sorted ID list and cached hash.
-func (ls *linkState) refresh() {
-	if ls.fresh {
-		return
+// compareIDs is the hash order: root name, then counter. IDs that differ
+// only in Root.Addr compare equal; they hash alike, so their relative
+// order is immaterial.
+func compareIDs(a, b GroupID) int {
+	if c := strings.Compare(a.Root.Name, b.Root.Name); c != 0 {
+		return c
 	}
-	ids := make([]GroupID, 0, len(ls.groups))
-	for id := range ls.groups {
-		ids = append(ids, id)
-	}
-	sort.Sort(groupIDOrder(ids))
-	ls.sorted = ids
-	ls.hash = hashGroupIDs(ids)
-	ls.fresh = true
+	return cmp.Compare(a.Num, b.Num)
 }
 
-// groupIDOrder sorts group IDs by (root name, counter) without the
-// reflection cost of sort.Slice; refresh runs after every membership
-// change on a link, which group creation bursts make hot.
-type groupIDOrder []GroupID
-
-func (s groupIDOrder) Len() int      { return len(s) }
-func (s groupIDOrder) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-func (s groupIDOrder) Less(i, j int) bool {
-	if s[i].Root.Name != s[j].Root.Name {
-		return s[i].Root.Name < s[j].Root.Name
+// find locates id in sorted: its index if present, else where it belongs.
+// The binary search lands on the first ID equal in name and counter; the
+// exact match, if any, is within that run.
+func (ls *linkState) find(id GroupID) (int, bool) {
+	i, _ := slices.BinarySearchFunc(ls.sorted, id, compareIDs)
+	for ; i < len(ls.sorted) && compareIDs(ls.sorted[i], id) == 0; i++ {
+		if ls.sorted[i] == id {
+			return i, true
+		}
 	}
-	return s[i].Num < s[j].Num
+	return i, false
 }
 
-// linkIDs returns the link's group IDs in deterministic order. The
-// returned slice is never mutated afterwards, so callers may keep
-// iterating it while tearing groups down.
-func (ls *linkState) linkIDs() []GroupID {
-	ls.refresh()
-	return ls.sorted
+// attach adds id to the link's membership (a no-op if already there).
+func (ls *linkState) attach(id GroupID) {
+	if i, ok := ls.find(id); !ok {
+		ls.sorted = slices.Insert(ls.sorted, i, id)
+		ls.hash = nil
+	}
 }
+
+// detach removes id from the link's membership (a no-op if absent).
+func (ls *linkState) detach(id GroupID) {
+	if i, ok := ls.find(id); ok {
+		ls.sorted = slices.Delete(ls.sorted, i, i+1)
+		ls.hash = nil
+	}
+}
+
+// snapshot copies the link's IDs for a caller about to tear groups down
+// while iterating: each teardown detaches from sorted in place.
+func (ls *linkState) snapshot() []GroupID { return slices.Clone(ls.sorted) }
 
 // linkHash returns the cached piggyback hash (nil for an empty link).
 func (ls *linkState) linkHash() []byte {
-	ls.refresh()
+	if ls.hash == nil {
+		ls.hash = hashGroupIDs(ls.sorted)
+	}
 	return ls.hash
 }
 
@@ -108,9 +120,8 @@ func (f *Fuse) detachFromLink(id GroupID, addr transport.Addr) {
 	if !ok {
 		return
 	}
-	delete(ls.groups, id)
-	ls.invalidate()
-	if len(ls.groups) == 0 {
+	ls.detach(id)
+	if len(ls.sorted) == 0 {
 		stopTimer(ls.timer) // order-independent: no sends, no rng
 		delete(f.links, addr)
 	}
@@ -159,9 +170,9 @@ func (f *Fuse) linkTimedOut(ls *linkState) {
 	if f.links[ls.neighbor.Addr] != ls {
 		return // emptied or replaced while the callback was in flight
 	}
-	f.logf("check timeout for link %s (%d groups)", ls.neighbor.Name, len(ls.groups))
+	f.logf("check timeout for link %s (%d groups)", ls.neighbor.Name, len(ls.sorted))
 	f.tm.linkTimeouts.Inc(f.tm.lane)
-	for _, id := range ls.linkIDs() {
+	for _, id := range ls.snapshot() {
 		if cs, ok := f.checking[id]; ok && cs.links[ls.neighbor.Addr] != nil {
 			span := f.tm.lane.NewSpan()
 			if span != 0 {

@@ -144,3 +144,27 @@ func TestPingTimerResetsInPlace(t *testing.T) {
 		t.Fatalf("pending timers drifted %d -> %d across steady-state intervals; ping timers are not resetting in place", pending, got)
 	}
 }
+
+// TestSyncPingsUnchangedZeroAlloc pins the in-place reconciliation: a
+// syncPings over tables that did not change walks them, restamps every
+// ping cycle and retires nothing, without building a neighbor list or a
+// wanted set.
+func TestSyncPingsUnchangedZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; alloc pin runs without -race")
+	}
+	cl := newCluster(t, 40, 7, DefaultConfig())
+	cl.assemble()
+	nd := cl.nodes[0]
+	pinged := len(nd.pings)
+	if pinged == 0 || pinged != len(nd.Neighbors()) {
+		t.Fatalf("assembled node pings %d of %d neighbors", pinged, len(nd.Neighbors()))
+	}
+	if allocs := testing.AllocsPerRun(100, nd.syncPings); allocs != 0 {
+		t.Fatalf("syncPings with nothing to change allocates %.1f/op, want 0", allocs)
+	}
+	if len(nd.pings) != pinged || len(cl.clients[0].up) != pinged {
+		t.Fatalf("idle syncPings changed the schedule: %d cycles, %d OnNeighborUp calls, want %d of each",
+			len(nd.pings), len(cl.clients[0].up), pinged)
+	}
+}

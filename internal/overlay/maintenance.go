@@ -110,6 +110,7 @@ type pingState struct {
 	sentAt   time.Time // when the last ping went out (RTT base)
 	awaiting bool      // between a send and its ack deadline
 	retired  bool      // no longer in Node.pings; a late tick must do nothing
+	gen      uint64    // Node.pingGen of the last syncPings that found ref in the tables
 	timer    transport.Timer
 }
 
@@ -121,40 +122,45 @@ func (ps *pingState) retire() {
 	}
 }
 
-// syncPings reconciles the ping schedule with the current neighbor set:
-// new neighbors get a staggered first ping, departed ones stop being
-// pinged.
+// syncPings reconciles the ping schedule with the routing tables in
+// place: every ref the tables hold is stamped with this pass's
+// generation, a ref without a ping cycle gets one on the spot, and
+// whatever is left with an older stamp has left the tables and stops
+// being pinged. The walk is in table order, not map order, because each
+// new cycle draws its phase from the node's rng: a stable order keeps
+// identically seeded runs identical.
 func (n *Node) syncPings() {
 	if n.stopped {
 		return
 	}
-	// Iterate the (deterministically ordered) neighbor list, not a map:
-	// the random ping phases drawn below must be consumed in a stable
-	// order or identically seeded runs diverge.
-	neighbors := n.Neighbors()
-	want := make(map[transport.Addr]bool, len(neighbors))
-	for _, r := range neighbors {
-		want[r.Addr] = true
-	}
+	n.pingGen++
+	n.eachTableRef(func(ref NodeRef) {
+		ps := n.pings[ref.Addr]
+		if ps == nil {
+			ps = n.startPinging(ref)
+		}
+		ps.gen = n.pingGen
+	})
 	for addr, ps := range n.pings {
-		if !want[addr] {
+		if ps.gen != n.pingGen {
 			ps.retire()
 			delete(n.pings, addr)
 		}
 	}
-	for _, ref := range neighbors {
-		if _, ok := n.pings[ref.Addr]; ok {
-			continue
-		}
-		ps := &pingState{ref: ref}
-		n.pings[ref.Addr] = ps
-		// Stagger first pings uniformly over the interval so a large
-		// overlay's background load is smooth, as a deployed system's
-		// would be.
-		phase := time.Duration(n.env.Rand().Int63n(int64(n.cfg.PingInterval) + 1))
-		ps.timer = n.env.After(phase, func() { n.pingTick(ps) })
-		n.client.OnNeighborUp(ref)
-	}
+}
+
+// startPinging begins the ping cycle of a neighbor that just entered the
+// tables, and tells the client.
+func (n *Node) startPinging(ref NodeRef) *pingState {
+	ps := &pingState{ref: ref}
+	n.pings[ref.Addr] = ps
+	// Stagger first pings uniformly over the interval so a large
+	// overlay's background load is smooth, as a deployed system's
+	// would be.
+	phase := time.Duration(n.env.Rand().Int63n(int64(n.cfg.PingInterval) + 1))
+	ps.timer = n.env.After(phase, func() { n.pingTick(ps) })
+	n.client.OnNeighborUp(ref)
+	return ps
 }
 
 // pingTick advances a neighbor's ping cycle: either the next ping is due,

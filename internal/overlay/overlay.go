@@ -159,7 +159,8 @@ type Node struct {
 	rights []NodeRef
 	lefts  []NodeRef
 
-	pings map[transport.Addr]*pingState
+	pings   map[transport.Addr]*pingState
+	pingGen uint64 // bumped by every syncPings; stamps the refs it found
 
 	// searches tracks in-flight ring-neighbor searches by level so
 	// repair does not flood duplicates.
@@ -280,29 +281,39 @@ func SharedPrefix(a, b []byte) int {
 // Digits exposes this node's numeric ID digits (read-only).
 func (n *Node) Digits() []byte { return n.digits }
 
+// eachTableRef visits every routing-table entry naming another node, in
+// the tables' fixed order: leafR, leafL, then rights[h] and lefts[h]
+// upward. A node held by several tables is visited once per table.
+func (n *Node) eachTableRef(visit func(NodeRef)) {
+	other := func(r NodeRef) {
+		if !r.IsZero() && r.Addr != n.self.Addr {
+			visit(r)
+		}
+	}
+	for _, r := range n.leafR {
+		other(r)
+	}
+	for _, r := range n.leafL {
+		other(r)
+	}
+	for h := 1; h <= n.cfg.MaxLevels; h++ {
+		other(n.rights[h])
+		other(n.lefts[h])
+	}
+}
+
 // Neighbors returns the distinct set of routing-table neighbors, the
 // nodes this overlay node monitors with liveness pings. This is the
 // "routing table is visible to the client" functionality of §6.1.
 func (n *Node) Neighbors() []NodeRef {
 	seen := make(map[transport.Addr]bool)
 	var out []NodeRef
-	add := func(r NodeRef) {
-		if r.IsZero() || r.Addr == n.self.Addr || seen[r.Addr] {
-			return
+	n.eachTableRef(func(r NodeRef) {
+		if !seen[r.Addr] {
+			seen[r.Addr] = true
+			out = append(out, r)
 		}
-		seen[r.Addr] = true
-		out = append(out, r)
-	}
-	for _, r := range n.leafR {
-		add(r)
-	}
-	for _, r := range n.leafL {
-		add(r)
-	}
-	for h := 1; h <= n.cfg.MaxLevels; h++ {
-		add(n.rights[h])
-		add(n.lefts[h])
-	}
+	})
 	return out
 }
 
