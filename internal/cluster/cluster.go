@@ -204,16 +204,10 @@ func (c *Cluster) Assemble() {
 // cache is bounded. Small deployments may skip it; routes then warm
 // lazily on first send.
 func (c *Cluster) WarmRoutes(extra [][2]int) {
-	routerOf := make(map[transport.Addr]netmodel.RouterID, len(c.Nodes))
-	for _, n := range c.Nodes {
-		routerOf[n.Addr] = n.Router
-	}
 	var pairs [][2]netmodel.RouterID
 	for _, n := range c.Nodes {
 		for _, nb := range n.Overlay.Neighbors() {
-			if r, ok := routerOf[nb.Addr]; ok {
-				pairs = append(pairs, [2]netmodel.RouterID{n.Router, r})
-			}
+			pairs = append(pairs, [2]netmodel.RouterID{n.Router, c.Net.Router(nb.Addr)})
 		}
 	}
 	for _, e := range extra {

@@ -129,19 +129,32 @@ func TestSteadyStatePingCycleZeroAllocTelemetry(t *testing.T) {
 }
 
 // TestPingTimerResetsInPlace pins the Timer.Reset half of the bargain:
-// the per-neighbor ping state machine re-arms its single timer in place,
-// so the timer population stays constant across intervals instead of
-// growing by cancelled-and-reallocated timers.
+// a node serves all its links from one liveness timer that it re-arms in
+// place, so with nothing in flight the simulator holds exactly one
+// pending event per node, whatever the number of links, and across
+// steady-state intervals the only other pending events are the messages
+// in flight - no per-link timers, no cancelled-and-reallocated ones.
 func TestPingTimerResetsInPlace(t *testing.T) {
 	cfg := DefaultConfig()
-	cl := newCluster(t, 4, 9, cfg)
+	cl := newCluster(t, 12, 9, cfg)
 	cl.assemble()
-	cl.sim.RunFor(3 * cfg.PingInterval)
-
-	pending := cl.sim.Pending()
-	cl.sim.RunFor(5 * cfg.PingInterval)
-	if got := cl.sim.Pending(); got != pending {
-		t.Fatalf("pending timers drifted %d -> %d across steady-state intervals; ping timers are not resetting in place", pending, got)
+	links := 0
+	for _, nd := range cl.nodes {
+		links += len(nd.pings)
+	}
+	if links < 3*len(cl.nodes) {
+		t.Fatalf("only %d links over %d nodes; the count below would prove little", links, len(cl.nodes))
+	}
+	if got := cl.sim.Pending(); got != len(cl.nodes) {
+		t.Fatalf("%d events pending after assemble, want one liveness timer per node (%d)", got, len(cl.nodes))
+	}
+	for i := 1; i <= 56; i++ {
+		cl.sim.RunFor(cfg.PingInterval / 7)
+		inFlight := int(cl.net.Sent() - cl.net.Delivered() - cl.net.Dropped())
+		if got := cl.sim.Pending(); got != len(cl.nodes)+inFlight {
+			t.Fatalf("after %d/7 intervals: %d events pending with %d messages in flight, want %d timers; ping timers are not resetting in place",
+				i, got, inFlight, len(cl.nodes))
+		}
 	}
 }
 

@@ -1,0 +1,530 @@
+package overlay
+
+// Tests of the one-timer-per-node liveness schedule: a seeded property
+// test against the per-link machine it replaced, and pins for the wake-up an ack leaves behind, the order of links due
+// together, and the link ids pings and acks carry.
+
+import (
+	"flag"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"fuse/internal/eventsim"
+	"fuse/internal/transport"
+)
+
+var pingSeed = flag.Int64("ping.seed", 0, "run the ping schedule property test on this one seed")
+
+// pingRuns counts runs of the property test in this process, so each of
+// go test -count=N's repetitions draws seeds of its own.
+var pingRuns atomic.Int64
+
+func pingSeeds() []int64 {
+	if *pingSeed != 0 {
+		return []int64{*pingSeed}
+	}
+	base := pingRuns.Add(1) * 1000
+	return []int64{base + 1, base + 2, base + 3}
+}
+
+// scriptEnv is a transport.Env over a bare simulator whose network is the
+// test: every send lands in onSend. It is deliberately not a
+// transport.Dialer, so a node built on it reaches its neighbors through
+// transport.Dial's fallback, the path the live transport takes.
+type scriptEnv struct {
+	sim    *eventsim.Sim
+	addr   transport.Addr
+	rng    *rand.Rand
+	wakes  []time.Duration // when each timer callback ran
+	onSend func(to transport.Addr, msg transport.Message)
+}
+
+func (e *scriptEnv) Addr() transport.Addr  { return e.addr }
+func (e *scriptEnv) Now() time.Time        { return e.sim.Now() }
+func (e *scriptEnv) Rand() *rand.Rand      { return e.rng }
+func (e *scriptEnv) Logf(string, ...any)   {}
+func (e *scriptEnv) at() time.Duration     { return e.sim.Elapsed() }
+func (e *scriptEnv) run(d time.Duration)   { e.sim.RunFor(d) }
+func (e *scriptEnv) runTo(t time.Duration) { e.sim.RunFor(t - e.sim.Elapsed()) }
+
+func (e *scriptEnv) After(d time.Duration, fn func()) transport.Timer {
+	return e.sim.After(d, func() {
+		e.wakes = append(e.wakes, e.at())
+		fn()
+	})
+}
+
+func (e *scriptEnv) Send(to transport.Addr, msg transport.Message) {
+	if e.onSend != nil {
+		e.onSend(to, msg)
+	}
+	transport.ReleaseMessage(msg)
+}
+
+// dialEnv is scriptEnv as a transport.Dialer: sends through a dialed Peer
+// are marked, so a test can tell which way a message left.
+type dialEnv struct {
+	*scriptEnv
+	viaPeer int
+}
+
+type dialPeer struct {
+	e  *dialEnv
+	to transport.Addr
+}
+
+func (e *dialEnv) Dial(to transport.Addr) transport.Peer { return dialPeer{e, to} }
+func (p dialPeer) Send(msg transport.Message)            { p.e.viaPeer++; p.e.scriptEnv.Send(p.to, msg) }
+
+func newScriptEnv(seed int64) *scriptEnv {
+	return &scriptEnv{sim: eventsim.New(seed), addr: "node-000", rng: rand.New(rand.NewSource(seed))}
+}
+
+func testRef(i int) NodeRef {
+	return NodeRef{Name: fmt.Sprintf("n%03d.example.org", i), Addr: transport.Addr(fmt.Sprintf("node-%03d", i))}
+}
+
+// stamp is one observable act of a ping schedule: a ping sent to, or the
+// death declared of, a neighbor at a virtual instant.
+type stamp struct {
+	at   time.Duration
+	what string
+	who  string
+}
+
+// refPinger is the liveness schedule this package had before the link
+// table: one two-phase timer per neighbor (send, wait PingTimeout for the
+// ack, sleep out the interval), each re-armed from its own callback. It
+// is the specification TestPingScheduleMatchesReference holds the node to.
+type refPinger struct {
+	sim     *eventsim.Sim
+	rng     *rand.Rand
+	cfg     Config
+	links   map[transport.Addr]*refLink
+	stopped bool
+	log     []stamp
+}
+
+type refLink struct {
+	ref         NodeRef
+	seq, ackSeq uint64
+	awaiting    bool
+	retired     bool
+}
+
+func (r *refPinger) start(ref NodeRef) {
+	ps := &refLink{ref: ref}
+	r.links[ref.Addr] = ps
+	phase := time.Duration(r.rng.Int63n(int64(r.cfg.PingInterval) + 1))
+	r.sim.After(phase, func() { r.tick(ps) })
+}
+
+func (r *refPinger) tick(ps *refLink) {
+	if r.stopped || ps.retired {
+		return
+	}
+	if ps.awaiting {
+		ps.awaiting = false
+		if ps.ackSeq != ps.seq {
+			r.dead(ps.ref)
+			return
+		}
+		r.sim.After(r.cfg.PingInterval-r.cfg.PingTimeout, func() { r.tick(ps) })
+		return
+	}
+	ps.seq++
+	ps.awaiting = true
+	r.log = append(r.log, stamp{r.sim.Elapsed(), "ping", ps.ref.Name})
+	r.sim.After(r.cfg.PingTimeout, func() { r.tick(ps) })
+}
+
+func (r *refPinger) ack(from transport.Addr, seq uint64) {
+	if ps := r.links[from]; ps != nil && seq == ps.seq {
+		ps.ackSeq = seq
+	}
+}
+
+func (r *refPinger) dead(ref NodeRef) {
+	if r.links[ref.Addr] == nil {
+		return
+	}
+	r.log = append(r.log, stamp{r.sim.Elapsed(), "dead", ref.Name})
+	r.retire(ref.Addr)
+}
+
+func (r *refPinger) retire(addr transport.Addr) {
+	r.links[addr].retired = true
+	delete(r.links, addr)
+}
+
+// sync is syncPings: start a cycle for every neighbor without one, in
+// table order, and retire the cycles of everyone else.
+func (r *refPinger) sync(neighbors []NodeRef) {
+	if r.stopped {
+		return
+	}
+	want := make(map[transport.Addr]bool)
+	for _, ref := range neighbors {
+		want[ref.Addr] = true
+		if r.links[ref.Addr] == nil {
+			r.start(ref)
+		}
+	}
+	for addr := range r.links {
+		if !want[addr] {
+			r.retire(addr)
+		}
+	}
+}
+
+// TestPingScheduleMatchesReference drives a node and the per-link
+// reference machine side by side on one clock, through the same table
+// changes, ack losses, late acks and a Stop, and requires the same pings
+// and the same deaths at the same virtual instants, with the same number
+// of rng draws. Acks reach both in one event, carrying ids that are
+// sometimes right, sometimes missing and sometimes garbage: which way the
+// node finds the link must not change the schedule. A failure names the
+// flag that replays it.
+func TestPingScheduleMatchesReference(t *testing.T) {
+	for _, seed := range pingSeeds() {
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("seed %d (-ping.seed=%d): %s", seed, seed, fmt.Sprintf(format, args...))
+		}
+		cfg := DefaultConfig()
+		env := newScriptEnv(seed)
+		drive := rand.New(rand.NewSource(seed + 1))
+		var got []stamp
+		nd := New(env, cfg, testRef(0).Name)
+		nd.SetClient(deathLog{env, &got})
+		ref := &refPinger{sim: env.sim, rng: rand.New(rand.NewSource(seed)), cfg: cfg, links: make(map[transport.Addr]*refLink)}
+
+		env.onSend = func(to transport.Addr, msg transport.Message) {
+			m, ok := msg.(*msgPing)
+			if !ok {
+				return // repair traffic after a death
+			}
+			from := nd.pings[to].ref
+			got = append(got, stamp{env.at(), "ping", from.Name})
+			var delay time.Duration
+			switch p := drive.Intn(100); {
+			case p < 12:
+				return // ack lost
+			case p < 24: // ack after the deadline, never on it
+				delay = cfg.PingTimeout + 1 + time.Duration(drive.Int63n(int64(cfg.PingTimeout)))
+			default:
+				delay = time.Millisecond + time.Duration(drive.Int63n(int64(2*time.Second)))
+			}
+			seq, echo, theirs := m.Seq, m.Link, uint32(drive.Intn(40))
+			switch drive.Intn(4) {
+			case 0:
+				echo = 0
+			case 1:
+				echo = uint32(drive.Intn(60))
+			}
+			env.sim.After(delay, func() {
+				ackFrom(nd, from, seq, theirs, echo)
+				ref.ack(from.Addr, seq)
+			})
+		}
+		verified := 0
+		check := func(step int) {
+			t.Helper()
+			for ; verified < len(got) || verified < len(ref.log); verified++ {
+				if verified >= len(got) || verified >= len(ref.log) || got[verified] != ref.log[verified] {
+					fail("step %d: schedules diverge at entry %d: node %v, reference %v",
+						step, verified, got[min(verified, len(got)):], ref.log[min(verified, len(ref.log)):])
+				}
+			}
+			if len(nd.pings) != len(ref.links) {
+				fail("step %d: node pings %d neighbors, reference %d", step, len(nd.pings), len(ref.links))
+			}
+		}
+
+		other := func() NodeRef { return testRef(1 + drive.Intn(40)) }
+		const steps = 600
+		stoppedAt := -1
+		for step := 0; step < steps; step++ {
+			// The table changes below land on an instant of their own: the
+			// clock stops at a random nanosecond, not on an event.
+			env.run(time.Duration(drive.Int63n(int64(cfg.PingInterval / 4))))
+			check(step)
+			switch op := drive.Intn(10); {
+			case op < 5:
+				nd.considerLeaf(other())
+			case op < 6:
+				nd.adoptRingNeighbor(1+drive.Intn(4), other(), drive.Intn(2) == 0)
+			case op < 8:
+				if nd.removeRef(other().Addr) {
+					nd.syncPings()
+				}
+			default:
+				dead := other()
+				nd.neighborDead(dead)
+				ref.dead(dead)
+			}
+			ref.sync(nd.Neighbors())
+			check(step)
+			if step == steps*3/4 {
+				nd.Stop()
+				ref.stopped, ref.links = true, nil
+				stoppedAt = len(got)
+			}
+		}
+		pings, deaths := 0, 0
+		for _, s := range got {
+			if s.what == "ping" {
+				pings++
+			} else {
+				deaths++
+			}
+		}
+		if pings < 300 || deaths < 30 {
+			fail("only %d pings and %d deaths; the sequence exercised too little", pings, deaths)
+		}
+		if len(got) != stoppedAt {
+			fail("%d pings or deaths after Stop", len(got)-stoppedAt)
+		}
+		if a, b := env.rng.Int63(), ref.rng.Int63(); a != b {
+			fail("the node and the reference consumed different numbers of rng draws")
+		}
+	}
+}
+
+// deathLog is a Client that stamps each neighbor death into a schedule log.
+type deathLog struct {
+	env *scriptEnv
+	log *[]stamp
+}
+
+func (deathLog) OnRouteMessage(transport.Message, RouteInfo) {}
+func (deathLog) PingPayload(NodeRef) []byte                  { return nil }
+func (deathLog) OnPingPayload(NodeRef, []byte)               {}
+func (deathLog) OnNeighborUp(NodeRef)                        {}
+func (c deathLog) OnNeighborDown(ref NodeRef) {
+	*c.log = append(*c.log, stamp{c.env.at(), "dead", ref.Name})
+}
+
+// pingLog records the pings a scripted node sends.
+func pingLog(env *scriptEnv) *[]stamp {
+	var log []stamp
+	prev := env.onSend
+	env.onSend = func(to transport.Addr, msg transport.Message) {
+		if _, ok := msg.(*msgPing); ok {
+			log = append(log, stamp{env.at(), "ping", string(to)})
+		}
+		if prev != nil {
+			prev(to, msg)
+		}
+	}
+	return &log
+}
+
+// schedule overwrites the phases the rng drew, so a test can place each
+// link's first ping where it needs it. at[i] is for link id i+1.
+func schedule(nd *Node, at ...time.Duration) {
+	copy(nd.due, at)
+	nd.arm(slices.Min(at), nd.elapsed())
+}
+
+func ackFrom(nd *Node, from NodeRef, seq uint64, link, peerLink uint32) {
+	ack := newMsgPingAck()
+	ack.From, ack.Seq, ack.Link, ack.PeerLink = from, seq, link, peerLink
+	nd.Handle(from.Addr, ack)
+	ack.Release()
+}
+
+// TestAckLeavesOneIdleWakeUp pins what an ack costs: nothing when it
+// arrives, and at most one wake-up later. The timer stays armed for the
+// deadline the ack cancelled; that tick finds nothing due, sends nothing,
+// declares nothing, and re-arms for the entry that is really next.
+func TestAckLeavesOneIdleWakeUp(t *testing.T) {
+	const s = time.Second
+	cfg := DefaultConfig()
+	env := newScriptEnv(1)
+	rc := &recClient{}
+	nd := New(env, cfg, testRef(0).Name)
+	nd.SetClient(rc)
+	a, b := testRef(1), testRef(2)
+	nd.considerLeaf(a)
+	nd.considerLeaf(b)
+	schedule(nd, 10*s, 45*s)
+	pings := pingLog(env)
+	env.wakes = nil
+
+	env.runTo(11 * s) // a pinged at 10 s; the timer now waits for a's deadline at 30 s
+	ackFrom(nd, a, 1, 0, 1)
+	if nd.armed != 30*s || nd.due[0] != 70*s {
+		t.Fatalf("after the ack: timer armed for %v, a due at %v; want 30s (left alone) and 1m10s", nd.armed, nd.due[0])
+	}
+	env.runTo(44 * s)
+	if want := []time.Duration{10 * s, 30 * s}; !slices.Equal(env.wakes, want) || len(*pings) != 1 || len(rc.down) != 0 {
+		t.Fatalf("wake-ups %v (want %v), %d pings (want 1), %d deaths (want 0)", env.wakes, want, len(*pings), len(rc.down))
+	}
+	if nd.armed != 45*s {
+		t.Fatalf("the idle wake-up re-armed for %v, want b's ping at 45s", nd.armed)
+	}
+	env.runTo(46 * s)
+	ackFrom(nd, b, 1, 0, 2)
+	env.runTo(71 * s)
+	wantWakes := []time.Duration{10 * s, 30 * s, 45 * s, 65 * s, 70 * s}
+	wantPings := []stamp{{10 * s, "ping", string(a.Addr)}, {45 * s, "ping", string(b.Addr)}, {70 * s, "ping", string(a.Addr)}}
+	if !slices.Equal(env.wakes, wantWakes) || !slices.Equal(*pings, wantPings) || len(rc.down) != 0 {
+		t.Fatalf("wake-ups %v (want %v), pings %v (want %v), deaths %v", env.wakes, wantWakes, *pings, wantPings, rc.down)
+	}
+	// Unanswered, a's second ping runs out at 90 s and b's next is 105 s.
+	env.runTo(91 * s)
+	if len(rc.down) != 1 || rc.down[0] != a || nd.armed != 105*s {
+		t.Fatalf("deaths %v, timer armed for %v; want a dead at 90s and b's ping next", rc.down, nd.armed)
+	}
+}
+
+// TestLinksDueTogetherServedInIdOrder pins the one order the link table
+// newly defines. Per-link timers that fell due at the same instant fired
+// in the order they had last been armed; the scan serves them by link id,
+// lowest first, whatever order they became due in.
+func TestLinksDueTogetherServedInIdOrder(t *testing.T) {
+	const s = time.Second
+	env := newScriptEnv(1)
+	nd := New(env, DefaultConfig(), testRef(0).Name)
+	for i := 1; i <= 4; i++ {
+		nd.considerLeaf(testRef(i))
+	}
+	pings := pingLog(env)
+	// Ids 1..4 belong to testRef(1..4), in the order they were offered.
+	schedule(nd, 20*s, 5*s, 20*s, 20*s)
+	env.runTo(6 * s)
+	ackFrom(nd, testRef(2), 1, 0, 2) // id 2 is next due at 65 s; the others, never acked, die at 40 s
+	nd.due[1] = 20 * s               // ... unless it, too, is due at 20 s, having become so last
+	env.runTo(21 * s)
+	want := []stamp{{5 * s, "ping", "node-002"}, {20 * s, "ping", "node-001"}, {20 * s, "ping", "node-002"}, {20 * s, "ping", "node-003"}, {20 * s, "ping", "node-004"}}
+	if !slices.Equal(*pings, want) {
+		t.Fatalf("pings %v, want %v", *pings, want)
+	}
+}
+
+// TestLinkIdHygiene pins that a link id is a hint checked against the
+// sender's address, never trusted: reused slots, stale ids, ids out of
+// range and strangers all end up where the address says.
+func TestLinkIdHygiene(t *testing.T) {
+	const s = time.Second
+	cfg := DefaultConfig()
+	env := &dialEnv{scriptEnv: newScriptEnv(1)}
+	rc := &recClient{}
+	nd := New(env, cfg, testRef(0).Name)
+	nd.SetClient(rc)
+	var acks []msgPingAck
+	var ackTo []transport.Addr
+	env.onSend = func(to transport.Addr, msg transport.Message) {
+		if m, ok := msg.(*msgPingAck); ok {
+			acks, ackTo = append(acks, *m), append(ackTo, to)
+		}
+	}
+	pingFrom := func(from NodeRef, link, peerLink uint32) msgPingAck {
+		t.Helper()
+		m := newMsgPing()
+		m.From, m.Seq, m.Link, m.PeerLink = from, 77, link, peerLink
+		sent := len(acks)
+		nd.Handle(from.Addr, m)
+		m.Release()
+		if len(acks) != sent+1 || ackTo[sent] != from.Addr || acks[sent].Seq != 77 || acks[sent].PeerLink != link {
+			t.Fatalf("ping from %s (link %d) answered with %+v to %v", from.Name, link, acks[sent:], ackTo[sent:])
+		}
+		return acks[sent]
+	}
+
+	a, b, c := testRef(1), testRef(2), testRef(3)
+	nd.considerLeaf(a)
+	nd.considerLeaf(b)
+	if nd.pings[a.Addr].id != 1 || nd.pings[b.Addr].id != 2 {
+		t.Fatalf("ids %d, %d; want 1, 2", nd.pings[a.Addr].id, nd.pings[b.Addr].id)
+	}
+
+	// A neighbor's ping is answered through its link, with our id for it,
+	// and teaches us its id - whether the id it echoes is right, unknown,
+	// another link's, or out of range.
+	for i, echo := range []uint32{2, 0, 1, 99} {
+		before := env.viaPeer
+		ack := pingFrom(b, 30+uint32(i), echo)
+		if ack.Link != 2 || env.viaPeer != before+1 || nd.pings[b.Addr].peerLink != 30+uint32(i) {
+			t.Fatalf("ping from b echoing id %d: acked with Link %d (want 2), via peer %v, learned %d (want %d)",
+				echo, ack.Link, env.viaPeer != before, nd.pings[b.Addr].peerLink, 30+i)
+		}
+	}
+	if nd.pings[a.Addr].peerLink != 0 {
+		t.Fatal("b's ping echoing a's id taught a's link something")
+	}
+
+	// A stranger is acked through the env with no id of ours, even when it
+	// echoes an id that is in use, and is not adopted.
+	before := env.viaPeer
+	if ack := pingFrom(c, 5, 1); ack.Link != 0 || env.viaPeer != before || nd.pings[c.Addr] != nil {
+		t.Fatalf("stranger's ping acked with Link %d via peer %v", ack.Link, env.viaPeer != before)
+	}
+
+	// a is pinged, leaves the tables, and c takes over its slot and is
+	// pinged with the same seq. a's late ack echoes the slot's id and
+	// the right seq, and must not be credited to c.
+	schedule(nd, 10*s, 50*s)
+	env.runTo(11 * s)
+	nd.removeRef(a.Addr)
+	nd.syncPings()
+	nd.considerLeaf(c)
+	if ps := nd.pings[c.Addr]; ps == nil || ps.id != 1 || nd.links[0] != ps {
+		t.Fatalf("c did not reuse a's slot: %+v", ps)
+	}
+	schedule(nd, 12*s, 50*s)
+	env.runTo(13 * s)
+	if ps := nd.pings[c.Addr]; !ps.awaiting || ps.seq != 1 {
+		t.Fatalf("c not pinged: %+v", ps)
+	}
+	ackFrom(nd, a, 1, 9, 1)
+	if ps := nd.pings[c.Addr]; !ps.awaiting || ps.peerLink != 0 {
+		t.Fatalf("a's late ack was credited to c, which now holds its slot: %+v", ps)
+	}
+	// An ack from c itself is credited through the address index when its
+	// echo is stale, and teaches us c's id.
+	ackFrom(nd, c, 1, 9, 2)
+	if ps := nd.pings[c.Addr]; ps.awaiting || ps.peerLink != 9 || nd.due[0] != 72*s {
+		t.Fatalf("c's ack with a stale echo was not credited: %+v, due %v", ps, nd.due[0])
+	}
+	if len(rc.down) != 0 {
+		t.Fatalf("deaths %v", rc.down)
+	}
+}
+
+// TestLinkIdsLearnedInOneExchange runs real nodes over the simulated
+// network up to the first ack: by then the pinger knows the acker's id for
+// it and the acker knows the pinger's, so every later ping and ack between
+// the two is found by index at both ends.
+func TestLinkIdsLearnedInOneExchange(t *testing.T) {
+	cl := newCluster(t, 6, 3, DefaultConfig())
+	cl.assemble()
+	acked := func() (*Node, *pingState) {
+		for _, nd := range cl.nodes {
+			for _, ps := range nd.links {
+				if ps.seq == 1 && !ps.awaiting {
+					return nd, ps
+				}
+			}
+		}
+		return nil, nil
+	}
+	var pinger *Node
+	var ps *pingState
+	for pinger == nil && cl.sim.Step() {
+		pinger, ps = acked()
+	}
+	if pinger == nil {
+		t.Fatal("no ping was ever acked")
+	}
+	back := cl.byName[ps.ref.Name].pings[pinger.self.Addr]
+	if ps.peerLink != back.id || back.peerLink != ps.id {
+		t.Fatalf("after one exchange %s holds id %d and echoes %d, %s holds id %d and echoes %d",
+			pinger.self.Name, ps.id, ps.peerLink, ps.ref.Name, back.id, back.peerLink)
+	}
+}

@@ -1,6 +1,8 @@
 package overlay
 
 import (
+	"math"
+	"slices"
 	"time"
 
 	"fuse/internal/telemetry"
@@ -96,31 +98,30 @@ func (n *Node) removeRef(addr transport.Addr) bool {
 
 // --- liveness pings ---
 
-// pingState drives liveness checking of one neighbor with a single timer
-// and a two-phase cycle: send a ping and wait PingTimeout for the ack,
-// then (if the ack came) sleep out the rest of PingInterval and send
-// again. The one timer is re-armed in place from its own callback via the
-// transport's reschedule support, so steady-state pinging reuses one
-// pooled event per neighbor instead of allocating send and timeout timers
-// every period.
+// pingState is one neighbor's liveness record: who it is, how to reach it
+// without a lookup, and where its two-phase cycle stands - a ping goes
+// out and the link waits PingTimeout for the ack (awaiting), then sleeps
+// out the rest of PingInterval and pings again. It owns no timer: when
+// the current phase ends is Node.due[id-1], and the node's one timer
+// serves whichever link's entry comes first.
 type pingState struct {
-	ref      NodeRef
-	seq      uint64    // seq of the last ping sent
-	ackSeq   uint64    // seq of the last matching ack received
-	sentAt   time.Time // when the last ping went out (RTT base)
-	awaiting bool      // between a send and its ack deadline
-	retired  bool      // no longer in Node.pings; a late tick must do nothing
-	gen      uint64    // Node.pingGen of the last syncPings that found ref in the tables
-	timer    transport.Timer
+	ref  NodeRef
+	peer transport.Peer // ref.Addr, dialed once
+	// id is this link's index in Node.links plus one, sent as Link in
+	// every ping and ack so the neighbor can echo it back; peerLink is the
+	// neighbor's id for us as last heard, echoed to it as PeerLink.
+	id       uint32
+	peerLink uint32
+	seq      uint64 // seq of the last ping sent
+	awaiting bool   // between a send and its ack or ack deadline
+	gen      uint64 // Node.pingGen of the last syncPings that found ref in the tables
 }
 
-// retire stops the cycle; the caller takes ps out of Node.pings.
-func (ps *pingState) retire() {
-	ps.retired = true
-	if ps.timer != nil {
-		ps.timer.Stop()
-	}
-}
+// never is the due entry of a free slot in the link table.
+const never = time.Duration(math.MaxInt64)
+
+// elapsed is the node's clock for due: time since the node was built.
+func (n *Node) elapsed() time.Duration { return n.env.Now().Sub(n.start) }
 
 // syncPings reconciles the ping schedule with the routing tables in
 // place: every ref the tables hold is stamped with this pass's
@@ -143,84 +144,136 @@ func (n *Node) syncPings() {
 	})
 	for addr, ps := range n.pings {
 		if ps.gen != n.pingGen {
-			ps.retire()
+			// Free the slot; the timer, if it was armed for this link,
+			// fires, finds nothing due and re-arms.
+			n.links[ps.id-1], n.due[ps.id-1] = nil, never
 			delete(n.pings, addr)
 		}
 	}
 }
 
 // startPinging begins the ping cycle of a neighbor that just entered the
-// tables, and tells the client.
+// tables, in the lowest free slot of the link table, and tells the client.
 func (n *Node) startPinging(ref NodeRef) *pingState {
-	ps := &pingState{ref: ref}
-	n.pings[ref.Addr] = ps
+	i := slices.Index(n.links, nil)
+	if i < 0 {
+		i = len(n.links)
+		n.links, n.due = append(n.links, nil), append(n.due, never)
+	}
+	ps := &pingState{ref: ref, peer: transport.Dial(n.env, ref.Addr), id: uint32(i + 1)}
+	n.links[i], n.pings[ref.Addr] = ps, ps
 	// Stagger first pings uniformly over the interval so a large
 	// overlay's background load is smooth, as a deployed system's
 	// would be.
 	phase := time.Duration(n.env.Rand().Int63n(int64(n.cfg.PingInterval) + 1))
-	ps.timer = n.env.After(phase, func() { n.pingTick(ps) })
+	now := n.elapsed()
+	n.due[i] = now + phase
+	if n.due[i] < n.armed {
+		n.arm(n.due[i], now)
+	}
 	n.client.OnNeighborUp(ref)
 	return ps
 }
 
-// pingTick advances a neighbor's ping cycle: either the next ping is due,
-// or the previous ping's ack deadline has arrived.
-func (n *Node) pingTick(ps *pingState) {
-	if n.stopped || ps.retired {
+// arm sets the node's timer to fire at at, now being the current reading
+// of elapsed(); in place when the transport can, which is always from
+// pingTick and whenever the timer is still pending.
+func (n *Node) arm(at, now time.Duration) {
+	n.armed = at
+	if n.timer != nil && transport.ResetTimer(n.timer, at-now) {
 		return
 	}
-	if ps.awaiting {
-		ps.awaiting = false
-		if ps.ackSeq != ps.seq {
-			n.neighborDead(ps.ref)
-			return
-		}
-		// Ack arrived in time: sleep until PingInterval after the send.
-		n.rearm(ps, n.cfg.PingInterval-n.cfg.PingTimeout)
-		return
-	}
-	ps.seq++
-	// The ping record comes from the pool and aliases the client's cached
-	// payload; the transport recycles it (dropping the alias) after
-	// delivery, so the steady-state send allocates nothing.
-	m := newMsgPing()
-	m.From, m.Seq, m.Payload = n.self, ps.seq, n.client.PingPayload(ps.ref)
-	n.env.Send(ps.ref.Addr, m)
-	ps.sentAt = n.env.Now()
-	ps.awaiting = true
-	n.tm.pingsSent.Inc(n.tm.lane)
-	if n.tm.lane.Tracing(telemetry.TraceVerbose) {
-		n.tm.lane.Emit(ps.sentAt, "ping", n.self.Name, "", 0, 0, ps.ref.Name)
-	}
-	n.rearm(ps, n.cfg.PingTimeout)
+	n.timer = n.env.After(at-now, n.tick)
 }
 
-// rearm schedules the next pingTick, reusing the existing timer when the
-// transport supports in-place reset (always, from within the timer's own
-// callback) and allocating a fresh one otherwise.
-func (n *Node) rearm(ps *pingState, d time.Duration) {
-	if ps.timer != nil && transport.ResetTimer(ps.timer, d) {
+// pingTick serves every link whose phase has ended - the next ping is
+// due, or the last ping's ack deadline passed unanswered - and re-arms the
+// timer for the earliest entry left. Links due in the same tick are
+// served in link-id order. A tick that finds nothing due (the link it was
+// armed for was acked, which moved its entry later, or retired) only
+// re-arms.
+func (n *Node) pingTick() {
+	if n.stopped {
 		return
 	}
-	ps.timer = n.env.After(d, func() { n.pingTick(ps) })
+	n.armed = never
+	now := n.elapsed()
+	// neighborDead edits the table under the loop, so index it afresh.
+	for i := 0; i < len(n.due); i++ {
+		if n.due[i] > now {
+			continue
+		}
+		ps := n.links[i]
+		if ps.awaiting {
+			n.neighborDead(ps.ref)
+			continue
+		}
+		ps.seq++
+		ps.awaiting = true
+		n.due[i] = now + n.cfg.PingTimeout
+		// The ping record comes from the pool and aliases the client's cached
+		// payload; the transport recycles it (dropping the alias) after
+		// delivery, so the steady-state send allocates nothing.
+		m := newMsgPing()
+		m.From, m.Seq, m.Payload = n.self, ps.seq, n.client.PingPayload(ps.ref)
+		m.Link, m.PeerLink = ps.id, ps.peerLink
+		ps.peer.Send(m)
+		n.tm.pingsSent.Inc(n.tm.lane)
+		if n.tm.lane.Tracing(telemetry.TraceVerbose) {
+			n.tm.lane.Emit(n.env.Now(), "ping", n.self.Name, "", 0, 0, ps.ref.Name)
+		}
+	}
+	next := never
+	for _, d := range n.due {
+		next = min(next, d)
+	}
+	if next < never {
+		n.arm(next, now)
+	}
+}
+
+// linkOf finds the ping cycle of the neighbor at addr: by the link id it
+// echoed when that names a slot holding addr, else by address.
+func (n *Node) linkOf(id uint32, addr transport.Addr) *pingState {
+	if i := int(id) - 1; i >= 0 && i < len(n.links) {
+		if ps := n.links[i]; ps != nil && ps.ref.Addr == addr {
+			return ps
+		}
+	}
+	return n.pings[addr]
 }
 
 func (n *Node) handlePing(m *msgPing) {
 	n.tm.pingsRecv.Inc(n.tm.lane)
 	n.client.OnPingPayload(m.From, m.Payload)
 	ack := newMsgPingAck()
-	ack.From, ack.Seq = n.self, m.Seq
-	n.env.Send(m.From.Addr, ack)
-}
-
-func (n *Node) handlePingAck(m *msgPingAck) {
-	ps, ok := n.pings[m.From.Addr]
-	if !ok || m.Seq != ps.seq {
+	ack.From, ack.Seq, ack.PeerLink = n.self, m.Seq, m.Link
+	ps := n.linkOf(m.PeerLink, m.From.Addr)
+	if ps == nil {
+		// Not our neighbor (its tables run ahead of ours, or ours of its).
+		n.env.Send(m.From.Addr, ack)
 		return
 	}
-	ps.ackSeq = m.Seq
+	ps.peerLink = m.Link
+	ack.Link = ps.id
+	ps.peer.Send(ack)
+}
+
+// handlePingAck credits an ack that arrives inside its ping's deadline:
+// the link's phase now ends PingInterval after the send instead of
+// PingTimeout after it. Moving the entry is all it takes - no timer is
+// touched and no event fires for the deadline that did not expire.
+func (n *Node) handlePingAck(m *msgPingAck) {
+	ps := n.linkOf(m.PeerLink, m.From.Addr)
+	if ps == nil || !ps.awaiting || m.Seq != ps.seq {
+		return
+	}
+	ps.peerLink = m.Link
+	ps.awaiting = false
+	sentAt := n.due[ps.id-1] - n.cfg.PingTimeout
+	n.due[ps.id-1] = sentAt + n.cfg.PingInterval
 	n.tm.acksRecv.Inc(n.tm.lane)
-	n.tm.rtt.Observe(n.tm.lane, n.env.Now().Sub(ps.sentAt))
+	n.tm.rtt.Observe(n.tm.lane, n.elapsed()-sentAt)
 	if n.tm.lane.Tracing(telemetry.TraceVerbose) {
 		n.tm.lane.Emit(n.env.Now(), "ack", n.self.Name, "", 0, 0, ps.ref.Name)
 	}

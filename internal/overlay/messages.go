@@ -16,18 +16,30 @@ type body = transport.Body
 
 // msgPing is the periodic liveness check between routing-table neighbors,
 // carrying the client's piggyback payload (FUSE's 20-byte group hash).
+//
+// Link is the sender's link id for the receiver (see pingState.id; 0 when
+// the sender keeps no link to it) and PeerLink the receiver's own id for
+// the sender as the sender last heard it (0 = not heard yet). They let
+// each end find its per-neighbor record by slice index instead of
+// hashing From.Addr. An id is a hint the receiver checks against From.Addr
+// before using, never an authority: a stale or forged one costs a map
+// lookup, nothing else.
 type msgPing struct {
 	body
-	From    NodeRef
-	Seq     uint64
-	Payload []byte
+	From     NodeRef
+	Seq      uint64
+	Payload  []byte
+	Link     uint32
+	PeerLink uint32
 }
 
-// msgPingAck answers a ping.
+// msgPingAck answers a ping. Link and PeerLink are as in msgPing.
 type msgPingAck struct {
 	body
-	From NodeRef
-	Seq  uint64
+	From     NodeRef
+	Seq      uint64
+	Link     uint32
+	PeerLink uint32
 }
 
 // The ping-cycle records are drawn from pools: one ping and one ack per

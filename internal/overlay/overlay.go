@@ -21,12 +21,24 @@
 // route-dead upcall (the paper relies on this to detect "no next hop for
 // an InstallChecking message").
 //
-// Liveness checking drives one state-machine timer per neighbor (send
-// ping, await ack, sleep out the interval) that re-arms itself in place
-// via the transport's reschedule support, so a 16,000-node overlay's
-// hundreds of thousands of ping timers run without steady-state
-// allocation. First pings are phase-staggered uniformly over the
-// interval, keeping background load smooth at any scale.
+// Liveness checking runs on one timer per node, not one per neighbor.
+// Every neighbor has a slot in a dense link table, and a parallel array,
+// due, holds the instant each link's current phase ends: the next ping
+// while it sleeps out the interval, the ack deadline while a ping is
+// outstanding. The node's timer is armed for the earliest entry and its
+// callback scans the few dozen contiguous entries, pinging or declaring
+// dead whichever have fallen due. An ack that arrives in time costs no
+// event at all: it moves its link's entry from the deadline to the next
+// ping, and the deadline that did not expire never fires. A ping cycle is
+// thereby three simulator events (tick, ping delivery, ack delivery), and
+// a 16,000-node overlay keeps 16,000 standing timers rather than hundreds
+// of thousands; the timer is re-armed in place via the transport's
+// reschedule support, so none of it allocates in steady state. First
+// pings are phase-staggered uniformly over the interval, keeping
+// background load smooth at any scale. Pings and acks carry each end's
+// slot number for the link, so both handlers find their record by index
+// instead of hashing the sender's address, and each record holds its
+// neighbor as a destination the transport resolved once (transport.Dial).
 package overlay
 
 import (
@@ -159,6 +171,19 @@ type Node struct {
 	rights []NodeRef
 	lefts  []NodeRef
 
+	// Liveness: links is the dense table of ping cycles (a link's id is
+	// its index plus one; a free slot is nil) and due, parallel to it, is
+	// when each link's current phase ends on the elapsed() clock (never
+	// for a free slot). One timer serves them all: it is armed for armed,
+	// which is at or before the earliest due entry, and tick is pingTick
+	// bound once. pings indexes the same cycles by address for the cold
+	// paths: table reconciliation, and a message carrying no usable id.
+	links   []*pingState
+	due     []time.Duration
+	timer   transport.Timer
+	armed   time.Duration
+	tick    func()
+	start   time.Time
 	pings   map[transport.Addr]*pingState
 	pingGen uint64 // bumped by every syncPings; stamps the refs it found
 
@@ -205,9 +230,12 @@ func New(env transport.Env, cfg Config, name string) *Node {
 		client:   nopClient{},
 		rights:   make([]NodeRef, cfg.MaxLevels+1),
 		lefts:    make([]NodeRef, cfg.MaxLevels+1),
+		armed:    never,
+		start:    env.Now(),
 		pings:    make(map[transport.Addr]*pingState),
 		searches: make(map[searchKey]bool),
 	}
+	n.tick = n.pingTick
 	if lane := telemetry.FromEnv(env); lane != nil {
 		reg := lane.Registry()
 		n.tm = ovTelemetry{
@@ -237,10 +265,10 @@ func (n *Node) SetClient(c Client) {
 // Stop halts liveness checking. Pending pings are abandoned.
 func (n *Node) Stop() {
 	n.stopped = true
-	for _, ps := range n.pings {
-		ps.retire()
+	if n.timer != nil {
+		n.timer.Stop()
 	}
-	n.pings = map[transport.Addr]*pingState{}
+	n.links, n.due, n.pings = nil, nil, map[transport.Addr]*pingState{}
 }
 
 // DigitsOf derives a node's numeric ID: the SHA-1 of its name split into

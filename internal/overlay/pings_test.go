@@ -46,6 +46,8 @@ func TestPingScheduleTracksTables(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		other := func() NodeRef { return cl.nodes[1+rng.Intn(len(cl.nodes)-1)].Self() }
 		started := 0
+		// A retired cycle no longer holds its slot in the link table.
+		retired := func(ps *pingState) bool { return nd.links[ps.id-1] != ps }
 		for step := 0; step < 3000; step++ {
 			before := make(map[transport.Addr]*pingState, len(nd.pings))
 			for addr, ps := range nd.pings {
@@ -81,7 +83,7 @@ func TestPingScheduleTracksTables(t *testing.T) {
 			}
 			for _, r := range want {
 				ps := nd.pings[r.Addr]
-				if ps == nil || ps.retired || ps.ref.Addr != r.Addr {
+				if ps == nil || retired(ps) || ps.ref.Addr != r.Addr {
 					t.Fatalf("seed %d step %d: neighbor %s has no live ping cycle (%+v)", seed, step, r.Name, ps)
 				}
 				if old, ok := before[r.Addr]; ok && old != ps {
@@ -91,7 +93,7 @@ func TestPingScheduleTracksTables(t *testing.T) {
 				}
 			}
 			for addr, ps := range before {
-				if nd.pings[addr] == nil && !ps.retired {
+				if nd.pings[addr] == nil && !retired(ps) {
 					t.Fatalf("seed %d step %d: %s left the tables but its ping cycle still runs", seed, step, ps.ref.Name)
 				}
 			}

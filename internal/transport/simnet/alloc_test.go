@@ -10,8 +10,10 @@ package simnet
 // per delivery) fails CI.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"fuse/internal/transport"
 )
@@ -28,7 +30,11 @@ var probePool = sync.Pool{New: func() any { return new(pooledProbe) }}
 
 func newPooledProbe() *pooledProbe { return probePool.Get().(*pooledProbe) }
 
+// probeReleases counts Release calls, for the exactly-once pins.
+var probeReleases int
+
 func (m *pooledProbe) Release() {
+	probeReleases++
 	*m = pooledProbe{}
 	probePool.Put(m)
 }
@@ -112,29 +118,131 @@ func TestPooledRecordClearedBeforeReuse(t *testing.T) {
 }
 
 // TestReleaseRunsOnDropPaths pins that messages dropped by the transport
-// (blocked links, unknown destinations, crashed endpoints) are still
-// recycled: the Pooled contract is release-exactly-once on every path,
-// not just successful delivery.
+// (blocked links, unknown destinations, crashed or detached endpoints,
+// broken sockets) are still recycled: the Pooled contract is
+// release-exactly-once on every path, not just successful delivery. Every
+// path is entered both ways a message reaches the one send body: through
+// Env.Send and through a dialed Peer.
 func TestReleaseRunsOnDropPaths(t *testing.T) {
-	net, addrs := testNet(t, 2, Options{})
-	a := net.nodes[addrs[0]]
-	net.SetHandler(addrs[1], func(transport.Addr, transport.Message) {})
+	entries := []struct {
+		name string
+		send func(a *node, to transport.Addr, m transport.Message)
+	}{
+		{"Env.Send", func(a *node, to transport.Addr, m transport.Message) { a.Send(to, m) }},
+		{"Peer.Send", func(a *node, to transport.Addr, m transport.Message) { a.Dial(to).Send(m) }},
+	}
+	for _, via := range entries {
+		net, addrs := testNet(t, 2, Options{RetriesBeforeBreak: 3, RetryRTO: time.Second})
+		a := net.nodes[addrs[0]]
+		net.SetHandler(addrs[1], func(transport.Addr, transport.Message) {})
 
-	check := func(name string, send func(m *pooledProbe)) {
-		m := newPooledProbe()
-		m.Payload = []byte(name)
-		send(m)
-		net.sim.Run()
-		if m.Payload != nil {
-			t.Fatalf("%s: dropped message was not released (payload retained)", name)
+		check := func(name string, to transport.Addr) {
+			t.Helper()
+			m := newPooledProbe()
+			m.Payload = []byte(name)
+			before, dropped := probeReleases, net.Dropped()
+			via.send(a, to, m)
+			net.sim.Run()
+			if m.Payload != nil {
+				t.Fatalf("%s, %s: dropped message was not released (payload retained)", via.name, name)
+			}
+			if got := probeReleases - before; got != 1 {
+				t.Fatalf("%s, %s: released %d times, want exactly once", via.name, name, got)
+			}
+			// A crashed sender's sends never reach the network and are not
+			// counted; every other path counts one drop.
+			if want := dropped + 1; name != "crashed-sender" && net.Dropped() != want {
+				t.Fatalf("%s, %s: dropped = %d, want %d", via.name, name, net.Dropped(), want)
+			}
+		}
+		check("unknown-destination", "nowhere")
+		net.BlockLink(addrs[0], addrs[1])
+		check("blocked-link", addrs[1])
+		net.ClearRules()
+		net.SetLinkLoss(addrs[0], addrs[1], 1)
+		check("socket-break", addrs[1])
+		net.ClearRules()
+		net.Detach(addrs[1])
+		check("detached-destination", addrs[1])
+		net.Rejoin(addrs[1])
+		net.Detach(addrs[0])
+		check("detached-sender", addrs[1])
+		net.Rejoin(addrs[0])
+		net.Crash(addrs[1])
+		check("crashed-destination", addrs[1])
+		net.Crash(addrs[0])
+		check("crashed-sender", addrs[1])
+		if net.Delivered() != 0 {
+			t.Fatalf("%s: %d messages delivered on drop paths", via.name, net.Delivered())
 		}
 	}
-	check("unknown-destination", func(m *pooledProbe) { a.Send("nowhere", m) })
-	net.BlockLink(addrs[0], addrs[1])
-	check("blocked-link", func(m *pooledProbe) { a.Send(addrs[1], m) })
-	net.ClearRules()
-	net.Crash(addrs[1])
-	check("crashed-destination", func(m *pooledProbe) { a.Send(addrs[1], m) })
-	net.Crash(addrs[0])
-	check("crashed-sender", func(m *pooledProbe) { a.Send(addrs[1], m) })
+}
+
+// TestUnknownDestinationsLeaveNoCacheEntry pins the cache's admission
+// rule: a link enters a node's route cache when a send resolves it, so
+// sends (and dials) to addresses nobody ever listens on are counted as
+// drops, never as sent, and leave nothing behind.
+func TestUnknownDestinationsLeaveNoCacheEntry(t *testing.T) {
+	net, addrs := testNet(t, 2, Options{})
+	a := net.nodes[addrs[0]]
+	for i := 0; i < 100; i++ {
+		garbage := transport.Addr(fmt.Sprintf("garbage-%d", i))
+		a.Send(garbage, num(i))
+		a.Dial(garbage).Send(num(i))
+	}
+	net.sim.Run()
+	if net.Dropped() != 200 || net.Sent() != 0 {
+		t.Fatalf("dropped = %d, sent = %d; want 200 and 0", net.Dropped(), net.Sent())
+	}
+	if len(a.routes) != 0 {
+		t.Fatalf("%d cache entries left behind by sends to unknown addresses", len(a.routes))
+	}
+	// A dial alone caches nothing either; the first send that finds the
+	// destination does, and later dials get that entry.
+	p := a.Dial(addrs[1])
+	if len(a.routes) != 0 {
+		t.Fatal("Dial cached a link before any send")
+	}
+	p.Send(num(0))
+	if a.Dial(addrs[1]) != p || len(a.routes) != 1 {
+		t.Fatalf("resolved link not cached: %d entries", len(a.routes))
+	}
+}
+
+// TestDialBeforeAddNodeDeliversOnceNodeExists pins late resolution: a
+// Peer dialed for an address with no node yet drops while there is none
+// and delivers once there is, over the topology path looked up at that
+// first successful send.
+func TestDialBeforeAddNodeDeliversOnceNodeExists(t *testing.T) {
+	net, addrs := testNet(t, 1, Options{})
+	a := net.nodes[addrs[0]]
+	p := a.Dial("late")
+	p.Send(str("too early"))
+	net.sim.Run()
+	if net.Dropped() != 1 || net.Sent() != 0 {
+		t.Fatalf("send before AddNode: dropped = %d, sent = %d; want 1 and 0", net.Dropped(), net.Sent())
+	}
+
+	router := net.topo.AttachPoints(3, net.sim.Rand())[2]
+	late := net.AddNode("late", router)
+	var got []string
+	var at time.Time
+	net.SetHandler("late", func(from transport.Addr, msg transport.Message) {
+		if from != addrs[0] {
+			t.Errorf("delivered from %q, want %q", from, addrs[0])
+		}
+		got, at = append(got, msg.(*tmsg).V), late.Now()
+	})
+	sentAt := net.sim.Now()
+	p.Send(str("hello"))
+	net.sim.Run()
+	if len(got) != 1 || got[0] != "hello" {
+		t.Fatalf("delivered %q, want one hello", got)
+	}
+	if want := net.topo.Path(a.router, router).Latency; at.Sub(sentAt) != want {
+		t.Fatalf("delivery took %v, want the path latency %v", at.Sub(sentAt), want)
+	}
+	if a.Dial("late") != p {
+		t.Fatal("the resolved link did not enter the cache")
+	}
 }

@@ -22,8 +22,15 @@
 //
 // The send path is engineered for paper-scale overlays (16,000 nodes
 // exchanging hundreds of thousands of pings per virtual minute): every
-// node keeps an indexed per-destination route cache (resolved endpoint
-// plus the topology path, so steady-state sends do no topology queries),
+// node keeps a per-destination route cache whose entry, a link, holds the
+// resolved endpoint plus the topology path, so steady-state sends do no
+// topology queries. The link is also the transport.Peer that Dial hands
+// out and carries the one send body: Env.Send is a cache lookup followed
+// by link.Send, and a periodic sender that dialed its neighbor once skips
+// the lookup, hashing no address per message. A link resolves (and enters
+// the cache) at the first send that finds a node at its address, so a
+// dial may precede the destination's AddNode and sends to addresses that
+// never exist leave nothing behind. Beyond that,
 // deliveries are pooled objects with reused callback closures handed to
 // the simulator's handle-free Schedule path, and the fault-rule table is
 // only consulted when rules exist. Messages are typed records passed by
@@ -219,8 +226,9 @@ type node struct {
 
 	// routes caches resolved destinations: the endpoint object and the
 	// topology path to it. Attachment points never move (Restart keeps the
-	// router), so entries stay valid for the life of the network.
-	routes map[transport.Addr]route
+	// router), so entries stay valid for the life of the network. Only
+	// resolved links are cached (see link.Send).
+	routes map[transport.Addr]*link
 }
 
 // TelemetryLane implements telemetry.LaneProvider: the node's metric
@@ -235,11 +243,27 @@ func (nd *node) TelemetryLane() *telemetry.Lane {
 	return reg.Lane(1 + nd.slot)
 }
 
-// route is one resolved destination in a node's send cache.
-type route struct {
-	dst  *node
-	path netmodel.Path
+// link is one destination of one node: the send cache's entry, and the
+// transport.Peer that Dial hands out so a periodic sender reaches it
+// without the cache lookup. dst and path stay zero until the first send
+// that finds a node at to.
+type link struct {
+	src, dst *node
+	to       transport.Addr
+	path     netmodel.Path
 }
+
+// dial returns the node's link to to: the cached one, or a fresh
+// unresolved one that caches itself when a send resolves it.
+func (nd *node) dial(to transport.Addr) *link {
+	if l := nd.routes[to]; l != nil {
+		return l
+	}
+	return &link{src: nd, to: to}
+}
+
+// Dial implements transport.Dialer.
+func (nd *node) Dial(to transport.Addr) transport.Peer { return nd.dial(to) }
 
 // delivery is a pooled in-flight message. Its run closure is built once
 // and reused, so the per-send scheduling cost is one pooled event and
@@ -305,7 +329,7 @@ func (n *Net) AddNode(addr transport.Addr, router netmodel.RouterID) transport.E
 		shard:    n.shards[slot],
 		slot:     slot,
 		nextFree: n.sim.Elapsed(),
-		routes:   make(map[transport.Addr]route),
+		routes:   make(map[transport.Addr]*link),
 	}
 	n.nodes[addr] = nd
 	return nd
@@ -550,7 +574,11 @@ func (nd *node) After(d time.Duration, fn func()) transport.Timer {
 	return nd.shard.After(d, wrapped)
 }
 
-func (nd *node) Send(to transport.Addr, msg transport.Message) {
+func (nd *node) Send(to transport.Addr, msg transport.Message) { nd.dial(to).Send(msg) }
+
+// Send is the one send path: Env.Send is a dial followed by this.
+func (l *link) Send(msg transport.Message) {
+	nd := l.src
 	net := nd.net
 	slot := &net.slots[nd.slot]
 	if nd.crashed {
@@ -562,22 +590,21 @@ func (nd *node) Send(to transport.Addr, msg transport.Message) {
 		transport.ReleaseMessage(msg)
 		return
 	}
-	rt, ok := nd.routes[to]
-	if !ok {
-		dst, exists := net.nodes[to]
+	if l.dst == nil {
+		dst, exists := net.nodes[l.to]
 		if !exists {
 			slot.dropped++
 			transport.ReleaseMessage(msg)
 			return
 		}
-		rt = route{dst: dst, path: net.topo.Path(nd.router, dst.router)}
-		nd.routes[to] = rt
+		l.dst, l.path = dst, net.topo.Path(nd.router, dst.router)
+		nd.routes[l.to] = l
 	}
 	slot.sent++
 
-	loss := rt.path.Loss
+	loss := l.path.Loss
 	if len(net.rules) > 0 {
-		r := net.rules[rulePair{nd.addr, to}]
+		r := net.rules[rulePair{nd.addr, l.to}]
 		if r.block {
 			slot.dropped++
 			transport.ReleaseMessage(msg)
@@ -620,14 +647,17 @@ func (nd *node) Send(to transport.Addr, msg transport.Message) {
 	}
 
 	dl := net.newDelivery(nd.slot)
-	dl.from, dl.dst, dl.msg, dl.epoch = nd.addr, rt.dst, msg, rt.dst.epoch
+	dl.from, dl.dst, dl.msg, dl.epoch = nd.addr, l.dst, msg, l.dst.epoch
 	// The total delay is at least SendOverhead + path latency +
 	// DeliverOverhead; a cross-shard destination is attached to a
 	// different router (shardOf keys shards on routers), so its path
 	// crosses at least one link and the delay clears MinDeliveryDelay -
 	// the lookahead bound the barrier merge enforces.
-	delay := depart - now + rt.path.Latency + retryDelay + net.opts.DeliverOverhead
-	nd.shard.Post(rt.dst.shard, delay, dl.run)
+	delay := depart - now + l.path.Latency + retryDelay + net.opts.DeliverOverhead
+	nd.shard.Post(l.dst.shard, delay, dl.run)
 }
 
-var _ transport.Env = (*node)(nil)
+var (
+	_ transport.Env    = (*node)(nil)
+	_ transport.Dialer = (*node)(nil)
+)

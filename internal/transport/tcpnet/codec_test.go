@@ -251,7 +251,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 // TestGenerateFuzzCorpus regenerates the checked-in seed corpus under
 // testdata/fuzz/FuzzWireRoundTrip: a zero-value, a filled, and a
 // truncated frame per registered protocol type, plus structural edge
-// cases. It is a no-op unless GEN_FUZZ_CORPUS=1 is set:
+// cases. The checked-in filled_overlay_ping and _pingAck predate those
+// records' Link and PeerLink fields and stay as old-format frames a new
+// decoder must accept; linked_overlay_ping and _pingAck are the same
+// frames with both ids set. It is a no-op unless GEN_FUZZ_CORPUS=1 is set:
 //
 //	GEN_FUZZ_CORPUS=1 go test ./internal/transport/tcpnet -run TestGenerateFuzzCorpus
 func TestGenerateFuzzCorpus(t *testing.T) {

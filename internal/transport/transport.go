@@ -119,6 +119,43 @@ func ResetTimer(t Timer, d time.Duration) bool {
 	return false
 }
 
+// Peer is a destination resolved once and sent to many times. Protocol
+// code that talks to the same neighbor every period (the overlay's ping
+// cycle) holds one per neighbor, so the periodic send does not look the
+// address up again.
+type Peer interface {
+	// Send is Env.Send to the destination the Peer was dialed for, with
+	// the same delivery and ownership rules.
+	Send(msg Message)
+}
+
+// Dialer is optionally implemented by Envs that keep per-destination send
+// state (the simulated transport's route cache entry) and can hand it out.
+// Like Resetter it is an optimization protocol code reaches through a
+// helper, Dial, and never depends on.
+type Dialer interface {
+	// Dial returns the Peer for to. It never fails: an address nobody
+	// listens on yet resolves, or drops, at each Send, as Env.Send would.
+	Dial(to Addr) Peer
+}
+
+// Dial resolves to through env when env is a Dialer and otherwise returns
+// a Peer that calls env.Send(to, msg); protocol code is written once and
+// skips the per-send lookup on transports that implement Dialer.
+func Dial(env Env, to Addr) Peer {
+	if d, ok := env.(Dialer); ok {
+		return d.Dial(to)
+	}
+	return &envPeer{env, to}
+}
+
+type envPeer struct {
+	env Env
+	to  Addr
+}
+
+func (p *envPeer) Send(msg Message) { p.env.Send(p.to, msg) }
+
 // Env is the execution environment handed to a protocol stack. All methods
 // must be called from within the node's callbacks (or before the node
 // starts processing messages); they are not safe for use from foreign

@@ -192,3 +192,49 @@ func TestResetTimerContract(t *testing.T) {
 		t.Fatal("ResetTimer stopped a non-Resetter timer")
 	}
 }
+
+// fakeEnv records sends; fakeDialer also hands out its own Peers.
+type fakeEnv struct {
+	Env  // unused methods panic on the nil embedded interface
+	sent []Addr
+}
+
+func (e *fakeEnv) Send(to Addr, _ Message) { e.sent = append(e.sent, to) }
+
+type fakeDialer struct {
+	fakeEnv
+	dialed []Addr
+}
+
+type fakePeer struct {
+	d  *fakeDialer
+	to Addr
+}
+
+func (p fakePeer) Send(msg Message)     { p.d.Send("via-peer:"+p.to, msg) }
+func (d *fakeDialer) Dial(to Addr) Peer { d.dialed = append(d.dialed, to); return fakePeer{d, to} }
+
+// TestDialContract pins the optional-interface idiom Dial shares with
+// ResetTimer: an Env that is a Dialer resolves the destination itself,
+// once, and any other Env gets a Peer whose Send is Env.Send to the
+// dialed address.
+func TestDialContract(t *testing.T) {
+	plain := &fakeEnv{}
+	p := Dial(plain, "b")
+	p.Send(&regMsg{})
+	p.Send(&regMsg{})
+	if len(plain.sent) != 2 || plain.sent[0] != "b" || plain.sent[1] != "b" {
+		t.Fatalf("fallback Peer sent to %v, want [b b]", plain.sent)
+	}
+
+	d := &fakeDialer{}
+	p = Dial(d, "c")
+	p.Send(&regMsg{})
+	p.Send(&regMsg{})
+	if len(d.dialed) != 1 || d.dialed[0] != "c" {
+		t.Fatalf("Dial calls = %v, want one for c", d.dialed)
+	}
+	if len(d.sent) != 2 || d.sent[0] != "via-peer:c" {
+		t.Fatalf("Dialer's Peer bypassed: sends = %v", d.sent)
+	}
+}
