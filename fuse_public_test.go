@@ -2,6 +2,7 @@ package fuse_test
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -75,6 +76,35 @@ func TestLiveCreateAndSignal(t *testing.T) {
 	for name, c := range notified {
 		if c != 1 {
 			t.Fatalf("%s notified %d times", name, c)
+		}
+	}
+}
+
+// TestLiveGroupsListedInOrder: a node lists its groups by root name, then
+// counter - the same way on every call - not in map order.
+func TestLiveGroupsListedInOrder(t *testing.T) {
+	nodes := startLive(t, 2)
+	both := []fuse.Peer{nodes[0].Ref(), nodes[1].Ref()}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := 0; i < 12; i++ {
+		if _, err := nodes[i%2].CreateGroup(ctx, both); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := nodes[1].LiveGroups()
+	if len(first) != 12 {
+		t.Fatalf("node holds %d groups, want 12: %v", len(first), first)
+	}
+	for i := 1; i < len(first); i++ {
+		a, b := first[i-1], first[i]
+		if a.Root.Name > b.Root.Name || a.Root.Name == b.Root.Name && a.Num >= b.Num {
+			t.Fatalf("groups out of order at %d: %v before %v", i, a, b)
+		}
+	}
+	for call := 0; call < 5; call++ {
+		if again := nodes[1].LiveGroups(); !slices.Equal(again, first) {
+			t.Fatalf("call %d lists %v, the first listed %v", call, again, first)
 		}
 	}
 }

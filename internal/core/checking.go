@@ -2,9 +2,7 @@ package core
 
 import (
 	"bytes"
-	"crypto/sha1"
-	"encoding/binary"
-	"sort"
+	"slices"
 
 	"fuse/internal/overlay"
 	"fuse/internal/transport"
@@ -22,20 +20,23 @@ func (f *Fuse) addTreeLink(id GroupID, seq uint64, neighbor overlay.NodeRef) {
 	}
 	cs := f.checking[id]
 	if cs == nil {
-		cs = &checkState{id: id, links: make(map[transport.Addr]*treeLink)}
+		cs = &checkState{id: id}
 		f.checking[id] = cs
 	}
 	if seq > cs.seq {
 		cs.seq = seq
 	}
 	ls := f.linkFor(neighbor)
-	if l, ok := cs.links[neighbor.Addr]; ok {
+	if l := cs.link(neighbor.Addr); l != nil {
 		l.installedAt = f.env.Now()
 		f.ensureLinkTimer(ls)
 		return
 	}
-	l := &treeLink{neighbor: neighbor, installedAt: f.env.Now()}
-	cs.links[neighbor.Addr] = l
+	i := 0
+	for i < len(cs.links) && cs.links[i].neighbor.Addr < neighbor.Addr {
+		i++
+	}
+	cs.links = slices.Insert(cs.links, i, treeLink{neighbor: neighbor, installedAt: f.env.Now()})
 	ls.attach(id)
 	f.ensureLinkTimer(ls)
 }
@@ -51,7 +52,7 @@ func (f *Fuse) linkFailed(id GroupID, from overlay.NodeRef, span uint64) {
 	cs, ok := f.checking[id]
 	if ok {
 		seq := cs.seq
-		for _, l := range sortedLinks(cs) {
+		for _, l := range cs.links {
 			if l.neighbor.Addr == from.Addr {
 				continue
 			}
@@ -60,17 +61,6 @@ func (f *Fuse) linkFailed(id GroupID, from overlay.NodeRef, span uint64) {
 		f.dropChecking(id)
 	}
 	f.reactToTreeFailure(id, span)
-}
-
-// sortedLinks returns a group's tree links in deterministic order, so
-// identically seeded simulations emit identical event sequences.
-func sortedLinks(cs *checkState) []*treeLink {
-	out := make([]*treeLink, 0, len(cs.links))
-	for _, l := range cs.links {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].neighbor.Addr < out[j].neighbor.Addr })
-	return out
 }
 
 // reactToTreeFailure triggers the role-specific response to a broken
@@ -105,7 +95,7 @@ func (f *Fuse) handleSoft(m *msgSoftNotification) {
 		if m.Seq < cs.seq {
 			return // stale generation: a repair already superseded it
 		}
-		for _, l := range sortedLinks(cs) {
+		for _, l := range cs.links {
 			if l.neighbor.Addr == m.From.Addr {
 				continue
 			}
@@ -189,10 +179,12 @@ func (f *Fuse) installArrivedAtRoot(ic *msgInstallChecking, prev overlay.NodeRef
 }
 
 // PingPayload supplies the piggyback hash for an overlay ping to neighbor:
-// the SHA-1 over the sorted IDs of all groups whose checking tree includes
-// the link to that neighbor (20 bytes, exactly the paper's overhead). The
-// hash comes straight from the per-link index's cache: O(1) per ping, not
-// a scan over every group on the node.
+// the sum of the SHA-1 digests of the IDs of all groups whose checking
+// tree includes the link to that neighbor (20 bytes, exactly the paper's
+// overhead; see linkindex.go). The hash comes straight from the per-link
+// index: O(1) per ping, not a scan over every group on the node. The
+// caller may hold the slice while the ping is in flight: a membership
+// change makes a fresh one and leaves these bytes as they were.
 func (f *Fuse) PingPayload(neighbor overlay.NodeRef) []byte {
 	ls, ok := f.links[neighbor.Addr]
 	if !ok {
@@ -257,7 +249,7 @@ func (f *Fuse) OnNeighborDown(neighbor overlay.NodeRef) {
 		return
 	}
 	for _, id := range ls.snapshot() {
-		if cs, ok := f.checking[id]; ok && cs.links[neighbor.Addr] != nil {
+		if cs, ok := f.checking[id]; ok && cs.link(neighbor.Addr) != nil {
 			span := f.tm.lane.NewSpan()
 			if span != 0 {
 				f.trace("trigger", id, span, 0, "neighbor-down "+neighbor.Name)
@@ -268,8 +260,9 @@ func (f *Fuse) OnNeighborDown(neighbor overlay.NodeRef) {
 }
 
 // linkEntries lists the groups whose checking tree crosses the link to
-// addr with their sequence numbers, in the index's order. Cold-path
-// helper for reconciliation; the ping paths use the cached hash directly.
+// addr with their sequence numbers, in the index's order - which the
+// receiver's merge walk counts on. Cold-path helper for reconciliation;
+// the ping paths use the hash directly.
 func (f *Fuse) linkEntries(addr transport.Addr) []listEntry {
 	ls, ok := f.links[addr]
 	if !ok {
@@ -282,64 +275,37 @@ func (f *Fuse) linkEntries(addr transport.Addr) []listEntry {
 	return entries
 }
 
-// hashGroupIDs produces the 20-byte piggyback digest: SHA-1 over each
-// ID's root name, a zero byte and its little-endian counter, in slice
-// order. An empty set hashes to nil so that idle links carry no payload
-// at all. The input is gathered into one buffer and hashed in one call.
-// The buffer is on the stack for the hundred-odd groups a link usually
-// carries, so a refresh allocates only the digest; a busier link gets one
-// buffer of the exact size rather than a series of doublings.
-func hashGroupIDs(ids []GroupID) []byte {
-	if len(ids) == 0 {
-		return nil
-	}
-	need := 0
-	for i := range ids {
-		need += len(ids[i].Root.Name) + 9
-	}
-	var stack [4096]byte
-	buf := stack[:0]
-	if need > len(stack) {
-		buf = make([]byte, 0, need)
-	}
-	for _, id := range ids {
-		buf = append(buf, id.Root.Name...)
-		buf = append(buf, 0)
-		buf = binary.LittleEndian.AppendUint64(buf, id.Num)
-	}
-	sum := sha1.Sum(buf)
-	return sum[:]
-}
-
 // handleGroupLists reconciles after a hash mismatch (§6.3): agreement on
 // any group proves the neighbor alive and re-arms the link's shared
 // deadline; groups only we believe in are torn down as link failures -
 // unless they are younger than the grace period, which covers the
-// installation race during group creation.
+// installation race during group creation. Both lists are in compareIDs
+// order, so ours is walked against theirs, in place.
 func (f *Fuse) handleGroupLists(m *msgGroupLists) {
 	f.tm.reconciles.Inc(f.tm.lane)
-	theirs := make(map[GroupID]bool, len(m.Entries))
-	for _, e := range m.Entries {
-		theirs[e.ID] = true
+	theirs := m.Entries
+	byID := func(a, b listEntry) int { return compareIDs(a.ID, b.ID) }
+	if !slices.IsSortedFunc(theirs, byID) {
+		// A live peer owes us nothing: order a copy, not its message.
+		theirs = slices.Clone(theirs)
+		slices.SortFunc(theirs, byID)
 	}
 	now := f.env.Now()
 	agreed := false
-	var ours []GroupID
-	if ls, ok := f.links[m.From.Addr]; ok {
-		ours = ls.snapshot()
-	}
-	for _, id := range ours {
-		cs, ok := f.checking[id]
-		if !ok || cs.links[m.From.Addr] == nil {
-			continue // torn down earlier in this same pass
+	ls := f.links[m.From.Addr]
+	for i := 0; ls != nil && i < len(ls.sorted); {
+		id := ls.sorted[i]
+		for len(theirs) > 0 && compareIDs(theirs[0].ID, id) < 0 {
+			theirs = theirs[1:]
 		}
-		l := cs.links[m.From.Addr]
-		if theirs[id] {
+		if listed(theirs, id) {
 			agreed = true
+			i++
 			continue
 		}
-		if now.Sub(l.installedAt) < f.cfg.GracePeriod {
-			continue // too young to judge: the neighbor may not have installed yet
+		if now.Sub(f.checking[id].link(m.From.Addr).installedAt) < f.cfg.GracePeriod {
+			i++ // too young to judge: the neighbor may not have installed yet
+			continue
 		}
 		f.logf("reconciliation: %s not monitored by %s, failing link", id, m.From.Name)
 		span := f.tm.lane.NewSpan()
@@ -347,6 +313,11 @@ func (f *Fuse) handleGroupLists(m *msgGroupLists) {
 			f.trace("trigger", id, span, 0, "reconcile "+m.From.Name)
 		}
 		f.linkFailed(id, overlay.NodeRef{}, span)
+		// The teardown edited ls.sorted in place, and a failure handler
+		// may have torn down more than id: resume at the first ID alike
+		// in name and counter that is left. One seen before is judged
+		// again, the same way.
+		i, _ = slices.BinarySearchFunc(ls.sorted, id, compareIDs)
 	}
 	if agreed {
 		if ls, ok := f.links[m.From.Addr]; ok {
@@ -356,4 +327,18 @@ func (f *Fuse) handleGroupLists(m *msgGroupLists) {
 	if !m.IsReply {
 		f.env.Send(m.From.Addr, &msgGroupLists{From: f.self, Entries: f.linkEntries(m.From.Addr), IsReply: true})
 	}
+}
+
+// listed reports whether id heads entries, a list in compareIDs order:
+// whether it is among the leading entries alike in name and counter.
+func listed(entries []listEntry, id GroupID) bool {
+	for _, e := range entries {
+		if compareIDs(e.ID, id) != 0 {
+			break
+		}
+		if e.ID == id {
+			return true
+		}
+	}
+	return false
 }

@@ -14,14 +14,18 @@
 //     monitoring (group, neighbor) tree links. The union of these paths is
 //     the group's liveness-checking spanning tree. Links are organized in
 //     a per-link index (linkindex.go): all groups crossing one overlay
-//     link share a cached piggyback hash and a single CheckTimeout
+//     link share a running piggyback hash and a single CheckTimeout
 //     deadline.
 //   - Steady-state monitoring costs nothing beyond the overlay's own
-//     neighbor pings: each ping piggybacks a 20-byte SHA-1 hash of the
-//     group IDs the two endpoints jointly monitor. A matching hash re-arms
-//     the link's shared deadline, refreshing every group on the link; a
-//     mismatch triggers an explicit list reconciliation (with a grace
-//     period protecting in-flight installs).
+//     neighbor pings: each ping piggybacks a 20-byte hash of the set of
+//     group IDs the two endpoints jointly monitor - the sum, in five
+//     32-bit lanes, of the IDs' SHA-1 digests, so a group joining or
+//     leaving a link adds or subtracts its own digest instead of
+//     re-hashing the link (a sum, not XOR: IDs that digest alike must
+//     count twice, not cancel). A matching hash re-arms the link's
+//     shared deadline, refreshing every group on the link; a mismatch
+//     triggers an explicit list reconciliation (with a grace period
+//     protecting in-flight installs).
 //   - A failed link (overlay ping timeout, FUSE timer expiry, or
 //     reconciliation disagreement) makes the node stop acknowledging the
 //     group and spread a SoftNotification through the tree; members react
@@ -34,15 +38,18 @@
 //     failure handler exactly once per node.
 //
 // Scale: all per-ping work is O(1) in the number of groups (the per-link
-// index caches the piggyback hash until membership changes), the timer
-// population is O(monitored links) rather than O(groups x links), and
-// the shared deadlines re-arm in place through the transport's timer
-// reschedule support - properties the manygroups (2,000 groups on 100
-// nodes) and paperscale (16,000-node overlay) experiments measure.
+// index keeps the piggyback hash current as membership changes, at the
+// cost of the one ID that changed), the timer population is O(monitored
+// links) rather than O(groups x links), and the shared deadlines re-arm
+// in place through the transport's timer reschedule support - properties
+// the manygroups (2,000 groups on 100 nodes) and paperscale (16,000-node
+// overlay) experiments measure.
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"fuse/internal/overlay"
@@ -171,7 +178,7 @@ type Fuse struct {
 	handlers map[GroupID][]Handler
 
 	// links is the per-link checking index: for each overlay link, the
-	// groups monitored across it, the cached piggyback hash, and the
+	// groups monitored across it, their running piggyback hash, and the
 	// single shared CheckTimeout deadline (see linkindex.go).
 	links map[transport.Addr]*linkState
 
@@ -269,9 +276,24 @@ type memberState struct {
 // Roots, members and delegates all hold one when they are part of the
 // tree.
 type checkState struct {
-	id    GroupID
-	seq   uint64
-	links map[transport.Addr]*treeLink
+	id  GroupID
+	seq uint64
+
+	// links is sorted by neighbor address - the order soft notifications
+	// go out in, so identically seeded simulations emit identical event
+	// sequences. A node sits on one to three of a group's tree links.
+	links []treeLink
+}
+
+// link returns the group's tree link to addr, or nil. The pointer is
+// into links: good until the next addTreeLink.
+func (cs *checkState) link(addr transport.Addr) *treeLink {
+	for i := range cs.links {
+		if cs.links[i].neighbor.Addr == addr {
+			return &cs.links[i]
+		}
+	}
+	return nil
 }
 
 // treeLink is one monitored (group, neighbor) pair. Its freshness clock
@@ -324,26 +346,26 @@ func (f *Fuse) Self() overlay.NodeRef { return f.self }
 func (f *Fuse) Notified() uint64 { return f.notified }
 
 // LiveGroups returns the IDs of all groups this node currently holds any
-// state for (root, member, or delegate).
+// state for (root, member, or delegate), ordered by root name, counter
+// and root address.
 func (f *Fuse) LiveGroups() []GroupID {
-	seen := make(map[GroupID]bool)
 	var out []GroupID
-	add := func(id GroupID) {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
 	for id := range f.roots {
-		add(id)
+		out = append(out, id)
 	}
 	for id := range f.members {
-		add(id)
+		out = append(out, id)
 	}
 	for id := range f.checking {
-		add(id)
+		out = append(out, id)
 	}
-	return out
+	slices.SortFunc(out, func(a, b GroupID) int {
+		if c := compareIDs(a, b); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Root.Addr, b.Root.Addr)
+	})
+	return slices.Compact(out) // a root or member usually has checking state too
 }
 
 // CheckingStats sizes the liveness-checking state for experiments:
@@ -481,8 +503,8 @@ func (f *Fuse) dropChecking(id GroupID) {
 	if !ok {
 		return
 	}
-	for addr := range cs.links {
-		f.detachFromLink(id, addr)
+	for _, l := range cs.links {
+		f.detachFromLink(id, l.neighbor.Addr)
 	}
 	delete(f.checking, id)
 }

@@ -8,7 +8,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -25,6 +24,10 @@ type fakeEnv struct {
 	rng    *rand.Rand
 	sent   []fakeSend
 	timers []*fakeTimer
+
+	// onSend, when set, runs after each send is recorded: a test's way to
+	// make something happen in the middle of a protocol step.
+	onSend func(fakeSend)
 }
 
 type fakeSend struct {
@@ -58,6 +61,9 @@ func (e *fakeEnv) Logf(string, ...any)  {}
 
 func (e *fakeEnv) Send(to transport.Addr, msg transport.Message) {
 	e.sent = append(e.sent, fakeSend{to: to, msg: msg})
+	if e.onSend != nil {
+		e.onSend(fakeSend{to: to, msg: msg})
+	}
 }
 
 func (e *fakeEnv) After(d time.Duration, fn func()) transport.Timer {
@@ -100,32 +106,48 @@ func ref(name string) overlay.NodeRef {
 	return overlay.NodeRef{Name: name, Addr: transport.Addr("addr-" + name)}
 }
 
+// hashOf is the piggyback of a link holding ids, attached in that order.
+func hashOf(ids ...GroupID) string {
+	ls := &linkState{}
+	for _, id := range ids {
+		ls.attach(id)
+	}
+	return string(ls.linkHash())
+}
+
 func TestHashGroupIDsEmptyIsNil(t *testing.T) {
-	if h := hashGroupIDs(nil); h != nil {
+	ls := &linkState{}
+	if h := ls.linkHash(); h != nil {
 		t.Fatalf("empty hash = %x, want nil (idle links carry no payload)", h)
 	}
 }
 
 func TestHashGroupIDsIsTwentyBytes(t *testing.T) {
-	ids := []GroupID{{Root: ref("a"), Num: 1}}
-	if h := hashGroupIDs(ids); len(h) != 20 {
+	if h := hashOf(GroupID{Root: ref("a"), Num: 1}); len(h) != 20 {
 		t.Fatalf("hash length %d, want 20 (the paper's piggyback size)", len(h))
 	}
 }
 
 // Property: the hash is a pure function of the ID multiset and
-// distinguishes different sets.
+// distinguishes different sets. An ID's digest covers its root's name
+// and its counter, so the same name and counter rooted at two addresses
+// (r and r2 below) is one digest held twice.
 func TestHashGroupIDsProperty(t *testing.T) {
+	r, r2 := ref("r"), overlay.NodeRef{Name: "r", Addr: "elsewhere"}
 	prop := func(n1, n2 uint64) bool {
-		a := []GroupID{{Root: ref("r"), Num: n1}, {Root: ref("r"), Num: n2}}
-		b := []GroupID{{Root: ref("r"), Num: n1}, {Root: ref("r"), Num: n2}}
-		same := string(hashGroupIDs(a)) == string(hashGroupIDs(b))
-		if !same {
+		a := hashOf(GroupID{Root: r, Num: n1}, GroupID{Root: r, Num: n2})
+		if a != hashOf(GroupID{Root: r, Num: n2}, GroupID{Root: r, Num: n1}) {
 			return false
 		}
 		if n1 != n2 {
-			c := []GroupID{{Root: ref("r"), Num: n1}, {Root: ref("r"), Num: n1}}
-			if string(hashGroupIDs(a)) == string(hashGroupIDs(c)) {
+			// {n1, n2} against {n1, n1}.
+			twice := hashOf(GroupID{Root: r, Num: n1}, GroupID{Root: r2, Num: n1})
+			if a == twice {
+				return false
+			}
+			// {a, a'} against {b, b'}: a pair that digests alike must not
+			// cancel, or any two such pairs would agree.
+			if twice == hashOf(GroupID{Root: r, Num: n2}, GroupID{Root: r2, Num: n2}) {
 				return false
 			}
 		}
@@ -138,9 +160,9 @@ func TestHashGroupIDsProperty(t *testing.T) {
 
 // TestLinkHashCacheCoherence drives the per-link index through random
 // sequences of addTreeLink / dropChecking / seq bumps and checks, after
-// every step, that the cached piggyback hash for every link equals a
-// from-scratch recomputation over the groups actually crossing it - the
-// invariant PingPayload now serves from cache.
+// every step, that the running piggyback hash for every link equals a
+// from-scratch fold over the groups actually crossing it - the invariant
+// PingPayload serves from.
 func TestLinkHashCacheCoherence(t *testing.T) {
 	f, _ := newFakeFuse("d")
 	rng := rand.New(rand.NewSource(42))
@@ -153,12 +175,11 @@ func TestLinkHashCacheCoherence(t *testing.T) {
 	naiveHash := func(addr transport.Addr) []byte {
 		var on []GroupID
 		for id, cs := range f.checking {
-			if _, ok := cs.links[addr]; ok {
+			if cs.link(addr) != nil {
 				on = append(on, id)
 			}
 		}
-		sort.Slice(on, func(i, j int) bool { return on[i].Num < on[j].Num })
-		return hashGroupIDs(on)
+		return refHashGroupIDs(on)
 	}
 
 	for step := 0; step < 2000; step++ {
@@ -177,7 +198,7 @@ func TestLinkHashCacheCoherence(t *testing.T) {
 			want := naiveHash(nb.Addr)
 			got := f.PingPayload(nb)
 			if string(got) != string(want) {
-				t.Fatalf("step %d: cached hash for link %s = %x, recomputation = %x", step, nb.Name, got, want)
+				t.Fatalf("step %d: running hash for link %s = %x, from scratch = %x", step, nb.Name, got, want)
 			}
 		}
 	}

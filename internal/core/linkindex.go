@@ -2,6 +2,8 @@ package core
 
 import (
 	"cmp"
+	"crypto/sha1"
+	"encoding/binary"
 	"slices"
 	"strings"
 
@@ -23,25 +25,41 @@ import (
 //
 // Maintained on every change: the ID list, kept sorted in place - an
 // install or teardown is a binary search and one copy, not a re-collect
-// and re-sort of the link's whole membership. Cached until the next
-// change: only the 20-byte hash, recomputed by the first ping after it
-// (one SHA-1 pass over the list). The treeLink itself, with the
-// per-group installedAt the reconciliation grace period reads, is
-// reached through checkState.links.
+// and re-sort of the link's whole membership - and the running sum the
+// piggyback is made of, so a change costs one small SHA-1 over the ID
+// that changed, not a pass over the IDs the link holds. Cached until the
+// next change: only the sum's 20-byte wire form. The treeLink itself,
+// with the per-group installedAt the reconciliation grace period reads,
+// is reached through checkState.link.
+//
+// The piggyback is a hash of the *set*: each ID's SHA-1 (over its root
+// name, a zero byte and its little-endian counter) is read as five
+// little-endian uint32 lanes, and the link's 20 bytes are the lane-wise
+// sum mod 2^32 of its IDs' digests. Addition commutes and inverts, so
+// attach adds, detach subtracts, and draining a link returns the sum to
+// exactly zero. It is addition and not XOR because the link holds a
+// multiset of digests: two IDs alike in name and counter but rooted at
+// different addresses digest alike, and under XOR such a pair would
+// cancel - any two pairs would agree - where a sum counts it twice.
 
 // linkState aggregates the checking state crossing one overlay link.
 type linkState struct {
 	neighbor overlay.NodeRef
 
 	// sorted is the link's membership: the IDs of the groups monitored
-	// across it, ordered by (Root.Name, Num) - the order the hash is
-	// taken in. attach and detach edit it in place, so a caller that
-	// tears groups down while walking the link iterates a snapshot.
+	// across it, ordered by (Root.Name, Num) - the order reconciliation
+	// lists and walks them in. attach and detach edit it in place, so a
+	// caller that tears groups down while walking the link iterates a
+	// snapshot or finds its place again after each teardown.
 	sorted []GroupID
 
-	// hash is the piggyback digest over sorted, nil until the first ping
-	// after a membership change asks for it (and always nil for an empty
-	// link, which carries no payload).
+	// sum is the piggyback: the lane-wise sum of digestID over sorted.
+	sum [5]uint32
+
+	// hash is sum in wire form, nil until the first ping after a
+	// membership change asks for it (and always nil for an empty link,
+	// which carries no payload). A ping in flight aliases it, so a change
+	// drops it for a fresh slice and never rewrites its bytes.
 	hash []byte
 
 	// timer is the single CheckTimeout deadline shared by every group on
@@ -62,9 +80,9 @@ func (f *Fuse) linkFor(neighbor overlay.NodeRef) *linkState {
 	return ls
 }
 
-// compareIDs is the hash order: root name, then counter. IDs that differ
-// only in Root.Addr compare equal; they hash alike, so their relative
-// order is immaterial.
+// compareIDs is the index order: root name, then counter - the fields an
+// ID's digest covers. IDs that differ only in Root.Addr compare equal;
+// their relative order is immaterial.
 func compareIDs(a, b GroupID) int {
 	if c := strings.Compare(a.Root.Name, b.Root.Name); c != 0 {
 		return c
@@ -85,10 +103,28 @@ func (ls *linkState) find(id GroupID) (int, bool) {
 	return i, false
 }
 
+// digestID is one ID's term of the piggyback sum: the SHA-1 of its root
+// name, a zero byte and its little-endian counter, as five lanes. The
+// input is built on the stack; a name too long for it spills to the heap.
+func digestID(id GroupID) (d [5]uint32) {
+	var stack [128]byte
+	buf := append(stack[:0], id.Root.Name...)
+	buf = append(buf, 0)
+	buf = binary.LittleEndian.AppendUint64(buf, id.Num)
+	h := sha1.Sum(buf)
+	for k := range d {
+		d[k] = binary.LittleEndian.Uint32(h[4*k:])
+	}
+	return d
+}
+
 // attach adds id to the link's membership (a no-op if already there).
 func (ls *linkState) attach(id GroupID) {
 	if i, ok := ls.find(id); !ok {
 		ls.sorted = slices.Insert(ls.sorted, i, id)
+		for k, lane := range digestID(id) {
+			ls.sum[k] += lane
+		}
 		ls.hash = nil
 	}
 }
@@ -97,6 +133,9 @@ func (ls *linkState) attach(id GroupID) {
 func (ls *linkState) detach(id GroupID) {
 	if i, ok := ls.find(id); ok {
 		ls.sorted = slices.Delete(ls.sorted, i, i+1)
+		for k, lane := range digestID(id) {
+			ls.sum[k] -= lane
+		}
 		ls.hash = nil
 	}
 }
@@ -105,10 +144,13 @@ func (ls *linkState) detach(id GroupID) {
 // while iterating: each teardown detaches from sorted in place.
 func (ls *linkState) snapshot() []GroupID { return slices.Clone(ls.sorted) }
 
-// linkHash returns the cached piggyback hash (nil for an empty link).
+// linkHash returns the piggyback's 20 bytes (nil for an empty link).
 func (ls *linkState) linkHash() []byte {
-	if ls.hash == nil {
-		ls.hash = hashGroupIDs(ls.sorted)
+	if ls.hash == nil && len(ls.sorted) > 0 {
+		ls.hash = make([]byte, 0, sha1.Size)
+		for _, lane := range ls.sum {
+			ls.hash = binary.LittleEndian.AppendUint32(ls.hash, lane)
+		}
 	}
 	return ls.hash
 }
@@ -173,7 +215,7 @@ func (f *Fuse) linkTimedOut(ls *linkState) {
 	f.logf("check timeout for link %s (%d groups)", ls.neighbor.Name, len(ls.sorted))
 	f.tm.linkTimeouts.Inc(f.tm.lane)
 	for _, id := range ls.snapshot() {
-		if cs, ok := f.checking[id]; ok && cs.links[ls.neighbor.Addr] != nil {
+		if cs, ok := f.checking[id]; ok && cs.link(ls.neighbor.Addr) != nil {
 			span := f.tm.lane.NewSpan()
 			if span != 0 {
 				f.trace("trigger", id, span, 0, "link-timeout "+ls.neighbor.Name)

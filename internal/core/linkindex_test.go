@@ -1,9 +1,10 @@
 package core
 
 // The per-link index against its specification. linkState keeps a link's
-// group IDs sorted in place and hashes them from one buffer; the
-// reference below is the way it used to be done - collect the set, sort
-// it, feed SHA-1 three writes per ID - and must agree byte for byte,
+// group IDs sorted in place and their piggyback as a running sum, one
+// digest added or subtracted per change; the reference below starts
+// over every time - collect the set, sort it, digest every ID with a
+// streaming SHA-1 and add the lanes up - and must agree byte for byte,
 // because the hash is what two neighbours compare on every ping.
 
 import (
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -35,23 +37,42 @@ func linkSeeds() []int64 {
 	return []int64{base + 1, base + 2, base + 3}
 }
 
-// refHashGroupIDs is hashGroupIDs as first written: a streaming SHA-1 fed
-// name, separator and little-endian counter per ID.
+// refDigestID is one ID's digest the long way round: a streaming SHA-1
+// fed name, separator and little-endian counter, its 20 bytes read as
+// five little-endian words.
+func refDigestID(id GroupID) (d [5]uint32) {
+	h := sha1.New()
+	h.Write([]byte(id.Root.Name))
+	h.Write([]byte{0})
+	var num [8]byte
+	for i := 0; i < 8; i++ {
+		num[i] = byte(id.Num >> (8 * i))
+	}
+	h.Write(num[:])
+	sum := h.Sum(nil)
+	for k := range d {
+		d[k] = uint32(sum[4*k]) | uint32(sum[4*k+1])<<8 | uint32(sum[4*k+2])<<16 | uint32(sum[4*k+3])<<24
+	}
+	return d
+}
+
+// refHashGroupIDs is the piggyback from scratch: digest every ID of the
+// set and add the lanes, each mod 2^32. An empty set has no payload.
 func refHashGroupIDs(ids []GroupID) []byte {
 	if len(ids) == 0 {
 		return nil
 	}
-	h := sha1.New()
+	var sum [5]uint32
 	for _, id := range ids {
-		h.Write([]byte(id.Root.Name))
-		h.Write([]byte{0})
-		var num [8]byte
-		for i := 0; i < 8; i++ {
-			num[i] = byte(id.Num >> (8 * i))
+		for k, lane := range refDigestID(id) {
+			sum[k] += lane
 		}
-		h.Write(num[:])
 	}
-	return h.Sum(nil)
+	out := make([]byte, 0, sha1.Size)
+	for _, lane := range sum {
+		out = append(out, byte(lane), byte(lane>>8), byte(lane>>16), byte(lane>>24))
+	}
+	return out
 }
 
 // refLinkIDs rebuilds a link's ID list from its membership set the old
@@ -70,23 +91,124 @@ func refLinkIDs(set map[GroupID]bool) []GroupID {
 	return ids
 }
 
-func TestHashGroupIDsMatchesReference(t *testing.T) {
-	if h := hashGroupIDs([]GroupID{}); h != nil {
-		t.Fatalf("empty set hashes to %x, want nil", h)
-	}
+// TestRunningSumMatchesFromScratchFold grows a link one ID at a time to
+// sizes from one ID to thousands, names of every length from empty up,
+// and compares the sum kept along the way with the fold over everything
+// attached so far - after every step while that is cheap, every 250th on
+// the way to 5,000.
+func TestRunningSumMatchesFromScratchFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	// Sizes on both sides of the stack buffer, names of every length
-	// from empty up.
 	for _, n := range []int{1, 2, 3, 17, 100, 400, 5000} {
+		ls := &linkState{}
 		ids := make([]GroupID, n)
 		for i := range ids {
 			name := make([]byte, rng.Intn(40))
 			rng.Read(name)
 			ids[i] = GroupID{Root: ref(string(name)), Num: rng.Uint64()}
+			ls.attach(ids[i])
+			if n > 400 && (i+1)%250 != 0 {
+				continue
+			}
+			if got, want := ls.linkHash(), refHashGroupIDs(ids[:i+1]); !bytes.Equal(got, want) {
+				t.Fatalf("%d of %d ids: running sum %x, from scratch %x", i+1, n, got, want)
+			}
 		}
-		if got, want := hashGroupIDs(ids), refHashGroupIDs(ids); !bytes.Equal(got, want) {
-			t.Fatalf("%d ids: hash %x, reference %x", n, got, want)
+	}
+}
+
+// TestDigestIDLongName: digestID builds its input in a 128-byte stack
+// buffer; a name that does not fit beside the separator and the counter
+// must digest as the streaming reference does.
+func TestDigestIDLongName(t *testing.T) {
+	for _, n := range []int{0, 1, 118, 119, 120, 127, 128, 129, 1000} {
+		id := GroupID{Root: ref(strings.Repeat("n", n)), Num: 1<<63 + uint64(n)}
+		if got, want := digestID(id), refDigestID(id); got != want {
+			t.Errorf("name of %d bytes: digest %x, reference %x", n, got, want)
 		}
+	}
+}
+
+// TestPayloadInFlightKeepsItsBytes: the overlay holds the slice
+// PingPayload returned while the ping is in flight, so a group joining
+// or leaving the link meanwhile must get a slice of its own.
+func TestPayloadInFlightKeepsItsBytes(t *testing.T) {
+	f, _ := newFakeFuse("d")
+	peer := ref("peer")
+	first, second := GroupID{Root: ref("r"), Num: 1}, GroupID{Root: ref("r"), Num: 2}
+	f.addTreeLink(first, 0, peer)
+	inFlight := f.PingPayload(peer)
+	want := append([]byte(nil), inFlight...)
+
+	f.addTreeLink(second, 0, peer)
+	grown := f.PingPayload(peer)
+	if bytes.Equal(grown, want) {
+		t.Fatal("a second group left the payload as it was")
+	}
+	if !bytes.Equal(inFlight, want) {
+		t.Fatalf("attach rewrote a payload in flight: %x, was %x", inFlight, want)
+	}
+	f.dropChecking(second)
+	if got := f.PingPayload(peer); !bytes.Equal(got, want) {
+		t.Fatalf("payload after attach + detach %x, before %x", got, want)
+	}
+	if !bytes.Equal(inFlight, want) || bytes.Equal(grown, want) {
+		t.Fatal("detach rewrote a payload in flight")
+	}
+}
+
+// TestLinkDrainAndRefill: the last group leaving a link deletes its index
+// entry and the link carries no payload; the same groups coming back in
+// another order give the 20 bytes they gave before. Then the arithmetic
+// on its own: 10^5 random attach and detach steps on one linkState leave
+// the sum where a fold over the survivors puts it, and draining those
+// leaves it at zero.
+func TestLinkDrainAndRefill(t *testing.T) {
+	f, _ := newFakeFuse("d")
+	peer := ref("peer")
+	ids := make([]GroupID, 50)
+	for i := range ids {
+		ids[i] = GroupID{Root: ref(fmt.Sprintf("n%d", i%7)), Num: uint64(i / 7)}
+		f.addTreeLink(ids[i], 0, peer)
+	}
+	full := append([]byte(nil), f.PingPayload(peer)...)
+	for _, id := range ids {
+		f.dropChecking(id)
+	}
+	if _, ok := f.links[peer.Addr]; ok {
+		t.Fatal("drained link keeps its index entry")
+	}
+	if p := f.PingPayload(peer); p != nil {
+		t.Fatalf("drained link carries payload %x", p)
+	}
+	rng := rand.New(rand.NewSource(11))
+	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	for _, id := range ids {
+		f.addTreeLink(id, 0, peer)
+	}
+	if got := f.PingPayload(peer); !bytes.Equal(got, full) {
+		t.Fatalf("refilled link hashes to %x, was %x", got, full)
+	}
+
+	ls := &linkState{}
+	set := make(map[GroupID]bool)
+	for step := 0; step < 100000; step++ {
+		id := GroupID{Root: overlay.NodeRef{Name: fmt.Sprintf("n%d", rng.Intn(5)), Addr: transport.Addr(rune('x' + rng.Intn(2)))}, Num: uint64(rng.Intn(20))}
+		if rng.Intn(2) == 0 {
+			ls.attach(id)
+			set[id] = true
+		} else {
+			ls.detach(id)
+			delete(set, id)
+		}
+	}
+	if got, want := ls.linkHash(), refHashGroupIDs(refLinkIDs(set)); !bytes.Equal(got, want) {
+		t.Fatalf("after 10^5 steps: running sum %x, from scratch %x", got, want)
+	}
+	for id := range set {
+		ls.detach(id)
+	}
+	if ls.sum != [5]uint32{} || ls.linkHash() != nil {
+		t.Fatalf("drained link: sum %x, payload %x; want zero and nil", ls.sum, ls.linkHash())
 	}
 }
 
@@ -94,8 +216,8 @@ func TestHashGroupIDsMatchesReference(t *testing.T) {
 // attach and detach calls - repeats of a present ID, removals of an absent
 // one, IDs alike in name and counter but rooted at different addresses,
 // drains to empty and refills - and checks after every step that the
-// list is in hash order, holds exactly the reference set, and hashes to
-// the reference's bytes.
+// list is in index order, holds exactly the reference set, and that the
+// sum kept along the way is the reference's from-scratch fold.
 func TestLinkIndexMatchesReference(t *testing.T) {
 	for _, seed := range linkSeeds() {
 		rng := rand.New(rand.NewSource(seed))
@@ -149,22 +271,29 @@ func TestLinkIndexMatchesReference(t *testing.T) {
 				}
 			}
 			if got, wantHash := ls.linkHash(), refHashGroupIDs(want); !bytes.Equal(got, wantHash) {
-				fail(step, "hash %x, reference %x", got, wantHash)
+				fail(step, "running sum %x, from scratch %x", got, wantHash)
 			}
 		}
 	}
 }
 
 // TestLinkIndexChangeAllocatesOnlyTheDigest pins what a membership change
-// followed by a ping costs on a link already carrying 100 groups: the
-// list is edited in place and the hash input fits the stack buffer, so
-// the only allocation is the 20-byte digest that outlives the call.
+// followed by a ping costs on a link already carrying 100 groups, or
+// 400: the list is edited in place and one ID's hash input fits the
+// stack buffer, so the only allocation is the 20-byte digest that
+// outlives the call.
 func TestLinkIndexChangeAllocatesOnlyTheDigest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc pin runs without -race")
 	}
+	for _, n := range []int{100, 400} {
+		changeAllocatesOnlyTheDigest(t, n)
+	}
+}
+
+func changeAllocatesOnlyTheDigest(t *testing.T, n int) {
 	ls := &linkState{}
-	for i := 0; i < 100; i++ {
+	for i := 0; i < n; i++ {
 		ls.attach(GroupID{Root: ref(fmt.Sprintf("n%03d.example.org", i%10)), Num: uint64(i)})
 	}
 	extra := GroupID{Root: ref("n005.example.org"), Num: 1 << 40}
@@ -180,7 +309,7 @@ func TestLinkIndexChangeAllocatesOnlyTheDigest(t *testing.T) {
 		ls.detach(extra)
 	})
 	if allocs != 1 {
-		t.Fatalf("attach + linkHash + detach allocates %.1f/op, want 1 (the digest)", allocs)
+		t.Fatalf("%d groups: attach + linkHash + detach allocates %.1f/op, want 1 (the digest)", n, allocs)
 	}
 	if !bytes.Equal(ls.linkHash(), settled) {
 		t.Fatal("hash after attach + detach differs from the hash before")

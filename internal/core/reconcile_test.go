@@ -1,0 +1,331 @@
+package core
+
+// Reconciliation against its specification. handleGroupLists walks the
+// link's sorted ID list against the neighbour's, in place; the reference
+// below is the way it used to be done - the neighbour's list into a map,
+// our own cloned before the first teardown - and the two must leave the
+// node in the same state having sent the same messages in the same order.
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"fuse/internal/overlay"
+	"fuse/internal/transport"
+)
+
+// refHandleGroupLists is handleGroupLists as first written.
+func refHandleGroupLists(f *Fuse, m *msgGroupLists) {
+	f.tm.reconciles.Inc(f.tm.lane)
+	theirs := make(map[GroupID]bool, len(m.Entries))
+	for _, e := range m.Entries {
+		theirs[e.ID] = true
+	}
+	now := f.env.Now()
+	agreed := false
+	var ours []GroupID
+	if ls, ok := f.links[m.From.Addr]; ok {
+		ours = slices.Clone(ls.sorted)
+	}
+	for _, id := range ours {
+		cs, ok := f.checking[id]
+		if !ok || cs.link(m.From.Addr) == nil {
+			continue // torn down earlier in this same pass
+		}
+		if theirs[id] {
+			agreed = true
+			continue
+		}
+		if now.Sub(cs.link(m.From.Addr).installedAt) < f.cfg.GracePeriod {
+			continue
+		}
+		f.linkFailed(id, overlay.NodeRef{}, f.tm.lane.NewSpan())
+	}
+	if agreed {
+		if ls, ok := f.links[m.From.Addr]; ok {
+			f.resetLinkTimer(ls)
+		}
+	}
+	if !m.IsReply {
+		f.env.Send(m.From.Addr, &msgGroupLists{From: f.self, Entries: f.linkEntries(m.From.Addr), IsReply: true})
+	}
+}
+
+// reconcileCase is one node's state on the link to "peer" and the list
+// the peer sends about it.
+type reconcileCase struct {
+	ours []reconcileGroup
+	msg  *msgGroupLists
+
+	// alsoDies maps a group to one that goes down with it: while the
+	// first is being torn down (as its repair request or soft
+	// notification leaves), the second is torn down whole.
+	alsoDies map[GroupID]GroupID
+}
+
+type reconcileGroup struct {
+	id        GroupID
+	seq       uint64
+	young     bool // installed inside the grace period
+	otherLink bool // the group's tree also crosses the link to "other"
+}
+
+// build puts a fresh node into the case's state and returns it ready for
+// the peer's list: old groups installed, the grace period gone by, young
+// groups installed, and a second gone by, so that a re-armed deadline
+// differs from the one the link has.
+func (c *reconcileCase) build() (*Fuse, *fakeEnv) {
+	f, env := newFakeFuse("d")
+	install := func(young bool) {
+		for _, g := range c.ours {
+			if g.young != young {
+				continue
+			}
+			f.members[g.id] = &memberState{id: g.id, root: g.id.Root}
+			f.addTreeLink(g.id, g.seq, ref("peer"))
+			if g.otherLink {
+				f.addTreeLink(g.id, g.seq, ref("other"))
+			}
+		}
+	}
+	install(false)
+	env.advance(f.cfg.GracePeriod + time.Second)
+	install(true)
+	env.advance(time.Second)
+	env.onSend = func(s fakeSend) {
+		var id GroupID
+		switch m := s.msg.(type) {
+		case *msgNeedRepair:
+			id = m.ID
+		case *msgSoftNotification:
+			id = m.ID
+		}
+		if victim, ok := c.alsoDies[id]; ok {
+			f.teardown(victim)
+		}
+	}
+	return f, env
+}
+
+// reconcileOutcome is everything a reconciliation may change or emit.
+type reconcileOutcome struct {
+	sent     []fakeSend                   // every message, in order: teardowns show as repair requests and softs
+	links    map[transport.Addr][]GroupID // the per-link index
+	deadline map[transport.Addr]time.Time // each link's live CheckTimeout deadline
+	checking map[GroupID][]treeLink
+	members  int
+}
+
+func outcomeOf(f *Fuse, env *fakeEnv) reconcileOutcome {
+	o := reconcileOutcome{
+		sent:     env.sent,
+		links:    make(map[transport.Addr][]GroupID),
+		deadline: make(map[transport.Addr]time.Time),
+		checking: make(map[GroupID][]treeLink),
+		members:  len(f.members),
+	}
+	for addr, ls := range f.links {
+		o.links[addr] = ls.sorted
+		if tm := ls.timer.(*fakeTimer); !tm.stopped && !tm.fired {
+			o.deadline[addr] = tm.at
+		}
+	}
+	for id, cs := range f.checking {
+		o.checking[id] = cs.links
+	}
+	return o
+}
+
+// randomReconcileCase draws IDs from a universe small enough that lists
+// overlap, with IDs alike in name and counter rooted at two addresses.
+func randomReconcileCase(rng *rand.Rand) *reconcileCase {
+	var universe []GroupID
+	for _, name := range []string{"", "a", "ab", "b"} {
+		for _, addr := range []transport.Addr{"x", "y"} {
+			for num := uint64(0); num < 3; num++ {
+				universe = append(universe, GroupID{Root: overlay.NodeRef{Name: name, Addr: addr}, Num: num})
+			}
+		}
+	}
+	c := &reconcileCase{alsoDies: make(map[GroupID]GroupID)}
+	pYoung := []int{0, 0, 4, 2}[rng.Intn(4)] // one in pYoung groups is young; 0: none
+	for _, id := range universe {
+		if rng.Intn(3) == 0 {
+			continue
+		}
+		c.ours = append(c.ours, reconcileGroup{
+			id:        id,
+			seq:       uint64(rng.Intn(3)),
+			young:     pYoung > 0 && rng.Intn(pYoung) == 0,
+			otherLink: rng.Intn(2) == 0,
+		})
+	}
+	rng.Shuffle(len(c.ours), func(i, j int) { c.ours[i], c.ours[j] = c.ours[j], c.ours[i] })
+
+	// The peer's list, in the order a peer running this code sends it.
+	mine := make([]GroupID, len(c.ours))
+	for i, g := range c.ours {
+		mine[i] = g.id
+	}
+	slices.SortStableFunc(mine, compareIDs)
+	var theirs []GroupID
+	switch shape := rng.Intn(7); shape {
+	case 0: // agreeing
+		theirs = mine
+	case 1: // disjoint
+		for _, id := range universe {
+			if !slices.Contains(mine, id) {
+				theirs = append(theirs, id)
+			}
+		}
+	case 2: // empty
+	case 3, 4: // off by one at either end
+		theirs = mine
+		if len(theirs) > 0 && shape == 3 {
+			theirs = theirs[1:]
+		} else if len(theirs) > 0 {
+			theirs = theirs[:len(theirs)-1]
+		}
+	default: // any subset of the universe
+		for _, id := range universe {
+			if rng.Intn(2) == 0 {
+				theirs = append(theirs, id)
+			}
+		}
+	}
+	entries := make([]listEntry, 0, len(theirs)+2)
+	for _, id := range theirs {
+		entries = append(entries, listEntry{ID: id, Seq: uint64(rng.Intn(3))})
+	}
+	if len(entries) > 0 && rng.Intn(4) == 0 { // duplicated entries, side by side or not
+		for n := 1 + rng.Intn(2); n > 0; n-- {
+			at := rng.Intn(len(entries))
+			entries = slices.Insert(entries, at, entries[rng.Intn(len(entries))])
+		}
+	}
+	if rng.Intn(4) == 0 { // a peer that sorts some other way, or not at all
+		rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+	}
+	c.msg = &msgGroupLists{From: ref("peer"), Entries: entries, IsReply: rng.Intn(2) == 0}
+
+	// Teardowns that take a later (or earlier, or the same) group of the
+	// pass with them, agreed or not.
+	if len(mine) > 1 && rng.Intn(2) == 0 {
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			c.alsoDies[mine[rng.Intn(len(mine))]] = mine[rng.Intn(len(mine))]
+		}
+	}
+	return c
+}
+
+// TestReconcileMatchesReference drives handleGroupLists and its reference
+// over seeded random pairs of lists from identical starting states.
+func TestReconcileMatchesReference(t *testing.T) {
+	for _, seed := range linkSeeds() {
+		rng := rand.New(rand.NewSource(seed))
+		tornDown, rearmed := 0, 0
+		for trial := 0; trial < 400; trial++ {
+			c := randomReconcileCase(rng)
+			sentBefore := slices.Clone(c.msg.Entries)
+
+			f, env := c.build()
+			start := len(env.sent)
+			before := f.links[c.msg.From.Addr]
+			var deadline time.Time
+			if before != nil {
+				deadline = before.timer.(*fakeTimer).at
+			}
+			f.handleGroupLists(c.msg)
+			got := outcomeOf(f, env)
+
+			rf, renv := c.build()
+			refHandleGroupLists(rf, c.msg)
+			want := outcomeOf(rf, renv)
+
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d (-link.seed=%d) trial %d:\nours %+v\ntheirs %+v\nalso dies %v\n got %s\nwant %s",
+					seed, seed, trial, c.ours, c.msg, c.alsoDies, got, want)
+			}
+			if !reflect.DeepEqual(c.msg.Entries, sentBefore) {
+				t.Fatalf("seed %d trial %d: the peer's message was reordered in place", seed, trial)
+			}
+			for _, s := range got.sent[start:] {
+				if _, ok := s.msg.(*msgNeedRepair); ok {
+					tornDown++
+				}
+			}
+			if d, ok := got.deadline[c.msg.From.Addr]; ok && d != deadline {
+				rearmed++
+			}
+		}
+		// The generator must reach both outcomes often, or agreement
+		// between the two proves little.
+		if tornDown < 400 || rearmed < 100 {
+			t.Fatalf("seed %d: %d teardowns and %d re-armed deadlines in 400 trials: generator too tame", seed, tornDown, rearmed)
+		}
+	}
+}
+
+func (o reconcileOutcome) String() string {
+	s := fmt.Sprintf("members=%d links=%v deadlines=%v checking=%v sent:", o.members, o.links, o.deadline, o.checking)
+	for _, m := range o.sent {
+		s += fmt.Sprintf("\n    -> %s %T%+v", m.to, m.msg, m.msg)
+	}
+	return s
+}
+
+// quietEnv is fakeEnv for allocation pins: sends are dropped, and the
+// timers it hands out move in place as the simulator's do.
+type quietEnv struct{ *fakeEnv }
+
+func (quietEnv) Send(transport.Addr, transport.Message) {}
+
+func (e quietEnv) After(d time.Duration, fn func()) transport.Timer {
+	return &quietTimer{env: e.fakeEnv, at: e.now.Add(d)}
+}
+
+type quietTimer struct {
+	env *fakeEnv
+	at  time.Time
+}
+
+func (t *quietTimer) Stop() bool { return true }
+
+func (t *quietTimer) Reset(d time.Duration) bool {
+	t.at = t.env.now.Add(d)
+	return true
+}
+
+// TestReconcileAgreeingListsAllocatesOnlyTheReply pins the walk: two
+// agreeing 300-ID lists reconcile without a map of the neighbour's list or
+// a copy of ours. Answering a probe allocates the reply and its entry
+// list; handling a reply allocates nothing.
+func TestReconcileAgreeingListsAllocatesOnlyTheReply(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; alloc pin runs without -race")
+	}
+	env := quietEnv{newFakeEnv("addr-d")}
+	f := New(env, overlay.New(env, overlay.DefaultConfig(), "d"), DefaultConfig())
+	peer := ref("peer")
+	for i := 0; i < 300; i++ {
+		f.addTreeLink(GroupID{Root: ref(fmt.Sprintf("n%03d.example.org", i%10)), Num: uint64(i)}, 1, peer)
+	}
+	probe := &msgGroupLists{From: peer, Entries: f.linkEntries(peer.Addr)}
+	reply := &msgGroupLists{From: peer, Entries: probe.Entries, IsReply: true}
+	timer := f.links[peer.Addr].timer.(*quietTimer)
+
+	env.now = env.now.Add(time.Second)
+	if allocs := testing.AllocsPerRun(100, func() { f.handleGroupLists(reply) }); allocs != 0 {
+		t.Errorf("handling an agreeing reply allocates %.1f/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { f.handleGroupLists(probe) }); allocs != 2 {
+		t.Errorf("answering an agreeing probe allocates %.1f/op, want 2 (the reply and its entries)", allocs)
+	}
+	if want := env.now.Add(f.cfg.CheckTimeout); timer.at != want {
+		t.Errorf("agreement left the link's deadline at %v, want %v", timer.at, want)
+	}
+}

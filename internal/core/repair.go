@@ -178,7 +178,7 @@ func (f *Fuse) softSweep(id GroupID, span uint64) {
 		return
 	}
 	seq := cs.seq + 1 // strictly newer than any installed generation
-	for _, l := range sortedLinks(cs) {
+	for _, l := range cs.links {
 		f.env.Send(l.neighbor.Addr, &msgSoftNotification{ID: id, Seq: seq, From: f.self, Trace: span})
 	}
 }
