@@ -1,6 +1,7 @@
 // Command fusebench regenerates the paper's tables and figures from the
 // simulated deployment. Each experiment prints the same rows/series the
-// paper reports; EXPERIMENTS.md records paper-vs-measured for each.
+// paper reports; README.md's experiment-to-figure table maps each to its
+// figure and says what it measures.
 //
 // Usage:
 //

@@ -1,43 +1,45 @@
 // Command fusesim runs a scripted failure scenario in the deterministic
-// simulator and prints the notification timeline, so the protocol's
-// behaviour can be inspected without a cluster:
+// simulator and prints what the scenario engine recorded - its event
+// trace (groups created, every fault applied, every notification
+// delivered), the per-fault latency attribution, and the invariant
+// harness's verdict - so the protocol's behaviour can be inspected
+// without a cluster. There is one run path; the scenario comes from one
+// of three places:
 //
 //	fusesim -nodes 400 -groups 40 -size 5 -crash 8
-//
-// builds an overlay, creates the groups, crashes the requested number of
-// nodes at t=0, and reports when every affected member heard its
-// notification (the Figure 9 experiment, parameterized).
-//
-// Alternatively, -scenario runs one of the scenario engine's scripted
-// failure drills (churn, intransitive, partition-heal, restart) or a
-// scenario .json file (see the README's "writing your own scenario"),
-// and prints its deterministic event trace, per-fault latency
-// attribution, and the invariant harness's verdict:
-//
 //	fusesim -scenario restart -seed 3
 //	fusesim -scenario my-drill.json
-//	fusesim -list-scenarios
+//
+// The sizing flags alone build the Figure 9 experiment, parameterized:
+// random groups, then -crash nodes fail-stop together a minute in and
+// every affected group must fail. -scenario names one of the engine's
+// scripted failure drills (-list-scenarios describes them) or a scenario
+// .json file (see the README's "writing your own scenario"). The report
+// ends with the audit ("scenario ...: ... duplicates=0 missed=0"); a
+// VIOLATION line after it, and a non-zero exit, mean the run broke
+// exactly-once delivery.
 //
 // -dump prints the scenario as canonical JSON instead of running it, so
-// a preset can be saved and edited into a custom drill.
+// a preset or a flag-built crash run can be saved and edited into a
+// custom drill. A file records the deployment's size and seed, not its
+// topology: -paper is not written to a dump, and a file always runs on
+// the default topology.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
-	"fuse"
 	"fuse/internal/cluster"
+	"fuse/internal/netmodel"
 	"fuse/internal/scenario"
 	"fuse/internal/telemetry"
 )
 
-// telemetryOpts carries the -trace/-trace-pings/-metrics flags through
-// both run paths (the Figure 9 crash experiment and -scenario).
+// telemetryOpts carries the -trace/-trace-pings/-metrics flags.
 type telemetryOpts struct {
 	traceTo string
 	pings   bool
@@ -94,7 +96,7 @@ func main() {
 		script  = flag.String("scenario", "", fmt.Sprintf("run a scripted fault scenario instead (one of %v, or a path to a scenario .json file)", scenario.Names()))
 		short   = flag.Bool("short", false, "trim scenario windows (with -scenario)")
 		list    = flag.Bool("list-scenarios", false, "list the built-in scenario presets and exit")
-		dump    = flag.Bool("dump", false, "with -scenario: print the scenario as canonical JSON instead of running it")
+		dump    = flag.Bool("dump", false, "print the scenario as canonical JSON instead of running it (-paper is not recorded in the file)")
 		workers = flag.Int("workers", 0, "event-loop worker goroutines over the default shard count; 0 = all nodes on one shard, one goroutine (traces are identical at every count >= 1)")
 		traceTo = flag.String("trace", "", "write the protocol-event trace as JSON Lines to this file (deterministic: diff two runs directly)")
 		pings   = flag.Bool("trace-pings", false, "with -trace: include per-ping/ack events (verbose; large)")
@@ -109,170 +111,65 @@ func main() {
 		fmt.Println("\na path ending in .json runs a scenario script file instead (see the README).")
 		return
 	}
-	if *script != "" {
-		// Forward only the sizing flags the user explicitly set, so the
-		// preset's (or script file's) tuned defaults apply otherwise.
-		sp := scenario.Params{Short: *short, Workers: *workers}
-		seedSet := false
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "nodes":
-				sp.Nodes = *nodes
-			case "groups":
-				sp.Groups = *groups
-			case "window":
-				sp.Window = *window
-			case "seed":
-				seedSet = true
-			}
-		})
-		if seedSet || !strings.HasSuffix(*script, ".json") {
-			// A .json file carries its own seed; presets default to 1.
-			sp.Seed = *seed
+
+	// Forward only the sizing flags the user explicitly set, so a
+	// preset's (or script file's) tuned defaults apply otherwise.
+	sp := scenario.Params{Short: *short, Workers: *workers, Seed: *seed}
+	seedSet := false
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "nodes":
+			sp.Nodes = *nodes
+		case "groups":
+			sp.Groups = *groups
+		case "window":
+			sp.Window = *window
+		case "seed":
+			seedSet = true
 		}
-		runScenario(*script, sp, *dump, telemetryOpts{traceTo: *traceTo, pings: *pings, metrics: *metrics})
-		return
-	}
-	if *size > *nodes || *crash >= *nodes {
-		fmt.Fprintln(os.Stderr, "fusesim: size/crash must be smaller than nodes")
-		os.Exit(2)
-	}
-
-	var sim *fuse.Sim
-	if *paper {
-		sim = fuse.NewSimPaperScaleWorkers(*nodes, *seed, *workers)
-	} else {
-		sim = fuse.NewSimWorkers(*nodes, *seed, *workers)
-	}
-	topts := telemetryOpts{traceTo: *traceTo, pings: *pings, metrics: *metrics}
-	topts.arm(sim.Telemetry())
-	fmt.Printf("overlay of %d nodes up; creating %d groups of %d...\n", *nodes, *groups, *size)
-
-	rng := newRng(*seed)
-	type groupRec struct {
-		id      fuse.GroupID
-		members []int
-	}
-	var made []groupRec
-	for g := 0; g < *groups; g++ {
-		perm := rng.Perm(*nodes)[:*size]
-		id, err := sim.CreateGroup(perm[0], perm[1:]...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fusesim: create: %v\n", err)
-			os.Exit(1)
-		}
-		made = append(made, groupRec{id: id, members: perm})
-	}
-
-	crashed := map[int]bool{}
-	for _, v := range rng.Perm(*nodes)[:*crash] {
-		crashed[v] = true
-	}
-
-	// One pre-allocated slot per (group, member) registration: handlers
-	// run in their node's event context (with -workers, on shard worker
-	// goroutines), so each writes only its own slot, timestamped with the
-	// member's own node clock; exactly-once delivery means a slot is hit
-	// at most once.
-	type event struct {
-		at    time.Duration
-		node  int
-		group fuse.GroupID
-		hit   bool
-	}
-	events := make([]event, 0, len(made)**size)
-	var crashAt time.Time
-	armed := false
-	for _, g := range made {
-		for _, m := range g.members {
-			events = append(events, event{node: m, group: g.id})
-			ev := &events[len(events)-1]
-			m := m
-			sim.RegisterFailureHandler(m, func(fuse.Notice) {
-				if !crashed[m] && armed {
-					ev.hit = true
-					ev.at = sim.NodeNow(m).Sub(crashAt)
-				}
-			}, g.id)
-		}
-	}
-
-	sim.RunFor(time.Minute)
-	crashAt = sim.Now()
-	armed = true
-	for v := range crashed {
-		sim.Crash(v)
-	}
-	fmt.Printf("crashed %d nodes at t=0; observing for %v of virtual time...\n\n", *crash, *window)
-	sim.RunFor(*window)
-
-	fired := events[:0:0]
-	for _, ev := range events {
-		if ev.hit {
-			fired = append(fired, ev)
-		}
-	}
-	events = fired
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].at != events[j].at {
-			return events[i].at < events[j].at
-		}
-		return events[i].node < events[j].node
 	})
-	affected := map[string]bool{}
-	for _, g := range made {
-		for _, m := range g.members {
-			if crashed[m] {
-				affected[g.id.String()] = true
-			}
-		}
-	}
-	for _, ev := range events {
-		fmt.Printf("  t=%7.1fs  node %3d notified for group %s\n", ev.at.Seconds(), ev.node, ev.group)
-	}
-	fmt.Printf("\n%d affected groups, %d notifications delivered; none lost.\n", len(affected), len(events))
-	topts.finish(sim.Telemetry())
-}
-
-// runScenario executes a scenario-engine preset or a scenario .json
-// file and prints the deterministic event trace, the per-fault latency
-// attribution, and the invariant harness's verdict. With dump set, it
-// prints the scenario as canonical JSON instead of running it.
-func runScenario(name string, sp scenario.Params, dump bool, topts telemetryOpts) {
 	var (
-		c    *cluster.Cluster
-		s    scenario.Script
-		seed = sp.Seed
-		err  error
+		c   *cluster.Cluster
+		s   scenario.Script
+		err error
 	)
-	if strings.HasSuffix(name, ".json") {
-		data, rerr := os.ReadFile(name)
-		if rerr != nil {
-			fmt.Fprintf(os.Stderr, "fusesim: %v\n", rerr)
-			os.Exit(2)
+	switch {
+	case *script == "":
+		if *size < 2 || *size > *nodes || *crash < 0 || *crash >= *nodes {
+			err = fmt.Errorf("need 2 <= size <= nodes and 0 <= crash < nodes")
+			break
 		}
-		sf, lerr := scenario.Load(data)
-		if lerr != nil {
-			fmt.Fprintf(os.Stderr, "fusesim: %s: %v\n", name, lerr)
-			os.Exit(2)
+		opts := cluster.Options{N: *nodes, Seed: *seed, Workers: *workers}
+		if *paper {
+			cfg := netmodel.PaperScaleConfig(*seed)
+			opts.NetConfig = &cfg
 		}
-		if seed == 0 {
-			seed = sf.Seed
+		c = cluster.New(opts)
+		if *paper {
+			c.WarmRoutes(nil)
+		}
+		s = crashScript(*nodes, *groups, *size, *crash, *seed, *window)
+	case strings.HasSuffix(*script, ".json"):
+		var sf *scenario.ScriptFile
+		if sf, err = loadFile(*script); err != nil {
+			break
+		}
+		if !seedSet {
+			// A .json file carries its own seed.
+			sp.Seed = sf.Seed
 		}
 		c, s, err = sf.Build(sp)
-	} else {
-		c, s, err = scenario.BuildPreset(name, sp)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fusesim: %v\n(-list-scenarios describes the presets; a path ending in .json runs a scenario script file)\n", err)
-			os.Exit(2)
+	default:
+		if c, s, err = scenario.BuildPreset(*script, sp); err != nil {
+			err = fmt.Errorf("%w\n(-list-scenarios describes the presets; a path ending in .json runs a scenario script file)", err)
 		}
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fusesim: %v\n", err)
 		os.Exit(2)
 	}
-	if dump {
-		data, err := scenario.ToFile(len(c.Nodes), seed, s).Marshal()
+	if *dump {
+		data, err := scenario.ToFile(len(c.Nodes), sp.Seed, s).Marshal()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fusesim: %v\n", err)
 			os.Exit(1)
@@ -280,10 +177,12 @@ func runScenario(name string, sp scenario.Params, dump bool, topts telemetryOpts
 		os.Stdout.Write(data)
 		return
 	}
+
+	topts := telemetryOpts{traceTo: *traceTo, pings: *pings, metrics: *metrics}
 	topts.arm(c.Telemetry)
 	rep, err := scenario.Run(c, s)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fusesim: scenario %s: %v\n", name, err)
+		fmt.Fprintf(os.Stderr, "fusesim: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Print(rep.Trace)
@@ -303,12 +202,53 @@ func runScenario(name string, sp scenario.Params, dump bool, topts telemetryOpts
 	}
 }
 
-// newRng gives the scenario driver its own deterministic stream, separate
-// from the simulator's internal randomness.
-func newRng(seed int64) *permRand {
-	return &permRand{state: uint64(seed)*2862933555777941757 + 3037000493}
+// loadFile reads and validates a scenario .json file.
+func loadFile(path string) (*scenario.ScriptFile, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	sf, err := scenario.Load(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return sf, nil
 }
 
+// crashScript is the scenario the sizing flags describe: random groups,
+// then the victims fail-stop together one minute after creation settles
+// and the run watches for window. A group that loses some but not all of
+// its members must fail, so the audit checks that every live member of
+// an affected group heard. The draws come from a stream of their own,
+// separate from the simulator's internal randomness.
+func crashScript(nodes, groups, size, crash int, seed int64, window time.Duration) scenario.Script {
+	rng := &permRand{state: uint64(seed)*2862933555777941757 + 3037000493}
+	s := scenario.Script{Name: "crash", Duration: time.Minute + window}
+	for g := 0; g < groups; g++ {
+		perm := rng.Perm(nodes)[:size]
+		s.Groups = append(s.Groups, scenario.GroupSpec{Root: perm[0], Members: perm[1:]})
+	}
+	down := make(map[int]bool, crash)
+	for _, v := range rng.Perm(nodes)[:crash] {
+		down[v] = true
+		s.Events = append(s.Events, scenario.Event{At: time.Minute, Do: scenario.Crash{Node: v}})
+	}
+	for gi, g := range s.Groups {
+		lost := 0
+		for _, m := range append([]int{g.Root}, g.Members...) {
+			if down[m] {
+				lost++
+			}
+		}
+		if lost > 0 && lost < size {
+			s.ExpectFail = append(s.ExpectFail, gi)
+		}
+	}
+	return s
+}
+
+// permRand is crashScript's generator: it is what picks the same groups
+// and victims for a seed from one release to the next.
 type permRand struct{ state uint64 }
 
 func (r *permRand) next() uint64 {

@@ -5,11 +5,11 @@ import (
 	"time"
 
 	"fuse/internal/cluster"
-	"fuse/internal/core"
 	"fuse/internal/eventsim"
 	"fuse/internal/livetopo"
 	"fuse/internal/netmodel"
 	"fuse/internal/overlay"
+	"fuse/internal/scenario"
 	"fuse/internal/stats"
 	"fuse/internal/svtree"
 	"fuse/internal/transport"
@@ -61,14 +61,13 @@ func SVTreeGroupSizes(p Params) (*Result, error) {
 
 	sizes := stats.NewSample(0)
 	attached := 0
-	for i, svc := range svcs {
+	for _, svc := range svcs {
 		for _, s := range svc.GroupSizes {
 			sizes.Add(float64(s))
 		}
 		if svc.Subscribed(topic) && svc.Attached(topic) {
 			attached++
 		}
-		_ = i
 	}
 
 	r := newResult("svtree", "FUSE group sizes while building a subscriber tree (§4)")
@@ -125,35 +124,22 @@ func AblationTopologies(p Params) (*Result, error) {
 // member per group.
 func overlayFuseRun(p Params, n, groups, size int, window time.Duration) (load, medianLatencySec float64, err error) {
 	c := cluster.New(cluster.Options{N: n, Seed: p.Seed})
-	made, err := createGroups(c, groups, size, nil)
+	specs := randomGroups(c, groups, size)
+	victims := make([]int, len(specs))
+	for g, spec := range specs {
+		victims[g] = spec.Members[len(spec.Members)-1]
+	}
+	const drain = 2 * time.Minute
+	e, err := scenario.Start(c, crashScript("ablation", specs, drain+window, victims))
 	if err != nil {
 		return 0, 0, err
 	}
-	c.Sim.RunFor(2 * time.Minute)
-	base := c.Net.Sent()
-	c.Sim.RunFor(window)
-	load = float64(c.Net.Sent()-base) / window.Seconds()
-
-	lat := stats.NewSample(0)
-	var crashAt time.Time
-	victims := make(map[int]bool)
-	for _, g := range made {
-		v := g.members[len(g.members)-1]
-		victims[v] = true
-		for _, m := range g.members {
-			m := m
-			c.Nodes[m].Fuse.RegisterFailureHandler(func(core.Notice) {
-				if !victims[m] {
-					lat.Add(c.Nodes[m].Env.Now().Sub(crashAt).Seconds())
-				}
-			}, g.id)
-		}
-	}
-	crashAt = c.Sim.Now()
-	for v := range victims {
-		c.Crash(v)
-	}
+	load = msgRate(c.Sim, c.Net.Sent, drain, window)
 	c.Sim.RunFor(15 * time.Minute)
+	lat, err := auditedLatencies(e.Report(), time.Duration.Seconds)
+	if err != nil {
+		return 0, 0, err
+	}
 	return load, lat.Median(), nil
 }
 
@@ -210,17 +196,7 @@ func livetopoRun(p Params, kind livetopo.Kind, n, groups, size int, window time.
 		all = append(all, made{id: id, members: perm})
 	}
 
-	sim.RunFor(2 * time.Minute)
-	var base uint64
-	for _, s := range svcs {
-		base += s.Sent()
-	}
-	sim.RunFor(window)
-	var after uint64
-	for _, s := range svcs {
-		after += s.Sent()
-	}
-	load = float64(after-base) / window.Seconds()
+	load = msgRate(sim, sentBy(svcs), 2*time.Minute, window)
 
 	lat := stats.NewSample(0)
 	var crashAt time.Time

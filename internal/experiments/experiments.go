@@ -1,6 +1,7 @@
 // Package experiments contains one driver per table/figure in the
-// paper's evaluation (§7), plus the ablation studies DESIGN.md calls out
-// and two scale drivers that go beyond the paper's cluster: manygroups
+// paper's evaluation (§7), plus the ablation studies (the §5.1 liveness
+// topologies, the §2 SWIM contrast, the §4 SVTree group sizes) and two
+// scale drivers that go beyond the paper's cluster: manygroups
 // (thousands of concurrent groups on a small overlay - the piggyback
 // cost claim pushed to its limit) and paperscale (the §7.3 simulation at
 // its full 16,000-node size, with route warmup and a crash phase that

@@ -7,6 +7,7 @@ import (
 	"fuse/internal/cluster"
 	"fuse/internal/core"
 	"fuse/internal/rpcx"
+	"fuse/internal/scenario"
 	"fuse/internal/stats"
 	"fuse/internal/transport"
 	"fuse/internal/transport/simnet"
@@ -81,31 +82,84 @@ func Fig6RPCLatency(p Params) (*Result, error) {
 	return r, nil
 }
 
-// createGroups creates count groups of the given size with uniformly
-// random members rooted at a random node, returning the creation
-// latencies and the IDs with their membership.
+// randomGroups draws count groups of the given size: uniformly random
+// members, the first of them the root.
+func randomGroups(c *cluster.Cluster, count, size int) []scenario.GroupSpec {
+	rng := c.Sim.Rand()
+	out := make([]scenario.GroupSpec, count)
+	for g := range out {
+		perm := rng.Perm(len(c.Nodes))[:size]
+		out[g] = scenario.GroupSpec{Root: perm[0], Members: perm[1:]}
+	}
+	return out
+}
+
+// madeGroup is a created group: its ID and its members, root first.
 type madeGroup struct {
 	id      core.GroupID
-	root    int
 	members []int
 }
 
+// createGroups creates count randomGroups one after the other, adding
+// each blocking creation's latency to lat (when non-nil).
 func createGroups(c *cluster.Cluster, count, size int, lat *stats.Sample) ([]madeGroup, error) {
-	rng := c.Sim.Rand()
 	var out []madeGroup
-	for g := 0; g < count; g++ {
-		perm := rng.Perm(len(c.Nodes))[:size]
+	for g, spec := range randomGroups(c, count, size) {
 		start := c.Sim.Now()
-		id, err := c.CreateGroup(perm[0], perm[1:]...)
+		id, err := c.CreateGroup(spec.Root, spec.Members...)
 		if err != nil {
 			return nil, fmt.Errorf("creating group %d (size %d): %w", g, size, err)
 		}
 		if lat != nil {
 			lat.AddDuration(c.Sim.Now().Sub(start))
 		}
-		out = append(out, madeGroup{id: id, root: perm[0], members: perm})
+		out = append(out, madeGroup{id: id, members: append([]int{spec.Root}, spec.Members...)})
 	}
 	return out, nil
+}
+
+// crashScript is the fault every crash-latency driver injects: the
+// victims fail-stop together at the one instant at (timeline-relative),
+// and a group that loses some but not all of its members must fail - the
+// engine's audit then holds the run to "every live member of an affected
+// group hears exactly once".
+func crashScript(name string, groups []scenario.GroupSpec, at time.Duration, victims []int) scenario.Script {
+	s := scenario.Script{Name: name, Groups: groups}
+	down := make(map[int]bool, len(victims))
+	for _, v := range victims {
+		if !down[v] {
+			down[v] = true
+			s.Events = append(s.Events, scenario.Event{At: at, Do: scenario.Crash{Node: v}})
+		}
+	}
+	for gi, g := range groups {
+		lost := 0
+		for _, m := range append([]int{g.Root}, g.Members...) {
+			if down[m] {
+				lost++
+			}
+		}
+		if lost > 0 && lost <= len(g.Members) {
+			s.ExpectFail = append(s.ExpectFail, gi)
+		}
+	}
+	return s
+}
+
+// auditedLatencies returns rep's notification latencies - each the span
+// from the fault the engine attributes it to, in the given unit - or an
+// error when the run broke an invariant.
+func auditedLatencies(rep *scenario.Report, unit func(time.Duration) float64) (*stats.Sample, error) {
+	if !rep.OK() {
+		return nil, fmt.Errorf("%s violated invariants:\n%s", rep.Name, rep.Stats())
+	}
+	lat := stats.NewSample(len(rep.Deliveries))
+	for _, d := range rep.Deliveries {
+		if d.Fault > 0 {
+			lat.Add(unit(d.At - rep.Faults[d.Fault-1].At))
+		}
+	}
+	return lat, nil
 }
 
 // Fig7GroupCreation reproduces Figure 7: latency of blocking group
@@ -197,79 +251,32 @@ func Fig9CrashNotification(p Params) (*Result, error) {
 		n, groups, kill = 100, 80, 4
 	}
 	c := paperCluster(p, n)
-	made, err := createGroups(c, groups, size, nil)
+
+	// Let creation traffic settle for a minute, then disconnect `kill`
+	// nodes at once (the paper pulls one 10-process machine off the
+	// network) and watch for ten minutes.
+	specs := randomGroups(c, groups, size)
+	s := crashScript("fig9", specs, time.Minute, c.Sim.Rand().Perm(n)[:kill])
+	s.Duration = 11 * time.Minute
+	rep, err := scenario.Run(c, s)
+	if err != nil {
+		return nil, err
+	}
+	times, err := auditedLatencies(rep, time.Duration.Minutes)
 	if err != nil {
 		return nil, err
 	}
 
-	// Register handlers everywhere, recording notification times.
-	times := stats.NewSample(0)
-	var crashAt time.Time
-	crashed := make(map[int]bool, kill)
-	for _, g := range made {
-		for _, m := range g.members {
-			m := m
-			c.Nodes[m].Fuse.RegisterFailureHandler(func(core.Notice) {
-				if !crashed[m] && !crashAt.IsZero() {
-					times.Add(c.Nodes[m].Env.Now().Sub(crashAt).Minutes())
-				}
-			}, g.id)
-		}
-	}
-
-	// Let creation traffic settle, then disconnect `kill` nodes at once
-	// (the paper pulls one 10-process machine off the network).
-	c.Sim.RunFor(time.Minute)
-	rng := c.Sim.Rand()
-	for _, v := range rng.Perm(n)[:kill] {
-		crashed[v] = true
-		c.Crash(v)
-	}
-	crashAt = c.Sim.Now()
-	c.Sim.RunFor(10 * time.Minute)
-
-	affected := 0
-	for _, g := range made {
-		for _, m := range g.members {
-			if crashed[m] {
-				affected++
-				break
-			}
-		}
-	}
+	expected := rep.Notices - rep.Duplicates + rep.Missed
 	r := newResult("fig9", "crash notification time CDF (minutes since disconnect)")
 	r.addLine("affected groups: %d of %d; notifications observed: %d (expected %d)",
-		affected, groups, times.N(), expectedLiveMembers(made, crashed))
+		rep.Failed, groups, times.N(), expected)
 	for _, f := range []float64{10, 25, 50, 75, 90, 100} {
 		r.addLine("p%03.0f: %5.2f min", f, times.Percentile(f))
 	}
 	r.metric("notifications", float64(times.N()))
-	r.metric("expected", float64(expectedLiveMembers(made, crashed)))
+	r.metric("expected", float64(expected))
 	r.metric("median_min", times.Median())
 	r.metric("max_min", times.Max())
 	return r, nil
-}
-
-// expectedLiveMembers counts live members of groups containing at least
-// one crashed member - each must receive exactly one notification.
-func expectedLiveMembers(made []madeGroup, crashed map[int]bool) int {
-	total := 0
-	for _, g := range made {
-		hit := false
-		for _, m := range g.members {
-			if crashed[m] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			continue
-		}
-		for _, m := range g.members {
-			if !crashed[m] {
-				total++
-			}
-		}
-	}
-	return total
 }

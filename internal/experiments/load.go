@@ -5,7 +5,29 @@ import (
 	"time"
 
 	"fuse/internal/cluster"
+	"fuse/internal/eventsim"
 )
+
+// msgRate is the measurement every load figure makes: let drain pass
+// (creation and install traffic), then count the messages sent reports
+// over window, per virtual second.
+func msgRate(sim *eventsim.Sim, sent func() uint64, drain, window time.Duration) float64 {
+	sim.RunFor(drain)
+	base := sent()
+	sim.RunFor(window)
+	return float64(sent()-base) / window.Seconds()
+}
+
+// sentBy is msgRate's counter for a baseline whose services count their
+// own sends.
+func sentBy[S interface{ Sent() uint64 }](svcs []S) func() uint64 {
+	return func() (total uint64) {
+		for _, s := range svcs {
+			total += s.Sent()
+		}
+		return total
+	}
+}
 
 // SteadyStateLoad reproduces the §7.5 steady-state measurement: the
 // background message rate of the overlay alone versus the overlay with
@@ -27,10 +49,7 @@ func SteadyStateLoad(p Params) (*Result, error) {
 				return 0, err
 			}
 		}
-		c.Sim.RunFor(2 * time.Minute) // drain creation traffic
-		base := c.Net.Sent()
-		c.Sim.RunFor(window)
-		return float64(c.Net.Sent()-base) / window.Seconds(), nil
+		return msgRate(c.Sim, c.Net.Sent, 2*time.Minute, window), nil
 	}
 
 	without, err := measure(false)
@@ -69,10 +88,7 @@ func Fig10Churn(p Params) (*Result, error) {
 	// churners), no groups, no churn.
 	baseline := func() float64 {
 		c := cluster.New(cluster.Options{N: stable + churners/2, Seed: p.Seed})
-		c.Sim.RunFor(2 * time.Minute)
-		base := c.Net.Sent()
-		c.Sim.RunFor(window)
-		return float64(c.Net.Sent()-base) / window.Seconds()
+		return msgRate(c.Sim, c.Net.Sent, 2*time.Minute, window)
 	}
 
 	// (b)/(c): stable+churner overlay with a churn driver; optionally
@@ -118,10 +134,7 @@ func Fig10Churn(p Params) (*Result, error) {
 			flip(i)
 		}
 
-		c.Sim.RunFor(2 * time.Minute)
-		base := c.Net.Sent()
-		c.Sim.RunFor(window)
-		return float64(c.Net.Sent()-base) / window.Seconds(), nil
+		return msgRate(c.Sim, c.Net.Sent, 2*time.Minute, window), nil
 	}
 
 	noChurn := baseline()

@@ -46,20 +46,18 @@ func ManyGroupsSteadyState(p Params) (*Result, error) {
 		timers += nt
 	}
 
-	base := c.Net.Sent()
 	wall := time.Now()
-	c.Sim.RunFor(window)
+	rate := msgRate(c.Sim, c.Net.Sent, 0, window)
 	elapsed := time.Since(wall)
-	msgRate := float64(c.Net.Sent()-base) / window.Seconds()
 	simSpeed := window.Seconds() / elapsed.Seconds()
 
 	r := newResult("manygroups", fmt.Sprintf("steady state with %d groups of %d on %d nodes", groups, size, n))
-	r.addLine("background load:        %9.1f msg/s", msgRate)
+	r.addLine("background load:        %9.1f msg/s", rate)
 	r.addLine("sim throughput:         %9.1f virtual s / wall s", simSpeed)
 	r.addLine("monitored (group,link): %9d pairs", pairs)
 	r.addLine("check timers:           %9d (%.2f per pair)", timers, float64(timers)/float64(pairs))
 	r.metric("groups", float64(groups))
-	r.metric("msg_per_s", msgRate)
+	r.metric("msg_per_s", rate)
 	r.metric("sim_speed", simSpeed)
 	r.metric("checked_pairs", float64(pairs))
 	r.metric("check_timers", float64(timers))

@@ -5,9 +5,8 @@ import (
 	"time"
 
 	"fuse/internal/cluster"
-	"fuse/internal/core"
 	"fuse/internal/netmodel"
-	"fuse/internal/stats"
+	"fuse/internal/scenario"
 	"fuse/internal/transport/simnet"
 )
 
@@ -78,11 +77,11 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 		copy(out, scratch[:k])
 		return out
 	}
-	memberships := make([][]int, groups)
+	specs := make([]scenario.GroupSpec, groups)
 	var extra [][2]int
-	for g := range memberships {
+	for g := range specs {
 		perm := pick(size)
-		memberships[g] = perm
+		specs[g] = scenario.GroupSpec{Root: perm[0], Members: perm[1:]}
 		for _, m := range perm[1:] {
 			extra = append(extra, [2]int{perm[0], m})
 		}
@@ -91,19 +90,19 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	warmWall := time.Since(setup)
 	routes := c.Topo.RouteStats()
 
+	// Failure phase, scripted up front: after the drain and the steady
+	// window the victims crash together (the paper disconnects whole
+	// machines), and the engine's audit checks one-way agreement at scale
+	// - every live member of an affected group hears exactly once.
+	const drain = 2 * time.Minute // creation and install traffic
 	createStart := time.Now()
-	made := make([]madeGroup, 0, groups)
-	for g, perm := range memberships {
-		id, err := c.CreateGroup(perm[0], perm[1:]...)
-		if err != nil {
-			return nil, fmt.Errorf("paperscale: group %d (size %d): %w", g, size, err)
-		}
-		made = append(made, madeGroup{id: id, root: perm[0], members: perm})
+	e, err := scenario.Start(c, crashScript("paperscale", specs, drain+window, pick(kill)))
+	if err != nil {
+		return nil, err
 	}
 	createWall := time.Since(createStart)
 
-	c.Sim.RunFor(2 * time.Minute) // drain creation and install traffic
-
+	c.Sim.RunFor(drain)
 	var pairs, timers int
 	for _, nd := range c.Nodes {
 		_, np, nt := nd.Fuse.CheckingStats()
@@ -112,67 +111,20 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	}
 
 	// Steady-state measurement window.
-	baseSent := c.Net.Sent()
 	baseExec := c.Sim.Executed()
 	wall := time.Now()
-	c.Sim.RunFor(window)
+	rate := msgRate(c.Sim, c.Net.Sent, 0, window)
 	elapsed := time.Since(wall)
-	msgRate := float64(c.Net.Sent()-baseSent) / window.Seconds()
 	simSpeed := window.Seconds() / elapsed.Seconds()
 	evRate := float64(c.Sim.Executed()-baseExec) / elapsed.Seconds()
 
-	// Failure phase: crash nodes together (the paper disconnects whole
-	// machines) and check one-way agreement at scale - every live member
-	// of an affected group hears the notification exactly once. With
-	// several workers handlers fire on shard worker goroutines, so each
-	// registration records into its own pre-allocated slot (only the
-	// member's shard ever writes it; barrier joins order it against the
-	// fence-time aggregation below) and timestamps with the member's own
-	// node clock rather than the global one.
-	type notifySlot struct {
-		count int
-		lats  []float64
-	}
-	slots := make([]notifySlot, 0, groups*size)
-	crashed := make(map[int]bool, kill)
-	var crashAt time.Time
-	armed := false
-	for _, g := range made {
-		for _, m := range g.members {
-			slots = append(slots, notifySlot{})
-			slot := &slots[len(slots)-1]
-			env := c.Nodes[m].Env
-			m := m
-			c.Nodes[m].Fuse.RegisterFailureHandler(func(core.Notice) {
-				if crashed[m] || !armed {
-					return
-				}
-				slot.count++
-				slot.lats = append(slot.lats, env.Now().Sub(crashAt).Seconds())
-			}, g.id)
-		}
-	}
-	for _, v := range pick(kill) {
-		crashed[v] = true
-	}
-	crashAt = c.Sim.Now()
-	armed = true
-	for v := range crashed {
-		c.Crash(v)
-	}
 	c.Sim.RunFor(10 * time.Minute)
-
-	expected := expectedLiveMembers(made, crashed)
-	duplicates := 0
-	lat := stats.NewSample(0)
-	for i := range slots {
-		if slots[i].count > 1 {
-			duplicates += slots[i].count - 1
-		}
-		for _, l := range slots[i].lats {
-			lat.Add(l)
-		}
+	rep := e.Report()
+	lat, err := auditedLatencies(rep, time.Duration.Seconds)
+	if err != nil {
+		return nil, err
 	}
+	expected := rep.Notices - rep.Duplicates + rep.Missed
 
 	r := newResult("paperscale", fmt.Sprintf(
 		"§7.3 paper-scale simulation: %d nodes, %d groups of %d, %d crashed (%d shards, %d workers)",
@@ -180,21 +132,21 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	r.addLine("setup: route warmup %.1fs wall (%d sweeps for %d pairs over %d border routers, %d edges), %d groups created in %.1fs wall",
 		warmWall.Seconds(), routes.Sweeps, routes.Pairs, routes.Borders, routes.BorderEdges, groups, createWall.Seconds())
 	r.addLine("steady state:  %10.1f msg/s background  (%d monitored pairs, %d shared timers)",
-		msgRate, pairs, timers)
+		rate, pairs, timers)
 	r.addLine("sim throughput: %9.1f virtual s / wall s  (%.0f events/s wall)", simSpeed, evRate)
-	r.addLine("crash notify:  %d/%d live members notified, %d duplicates", lat.N(), expected, duplicates)
+	r.addLine("crash notify:  %d/%d live members notified, %d duplicates", lat.N(), expected, rep.Duplicates)
 	r.addLine("notify latency: median %.1f s  p90 %.1f s  max %.1f s (paper: ping+repair timeouts dominate)",
 		lat.Median(), lat.Percentile(90), lat.Max())
 	r.metric("nodes", float64(n))
 	r.metric("groups", float64(groups))
-	r.metric("msg_per_s", msgRate)
+	r.metric("msg_per_s", rate)
 	r.metric("sim_speed", simSpeed)
 	r.metric("events_per_wall_s", evRate)
 	r.metric("checked_pairs", float64(pairs))
 	r.metric("check_timers", float64(timers))
 	r.metric("notifications", float64(lat.N()))
 	r.metric("expected", float64(expected))
-	r.metric("duplicates", float64(duplicates))
+	r.metric("duplicates", float64(rep.Duplicates))
 	r.metric("notify_median_s", lat.Median())
 	r.metric("notify_max_s", lat.Max())
 	r.metric("workers", float64(p.Workers))

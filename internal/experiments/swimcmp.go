@@ -5,10 +5,10 @@ import (
 	"time"
 
 	"fuse/internal/cluster"
-	"fuse/internal/core"
 	"fuse/internal/eventsim"
 	"fuse/internal/netmodel"
 	"fuse/internal/overlay"
+	"fuse/internal/scenario"
 	"fuse/internal/stats"
 	"fuse/internal/swim"
 	"fuse/internal/transport"
@@ -93,17 +93,7 @@ func swimRun(p Params, n int) (loadPerNode, medianDetectSec float64, masked bool
 	}
 
 	// Steady-state load per node over 5 minutes.
-	sim.RunFor(30 * time.Second)
-	var before uint64
-	for _, s := range svcs {
-		before += s.Sent()
-	}
-	sim.RunFor(5 * time.Minute)
-	var after uint64
-	for _, s := range svcs {
-		after += s.Sent()
-	}
-	loadPerNode = float64(after-before) / (5 * 60) / float64(n)
+	loadPerNode = msgRate(sim, sentBy(svcs), 30*time.Second, 5*time.Minute) / float64(n)
 
 	// Crash detection: median time for every other node to see Dead.
 	detect := stats.NewSample(n - 1)
@@ -142,26 +132,18 @@ func fuseRun(p Params, n int) (loadPerNode, medianDetectSec float64, appScoped b
 	for i := 1; i < n; i++ {
 		members[i-1] = i
 	}
-	id, err := c.CreateGroup(0, members...)
+	const drain, window = 30 * time.Second, 5 * time.Minute
+	e, err := scenario.Start(c, crashScript("swimcmp",
+		[]scenario.GroupSpec{{Root: 0, Members: members}}, drain+window, []int{n - 1}))
 	if err != nil {
 		return 0, 0, false, err
 	}
-
-	c.Sim.RunFor(30 * time.Second)
-	base := c.Net.Sent()
-	c.Sim.RunFor(5 * time.Minute)
-	loadPerNode = float64(c.Net.Sent()-base) / (5 * 60) / float64(n)
-
-	detect := stats.NewSample(n - 1)
-	crashAt := c.Sim.Now()
-	for i := 0; i < n-1; i++ {
-		env := c.Nodes[i].Env
-		c.Nodes[i].Fuse.RegisterFailureHandler(func(core.Notice) {
-			detect.Add(env.Now().Sub(crashAt).Seconds())
-		}, id)
-	}
-	c.Crash(n - 1)
+	loadPerNode = msgRate(c.Sim, c.Net.Sent, drain, window) / float64(n)
 	c.Sim.RunFor(15 * time.Minute)
+	detect, err := auditedLatencies(e.Report(), time.Duration.Seconds)
+	if err != nil {
+		return 0, 0, false, err
+	}
 	medianDetectSec = detect.Median()
 
 	// Intransitive: create a fresh 3-member group, cut the two member

@@ -78,7 +78,8 @@ type Config struct {
 	// inconsistent with its own calibration (median 15-hop routes and a
 	// 130 ms median RTT would imply ~750 ms). We keep 10-40 ms for
 	// inter-AS OC3 links and give intra-AS links metro latencies so both
-	// published distributions hold; see DESIGN.md substitution table.
+	// published distributions hold; see the package comment on what the
+	// generator substitutes for the Mercator topology.
 	IntraASLatencyMin, IntraASLatencyMax time.Duration
 	OC3LatencyMin, OC3LatencyMax         time.Duration
 	T3LatencyMin, T3LatencyMax           time.Duration

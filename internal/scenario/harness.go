@@ -9,16 +9,19 @@ import (
 )
 
 // The invariant harness: one track per group accumulates every failure
-// notification delivered to any member incarnation; check audits the
+// notification delivered to any member incarnation; Report audits the
 // run against the paper's guarantees.
 
 type incKey struct{ node, inc int }
 
-type notice struct {
-	node, inc int
-	at        time.Duration
-	reason    core.Reason
-	fault     int // seq of the fault this notification is attributed to (0: none)
+// Delivery is one failure-handler invocation: which incarnation of which
+// node heard about which group, when, and which fault the engine blames.
+type Delivery struct {
+	Group     int // index into Script.Groups
+	Node, Inc int
+	At        time.Duration // timeline-relative, on the node's own clock
+	Reason    core.Reason
+	Fault     int // Seq of the attributed entry of Report.Faults (0: none)
 }
 
 // track is the harness record for one group.
@@ -27,7 +30,7 @@ type track struct {
 	id       core.GroupID
 	attached map[int]int // node -> incarnation the handler is registered on
 	counts   map[incKey]int
-	notices  []notice
+	notices  []Delivery
 	member   map[int]bool // the group's node set, for fault attribution
 }
 
@@ -58,6 +61,10 @@ type Report struct {
 	// loss ramp during churn) each keep their own latency instead of
 	// sharing "the latest fault before the first notice".
 	Faults []Fault
+
+	// Deliveries is every handler invocation behind Notices, group by
+	// group in delivery order: what a driver reads latencies from.
+	Deliveries []Delivery
 
 	// Violations lists every invariant breach; empty means the run
 	// upheld exactly-once delivery, no lost notifications, consistency,
@@ -140,17 +147,18 @@ func (e *Engine) mergeSinks() string {
 		ln := e.sinks[best].lines[idx[best]]
 		idx[best]++
 		fmt.Fprintf(&b, "t=+%09.3fs  %s\n", ln.at.Seconds(), ln.text)
-		if gn := ln.notice; gn != nil {
-			tr := e.tracks[gn.group]
-			tr.counts[incKey{gn.n.node, gn.n.inc}]++
-			tr.notices = append(tr.notices, gn.n)
+		if d := ln.notice; d != nil {
+			tr := e.tracks[d.Group]
+			tr.counts[incKey{d.Node, d.Inc}]++
+			tr.notices = append(tr.notices, *d)
 		}
 	}
 	return b.String()
 }
 
-// check audits every track at the end of the run.
-func (e *Engine) check() *Report {
+// Report audits every track at the end of the run. Call it once, at a
+// fence, after the clock has passed everything the script scheduled.
+func (e *Engine) Report() *Report {
 	trace := e.mergeSinks()
 	r := &Report{Name: e.script.Name, Groups: len(e.tracks)}
 	for _, msg := range e.errs {
@@ -168,6 +176,7 @@ func (e *Engine) check() *Report {
 
 	for gi, tr := range e.tracks {
 		r.Notices += len(tr.notices)
+		r.Deliveries = append(r.Deliveries, tr.notices...)
 
 		// Exactly-once: no (node, incarnation) hears about a group twice,
 		// ever - regardless of how the run went.
@@ -266,12 +275,12 @@ func (e *Engine) faultSchedule() []Fault {
 	}
 	for _, tr := range e.tracks {
 		for _, n := range tr.notices {
-			if n.fault == 0 {
+			if n.Fault == 0 {
 				continue
 			}
-			f := &out[n.fault-1]
+			f := &out[n.Fault-1]
 			f.Notices++
-			if d := n.at - f.At; d > f.Latency {
+			if d := n.At - f.At; d > f.Latency {
 				f.Latency = d
 			}
 		}
@@ -287,19 +296,19 @@ func (e *Engine) groupLatency(tr *track) (time.Duration, bool) {
 	if len(tr.notices) == 0 {
 		return 0, false
 	}
-	first := tr.notices[0].at
+	first := tr.notices[0].At
 	for _, n := range tr.notices[1:] {
-		if n.at < first {
-			first = n.at
+		if n.At < first {
+			first = n.At
 		}
 	}
 	var lat time.Duration
 	for _, n := range tr.notices {
 		cause := first
-		if n.fault > 0 {
-			cause = e.faults[n.fault-1].at
+		if n.Fault > 0 {
+			cause = e.faults[n.Fault-1].at
 		}
-		if d := n.at - cause; d > lat {
+		if d := n.At - cause; d > lat {
 			lat = d
 		}
 	}

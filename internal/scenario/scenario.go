@@ -113,7 +113,7 @@ type Engine struct {
 	ramps  []*rampProc    // every started loss ramp; ClearLoss/HealAll cancel them
 
 	// errs collects engine-level failures during the run (e.g. a broken
-	// Recover); check reports them as violations so a run with a failed
+	// Recover); Report lists them as violations so a run with a failed
 	// lifecycle step can never audit green.
 	errs []string
 }
@@ -123,6 +123,20 @@ type Engine struct {
 // invariants. The cluster must be freshly assembled and is consumed by
 // the run.
 func Run(c *cluster.Cluster, s Script) (*Report, error) {
+	e, err := Start(c, s)
+	if err != nil {
+		return nil, err
+	}
+	c.Sim.RunFor(s.Duration)
+	return e.Report(), nil
+}
+
+// Start is the first half of Run: it creates the declared groups, attaches
+// the recording handlers and schedules the timeline, and leaves advancing
+// the clock to the caller - a driver that measures something between
+// creation and the first fault runs the simulator itself (s.Duration is
+// not consulted) and calls Report once at the end.
+func Start(c *cluster.Cluster, s Script) (*Engine, error) {
 	e := &Engine{c: c, script: s, rng: c.Sim.Rand(), inc: make([]int, len(c.Nodes)), active: make(map[string]int)}
 	e.sinks = make([]*laneSink, 1+c.ShardCount())
 	for i := range e.sinks {
@@ -139,8 +153,7 @@ func Run(c *cluster.Cluster, s Script) (*Report, error) {
 			ev.Do.apply(e)
 		})
 	}
-	c.Sim.RunFor(s.Duration)
-	return e.check(), nil
+	return e, nil
 }
 
 // setup attaches declared stores and creates every group, recording a
@@ -187,13 +200,7 @@ type traceLine struct {
 	text string
 	// notice is set on a failure handler's line: the invocation itself,
 	// which the merge routes to its group's track.
-	notice *groupNotice
-}
-
-// groupNotice is one handler invocation, tagged with its group index.
-type groupNotice struct {
-	group int
-	n     notice
+	notice *Delivery
 }
 
 // now returns the current timeline-relative virtual time.
@@ -305,7 +312,7 @@ func (e *Engine) attach(gi, node int) {
 		sk.lines = append(sk.lines, traceLine{
 			at:     at,
 			text:   fmt.Sprintf("notify group=%d node=%d inc=%d reason=%s fault=%d", gi, node, inc, n.Reason, fs),
-			notice: &groupNotice{group: gi, n: notice{node: node, inc: inc, at: at, reason: n.Reason, fault: fs}},
+			notice: &Delivery{Group: gi, Node: node, Inc: inc, At: at, Reason: n.Reason, Fault: fs},
 		})
 	}, tr.id)
 }

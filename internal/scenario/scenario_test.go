@@ -182,3 +182,55 @@ func TestPresetRejectsUndersizedOverlay(t *testing.T) {
 		}
 	}
 }
+
+// TestStartReportIsRun: a driver that advances the clock itself - in
+// pieces, the way the experiment drivers do around their measurement
+// windows - gets the trace and statistics Run gives, on every preset.
+func TestStartReportIsRun(t *testing.T) {
+	for _, name := range Names() {
+		p := Params{Seed: 4, Short: true}
+		whole := run(t, name, p)
+		c, s, err := BuildPreset(name, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := Start(c, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Sim.RunFor(s.Duration / 3)
+		c.Sim.RunFor(s.Duration - s.Duration/3)
+		rep := e.Report()
+		if rep.Trace != whole.Trace || rep.Stats() != whole.Stats() {
+			t.Errorf("%s: Start + RunFor + Report differs from Run:\n%s\nvs\n%s", name, rep.Stats(), whole.Stats())
+		}
+	}
+}
+
+// TestDeliveriesMatchTheAudit: Deliveries is the same observation the
+// counters and the fault schedule summarize - one record per notice, each
+// attributed to a fault of the schedule, and a fault's latency is the
+// span to the last delivery attributed to it.
+func TestDeliveriesMatchTheAudit(t *testing.T) {
+	for _, name := range Names() {
+		rep := run(t, name, Params{Seed: 4, Short: true})
+		if len(rep.Deliveries) != rep.Notices || rep.Notices == 0 {
+			t.Fatalf("%s: %d deliveries for %d notices", name, len(rep.Deliveries), rep.Notices)
+		}
+		latency := make([]time.Duration, len(rep.Faults))
+		for _, d := range rep.Deliveries {
+			if d.Fault < 1 || d.Fault > len(rep.Faults) || rep.Faults[d.Fault-1].Seq != d.Fault {
+				t.Fatalf("%s: delivery %+v names no fault of the schedule", name, d)
+			}
+			if d.Group < 0 || d.Group >= rep.Groups {
+				t.Fatalf("%s: delivery %+v names no group", name, d)
+			}
+			latency[d.Fault-1] = max(latency[d.Fault-1], d.At-rep.Faults[d.Fault-1].At)
+		}
+		for i, f := range rep.Faults {
+			if latency[i] != f.Latency {
+				t.Errorf("%s: fault #%d: latency %s from deliveries, %s in the schedule", name, f.Seq, latency[i], f.Latency)
+			}
+		}
+	}
+}

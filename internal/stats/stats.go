@@ -1,14 +1,11 @@
 // Package stats provides the small statistical toolkit shared by the
-// experiment harness and the benchmarks: percentile summaries, CDF
-// extraction in the form the paper's figures use, and message-rate
-// counters.
+// experiment harness and the benchmarks: a sample of observations with
+// the percentile summaries the paper's figures use.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -93,31 +90,6 @@ func (s *Sample) Quartiles() (p25, p50, p75 float64) {
 	return s.Percentile(25), s.Percentile(50), s.Percentile(75)
 }
 
-// CDFPoint is one step of an empirical CDF.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64 // fraction of samples <= Value, in (0, 1]
-}
-
-// CDF returns the empirical CDF of the sample, one point per distinct
-// value. It returns nil for an empty sample.
-func (s *Sample) CDF() []CDFPoint {
-	if len(s.values) == 0 {
-		return nil
-	}
-	s.sortValues()
-	var out []CDFPoint
-	n := float64(len(s.values))
-	for i := 0; i < len(s.values); i++ {
-		// Collapse runs of equal values into a single step.
-		if i+1 < len(s.values) && s.values[i+1] == s.values[i] {
-			continue
-		}
-		out = append(out, CDFPoint{Value: s.values[i], Fraction: float64(i+1) / n})
-	}
-	return out
-}
-
 // CDFAt returns the fraction of samples <= v.
 func (s *Sample) CDFAt(v float64) float64 {
 	if len(s.values) == 0 {
@@ -126,52 +98,4 @@ func (s *Sample) CDFAt(v float64) float64 {
 	s.sortValues()
 	idx := sort.SearchFloat64s(s.values, math.Nextafter(v, math.Inf(1)))
 	return float64(idx) / float64(len(s.values))
-}
-
-// FormatCDF renders the CDF at the given fractions (e.g. 0.1, 0.2 ... 1.0)
-// as "frac%: value" lines, which is how the harness prints figure series.
-func (s *Sample) FormatCDF(fractions []float64, unit string) string {
-	var b strings.Builder
-	for _, f := range fractions {
-		fmt.Fprintf(&b, "%5.1f%%: %10.2f %s\n", f*100, s.Percentile(f*100), unit)
-	}
-	return b.String()
-}
-
-// Summary renders a one-line summary used in harness output.
-func (s *Sample) Summary(unit string) string {
-	if s.N() == 0 {
-		return "n=0"
-	}
-	p25, p50, p75 := s.Quartiles()
-	return fmt.Sprintf("n=%d min=%.1f p25=%.1f median=%.1f p75=%.1f max=%.1f mean=%.1f %s",
-		s.N(), s.Min(), p25, p50, p75, s.Max(), s.Mean(), unit)
-}
-
-// Counter is a monotonically increasing event counter with an associated
-// observation window, used to report messages-per-second figures.
-type Counter struct {
-	count uint64
-	start time.Time
-}
-
-// NewCounter returns a counter whose window starts at start.
-func NewCounter(start time.Time) *Counter { return &Counter{start: start} }
-
-// Inc adds n to the counter.
-func (c *Counter) Inc(n uint64) { c.count += n }
-
-// Count returns the total.
-func (c *Counter) Count() uint64 { return c.count }
-
-// Reset zeroes the counter and restarts the window at t.
-func (c *Counter) Reset(t time.Time) { c.count = 0; c.start = t }
-
-// RatePerSecond returns events per second over [start, now].
-func (c *Counter) RatePerSecond(now time.Time) float64 {
-	window := now.Sub(c.start).Seconds()
-	if window <= 0 {
-		return 0
-	}
-	return float64(c.count) / window
 }

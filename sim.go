@@ -44,14 +44,8 @@ func NewSimWorkers(n int, seed int64, workers int) *Sim {
 // parallel, so construction does bulk work up front in exchange for a
 // fast simulation afterwards.
 func NewSimPaperScale(n int, seed int64) *Sim {
-	return NewSimPaperScaleWorkers(n, seed, 0)
-}
-
-// NewSimPaperScaleWorkers is NewSimPaperScale on several event shards
-// and worker goroutines (see NewSimWorkers).
-func NewSimPaperScaleWorkers(n int, seed int64, workers int) *Sim {
 	cfg := netmodel.PaperScaleConfig(seed)
-	s := &Sim{c: cluster.New(cluster.Options{N: n, Seed: seed, NetConfig: &cfg, Workers: workers})}
+	s := &Sim{c: cluster.New(cluster.Options{N: n, Seed: seed, NetConfig: &cfg})}
 	s.c.WarmRoutes(nil)
 	return s
 }
