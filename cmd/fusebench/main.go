@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"fuse/internal/experiments"
@@ -31,7 +30,6 @@ func main() {
 		short   = flag.Bool("short", false, "reduced-scale run")
 		paper   = flag.Bool("paper", false, "paper-scale run where supported (e.g. 16k-node svtree)")
 		workers = flag.Int("workers", 0, "event-loop worker goroutines where supported (paperscale); 0 = all nodes on one shard, one goroutine")
-		metOut  = flag.String("metrics-out", "", "write each experiment's end-of-run telemetry snapshot to this file")
 	)
 	flag.Parse()
 
@@ -55,7 +53,6 @@ func main() {
 		Workers:    *workers,
 	}
 
-	var metrics strings.Builder
 	failed := false
 	for _, name := range names {
 		start := time.Now()
@@ -67,15 +64,6 @@ func main() {
 		}
 		fmt.Print(result.String())
 		fmt.Printf("(%s in %.1fs wall clock)\n\n", name, time.Since(start).Seconds())
-		if result.Telemetry != "" {
-			fmt.Fprintf(&metrics, "=== %s telemetry snapshot ===\n%s\n", result.Name, result.Telemetry)
-		}
-	}
-	if *metOut != "" {
-		if err := os.WriteFile(*metOut, []byte(metrics.String()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "fusebench: -metrics-out: %v\n", err)
-			failed = true
-		}
 	}
 	if failed {
 		os.Exit(1)

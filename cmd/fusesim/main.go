@@ -21,9 +21,9 @@
 //
 // -dump prints the scenario as canonical JSON instead of running it, so
 // a preset or a flag-built crash run can be saved and edited into a
-// custom drill. A file records the deployment's size and seed, not its
-// topology: -paper is not written to a dump, and a file always runs on
-// the default topology.
+// custom drill. A file records the deployment's size and seed; the size
+// picks the topology (the paper-scale one beyond the default topology's
+// 2,880 routers), and every run warms its overlay routes first.
 package main
 
 import (
@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"fuse/internal/cluster"
-	"fuse/internal/netmodel"
 	"fuse/internal/scenario"
 	"fuse/internal/telemetry"
 )
@@ -92,11 +91,10 @@ func main() {
 		crash   = flag.Int("crash", 2, "nodes to crash simultaneously")
 		seed    = flag.Int64("seed", 1, "random seed (same seed => identical run)")
 		window  = flag.Duration("window", 10*time.Minute, "virtual time to observe after the crash")
-		paper   = flag.Bool("paper", false, "use the paper-scale topology (required beyond ~2,880 nodes, e.g. -nodes 16000)")
 		script  = flag.String("scenario", "", fmt.Sprintf("run a scripted fault scenario instead (one of %v, or a path to a scenario .json file)", scenario.Names()))
 		short   = flag.Bool("short", false, "trim scenario windows (with -scenario)")
 		list    = flag.Bool("list-scenarios", false, "list the built-in scenario presets and exit")
-		dump    = flag.Bool("dump", false, "print the scenario as canonical JSON instead of running it (-paper is not recorded in the file)")
+		dump    = flag.Bool("dump", false, "print the scenario as canonical JSON instead of running it")
 		workers = flag.Int("workers", 0, "event-loop worker goroutines over the default shard count; 0 = all nodes on one shard, one goroutine (traces are identical at every count >= 1)")
 		traceTo = flag.String("trace", "", "write the protocol-event trace as JSON Lines to this file (deterministic: diff two runs directly)")
 		pings   = flag.Bool("trace-pings", false, "with -trace: include per-ping/ack events (verbose; large)")
@@ -139,15 +137,7 @@ func main() {
 			err = fmt.Errorf("need 2 <= size <= nodes and 0 <= crash < nodes")
 			break
 		}
-		opts := cluster.Options{N: *nodes, Seed: *seed, Workers: *workers}
-		if *paper {
-			cfg := netmodel.PaperScaleConfig(*seed)
-			opts.NetConfig = &cfg
-		}
-		c = cluster.New(opts)
-		if *paper {
-			c.WarmRoutes(nil)
-		}
+		c = cluster.New(cluster.Options{N: *nodes, Seed: *seed, Workers: *workers})
 		s = crashScript(*nodes, *groups, *size, *crash, *seed, *window)
 	case strings.HasSuffix(*script, ".json"):
 		var sf *scenario.ScriptFile
@@ -178,6 +168,7 @@ func main() {
 		return
 	}
 
+	c.WarmRoutes(nil)
 	topts := telemetryOpts{traceTo: *traceTo, pings: *pings, metrics: *metrics}
 	topts.arm(c.Telemetry)
 	rep, err := scenario.Run(c, s)

@@ -27,12 +27,13 @@ const DefaultShards = 8
 
 // Options configures a simulated deployment.
 type Options struct {
-	N          int
-	Seed       int64
-	NetConfig  *netmodel.Config // nil => netmodel.DefaultConfig(Seed)
-	SimOptions *simnet.Options  // nil => no per-message overheads
-	Overlay    *overlay.Config  // nil => overlay.DefaultConfig()
-	Fuse       *core.Config     // nil => core.DefaultConfig()
+	N    int
+	Seed int64
+	// NetConfig nil picks the topology by size: netmodel.DefaultConfig(Seed)
+	// while it has a router per node, netmodel.PaperScaleConfig(Seed)
+	// beyond that.
+	NetConfig  *netmodel.Config
+	SimOptions *simnet.Options // nil => no per-message overheads
 
 	// Workers is how many goroutines execute the event loop's windows.
 	// 0 (the default) is one goroutine and one event shard: every node
@@ -78,9 +79,7 @@ type Cluster struct {
 	// Read at fences only (or after the run).
 	Telemetry *telemetry.Registry
 
-	overlayCfg overlay.Config
-	fuseCfg    core.Config
-	nextIndex  int
+	nextIndex int
 
 	// stores records each node's attached stable storage so a restart
 	// can reattach the same store (the durable state survives the crash
@@ -101,20 +100,15 @@ func New(opts Options) *Cluster {
 		panic("cluster: N must be positive")
 	}
 	netCfg := netmodel.DefaultConfig(opts.Seed)
-	if opts.NetConfig != nil {
+	switch {
+	case opts.NetConfig != nil:
 		netCfg = *opts.NetConfig
+	case opts.N > netCfg.ASes*netCfg.RoutersPer:
+		netCfg = netmodel.PaperScaleConfig(opts.Seed)
 	}
 	simOpts := simnet.Options{}
 	if opts.SimOptions != nil {
 		simOpts = *opts.SimOptions
-	}
-	ovCfg := overlay.DefaultConfig()
-	if opts.Overlay != nil {
-		ovCfg = *opts.Overlay
-	}
-	fuseCfg := core.DefaultConfig()
-	if opts.Fuse != nil {
-		fuseCfg = *opts.Fuse
 	}
 
 	sim := eventsim.New(opts.Seed)
@@ -138,13 +132,11 @@ func New(opts Options) *Cluster {
 		"simulation events scheduled and not yet run", func() int64 { return int64(sim.Pending()) })
 	net.SetTelemetry(reg)
 	c := &Cluster{
-		Sim:        sim,
-		Topo:       topo,
-		Net:        net,
-		Telemetry:  reg,
-		overlayCfg: ovCfg,
-		fuseCfg:    fuseCfg,
-		stores:     make(map[int]core.Persistence),
+		Sim:       sim,
+		Topo:      topo,
+		Net:       net,
+		Telemetry: reg,
+		stores:    make(map[int]core.Persistence),
 	}
 	pts := topo.AttachPoints(opts.N, sim.Rand())
 	for i := 0; i < opts.N; i++ {
@@ -169,8 +161,8 @@ func (c *Cluster) addNode(router netmodel.RouterID) *Node {
 // buildStack constructs the overlay + FUSE layers over env and installs
 // the message dispatcher.
 func (c *Cluster) buildStack(i int, addr transport.Addr, router netmodel.RouterID, env transport.Env) *Node {
-	ov := overlay.New(env, c.overlayCfg, NameOf(i))
-	fu := core.New(env, ov, c.fuseCfg)
+	ov := overlay.New(env, overlay.DefaultConfig(), NameOf(i))
+	fu := core.New(env, ov, core.DefaultConfig())
 	n := &Node{Index: i, Addr: addr, Router: router, Env: env, Overlay: ov, Fuse: fu}
 	c.Net.SetHandler(addr, func(from transport.Addr, msg transport.Message) {
 		if ov.Handle(from, msg) {

@@ -6,6 +6,7 @@ import (
 
 	"fuse/internal/cluster"
 	"fuse/internal/core"
+	"fuse/internal/netmodel"
 )
 
 func TestNewBuildsConvergedOverlay(t *testing.T) {
@@ -20,6 +21,25 @@ func TestNewBuildsConvergedOverlay(t *testing.T) {
 		if n.Addr != cluster.AddrOf(i) || n.Ref().Name != cluster.NameOf(i) {
 			t.Fatalf("node %d identity mismatch", i)
 		}
+	}
+}
+
+// TestNewOutgrowsDefaultTopology: one node more than the default topology
+// has routers moves the deployment to the paper-scale topology instead of
+// panicking in AttachPoints, and every node still gets a router of its own.
+func TestNewOutgrowsDefaultTopology(t *testing.T) {
+	def := netmodel.DefaultConfig(1)
+	n := def.ASes*def.RoutersPer + 1
+	c := cluster.New(cluster.Options{N: n, Seed: 1})
+	if len(c.Nodes) != n {
+		t.Fatalf("nodes = %d, want %d", len(c.Nodes), n)
+	}
+	seen := make(map[netmodel.RouterID]bool, n)
+	for i, nd := range c.Nodes {
+		if seen[nd.Router] {
+			t.Fatalf("node %d shares router %d", i, nd.Router)
+		}
+		seen[nd.Router] = true
 	}
 }
 

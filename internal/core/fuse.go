@@ -76,11 +76,9 @@ func (id GroupID) String() string { return fmt.Sprintf("%s/%x", id.Root.Name, id
 type Reason string
 
 const (
-	ReasonCreateFailed  Reason = "create-failed"  // group creation did not complete
 	ReasonSignaled      Reason = "signaled"       // SignalFailure was called somewhere
 	ReasonRepairTimeout Reason = "repair-timeout" // member waited in vain for the root
 	ReasonRepairFailed  Reason = "repair-failed"  // root could not rebuild the tree
-	ReasonStateLost     Reason = "state-lost"     // repair met a node without the group
 	ReasonNotified      Reason = "notified"       // a HardNotification arrived
 )
 
@@ -194,9 +192,6 @@ type Fuse struct {
 	// OnNeighborUp). The zero value (before any Recover) is always in
 	// the past.
 	recoverUntil time.Time
-
-	// Stats exposed for experiments.
-	notified uint64 // local handler invocations
 
 	tm fuseTelemetry
 }
@@ -339,12 +334,6 @@ func New(env transport.Env, ov *overlay.Node, cfg Config) *Fuse {
 	return f
 }
 
-// Self returns this node's overlay identity.
-func (f *Fuse) Self() overlay.NodeRef { return f.self }
-
-// Notified reports how many local failure-handler invocations occurred.
-func (f *Fuse) Notified() uint64 { return f.notified }
-
 // LiveGroups returns the IDs of all groups this node currently holds any
 // state for (root, member, or delegate), ordered by root name, counter
 // and root address.
@@ -470,7 +459,6 @@ func (f *Fuse) notifyLocal(id GroupID, reason Reason, span uint64) {
 }
 
 func (f *Fuse) deliverNotice(h Handler, n Notice, span uint64) {
-	f.notified++
 	f.tm.notices.Inc(f.tm.lane)
 	f.trace("notify", n.ID, 0, span, string(n.Reason))
 	h(n)

@@ -554,6 +554,8 @@ func TestMemberRepairTimerNotExtendedByRepeatedFailures(t *testing.T) {
 	id := GroupID{Root: ref("r"), Num: 10}
 	ms := &memberState{id: id, root: ref("r")}
 	f.members[id] = ms
+	var notices []Notice
+	f.RegisterFailureHandler(func(n Notice) { notices = append(notices, n) }, id)
 	f.memberNeedsRepair(ms)
 	first := ms.repairTimer
 	env.advance(f.cfg.MemberRepairTimeout / 2)
@@ -561,13 +563,15 @@ func TestMemberRepairTimerNotExtendedByRepeatedFailures(t *testing.T) {
 	if ms.repairTimer != first {
 		t.Fatal("repeated failure extended the member's deadline")
 	}
+	if len(notices) != 0 {
+		t.Fatalf("notices before the deadline: %v", notices)
+	}
 	env.advance(f.cfg.MemberRepairTimeout/2 + time.Second)
 	if f.HasState(id) {
 		t.Fatal("member never concluded failure")
 	}
-	if f.Notified() != 0 {
-		// no handler registered, so no local invocation counted
-		t.Fatalf("notified = %d", f.Notified())
+	if len(notices) != 1 || notices[0].Reason != ReasonRepairTimeout {
+		t.Fatalf("notices = %v, want one %s", notices, ReasonRepairTimeout)
 	}
 }
 

@@ -12,10 +12,7 @@ package core
 // reconciliation paths.
 
 import (
-	"encoding/gob"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -159,105 +156,6 @@ func (s *MemStore) LoadGroups() ([]GroupRecord, error) {
 	defer s.mu.Unlock()
 	out := make([]GroupRecord, 0, len(s.recs))
 	for _, rec := range s.recs {
-		out = append(out, rec)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID.Root.Name != out[j].ID.Root.Name {
-			return out[i].ID.Root.Name < out[j].ID.Root.Name
-		}
-		return out[i].ID.Num < out[j].ID.Num
-	})
-	return out, nil
-}
-
-// Len reports the number of stored records.
-func (s *MemStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.recs)
-}
-
-// --- file-backed store ---
-
-// FileStore persists group records as one gob file per group under a
-// directory, giving live deployments durable membership across process
-// restarts. Writes are atomic (write-temp-then-rename).
-type FileStore struct {
-	dir string
-}
-
-// NewFileStore creates (if needed) and opens a store directory.
-func NewFileStore(dir string) (*FileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("fuse filestore: %w", err)
-	}
-	return &FileStore{dir: dir}, nil
-}
-
-func (s *FileStore) path(id GroupID) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s_%x.group", sanitize(id.Root.Name), id.Num))
-}
-
-func sanitize(name string) string {
-	out := make([]rune, 0, len(name))
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '.', r == '-':
-			out = append(out, r)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
-}
-
-// SaveGroup implements Persistence.
-func (s *FileStore) SaveGroup(rec GroupRecord) error {
-	tmp, err := os.CreateTemp(s.dir, "tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := gob.NewEncoder(tmp).Encode(rec); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), s.path(rec.ID))
-}
-
-// DeleteGroup implements Persistence.
-func (s *FileStore) DeleteGroup(id GroupID) error {
-	err := os.Remove(s.path(id))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
-}
-
-// LoadGroups implements Persistence.
-func (s *FileStore) LoadGroups() ([]GroupRecord, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []GroupRecord
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".group" {
-			continue
-		}
-		fh, err := os.Open(filepath.Join(s.dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		var rec GroupRecord
-		err = gob.NewDecoder(fh).Decode(&rec)
-		fh.Close()
-		if err != nil {
-			return nil, fmt.Errorf("fuse filestore: decode %s: %w", e.Name(), err)
-		}
 		out = append(out, rec)
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -34,53 +34,8 @@ func TestMemStoreRoundTrip(t *testing.T) {
 	if err := s.DeleteGroup(rec.ID); err != nil {
 		t.Fatal(err) // deleting absent record is fine
 	}
-	if s.Len() != 0 {
-		t.Fatalf("len = %d after delete", s.Len())
-	}
-}
-
-func TestFileStoreRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s, err := core.NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := overlay.NodeRef{Name: "root.example/org", Addr: "addr:1"} // odd chars get sanitized
-	recs := []core.GroupRecord{
-		{ID: core.GroupID{Root: root, Num: 1}, Seq: 5},
-		{ID: core.GroupID{Root: root, Num: 2}, Seq: 0, IsRoot: true,
-			Members: []overlay.NodeRef{{Name: "m", Addr: "addr:2"}}},
-	}
-	for _, r := range recs {
-		if err := s.SaveGroup(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A second store over the same directory sees the records (process
-	// restart).
-	s2, err := core.NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s2.LoadGroups()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("loaded %d records, want 2", len(got))
-	}
-	if !got[1].IsRoot || len(got[1].Members) != 1 || got[1].Members[0].Name != "m" {
-		t.Fatalf("root record mangled: %+v", got[1])
-	}
-	if err := s2.DeleteGroup(recs[0].ID); err != nil {
-		t.Fatal(err)
-	}
-	got, err = s2.LoadGroups()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("after delete: %d records", len(got))
+	if storeLen(t, s) != 0 {
+		t.Fatalf("len = %d after delete", storeLen(t, s))
 	}
 }
 
@@ -96,8 +51,8 @@ func TestPersistenceMasksBriefMemberCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.Len() != 1 {
-		t.Fatalf("store holds %d records after create, want 1", store.Len())
+	if storeLen(t, store) != 1 {
+		t.Fatalf("store holds %d records after create, want 1", storeLen(t, store))
 	}
 	notices := 0
 	for _, i := range []int{0, 20} {
@@ -136,8 +91,8 @@ func TestPersistenceMasksBriefMemberCrash(t *testing.T) {
 	if notices != 2 || recovered != 1 {
 		t.Fatalf("post-recovery signal: others=%d recovered=%d", notices, recovered)
 	}
-	if store.Len() != 0 {
-		t.Fatalf("store holds %d records after notification, want 0", store.Len())
+	if storeLen(t, store) != 0 {
+		t.Fatalf("store holds %d records after notification, want 0", storeLen(t, store))
 	}
 }
 
@@ -201,8 +156,8 @@ func TestRecoveryOfDeadGroupResolvesToNotification(t *testing.T) {
 	if n.Fuse.HasState(id) {
 		t.Fatal("dead group resurrected")
 	}
-	if store.Len() != 0 {
-		t.Fatalf("store still holds %d records", store.Len())
+	if storeLen(t, store) != 0 {
+		t.Fatalf("store still holds %d records", storeLen(t, store))
 	}
 }
 
@@ -293,4 +248,14 @@ func rootSeq(t *testing.T, s *core.MemStore, id core.GroupID) uint64 {
 	}
 	t.Fatal("root record missing")
 	return 0
+}
+
+// storeLen counts the records s would hand a recovering node.
+func storeLen(t *testing.T, s *core.MemStore) int {
+	t.Helper()
+	recs, err := s.LoadGroups()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(recs)
 }

@@ -362,11 +362,6 @@ func (s *Sim) Schedule(d time.Duration, fn func()) {
 	s.lane.alloc(d, fn)
 }
 
-// ScheduleAt is Schedule at the absolute virtual time t.
-func (s *Sim) ScheduleAt(t time.Time, fn func()) {
-	s.lane.alloc(t.Sub(s.Now()), fn)
-}
-
 // RunFor is RunUntil(Now().Add(d)).
 func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.Now().Add(d)) }
 

@@ -29,13 +29,12 @@ func SVTreeGroupSizes(p Params) (*Result, error) {
 	}
 	if p.PaperScale {
 		// The paper's §4 numbers: a 2,000-subscriber tree on a 16,000
-		// node overlay, which needs the paper-scale topology (the default
-		// one has fewer routers than attachment points) and pre-warmed
-		// overlay routes to be tractable.
+		// node overlay, which runs on the paper-scale topology (cluster.New
+		// picks it: the default one has fewer routers than attachment
+		// points) and needs pre-warmed overlay routes to be tractable.
 		n, subscribers = 16000, 2000
 	}
-	netCfg := scaledNetConfig(p.Seed, n)
-	c := cluster.New(cluster.Options{N: n, Seed: p.Seed, NetConfig: &netCfg})
+	c := cluster.New(cluster.Options{N: n, Seed: p.Seed})
 	if p.PaperScale {
 		c.WarmRoutes(nil)
 	}
@@ -196,7 +195,7 @@ func livetopoRun(p Params, kind livetopo.Kind, n, groups, size int, window time.
 		all = append(all, made{id: id, members: perm})
 	}
 
-	load = msgRate(sim, sentBy(svcs), 2*time.Minute, window)
+	load = msgRate(sim, net.Sent, 2*time.Minute, window)
 
 	lat := stats.NewSample(0)
 	var crashAt time.Time

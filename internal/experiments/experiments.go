@@ -60,11 +60,6 @@ type Result struct {
 	Header  string
 	Lines   []string
 	Metrics map[string]float64
-
-	// Telemetry is the deployment's end-of-run telemetry snapshot
-	// (Registry.RenderTable) for drivers that surface it; fusebench
-	// -metrics-out writes it next to the summary so CI can archive it.
-	Telemetry string
 }
 
 func newResult(name, header string) *Result {

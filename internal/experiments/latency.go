@@ -175,6 +175,9 @@ func Fig7GroupCreation(p Params) (*Result, error) {
 		n = 16000
 	}
 	c := paperCluster(p, n)
+	if p.PaperScale {
+		c.WarmRoutes(nil)
+	}
 	r := newResult("fig7", "group creation latency (ms): size -> p25 / median / p75")
 	for _, size := range groupSizes {
 		lat := stats.NewSample(perSize)

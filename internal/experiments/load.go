@@ -18,17 +18,6 @@ func msgRate(sim *eventsim.Sim, sent func() uint64, drain, window time.Duration)
 	return float64(sent()-base) / window.Seconds()
 }
 
-// sentBy is msgRate's counter for a baseline whose services count their
-// own sends.
-func sentBy[S interface{ Sent() uint64 }](svcs []S) func() uint64 {
-	return func() (total uint64) {
-		for _, s := range svcs {
-			total += s.Sent()
-		}
-		return total
-	}
-}
-
 // SteadyStateLoad reproduces the §7.5 steady-state measurement: the
 // background message rate of the overlay alone versus the overlay with
 // 400 idle FUSE groups of 10 members. The paper measured 337 vs 338

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"fuse/internal/cluster"
-	"fuse/internal/netmodel"
 	"fuse/internal/scenario"
 	"fuse/internal/transport/simnet"
 )
@@ -150,7 +149,6 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	r.metric("notify_median_s", lat.Median())
 	r.metric("notify_max_s", lat.Max())
 	r.metric("workers", float64(p.Workers))
-	r.Telemetry = c.Telemetry.RenderTable()
 	return r, nil
 }
 
@@ -181,26 +179,13 @@ func PaperScale100k(p Params) (*Result, error) {
 	return r, nil
 }
 
-// scaledNetConfig picks the topology for an n-node overlay: the default
-// one while it has routers to spare, the paper-scale Mercator substitute
-// once the overlay outgrows it.
-func scaledNetConfig(seed int64, n int) netmodel.Config {
-	cfg := netmodel.DefaultConfig(seed)
-	if n > cfg.ASes*cfg.RoutersPer {
-		cfg = netmodel.PaperScaleConfig(seed)
-	}
-	return cfg
-}
-
 // scaledCluster builds a deployment with the paper's messaging-layer
-// overheads on the topology scaledNetConfig selects.
+// overheads on the topology cluster.New picks for n nodes.
 func scaledCluster(p Params, n int) *cluster.Cluster {
-	netCfg := scaledNetConfig(p.Seed, n)
 	opts := simnet.DefaultOptions()
 	return cluster.New(cluster.Options{
 		N:          n,
 		Seed:       p.Seed,
-		NetConfig:  &netCfg,
 		SimOptions: &opts,
 		Workers:    p.Workers,
 	})

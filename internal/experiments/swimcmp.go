@@ -93,7 +93,7 @@ func swimRun(p Params, n int) (loadPerNode, medianDetectSec float64, masked bool
 	}
 
 	// Steady-state load per node over 5 minutes.
-	loadPerNode = msgRate(sim, sentBy(svcs), 30*time.Second, 5*time.Minute) / float64(n)
+	loadPerNode = msgRate(sim, net.Sent, 30*time.Second, 5*time.Minute) / float64(n)
 
 	// Crash detection: median time for every other node to see Dead.
 	detect := stats.NewSample(n - 1)

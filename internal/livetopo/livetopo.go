@@ -137,9 +137,6 @@ type Service struct {
 
 	// server-side registry (only used on the CentralServer node).
 	registry map[GroupID][]overlay.NodeRef
-
-	notified uint64
-	sent     uint64
 }
 
 // New creates the service for a node named by ref (which must carry the
@@ -156,12 +153,6 @@ func New(env transport.Env, cfg Config, self overlay.NodeRef) *Service {
 	}
 }
 
-// Notified reports local handler invocations.
-func (s *Service) Notified() uint64 { return s.notified }
-
-// Sent reports protocol messages sent by this node.
-func (s *Service) Sent() uint64 { return s.sent }
-
 // HasState reports whether the node holds state for id.
 func (s *Service) HasState(id GroupID) bool {
 	if _, ok := s.groups[id]; ok {
@@ -172,7 +163,6 @@ func (s *Service) HasState(id GroupID) bool {
 }
 
 func (s *Service) send(to transport.Addr, msg transport.Message) {
-	s.sent++
 	s.env.Send(to, msg)
 }
 
@@ -233,7 +223,7 @@ func (s *Service) RegisterFailureHandler(h Handler, id GroupID) {
 		return
 	}
 	if !s.HasState(id) {
-		s.env.After(0, func() { s.notified++; h(Notice{ID: id}) })
+		s.env.After(0, func() { h(Notice{ID: id}) })
 		return
 	}
 	s.handlers[id] = append(s.handlers[id], h)
@@ -411,7 +401,6 @@ func (s *Service) notifyAndDrop(id GroupID) {
 	hs := s.handlers[id]
 	delete(s.handlers, id)
 	for _, h := range hs {
-		s.notified++
 		h(Notice{ID: id})
 	}
 	s.dropGroup(id)

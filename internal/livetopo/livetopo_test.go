@@ -224,16 +224,9 @@ func TestMessageLoadScalesWithTopology(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.sim.RunFor(time.Minute) // drain creation
-		var before uint64
-		for _, s := range r.services {
-			before += s.Sent()
-		}
+		before := r.net.Sent()
 		r.sim.RunFor(30 * time.Minute)
-		var after uint64
-		for _, s := range r.services {
-			after += s.Sent()
-		}
-		return after - before
+		return r.net.Sent() - before
 	}
 	star := load(livetopo.DirectTree)
 	full := load(livetopo.AllToAll)

@@ -401,9 +401,6 @@ func (t *Topology) T3Fraction() float64 {
 	return float64(t.t3Links) / float64(t.numLinks)
 }
 
-// LinkLoss returns the configured per-link loss probability.
-func (t *Topology) LinkLoss() float64 { return t.cfg.LinkLoss }
-
 // AttachPoints returns n distinct routers chosen uniformly at random with
 // rng, used as overlay-node attachment points.
 func (t *Topology) AttachPoints(n int, rng *rand.Rand) []RouterID {

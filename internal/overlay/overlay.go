@@ -193,9 +193,6 @@ type Node struct {
 
 	stopped bool
 
-	// stats
-	routedSent uint64
-
 	tm ovTelemetry
 }
 
@@ -306,9 +303,6 @@ func SharedPrefix(a, b []byte) int {
 	return n
 }
 
-// Digits exposes this node's numeric ID digits (read-only).
-func (n *Node) Digits() []byte { return n.digits }
-
 // eachTableRef visits every routing-table entry naming another node, in
 // the tables' fixed order: leafR, leafL, then rights[h] and lefts[h]
 // upward. A node held by several tables is visited once per table.
@@ -360,10 +354,6 @@ func (n *Node) Predecessor() NodeRef {
 	}
 	return n.leafL[0]
 }
-
-// RoutedSent reports how many routed-message forwards this node initiated
-// (for experiment accounting).
-func (n *Node) RoutedSent() uint64 { return n.routedSent }
 
 func (n *Node) logf(format string, args ...any) {
 	n.env.Logf("overlay %s: %s", n.self.Name, fmt.Sprintf(format, args...))

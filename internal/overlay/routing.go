@@ -71,7 +71,6 @@ func (n *Node) RouteTo(dest string, inner transport.Message) (first NodeRef, ok 
 		})
 		return NodeRef{}, false
 	}
-	n.routedSent++
 	n.env.Send(next.Addr, &msgRoute{
 		Dest:    dest,
 		Origin:  n.self,
@@ -122,7 +121,6 @@ func (n *Node) handleRoute(m *msgRoute) {
 		Origin: m.Origin, Dest: m.Dest, Prev: m.LastHop, Next: next,
 		Hops: m.Hops,
 	})
-	n.routedSent++
 	n.env.Send(next.Addr, &msgRoute{
 		Dest:    m.Dest,
 		Origin:  m.Origin,
@@ -160,7 +158,6 @@ func (n *Node) routeJoinLookup(m *msgRoute, lookup *msgJoinLookup) {
 		})
 		return
 	}
-	n.routedSent++
 	n.env.Send(next.Addr, &msgRoute{
 		Dest:    m.Dest,
 		Origin:  m.Origin,

@@ -59,8 +59,6 @@ type Service struct {
 	// GroupSizes records the membership size of every FUSE group this
 	// node created for a content link; the §4 statistics read it.
 	GroupSizes []int
-
-	delivered uint64
 }
 
 // topicState is this node's involvement in one topic, in any combination
@@ -107,9 +105,6 @@ func New(env transport.Env, ov *overlay.Node, fuse *core.Fuse, cfg Config) *Serv
 		topics: make(map[string]*topicState),
 	}
 }
-
-// Delivered reports locally delivered events.
-func (s *Service) Delivered() uint64 { return s.delivered }
 
 func (s *Service) topic(name string) *topicState {
 	t, ok := s.topics[name]
@@ -284,7 +279,6 @@ func (s *Service) disseminate(m *msgPublish) {
 	}
 	t.lastSeq[m.Publisher] = m.Seq
 	if t.subscribed && t.deliver != nil {
-		s.delivered++
 		t.deliver(m.Data)
 	}
 	for _, cl := range t.children {
@@ -304,15 +298,6 @@ func (s *Service) Subscribed(topic string) bool {
 func (s *Service) Attached(topic string) bool {
 	t, ok := s.topics[topic]
 	return ok && t.attached
-}
-
-// Children reports the number of downstream content links for topic.
-func (s *Service) Children(topic string) int {
-	t, ok := s.topics[topic]
-	if !ok {
-		return 0
-	}
-	return len(t.children)
 }
 
 func (s *Service) logf(format string, args ...any) {

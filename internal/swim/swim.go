@@ -129,7 +129,6 @@ type Service struct {
 	// local view.
 	OnChange func(ref overlay.NodeRef, s State)
 
-	sent    uint64
 	stopped bool
 }
 
@@ -177,9 +176,6 @@ func (s *Service) Stop() {
 	}
 }
 
-// Sent reports protocol messages sent.
-func (s *Service) Sent() uint64 { return s.sent }
-
 // Status returns the local view of a peer.
 func (s *Service) Status(name string) (State, bool) {
 	m, ok := s.members[name]
@@ -211,7 +207,6 @@ func (s *Service) send(to transport.Addr, msg transport.Message) {
 	if s.stopped {
 		return
 	}
-	s.sent++
 	s.env.Send(to, msg)
 }
 

@@ -140,16 +140,9 @@ func TestSteadyStateLoadIsConstantPerNode(t *testing.T) {
 	measure := func(n int) float64 {
 		r := newRig(t, n, 6)
 		r.sim.RunFor(30 * time.Second)
-		var before uint64
-		for _, svc := range r.services {
-			before += svc.Sent()
-		}
+		before := r.net.Sent()
 		r.sim.RunFor(5 * time.Minute)
-		var after uint64
-		for _, svc := range r.services {
-			after += svc.Sent()
-		}
-		return float64(after-before) / float64(n)
+		return float64(r.net.Sent()-before) / float64(n)
 	}
 	small := measure(8)
 	large := measure(24)
@@ -163,17 +156,12 @@ func TestSteadyStateLoadIsConstantPerNode(t *testing.T) {
 func TestStopHaltsProbing(t *testing.T) {
 	r := newRig(t, 6, 7)
 	r.sim.RunFor(10 * time.Second)
-	var before uint64
 	for _, svc := range r.services {
 		svc.Stop()
-		before += svc.Sent()
 	}
+	before := r.net.Sent()
 	r.sim.RunFor(time.Minute)
-	var after uint64
-	for _, svc := range r.services {
-		after += svc.Sent()
-	}
-	if after != before {
+	if after := r.net.Sent(); after != before {
 		t.Fatalf("traffic after Stop: %d -> %d", before, after)
 	}
 }

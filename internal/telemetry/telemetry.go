@@ -131,9 +131,6 @@ func (r *Registry) Lane(i int) *Lane {
 	return r.lanes[i]
 }
 
-// Lanes reports the stripe count.
-func (r *Registry) Lanes() int { return len(r.lanes) }
-
 // Epoch is the clock origin trace timestamps are relative to.
 func (r *Registry) Epoch() time.Time { return r.epoch }
 
@@ -188,12 +185,6 @@ func (r *Registry) Counter(name, help string) Counter {
 	return Counter{slot: r.register(name, help, kindCounter, 1), ok: true}
 }
 
-// Gauge registers (or resolves) a signed up/down gauge. Gauges are
-// stored as two's-complement deltas so lane sums merge exactly.
-func (r *Registry) Gauge(name, help string) Gauge {
-	return Gauge{slot: r.register(name, help, kindGauge, 1), ok: true}
-}
-
 // Histogram registers (or resolves) a duration histogram with
 // power-of-two-millisecond buckets.
 func (r *Registry) Histogram(name, help string) Histogram {
@@ -241,20 +232,6 @@ func (c Counter) Add(l *Lane, n uint64) {
 
 // Inc adds 1.
 func (c Counter) Inc(l *Lane) { c.Add(l, 1) }
-
-// Gauge is a handle to one registered gauge.
-type Gauge struct {
-	slot uint32
-	ok   bool
-}
-
-// Add moves the gauge by d (may be negative) on the given lane.
-func (g Gauge) Add(l *Lane, d int64) {
-	if l == nil || !g.ok {
-		return
-	}
-	atomic.AddUint64(&l.slots[g.slot], uint64(d))
-}
 
 // Histogram is a handle to one registered duration histogram.
 type Histogram struct {

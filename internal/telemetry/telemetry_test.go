@@ -35,17 +35,7 @@ func TestRegistrationDedupedByName(t *testing.T) {
 			t.Fatal("re-registering a name as a different kind did not panic")
 		}
 	}()
-	r.Gauge("dup_total", "kind change")
-}
-
-func TestGaugeGoesNegative(t *testing.T) {
-	r := New(epoch, 2)
-	g := r.Gauge("level", "help")
-	g.Add(r.Lane(0), 3)
-	g.Add(r.Lane(1), -5)
-	if v, _ := r.Value("level"); v != -2 {
-		t.Fatalf("gauge = %d, want -2", v)
-	}
+	r.Histogram("dup_total", "kind change")
 }
 
 func TestHistogramBucketsAndSum(t *testing.T) {
@@ -88,10 +78,8 @@ func TestCollectorsAndReRegistration(t *testing.T) {
 func TestNilLaneAndZeroHandleAreNoOps(t *testing.T) {
 	var l *Lane
 	var c Counter
-	var g Gauge
 	var h Histogram
 	c.Inc(l)
-	g.Add(l, 1)
 	h.Observe(l, time.Second)
 	if l.NewSpan() != 0 {
 		t.Fatal("nil lane allocated a span")
@@ -117,7 +105,7 @@ func TestNilLaneAndZeroHandleAreNoOps(t *testing.T) {
 func TestRenderPromFormat(t *testing.T) {
 	r := New(epoch, 1)
 	r.Counter("a_total", "a help").Inc(r.Lane(0))
-	r.Gauge("b_gauge", "b help").Add(r.Lane(0), 9)
+	r.GaugeFunc("b_gauge", "b help", func() int64 { return 9 })
 	r.Histogram("c_ms", "c help").Observe(r.Lane(0), 3*time.Millisecond)
 	out := r.RenderProm()
 	for _, want := range []string{

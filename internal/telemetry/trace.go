@@ -26,9 +26,6 @@ const (
 // fence); the level is read atomically at every emission site.
 func (r *Registry) EnableTrace(l Level) { r.level.Store(int32(l)) }
 
-// TraceLevel reports the current level.
-func (r *Registry) TraceLevel() Level { return Level(r.level.Load()) }
-
 // Tracing reports whether events at the given level are being
 // recorded. Call sites gate on this before formatting event fields so
 // a disabled trace costs one atomic load and nothing else.

@@ -103,13 +103,6 @@ type Net struct {
 	shards []*eventsim.Shard
 	slots  []netSlot
 
-	// OnDeliver, if set, observes every successful delivery. Experiments
-	// use it to classify traffic. The observed message is only valid for
-	// the duration of the call (pooled records are recycled afterwards).
-	// It runs in the destination's event context (with several workers,
-	// on its shard's goroutine) and must only touch per-shard state.
-	OnDeliver func(from, to transport.Addr, msg transport.Message)
-
 	// telemetry, when attached, hands each node the registry lane
 	// matching its event shard (lane 1+shard; lane 0 is the control
 	// lane's) via the transport-level LaneProvider interface.
@@ -182,9 +175,6 @@ func New(sim *eventsim.Sim, topo *netmodel.Topology, opts Options) *Net {
 	}
 }
 
-// Sim returns the underlying simulator.
-func (n *Net) Sim() *eventsim.Sim { return n.sim }
-
 // MinDeliveryDelay returns the smallest virtual delay any cross-shard
 // delivery can experience: serialization overhead, one traversal of the
 // topology's cheapest link, and receiver overhead. It is the lookahead to
@@ -222,7 +212,6 @@ type node struct {
 	// offset from the simulation epoch (plain integer arithmetic on the
 	// send path, no time.Time).
 	nextFree time.Duration
-	logf     func(format string, args ...any)
 
 	// routes caches resolved destinations: the endpoint object and the
 	// topology path to it. Attachment points never move (Restart keeps the
@@ -307,9 +296,6 @@ func (d *delivery) deliver() {
 		return
 	}
 	slot.delivered++
-	if net.OnDeliver != nil {
-		net.OnDeliver(from, dst.addr, msg)
-	}
 	dst.handler(from, msg)
 	transport.ReleaseMessage(msg)
 }
@@ -552,16 +538,7 @@ func (nd *node) Rand() *rand.Rand     { return nd.rng }
 // clock, but it is exactly the executing event's time.
 func (nd *node) Now() time.Time { return nd.shard.Now() }
 
-func (nd *node) Logf(format string, args ...any) {
-	if nd.logf != nil {
-		nd.logf(format, args...)
-	}
-}
-
-// SetLogf installs a debug logger for a node. Intended for tests.
-func (n *Net) SetLogf(addr transport.Addr, logf func(format string, args ...any)) {
-	n.mustNode(addr).logf = logf
-}
+func (nd *node) Logf(string, ...any) {}
 
 func (nd *node) After(d time.Duration, fn func()) transport.Timer {
 	epoch := nd.epoch

@@ -267,18 +267,6 @@ func TestDuplicateAddrPanics(t *testing.T) {
 	net.AddNode(addrs[0], 0)
 }
 
-func TestOnDeliverHookObservesTraffic(t *testing.T) {
-	net, addrs := testNet(t, 2, Options{})
-	var seen []string
-	net.OnDeliver = func(from, to transport.Addr, msg transport.Message) { seen = append(seen, msg.(*tmsg).V) }
-	net.SetHandler(addrs[1], func(transport.Addr, transport.Message) {})
-	net.nodes[addrs[0]].Send(addrs[1], str("observed"))
-	net.sim.Run()
-	if len(seen) != 1 || seen[0] != "observed" {
-		t.Fatalf("hook saw %v", seen)
-	}
-}
-
 func TestCountersConsistent(t *testing.T) {
 	net, addrs := testNet(t, 3, Options{})
 	for _, a := range addrs {

@@ -104,9 +104,6 @@ func (n *Node) TelemetryLane() *telemetry.Lane {
 	return reg.Lane(0)
 }
 
-// Evictions reports cached connections the idle reaper has closed.
-func (n *Node) Evictions() uint64 { return n.evictions.Load() }
-
 // outConn is a cached outbound connection with a writer goroutine. Sends
 // enqueue onto ch; the writer dials lazily and drops everything on error.
 type outConn struct {

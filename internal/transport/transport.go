@@ -37,9 +37,6 @@ import (
 // "host:port" string. Protocol code treats it as opaque.
 type Addr string
 
-// IsZero reports whether the address is unset.
-func (a Addr) IsZero() bool { return a == "" }
-
 func (a Addr) String() string { return string(a) }
 
 // Message is the closed union of wire messages. Concrete message types

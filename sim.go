@@ -21,7 +21,10 @@ type Sim struct {
 	c *cluster.Cluster
 }
 
-// NewSim builds a deployment of n nodes with a converged overlay.
+// NewSim builds a deployment of n nodes with a converged overlay. The
+// topology follows n: the default one while it has a router per node
+// (2,880), the paper-scale Mercator substitute (~104k routers) beyond
+// that. Routes resolve lazily on first send.
 func NewSim(n int, seed int64) *Sim {
 	return NewSimWorkers(n, seed, 0)
 }
@@ -38,11 +41,10 @@ func NewSimWorkers(n int, seed int64, workers int) *Sim {
 }
 
 // NewSimPaperScale builds a deployment on the paper-scale
-// Mercator-substitute topology (~104k routers), which is required once n
-// exceeds the default topology's router count - the §7.3 configuration
-// of overlays up to 16,000 nodes. Overlay routes are pre-warmed in
-// parallel, so construction does bulk work up front in exchange for a
-// fast simulation afterwards.
+// Mercator-substitute topology (~104k routers) at any size, routes warmed
+// - the §7.3 configuration of overlays up to 16,000 nodes. The overlay's
+// routes are pre-warmed in parallel, so construction does bulk work up
+// front in exchange for a fast simulation afterwards.
 func NewSimPaperScale(n int, seed int64) *Sim {
 	cfg := netmodel.PaperScaleConfig(seed)
 	s := &Sim{c: cluster.New(cluster.Options{N: n, Seed: seed, NetConfig: &cfg})}
