@@ -208,33 +208,18 @@ func loadFile(path string) (*scenario.ScriptFile, error) {
 
 // crashScript is the scenario the sizing flags describe: random groups,
 // then the victims fail-stop together one minute after creation settles
-// and the run watches for window. A group that loses some but not all of
-// its members must fail, so the audit checks that every live member of
-// an affected group heard. The draws come from a stream of their own,
-// separate from the simulator's internal randomness.
+// and the run watches for window (scenario.CrashScript). The draws come
+// from a stream of their own, separate from the simulator's internal
+// randomness.
 func crashScript(nodes, groups, size, crash int, seed int64, window time.Duration) scenario.Script {
 	rng := &permRand{state: uint64(seed)*2862933555777941757 + 3037000493}
-	s := scenario.Script{Name: "crash", Duration: time.Minute + window}
+	var specs []scenario.GroupSpec
 	for g := 0; g < groups; g++ {
 		perm := rng.Perm(nodes)[:size]
-		s.Groups = append(s.Groups, scenario.GroupSpec{Root: perm[0], Members: perm[1:]})
+		specs = append(specs, scenario.GroupSpec{Root: perm[0], Members: perm[1:]})
 	}
-	down := make(map[int]bool, crash)
-	for _, v := range rng.Perm(nodes)[:crash] {
-		down[v] = true
-		s.Events = append(s.Events, scenario.Event{At: time.Minute, Do: scenario.Crash{Node: v}})
-	}
-	for gi, g := range s.Groups {
-		lost := 0
-		for _, m := range append([]int{g.Root}, g.Members...) {
-			if down[m] {
-				lost++
-			}
-		}
-		if lost > 0 && lost < size {
-			s.ExpectFail = append(s.ExpectFail, gi)
-		}
-	}
+	s := scenario.CrashScript("crash", specs, time.Minute, rng.Perm(nodes)[:crash])
+	s.Duration = time.Minute + window
 	return s
 }
 

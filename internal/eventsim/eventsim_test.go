@@ -433,45 +433,3 @@ func TestDeterminismWithPoolReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkScheduleAndRun(b *testing.B) {
-	s := New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.After(time.Duration(i%1000)*time.Microsecond, func() {})
-	}
-	s.Run()
-}
-
-// BenchmarkPeriodicReset measures the steady-state cost of a Reset-driven
-// periodic timer: after warmup it must not allocate.
-func BenchmarkPeriodicReset(b *testing.B) {
-	s := New(1)
-	var tm *Timer
-	tm = s.After(time.Millisecond, func() { tm.Reset(time.Millisecond) })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-}
-
-// BenchmarkScheduleReusedClosure measures the handle-free path with a
-// reused callback, the message-delivery pattern of transport/simnet.
-func BenchmarkScheduleReusedClosure(b *testing.B) {
-	s := New(1)
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Schedule(time.Duration(i%1000)*time.Microsecond, fn)
-		if s.Pending() > 1000 {
-			for s.Pending() > 0 {
-				s.Step()
-			}
-		}
-	}
-	for s.Pending() > 0 {
-		s.Step()
-	}
-}

@@ -129,7 +129,7 @@ func overlayFuseRun(p Params, n, groups, size int, window time.Duration) (load, 
 		victims[g] = spec.Members[len(spec.Members)-1]
 	}
 	const drain = 2 * time.Minute
-	e, err := scenario.Start(c, crashScript("ablation", specs, drain+window, victims))
+	e, err := scenario.Start(c, scenario.CrashScript("ablation", specs, drain+window, victims))
 	if err != nil {
 		return 0, 0, err
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"fuse/internal/cluster"
-	"fuse/internal/core"
 	"fuse/internal/rpcx"
 	"fuse/internal/scenario"
 	"fuse/internal/stats"
@@ -94,57 +93,23 @@ func randomGroups(c *cluster.Cluster, count, size int) []scenario.GroupSpec {
 	return out
 }
 
-// madeGroup is a created group: its ID and its members, root first.
-type madeGroup struct {
-	id      core.GroupID
-	members []int
-}
-
 // createGroups creates count randomGroups one after the other, adding
 // each blocking creation's latency to lat (when non-nil).
-func createGroups(c *cluster.Cluster, count, size int, lat *stats.Sample) ([]madeGroup, error) {
-	var out []madeGroup
+func createGroups(c *cluster.Cluster, count, size int, lat *stats.Sample) error {
 	for g, spec := range randomGroups(c, count, size) {
 		start := c.Sim.Now()
-		id, err := c.CreateGroup(spec.Root, spec.Members...)
-		if err != nil {
-			return nil, fmt.Errorf("creating group %d (size %d): %w", g, size, err)
+		if _, err := c.CreateGroup(spec.Root, spec.Members...); err != nil {
+			return fmt.Errorf("creating group %d (size %d): %w", g, size, err)
 		}
 		if lat != nil {
 			lat.AddDuration(c.Sim.Now().Sub(start))
 		}
-		out = append(out, madeGroup{id: id, members: append([]int{spec.Root}, spec.Members...)})
 	}
-	return out, nil
+	return nil
 }
 
-// crashScript is the fault every crash-latency driver injects: the
-// victims fail-stop together at the one instant at (timeline-relative),
-// and a group that loses some but not all of its members must fail - the
-// engine's audit then holds the run to "every live member of an affected
-// group hears exactly once".
-func crashScript(name string, groups []scenario.GroupSpec, at time.Duration, victims []int) scenario.Script {
-	s := scenario.Script{Name: name, Groups: groups}
-	down := make(map[int]bool, len(victims))
-	for _, v := range victims {
-		if !down[v] {
-			down[v] = true
-			s.Events = append(s.Events, scenario.Event{At: at, Do: scenario.Crash{Node: v}})
-		}
-	}
-	for gi, g := range groups {
-		lost := 0
-		for _, m := range append([]int{g.Root}, g.Members...) {
-			if down[m] {
-				lost++
-			}
-		}
-		if lost > 0 && lost <= len(g.Members) {
-			s.ExpectFail = append(s.ExpectFail, gi)
-		}
-	}
-	return s
-}
+// millis is stats.Sample.AddDuration's unit, for auditedLatencies.
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // auditedLatencies returns rep's notification latencies - each the span
 // from the fault the engine attributes it to, in the given unit - or an
@@ -181,7 +146,7 @@ func Fig7GroupCreation(p Params) (*Result, error) {
 	r := newResult("fig7", "group creation latency (ms): size -> p25 / median / p75")
 	for _, size := range groupSizes {
 		lat := stats.NewSample(perSize)
-		if _, err := createGroups(c, perSize, size, lat); err != nil {
+		if err := createGroups(c, perSize, size, lat); err != nil {
 			return nil, err
 		}
 		p25, p50, p75 := lat.Quartiles()
@@ -195,6 +160,8 @@ func Fig7GroupCreation(p Params) (*Result, error) {
 // Fig8SignaledNotification reproduces Figure 8: the latency from an
 // explicit SignalFailure at a random member to the arrival of the
 // notification at each other member (20 create/notify cycles per size).
+// Each size is one script on the one cluster: its groups, then a signal
+// every 30 s at a random member of each group in turn.
 func Fig8SignaledNotification(p Params) (*Result, error) {
 	n := p.nodes(400)
 	perSize := 20
@@ -204,30 +171,23 @@ func Fig8SignaledNotification(p Params) (*Result, error) {
 	c := paperCluster(p, n)
 	r := newResult("fig8", "signaled notification latency (ms): size -> p25 / median / p75 (max)")
 	overallMax := 0.0
+	const gap = 30 * time.Second // one group's notification settles before the next signal
 	for _, size := range groupSizes {
-		lat := stats.NewSample(perSize * size)
-		groups, err := createGroups(c, perSize, size, nil)
+		s := scenario.Script{Name: fmt.Sprintf("fig8 size %d", size), Groups: randomGroups(c, perSize, size),
+			Duration: time.Duration(perSize) * gap}
+		for gi, g := range s.Groups {
+			members := append([]int{g.Root}, g.Members...)
+			s.Events = append(s.Events, scenario.Event{At: time.Duration(gi) * gap,
+				Do: scenario.Signal{Node: members[c.Sim.Rand().Intn(size)], Group: gi}})
+			s.ExpectFail = append(s.ExpectFail, gi)
+		}
+		rep, err := scenario.Run(c, s)
 		if err != nil {
 			return nil, err
 		}
-		for _, g := range groups {
-			var signalAt time.Time
-			remaining := 0
-			for _, m := range g.members {
-				m := m
-				c.Nodes[m].Fuse.RegisterFailureHandler(func(core.Notice) {
-					lat.AddDuration(c.Nodes[m].Env.Now().Sub(signalAt))
-					remaining--
-				}, g.id)
-				remaining++
-			}
-			signaller := g.members[c.Sim.Rand().Intn(len(g.members))]
-			signalAt = c.Sim.Now()
-			c.Nodes[signaller].Fuse.SignalFailure(g.id)
-			c.Sim.RunFor(30 * time.Second)
-			if remaining != 0 {
-				return nil, fmt.Errorf("size %d: %d members missed the notification", size, remaining)
-			}
+		lat, err := auditedLatencies(rep, millis)
+		if err != nil {
+			return nil, err
 		}
 		p25, p50, p75 := lat.Quartiles()
 		if lat.Max() > overallMax {
@@ -259,7 +219,7 @@ func Fig9CrashNotification(p Params) (*Result, error) {
 	// nodes at once (the paper pulls one 10-process machine off the
 	// network) and watch for ten minutes.
 	specs := randomGroups(c, groups, size)
-	s := crashScript("fig9", specs, time.Minute, c.Sim.Rand().Perm(n)[:kill])
+	s := scenario.CrashScript("fig9", specs, time.Minute, c.Sim.Rand().Perm(n)[:kill])
 	s.Duration = 11 * time.Minute
 	rep, err := scenario.Run(c, s)
 	if err != nil {

@@ -34,7 +34,7 @@ func SteadyStateLoad(p Params) (*Result, error) {
 	measure := func(withGroups bool) (float64, error) {
 		c := paperCluster(p, n)
 		if withGroups {
-			if _, err := createGroups(c, groups, size, nil); err != nil {
+			if err := createGroups(c, groups, size, nil); err != nil {
 				return 0, err
 			}
 		}
@@ -140,7 +140,7 @@ func Fig10Churn(p Params) (*Result, error) {
 	r.addLine("no churn   (stable %3d nodes):           %7.1f msg/s  (paper: 238)", stable+churners/2, noChurn)
 	r.addLine("with churn (%d stable + %d churning):  %7.1f msg/s  (paper: 270, +13%%)", stable, churners, churn)
 	r.addLine("churn + %3d FUSE groups of %d:           %7.1f msg/s  (paper: 523, +94%%)", groups, size, churnFuse)
-	r.addLine("churn overhead: +%.0f%%; FUSE-under-churn overhead: +%.0f%%",
+	r.addLine("churn overhead: %+.0f%%; FUSE-under-churn overhead: %+.0f%%",
 		100*(churn-noChurn)/noChurn, 100*(churnFuse-churn)/churn)
 	r.metric("no_churn", noChurn)
 	r.metric("churn", churn)

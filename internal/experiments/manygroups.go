@@ -34,7 +34,7 @@ func ManyGroupsSteadyState(p Params) (*Result, error) {
 	}
 
 	c := paperCluster(p, n)
-	if _, err := createGroups(c, groups, size, nil); err != nil {
+	if err := createGroups(c, groups, size, nil); err != nil {
 		return nil, fmt.Errorf("manygroups: %w", err)
 	}
 	c.Sim.RunFor(2 * time.Minute) // drain creation and install traffic

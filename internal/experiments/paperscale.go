@@ -95,7 +95,7 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	// - every live member of an affected group hears exactly once.
 	const drain = 2 * time.Minute // creation and install traffic
 	createStart := time.Now()
-	e, err := scenario.Start(c, crashScript("paperscale", specs, drain+window, pick(kill)))
+	e, err := scenario.Start(c, scenario.CrashScript("paperscale", specs, drain+window, pick(kill)))
 	if err != nil {
 		return nil, err
 	}

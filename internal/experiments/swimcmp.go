@@ -133,7 +133,7 @@ func fuseRun(p Params, n int) (loadPerNode, medianDetectSec float64, appScoped b
 		members[i-1] = i
 	}
 	const drain, window = 30 * time.Second, 5 * time.Minute
-	e, err := scenario.Start(c, crashScript("swimcmp",
+	e, err := scenario.Start(c, scenario.CrashScript("swimcmp",
 		[]scenario.GroupSpec{{Root: 0, Members: members}}, drain+window, []int{n - 1}))
 	if err != nil {
 		return 0, 0, false, err

@@ -5,8 +5,8 @@ package overlay
 // transport's pooled deliveries, whole ping intervals must execute
 // without a single heap allocation. This is the overlay-level half of the
 // 0 allocs/op pin (the raw transport cycle is pinned in simnet's
-// alloc_test.go); BenchmarkManyGroupsSteadyState measures the same
-// property with FUSE piggybacking on top.
+// alloc_test.go); the repo benchmark's steady-state workloads (bench/)
+// time the same cycle with FUSE piggybacking on top.
 
 import (
 	"fmt"

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -123,29 +125,17 @@ func (r *Report) violationf(format string, args ...any) {
 	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
 }
 
-// mergeSinks folds the per-lane sinks into the tracks and the final
+// foldLines folds the recorded lines into the tracks and the final
 // trace, in (time, lane) order with per-lane FIFO stability - the
 // logical delivery order, independent of how many workers executed the
 // run.
-func (e *Engine) mergeSinks() string {
+func (e *Engine) foldLines() string {
 	var b strings.Builder
 	b.WriteString(e.trace.String()) // setup lines
-	idx := make([]int, len(e.sinks))
-	for {
-		best := -1
-		for li, sk := range e.sinks {
-			if idx[li] >= len(sk.lines) {
-				continue
-			}
-			if best == -1 || sk.lines[idx[li]].at < e.sinks[best].lines[idx[best]].at {
-				best = li
-			}
-		}
-		if best == -1 {
-			break
-		}
-		ln := e.sinks[best].lines[idx[best]]
-		idx[best]++
+	slices.SortStableFunc(e.lines, func(x, y traceLine) int {
+		return cmp.Or(cmp.Compare(x.at, y.at), cmp.Compare(x.lane, y.lane))
+	})
+	for _, ln := range e.lines {
 		fmt.Fprintf(&b, "t=+%09.3fs  %s\n", ln.at.Seconds(), ln.text)
 		if d := ln.notice; d != nil {
 			tr := e.tracks[d.Group]
@@ -159,7 +149,7 @@ func (e *Engine) mergeSinks() string {
 // Report audits every track at the end of the run. Call it once, at a
 // fence, after the clock has passed everything the script scheduled.
 func (e *Engine) Report() *Report {
-	trace := e.mergeSinks()
+	trace := e.foldLines()
 	r := &Report{Name: e.script.Name, Groups: len(e.tracks)}
 	for _, msg := range e.errs {
 		r.violationf("engine: %s", msg)
@@ -247,8 +237,8 @@ func (e *Engine) Report() *Report {
 
 	// Detection latency (fault → last attributed delegate notice) as a
 	// telemetry histogram, observed on the control lane at audit time —
-	// the same fence discipline as the sink merge, so sharded runs stay
-	// byte-identical across worker counts. This is the continuously
+	// the same fence discipline as the trace's ordering, so sharded runs
+	// stay byte-identical across worker counts. This is the continuously
 	// observable form of the aggregated-deadline fairness bound
 	// (linkindex.go): a fault's latency can exceed the per-fault ideal
 	// by up to one CheckTimeout when its group rides a quiet link.

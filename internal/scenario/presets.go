@@ -71,6 +71,35 @@ func BuildPreset(name string, p Params) (*cluster.Cluster, Script, error) {
 	return ps.build(p)
 }
 
+// CrashScript is the drill every crash-latency experiment runs: the
+// victims fail-stop together at the one instant at (timeline-relative; a
+// repeated victim crashes once), and a group that loses some but not all
+// of its members must fail - the audit then holds the run to "every live
+// member of an affected group hears exactly once". The caller sets
+// Duration, or runs the clock itself.
+func CrashScript(name string, groups []GroupSpec, at time.Duration, victims []int) Script {
+	s := Script{Name: name, Groups: groups}
+	down := make(map[int]bool, len(victims))
+	for _, v := range victims {
+		if !down[v] {
+			down[v] = true
+			s.Events = append(s.Events, Event{At: at, Do: Crash{Node: v}})
+		}
+	}
+	for gi, g := range groups {
+		lost := 0
+		for _, m := range append([]int{g.Root}, g.Members...) {
+			if down[m] {
+				lost++
+			}
+		}
+		if lost > 0 && lost <= len(g.Members) {
+			s.ExpectFail = append(s.ExpectFail, gi)
+		}
+	}
+	return s
+}
+
 func (p Params) nodes(def int) int {
 	if p.Nodes > 0 {
 		return p.Nodes

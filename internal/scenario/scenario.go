@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"time"
 
 	"fuse/internal/cluster"
@@ -93,10 +94,10 @@ type Script struct {
 // All of the engine's own bookkeeping (fault records, incarnations,
 // churn/ramp processes) mutates only at fences: actions run as
 // control-lane events. The one structure failure handlers write from node
-// context - the trace and notice stream - is striped into per-lane sinks
-// (one per event shard, plus one for the control lane) and k-way merged
-// by (time, lane) when the run is audited, so the report and trace are
-// byte-identical at every worker count.
+// context - the trace and notice stream - is one list of lines, each
+// tagged with the lane that wrote it and appended under a mutex; Report
+// orders it by (time, lane), so the report and trace are byte-identical
+// at every worker count.
 type Engine struct {
 	c      *cluster.Cluster
 	script Script
@@ -104,7 +105,8 @@ type Engine struct {
 
 	t0     time.Duration   // sim elapsed when the timeline starts
 	trace  strings.Builder // setup lines (written before the timeline starts)
-	sinks  []*laneSink     // [0] control lane, [1+i] shard i
+	mu     sync.Mutex      // guards lines: shards append in parallel windows
+	lines  []traceLine
 	tracks []*track
 	inc    []int          // per-node incarnation counter
 	faults []faultRec     // every recorded fault, in schedule order (seq = index+1)
@@ -120,8 +122,8 @@ type Engine struct {
 
 // Run executes script s against c: creates the declared groups, compiles
 // the event timeline onto the simulator, runs it, and audits the
-// invariants. The cluster must be freshly assembled and is consumed by
-// the run.
+// invariants. Engines may follow one another on one cluster: each
+// creates, watches and audits only its own script's groups.
 func Run(c *cluster.Cluster, s Script) (*Report, error) {
 	e, err := Start(c, s)
 	if err != nil {
@@ -138,10 +140,6 @@ func Run(c *cluster.Cluster, s Script) (*Report, error) {
 // not consulted) and calls Report once at the end.
 func Start(c *cluster.Cluster, s Script) (*Engine, error) {
 	e := &Engine{c: c, script: s, rng: c.Sim.Rand(), inc: make([]int, len(c.Nodes)), active: make(map[string]int)}
-	e.sinks = make([]*laneSink, 1+c.ShardCount())
-	for i := range e.sinks {
-		e.sinks[i] = &laneSink{}
-	}
 	if err := e.setup(); err != nil {
 		return nil, err
 	}
@@ -184,23 +182,23 @@ func (e *Engine) setup() error {
 	return nil
 }
 
-// laneSink buffers the trace lines produced on one event lane. Each sink
-// is appended to by exactly one lane - the control lane for action lines,
-// a node's shard for its notification handlers - so parallel windows
-// write without synchronization; the harness merges the sinks by (time,
-// lane) when it audits the run. Timestamps within a sink are
-// non-decreasing (lanes execute in time order), which is what makes the
-// k-way merge exact.
-type laneSink struct {
-	lines []traceLine
-}
-
+// traceLine is one line of the run's trace. Each lane executes in time
+// order and appends its own lines in that order, so sorting the list
+// stably by (at, lane) gives the logical order whatever the interleaving
+// of parallel windows was.
 type traceLine struct {
 	at   time.Duration // timeline-relative
+	lane int           // 0: control lane; 1+i: event shard i
 	text string
 	// notice is set on a failure handler's line: the invocation itself,
-	// which the merge routes to its group's track.
+	// which Report routes to its group's track.
 	notice *Delivery
+}
+
+func (e *Engine) record(ln traceLine) {
+	e.mu.Lock()
+	e.lines = append(e.lines, ln)
+	e.mu.Unlock()
 }
 
 // now returns the current timeline-relative virtual time.
@@ -209,8 +207,7 @@ func (e *Engine) now() time.Duration { return e.c.Sim.Elapsed() - e.t0 }
 // tracef records a control-lane trace line at the present instant.
 // Actions and engine lifecycle steps run at fences, so lane 0 is theirs.
 func (e *Engine) tracef(format string, args ...any) {
-	sk := e.sinks[0]
-	sk.lines = append(sk.lines, traceLine{at: e.now(), text: fmt.Sprintf(format, args...)})
+	e.record(traceLine{at: e.now(), text: fmt.Sprintf(format, args...)})
 }
 
 // faultRec is one recorded fault, for per-fault latency attribution. A
@@ -297,20 +294,21 @@ func (e *Engine) attribute(gi int) int {
 
 // attach registers a failure handler for group gi on node's current
 // incarnation. The handler runs in the node's event context - possibly on
-// its shard's worker goroutine - so it writes only to the node's lane
-// sink, reads the node-local clock, and consults engine state that
-// mutates exclusively at fences (the fault schedule).
+// its shard's worker goroutine - so it records on the node's lane, reads
+// the node-local clock, and consults engine state that mutates
+// exclusively at fences (the fault schedule).
 func (e *Engine) attach(gi, node int) {
 	tr := e.tracks[gi]
 	inc := e.inc[node]
 	tr.attached[node] = inc
-	sk := e.sinks[1+e.c.ShardOf(node)]
+	lane := 1 + e.c.ShardOf(node)
 	env := e.c.Nodes[node].Env
 	e.c.Nodes[node].Fuse.RegisterFailureHandler(func(n core.Notice) {
 		at := env.Now().Sub(eventsim.Epoch) - e.t0
 		fs := e.attribute(gi)
-		sk.lines = append(sk.lines, traceLine{
+		e.record(traceLine{
 			at:     at,
+			lane:   lane,
 			text:   fmt.Sprintf("notify group=%d node=%d inc=%d reason=%s fault=%d", gi, node, inc, n.Reason, fs),
 			notice: &Delivery{Group: gi, Node: node, Inc: inc, At: at, Reason: n.Reason, Fault: fs},
 		})

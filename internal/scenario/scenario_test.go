@@ -1,9 +1,12 @@
 package scenario
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"fuse/internal/cluster"
 )
 
 // run builds and executes a preset, failing the test on any invariant
@@ -231,6 +234,71 @@ func TestDeliveriesMatchTheAudit(t *testing.T) {
 			if latency[i] != f.Latency {
 				t.Errorf("%s: fault #%d: latency %s from deliveries, %s in the schedule", name, f.Seq, latency[i], f.Latency)
 			}
+		}
+	}
+}
+
+// TestCrashScriptExpectsPartlyCrashedGroups: a group that loses some but
+// not all of its members must fail; one that loses none, or all of them
+// (nobody is left to hear), carries no expectation; and a victim listed
+// twice crashes once.
+func TestCrashScriptExpectsPartlyCrashedGroups(t *testing.T) {
+	groups := []GroupSpec{
+		{Root: 0, Members: []int{1, 2}}, // loses a member
+		{Root: 3, Members: []int{4}},    // loses none
+		{Root: 5, Members: []int{6}},    // loses all
+		{Root: 1, Members: []int{7, 8}}, // loses its root
+	}
+	s := CrashScript("crash", groups, time.Minute, []int{1, 5, 6, 1})
+	var crashed []int
+	for _, ev := range s.Events {
+		c, ok := ev.Do.(Crash)
+		if !ok || ev.At != time.Minute {
+			t.Fatalf("event %+v: want a crash at %s", ev, time.Minute)
+		}
+		crashed = append(crashed, c.Node)
+	}
+	if !slices.Equal(crashed, []int{1, 5, 6}) {
+		t.Errorf("crashed %v, want [1 5 6]", crashed)
+	}
+	if !slices.Equal(s.ExpectFail, []int{0, 3}) || s.ExpectSurvive != nil {
+		t.Errorf("ExpectFail %v ExpectSurvive %v, want [0 3] and none", s.ExpectFail, s.ExpectSurvive)
+	}
+}
+
+// TestEnginesBackToBackOnOneCluster: two engines in turn on one cluster,
+// the way Fig. 8 runs one script per group size. Each report counts only
+// its own groups and deliveries, and both audit green.
+func TestEnginesBackToBackOnOneCluster(t *testing.T) {
+	c := cluster.New(cluster.Options{N: 24, Seed: 9})
+	rounds := []Script{{
+		Name:          "first",
+		Groups:        []GroupSpec{{Root: 0, Members: []int{5, 10}}, {Root: 1, Members: []int{6, 11, 16}}},
+		Events:        []Event{{At: 10 * time.Second, Do: Signal{Node: 5, Group: 0}}},
+		Duration:      time.Minute,
+		ExpectFail:    []int{0},
+		ExpectSurvive: []int{1},
+	}, {
+		Name:       "second",
+		Groups:     []GroupSpec{{Root: 6, Members: []int{0, 5, 20}}},
+		Events:     []Event{{At: 10 * time.Second, Do: Signal{Node: 20, Group: 0}}},
+		Duration:   time.Minute,
+		ExpectFail: []int{0},
+	}}
+	for _, s := range rounds {
+		rep, err := Run(c, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() {
+			t.Fatalf("%s violated invariants:\n%s\ntrace:\n%s", s.Name, rep.Stats(), rep.Trace)
+		}
+		signalled := 1 + len(s.Groups[0].Members)
+		if rep.Groups != len(s.Groups) || rep.Failed != 1 || rep.Notices != signalled || len(rep.Deliveries) != signalled {
+			t.Errorf("%s: %s want %d groups, 1 failed, %d notices", s.Name, rep.Stats(), len(s.Groups), signalled)
+		}
+		if n := strings.Count(rep.Trace, "setup "); n != len(s.Groups) {
+			t.Errorf("%s: trace has %d setup lines, want %d:\n%s", s.Name, n, len(s.Groups), rep.Trace)
 		}
 	}
 }
