@@ -38,9 +38,9 @@ type Options struct {
 	// Workers is how many goroutines execute the event loop's windows.
 	// 0 (the default) is one goroutine and one event shard: every node
 	// on a single lane, the same run as Workers=1 with Shards=1. With
-	// Workers >= 1 nodes are partitioned router-wise into Shards event
-	// lanes and the lookahead horizon is derived from the network's
-	// minimum delivery delay; the logical event order depends on the
+	// Workers >= 1 nodes are partitioned by AS into Shards event lanes
+	// and the lookahead horizon is the network's minimum cross-AS
+	// delivery delay; the logical event order depends on the
 	// shard count only, so Workers=1 is the determinism cross-check for
 	// higher worker counts.
 	Workers int

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"fuse/internal/core"
+	"fuse/internal/netmodel"
 )
 
 // TestShardedClusterNotifies smokes the full stack under the sharded
@@ -33,6 +34,48 @@ func TestShardedClusterNotifies(t *testing.T) {
 	}
 	if c.Workers() != 4 {
 		t.Fatalf("Workers() = %d, want 4", c.Workers())
+	}
+}
+
+// TestShardsKeyOnAS pins the shard key and the horizon it buys: every
+// node sits on the shard of its router's AS, so the lookahead only has to
+// clear the cheapest inter-AS link.
+func TestShardsKeyOnAS(t *testing.T) {
+	const seed = 1
+	c := New(Options{N: 1000, Seed: seed, Workers: 1, SkipAssemble: true})
+	if c.ShardCount() != 8 {
+		t.Fatalf("ShardCount() = %d, want 8", c.ShardCount())
+	}
+	for i, n := range c.Nodes {
+		if got, want := c.ShardOf(i), c.Topo.ASOf(n.Router)%8; got != want {
+			t.Fatalf("node %d (router %d): shard %d, want AS %d %% 8 = %d", i, n.Router, got, c.Topo.ASOf(n.Router), want)
+		}
+	}
+	if la, oc3 := c.Sim.Lookahead(), netmodel.DefaultConfig(seed).OC3LatencyMin; la < oc3 {
+		t.Fatalf("Lookahead() = %v, want at least the OC3 minimum %v", la, oc3)
+	}
+}
+
+// TestShardedOneASTopologyRuns covers the horizon's fallback: a topology
+// with no inter-AS link has no inter-AS bound, yet a sharded cluster over
+// it must build (every node on one shard) and deliver a notification.
+func TestShardedOneASTopologyRuns(t *testing.T) {
+	cfg := netmodel.DefaultConfig(3)
+	cfg.Continents, cfg.ContinentWeights, cfg.ASes, cfg.InterContinentLinks = 1, []float64{1}, 1, 0
+	c := New(Options{N: 8, Seed: 3, Workers: 2, NetConfig: &cfg})
+	if c.Sim.Lookahead() <= 0 {
+		t.Fatalf("Lookahead() = %v, want positive", c.Sim.Lookahead())
+	}
+	id, err := c.CreateGroup(0, 1, 2)
+	if err != nil {
+		t.Fatalf("CreateGroup: %v", err)
+	}
+	notified := 0
+	c.Nodes[0].Fuse.RegisterFailureHandler(func(core.Notice) { notified++ }, id)
+	c.Crash(1)
+	c.Sim.RunFor(5 * time.Minute)
+	if notified != 1 {
+		t.Fatalf("root notified %d times after a member crash, want 1", notified)
 	}
 }
 

@@ -56,10 +56,11 @@ type xevent struct {
 // EnableShards gives the simulation n shard lanes executed by up to
 // workers goroutines per window, and returns the shards for node
 // assignment. lookahead must be a lower bound on the virtual delay of
-// every cross-shard event (for a simulated network: send overhead +
-// minimum link latency + deliver overhead); the barrier merge panics if a
-// cross-shard event ever undercuts it. One shard has no cross-shard
-// events, so its lookahead is never consulted and may be anything.
+// every cross-shard event (for a simulated network that keeps each AS on
+// one shard: send overhead + the cheapest inter-AS link's latency +
+// deliver overhead); the barrier merge panics if a cross-shard event ever
+// undercuts it. One shard has no cross-shard events, so its lookahead is
+// never consulted and may be anything.
 //
 // The shard count is part of the logical event order: runs with equal
 // shard counts and seeds are byte-identical at any worker count, runs

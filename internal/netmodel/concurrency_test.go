@@ -7,16 +7,64 @@ import (
 	"testing"
 )
 
-func TestMinLinkLatencyWithinIntraASRange(t *testing.T) {
-	cfg := DefaultConfig(3)
-	topo := Generate(cfg)
-	got := topo.MinLinkLatency()
-	if got < cfg.IntraASLatencyMin || got > cfg.IntraASLatencyMax {
-		t.Fatalf("MinLinkLatency = %v, want within intra-AS range [%v, %v]",
-			got, cfg.IntraASLatencyMin, cfg.IntraASLatencyMax)
+// TestMinInterASLatencyBoundsCrossASPaths pins the lookahead bound of
+// AS-keyed shards: no route between two ASes is cheaper than
+// MinInterASLatency, the cheapest inter-AS link attains it, and a route
+// inside one AS can undercut it - which is why an AS's nodes must share
+// a shard.
+func TestMinInterASLatencyBoundsCrossASPaths(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		cfg := DefaultConfig(seed)
+		topo := Generate(cfg)
+		bound := topo.MinInterASLatency()
+		if bound < cfg.OC3LatencyMin || bound > cfg.OC3LatencyMax {
+			t.Fatalf("seed %d: MinInterASLatency = %v, want within OC3 range [%v, %v]",
+				seed, bound, cfg.OC3LatencyMin, cfg.OC3LatencyMax)
+		}
+		cheapest := topo.inter[0] // read before the first Path contracts it away
+		for _, l := range topo.inter {
+			if l.lat < cheapest.lat {
+				cheapest = l
+			}
+		}
+		if p := topo.Path(RouterID(cheapest.a), RouterID(cheapest.b)); p.Latency != bound {
+			t.Fatalf("seed %d: cheapest inter-AS link routes at %v, want the bound %v", seed, p.Latency, bound)
+		}
+
+		// 2,000 random attach points, each routed to one of 20 more: every
+		// Path sweeps from a hub whose tree the pool then keeps.
+		points := topo.AttachPoints(2020, rand.New(rand.NewSource(seed)))
+		hubs := points[:20]
+		crossAS := 0
+		for i, b := range points[20:] {
+			a := hubs[i%len(hubs)]
+			if topo.ASOf(a) == topo.ASOf(b) {
+				continue
+			}
+			crossAS++
+			if p := topo.Path(a, b); p.Latency < bound {
+				t.Fatalf("seed %d: Path(%d, %d) = %v undercuts MinInterASLatency %v", seed, a, b, p.Latency, bound)
+			}
+		}
+		if crossAS < 1900 {
+			t.Fatalf("seed %d: only %d cross-AS pairs checked", seed, crossAS)
+		}
+
+		// Routers 0 and 1 are neighbours on AS 0's ring: one metro link.
+		if topo.ASOf(0) != topo.ASOf(1) {
+			t.Fatal("routers 0 and 1 should share AS 0")
+		}
+		if p := topo.Path(0, 1); p.Latency >= bound {
+			t.Fatalf("seed %d: same-AS Path(0, 1) = %v does not undercut the bound %v", seed, p.Latency, bound)
+		}
 	}
-	if p := topo.Path(0, 1); p.Latency < got {
-		t.Fatalf("path latency %v undercuts MinLinkLatency %v", p.Latency, got)
+
+	// With no inter-AS link the bound falls back to the cheapest link.
+	cfg := DefaultConfig(1)
+	cfg.Continents, cfg.ContinentWeights, cfg.ASes, cfg.InterContinentLinks = 1, []float64{1}, 1, 0
+	if got := Generate(cfg).MinInterASLatency(); got < cfg.IntraASLatencyMin || got > cfg.IntraASLatencyMax {
+		t.Fatalf("one-AS MinInterASLatency = %v, want within intra-AS range [%v, %v]",
+			got, cfg.IntraASLatencyMin, cfg.IntraASLatencyMax)
 	}
 }
 

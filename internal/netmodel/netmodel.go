@@ -190,7 +190,10 @@ type Topology struct {
 	cfg      Config
 	numLinks int
 	t3Links  int
-	minLink  time.Duration // smallest single-link latency (lookahead bound)
+	// minInterAS is the smallest inter-AS link latency, the lookahead
+	// bound once an AS's nodes share a shard; with no inter-AS link (one
+	// AS) it is the smallest link of any kind.
+	minInterAS time.Duration
 
 	intraStart []int32
 	intra      []route
@@ -257,17 +260,17 @@ func Generate(cfg Config) *Topology {
 	t.inter = make([]rawLink, 0, cfg.ASes*(1+cfg.InterASDegree)+cfg.InterContinentLinks)
 	addLink := func(a, b RouterID, lat time.Duration, class LinkClass) {
 		l := rawLink{int32(a), int32(b), lat}
-		if int(a)/cfg.RoutersPer == int(b)/cfg.RoutersPer {
+		if t.ASOf(a) == t.ASOf(b) {
 			intra = append(intra, l)
 		} else {
 			t.inter = append(t.inter, l)
+			if len(t.inter) == 1 || lat < t.minInterAS {
+				t.minInterAS = lat
+			}
 		}
 		t.numLinks++
 		if class == T3 {
 			t.t3Links++
-		}
-		if t.minLink == 0 || lat < t.minLink {
-			t.minLink = lat
 		}
 	}
 
@@ -353,6 +356,14 @@ func Generate(cfg Config) *Topology {
 			addLink(router(a, rng.Intn(cfg.RoutersPer)), router(b, rng.Intn(cfg.RoutersPer)), t3(), T3)
 		}
 	}
+	if len(t.inter) == 0 {
+		// One AS: no route leaves it, so any bound holds; the smallest
+		// link keeps it positive, as a lookahead must be.
+		t.minInterAS = intra[0].lat
+		for _, l := range intra {
+			t.minInterAS = min(t.minInterAS, l.lat)
+		}
+	}
 	t.intraStart = make([]int32, t.NumRouters()+1)
 	t.intra = flatten(t.intraStart, intra)
 	return t
@@ -380,12 +391,17 @@ func flatten(start []int32, links []rawLink) (adj []route) {
 	return adj
 }
 
-// MinLinkLatency returns the smallest single-link latency in the
-// topology: a lower bound on the latency of any route between distinct
-// routers, and therefore the conservative lookahead bound for parallel
-// simulation (no message between differently-attached nodes can arrive
-// sooner than one link traversal).
-func (t *Topology) MinLinkLatency() time.Duration { return t.minLink }
+// MinInterASLatency returns the smallest inter-AS link latency: a lower
+// bound on the latency of any route between routers in different ASes,
+// since such a route crosses at least one inter-AS link. It is the
+// conservative lookahead bound for parallel simulation when each AS's
+// nodes share a shard. A route inside one AS may undercut it. On a
+// topology with no inter-AS link (one AS) it is the smallest link
+// latency instead.
+func (t *Topology) MinInterASLatency() time.Duration { return t.minInterAS }
+
+// ASOf returns the autonomous system router r belongs to.
+func (t *Topology) ASOf(r RouterID) int { return int(r) / t.cfg.RoutersPer }
 
 // NumRouters returns the number of routers in the topology.
 func (t *Topology) NumRouters() int { return t.cfg.ASes * t.cfg.RoutersPer }
@@ -513,7 +529,7 @@ func (t *Topology) contract(workers int) {
 	// A row starts with one entry per other border router of the AS.
 	start := make([]int32, len(t.borders)+1)
 	for v, r := range t.borders {
-		as := int(r) / per
+		as := t.ASOf(r)
 		start[v+1] = t.asBorders[as+1] - t.asBorders[as] - 1
 	}
 	for i, l := range t.inter {
@@ -699,7 +715,7 @@ func (sw *sweep) settle(dist []route, base int32, start []int32, adj []route) {
 // within sets sw.intra to the best routes from r that stay inside its AS,
 // and returns the AS.
 func (sw *sweep) within(t *Topology, r RouterID) (as int) {
-	as = int(r) / t.cfg.RoutersPer
+	as = t.ASOf(r)
 	sw.base = RouterID(as * t.cfg.RoutersPer)
 	for i := range sw.intra {
 		sw.intra[i] = unreached
@@ -741,7 +757,7 @@ func (sw *sweep) run(t *Topology, src RouterID, tree []route) {
 func (sw *sweep) path(t *Topology, tree []route, src, dst RouterID) Path {
 	as := sw.within(t, dst)
 	best := unreached
-	if int(src)/t.cfg.RoutersPer == as {
+	if t.ASOf(src) == as {
 		best = sw.intra[src-sw.base]
 	}
 	for v := t.asBorders[as]; v < t.asBorders[as+1]; v++ {

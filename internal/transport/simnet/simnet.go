@@ -177,17 +177,19 @@ func New(sim *eventsim.Sim, topo *netmodel.Topology, opts Options) *Net {
 
 // MinDeliveryDelay returns the smallest virtual delay any cross-shard
 // delivery can experience: serialization overhead, one traversal of the
-// topology's cheapest link, and receiver overhead. It is the lookahead to
-// give eventsim.EnableShards for a network over topo with these options.
+// topology's cheapest inter-AS link, and receiver overhead. It is the
+// lookahead to give eventsim.EnableShards for a network over topo with
+// these options.
 func MinDeliveryDelay(topo *netmodel.Topology, opts Options) time.Duration {
-	return opts.SendOverhead + topo.MinLinkLatency() + opts.DeliverOverhead
+	return opts.SendOverhead + topo.MinInterASLatency() + opts.DeliverOverhead
 }
 
 // shardOf maps an attachment router to a shard index. Keying the
-// assignment on the router (not the node) keeps same-router nodes - whose
-// mutual path latency is zero - on one shard, so every cross-shard
-// delivery crosses at least one topology link and clears MinDeliveryDelay.
-func (n *Net) shardOf(router netmodel.RouterID) int { return int(router) % len(n.shards) }
+// assignment on the router's AS keeps every intra-AS pair - down to
+// metro links and same-router nodes at zero latency - on one shard, so
+// every cross-shard delivery leaves its AS over at least one inter-AS
+// link and clears MinDeliveryDelay.
+func (n *Net) shardOf(router netmodel.RouterID) int { return n.topo.ASOf(router) % len(n.shards) }
 
 // ShardIndex returns addr's shard assignment.
 func (n *Net) ShardIndex(addr transport.Addr) int { return n.mustNode(addr).slot }
@@ -626,10 +628,10 @@ func (l *link) Send(msg transport.Message) {
 	dl := net.newDelivery(nd.slot)
 	dl.from, dl.dst, dl.msg, dl.epoch = nd.addr, l.dst, msg, l.dst.epoch
 	// The total delay is at least SendOverhead + path latency +
-	// DeliverOverhead; a cross-shard destination is attached to a
-	// different router (shardOf keys shards on routers), so its path
-	// crosses at least one link and the delay clears MinDeliveryDelay -
-	// the lookahead bound the barrier merge enforces.
+	// DeliverOverhead; a cross-shard destination is in a different AS
+	// (shardOf keys shards on ASes), so its path crosses at least one
+	// inter-AS link and the delay clears MinDeliveryDelay - the lookahead
+	// bound the barrier merge enforces.
 	delay := depart - now + l.path.Latency + retryDelay + net.opts.DeliverOverhead
 	nd.shard.Post(l.dst.shard, delay, dl.run)
 }

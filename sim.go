@@ -30,9 +30,9 @@ func NewSim(n int, seed int64) *Sim {
 }
 
 // NewSimWorkers is NewSim with the event loop's windows executed by the
-// given number of worker goroutines: nodes are partitioned into event
-// shards that advance in parallel windows bounded by the network's
-// minimum delivery latency. workers=0 is NewSim: every node on one shard,
+// given number of worker goroutines: nodes are partitioned by AS into
+// event shards that advance in parallel windows bounded by the cheapest
+// inter-AS delivery. workers=0 is NewSim: every node on one shard,
 // one goroutine (the same run as one worker over one shard). Runs are
 // deterministic and identical across all worker counts >= 1; only
 // wall-clock speed changes.
