@@ -5,10 +5,10 @@
 //
 // Usage:
 //
-//	fusebench -exp fig7              # one experiment
-//	fusebench -exp all               # everything (several minutes)
-//	fusebench -exp fig9 -short       # reduced scale
-//	fusebench -exp svtree -paper     # paper-scale variant (16k overlay)
+//	fusebench -exp fig7                 # one experiment
+//	fusebench -exp all                  # everything (several minutes)
+//	fusebench -exp fig9 -short          # reduced scale
+//	fusebench -exp svtree -nodes 16000  # the paper's 16k overlay
 package main
 
 import (
@@ -28,8 +28,7 @@ func main() {
 		groups  = flag.Int("groups", 0, "override group count where the driver has one (0 = default)")
 		window  = flag.Duration("window", 0, "override steady-state measurement window (0 = default)")
 		short   = flag.Bool("short", false, "reduced-scale run")
-		paper   = flag.Bool("paper", false, "paper-scale run where supported (e.g. 16k-node svtree)")
-		workers = flag.Int("workers", 0, "event-loop worker goroutines where supported (paperscale); 0 = all nodes on one shard, one goroutine")
+		workers = flag.Int("workers", 0, "event-loop worker goroutines for fig6-9, steady, manygroups, paperscale and churn; 0 = all nodes on one shard, one goroutine")
 	)
 	flag.Parse()
 
@@ -44,13 +43,12 @@ func main() {
 	}
 
 	params := experiments.Params{
-		Nodes:      *nodes,
-		Seed:       *seed,
-		Short:      *short,
-		PaperScale: *paper,
-		Groups:     *groups,
-		Window:     *window,
-		Workers:    *workers,
+		Nodes:   *nodes,
+		Seed:    *seed,
+		Short:   *short,
+		Groups:  *groups,
+		Window:  *window,
+		Workers: *workers,
 	}
 
 	failed := false

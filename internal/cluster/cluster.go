@@ -49,7 +49,10 @@ type Options struct {
 	Shards int
 
 	// SkipAssemble leaves routing tables empty so a test can exercise
-	// the join protocol instead.
+	// the join protocol instead. Until something joins, the overlay and
+	// FUSE layers arm no timer, send nothing and draw no randomness, so
+	// an unassembled cluster also hosts a baseline service (livetopo,
+	// swim) that replaces each node's handler through Net.SetHandler.
 	SkipAssemble bool
 }
 

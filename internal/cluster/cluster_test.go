@@ -121,6 +121,13 @@ func TestSkipAssembleLeavesTablesEmpty(t *testing.T) {
 			t.Fatalf("node %d has neighbors despite SkipAssemble", i)
 		}
 	}
+	// Nothing runs on an unassembled cluster: the ablation and swimcmp
+	// baselines host their own services on it and rely on the idle stack
+	// arming no timer and sending nothing.
+	c.Sim.RunFor(10 * time.Minute)
+	if ex, pend, sent := c.Sim.Executed(), c.Sim.Pending(), c.Net.Sent(); ex != 0 || pend != 0 || sent != 0 {
+		t.Fatalf("idle unassembled cluster: %d events executed, %d pending, %d messages sent", ex, pend, sent)
+	}
 	// Join protocol integrates them.
 	for i := 1; i < 6; i++ {
 		c.Nodes[i].Overlay.Join(c.Nodes[0].Ref())

@@ -5,39 +5,30 @@ import (
 	"time"
 
 	"fuse/internal/cluster"
-	"fuse/internal/eventsim"
 	"fuse/internal/livetopo"
-	"fuse/internal/netmodel"
-	"fuse/internal/overlay"
 	"fuse/internal/scenario"
 	"fuse/internal/stats"
 	"fuse/internal/svtree"
 	"fuse/internal/transport"
-	"fuse/internal/transport/simnet"
 )
 
 // SVTreeGroupSizes reproduces the §4 statistics: the distribution of FUSE
 // group sizes created while building a subscriber tree. The paper built a
 // 2,000-subscriber tree on a 16,000-node overlay and measured an average
 // of 2.9 members per group with a maximum of 13, sizes depending only
-// weakly on tree and overlay size.
+// weakly on tree and overlay size. -nodes 16000 is the paper's run: 2,000
+// subscribers on the paper-scale topology, which cluster.New picks by
+// itself at that size.
 func SVTreeGroupSizes(p Params) (*Result, error) {
 	n := p.nodes(1000)
 	subscribers := n / 8
 	if p.Short {
 		n, subscribers = 200, 25
 	}
-	if p.PaperScale {
-		// The paper's §4 numbers: a 2,000-subscriber tree on a 16,000
-		// node overlay, which runs on the paper-scale topology (cluster.New
-		// picks it: the default one has fewer routers than attachment
-		// points) and needs pre-warmed overlay routes to be tractable.
-		n, subscribers = 16000, 2000
-	}
 	c := cluster.New(cluster.Options{N: n, Seed: p.Seed})
-	if p.PaperScale {
-		c.WarmRoutes(nil)
-	}
+	// Warm routes give the same paths as cold ones; at 16,000 nodes they
+	// are what makes the run tractable.
+	c.WarmRoutes(nil)
 
 	svcs := make([]*svtree.Service, len(c.Nodes))
 	for i, nd := range c.Nodes {
@@ -133,7 +124,7 @@ func overlayFuseRun(p Params, n, groups, size int, window time.Duration) (load, 
 	if err != nil {
 		return 0, 0, err
 	}
-	load = msgRate(c.Sim, c.Net.Sent, drain, window)
+	load = msgRate(c, drain, window)
 	c.Sim.RunFor(15 * time.Minute)
 	lat, err := auditedLatencies(e.Report(), time.Duration.Seconds)
 	if err != nil {
@@ -142,31 +133,21 @@ func overlayFuseRun(p Params, n, groups, size int, window time.Duration) (load, 
 	return load, lat.Median(), nil
 }
 
-// livetopoRun measures one §5.1 alternative with the same workload.
+// livetopoRun measures one §5.1 alternative with the same workload. Its
+// service replaces each node's handler on an unassembled cluster, whose
+// overlay and FUSE layers never run.
 func livetopoRun(p Params, kind livetopo.Kind, n, groups, size int, window time.Duration) (load, medianLatencySec float64, err error) {
-	sim := eventsim.New(p.Seed)
-	topo := netmodel.Generate(netmodel.DefaultConfig(p.Seed))
-	net := simnet.New(sim, topo, simnet.Options{})
-	pts := topo.AttachPoints(n, sim.Rand())
-
+	c := cluster.New(cluster.Options{N: n, Seed: p.Seed, SkipAssemble: true})
 	cfg := livetopo.DefaultConfig(kind)
-	cfg.Server = overlay.NodeRef{Name: "lt000", Addr: "lt-000"}
+	cfg.Server = c.Nodes[0].Ref()
 	svcs := make([]*livetopo.Service, n)
-	envs := make([]transport.Env, n)
-	refs := make([]overlay.NodeRef, n)
-	for i := 0; i < n; i++ {
-		addr := transport.Addr(fmt.Sprintf("lt-%03d", i))
-		refs[i] = overlay.NodeRef{Name: fmt.Sprintf("lt%03d", i), Addr: addr}
-		env := net.AddNode(addr, pts[i])
-		envs[i] = env
-		svc := livetopo.New(env, cfg, refs[i])
+	for i, nd := range c.Nodes {
+		svc := livetopo.New(nd.Env, cfg, nd.Ref())
 		svcs[i] = svc
-		func(svc *livetopo.Service) {
-			net.SetHandler(addr, func(from transport.Addr, msg transport.Message) { svc.Handle(from, msg) })
-		}(svc)
+		c.Net.SetHandler(nd.Addr, func(from transport.Addr, msg transport.Message) { svc.Handle(from, msg) })
 	}
 
-	rng := sim.Rand()
+	rng := c.Sim.Rand()
 	type made struct {
 		id      livetopo.GroupID
 		members []int
@@ -178,16 +159,11 @@ func livetopoRun(p Params, kind livetopo.Kind, n, groups, size int, window time.
 		for i := range perm {
 			perm[i]++
 		}
-		var memberRefs []overlay.NodeRef
-		for _, m := range perm[1:] {
-			memberRefs = append(memberRefs, refs[m])
-		}
 		var id livetopo.GroupID
 		var cerr error
 		done := false
-		svcs[perm[0]].CreateGroup(append([]overlay.NodeRef{refs[perm[0]]}, memberRefs...),
-			func(i livetopo.GroupID, e error) { id, cerr, done = i, e, true })
-		for !done && sim.Step() {
+		svcs[perm[0]].CreateGroup(c.Refs(perm...), func(i livetopo.GroupID, e error) { id, cerr, done = i, e, true })
+		for !done && c.Sim.Step() {
 		}
 		if cerr != nil {
 			return 0, 0, fmt.Errorf("%s group %d: %w", kind, g, cerr)
@@ -195,7 +171,7 @@ func livetopoRun(p Params, kind livetopo.Kind, n, groups, size int, window time.
 		all = append(all, made{id: id, members: perm})
 	}
 
-	load = msgRate(sim, net.Sent, 2*time.Minute, window)
+	load = msgRate(c, 2*time.Minute, window)
 
 	lat := stats.NewSample(0)
 	var crashAt time.Time
@@ -204,18 +180,18 @@ func livetopoRun(p Params, kind livetopo.Kind, n, groups, size int, window time.
 		v := g.members[len(g.members)-1]
 		victims[v] = true
 		for _, m := range g.members {
-			m := m
+			env := c.Nodes[m].Env
 			svcs[m].RegisterFailureHandler(func(livetopo.Notice) {
 				if !victims[m] {
-					lat.Add(envs[m].Now().Sub(crashAt).Seconds())
+					lat.Add(env.Now().Sub(crashAt).Seconds())
 				}
 			}, g.id)
 		}
 	}
-	crashAt = sim.Now()
+	crashAt = c.Sim.Now()
 	for v := range victims {
-		net.Crash(transport.Addr(fmt.Sprintf("lt-%03d", v)))
+		c.Crash(v)
 	}
-	sim.RunFor(15 * time.Minute)
+	c.Sim.RunFor(15 * time.Minute)
 	return load, lat.Median(), nil
 }

@@ -54,6 +54,7 @@ func ChurnReliability(p Params) (*Result, error) {
 				Groups:    p.Groups,
 				MeanDwell: dwell,
 				Window:    p.Window,
+				Workers:   p.Workers,
 			}
 			churnWindow = scenario.ChurnWindow(sp)
 			c, s, err := scenario.BuildPreset("churn", sp)

@@ -5,11 +5,16 @@
 // (thousands of concurrent groups on a small overlay - the piggyback
 // cost claim pushed to its limit) and paperscale (the §7.3 simulation at
 // its full 16,000-node size, with route warmup and a crash phase that
-// checks one-way agreement at scale). Each driver builds a simulated
-// deployment, runs the paper's workload, and returns the same
-// rows/series the paper reports, both as formatted lines and as
+// checks one-way agreement at scale). Each driver builds its simulated
+// deployment with cluster.New, runs the paper's workload, and returns
+// the same rows/series the paper reports, both as formatted lines and as
 // machine-readable metrics (which the benchmarks and tests assert
-// against). README.md maps every driver to its paper figure.
+// against). Drivers that fault FUSE groups do it with a scenario.Script,
+// so the engine's exactly-once audit checks every such run. The
+// baselines (livetopo, swim) run on an unassembled cluster: their
+// service replaces each node's handler, and the idle overlay and FUSE
+// layers underneath never run. README.md maps every driver to its paper
+// figure.
 package experiments
 
 import (
@@ -29,9 +34,6 @@ type Params struct {
 	// Short trims workload sizes and run times for use under `go test`
 	// and quick benchmarks.
 	Short bool
-	// PaperScale runs the large-simulator variants (e.g. the 16,000
-	// node overlay of §7.3) where the driver supports it.
-	PaperScale bool
 	// Groups overrides the number of FUSE groups for drivers with a
 	// group-count workload axis (paperscale, manygroups); 0 means the
 	// driver's default.
@@ -39,11 +41,12 @@ type Params struct {
 	// Window overrides the steady-state measurement window for drivers
 	// that have one; 0 means the driver's default.
 	Window time.Duration
-	// Workers is cluster.Options.Workers for drivers that plumb it
-	// through (paperscale): 0 runs every node on one event shard, >= 1
-	// that many goroutines over the default shard count. Results are
-	// identical across worker counts >= 1; only wall-clock throughput
-	// changes.
+	// Workers is cluster.Options.Workers for the drivers built on
+	// paperCluster (fig6-9, steady, manygroups, paperscale) and for
+	// churn's presets: 0 runs every node on one event shard, >= 1 that
+	// many goroutines over the default shard count. Results are identical
+	// across worker counts >= 1; only wall-clock throughput changes. The
+	// other drivers run on one shard.
 	Workers int
 }
 

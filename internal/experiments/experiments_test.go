@@ -199,6 +199,24 @@ func TestPaperScaleShardedDeterminism(t *testing.T) {
 	}
 }
 
+// TestDriversIdenticalAcrossWorkers: the drivers that take -workers print
+// the same table at one worker as at four, since the logical event order
+// depends on the shard count only.
+func TestDriversIdenticalAcrossWorkers(t *testing.T) {
+	for _, name := range []string{"fig9", "steady", "churn"} {
+		run := func(workers int) string {
+			r, err := experiments.Run(name, experiments.Params{Seed: 1, Short: true, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			return r.String()
+		}
+		if w1, w4 := run(1), run(4); w1 != w4 {
+			t.Errorf("%s: workers=1 printed\n%s\nworkers=4 printed\n%s", name, w1, w4)
+		}
+	}
+}
+
 // TestChurnReliability is the §7.4 acceptance gate: the sweep (>=3
 // churn rates x 5 seeds, each run audited by the scenario harness) must
 // deliver every expected notification with zero missed and zero

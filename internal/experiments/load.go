@@ -5,17 +5,16 @@ import (
 	"time"
 
 	"fuse/internal/cluster"
-	"fuse/internal/eventsim"
 )
 
 // msgRate is the measurement every load figure makes: let drain pass
-// (creation and install traffic), then count the messages sent reports
-// over window, per virtual second.
-func msgRate(sim *eventsim.Sim, sent func() uint64, drain, window time.Duration) float64 {
-	sim.RunFor(drain)
-	base := sent()
-	sim.RunFor(window)
-	return float64(sent()-base) / window.Seconds()
+// (creation and install traffic), then count the messages c's network
+// sends over window, per virtual second.
+func msgRate(c *cluster.Cluster, drain, window time.Duration) float64 {
+	c.Sim.RunFor(drain)
+	base := c.Net.Sent()
+	c.Sim.RunFor(window)
+	return float64(c.Net.Sent()-base) / window.Seconds()
 }
 
 // SteadyStateLoad reproduces the §7.5 steady-state measurement: the
@@ -38,7 +37,7 @@ func SteadyStateLoad(p Params) (*Result, error) {
 				return 0, err
 			}
 		}
-		return msgRate(c.Sim, c.Net.Sent, 2*time.Minute, window), nil
+		return msgRate(c, 2*time.Minute, window), nil
 	}
 
 	without, err := measure(false)
@@ -77,7 +76,7 @@ func Fig10Churn(p Params) (*Result, error) {
 	// churners), no groups, no churn.
 	baseline := func() float64 {
 		c := cluster.New(cluster.Options{N: stable + churners/2, Seed: p.Seed})
-		return msgRate(c.Sim, c.Net.Sent, 2*time.Minute, window)
+		return msgRate(c, 2*time.Minute, window)
 	}
 
 	// (b)/(c): stable+churner overlay with a churn driver; optionally
@@ -123,7 +122,7 @@ func Fig10Churn(p Params) (*Result, error) {
 			flip(i)
 		}
 
-		return msgRate(c.Sim, c.Net.Sent, 2*time.Minute, window), nil
+		return msgRate(c, 2*time.Minute, window), nil
 	}
 
 	noChurn := baseline()

@@ -23,9 +23,6 @@ func ManyGroupsSteadyState(p Params) (*Result, error) {
 	if p.Short {
 		window = 2 * time.Minute
 	}
-	if p.PaperScale {
-		groups = 10000
-	}
 	if p.Groups > 0 {
 		groups = p.Groups
 	}
@@ -47,7 +44,7 @@ func ManyGroupsSteadyState(p Params) (*Result, error) {
 	}
 
 	wall := time.Now()
-	rate := msgRate(c.Sim, c.Net.Sent, 0, window)
+	rate := msgRate(c, 0, window)
 	elapsed := time.Since(wall)
 	simSpeed := window.Seconds() / elapsed.Seconds()
 

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"fuse/internal/cluster"
 	"fuse/internal/scenario"
-	"fuse/internal/transport/simnet"
 )
 
 // PaperScaleSimulation is the §7.3 scalability run: the paper validates
@@ -55,7 +53,7 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	}
 
 	setup := time.Now()
-	c := scaledCluster(p, n)
+	c := paperCluster(p, n)
 	rng := c.Sim.Rand()
 
 	// Pick every group's membership up front so route warmup can cover
@@ -112,7 +110,7 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	// Steady-state measurement window.
 	baseExec := c.Sim.Executed()
 	wall := time.Now()
-	rate := msgRate(c.Sim, c.Net.Sent, 0, window)
+	rate := msgRate(c, 0, window)
 	elapsed := time.Since(wall)
 	simSpeed := window.Seconds() / elapsed.Seconds()
 	evRate := float64(c.Sim.Executed()-baseExec) / elapsed.Seconds()
@@ -177,16 +175,4 @@ func PaperScale100k(p Params) (*Result, error) {
 	}
 	r.Name = "paperscale100k"
 	return r, nil
-}
-
-// scaledCluster builds a deployment with the paper's messaging-layer
-// overheads on the topology cluster.New picks for n nodes.
-func scaledCluster(p Params, n int) *cluster.Cluster {
-	opts := simnet.DefaultOptions()
-	return cluster.New(cluster.Options{
-		N:          n,
-		Seed:       p.Seed,
-		SimOptions: &opts,
-		Workers:    p.Workers,
-	})
 }

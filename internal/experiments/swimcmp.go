@@ -1,18 +1,14 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"fuse/internal/cluster"
-	"fuse/internal/eventsim"
-	"fuse/internal/netmodel"
 	"fuse/internal/overlay"
 	"fuse/internal/scenario"
 	"fuse/internal/stats"
 	"fuse/internal/swim"
 	"fuse/internal/transport"
-	"fuse/internal/transport/simnet"
 )
 
 // SwimComparison quantifies the §2 contrast between the membership-list
@@ -35,7 +31,10 @@ func SwimComparison(p Params) (*Result, error) {
 	r := newResult("swimcmp", "membership service (SWIM) vs FUSE groups")
 
 	// --- SWIM side ---
-	swimLoad, swimDetect, swimIntransitive := swimRun(p, n)
+	swimLoad, swimDetect, swimIntransitive, err := swimRun(p, n)
+	if err != nil {
+		return nil, err
+	}
 	// --- FUSE side ---
 	fuseLoad, fuseDetect, fuseIntransitive, err := fuseRun(p, n)
 	if err != nil {
@@ -68,59 +67,50 @@ func boolMetric(b bool) float64 {
 
 // swimRun measures the SWIM baseline: per-node steady load, median
 // crash-detection time across all observers, and whether an intransitive
-// cut is masked.
-func swimRun(p Params, n int) (loadPerNode, medianDetectSec float64, masked bool) {
-	sim := eventsim.New(p.Seed)
-	topo := netmodel.Generate(netmodel.DefaultConfig(p.Seed))
-	net := simnet.New(sim, topo, simnet.Options{})
-	pts := topo.AttachPoints(n, sim.Rand())
+// cut is masked. Its service replaces each node's handler on an
+// unassembled cluster, whose overlay and FUSE layers never run.
+func swimRun(p Params, n int) (loadPerNode, medianDetectSec float64, masked bool, err error) {
+	c := cluster.New(cluster.Options{N: n, Seed: p.Seed, SkipAssemble: true})
 	svcs := make([]*swim.Service, n)
-	envs := make([]transport.Env, n)
 	refs := make([]overlay.NodeRef, n)
-	addr := func(i int) transport.Addr { return transport.Addr(fmt.Sprintf("sw-%03d", i)) }
-	for i := 0; i < n; i++ {
-		refs[i] = overlay.NodeRef{Name: fmt.Sprintf("sw%03d", i), Addr: addr(i)}
-		env := net.AddNode(addr(i), pts[i])
-		envs[i] = env
-		svc := swim.New(env, swim.DefaultConfig(), refs[i])
+	for i, nd := range c.Nodes {
+		refs[i] = nd.Ref()
+		svc := swim.New(nd.Env, swim.DefaultConfig(), refs[i])
 		svcs[i] = svc
-		func(svc *swim.Service) {
-			net.SetHandler(addr(i), func(from transport.Addr, msg transport.Message) { svc.Handle(from, msg) })
-		}(svc)
+		c.Net.SetHandler(nd.Addr, func(from transport.Addr, msg transport.Message) { svc.Handle(from, msg) })
 	}
 	for _, svc := range svcs {
 		svc.Bootstrap(refs)
 	}
 
 	// Steady-state load per node over 5 minutes.
-	loadPerNode = msgRate(sim, net.Sent, 30*time.Second, 5*time.Minute) / float64(n)
+	loadPerNode = msgRate(c, 30*time.Second, 5*time.Minute) / float64(n)
 
 	// Crash detection: median time for every other node to see Dead.
 	detect := stats.NewSample(n - 1)
-	crashAt := sim.Now()
-	for i, svc := range svcs {
-		if i == n-1 {
-			continue
-		}
-		env := envs[i]
+	crashAt := c.Sim.Now()
+	for i, svc := range svcs[:n-1] {
+		env := c.Nodes[i].Env
 		svc.OnChange = func(ref overlay.NodeRef, s swim.State) {
 			if ref.Name == refs[n-1].Name && s == swim.Dead {
 				detect.Add(env.Now().Sub(crashAt).Seconds())
 			}
 		}
 	}
-	net.Crash(addr(n - 1))
-	sim.RunFor(5 * time.Minute)
+	c.Crash(n - 1)
+	c.Sim.RunFor(5 * time.Minute)
 	medianDetectSec = detect.Median()
 
 	// Intransitive cut between two live nodes: masked if both still see
 	// each other alive afterwards.
-	net.BlockBoth(addr(1), addr(2))
-	sim.RunFor(5 * time.Minute)
+	if _, err := scenario.Run(c, scenario.Script{Name: "swimcmp swim cut", Duration: 5 * time.Minute,
+		Events: []scenario.Event{{Do: scenario.BlockPair{A: 1, B: 2}}}}); err != nil {
+		return 0, 0, false, err
+	}
 	s1, _ := svcs[1].Status(refs[2].Name)
 	s2, _ := svcs[2].Status(refs[1].Name)
 	masked = s1 == swim.Alive && s2 == swim.Alive
-	return loadPerNode, medianDetectSec, masked
+	return loadPerNode, medianDetectSec, masked, nil
 }
 
 // fuseRun measures the FUSE side with one group over every node (an
@@ -138,7 +128,7 @@ func fuseRun(p Params, n int) (loadPerNode, medianDetectSec float64, appScoped b
 	if err != nil {
 		return 0, 0, false, err
 	}
-	loadPerNode = msgRate(c.Sim, c.Net.Sent, drain, window) / float64(n)
+	loadPerNode = msgRate(c, drain, window) / float64(n)
 	c.Sim.RunFor(15 * time.Minute)
 	detect, err := auditedLatencies(e.Report(), time.Duration.Seconds)
 	if err != nil {
@@ -146,20 +136,23 @@ func fuseRun(p Params, n int) (loadPerNode, medianDetectSec float64, appScoped b
 	}
 	medianDetectSec = detect.Median()
 
-	// Intransitive: create a fresh 3-member group, cut the two member
-	// nodes apart, verify FUSE stays quiet, then fail-on-send scopes the
-	// failure to exactly this group.
-	id2, err := c.CreateGroup(1, 2, 3)
+	// Intransitive: a fresh 3-member group whose two members are cut
+	// apart. FUSE stays quiet through the cut (it caused no notice), then
+	// fail-on-send scopes the failure to exactly this group: every member
+	// hears the signal once.
+	rep, err := scenario.Run(c, scenario.Script{
+		Name:   "swimcmp intransitive",
+		Groups: []scenario.GroupSpec{{Root: 1, Members: []int{2, 3}}},
+		Events: []scenario.Event{
+			{Do: scenario.BlockPair{A: 2, B: 3}},
+			{At: 5 * time.Minute, Do: scenario.Signal{Node: 2, Group: 0}},
+		},
+		Duration:   6 * time.Minute,
+		ExpectFail: []int{0},
+	})
 	if err != nil {
 		return 0, 0, false, err
 	}
-	c.Net.BlockBoth(c.Nodes[2].Addr, c.Nodes[3].Addr)
-	c.Sim.RunFor(5 * time.Minute)
-	if !c.Nodes[1].Fuse.HasState(id2) {
-		return loadPerNode, medianDetectSec, false, nil // false positive: not scoped
-	}
-	c.Nodes[2].Fuse.SignalFailure(id2)
-	c.Sim.RunFor(time.Minute)
-	appScoped = !c.Nodes[3].Fuse.HasState(id2) && !c.Nodes[1].Fuse.HasState(id2)
+	appScoped = rep.OK() && rep.Faults[0].Notices == 0
 	return loadPerNode, medianDetectSec, appScoped, nil
 }

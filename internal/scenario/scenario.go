@@ -222,13 +222,12 @@ func (e *Engine) tracef(format string, args ...any) {
 // ends the interval; a later fault on the same key starts a fresh record
 // with its own seq.
 type faultRec struct {
-	seq     int // 1-based position in the fault schedule
-	at      time.Duration
-	key     string // faulting entity ("crash:3", "loss:2-9", ...)
-	desc    string // the action that started the fault, for reports
-	nodes   []int  // nodes the fault touches directly
-	group   int    // group index when the action names one (Signal), -1 otherwise
-	cleared bool
+	seq   int // 1-based position in the fault schedule
+	at    time.Duration
+	key   string // faulting entity ("crash:3", "loss:2-9", ...)
+	desc  string // the action that started the fault, for reports
+	nodes []int  // nodes the fault touches directly
+	group int    // group index when the action names one (Signal), -1 otherwise
 }
 
 // fault records the present instant as the start of a fault on entity
@@ -244,15 +243,10 @@ func (e *Engine) fault(key, desc string, nodes ...int) {
 }
 
 // clearFault ends the ongoing fault on entity key, if any. The record
-// stays in the schedule (a cleared fault can still be the cause of a
-// notification delivered after the clear); only the dedup ends, so a
-// later fault on the same entity gets its own record.
-func (e *Engine) clearFault(key string) {
-	if i, ok := e.active[key]; ok {
-		e.faults[i].cleared = true
-		delete(e.active, key)
-	}
-}
+// stays in the schedule as it is (a cleared fault can still be the cause
+// of a notification delivered after the clear); only the dedup ends, so
+// a later fault on the same entity gets its own record.
+func (e *Engine) clearFault(key string) { delete(e.active, key) }
 
 // groupFault records a one-shot fault explicitly tied to one group
 // (Signal). Signals are instantaneous, so they never dedup.

@@ -1,9 +1,11 @@
 package telemetry
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -83,32 +85,19 @@ func (l *Lane) NewSpan() uint64 {
 	return uint64(l.id+1)<<32 | l.spanSeq
 }
 
-// Events k-way merges every lane's buffer by (timestamp, lane, FIFO) —
-// the scenario sink merge order — yielding a sequence that is
-// byte-identical across worker counts for a fixed shard count.
+// Events returns every lane's buffer in (timestamp, lane, FIFO) order —
+// the order the scenario engine sorts its trace lines into — yielding a
+// sequence that is byte-identical across worker counts for a fixed
+// shard count.
 func (r *Registry) Events() []Event {
-	idx := make([]int, len(r.lanes))
-	var total int
+	var out []Event
 	for _, l := range r.lanes {
-		total += len(l.events)
+		out = append(out, l.events...)
 	}
-	out := make([]Event, 0, total)
-	for {
-		best := -1
-		for li, l := range r.lanes {
-			if idx[li] >= len(l.events) {
-				continue
-			}
-			if best == -1 || l.events[idx[li]].At < r.lanes[best].events[idx[best]].At {
-				best = li
-			}
-		}
-		if best == -1 {
-			return out
-		}
-		out = append(out, r.lanes[best].events[idx[best]])
-		idx[best]++
-	}
+	slices.SortStableFunc(out, func(x, y Event) int {
+		return cmp.Or(cmp.Compare(x.At, y.At), cmp.Compare(x.Lane, y.Lane))
+	})
+	return out
 }
 
 // traceLine is the JSONL schema (field order is the struct order, so

@@ -3,7 +3,7 @@ package tcpnet
 // Codec tests and fuzzing. The blank imports pull in every protocol
 // package so their init-time registrations populate the transport
 // registry: the round-trip tests then enumerate the full closed union -
-// overlay, FUSE core, svtree, swim, livetopo, rpcx - rather than a
+// overlay, FUSE core, svtree, swim, livetopo - rather than a
 // hand-maintained list that would rot as message types are added.
 
 import (
@@ -22,7 +22,6 @@ import (
 
 	_ "fuse/internal/core"
 	_ "fuse/internal/livetopo"
-	_ "fuse/internal/rpcx"
 	_ "fuse/internal/svtree"
 	_ "fuse/internal/swim"
 )
@@ -254,7 +253,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 // cases. The checked-in filled_overlay_ping and _pingAck predate those
 // records' Link and PeerLink fields and stay as old-format frames a new
 // decoder must accept; linked_overlay_ping and _pingAck are the same
-// frames with both ids set. It is a no-op unless GEN_FUZZ_CORPUS=1 is set:
+// frames with both ids set. The *_rpcx_request and _response frames carry
+// tags of a message pair no package registers any more, and stay as
+// frames a decoder must reject cleanly. It is a no-op unless
+// GEN_FUZZ_CORPUS=1 is set:
 //
 //	GEN_FUZZ_CORPUS=1 go test ./internal/transport/tcpnet -run TestGenerateFuzzCorpus
 func TestGenerateFuzzCorpus(t *testing.T) {
