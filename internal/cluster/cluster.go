@@ -87,7 +87,7 @@ type Cluster struct {
 	// stores records each node's attached stable storage so a restart
 	// can reattach the same store (the durable state survives the crash
 	// even though the protocol stack is rebuilt).
-	stores map[int]core.Persistence
+	stores map[int]*core.MemStore
 }
 
 // AddrOf returns the deterministic transport address of node index i.
@@ -139,7 +139,7 @@ func New(opts Options) *Cluster {
 		Topo:      topo,
 		Net:       net,
 		Telemetry: reg,
-		stores:    make(map[int]core.Persistence),
+		stores:    make(map[int]*core.MemStore),
 	}
 	pts := topo.AttachPoints(opts.N, sim.Rand())
 	for i := 0; i < opts.N; i++ {
@@ -168,13 +168,9 @@ func (c *Cluster) buildStack(i int, addr transport.Addr, router netmodel.RouterI
 	fu := core.New(env, ov, core.DefaultConfig())
 	n := &Node{Index: i, Addr: addr, Router: router, Env: env, Overlay: ov, Fuse: fu}
 	c.Net.SetHandler(addr, func(from transport.Addr, msg transport.Message) {
-		if ov.Handle(from, msg) {
-			return
+		if !ov.Handle(from, msg) {
+			fu.Handle(from, msg)
 		}
-		if fu.Handle(from, msg) {
-			return
-		}
-		env.Logf("cluster: unhandled message %T from %s", msg, from)
 	})
 	return n
 }
@@ -257,34 +253,25 @@ func (c *Cluster) Restart(i int, bootstrap overlay.NodeRef) *Node {
 	return n
 }
 
-// RestartWithStore revives node i like Restart but attaches the given
-// stable storage and runs crash recovery from it (the §3.6 stable-storage
-// variant): recorded group memberships are resumed instead of forgotten.
-func (c *Cluster) RestartWithStore(i int, bootstrap overlay.NodeRef, store core.Persistence) (*Node, error) {
-	n := c.Restart(i, bootstrap)
-	c.stores[i] = store
-	n.Fuse.SetPersistence(store)
-	if err := n.Fuse.Recover(); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-// RestartRecovered revives node i and recovers from the store previously
-// recorded by AttachStore or RestartWithStore (the durable directory a
-// real process would find on disk after the crash). It panics if node i
-// never had a store attached.
-func (c *Cluster) RestartRecovered(i int, bootstrap overlay.NodeRef) (*Node, error) {
+// RestartRecovered revives node i like Restart, reattaches the store
+// AttachStore recorded for it (the durable directory a real process would
+// find on disk after the crash) and runs crash recovery from it: the §3.6
+// stable-storage variant, in which recorded group memberships are resumed
+// instead of forgotten. It panics if node i never had a store attached.
+func (c *Cluster) RestartRecovered(i int, bootstrap overlay.NodeRef) *Node {
 	store, ok := c.stores[i]
 	if !ok {
 		panic(fmt.Sprintf("cluster: node %d has no recorded store", i))
 	}
-	return c.RestartWithStore(i, bootstrap, store)
+	n := c.Restart(i, bootstrap)
+	n.Fuse.SetPersistence(store)
+	n.Fuse.Recover()
+	return n
 }
 
 // AttachStore gives node i stable storage for subsequent memberships and
 // records it for RestartRecovered.
-func (c *Cluster) AttachStore(i int, store core.Persistence) {
+func (c *Cluster) AttachStore(i int, store *core.MemStore) {
 	c.stores[i] = store
 	c.Nodes[i].Fuse.SetPersistence(store)
 }

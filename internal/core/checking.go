@@ -123,7 +123,6 @@ var _ overlay.Client = (*Fuse)(nil)
 func (f *Fuse) OnRouteMessage(msg transport.Message, info overlay.RouteInfo) {
 	ic, ok := msg.(*msgInstallChecking)
 	if !ok {
-		f.logf("unexpected routed message %T", msg)
 		return
 	}
 	switch {
@@ -307,7 +306,6 @@ func (f *Fuse) handleGroupLists(m *msgGroupLists) {
 			i++ // too young to judge: the neighbor may not have installed yet
 			continue
 		}
-		f.logf("reconciliation: %s not monitored by %s, failing link", id, m.From.Name)
 		span := f.tm.lane.NewSpan()
 		if span != 0 {
 			f.trace("trigger", id, span, 0, "reconcile "+m.From.Name)

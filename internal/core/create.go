@@ -88,7 +88,6 @@ func (f *Fuse) sendInstallChecking(id GroupID, seq uint64) {
 		// No overlay path to the root right now. The root's install
 		// timer will notice the missing InstallChecking and drive
 		// repair; meanwhile the member monitors nothing.
-		f.logf("no overlay route to root for %s", id)
 		return
 	}
 	f.addTreeLink(id, seq, first)
@@ -143,7 +142,6 @@ func (f *Fuse) armInstallTimer(rs *rootState) {
 	}
 	rs.installTimer = f.env.After(f.cfg.InstallTimeout, func() {
 		if len(rs.installPending) > 0 {
-			f.logf("install timer fired for %s (%d missing), repairing", rs.id, len(rs.installPending))
 			f.scheduleRepair(rs)
 		}
 	})

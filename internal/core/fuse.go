@@ -182,7 +182,7 @@ type Fuse struct {
 
 	// persist, when non-nil, records group memberships durably (§3.6
 	// stable-storage variant).
-	persist Persistence
+	persist *MemStore
 
 	// recoverUntil, when in the future, opens the post-Recover
 	// reconciliation window: while it lasts, every neighbor the overlay
@@ -420,10 +420,6 @@ func (f *Fuse) SignalFailure(id GroupID) {
 	}
 	// Unknown group: nothing to do; a registration after this will fire
 	// immediately since no state exists.
-}
-
-func (f *Fuse) logf(format string, args ...any) {
-	f.env.Logf("fuse %s: %s", f.self.Name, fmt.Sprintf(format, args...))
 }
 
 // tracing gates protocol-event emission; call before building any event

@@ -57,7 +57,6 @@ func newFakeEnv(addr transport.Addr) *fakeEnv {
 func (e *fakeEnv) Addr() transport.Addr { return e.addr }
 func (e *fakeEnv) Now() time.Time       { return e.now }
 func (e *fakeEnv) Rand() *rand.Rand     { return e.rng }
-func (e *fakeEnv) Logf(string, ...any)  {}
 
 func (e *fakeEnv) Send(to transport.Addr, msg transport.Message) {
 	e.sent = append(e.sent, fakeSend{to: to, msg: msg})

@@ -212,7 +212,6 @@ func (f *Fuse) linkTimedOut(ls *linkState) {
 	if f.links[ls.neighbor.Addr] != ls {
 		return // emptied or replaced while the callback was in flight
 	}
-	f.logf("check timeout for link %s (%d groups)", ls.neighbor.Name, len(ls.sorted))
 	f.tm.linkTimeouts.Inc(f.tm.lane)
 	for _, id := range ls.snapshot() {
 		if cs, ok := f.checking[id]; ok && cs.link(ls.neighbor.Addr) != nil {

@@ -10,9 +10,12 @@ package core
 // protocol change - exactly the compatibility property §3.6 claims -
 // because recovery works entirely through the existing repair and
 // reconciliation paths.
+//
+// The store is a MemStore, which outlives a simulated node's crash
+// because the deployment, not the stack, holds it. It cannot fail, so
+// neither saving nor recovery has an error path.
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -27,18 +30,10 @@ type GroupRecord struct {
 	Members []overlay.NodeRef // root role only
 }
 
-// Persistence stores group memberships across crashes. Implementations
-// must tolerate duplicate saves and deletes of absent records.
-type Persistence interface {
-	SaveGroup(rec GroupRecord) error
-	DeleteGroup(id GroupID) error
-	LoadGroups() ([]GroupRecord, error)
-}
-
 // SetPersistence attaches stable storage to this node. Call before the
 // node starts participating; combine with Recover to resume groups
 // recorded by a previous incarnation.
-func (f *Fuse) SetPersistence(p Persistence) { f.persist = p }
+func (f *Fuse) SetPersistence(s *MemStore) { f.persist = s }
 
 // Recover reloads every recorded group and rejoins its monitoring:
 // members prod their roots for a repair (which rebuilds the checking
@@ -55,15 +50,11 @@ func (f *Fuse) SetPersistence(p Persistence) { f.persist = p }
 // across a link to this node tear it down and trigger the repairs that
 // rebuild the per-link checking registry here, instead of discovering
 // the mismatch one ping exchange (or one CheckTimeout) later.
-func (f *Fuse) Recover() error {
+func (f *Fuse) Recover() {
 	if f.persist == nil {
-		return nil
+		return
 	}
-	recs, err := f.persist.LoadGroups()
-	if err != nil {
-		return fmt.Errorf("fuse recover: %w", err)
-	}
-	for _, rec := range recs {
+	for _, rec := range f.persist.LoadGroups() {
 		if rec.IsRoot {
 			rs := &rootState{
 				id:      rec.ID,
@@ -85,46 +76,34 @@ func (f *Fuse) Recover() error {
 	for _, nb := range f.ov.Neighbors() {
 		f.sendReconcileProbe(nb)
 	}
-	return nil
 }
 
 // saveMember records a member-role membership if persistence is attached.
 func (f *Fuse) saveMember(ms *memberState) {
-	if f.persist == nil {
-		return
-	}
-	if err := f.persist.SaveGroup(GroupRecord{ID: ms.id, Seq: ms.seq}); err != nil {
-		f.logf("persist save %s: %v", ms.id, err)
+	if f.persist != nil {
+		f.persist.SaveGroup(GroupRecord{ID: ms.id, Seq: ms.seq})
 	}
 }
 
 // saveRoot records a root-role membership if persistence is attached.
 func (f *Fuse) saveRoot(rs *rootState) {
-	if f.persist == nil {
-		return
-	}
-	rec := GroupRecord{ID: rs.id, Seq: rs.seq, IsRoot: true, Members: rs.members}
-	if err := f.persist.SaveGroup(rec); err != nil {
-		f.logf("persist save %s: %v", rs.id, err)
+	if f.persist != nil {
+		f.persist.SaveGroup(GroupRecord{ID: rs.id, Seq: rs.seq, IsRoot: true, Members: rs.members})
 	}
 }
 
 // forget removes a durable record if persistence is attached.
 func (f *Fuse) forget(id GroupID) {
-	if f.persist == nil {
-		return
-	}
-	if err := f.persist.DeleteGroup(id); err != nil {
-		f.logf("persist delete %s: %v", id, err)
+	if f.persist != nil {
+		f.persist.DeleteGroup(id)
 	}
 }
 
-// --- in-memory store (tests, and nodes that want crash-masking only
-// within one process lifetime) ---
-
-// MemStore is a Persistence kept in process memory. It is safe for
-// concurrent use so a test can hand one store to successive node
-// incarnations.
+// MemStore is a node's stable storage, kept in process memory: a
+// simulated deployment holds one per node across its crashes and
+// restarts. Saves overwrite, deleting an absent record is a no-op, and
+// it is safe for concurrent use, so a test can hand one store to
+// successive node incarnations.
 type MemStore struct {
 	mu   sync.Mutex
 	recs map[GroupID]GroupRecord
@@ -133,25 +112,23 @@ type MemStore struct {
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore { return &MemStore{recs: make(map[GroupID]GroupRecord)} }
 
-// SaveGroup implements Persistence.
-func (s *MemStore) SaveGroup(rec GroupRecord) error {
+// SaveGroup records rec, replacing any earlier record of its group.
+func (s *MemStore) SaveGroup(rec GroupRecord) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.recs[rec.ID] = rec
-	return nil
 }
 
-// DeleteGroup implements Persistence.
-func (s *MemStore) DeleteGroup(id GroupID) error {
+// DeleteGroup removes id's record, if any.
+func (s *MemStore) DeleteGroup(id GroupID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.recs, id)
-	return nil
 }
 
-// LoadGroups implements Persistence; records are returned in a stable
-// order so recovery is deterministic.
-func (s *MemStore) LoadGroups() ([]GroupRecord, error) {
+// LoadGroups returns every record in a stable order, so recovery is
+// deterministic.
+func (s *MemStore) LoadGroups() []GroupRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]GroupRecord, 0, len(s.recs))
@@ -164,5 +141,5 @@ func (s *MemStore) LoadGroups() ([]GroupRecord, error) {
 		}
 		return out[i].ID.Num < out[j].ID.Num
 	})
-	return out, nil
+	return out
 }

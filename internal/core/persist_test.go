@@ -15,27 +15,16 @@ func TestMemStoreRoundTrip(t *testing.T) {
 		ID:  core.GroupID{Root: overlay.NodeRef{Name: "r", Addr: "a"}, Num: 7},
 		Seq: 3,
 	}
-	if err := s.SaveGroup(rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveGroup(rec); err != nil {
-		t.Fatal(err) // duplicate save is fine
-	}
-	got, err := s.LoadGroups()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.SaveGroup(rec)
+	s.SaveGroup(rec) // duplicate save is fine
+	got := s.LoadGroups()
 	if len(got) != 1 || got[0].ID != rec.ID || got[0].Seq != 3 {
 		t.Fatalf("loaded %+v", got)
 	}
-	if err := s.DeleteGroup(rec.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DeleteGroup(rec.ID); err != nil {
-		t.Fatal(err) // deleting absent record is fine
-	}
-	if storeLen(t, s) != 0 {
-		t.Fatalf("len = %d after delete", storeLen(t, s))
+	s.DeleteGroup(rec.ID)
+	s.DeleteGroup(rec.ID) // deleting absent record is fine
+	if n := len(s.LoadGroups()); n != 0 {
+		t.Fatalf("len = %d after delete", n)
 	}
 }
 
@@ -51,8 +40,8 @@ func TestPersistenceMasksBriefMemberCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if storeLen(t, store) != 1 {
-		t.Fatalf("store holds %d records after create, want 1", storeLen(t, store))
+	if len(store.LoadGroups()) != 1 {
+		t.Fatalf("store holds %d records after create, want 1", len(store.LoadGroups()))
 	}
 	notices := 0
 	for _, i := range []int{0, 20} {
@@ -62,10 +51,7 @@ func TestPersistenceMasksBriefMemberCrash(t *testing.T) {
 	// Brief crash: down for a few seconds, well under the ping cycle.
 	c.Crash(10)
 	c.Sim.RunFor(5 * time.Second)
-	n, err := c.RestartWithStore(10, c.Nodes[0].Ref(), store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := c.RestartRecovered(10, c.Nodes[0].Ref())
 	if !n.Fuse.HasState(id) {
 		t.Fatal("recovered node did not resume the group")
 	}
@@ -91,8 +77,8 @@ func TestPersistenceMasksBriefMemberCrash(t *testing.T) {
 	if notices != 2 || recovered != 1 {
 		t.Fatalf("post-recovery signal: others=%d recovered=%d", notices, recovered)
 	}
-	if storeLen(t, store) != 0 {
-		t.Fatalf("store holds %d records after notification, want 0", storeLen(t, store))
+	if len(store.LoadGroups()) != 0 {
+		t.Fatalf("store holds %d records after notification, want 0", len(store.LoadGroups()))
 	}
 }
 
@@ -112,9 +98,7 @@ func TestPersistentRootResumesGroup(t *testing.T) {
 	}
 	c.Crash(0)
 	c.Sim.RunFor(5 * time.Second)
-	if _, err := c.RestartWithStore(0, c.Nodes[1].Ref(), store); err != nil {
-		t.Fatal(err)
-	}
+	c.RestartRecovered(0, c.Nodes[1].Ref())
 	c.Sim.RunFor(15 * time.Minute)
 	if notices != 0 {
 		t.Fatalf("root recovery not masked: %d notifications", notices)
@@ -143,10 +127,7 @@ func TestRecoveryOfDeadGroupResolvesToNotification(t *testing.T) {
 	c.Nodes[20].Fuse.SignalFailure(id)
 	c.Sim.RunFor(time.Minute)
 
-	n, err := c.RestartWithStore(10, c.Nodes[0].Ref(), store)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := c.RestartRecovered(10, c.Nodes[0].Ref())
 	fired := 0
 	n.Fuse.RegisterFailureHandler(func(core.Notice) { fired++ }, id)
 	c.Sim.RunFor(10 * time.Minute)
@@ -156,8 +137,8 @@ func TestRecoveryOfDeadGroupResolvesToNotification(t *testing.T) {
 	if n.Fuse.HasState(id) {
 		t.Fatal("dead group resurrected")
 	}
-	if storeLen(t, store) != 0 {
-		t.Fatalf("store still holds %d records", storeLen(t, store))
+	if len(store.LoadGroups()) != 0 {
+		t.Fatalf("store still holds %d records", len(store.LoadGroups()))
 	}
 }
 
@@ -206,9 +187,8 @@ func TestRecoverProbesRebuildDelegateChecking(t *testing.T) {
 	// PingTimeout after the crash).
 	c.Crash(delegate)
 	c.Sim.RunFor(5 * time.Second)
-	if _, err := c.RestartWithStore(delegate, c.Nodes[0].Ref(), core.NewMemStore()); err != nil {
-		t.Fatal(err)
-	}
+	c.AttachStore(delegate, core.NewMemStore())
+	c.RestartRecovered(delegate, c.Nodes[0].Ref())
 
 	// The probe-driven teardown/repair cycle costs a few RTTs once the
 	// rejoining overlay's ring search re-acquires the tree-link neighbor
@@ -237,25 +217,11 @@ func TestRecoverProbesRebuildDelegateChecking(t *testing.T) {
 // rootSeq reads the persisted repair generation of id's root record.
 func rootSeq(t *testing.T, s *core.MemStore, id core.GroupID) uint64 {
 	t.Helper()
-	recs, err := s.LoadGroups()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
+	for _, r := range s.LoadGroups() {
 		if r.ID == id && r.IsRoot {
 			return r.Seq
 		}
 	}
 	t.Fatal("root record missing")
 	return 0
-}
-
-// storeLen counts the records s would hand a recovering node.
-func storeLen(t *testing.T, s *core.MemStore) int {
-	t.Helper()
-	recs, err := s.LoadGroups()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return len(recs)
 }

@@ -21,7 +21,6 @@ func (f *Fuse) memberNeedsRepair(ms *memberState) {
 		// (member-side guarantee). Tell the root anyway - if it is
 		// alive behind an asymmetric failure, it will fan out the
 		// notification.
-		f.logf("member repair timeout for %s", ms.id)
 		span := ms.cause
 		f.trace("member-timeout", ms.id, span, 0, "")
 		f.env.Send(ms.root.Addr, &msgHardNotification{ID: ms.id, From: f.self, Trace: span})
@@ -71,7 +70,6 @@ func (f *Fuse) startRepair(rs *rootState) {
 	// the previous tree no longer count.
 	rs.seq++
 	f.saveRoot(rs)
-	f.logf("repair %s seq=%d", rs.id, rs.seq)
 	f.tm.repairs.Inc(f.tm.lane)
 	f.trace("repair", rs.id, rs.cause, 0, "")
 
@@ -97,7 +95,6 @@ func (f *Fuse) startRepair(rs *rootState) {
 		if len(rs.repairPending) > 0 {
 			// Some member never answered a direct request: the group
 			// has failed (root-side guarantee).
-			f.logf("root repair timeout for %s: %d members unresponsive", rs.id, len(rs.repairPending))
 			f.rootFail(rs, ReasonRepairFailed)
 		}
 	})

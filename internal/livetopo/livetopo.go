@@ -134,9 +134,6 @@ type Service struct {
 	groups   map[GroupID]*group
 	creating map[GroupID]*creating
 	handlers map[GroupID][]Handler
-
-	// server-side registry (only used on the CentralServer node).
-	registry map[GroupID][]overlay.NodeRef
 }
 
 // New creates the service for a node named by ref (which must carry the
@@ -149,7 +146,6 @@ func New(env transport.Env, cfg Config, self overlay.NodeRef) *Service {
 		groups:   make(map[GroupID]*group),
 		creating: make(map[GroupID]*creating),
 		handlers: make(map[GroupID][]Handler),
-		registry: make(map[GroupID][]overlay.NodeRef),
 	}
 }
 
@@ -394,7 +390,6 @@ func (s *Service) serverFail(g *group) {
 		}
 	}
 	s.dropGroup(g.id)
-	delete(s.registry, g.id)
 }
 
 func (s *Service) notifyAndDrop(id GroupID) {

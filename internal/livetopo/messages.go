@@ -161,7 +161,6 @@ func (s *Service) handleJoinAck(m *msgJoinAck) {
 }
 
 func (s *Service) handleRegister(m *msgRegister) {
-	s.registry[m.ID] = m.Members
 	s.install(m.ID, m.Members, false)
 	s.send(m.ID.Root.Addr, &msgJoinAck{ID: m.ID, From: s.self})
 }

@@ -46,7 +46,6 @@ type scriptEnv struct {
 func (e *scriptEnv) Addr() transport.Addr  { return e.addr }
 func (e *scriptEnv) Now() time.Time        { return e.sim.Now() }
 func (e *scriptEnv) Rand() *rand.Rand      { return e.rng }
-func (e *scriptEnv) Logf(string, ...any)   {}
 func (e *scriptEnv) at() time.Duration     { return e.sim.Elapsed() }
 func (e *scriptEnv) run(d time.Duration)   { e.sim.RunFor(d) }
 func (e *scriptEnv) runTo(t time.Duration) { e.sim.RunFor(t - e.sim.Elapsed()) }

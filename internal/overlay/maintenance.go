@@ -288,7 +288,6 @@ func (n *Node) neighborDead(ref NodeRef) {
 	if _, ok := n.pings[ref.Addr]; !ok {
 		return
 	}
-	n.logf("neighbor %s dead", ref.Name)
 	n.tm.neighborsDead.Inc(n.tm.lane)
 	if n.tm.lane.Tracing(telemetry.TraceProto) {
 		n.tm.lane.Emit(n.env.Now(), "neighbor-dead", n.self.Name, "", 0, 0, ref.Name)

@@ -43,7 +43,6 @@ package overlay
 
 import (
 	"crypto/sha1"
-	"fmt"
 	"time"
 
 	"fuse/internal/telemetry"
@@ -353,10 +352,6 @@ func (n *Node) Predecessor() NodeRef {
 		return NodeRef{}
 	}
 	return n.leafL[0]
-}
-
-func (n *Node) logf(format string, args ...any) {
-	n.env.Logf("overlay %s: %s", n.self.Name, fmt.Sprintf(format, args...))
 }
 
 // --- clockwise name-space geometry ---

@@ -1,6 +1,9 @@
 package overlay
 
-import "fuse/internal/transport"
+import (
+	"fuse/internal/telemetry"
+	"fuse/internal/transport"
+)
 
 // Routing: clockwise greedy routing by name. At each hop the node picks,
 // among its routing-table entries, the one that makes the most clockwise
@@ -109,7 +112,6 @@ func (n *Node) handleRoute(m *msgRoute) {
 		return
 	}
 	if m.TTL <= 0 {
-		n.logf("route to %s exceeded TTL, dropping", m.Dest)
 		n.client.OnRouteMessage(m.Inner, RouteInfo{
 			Origin: m.Origin, Dest: m.Dest, Prev: m.LastHop,
 			Dead: true, Hops: m.Hops,
@@ -137,7 +139,9 @@ func (n *Node) routeJoinLookup(m *msgRoute, lookup *msgJoinLookup) {
 	if m.Dest == n.self.Name && m.Dest != lookup.Joiner.Name {
 		// Name resolution landed on an existing node with the joiner's
 		// name: duplicate names are a deployment error.
-		n.logf("join lookup for duplicate name %q dropped", m.Dest)
+		if n.tm.lane.Tracing(telemetry.TraceProto) {
+			n.tm.lane.Emit(n.env.Now(), "join-dropped", n.self.Name, "", 0, 0, lookup.Joiner.Name)
+		}
 		return
 	}
 	next, ok := n.NextHop(m.Dest)

@@ -387,9 +387,7 @@ func (e *Engine) churnFlip(p *churnProc, node, bootstrap int, mean time.Duration
 			return
 		}
 		if e.c.Crashed(node) {
-			e.clearFault(nodeKey(node))
-			e.inc[node]++
-			e.c.Restart(node, e.c.Nodes[bootstrap].Ref())
+			e.restartNode(node, bootstrap, false)
 			e.tracef("churn restart node=%d", node)
 		} else {
 			e.fault(nodeKey(node), fmt.Sprintf("churn crash node=%d", node), node)
@@ -402,8 +400,8 @@ func (e *Engine) churnFlip(p *churnProc, node, bootstrap int, mean time.Duration
 
 // --- helpers ---
 
-// nodeKey identifies a node-down fault (crash or stop); restartNode and
-// churn restarts clear it.
+// nodeKey identifies a node-down fault (crash or stop); restartNode
+// clears it.
 func nodeKey(n int) string { return fmt.Sprintf("crash:%d", n) }
 
 // pairKey identifies a link fault on an unordered node pair.

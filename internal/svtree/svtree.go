@@ -21,7 +21,6 @@
 package svtree
 
 import (
-	"fmt"
 	"time"
 
 	"fuse/internal/core"
@@ -298,8 +297,4 @@ func (s *Service) Subscribed(topic string) bool {
 func (s *Service) Attached(topic string) bool {
 	t, ok := s.topics[topic]
 	return ok && t.attached
-}
-
-func (s *Service) logf(format string, args ...any) {
-	s.env.Logf("svtree %s: %s", s.self.Name, fmt.Sprintf(format, args...))
 }

@@ -540,8 +540,6 @@ func (nd *node) Rand() *rand.Rand     { return nd.rng }
 // clock, but it is exactly the executing event's time.
 func (nd *node) Now() time.Time { return nd.shard.Now() }
 
-func (nd *node) Logf(string, ...any) {}
-
 func (nd *node) After(d time.Duration, fn func()) transport.Timer {
 	epoch := nd.epoch
 	wrapped := func() {

@@ -21,11 +21,16 @@
 // codec.go). Malformed or truncated frames fail cleanly and tear the
 // connection down, which the protocols above observe as an unreachable
 // peer.
+//
+// Drops are counted, not logged: a full send queue, a failed connection,
+// an unencodable message and a broken inbound stream each have a counter
+// in the registry SetTelemetry attaches.
 package tcpnet
 
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -51,12 +56,17 @@ type Node struct {
 	closed  bool
 	handler transport.Handler
 
-	rng  *rand.Rand
-	logf atomic.Value // func(string, ...any)
+	rng *rand.Rand
 
 	sent      atomic.Uint64
 	delivered atomic.Uint64
 	dials     atomic.Uint64
+
+	// Drops by reason, and inbound connections torn down mid-stream.
+	droppedQueueFull   atomic.Uint64
+	droppedConnFailed  atomic.Uint64
+	droppedUnencodable atomic.Uint64
+	readErrors         atomic.Uint64
 
 	idleTimeout atomic.Int64  // ns; <= 0 disables the reaper
 	idleSet     chan struct{} // poked by SetIdleTimeout so the reaper re-reads it now
@@ -88,6 +98,14 @@ func (n *Node) SetTelemetry(reg *telemetry.Registry) {
 		"cached connections closed by the idle reaper", func() int64 { return int64(n.evictions.Load()) })
 	reg.CounterFunc("tcpnet_dials_total",
 		"outbound TCP connection attempts", func() int64 { return int64(n.Dials()) })
+	reg.CounterFunc("tcpnet_dropped_queue_full_total",
+		"messages dropped because the peer's send queue was full", func() int64 { return int64(n.droppedQueueFull.Load()) })
+	reg.CounterFunc("tcpnet_dropped_conn_failed_total",
+		"messages dropped by a failed dial, header, write or flush", func() int64 { return int64(n.droppedConnFailed.Load()) })
+	reg.CounterFunc("tcpnet_dropped_unencodable_total",
+		"messages dropped because they could not be encoded", func() int64 { return int64(n.droppedUnencodable.Load()) })
+	reg.CounterFunc("tcpnet_read_errors_total",
+		"inbound connections torn down by a read or decode error", func() int64 { return int64(n.readErrors.Load()) })
 	reg.CounterFunc("tcpnet_messages_sent_total",
 		"messages accepted for sending", func() int64 { return int64(n.Sent()) })
 	reg.CounterFunc("tcpnet_messages_delivered_total",
@@ -214,9 +232,6 @@ func (n *Node) SetIdleTimeout(d time.Duration) {
 	}
 }
 
-// SetLogf installs a debug logger.
-func (n *Node) SetLogf(f func(format string, args ...any)) { n.logf.Store(f) }
-
 // --- transport.Env ---
 
 // Addr returns the node's dialable address.
@@ -228,13 +243,6 @@ func (n *Node) Now() time.Time { return time.Now() }
 // Rand returns the node's random source. It must only be used from the
 // mailbox goroutine, matching the Env contract.
 func (n *Node) Rand() *rand.Rand { return n.rng }
-
-// Logf records a debug line if a logger is installed.
-func (n *Node) Logf(format string, args ...any) {
-	if f, ok := n.logf.Load().(func(string, ...any)); ok && f != nil {
-		f(format, args...)
-	}
-}
 
 // liveTimer implements Timer and Resetter over time.AfterFunc. Each arm
 // (the initial After and every Reset) carries its own generation; a fire
@@ -338,7 +346,7 @@ func (n *Node) Send(to transport.Addr, msg transport.Message) {
 	default:
 		// Queue full: the peer is not draining; drop like a saturated
 		// TCP connection that the sender times out on.
-		n.Logf("tcpnet: queue to %s full, dropping message", to)
+		n.droppedQueueFull.Add(1)
 		transport.ReleaseMessage(msg)
 	}
 }
@@ -408,14 +416,13 @@ func (n *Node) readLoop(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	from, err := readHeader(r)
 	if err != nil {
+		n.countReadError(err)
 		return
 	}
 	for {
 		msg, err := decodeFrame(r)
 		if err != nil {
-			if err != io.EOF {
-				n.Logf("tcpnet: read from %s: %v", from, err)
-			}
+			n.countReadError(err)
 			return
 		}
 		if !n.post(func() {
@@ -430,6 +437,15 @@ func (n *Node) readLoop(conn net.Conn) {
 		}) {
 			transport.ReleaseMessage(msg) // shutdown won the race: drop path
 		}
+	}
+}
+
+// countReadError counts an inbound connection torn down by err, unless
+// err is an orderly end: the peer hanging up between frames (io.EOF) or
+// this node closing the connection at shutdown.
+func (n *Node) countReadError(err error) {
+	if err != io.EOF && !errors.Is(err, net.ErrClosed) {
+		n.readErrors.Add(1)
 	}
 }
 
@@ -452,7 +468,6 @@ func (c *outConn) writeLoop() {
 			var err error
 			conn, err = d.Dial("tcp", string(c.to))
 			if err != nil {
-				n.Logf("tcpnet: dial %s: %v", c.to, err)
 				transport.ReleaseMessage(msg)
 				c.abandon()
 				return
@@ -460,7 +475,6 @@ func (c *outConn) writeLoop() {
 			n.openOut.Add(1)
 			w = bufio.NewWriter(conn)
 			if err := writeHeader(w, n.addr); err != nil {
-				n.Logf("tcpnet: write header to %s: %v", c.to, err)
 				transport.ReleaseMessage(msg)
 				c.abandon()
 				return
@@ -472,28 +486,28 @@ func (c *outConn) writeLoop() {
 		if err != nil {
 			// Encoding failure is a per-message bug (unregistered type),
 			// not a connection failure: drop the message, keep the pipe.
-			n.Logf("tcpnet: %v", err)
+			n.droppedUnencodable.Add(1)
 			continue
 		}
 		if _, err := w.Write(frame.Bytes()); err != nil {
-			n.Logf("tcpnet: write %s: %v", c.to, err)
 			c.abandon()
 			return
 		}
 		if err := w.Flush(); err != nil {
-			n.Logf("tcpnet: write %s: %v", c.to, err)
 			c.abandon()
 			return
 		}
 	}
 }
 
-// abandon removes the connection from the cache so the next Send redials,
-// then releases whatever is still queued: the messages are lost, as on a
-// broken TCP connection, but pooled records must still be recycled
+// abandon is the writer's exit on a failed connection. It removes the
+// connection from the cache so the next Send redials, then releases
+// whatever is still queued: the messages are lost, as on a broken TCP
+// connection, but pooled records must still be recycled
 // (release-exactly-once covers drop paths too). Draining after the cache
 // removal is race-free because Send only enqueues while holding the lock
-// under which the conn is still cached.
+// under which the conn is still cached. Every message drained, plus the
+// one the writer held when the connection failed, counts as dropped.
 func (c *outConn) abandon() {
 	n := c.node
 	n.mu.Lock()
@@ -501,17 +515,21 @@ func (c *outConn) abandon() {
 		delete(n.conns, c.to)
 	}
 	n.mu.Unlock()
+	dropped := uint64(1)
+drain:
 	for {
 		select {
 		case msg, ok := <-c.ch:
 			if !ok {
-				return // Close or the reaper owns the channel; writeLoop drains it
+				break drain // closed by Close or the reaper, and now empty
 			}
 			transport.ReleaseMessage(msg)
+			dropped++
 		default:
-			return
+			break drain
 		}
 	}
+	n.droppedConnFailed.Add(dropped)
 }
 
 // reapLoop periodically evicts idle connections. Channel-close ownership:

@@ -1,7 +1,10 @@
 package tcpnet
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
+	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -610,4 +613,109 @@ func TestSetIdleTimeoutZeroDisablesReaper(t *testing.T) {
 	if got := a.OpenConns(); got != 1 {
 		t.Fatalf("OpenConns = %d with reaping disabled, want 1", got)
 	}
+}
+
+// unregisteredMsg joins the Message union but is never registered, so
+// the codec cannot frame it.
+type unregisteredMsg struct {
+	body
+	released *atomic.Int32
+}
+
+func (m *unregisteredMsg) Release() { m.released.Add(1) }
+
+// counted attaches a fresh registry to n and returns a reader for one of
+// its metrics.
+func counted(t *testing.T, n *Node) func(name string) int64 {
+	t.Helper()
+	reg := telemetry.New(time.Now(), 1)
+	n.SetTelemetry(reg)
+	return func(name string) int64 {
+		v, ok := reg.Value(name)
+		if !ok {
+			t.Fatalf("metric %s not registered", name)
+		}
+		return v
+	}
+}
+
+// waitMetric polls until metric reads want, failing after a few seconds.
+func waitMetric(t *testing.T, value func(string) int64, name string, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for value(name) != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d, want %d", name, value(name), want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestDropsAreCounted pins tcpnet's drop counters: an unencodable
+// message, a broken inbound stream and a failed connection each count,
+// and every pooled record on a drop path is released exactly once.
+func TestDropsAreCounted(t *testing.T) {
+	t.Run("unencodable", func(t *testing.T) {
+		a := newNode(t, 1)
+		b := newNode(t, 2)
+		value := counted(t, a)
+		got, arrived := collect(b)
+		var released atomic.Int32
+		a.Send(b.Addr(), &unregisteredMsg{released: &released})
+		a.Send(b.Addr(), &testMsg{Seq: 7})
+		waitN(t, arrived, 1) // the pipe survived the bad message
+		if msgs := got(); len(msgs) != 1 || msgs[0].Seq != 7 {
+			t.Fatalf("got %+v", msgs)
+		}
+		if v := value("tcpnet_dropped_unencodable_total"); v != 1 {
+			t.Fatalf("tcpnet_dropped_unencodable_total = %d, want 1", v)
+		}
+		if r := released.Load(); r != 1 {
+			t.Fatalf("unencodable message released %d times, want 1", r)
+		}
+		if d := a.Dials(); d != 1 {
+			t.Fatalf("dials = %d, want 1 (same connection)", d)
+		}
+	})
+
+	t.Run("read errors", func(t *testing.T) {
+		b := newNode(t, 1)
+		value := counted(t, b)
+		// Garbage in place of the header, then garbage after a valid one.
+		var header bytes.Buffer
+		w := bufio.NewWriter(&header)
+		if err := writeHeader(w, "peer"); err != nil {
+			t.Fatal(err)
+		}
+		w.Flush()
+		garbage := bytes.Repeat([]byte{0xff}, 16)
+		for _, payload := range [][]byte{garbage, append(header.Bytes(), garbage...)} {
+			conn, err := net.Dial("tcp", string(b.Addr()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(payload); err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+		}
+		waitMetric(t, value, "tcpnet_read_errors_total", 2)
+	})
+
+	t.Run("conn failed", func(t *testing.T) {
+		a := newNode(t, 1)
+		value := counted(t, a)
+		dead := newNode(t, 2)
+		deadAddr := dead.Addr()
+		dead.Close()
+		var released atomic.Int32
+		const msgs = 16
+		for i := 0; i < msgs; i++ {
+			a.Send(deadAddr, &releasableMsg{Seq: i, released: &released})
+		}
+		waitMetric(t, value, "tcpnet_dropped_conn_failed_total", msgs)
+		if r := released.Load(); r != msgs {
+			t.Fatalf("released %d of %d messages", r, msgs)
+		}
+	})
 }

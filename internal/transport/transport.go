@@ -13,6 +13,10 @@
 // live transport (transport/tcpnet) runs them on a per-node mailbox
 // goroutine over real TCP connections.
 //
+// An Env has no logging side channel. A protocol layer, or a transport,
+// makes itself observable only through the telemetry registry and event
+// trace, which an Env may expose as a telemetry.LaneProvider.
+//
 // Messages form a closed, typed union: every wire message implements
 // Message by embedding Body (conventionally through an unexported alias,
 // so the marker field stays off the wire), and registers itself with
@@ -153,10 +157,12 @@ type envPeer struct {
 
 func (p *envPeer) Send(msg Message) { p.env.Send(p.to, msg) }
 
-// Env is the execution environment handed to a protocol stack. All methods
-// must be called from within the node's callbacks (or before the node
-// starts processing messages); they are not safe for use from foreign
-// goroutines except where an implementation documents otherwise.
+// Env is the execution environment handed to a protocol stack: an address,
+// a clock, timers, sends and a random source, and nothing else (what a
+// node observes about itself goes to telemetry). All methods must be
+// called from within the node's callbacks (or before the node starts
+// processing messages); they are not safe for use from foreign goroutines
+// except where an implementation documents otherwise.
 type Env interface {
 	// Addr returns this node's own address.
 	Addr() Addr
@@ -179,9 +185,6 @@ type Env interface {
 	// Rand returns this node's random source. In simulation it is
 	// deterministic per node.
 	Rand() *rand.Rand
-
-	// Logf records a debug line tagged with the node's address and time.
-	Logf(format string, args ...any)
 }
 
 // --- message registry ---

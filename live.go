@@ -31,9 +31,6 @@ type NodeConfig struct {
 	// repair timeouts. Small deployments and tests use small values to
 	// detect failures faster at the cost of more ping traffic.
 	TimeScale float64
-
-	// Logf, if non-nil, receives debug lines.
-	Logf func(format string, args ...any)
 }
 
 // Node is a live FUSE participant over TCP.
@@ -60,9 +57,6 @@ func Start(cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Logf != nil {
-		tn.SetLogf(cfg.Logf)
-	}
 
 	// Live telemetry: one lane, wall-clock epoch, attached before the
 	// protocol stacks are built so they resolve it from the env.
@@ -76,13 +70,9 @@ func Start(cfg NodeConfig) (*Node, error) {
 	fu := core.New(tn, ov, fuCfg)
 	n := &Node{tn: tn, ov: ov, fuse: fu, self: ov.Self(), tele: reg}
 	tn.SetHandler(func(from transport.Addr, msg transport.Message) {
-		if ov.Handle(from, msg) {
-			return
+		if !ov.Handle(from, msg) {
+			fu.Handle(from, msg)
 		}
-		if fu.Handle(from, msg) {
-			return
-		}
-		tn.Logf("fuse: unhandled message %T from %s", msg, from)
 	})
 	if !cfg.Bootstrap.IsZero() {
 		n.post(func() { ov.Join(cfg.Bootstrap) })
