@@ -2,7 +2,9 @@
 // virtual-time network over a generated topology, with an overlay node
 // and a FUSE layer on every endpoint. It is the shared substrate of the
 // protocol test suites and the experiment harness (the equivalent of the
-// paper's simulator driver and ModelNet cluster scripts).
+// paper's simulator driver and ModelNet cluster scripts). A node's groups
+// live on its Groups service: the FUSE layer, or a §5.1 baseline a driver
+// installed in its place.
 package cluster
 
 import (
@@ -52,8 +54,20 @@ type Options struct {
 	// the join protocol instead. Until something joins, the overlay and
 	// FUSE layers arm no timer, send nothing and draw no randomness, so
 	// an unassembled cluster also hosts a baseline service (livetopo,
-	// swim) that replaces each node's handler through Net.SetHandler.
+	// swim) that replaces each node's handler through Net.SetHandler;
+	// livetopo replaces Node.Groups too.
 	SkipAssemble bool
+}
+
+// Groups is a node's group service: the FUSE API of Figure 1 over core's
+// types. *core.Fuse is one; a §5.1 baseline (livetopo) installed as
+// Node.Groups is another, and Cluster.CreateGroup and the scenario engine
+// then create, fault and audit its groups the same way.
+type Groups interface {
+	CreateGroup(members []overlay.NodeRef, done func(core.GroupID, error))
+	RegisterFailureHandler(h core.Handler, id core.GroupID)
+	SignalFailure(id core.GroupID)
+	HasState(id core.GroupID) bool
 }
 
 // Node bundles one endpoint's protocol stack.
@@ -64,6 +78,10 @@ type Node struct {
 	Env     transport.Env
 	Overlay *overlay.Node
 	Fuse    *core.Fuse
+	// Groups is the service the node's groups live on: Fuse, unless a
+	// driver installed another one (and routed the node's messages to it).
+	// Restart brings back Fuse.
+	Groups Groups
 }
 
 // Ref returns the node's overlay identity.
@@ -166,7 +184,7 @@ func (c *Cluster) addNode(router netmodel.RouterID) *Node {
 func (c *Cluster) buildStack(i int, addr transport.Addr, router netmodel.RouterID, env transport.Env) *Node {
 	ov := overlay.New(env, overlay.DefaultConfig(), NameOf(i))
 	fu := core.New(env, ov, core.DefaultConfig())
-	n := &Node{Index: i, Addr: addr, Router: router, Env: env, Overlay: ov, Fuse: fu}
+	n := &Node{Index: i, Addr: addr, Router: router, Env: env, Overlay: ov, Fuse: fu, Groups: fu}
 	c.Net.SetHandler(addr, func(from transport.Addr, msg transport.Message) {
 		if !ov.Handle(from, msg) {
 			fu.Handle(from, msg)
@@ -291,9 +309,9 @@ func (c *Cluster) Refs(idxs ...int) []overlay.NodeRef {
 	return out
 }
 
-// CreateGroup drives a group creation from node root over the given
-// member indices and runs the simulation until the creation completes,
-// returning the result.
+// CreateGroup drives a group creation from node root's Groups service over
+// the given member indices and runs the simulation until the creation
+// completes, returning the result.
 func (c *Cluster) CreateGroup(root int, members ...int) (core.GroupID, error) {
 	var (
 		gotID  core.GroupID
@@ -301,7 +319,7 @@ func (c *Cluster) CreateGroup(root int, members ...int) (core.GroupID, error) {
 		done   bool
 	)
 	refs := c.Refs(append([]int{root}, members...)...)
-	c.Nodes[root].Fuse.CreateGroup(refs, func(id core.GroupID, err error) {
+	c.Nodes[root].Groups.CreateGroup(refs, func(id core.GroupID, err error) {
 		gotID, gotErr, done = id, err, true
 	})
 	for !done && c.Sim.Step() {

@@ -102,16 +102,10 @@ func (f *Fuse) handleSoft(m *msgSoftNotification) {
 			f.env.Send(l.neighbor.Addr, &msgSoftNotification{ID: m.ID, Seq: m.Seq, From: f.self, Trace: m.Trace})
 		}
 		f.dropChecking(m.ID)
-		f.reactToTreeFailure(m.ID, m.Trace)
-		return
 	}
-	// No checking state: still meaningful for a member or root whose
-	// tree was already torn down.
-	if _, isMember := f.members[m.ID]; isMember {
-		f.reactToTreeFailure(m.ID, m.Trace)
-	} else if _, isRoot := f.roots[m.ID]; isRoot {
-		f.reactToTreeFailure(m.ID, m.Trace)
-	}
+	// With or without checking state (a member's or root's tree may
+	// already be torn down), the role reacts; a delegate does nothing.
+	f.reactToTreeFailure(m.ID, m.Trace)
 }
 
 // --- overlay client interface ---

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"fuse/internal/cluster"
@@ -86,112 +85,59 @@ func AblationTopologies(p Params) (*Result, error) {
 	}
 
 	r := newResult("ablation", "liveness topologies: idle load (msg/s) and crash-notification latency (s)")
+	// One row: groups installed, the idle message rate, then the median
+	// notification latency after the engine crashes one member per group.
+	row := func(name, key string, c *cluster.Cluster, specs []scenario.GroupSpec) error {
+		victims := make([]int, len(specs))
+		for g, spec := range specs {
+			victims[g] = spec.Members[len(spec.Members)-1]
+		}
+		load, lat, err := crashRun(c, "ablation "+name, specs, victims, 2*time.Minute, window)
+		if err != nil {
+			return err
+		}
+		r.addLine("%-14s load %7.1f msg/s   crash-notify median %6.1f s", name, load, lat)
+		r.metric(key+"_load", load)
+		r.metric(key+"_latency_s", lat)
+		return nil
+	}
 
 	// Overlay-sharing FUSE (the paper's implementation).
-	overlayLoad, overlayLat, err := overlayFuseRun(p, n, groups, size, window)
-	if err != nil {
+	c := cluster.New(cluster.Options{N: n, Seed: p.Seed})
+	if err := row("overlay-tree", "overlay", c, randomGroups(c, groups, size)); err != nil {
 		return nil, err
 	}
-	r.addLine("%-14s load %7.1f msg/s   crash-notify median %6.1f s", "overlay-tree", overlayLoad, overlayLat)
-	r.metric("overlay_load", overlayLoad)
-	r.metric("overlay_latency_s", overlayLat)
-
 	for _, kind := range []livetopo.Kind{livetopo.DirectTree, livetopo.AllToAll, livetopo.CentralServer} {
-		load, lat, err := livetopoRun(p, kind, n, groups, size, window)
-		if err != nil {
+		c, specs := livetopoCluster(p, kind, n, groups, size)
+		if err := row(kind.String(), kind.String(), c, specs); err != nil {
 			return nil, err
 		}
-		r.addLine("%-14s load %7.1f msg/s   crash-notify median %6.1f s", kind.String(), load, lat)
-		r.metric(kind.String()+"_load", load)
-		r.metric(kind.String()+"_latency_s", lat)
 	}
 	r.addLine("overlay-tree idle load is independent of the group count; the others scale with it (§5.1)")
 	return r, nil
 }
 
-// overlayFuseRun measures the core implementation: idle message rate with
-// groups installed, then median notification latency after crashing one
-// member per group.
-func overlayFuseRun(p Params, n, groups, size int, window time.Duration) (load, medianLatencySec float64, err error) {
-	c := cluster.New(cluster.Options{N: n, Seed: p.Seed})
-	specs := randomGroups(c, groups, size)
-	victims := make([]int, len(specs))
-	for g, spec := range specs {
-		victims[g] = spec.Members[len(spec.Members)-1]
-	}
-	const drain = 2 * time.Minute
-	e, err := scenario.Start(c, scenario.CrashScript("ablation", specs, drain+window, victims))
-	if err != nil {
-		return 0, 0, err
-	}
-	load = msgRate(c, drain, window)
-	c.Sim.RunFor(15 * time.Minute)
-	lat, err := auditedLatencies(e.Report(), time.Duration.Seconds)
-	if err != nil {
-		return 0, 0, err
-	}
-	return load, lat.Median(), nil
-}
-
-// livetopoRun measures one §5.1 alternative with the same workload. Its
-// service replaces each node's handler on an unassembled cluster, whose
-// overlay and FUSE layers never run.
-func livetopoRun(p Params, kind livetopo.Kind, n, groups, size int, window time.Duration) (load, medianLatencySec float64, err error) {
+// livetopoCluster installs one §5.1 alternative as every node's Groups
+// service on an unassembled cluster, whose overlay and FUSE layers never
+// run, and draws the groups: none has node 0, the central server, as a
+// member, for fairness.
+func livetopoCluster(p Params, kind livetopo.Kind, n, groups, size int) (*cluster.Cluster, []scenario.GroupSpec) {
 	c := cluster.New(cluster.Options{N: n, Seed: p.Seed, SkipAssemble: true})
 	cfg := livetopo.DefaultConfig(kind)
 	cfg.Server = c.Nodes[0].Ref()
-	svcs := make([]*livetopo.Service, n)
-	for i, nd := range c.Nodes {
+	for _, nd := range c.Nodes {
 		svc := livetopo.New(nd.Env, cfg, nd.Ref())
-		svcs[i] = svc
+		nd.Groups = svc
 		c.Net.SetHandler(nd.Addr, func(from transport.Addr, msg transport.Message) { svc.Handle(from, msg) })
 	}
-
 	rng := c.Sim.Rand()
-	type made struct {
-		id      livetopo.GroupID
-		members []int
-	}
-	var all []made
-	for g := 0; g < groups; g++ {
-		// Skip node 0 (the central server) as a member for fairness.
+	specs := make([]scenario.GroupSpec, groups)
+	for g := range specs {
 		perm := rng.Perm(n - 1)[:size]
 		for i := range perm {
 			perm[i]++
 		}
-		var id livetopo.GroupID
-		var cerr error
-		done := false
-		svcs[perm[0]].CreateGroup(c.Refs(perm...), func(i livetopo.GroupID, e error) { id, cerr, done = i, e, true })
-		for !done && c.Sim.Step() {
-		}
-		if cerr != nil {
-			return 0, 0, fmt.Errorf("%s group %d: %w", kind, g, cerr)
-		}
-		all = append(all, made{id: id, members: perm})
+		specs[g] = scenario.GroupSpec{Root: perm[0], Members: perm[1:]}
 	}
-
-	load = msgRate(c, 2*time.Minute, window)
-
-	lat := stats.NewSample(0)
-	var crashAt time.Time
-	victims := make(map[int]bool)
-	for _, g := range all {
-		v := g.members[len(g.members)-1]
-		victims[v] = true
-		for _, m := range g.members {
-			env := c.Nodes[m].Env
-			svcs[m].RegisterFailureHandler(func(livetopo.Notice) {
-				if !victims[m] {
-					lat.Add(env.Now().Sub(crashAt).Seconds())
-				}
-			}, g.id)
-		}
-	}
-	crashAt = c.Sim.Now()
-	for v := range victims {
-		c.Crash(v)
-	}
-	c.Sim.RunFor(15 * time.Minute)
-	return load, lat.Median(), nil
+	return c, specs
 }

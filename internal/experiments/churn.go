@@ -42,7 +42,7 @@ func ChurnReliability(p Params) (*Result, error) {
 	for _, dwell := range dwells {
 		var (
 			runs, groups, notices, missed, dups int
-			flips                               int
+			expected, flips                     int
 			churnWindow                         time.Duration
 			maxLat                              time.Duration
 		)
@@ -71,6 +71,7 @@ func ChurnReliability(p Params) (*Result, error) {
 			runs++
 			groups += rep.Groups
 			notices += rep.Notices
+			expected += rep.Expected()
 			missed += rep.Missed
 			dups += rep.Duplicates
 			flips += strings.Count(rep.Trace, "churn crash") + strings.Count(rep.Trace, "churn restart")
@@ -84,7 +85,6 @@ func ChurnReliability(p Params) (*Result, error) {
 				histogram[bucketOf(buckets, f.Latency)]++
 			}
 		}
-		expected := notices - dups + missed
 		// Normalize by the window the churn process actually ran, not
 		// the script's full duration (setup + crash phase + drain).
 		flipsPerHour := float64(flips) / (float64(runs) * churnWindow.Hours())

@@ -9,12 +9,14 @@
 // deployment with cluster.New, runs the paper's workload, and returns
 // the same rows/series the paper reports, both as formatted lines and as
 // machine-readable metrics (which the benchmarks and tests assert
-// against). Drivers that fault FUSE groups do it with a scenario.Script,
-// so the engine's exactly-once audit checks every such run. The
-// baselines (livetopo, swim) run on an unassembled cluster: their
-// service replaces each node's handler, and the idle overlay and FUSE
-// layers underneath never run. README.md maps every driver to its paper
-// figure.
+// against). Drivers that fault groups do it with a scenario.Script, so
+// the engine's exactly-once audit checks every such run, the ablation's
+// livetopo rows included: a livetopo.Service is each node's
+// cluster.Groups there. The baselines (livetopo, swim) run on an
+// unassembled cluster: their service replaces each node's handler, and
+// the idle overlay and FUSE layers underneath never run. Only fig12
+// registers failure handlers itself. README.md maps every driver to its
+// paper figure.
 package experiments
 
 import (

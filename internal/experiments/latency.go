@@ -140,6 +140,24 @@ func auditedLatencies(rep *scenario.Report, unit func(time.Duration) float64) (*
 	return lat, nil
 }
 
+// crashRun is the crash-and-measure sequence of the ablation and swimcmp:
+// the engine creates specs on c, the message rate is read over window
+// after drain, then the victims crash together and 15 minutes later the
+// audited notification latencies' median (in seconds) is read.
+func crashRun(c *cluster.Cluster, name string, specs []scenario.GroupSpec, victims []int, drain, window time.Duration) (load, medianLatencySec float64, err error) {
+	e, err := scenario.Start(c, scenario.CrashScript(name, specs, drain+window, victims))
+	if err != nil {
+		return 0, 0, err
+	}
+	load = msgRate(c, drain, window)
+	c.Sim.RunFor(15 * time.Minute)
+	lat, err := auditedLatencies(e.Report(), time.Duration.Seconds)
+	if err != nil {
+		return 0, 0, err
+	}
+	return load, lat.Median(), nil
+}
+
 // Fig7GroupCreation reproduces Figure 7: latency of blocking group
 // creation versus group size (20 groups per size; 25th/50th/75th
 // percentiles).
@@ -240,7 +258,7 @@ func Fig9CrashNotification(p Params) (*Result, error) {
 		return nil, err
 	}
 
-	expected := rep.Notices - rep.Duplicates + rep.Missed
+	expected := rep.Expected()
 	r := newResult("fig9", "crash notification time CDF (minutes since disconnect)")
 	r.addLine("affected groups: %d of %d; notifications observed: %d (expected %d)",
 		rep.Failed, groups, times.N(), expected)

@@ -121,7 +121,7 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	expected := rep.Notices - rep.Duplicates + rep.Missed
+	expected := rep.Expected()
 
 	r := newResult("paperscale", fmt.Sprintf(
 		"§7.3 paper-scale simulation: %d nodes, %d groups of %d, %d crashed (%d shards, %d workers)",

@@ -122,19 +122,12 @@ func fuseRun(p Params, n int) (loadPerNode, medianDetectSec float64, appScoped b
 	for i := 1; i < n; i++ {
 		members[i-1] = i
 	}
-	const drain, window = 30 * time.Second, 5 * time.Minute
-	e, err := scenario.Start(c, scenario.CrashScript("swimcmp",
-		[]scenario.GroupSpec{{Root: 0, Members: members}}, drain+window, []int{n - 1}))
+	load, medianDetectSec, err := crashRun(c, "swimcmp", []scenario.GroupSpec{{Root: 0, Members: members}},
+		[]int{n - 1}, 30*time.Second, 5*time.Minute)
 	if err != nil {
 		return 0, 0, false, err
 	}
-	loadPerNode = msgRate(c, drain, window) / float64(n)
-	c.Sim.RunFor(15 * time.Minute)
-	detect, err := auditedLatencies(e.Report(), time.Duration.Seconds)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	medianDetectSec = detect.Median()
+	loadPerNode = load / float64(n)
 
 	// Intransitive: a fresh 3-member group whose two members are cut
 	// apart. FUSE stays quiet through the cut (it caused no notice), then

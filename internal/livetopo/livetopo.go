@@ -9,13 +9,16 @@
 //   - AllToAll: per-group all-to-all pinging. Robust to dropped
 //     notification attacks and gives a worst-case notification latency of
 //     twice the ping interval, at n^2 messages per group per interval.
-//   - CentralServer: one trusted server pings^Wis pinged by every group
-//     member; all failure decisions and notifications flow through it.
-//     Minimal member load, server is the throughput bottleneck.
+//   - CentralServer: one trusted server pings every group member (and is
+//     pinged by each); all failure decisions and notifications flow
+//     through it. Minimal member load, server is the throughput
+//     bottleneck.
 //
 // The package exists for the ablation benchmarks comparing these
 // topologies' message load and notification latency against the
-// overlay-sharing implementation in internal/core.
+// overlay-sharing implementation in internal/core. A Service speaks
+// core's group types, so it is a cluster.Groups like core.Fuse, and the
+// scenario engine creates, faults and audits its groups the same way.
 package livetopo
 
 import (
@@ -23,6 +26,7 @@ import (
 	"fmt"
 	"time"
 
+	"fuse/internal/core"
 	"fuse/internal/overlay"
 	"fuse/internal/transport"
 )
@@ -74,20 +78,13 @@ func DefaultConfig(kind Kind) Config {
 	}
 }
 
-// GroupID names a group; as in core, it embeds the root so members can
-// reach it directly.
-type GroupID struct {
-	Root overlay.NodeRef
-	Num  uint64
-}
-
-func (id GroupID) String() string { return fmt.Sprintf("%s/%x", id.Root.Name, id.Num) }
-
-// Notice is delivered to failure handlers.
-type Notice struct{ ID GroupID }
-
-// Handler is an application failure callback.
-type Handler func(Notice)
+// A group's ID, notices and handlers are core's: the ID embeds the root
+// so members can reach it directly, and a notice carries no Reason.
+type (
+	GroupID = core.GroupID
+	Notice  = core.Notice
+	Handler = core.Handler
+)
 
 // ErrCreateTimeout reports an unreachable member during creation.
 var ErrCreateTimeout = errors.New("livetopo: group creation timed out")
@@ -328,7 +325,7 @@ func (s *Service) pingPeer(g *group, p *peer) {
 	}
 	p.seq++
 	seq := p.seq
-	s.send(p.ref.Addr, newMsgPingFor(g.id, s.self, seq))
+	s.send(p.ref.Addr, &msgPing{ID: g.id, From: s.self, Seq: seq})
 	if p.timeout != nil {
 		p.timeout.Stop()
 	}

@@ -6,10 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"fuse/internal/cluster"
 	"fuse/internal/eventsim"
 	"fuse/internal/livetopo"
 	"fuse/internal/netmodel"
 	"fuse/internal/overlay"
+	"fuse/internal/scenario"
 	"fuse/internal/transport"
 	"fuse/internal/transport/simnet"
 )
@@ -211,6 +213,47 @@ func TestRegisterUnknownFiresImmediately(t *testing.T) {
 	r.sim.RunFor(time.Second)
 	if fired != 1 {
 		t.Fatalf("fired = %d", fired)
+	}
+}
+
+// TestEngineAuditsEveryKind installs each topology as every node's
+// cluster.Groups on an unassembled cluster and runs one engine script: a
+// signalled group and a group that loses a member must fail with every
+// live member notified exactly once, and an untouched group must survive
+// with its state intact everywhere.
+func TestEngineAuditsEveryKind(t *testing.T) {
+	for _, k := range kinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			c := cluster.New(cluster.Options{N: 12, Seed: 10, SkipAssemble: true})
+			cfg := livetopo.DefaultConfig(k)
+			cfg.Server = c.Nodes[0].Ref()
+			for _, nd := range c.Nodes {
+				svc := livetopo.New(nd.Env, cfg, nd.Ref())
+				nd.Groups = svc
+				c.Net.SetHandler(nd.Addr, func(from transport.Addr, msg transport.Message) { svc.Handle(from, msg) })
+			}
+			rep, err := scenario.Run(c, scenario.Script{
+				Name: "livetopo " + k.String(),
+				Groups: []scenario.GroupSpec{
+					{Root: 1, Members: []int{2, 3}},
+					{Root: 4, Members: []int{5, 6}},
+					{Root: 7, Members: []int{8, 9}},
+				},
+				Events: []scenario.Event{
+					{At: time.Minute, Do: scenario.Signal{Node: 2, Group: 0}},
+					{At: time.Minute, Do: scenario.Crash{Node: 6}},
+				},
+				Duration:      10 * time.Minute,
+				ExpectFail:    []int{0, 1},
+				ExpectSurvive: []int{2},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.OK() || rep.Failed != 2 || rep.Survived != 1 || rep.Notices != 5 {
+				t.Fatalf("want 2 failed, 1 survived, 5 notices, no violation:\n%s", rep.Stats())
+			}
+		})
 	}
 }
 

@@ -1,8 +1,6 @@
 package livetopo
 
 import (
-	"sync"
-
 	"fuse/internal/overlay"
 	"fuse/internal/transport"
 )
@@ -33,7 +31,8 @@ type msgRegister struct {
 	Members []overlay.NodeRef
 }
 
-// msgPing is the per-group liveness check.
+// msgPing is the per-group liveness check: one ping and ack per peer per
+// group per interval, the O(groups) cost FUSE's piggybacking eliminates.
 type msgPing struct {
 	body
 	ID   GroupID
@@ -50,47 +49,6 @@ type msgPingAck struct {
 	From overlay.NodeRef
 	Seq  uint64
 }
-
-// The per-group ping cycle is livetopo's steady-state traffic (one ping
-// and ack per peer per group per interval — the O(groups) cost FUSE's
-// piggybacking eliminates). The records are pool-backed like the
-// overlay's, so the comparison experiments measure protocol cost, not
-// allocator cost.
-var (
-	pingPool    = sync.Pool{New: func() any { return new(msgPing) }}
-	pingAckPool = sync.Pool{New: func() any { return new(msgPingAck) }}
-)
-
-func newMsgPing() *msgPing       { return pingPool.Get().(*msgPing) }
-func newMsgPingAck() *msgPingAck { return pingAckPool.Get().(*msgPingAck) }
-
-func newMsgPingFor(id GroupID, from overlay.NodeRef, seq uint64) *msgPing {
-	m := newMsgPing()
-	m.ID, m.From, m.Seq = id, from, seq
-	return m
-}
-
-func newMsgPingAckFor(id GroupID, from overlay.NodeRef, seq uint64) *msgPingAck {
-	m := newMsgPingAck()
-	m.ID, m.From, m.Seq = id, from, seq
-	return m
-}
-
-// Release zeroes the record and returns it to the pool.
-func (m *msgPing) Release() {
-	*m = msgPing{}
-	pingPool.Put(m)
-}
-
-func (m *msgPingAck) Release() {
-	*m = msgPingAck{}
-	pingAckPool.Put(m)
-}
-
-var (
-	_ transport.Pooled = (*msgPing)(nil)
-	_ transport.Pooled = (*msgPingAck)(nil)
-)
 
 // msgActivate tells a member that creation completed everywhere and
 // monitoring may begin.
@@ -110,8 +68,8 @@ func init() {
 	transport.Register("livetopo.joinAck", func() transport.Message { return new(msgJoinAck) })
 	transport.Register("livetopo.register", func() transport.Message { return new(msgRegister) })
 	transport.Register("livetopo.activate", func() transport.Message { return new(msgActivate) })
-	transport.Register("livetopo.ping", func() transport.Message { return newMsgPing() })
-	transport.Register("livetopo.pingAck", func() transport.Message { return newMsgPingAck() })
+	transport.Register("livetopo.ping", func() transport.Message { return new(msgPing) })
+	transport.Register("livetopo.pingAck", func() transport.Message { return new(msgPingAck) })
 	transport.Register("livetopo.notify", func() transport.Message { return new(msgNotify) })
 }
 
@@ -175,7 +133,7 @@ func (s *Service) handlePing(m *msgPing) {
 	if _, ok := s.groups[m.ID]; !ok {
 		return // ceasing to ack is how failure propagates
 	}
-	s.send(m.From.Addr, newMsgPingAckFor(m.ID, s.self, m.Seq))
+	s.send(m.From.Addr, &msgPingAck{ID: m.ID, From: s.self, Seq: m.Seq})
 }
 
 func (s *Service) handlePingAck(m *msgPingAck) {

@@ -311,7 +311,7 @@ type Signal struct {
 // to this signal, not to whatever fault preceded it.
 func (a Signal) apply(e *Engine) {
 	e.groupFault(a.Group, a.String(), a.Node)
-	e.c.Nodes[a.Node].Fuse.SignalFailure(e.tracks[a.Group].id)
+	e.c.Nodes[a.Node].Groups.SignalFailure(e.tracks[a.Group].id)
 }
 func (a Signal) String() string { return fmt.Sprintf("signal group=%d node=%d", a.Group, a.Node) }
 func (a Signal) validate(v *validator) {

@@ -95,6 +95,10 @@ type Fault struct {
 // OK reports whether the run upheld every invariant.
 func (r *Report) OK() bool { return len(r.Violations) == 0 }
 
+// Expected is how many notifications the run owed: one per (node
+// incarnation, group) that heard, plus every eligible member that did not.
+func (r *Report) Expected() int { return r.Notices - r.Duplicates + r.Missed }
+
 // FaultTable renders the per-fault attribution (faults that caused at
 // least one notification) in a stable format.
 func (r *Report) FaultTable() string {
@@ -195,7 +199,7 @@ func (e *Engine) Report() *Report {
 		// member no longer holds state (its view was torn down).
 		failed := len(tr.notices) > 0
 		for _, n := range eligible {
-			if !e.c.Nodes[n].Fuse.HasState(tr.id) {
+			if !e.c.Nodes[n].Groups.HasState(tr.id) {
 				failed = true
 			}
 		}
@@ -210,7 +214,7 @@ func (e *Engine) Report() *Report {
 					r.Missed++
 					r.violationf("group %d failed but node %d was never notified", gi, n)
 				}
-				if e.c.Nodes[n].Fuse.HasState(tr.id) {
+				if e.c.Nodes[n].Groups.HasState(tr.id) {
 					r.violationf("group %d failed but node %d still holds state", gi, n)
 				}
 			}

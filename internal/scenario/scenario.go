@@ -114,9 +114,10 @@ type Engine struct {
 	churns []*churnProc   // every started churn process; ChurnStop halts them all
 	ramps  []*rampProc    // every started loss ramp; ClearLoss/HealAll cancel them
 
-	// errs collects engine-level failures during the run (e.g. a broken
-	// Recover); Report lists them as violations so a run with a failed
-	// lifecycle step can never audit green.
+	// errs collects engine-level failures during the run (a
+	// Restart{Recover} on a node with no declared store); Report lists
+	// them as violations so a run with a failed lifecycle step can never
+	// audit green.
 	errs []string
 }
 
@@ -297,7 +298,7 @@ func (e *Engine) attach(gi, node int) {
 	tr.attached[node] = inc
 	lane := 1 + e.c.ShardOf(node)
 	env := e.c.Nodes[node].Env
-	e.c.Nodes[node].Fuse.RegisterFailureHandler(func(n core.Notice) {
+	e.c.Nodes[node].Groups.RegisterFailureHandler(func(n core.Notice) {
 		at := env.Now().Sub(eventsim.Epoch) - e.t0
 		fs := e.attribute(gi)
 		e.record(traceLine{

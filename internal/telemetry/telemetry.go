@@ -3,12 +3,11 @@
 // (counters, gauges, power-of-two-millisecond histograms) plus a
 // structured protocol-event trace with causal span IDs.
 //
-// The design follows the same per-lane-sink pattern the scenario
-// engine's observers use. A Registry owns one Lane per event-scheduler
-// lane (lane 0 is the control lane; lanes 1..S map to eventsim
-// shards), and every hot-path write is an indexed atomic add into that
-// lane's preallocated slot slab — no allocation, no locks, no
-// cross-lane contention. Snapshots merge lanes by summation, which is
+// A Registry owns one Lane per event-scheduler lane (lane 0 is the
+// control lane; lanes 1..S map to eventsim shards), and every hot-path
+// write is an indexed atomic add into that lane's preallocated slot slab
+// — no allocation, no locks, no cross-lane contention. Snapshots merge
+// lanes by summation, which is
 // order-independent, so a sharded run's metric snapshot is
 // byte-identical across worker counts (the lane layout is a function of
 // the shard count only, exactly like the logical event order).
