@@ -24,6 +24,16 @@
 // then Dijkstra over the border graph with a 39-router pass at either
 // end, which is ~6x less work than a sweep over every router and gives
 // the same answers.
+//
+// The sweep's queue is a ring of latency buckets (Dial's algorithm), one
+// bucket as wide as the topology's cheapest link. Every entry a sweep
+// relaxes - a link, or a route between two border routers of one AS -
+// costs at least that, so no route in a bucket can improve another in the
+// same bucket: the bucket is final in whatever order it is taken, and
+// the labels come out bit for bit those of a heap. A border router whose
+// route arrived over an intra-AS entry skips the intra-AS part of its
+// row: the router it came from has already relaxed those entries, and
+// more cheaply.
 package netmodel
 
 import (
@@ -127,9 +137,9 @@ type RouterID int32
 
 // route is a cost - latency, then hop count - and the vertex it leads
 // to. One type serves as an adjacency entry (the cost of the edge and its
-// far end), as a heap item and as a sweep's result (the best known cost
-// from the source to v). A vertex is a router in the intra-AS adjacency
-// and an index into Topology.borders in the border graph.
+// far end) and as a sweep's label (the best known cost from the source to
+// v). A vertex is a router in the intra-AS adjacency and an index into
+// Topology.borders in the border graph.
 type route struct {
 	lat  time.Duration
 	hops int32
@@ -140,8 +150,8 @@ type route struct {
 var unreached = route{lat: math.MaxInt64}
 
 // less is the package's one ordering of routes: lower latency, then fewer
-// hops. The heap, every relaxation and the final minimum all use it, so a
-// tie never falls to traversal order.
+// hops. Every relaxation and the final minimum use it, so a tie never
+// falls to traversal order.
 func (r route) less(o route) bool {
 	return r.lat < o.lat || r.lat == o.lat && r.hops < o.hops
 }
@@ -161,15 +171,17 @@ type rawLink struct {
 // The graph: intra holds every intra-AS link (row r of intraStart is
 // router r's neighbours), which is all a route needs inside an AS -
 // RoutersPer routers, so a pass over one is microseconds. The border
-// graph (borders, asBorders, borderStart, borderAdj) has one vertex per
-// border router, numbered in router order so an AS's are contiguous; a
-// row holds the best intra-AS route to each other border router of the
-// same AS, then the router's inter-AS links. It is built by contract on
-// first use rather than in Generate, because it costs one intra-AS pass
-// per border router (~0.8 ms on the default topology, ~25 ms at paper
-// scale, on one goroutine) and generating the default topology takes a
-// third of that; until then inter holds the generator's inter-AS links.
-// Nothing else of the router graph is kept.
+// graph (borders, asBorders, borderStart, borderSplit, borderAdj) has one
+// vertex per border router, numbered in router order so an AS's are
+// contiguous; a row holds the best intra-AS route to each other border
+// router of the same AS, then, from borderSplit on, the router's inter-AS
+// links. It is built by contract on first use rather than in Generate,
+// because it costs one intra-AS pass per border router (~0.8 ms on the
+// default topology, ~25 ms at paper scale, on one goroutine) and
+// generating the default topology takes a third of that; until then inter
+// holds the generator's inter-AS links. Nothing else of the router graph
+// is kept. width and span size a sweep's bucket ring: the cheapest link,
+// and the most one step of a sweep can add to a route (see stepBound).
 //
 // The caches: a memo of answered (src, dst) queries (exact, never evicted
 // - the working set of a simulation is the pairs its nodes actually talk
@@ -193,7 +205,8 @@ type Topology struct {
 	// minInterAS is the smallest inter-AS link latency, the lookahead
 	// bound once an AS's nodes share a shard; with no inter-AS link (one
 	// AS) it is the smallest link of any kind.
-	minInterAS time.Duration
+	minInterAS  time.Duration
+	width, span time.Duration
 
 	intraStart []int32
 	intra      []route
@@ -202,6 +215,7 @@ type Topology struct {
 	borders     []RouterID // border vertex -> router
 	asBorders   []int32    // AS -> its first border vertex; ASes+1 long
 	borderStart []int32
+	borderSplit []int32 // border vertex -> index in borderAdj of its first inter-AS link
 	borderAdj   []route
 
 	mu       sync.Mutex // guards everything below, and contract
@@ -240,9 +254,13 @@ type Path struct {
 }
 
 // Generate builds a topology from cfg. Generation is deterministic in
-// cfg.Seed.
+// cfg.Seed. Every link must cost something, and the latency ranges must
+// fit a sweep's bucket ring: the dearest step a sweep can take, over the
+// cheapest link, may need at most maxBuckets buckets.
 func Generate(cfg Config) *Topology {
-	if cfg.Continents < 1 || cfg.ASes < cfg.Continents || cfg.RoutersPer < 3 {
+	cheapest := min(cfg.IntraASLatencyMin, cfg.OC3LatencyMin, cfg.T3LatencyMin)
+	if cfg.Continents < 1 || cfg.ASes < cfg.Continents || cfg.RoutersPer < 3 || cheapest <= 0 ||
+		buckets(cheapest, stepBound(max(cfg.OC3LatencyMax, cfg.T3LatencyMax), cfg.IntraASLatencyMax, cfg.RoutersPer)) > maxBuckets {
 		panic(fmt.Sprintf("netmodel: invalid config %+v", cfg))
 	}
 	if len(cfg.ContinentWeights) != cfg.Continents {
@@ -258,12 +276,18 @@ func Generate(cfg Config) *Topology {
 	// two to the list contract turns into the border graph.
 	intra := make([]rawLink, 0, cfg.ASes*(cfg.RoutersPer+cfg.IntraASDegree))
 	t.inter = make([]rawLink, 0, cfg.ASes*(1+cfg.InterASDegree)+cfg.InterContinentLinks)
+	var maxIntra, maxInter time.Duration
 	addLink := func(a, b RouterID, lat time.Duration, class LinkClass) {
 		l := rawLink{int32(a), int32(b), lat}
+		if t.numLinks == 0 || lat < t.width {
+			t.width = lat
+		}
 		if t.ASOf(a) == t.ASOf(b) {
 			intra = append(intra, l)
+			maxIntra = max(maxIntra, lat)
 		} else {
 			t.inter = append(t.inter, l)
+			maxInter = max(maxInter, lat)
 			if len(t.inter) == 1 || lat < t.minInterAS {
 				t.minInterAS = lat
 			}
@@ -359,11 +383,9 @@ func Generate(cfg Config) *Topology {
 	if len(t.inter) == 0 {
 		// One AS: no route leaves it, so any bound holds; the smallest
 		// link keeps it positive, as a lookahead must be.
-		t.minInterAS = intra[0].lat
-		for _, l := range intra {
-			t.minInterAS = min(t.minInterAS, l.lat)
-		}
+		t.minInterAS = t.width
 	}
+	t.span = stepBound(maxInter, maxIntra, cfg.RoutersPer)
 	t.intraStart = make([]int32, t.NumRouters()+1)
 	t.intra = flatten(t.intraStart, intra)
 	return t
@@ -528,15 +550,20 @@ func (t *Topology) contract(workers int) {
 	}
 	// A row starts with one entry per other border router of the AS.
 	start := make([]int32, len(t.borders)+1)
+	split := make([]int32, len(t.borders))
 	for v, r := range t.borders {
 		as := t.ASOf(r)
-		start[v+1] = t.asBorders[as+1] - t.asBorders[as] - 1
+		split[v] = t.asBorders[as+1] - t.asBorders[as] - 1
+		start[v+1] = split[v]
 	}
 	for i, l := range t.inter {
 		t.inter[i].a, t.inter[i].b = vertex[l.a], vertex[l.b]
 	}
 	adj := flatten(start, t.inter)
 	t.inter = nil
+	for v := range split {
+		split[v] += start[v]
+	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -560,7 +587,7 @@ func (t *Topology) contract(workers int) {
 		}(w)
 	}
 	wg.Wait()
-	t.borderStart, t.borderAdj = start, adj
+	t.borderStart, t.borderSplit, t.borderAdj = start, split, adj
 	t.sw = t.newSweep()
 
 	// Bound the tree pool by a ~64 MB memory budget so small topologies
@@ -682,34 +709,132 @@ func (t *Topology) WarmRoutes(routePairs [][2]RouterID, workers int) {
 	}
 }
 
-// sweep is the reusable working state of route computation: a typed
-// binary heap (no interface boxing) and one AS's worth of routes. Nothing
-// is allocated per run after the first.
+// maxBuckets caps a sweep's ring, and with it the spread of link
+// latencies a topology may have (Generate checks it).
+const maxBuckets = 1 << 16
+
+// stepBound is the most one step of a sweep can add to a route, given
+// the dearest inter-AS and intra-AS links: an inter-AS link, or a route
+// inside one AS, which is no dearer than the shorter way round the AS's
+// ring of routersPer routers. That covers every border-graph entry and
+// every route a sweep is seeded with.
+func stepBound(maxInter, maxIntra time.Duration, routersPer int) time.Duration {
+	return max(maxInter, time.Duration(routersPer/2)*maxIntra)
+}
+
+// buckets is the ring size for buckets width wide and steps of at most
+// span. A route lands at most span/width + 1 buckets past the cursor -
+// a step from the cursor's bucket, or a seed pushed while the cursor
+// waits one bucket before 0 - so the ring holds that many and the
+// cursor's own.
+func buckets(width, span time.Duration) int { return int(span/width) + 2 }
+
+// sweep is the reusable working state of route computation: a bucket
+// ring and one AS's worth of routes. Its arrays are sized once, from the
+// topology, and nothing is allocated per run.
+//
+// The ring is circular doubly linked lists threaded through next and
+// prev: queued vertex i (a vertex minus the run's base) is node i, and
+// bucket b's list starts and ends at node heads+b. A bucket holds the
+// vertices whose label lies within width of the bucket's floor; cur is
+// the bucket being settled and floor its lower edge. Between runs the
+// cursor waits one bucket before latency 0, so every route queued, seeds
+// included, lands past it. Linking a vertex in or out of a bucket is
+// O(1), so a label that improves moves buckets without leaving a stale
+// entry behind.
 type sweep struct {
-	pq    []route
+	width      time.Duration
+	next, prev []int32
+	heads      int32 // node of bucket 0's list; vertices are the nodes below it
+	ring       int32 // number of buckets
+	cur        int32
+	floor      time.Duration
+	queued     int
+	short      []bool // per vertex: its label arrived over an intra-AS entry, or seeded the run
+
 	intra []route  // set by within; indexed by router minus base
 	base  RouterID // first router of the AS within last covered
 }
 
 func (t *Topology) newSweep() *sweep {
-	return &sweep{pq: make([]route, 0, 1024), intra: make([]route, t.cfg.RoutersPer)}
+	n, ring := max(len(t.borders), t.cfg.RoutersPer), buckets(t.width, t.span)
+	sw := &sweep{
+		width: t.width,
+		next:  make([]int32, n+ring),
+		prev:  make([]int32, n+ring),
+		heads: int32(n),
+		ring:  int32(ring),
+		cur:   int32(ring) - 1,
+		floor: -t.width,
+		short: make([]bool, n),
+		intra: make([]route, t.cfg.RoutersPer),
+	}
+	for h := n; h < n+ring; h++ {
+		sw.next[h], sw.prev[h] = int32(h), int32(h)
+	}
+	return sw
 }
 
-// settle runs Dijkstra from the routes in the heap over a flat adjacency;
-// dist[v-base] is the best route to vertex v.
-func (sw *sweep) settle(dist []route, base int32, start []int32, adj []route) {
-	for len(sw.pq) > 0 {
-		at := sw.popMin()
-		if at != dist[at.v-base] {
-			continue // superseded after it was pushed
+// push queues vertex i under latency lat. A route that does not land
+// past the cursor's bucket and inside the ring would be settled out of
+// order: some entry undercut the bucket width or overran the span.
+func (sw *sweep) push(i int32, lat time.Duration, short bool) {
+	off := (lat - sw.floor) / sw.width
+	if off < 1 || off >= time.Duration(sw.ring) {
+		panic("netmodel: a route fell outside the sweep's bucket ring")
+	}
+	b := sw.cur + int32(off)
+	if b >= sw.ring {
+		b -= sw.ring
+	}
+	h := sw.heads + b
+	n := sw.next[h]
+	sw.next[i], sw.prev[i] = n, h
+	sw.next[h], sw.prev[n] = i, i
+	sw.short[i] = short
+	sw.queued++
+}
+
+// unlink takes queued vertex i out of its bucket.
+func (sw *sweep) unlink(i int32) {
+	p, n := sw.prev[i], sw.next[i]
+	sw.next[p], sw.prev[n] = n, p
+	sw.queued--
+}
+
+// settle runs Dijkstra from the queued vertices over a flat adjacency;
+// dist[v-base] is the best route to vertex v. Row v is
+// adj[start[v]:start[v+1]], and its entries before split[v] are intra-AS
+// routes, which a vertex whose label arrived over one need not relax.
+// Buckets are settled in latency order, each in any order; the ring is
+// left empty with its cursor back before 0, ready to be seeded again.
+func (sw *sweep) settle(dist []route, base int32, start, split []int32, adj []route) {
+	for sw.queued > 0 {
+		if sw.cur++; sw.cur == sw.ring {
+			sw.cur = 0
 		}
-		for _, e := range adj[start[at.v]:start[at.v+1]] {
-			if alt := at.via(e); alt.less(dist[e.v-base]) {
-				dist[e.v-base] = alt
-				sw.push(alt)
+		sw.floor += sw.width
+		h := sw.heads + sw.cur
+		for i := sw.next[h]; i != h; i = sw.next[h] {
+			sw.unlink(i)
+			at, v := dist[i], i+base
+			lo, mid := start[v], split[v]
+			if sw.short[i] {
+				lo = mid
+			}
+			for k, e := range adj[lo:start[v+1]] {
+				j := e.v - base
+				if alt := at.via(e); alt.less(dist[j]) {
+					if dist[j].lat != unreached.lat {
+						sw.unlink(j) // queued under a worse label
+					}
+					dist[j] = alt
+					sw.push(j, alt.lat, lo+int32(k) < mid)
+				}
 			}
 		}
 	}
+	sw.cur, sw.floor = sw.ring-1, -sw.width
 }
 
 // within sets sw.intra to the best routes from r that stay inside its AS,
@@ -720,9 +845,11 @@ func (sw *sweep) within(t *Topology, r RouterID) (as int) {
 	for i := range sw.intra {
 		sw.intra[i] = unreached
 	}
-	sw.intra[r-sw.base] = route{v: int32(r)}
-	sw.push(sw.intra[r-sw.base])
-	sw.settle(sw.intra, int32(sw.base), t.intraStart, t.intra)
+	i := int32(r - sw.base)
+	sw.intra[i] = route{v: int32(r)}
+	sw.push(i, 0, false)
+	// Every entry is a link: split at the row start, so none is skipped.
+	sw.settle(sw.intra, int32(sw.base), t.intraStart, t.intraStart, t.intra)
 	return as
 }
 
@@ -736,7 +863,9 @@ func (sw *sweep) toBorder(t *Topology, v int32) route {
 
 // run fills tree with the best route from src to every border router:
 // src's AS's border routers start at their intra-AS routes, and the
-// border graph carries those outward.
+// border graph carries those outward. A seed relaxes no intra-AS entry,
+// since the seed of every other border router of the AS is at least as
+// good as a route through it.
 func (sw *sweep) run(t *Topology, src RouterID, tree []route) {
 	for i := range tree {
 		tree[i] = unreached
@@ -744,9 +873,9 @@ func (sw *sweep) run(t *Topology, src RouterID, tree []route) {
 	as := sw.within(t, src)
 	for v := t.asBorders[as]; v < t.asBorders[as+1]; v++ {
 		tree[v] = sw.toBorder(t, v)
-		sw.push(tree[v])
+		sw.push(v, tree[v].lat, true)
 	}
-	sw.settle(tree, 0, t.borderStart, t.borderAdj)
+	sw.settle(tree, 0, t.borderStart, t.borderSplit, t.borderAdj)
 }
 
 // path reads the route src -> dst off src's tree: the best over dst's
@@ -770,41 +899,4 @@ func (sw *sweep) path(t *Topology, tree []route, src, dst RouterID) Path {
 		deliver *= keep
 	}
 	return Path{Latency: best.lat, Hops: int(best.hops), Loss: 1 - deliver}
-}
-
-func (sw *sweep) push(it route) {
-	sw.pq = append(sw.pq, it)
-	i := len(sw.pq) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !sw.pq[i].less(sw.pq[parent]) {
-			break
-		}
-		sw.pq[parent], sw.pq[i] = sw.pq[i], sw.pq[parent]
-		i = parent
-	}
-}
-
-func (sw *sweep) popMin() route {
-	top := sw.pq[0]
-	last := len(sw.pq) - 1
-	sw.pq[0] = sw.pq[last]
-	sw.pq = sw.pq[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && sw.pq[l].less(sw.pq[small]) {
-			small = l
-		}
-		if r < last && sw.pq[r].less(sw.pq[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		sw.pq[i], sw.pq[small] = sw.pq[small], sw.pq[i]
-		i = small
-	}
-	return top
 }

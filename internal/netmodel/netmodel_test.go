@@ -2,9 +2,11 @@ package netmodel
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -35,13 +37,29 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestInvalidConfigPanics: a config Generate cannot build, or whose
+// latencies a sweep's bucket ring cannot hold, panics.
 func TestInvalidConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Generate(Config{Continents: 0})
+	with := func(edit func(*Config)) Config {
+		cfg := DefaultConfig(1)
+		edit(&cfg)
+		return cfg
+	}
+	for name, cfg := range map[string]Config{
+		"no-continents": {Continents: 0},
+		"zero-latency":  with(func(c *Config) { c.IntraASLatencyMin = 0 }),
+		// 500 ms T3 links over 7.6 µs buckets: 65,791 buckets.
+		"too-many-buckets": with(func(c *Config) { c.OC3LatencyMin = 7600 * time.Nanosecond }),
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "invalid config") {
+					t.Fatalf("recovered %v, want the invalid-config panic", r)
+				}
+			}()
+			Generate(cfg)
+		})
+	}
 }
 
 func TestT3FractionNearPaper(t *testing.T) {
@@ -388,7 +406,8 @@ func tiedConfig(seed int64) Config {
 // get right: lossy links, tiny and chordless ASes, ASes with a single
 // border router, ASes whose only inter-AS links are T3, sources that are
 // and are not border routers (same-AS destinations come with "every
-// destination"), latency ties, and - unless -short - paper scale.
+// destination"), latency ties, a latency spread of ~5,000 sweep buckets
+// (100 µs links beside 500 ms ones) and - unless -short - paper scale.
 func TestRoutesMatchReference(t *testing.T) {
 	with := func(edit func(*Config)) Config {
 		cfg := DefaultConfig(21)
@@ -416,6 +435,7 @@ func TestRoutesMatchReference(t *testing.T) {
 			c.ASes, c.Continents, c.ContinentWeights = 1, 1, []float64{1}
 		}), 12},
 		{"ties", tiedConfig(4), 50},
+		{"wide-spread", with(func(c *Config) { c.IntraASLatencyMin = 100 * time.Microsecond }), 50},
 	}
 	if !testing.Short() {
 		cases = append(cases, oracleCase{"paper-scale", PaperScaleConfig(1), 10})

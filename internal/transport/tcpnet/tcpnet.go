@@ -71,6 +71,7 @@ type Node struct {
 	idleTimeout atomic.Int64  // ns; <= 0 disables the reaper
 	idleSet     chan struct{} // poked by SetIdleTimeout so the reaper re-reads it now
 	openOut     atomic.Int64  // outbound TCP connections currently open
+	openIn      atomic.Int64  // inbound TCP connections currently open
 	evictions   atomic.Uint64
 
 	// tele is the process-wide telemetry registry (lane 0 — live nodes
@@ -92,6 +93,8 @@ func (n *Node) SetTelemetry(reg *telemetry.Registry) {
 	}
 	reg.GaugeFunc("tcpnet_open_conns",
 		"outbound TCP connections currently open", func() int64 { return int64(n.OpenConns()) })
+	reg.GaugeFunc("tcpnet_inbound_conns",
+		"inbound TCP connections currently open", n.openIn.Load)
 	reg.GaugeFunc("tcpnet_cached_conns",
 		"entries in the outbound connection cache", func() int64 { return int64(n.CachedConns()) })
 	reg.CounterFunc("tcpnet_idle_evictions_total",
@@ -401,6 +404,8 @@ func (n *Node) acceptLoop() {
 
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
+	n.openIn.Add(1)
+	defer n.openIn.Add(-1)
 	defer conn.Close()
 	ended := make(chan struct{})
 	defer close(ended)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -504,12 +505,14 @@ func TestIdleConnsAreReaped(t *testing.T) {
 // TestInboundConnGoroutinesConverge: a listener must not keep anything
 // per inbound connection once that connection has ended. With the idle
 // reaper cycling connections, a long-lived node otherwise leaks one
-// goroutine per redial it receives.
+// goroutine per redial it receives, or one fd, and its inbound gauge
+// drifts from zero.
 func TestInboundConnGoroutinesConverge(t *testing.T) {
 	const cycles = 12
 	a := newNode(t, 1)
 	b := newNode(t, 2)
 	a.SetIdleTimeout(20 * time.Millisecond)
+	inbound := counted(t, b)
 	_, ch := collect(b)
 
 	// One redial cycle: a dials b and delivers, a's reaper hangs up, and
@@ -539,14 +542,30 @@ func TestInboundConnGoroutinesConverge(t *testing.T) {
 		}
 		return got
 	}
+	// fds counts the process's open file descriptors, or -1 where
+	// /proc/self/fd does not exist.
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			return -1
+		}
+		return len(ents)
+	}
 	cycle(0) // warm up: every long-lived goroutine of both nodes is running
 	before := settle()
+	fdsBefore := fds()
 	for i := 1; i <= cycles; i++ {
 		cycle(i)
 	}
 	if after := settle(); after > before {
 		t.Fatalf("goroutines grew from %d to %d over %d redial cycles (%.1f per cycle)",
 			before, after, cycles, float64(after-before)/cycles)
+	}
+	if after := fds(); after > fdsBefore {
+		t.Fatalf("open fds grew from %d to %d over %d redial cycles", fdsBefore, after, cycles)
+	}
+	if v := inbound("tcpnet_inbound_conns"); v != 0 {
+		t.Fatalf("tcpnet_inbound_conns = %d after every connection ended, want 0", v)
 	}
 }
 
