@@ -53,9 +53,9 @@ type Options struct {
 	// SkipAssemble leaves routing tables empty so a test can exercise
 	// the join protocol instead. Until something joins, the overlay and
 	// FUSE layers arm no timer, send nothing and draw no randomness, so
-	// an unassembled cluster also hosts a baseline service (livetopo,
-	// swim) that replaces each node's handler through Net.SetHandler;
-	// livetopo replaces Node.Groups too.
+	// an unassembled cluster also hosts a baseline service (livetopo)
+	// that replaces each node's handler through Net.SetHandler and
+	// Node.Groups.
 	SkipAssemble bool
 }
 

@@ -121,7 +121,7 @@ func TestSkipAssembleLeavesTablesEmpty(t *testing.T) {
 			t.Fatalf("node %d has neighbors despite SkipAssemble", i)
 		}
 	}
-	// Nothing runs on an unassembled cluster: the ablation and swimcmp
+	// Nothing runs on an unassembled cluster: the ablation's livetopo
 	// baselines host their own services on it and rely on the idle stack
 	// arming no timer and sending nothing.
 	c.Sim.RunFor(10 * time.Minute)

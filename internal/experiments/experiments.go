@@ -1,6 +1,6 @@
 // Package experiments contains one driver per table/figure in the
 // paper's evaluation (§7), plus the ablation studies (the §5.1 liveness
-// topologies, the §2 SWIM contrast, the §4 SVTree group sizes) and two
+// topologies, the §4 SVTree group sizes) and two
 // scale drivers that go beyond the paper's cluster: manygroups
 // (thousands of concurrent groups on a small overlay - the piggyback
 // cost claim pushed to its limit) and paperscale (the §7.3 simulation at
@@ -12,8 +12,8 @@
 // against). Drivers that fault groups do it with a scenario.Script, so
 // the engine's exactly-once audit checks every such run, the ablation's
 // livetopo rows included: a livetopo.Service is each node's
-// cluster.Groups there. The baselines (livetopo, swim) run on an
-// unassembled cluster: their service replaces each node's handler, and
+// cluster.Groups there. The livetopo baselines run on an unassembled
+// cluster: their service replaces each node's handler, and
 // the idle overlay and FUSE layers underneath never run. Only fig12
 // registers failure handlers itself. README.md maps every driver to its
 // paper figure.
@@ -105,7 +105,6 @@ var registry = map[string]Runner{
 	"paperscale":     PaperScaleSimulation,
 	"paperscale100k": PaperScale100k,
 	"svtree":         SVTreeGroupSizes,
-	"swimcmp":        SwimComparison,
 	"ablation":       AblationTopologies,
 }
 

@@ -27,7 +27,7 @@ func TestUnknownExperiment(t *testing.T) {
 }
 
 func TestNamesComplete(t *testing.T) {
-	want := []string{"ablation", "churn", "fig10", "fig11", "fig12", "fig6", "fig7", "fig8", "fig9", "manygroups", "paperscale", "paperscale100k", "steady", "svtree", "swimcmp"}
+	want := []string{"ablation", "churn", "fig10", "fig11", "fig12", "fig6", "fig7", "fig8", "fig9", "manygroups", "paperscale", "paperscale100k", "steady", "svtree"}
 	got := experiments.Names()
 	if len(got) != len(want) {
 		t.Fatalf("names = %v", got)
@@ -241,18 +241,5 @@ func TestSVTreeSmallGroups(t *testing.T) {
 	}
 	if m["attached"] < m["subscribers"] {
 		t.Fatalf("only %v of %v subscribers attached", m["attached"], m["subscribers"])
-	}
-}
-
-func TestSwimComparisonContrast(t *testing.T) {
-	m := short(t, "swimcmp")
-	if m["swim_masks_intransitive"] != 1 {
-		t.Fatal("SWIM should mask the intransitive failure (indirect probes)")
-	}
-	if m["fuse_scopes_intransitive"] != 1 {
-		t.Fatal("FUSE should scope the intransitive failure to the signalled group")
-	}
-	if m["swim_detect_s"] <= 0 || m["fuse_detect_s"] <= 0 {
-		t.Fatalf("missing detection latencies: %v", m)
 	}
 }

@@ -140,7 +140,7 @@ func auditedLatencies(rep *scenario.Report, unit func(time.Duration) float64) (*
 	return lat, nil
 }
 
-// crashRun is the crash-and-measure sequence of the ablation and swimcmp:
+// crashRun is the ablation's crash-and-measure sequence:
 // the engine creates specs on c, the message rate is read over window
 // after drain, then the victims crash together and 15 minutes later the
 // audited notification latencies' median (in seconds) is read.

@@ -80,6 +80,14 @@ func TestIntransitiveExactlyOnce(t *testing.T) {
 	if notify := strings.Index(rep.Trace, "notify group=0"); notify >= 0 && notify < sig {
 		t.Fatalf("notification before the application signal (false positive):\n%s", rep.Trace)
 	}
+	// The audit's attribution agrees: the cut caused no notice, and all
+	// three are the signal's. A verdict per group, not per node.
+	if len(rep.Faults) != 2 {
+		t.Fatalf("want 2 faults (block, signal), got %+v", rep.Faults)
+	}
+	if cut, sig := rep.Faults[0], rep.Faults[1]; cut.Notices != 0 || sig.Notices != 3 {
+		t.Fatalf("notices per fault: %q %d, %q %d; want 0 and 3", cut.Desc, cut.Notices, sig.Desc, sig.Notices)
+	}
 }
 
 // TestRestartLifecycle is the §3.6 drill: a brief crash with stable

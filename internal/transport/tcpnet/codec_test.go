@@ -3,7 +3,7 @@ package tcpnet
 // Codec tests and fuzzing. The blank imports pull in every protocol
 // package so their init-time registrations populate the transport
 // registry: the round-trip tests then enumerate the full closed union -
-// overlay, FUSE core, svtree, swim, livetopo - rather than a
+// overlay, FUSE core, svtree, livetopo - rather than a
 // hand-maintained list that would rot as message types are added.
 
 import (
@@ -23,7 +23,6 @@ import (
 	_ "fuse/internal/core"
 	_ "fuse/internal/livetopo"
 	_ "fuse/internal/svtree"
-	_ "fuse/internal/swim"
 )
 
 // fillValue populates every settable field of v with deterministic
@@ -190,16 +189,20 @@ func TestHeaderRoundTrip(t *testing.T) {
 // re-encodes into a frame that decodes back to the same tag. The seed
 // corpus holds a valid frame for every registered type (zero and filled)
 // plus truncations and corruptions of them, so coverage starts at the
-// interesting surface instead of random noise.
+// interesting surface instead of random noise. The last seeds put a
+// type's zero and filled frames back to back in one stream, so the
+// per-input frame loop runs past its first frame.
 func FuzzWireRoundTrip(f *testing.F) {
+	var streams [][]byte
 	for _, name := range transport.RegisteredMessages() {
 		msg, _ := transport.NewMessage(name)
 		var buf bytes.Buffer
 		if err := encodeFrame(&buf, msg); err != nil {
 			f.Fatalf("seed encode %s: %v", name, err)
 		}
-		f.Add(buf.Bytes())
-		f.Add(buf.Bytes()[:len(buf.Bytes())/2]) // truncated frame
+		zero := bytes.Clone(buf.Bytes())
+		f.Add(zero)
+		f.Add(zero[:len(zero)/2]) // truncated frame
 
 		filled, _ := transport.NewMessage(name)
 		seed := 0
@@ -214,9 +217,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 			mut[len(mut)/2] ^= 0xff // corrupted gob body
 			f.Add(mut)
 		}
+		streams = append(streams, append(zero[:len(zero):len(zero)], buf.Bytes()...))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
+	for _, s := range streams {
+		f.Add(s)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
@@ -253,9 +260,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 // cases. The checked-in filled_overlay_ping and _pingAck predate those
 // records' Link and PeerLink fields and stay as old-format frames a new
 // decoder must accept; linked_overlay_ping and _pingAck are the same
-// frames with both ids set. The *_rpcx_request and _response frames carry
-// tags of a message pair no package registers any more, and stay as
-// frames a decoder must reject cleanly. It is a no-op unless
+// frames with both ids set. The *_rpcx_request and _response frames, and
+// the *_swim_ping, _ack, _pingReq and _indirectAck frames, carry tags no
+// package registers any more, and stay as frames a decoder must reject
+// cleanly. It is a no-op unless
 // GEN_FUZZ_CORPUS=1 is set:
 //
 //	GEN_FUZZ_CORPUS=1 go test ./internal/transport/tcpnet -run TestGenerateFuzzCorpus

@@ -44,10 +44,13 @@ for side in base:"$work/src" head:"$root"; do
 	fi
 done
 
-# The working tree's binaries name what to run; a preset or experiment
-# that <rev> lacks then shows up as a difference.
-presets=$("$work/head/bin/fusesim" -list-scenarios | awk '/^  /{print $1}')
-exps=$({ "$work/head/bin/fusebench" 2>&1 || true; } | sed -n 's/^available: \[\(.*\)\], all$/\1/p' | tr ' ' '\n' | grep -vx paperscale100k)
+# Both sides' binaries name what to run, and every name either lists
+# runs on both: a preset or experiment that <rev> lacks, or that the
+# working tree lacks, records that side's error and exit status and so
+# shows up as a difference.
+presets=$(for s in base head; do "$work/$s/bin/fusesim" -list-scenarios | awk '/^  /{print $1}'; done | sort -u)
+exps=$(for s in base head; do { "$work/$s/bin/fusebench" 2>&1 || true; } |
+	sed -n 's/^available: \[\(.*\)\], all$/\1/p' | tr ' ' '\n'; done | grep -vx paperscale100k | sort -u)
 
 # record <file> <cmd...>: the command's stdout and stderr, then its exit
 # status, into <file>.
