@@ -22,7 +22,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"net"
@@ -43,7 +42,7 @@ func main() {
 		bind        = flag.String("bind", "127.0.0.1:0", "TCP listen address")
 		join        = flag.String("join", "", "bootstrap peer as name@addr")
 		scale       = flag.Float64("timescale", 1.0, "protocol timeout multiplier (1.0 = paper's 60s pings)")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /debug/vars and /debug/pprof on this address")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus text) and /debug/pprof on this address")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -74,7 +73,6 @@ func main() {
 
 	if *metricsAddr != "" {
 		reg := node.Telemetry()
-		expvar.Publish("fuse", reg.ExpvarFunc())
 		ln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fused: -metrics-addr: %v\n", err)

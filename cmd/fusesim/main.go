@@ -3,8 +3,8 @@
 // trace (groups created, every fault applied, every notification
 // delivered), the per-fault latency attribution, and the invariant
 // harness's verdict - so the protocol's behaviour can be inspected
-// without a cluster. There is one run path; the scenario comes from one
-// of three places:
+// without a cluster. There is one run path: the scenario is a
+// scenario.Script, and it comes from one of three places:
 //
 //	fusesim -nodes 400 -groups 40 -size 5 -crash 8
 //	fusesim -scenario restart -seed 3
@@ -19,11 +19,13 @@
 // VIOLATION line after it, and a non-zero exit, mean the run broke
 // exactly-once delivery.
 //
-// -dump prints the scenario as canonical JSON instead of running it, so
-// a preset or a flag-built crash run can be saved and edited into a
-// custom drill. A file records the deployment's size and seed; the size
-// picks the topology (the paper-scale one beyond the default topology's
-// 2,880 routers), and every run warms its overlay routes first.
+// Every script names its deployment's size and seed; -nodes and -seed,
+// when passed, set them, and the script is validated against them before
+// anything runs. The size picks the topology (the paper-scale one beyond
+// the default topology's 2,880 routers), and every run warms its overlay
+// routes first. -dump prints the script as canonical JSON instead of
+// running it, so a preset or a flag-built crash run can be saved and
+// edited into a custom drill.
 package main
 
 import (
@@ -111,7 +113,7 @@ func main() {
 	}
 
 	// Forward only the sizing flags the user explicitly set, so a
-	// preset's (or script file's) tuned defaults apply otherwise.
+	// preset's (or script file's) own deployment applies otherwise.
 	sp := scenario.Params{Short: *short, Workers: *workers, Seed: *seed}
 	seedSet := false
 	flag.Visit(func(f *flag.Flag) {
@@ -137,35 +139,40 @@ func main() {
 			err = fmt.Errorf("need 2 <= size <= nodes and 0 <= crash < nodes")
 			break
 		}
-		c = cluster.New(cluster.Options{N: *nodes, Seed: *seed, Workers: *workers})
 		s = crashScript(*nodes, *groups, *size, *crash, *seed, *window)
 	case strings.HasSuffix(*script, ".json"):
-		var sf *scenario.ScriptFile
-		if sf, err = loadFile(*script); err != nil {
-			break
-		}
-		if !seedSet {
-			// A .json file carries its own seed.
-			sp.Seed = sf.Seed
-		}
-		c, s, err = sf.Build(sp)
+		s, err = loadFile(*script)
 	default:
 		if c, s, err = scenario.BuildPreset(*script, sp); err != nil {
 			err = fmt.Errorf("%w\n(-list-scenarios describes the presets; a path ending in .json runs a scenario script file)", err)
 		}
+	}
+	if err == nil && c == nil {
+		// -nodes and -seed, when passed, set the script's deployment (a
+		// preset took them through Params and is validated already).
+		if sp.Nodes != 0 {
+			s.Nodes = sp.Nodes
+		}
+		if seedSet {
+			s.Seed = *seed
+		}
+		err = s.Validate()
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fusesim: %v\n", err)
 		os.Exit(2)
 	}
 	if *dump {
-		data, err := scenario.ToFile(len(c.Nodes), sp.Seed, s).Marshal()
+		data, err := s.Marshal()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fusesim: %v\n", err)
 			os.Exit(1)
 		}
 		os.Stdout.Write(data)
 		return
+	}
+	if c == nil {
+		c = cluster.New(cluster.Options{N: s.Nodes, Seed: s.Seed, Workers: *workers})
 	}
 
 	c.WarmRoutes(nil)
@@ -194,23 +201,23 @@ func main() {
 }
 
 // loadFile reads and validates a scenario .json file.
-func loadFile(path string) (*scenario.ScriptFile, error) {
+func loadFile(path string) (scenario.Script, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return scenario.Script{}, err
 	}
-	sf, err := scenario.Load(data)
+	s, err := scenario.Load(data)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return scenario.Script{}, fmt.Errorf("%s: %w", path, err)
 	}
-	return sf, nil
+	return s, nil
 }
 
-// crashScript is the scenario the sizing flags describe: random groups,
-// then the victims fail-stop together one minute after creation settles
-// and the run watches for window (scenario.CrashScript). The draws come
-// from a stream of their own, separate from the simulator's internal
-// randomness.
+// crashScript is the scenario the sizing flags describe: on nodes nodes
+// and seed, random groups, then the victims fail-stop together one
+// minute after creation settles and the run watches for window
+// (scenario.CrashScript). The draws come from a stream of their own,
+// separate from the simulator's internal randomness.
 func crashScript(nodes, groups, size, crash int, seed int64, window time.Duration) scenario.Script {
 	rng := &permRand{state: uint64(seed)*2862933555777941757 + 3037000493}
 	var specs []scenario.GroupSpec
@@ -219,7 +226,8 @@ func crashScript(nodes, groups, size, crash int, seed int64, window time.Duratio
 		specs = append(specs, scenario.GroupSpec{Root: perm[0], Members: perm[1:]})
 	}
 	s := scenario.CrashScript("crash", specs, time.Minute, rng.Perm(nodes)[:crash])
-	s.Duration = time.Minute + window
+	s.Nodes, s.Seed = nodes, seed
+	s.Duration = scenario.Duration(time.Minute + window)
 	return s
 }
 

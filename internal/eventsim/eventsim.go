@@ -91,9 +91,8 @@ type lane struct {
 
 // Sim is a discrete-event simulator. The zero value is not usable; call New.
 type Sim struct {
-	lane    // the control lane
-	rng     *rand.Rand
-	stopped bool
+	lane // the control lane
+	rng  *rand.Rand
 
 	// The shard lanes and how windows over them run (see shard.go); all
 	// zero until EnableShards.
@@ -364,15 +363,6 @@ func (s *Sim) Schedule(d time.Duration, fn func()) {
 
 // RunFor is RunUntil(Now().Add(d)).
 func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.Now().Add(d)) }
-
-// Stop halts the simulation: no further events fire. Pending events stay
-// queued so that inspection after Stop is possible. Stop must be called
-// from a fence (a control-lane event, or between run calls), not from
-// shard callbacks.
-func (s *Sim) Stop() { s.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (s *Sim) Stopped() bool { return s.stopped }
 
 // The pending queue: a timing wheel in front of a 4-ary min-heap.
 //

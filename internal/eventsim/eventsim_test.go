@@ -169,26 +169,6 @@ func TestRunForAdvancesRelative(t *testing.T) {
 	}
 }
 
-func TestStopHaltsExecution(t *testing.T) {
-	s := New(1)
-	count := 0
-	for i := 0; i < 10; i++ {
-		s.After(time.Duration(i)*time.Second, func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if !s.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
-	}
-}
-
 func TestAtSchedulesAbsolute(t *testing.T) {
 	s := New(1)
 	var at time.Time

@@ -157,10 +157,10 @@ func (l *lane) headAt() time.Duration {
 }
 
 // Step fires the single logically-next event across all lanes, on the
-// caller's goroutine, and reports false when every queue is empty or the
-// simulation has been stopped. Ties at equal times resolve control lane
-// first, then shards by index, so stepping drivers (group-creation loops)
-// behave identically at any worker count. Cross-shard posts insert
+// caller's goroutine, and reports false when every queue is empty. Ties
+// at equal times resolve control lane first, then shards by index, so
+// stepping drivers (group-creation loops) behave identically at any
+// worker count. Cross-shard posts insert
 // directly here (no barrier), so with several shards a same-instant
 // interleaving can differ from a windowed run of the same schedule - but
 // any driver that makes the same Step/RunFor call sequence gets the same
@@ -168,9 +168,6 @@ func (l *lane) headAt() time.Duration {
 // With at most one shard nothing crosses, and Step and RunUntil fire the
 // same events in the same order.
 func (s *Sim) Step() bool {
-	if s.stopped {
-		return false
-	}
 	best, at := &s.lane, s.lane.headAt()
 	for _, x := range s.shards {
 		if t := x.lane.headAt(); t < at {
@@ -189,8 +186,8 @@ func (s *Sim) Step() bool {
 	return true
 }
 
-// Run fires events until the queues drain or Stop is called, leaving the
-// clock at the last event fired.
+// Run fires events until the queues drain, leaving the clock at the last
+// event fired.
 func (s *Sim) Run() { s.run(maxDuration) }
 
 // RunUntil fires events with timestamps at or before deadline, then
@@ -199,7 +196,7 @@ func (s *Sim) Run() { s.run(maxDuration) }
 func (s *Sim) RunUntil(deadline time.Time) {
 	limit := deadline.Sub(Epoch)
 	s.run(limit)
-	if !s.stopped && s.lane.now < limit {
+	if s.lane.now < limit {
 		s.lane.now = limit
 	}
 }
@@ -210,7 +207,7 @@ func (s *Sim) run(limit time.Duration) {
 	// Window ends are exclusive and maxDuration is headAt's "empty"
 	// answer, so the last representable instant is out of reach.
 	limit = min(limit, maxDuration-1)
-	for !s.stopped {
+	for {
 		gt := s.lane.headAt()
 		st := maxDuration
 		for _, x := range s.shards {
@@ -224,7 +221,7 @@ func (s *Sim) run(limit time.Duration) {
 			// Fence: drain every control event at this instant before
 			// opening a window (control lane wins ties).
 			s.lane.now = t
-			for !s.stopped && s.lane.headAt() == t {
+			for s.lane.headAt() == t {
 				s.lane.execOne()
 			}
 			continue
@@ -279,8 +276,8 @@ func (s *Sim) runWindow(start, end time.Duration) {
 	s.inWindow = false
 
 	// The control clock follows the last event fired, so a run that ends
-	// on this window (Run draining, Stop at the next fence) reads the time
-	// it got to and not the time the window opened.
+	// on this window (Run draining) reads the time it got to and not the
+	// time the window opened.
 	for _, i := range busy {
 		s.lane.now = max(s.lane.now, s.shards[i].lane.now)
 	}

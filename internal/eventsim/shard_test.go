@@ -295,31 +295,23 @@ func TestOneShardStepMatchesRunUntil(t *testing.T) {
 
 // TestControlLaneOnlySim pins the shard-less Sim (a bare event queue, as
 // unit tests and micro-benchmarks use it) on the one loop: every event is
-// a fence, Stop takes effect between two events of one instant, a stopped
-// RunUntil neither fires more nor moves the clock, and a deadline beyond
-// the representable range drains like Run.
+// a fence, one instant's events fire in schedule order, RunUntil leaves
+// later events pending with the clock at its deadline, and a deadline
+// beyond the representable range drains like Run.
 func TestControlLaneOnlySim(t *testing.T) {
 	sim := New(1)
 	var fired []int
 	for i := 0; i < 4; i++ {
 		i := i
-		sim.After(time.Second, func() {
-			fired = append(fired, i)
-			if i == 1 {
-				sim.Stop()
-			}
-		})
+		sim.After(time.Second, func() { fired = append(fired, i) })
 	}
 	sim.After(3*time.Second, func() { fired = append(fired, 4) })
 	sim.RunUntil(Epoch.Add(2 * time.Second))
-	if fmt.Sprint(fired) != "[0 1]" {
-		t.Fatalf("fired = %v, want [0 1] (Stop halts mid-instant)", fired)
+	if fmt.Sprint(fired) != "[0 1 2 3]" {
+		t.Fatalf("fired = %v, want [0 1 2 3]", fired)
 	}
-	if sim.Elapsed() != time.Second || sim.Pending() != 3 {
-		t.Fatalf("after Stop: Elapsed = %v, Pending = %d; want 1s, 3", sim.Elapsed(), sim.Pending())
-	}
-	if sim.Step() {
-		t.Fatal("Step fired an event on a stopped Sim")
+	if sim.Elapsed() != 2*time.Second || sim.Pending() != 1 {
+		t.Fatalf("after RunUntil: Elapsed = %v, Pending = %d; want 2s, 1", sim.Elapsed(), sim.Pending())
 	}
 
 	sim = New(1)

@@ -145,12 +145,15 @@ func auditedLatencies(rep *scenario.Report, unit func(time.Duration) float64) (*
 // after drain, then the victims crash together and 15 minutes later the
 // audited notification latencies' median (in seconds) is read.
 func crashRun(c *cluster.Cluster, name string, specs []scenario.GroupSpec, victims []int, drain, window time.Duration) (load, medianLatencySec float64, err error) {
-	e, err := scenario.Start(c, scenario.CrashScript(name, specs, drain+window, victims))
+	const settle = 15 * time.Minute
+	s := scenario.CrashScript(name, specs, drain+window, victims)
+	s.Duration = scenario.Duration(drain + window + settle)
+	e, err := scenario.Start(c, s)
 	if err != nil {
 		return 0, 0, err
 	}
 	load = msgRate(c, drain, window)
-	c.Sim.RunFor(15 * time.Minute)
+	c.Sim.RunFor(settle)
 	lat, err := auditedLatencies(e.Report(), time.Duration.Seconds)
 	if err != nil {
 		return 0, 0, err
@@ -202,7 +205,7 @@ func Fig8SignaledNotification(p Params) (*Result, error) {
 	const gap = 30 * time.Second // one group's notification settles before the next signal
 	for _, size := range groupSizes {
 		s := scenario.Script{Name: fmt.Sprintf("fig8 size %d", size), Groups: randomGroups(c, perSize, size),
-			Duration: time.Duration(perSize) * gap}
+			Duration: scenario.Duration(time.Duration(perSize) * gap)}
 		for gi, g := range s.Groups {
 			members := append([]int{g.Root}, g.Members...)
 			s.Events = append(s.Events, scenario.Event{At: time.Duration(gi) * gap,
@@ -248,7 +251,7 @@ func Fig9CrashNotification(p Params) (*Result, error) {
 	// network) and watch for ten minutes.
 	specs := randomGroups(c, groups, size)
 	s := scenario.CrashScript("fig9", specs, time.Minute, c.Sim.Rand().Perm(n)[:kill])
-	s.Duration = 11 * time.Minute
+	s.Duration = scenario.Duration(11 * time.Minute)
 	rep, err := scenario.Run(c, s)
 	if err != nil {
 		return nil, err

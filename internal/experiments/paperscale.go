@@ -91,9 +91,14 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	// window the victims crash together (the paper disconnects whole
 	// machines), and the engine's audit checks one-way agreement at scale
 	// - every live member of an affected group hears exactly once.
-	const drain = 2 * time.Minute // creation and install traffic
+	const (
+		drain  = 2 * time.Minute  // creation and install traffic
+		settle = 10 * time.Minute // after the crash, for detection and repair
+	)
+	s := scenario.CrashScript("paperscale", specs, drain+window, pick(kill))
+	s.Duration = scenario.Duration(drain + window + settle)
 	createStart := time.Now()
-	e, err := scenario.Start(c, scenario.CrashScript("paperscale", specs, drain+window, pick(kill)))
+	e, err := scenario.Start(c, s)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +120,7 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	simSpeed := window.Seconds() / elapsed.Seconds()
 	evRate := float64(c.Sim.Executed()-baseExec) / elapsed.Seconds()
 
-	c.Sim.RunFor(10 * time.Minute)
+	c.Sim.RunFor(settle)
 	rep := e.Report()
 	lat, err := auditedLatencies(rep, time.Duration.Seconds)
 	if err != nil {

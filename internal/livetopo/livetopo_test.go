@@ -243,7 +243,7 @@ func TestEngineAuditsEveryKind(t *testing.T) {
 					{At: time.Minute, Do: scenario.Signal{Node: 2, Group: 0}},
 					{At: time.Minute, Do: scenario.Crash{Node: 6}},
 				},
-				Duration:      10 * time.Minute,
+				Duration:      scenario.Duration(10 * time.Minute),
 				ExpectFail:    []int{0, 1},
 				ExpectSurvive: []int{2},
 			})

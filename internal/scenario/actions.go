@@ -84,7 +84,7 @@ func (a Restart) validate(v *validator) {
 		v.errf("bootstrap", "a node cannot bootstrap through itself")
 	}
 	stores := func(g GroupSpec) bool { return slices.Contains(g.Stores, a.Node) }
-	if a.Recover && !slices.ContainsFunc(v.sf.Groups, stores) {
+	if a.Recover && !slices.ContainsFunc(v.s.Groups, stores) {
 		v.errf("recover", "node %d has no store (declare it in a group's stores)", a.Node)
 	}
 }
@@ -315,7 +315,7 @@ func (a Signal) apply(e *Engine) {
 }
 func (a Signal) String() string { return fmt.Sprintf("signal group=%d node=%d", a.Group, a.Node) }
 func (a Signal) validate(v *validator) {
-	groups := v.sf.Groups
+	groups := v.s.Groups
 	known := a.Group >= 0 && a.Group < len(groups)
 	if !known {
 		v.errf("group", "%d out of range [0, %d)", a.Group, len(groups))
@@ -353,8 +353,8 @@ func (a ChurnStart) validate(v *validator) {
 	if a.Count < 1 {
 		v.errf("count", "must be at least 1")
 	}
-	if end > v.sf.Nodes {
-		v.errf("count", "churn range [%d, %d) exceeds %d nodes", a.First, end, v.sf.Nodes)
+	if end > v.nodes {
+		v.errf("count", "churn range [%d, %d) exceeds %d nodes", a.First, end, v.nodes)
 	}
 	v.node("bootstrap", a.Bootstrap)
 	if a.Bootstrap >= a.First && a.Bootstrap < end {

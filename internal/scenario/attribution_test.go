@@ -35,9 +35,9 @@ func TestLatencyAttributionUnderOverlap(t *testing.T) {
 			{At: time.Minute, Do: LossRamp{A: 0, B: 1, From: 0, To: 1, Steps: 5, Over: Duration(8 * time.Minute)}},
 			{At: 10 * time.Minute, Do: ChurnStop{}},
 		},
-		Duration:     20 * time.Minute,
+		Duration:     Duration(20 * time.Minute),
 		ExpectFail:   []int{0},
-		LatencyBound: 8 * time.Minute,
+		LatencyBound: Duration(8 * time.Minute),
 	}
 	rep, err := Run(c, s)
 	if err != nil {

@@ -76,7 +76,7 @@ type genState struct {
 
 // GenerateScript draws one well-formed scenario from seed. It is pure:
 // the same seed always produces the identical script.
-func GenerateScript(seed int64) *ScriptFile {
+func GenerateScript(seed int64) Script {
 	rng := rand.New(rand.NewSource(seed))
 
 	nodes := genMinNodes + rng.Intn(genMaxNodes-genMinNodes+1)
@@ -114,7 +114,7 @@ func GenerateScript(seed int64) *ScriptFile {
 		events = append(events, Event{At: tEnd, Do: ClearLoss{A: p[0], B: p[1]}})
 	}
 
-	return &ScriptFile{
+	return Script{
 		Name:     fmt.Sprintf("fuzz-%d", seed),
 		Nodes:    nodes,
 		Seed:     seed,

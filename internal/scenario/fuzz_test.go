@@ -32,7 +32,7 @@ func FuzzScheduleInvariants(f *testing.F) {
 
 // runGenerated executes one generated schedule end to end through the
 // same path fusesim uses for .json files: generate, marshal, load,
-// build, run, audit.
+// build the cluster it names, run, audit.
 func runGenerated(t *testing.T, seed int64) {
 	sf := GenerateScript(seed)
 	if err := sf.Validate(); err != nil {
@@ -46,11 +46,7 @@ func runGenerated(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatalf("seed %d: generated script does not load back: %v\n%s", seed, err, data)
 	}
-	c, s, err := loaded.Build(Params{})
-	if err != nil {
-		t.Fatalf("seed %d: build: %v", seed, err)
-	}
-	rep, err := Run(c, s)
+	rep, err := Run(clusterFor(loaded), loaded)
 	if err != nil {
 		t.Fatalf("seed %d: run: %v", seed, err)
 	}
@@ -95,11 +91,7 @@ func TestGeneratedScriptsReplayIdentically(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: load: %v", seed, err)
 			}
-			c, s, err := loaded.Build(Params{})
-			if err != nil {
-				t.Fatalf("seed %d: build: %v", seed, err)
-			}
-			rep, err := Run(c, s)
+			rep, err := Run(clusterFor(loaded), loaded)
 			if err != nil {
 				t.Fatalf("seed %d: run: %v", seed, err)
 			}

@@ -155,9 +155,6 @@ func (e *Engine) foldLines() string {
 func (e *Engine) Report() *Report {
 	trace := e.foldLines()
 	r := &Report{Name: e.script.Name, Groups: len(e.tracks)}
-	for _, msg := range e.errs {
-		r.violationf("engine: %s", msg)
-	}
 
 	expectFail := make(map[int]bool, len(e.script.ExpectFail))
 	for _, gi := range e.script.ExpectFail {
@@ -225,7 +222,7 @@ func (e *Engine) Report() *Report {
 				if lat > r.MaxLatency {
 					r.MaxLatency = lat
 				}
-				if e.script.LatencyBound > 0 && lat > e.script.LatencyBound {
+				if e.script.LatencyBound > 0 && lat > time.Duration(e.script.LatencyBound) {
 					r.violationf("group %d: detection latency %s exceeds bound %s", gi, lat, e.script.LatencyBound)
 				}
 			}

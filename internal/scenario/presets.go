@@ -10,8 +10,9 @@ import (
 )
 
 // Presets: the recurring failure drills, each a ~20-line script mapped
-// to the paper section it reproduces. BuildPreset returns the cluster
-// and script; run with Run(c, s).
+// to the paper section it reproduces. A preset's script names its
+// deployment (nodes and seed); BuildPreset validates it and returns it
+// with the cluster it names; run with Run(c, s).
 
 // Params scales a preset.
 type Params struct {
@@ -35,22 +36,16 @@ type Params struct {
 	Workers int
 }
 
-// presets is the one table of drills. minNodes is each preset's smallest
-// usable deployment: the scripts pin concrete node indices (members, ramp
-// endpoints, churn population), so a smaller override would index past
-// the node slice mid-run. The churn floor additionally guarantees that
-// the default six groups keep a surviving member outside the crash set
-// (churnPreset re-checks this exactly for custom group counts). describe
-// is the one-line summary fusesim -list-scenarios prints.
+// presets is the one table of drills. describe is the one-line summary
+// fusesim -list-scenarios prints.
 var presets = map[string]struct {
-	build    func(p Params) (*cluster.Cluster, Script, error)
-	minNodes int
+	build    func(p Params) (Script, error)
 	describe string
 }{
-	"churn":          {churnPreset, 20, "§7.4: groups pinned to stable nodes ride out Poisson churn, then one member of each crashes"},
-	"intransitive":   {intransitivePreset, 16, "§3.4: two members lose only their mutual connectivity; the application signals fail-on-send"},
-	"partition-heal": {partitionHealPreset, 32, "§3: a partition with a straddling group and a contained group, healed selectively"},
-	"restart":        {restartPreset, 21, "§3.6: a brief crash masked by stable storage vs. the same crash without it"},
+	"churn":          {churnPreset, "§7.4: groups pinned to stable nodes ride out Poisson churn, then one member of each crashes"},
+	"intransitive":   {intransitivePreset, "§3.4: two members lose only their mutual connectivity; the application signals fail-on-send"},
+	"partition-heal": {partitionHealPreset, "§3: a partition with a straddling group and a contained group, healed selectively"},
+	"restart":        {restartPreset, "§3.6: a brief crash masked by stable storage vs. the same crash without it"},
 }
 
 // Describe returns the one-line summary of a preset ("" if unknown).
@@ -59,16 +54,22 @@ func Describe(name string) string { return presets[name].describe }
 // Names lists the available presets, sorted.
 func Names() []string { return slices.Sorted(maps.Keys(presets)) }
 
-// BuildPreset constructs the named preset's cluster and script.
+// BuildPreset constructs the named preset's script, validates it, and
+// builds the cluster it names. A Nodes override too small for the
+// preset's pinned node indices fails validation, naming the field.
 func BuildPreset(name string, p Params) (*cluster.Cluster, Script, error) {
 	ps, ok := presets[name]
 	if !ok {
 		return nil, Script{}, fmt.Errorf("scenario: unknown preset %q (have %v)", name, Names())
 	}
-	if p.Nodes != 0 && p.Nodes < ps.minNodes {
-		return nil, Script{}, fmt.Errorf("scenario: preset %q needs at least %d nodes (got %d)", name, ps.minNodes, p.Nodes)
+	s, err := ps.build(p)
+	if err == nil {
+		err = s.Validate()
 	}
-	return ps.build(p)
+	if err != nil {
+		return nil, Script{}, err
+	}
+	return cluster.New(cluster.Options{N: s.Nodes, Seed: s.Seed, Workers: p.Workers}), s, nil
 }
 
 // CrashScript is the drill every crash-latency experiment runs: the
@@ -76,7 +77,7 @@ func BuildPreset(name string, p Params) (*cluster.Cluster, Script, error) {
 // repeated victim crashes once), and a group that loses some but not all
 // of its members must fail - the audit then holds the run to "every live
 // member of an affected group hears exactly once". The caller sets
-// Duration, or runs the clock itself.
+// Duration: the span Run runs, or the one a driver runs itself.
 func CrashScript(name string, groups []GroupSpec, at time.Duration, victims []int) Script {
 	s := Script{Name: name, Groups: groups}
 	down := make(map[int]bool, len(victims))
@@ -126,11 +127,11 @@ func ChurnWindow(p Params) time.Duration {
 // notification (the restart is masked, resumed via Recover). A second
 // member crashes and restarts *without* storage - its group must fail
 // and notify every remaining member exactly once.
-func restartPreset(p Params) (*cluster.Cluster, Script, error) {
-	n := p.nodes(32)
-	c := cluster.New(cluster.Options{N: n, Seed: p.Seed, Workers: p.Workers})
-	s := Script{
-		Name: "restart",
+func restartPreset(p Params) (Script, error) {
+	return Script{
+		Name:  "restart",
+		Nodes: p.nodes(32),
+		Seed:  p.Seed,
 		Groups: []GroupSpec{
 			{Root: 0, Members: []int{10, 20}, Stores: []int{10}},
 			{Root: 3, Members: []int{9, 15}},
@@ -145,12 +146,11 @@ func restartPreset(p Params) (*cluster.Cluster, Script, error) {
 			{At: 12 * time.Minute, Do: Crash{Node: 9}},
 			{At: 12*time.Minute + 10*time.Second, Do: Restart{Node: 9, Bootstrap: 3}},
 		},
-		Duration:      30 * time.Minute,
+		Duration:      Duration(30 * time.Minute),
 		ExpectSurvive: []int{0},
 		ExpectFail:    []int{1},
-		LatencyBound:  10 * time.Minute,
-	}
-	return c, s, nil
+		LatencyBound:  Duration(10 * time.Minute),
+	}, nil
 }
 
 // partitionHealPreset is the §3 partition drill with selective healing:
@@ -158,9 +158,8 @@ func restartPreset(p Params) (*cluster.Cluster, Script, error) {
 // side must survive the partition *and* its repair traffic; and healing
 // the partition must not disturb the unrelated loss ramp installed
 // before it (the composability the engine needs from simnet).
-func partitionHealPreset(p Params) (*cluster.Cluster, Script, error) {
+func partitionHealPreset(p Params) (Script, error) {
 	n := p.nodes(40)
-	c := cluster.New(cluster.Options{N: n, Seed: p.Seed, Workers: p.Workers})
 	half := n / 2
 	sideA := make([]int, half)
 	sideB := make([]int, n-half)
@@ -171,8 +170,10 @@ func partitionHealPreset(p Params) (*cluster.Cluster, Script, error) {
 		sideB[i] = half + i
 	}
 	sides := [][]int{sideA, sideB}
-	s := Script{
-		Name: "partition-heal",
+	return Script{
+		Name:  "partition-heal",
+		Nodes: n,
+		Seed:  p.Seed,
 		Groups: []GroupSpec{
 			{Root: 2, Members: []int{5, half + 5}}, // spans the cut
 			{Root: 8, Members: []int{11, 14}},      // inside side A
@@ -182,12 +183,11 @@ func partitionHealPreset(p Params) (*cluster.Cluster, Script, error) {
 			{At: 2 * time.Minute, Do: Partition{Sides: sides}},
 			{At: 21 * time.Minute, Do: Heal{Sides: sides}},
 		},
-		Duration:      35 * time.Minute,
+		Duration:      Duration(35 * time.Minute),
 		ExpectFail:    []int{0},
 		ExpectSurvive: []int{1},
-		LatencyBound:  10 * time.Minute,
-	}
-	return c, s, nil
+		LatencyBound:  Duration(10 * time.Minute),
+	}, nil
 }
 
 // intransitivePreset is the §3.4 drill (converted from the old
@@ -197,11 +197,11 @@ func partitionHealPreset(p Params) (*cluster.Cluster, Script, error) {
 // either lie or block. The application then hits the broken path and
 // signals, and all three members (including the pair that cannot talk
 // to each other) converge on the failure exactly once.
-func intransitivePreset(p Params) (*cluster.Cluster, Script, error) {
-	n := p.nodes(24)
-	c := cluster.New(cluster.Options{N: n, Seed: p.Seed, Workers: p.Workers})
-	s := Script{
-		Name: "intransitive",
+func intransitivePreset(p Params) (Script, error) {
+	return Script{
+		Name:  "intransitive",
+		Nodes: p.nodes(24),
+		Seed:  p.Seed,
 		Groups: []GroupSpec{
 			{Root: 2, Members: []int{8, 15}},
 		},
@@ -211,11 +211,10 @@ func intransitivePreset(p Params) (*cluster.Cluster, Script, error) {
 			// monitored paths. Then fail-on-send.
 			{At: 11 * time.Minute, Do: Signal{Node: 8, Group: 0}},
 		},
-		Duration:     14 * time.Minute,
+		Duration:     Duration(14 * time.Minute),
 		ExpectFail:   []int{0},
-		LatencyBound: 2 * time.Minute,
-	}
-	return c, s, nil
+		LatencyBound: Duration(2 * time.Minute),
+	}, nil
 }
 
 // churnPreset is the §7.4 drill: groups pinned to stable nodes while
@@ -223,9 +222,9 @@ func intransitivePreset(p Params) (*cluster.Cluster, Script, error) {
 // times (restarts without storage, as in the paper), then one member of
 // every group crashes. Every group must fail and notify each surviving
 // member exactly once - notification reliability under churn.
-func churnPreset(p Params) (*cluster.Cluster, Script, error) {
+func churnPreset(p Params) (Script, error) {
 	n := p.nodes(40)
-	stable := n * 3 / 5
+	stable := max(n*3/5, 1) // the placement below takes indices mod stable
 	groups := p.Groups
 	if groups <= 0 {
 		groups = 6
@@ -236,7 +235,7 @@ func churnPreset(p Params) (*cluster.Cluster, Script, error) {
 	}
 	window := ChurnWindow(p)
 
-	s := Script{Name: "churn"}
+	s := Script{Name: "churn", Nodes: n, Seed: p.Seed}
 	crash := make(map[int]bool)
 	// Quarter-stride placement: each group's nodes sit a quarter of the
 	// stable population apart in the name space, so the InstallChecking
@@ -245,8 +244,9 @@ func churnPreset(p Params) (*cluster.Cluster, Script, error) {
 	// direct (delegate-free) tree links, and churn would never touch the
 	// checking trees. The three offsets are distinct for any stable >= 4
 	// (integer division keeps them strictly increasing and below
-	// stable; BuildPreset's node floor guarantees that), so a group can
-	// never list the same node twice regardless of the group count.
+	// stable), so a group never lists the same node twice regardless of
+	// the group count; on fewer stable nodes validation names the
+	// repeated member.
 	for g := 0; g < groups; g++ {
 		spec := GroupSpec{
 			Root: g % stable,
@@ -271,12 +271,11 @@ func churnPreset(p Params) (*cluster.Cluster, Script, error) {
 			}
 		}
 		if survivors == 0 {
-			return nil, Script{}, fmt.Errorf(
-				"scenario: churn preset with %d groups on %d stable nodes leaves group %d with no surviving member; use more nodes or fewer groups",
-				groups, stable, g)
+			return Script{}, fmt.Errorf(
+				"scenario script: groups[%d]: no member survives the crash (%d groups on %d stable nodes); use more nodes or fewer groups",
+				g, groups, stable)
 		}
 	}
-	c := cluster.New(cluster.Options{N: n, Seed: p.Seed, Workers: p.Workers})
 
 	churnStart := 30 * time.Second
 	s.Events = append(s.Events,
@@ -287,7 +286,7 @@ func churnPreset(p Params) (*cluster.Cluster, Script, error) {
 	for _, v := range slices.Sorted(maps.Keys(crash)) {
 		s.Events = append(s.Events, Event{At: crashAt, Do: Crash{Node: v}})
 	}
-	s.Duration = crashAt + 10*time.Minute
-	s.LatencyBound = 8 * time.Minute
-	return c, s, nil
+	s.Duration = Duration(crashAt + 10*time.Minute)
+	s.LatencyBound = Duration(8 * time.Minute)
+	return s, nil
 }

@@ -7,9 +7,12 @@
 // checks the paper's delivery guarantees over the whole run with an
 // invariant harness.
 //
-// A Script is data: a set of FUSE groups to create, a timeline of
-// Actions, and per-group expectations (must fail / must survive). Run
-// executes it and returns a Report with
+// A Script is data, and its own JSON form (script.go): the deployment it
+// is written for (nodes, seed), a set of FUSE groups to create, a
+// timeline of Actions, and per-group expectations (must fail / must
+// survive). Whatever built it - a file, a preset, a driver - Run
+// validates it against the cluster it is handed, executes it and returns
+// a Report with
 //
 //   - an exactly-once audit: no node incarnation hears about the same
 //     group twice, and when a group fails, every member that stayed up
@@ -63,30 +66,8 @@ type Action interface {
 	apply(e *Engine)
 	String() string
 	// validate reports what is wrong with the action as an event of
-	// v.sf, naming each offending field.
+	// v.s, naming each offending field.
 	validate(v *validator)
-}
-
-// Script is a complete declarative scenario.
-type Script struct {
-	Name   string
-	Groups []GroupSpec
-	Events []Event
-
-	// Duration is the virtual time the scenario runs after setup. It
-	// must leave enough room after the last event for detection and
-	// repair to settle (the protocol's timeouts are minutes).
-	Duration time.Duration
-
-	// ExpectFail and ExpectSurvive list group indices that must have
-	// failed (every eligible member notified) or survived (state intact
-	// everywhere, zero notices) by the end of the run.
-	ExpectFail    []int
-	ExpectSurvive []int
-
-	// LatencyBound, when nonzero, bounds the span from the fault that
-	// felled a group to that group's last delivered notification.
-	LatencyBound time.Duration
 }
 
 // Engine executes one Script over one cluster. It is single-use.
@@ -113,12 +94,6 @@ type Engine struct {
 	active map[string]int // fault key -> index of the ongoing fault on that entity
 	churns []*churnProc   // every started churn process; ChurnStop halts them all
 	ramps  []*rampProc    // every started loss ramp; ClearLoss/HealAll cancel them
-
-	// errs collects engine-level failures during the run (a
-	// Restart{Recover} on a node with no declared store); Report lists
-	// them as violations so a run with a failed lifecycle step can never
-	// audit green.
-	errs []string
 }
 
 // Run executes script s against c: creates the declared groups, compiles
@@ -130,16 +105,20 @@ func Run(c *cluster.Cluster, s Script) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Sim.RunFor(s.Duration)
+	c.Sim.RunFor(time.Duration(s.Duration))
 	return e.Report(), nil
 }
 
-// Start is the first half of Run: it creates the declared groups, attaches
-// the recording handlers and schedules the timeline, and leaves advancing
-// the clock to the caller - a driver that measures something between
-// creation and the first fault runs the simulator itself (s.Duration is
-// not consulted) and calls Report once at the end.
+// Start is the first half of Run: it validates s against c (every node
+// index within c, Nodes when set equal to c's size), creates the declared
+// groups, attaches the recording handlers and schedules the timeline, and
+// leaves advancing the clock to the caller - a driver that measures
+// something between creation and the first fault runs the simulator
+// itself, for s.Duration, and calls Report once at the end.
 func Start(c *cluster.Cluster, s Script) (*Engine, error) {
+	if err := s.validate(len(c.Nodes)); err != nil {
+		return nil, err
+	}
 	e := &Engine{c: c, script: s, rng: c.Sim.Rand(), inc: make([]int, len(c.Nodes)), active: make(map[string]int)}
 	if err := e.setup(); err != nil {
 		return nil, err
@@ -334,15 +313,6 @@ func (e *Engine) restartNode(node, bootstrap int, recover bool) {
 	e.inc[node]++
 	boot := e.c.Nodes[bootstrap].Ref()
 	if recover {
-		if !e.c.HasStore(node) {
-			// The script asked for the §3.6 path but never declared a
-			// store for the node; validating the wrong drill silently
-			// would defeat the audit.
-			e.tracef("restart node=%d recover requested but no store declared", node)
-			e.errs = append(e.errs, fmt.Sprintf("node %d: Restart{Recover: true} but the node has no store (declare it in GroupSpec.Stores)", node))
-			e.c.Restart(node, boot)
-			return
-		}
 		e.c.RestartRecovered(node, boot)
 		e.reattachRecovered(node)
 		return

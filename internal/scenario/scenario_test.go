@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -179,18 +180,69 @@ func TestHarnessCatchesBrokenExpectations(t *testing.T) {
 }
 
 // TestPresetRejectsUndersizedOverlay: presets pin concrete node
-// indices, so a -nodes override below the preset's floor must be a
-// clean error, not an index panic mid-run.
+// indices, so at every size from 1 to its default each preset either
+// builds and starts or fails with an error naming the offending field -
+// never an index panic mid-run.
 func TestPresetRejectsUndersizedOverlay(t *testing.T) {
-	for name, min := range map[string]int{
-		"churn": 20, "intransitive": 16, "partition-heal": 32, "restart": 21,
-	} {
-		if _, _, err := BuildPreset(name, Params{Seed: 1, Nodes: min - 1}); err == nil {
-			t.Errorf("%s accepted %d nodes, floor is %d", name, min-1, min)
+	field := regexp.MustCompile(`^scenario script: [a-z_]+(\[\d+\])*(\.[a-z_]+(\[\d+\])*)*: `)
+	for _, name := range Names() {
+		def, err := presets[name].build(Params{})
+		if err != nil {
+			t.Fatalf("%s at its default size: %v", name, err)
 		}
-		if _, _, err := BuildPreset(name, Params{Seed: 1, Nodes: min}); err != nil {
-			t.Errorf("%s rejected its own floor %d: %v", name, min, err)
+		for n := 1; n <= def.Nodes; n++ {
+			c, s, err := BuildPreset(name, Params{Seed: 1, Nodes: n})
+			if err == nil {
+				_, err = Start(c, s)
+			}
+			if err != nil && !field.MatchString(err.Error()) {
+				t.Errorf("%s at %d nodes: the error names no field: %v", name, n, err)
+			}
 		}
+	}
+}
+
+// TestStartValidatesGoBuiltScripts: a script built in Go is held to the
+// validation its JSON form gets. Start checks it against the cluster it is
+// handed and rejects it with the error Load gives for that form.
+func TestStartValidatesGoBuiltScripts(t *testing.T) {
+	c := cluster.New(cluster.Options{N: 16, Seed: 1})
+	cases := []struct {
+		name   string
+		events []Event
+		member int
+		want   string
+	}{
+		{"member out of range", nil, 16, "groups[0].members[1]: 16 out of range [0, 16)"},
+		{"signal from a non-member", []Event{{At: time.Minute, Do: Signal{Node: 9, Group: 0}}}, 2, "events[0].node: node 9 is not in group 0"},
+		{"event after the duration", []Event{{At: 11 * time.Minute, Do: Crash{Node: 1}}}, 2, "events[0].at: 11m0s is past the script duration 10m0s"},
+		{"recover without a store", []Event{
+			{At: time.Minute, Do: Crash{Node: 1}},
+			{At: 2 * time.Minute, Do: Restart{Node: 1, Bootstrap: 0, Recover: true}},
+		}, 2, "events[1].recover: node 1 has no store"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := Script{
+				Name:     tc.name,
+				Groups:   []GroupSpec{{Root: 0, Members: []int{1, tc.member}}},
+				Events:   tc.events,
+				Duration: Duration(10 * time.Minute),
+			}
+			file := s
+			file.Nodes = len(c.Nodes)
+			data, err := file.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, loadErr := Load(data)
+			if loadErr == nil || !strings.Contains(loadErr.Error(), tc.want) {
+				t.Fatalf("Load: got %v, want %q", loadErr, tc.want)
+			}
+			if _, err := Start(c, s); err == nil || err.Error() != loadErr.Error() {
+				t.Errorf("Start: got %v, want Load's %q", err, loadErr)
+			}
+		})
 	}
 }
 
@@ -209,8 +261,9 @@ func TestStartReportIsRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Sim.RunFor(s.Duration / 3)
-		c.Sim.RunFor(s.Duration - s.Duration/3)
+		d := time.Duration(s.Duration)
+		c.Sim.RunFor(d / 3)
+		c.Sim.RunFor(d - d/3)
 		rep := e.Report()
 		if rep.Trace != whole.Trace || rep.Stats() != whole.Stats() {
 			t.Errorf("%s: Start + RunFor + Report differs from Run:\n%s\nvs\n%s", name, rep.Stats(), whole.Stats())
@@ -283,14 +336,14 @@ func TestEnginesBackToBackOnOneCluster(t *testing.T) {
 		Name:          "first",
 		Groups:        []GroupSpec{{Root: 0, Members: []int{5, 10}}, {Root: 1, Members: []int{6, 11, 16}}},
 		Events:        []Event{{At: 10 * time.Second, Do: Signal{Node: 5, Group: 0}}},
-		Duration:      time.Minute,
+		Duration:      Duration(time.Minute),
 		ExpectFail:    []int{0},
 		ExpectSurvive: []int{1},
 	}, {
 		Name:       "second",
 		Groups:     []GroupSpec{{Root: 6, Members: []int{0, 5, 20}}},
 		Events:     []Event{{At: 10 * time.Second, Do: Signal{Node: 20, Group: 0}}},
-		Duration:   time.Minute,
+		Duration:   Duration(time.Minute),
 		ExpectFail: []int{0},
 	}}
 	for _, s := range rounds {

@@ -9,18 +9,17 @@ import (
 	"slices"
 	"strings"
 	"time"
-
-	"fuse/internal/cluster"
 )
 
-// Scenario scripts as data: ScriptFile is the JSON form of a complete
-// scenario - cluster sizing (nodes, seed) plus the Script itself - so
-// failure drills can be written, versioned, and replayed without
-// recompiling, and fuzz-found counterexamples are plain files anyone can
-// rerun with `fusesim -scenario <file.json>`. Every Action round-trips:
-// ToFile(Load(Marshal(x))) preserves the schedule exactly, and because
-// the engine is deterministic, the loaded copy replays to a
-// byte-identical trace for the same seed.
+// Scenario scripts as data: a Script is its own JSON form. Whatever
+// builds one - a file, a preset, a figure driver, the fuzzer, fusesim's
+// sizing flags - gets the same type and the same validation, so failure
+// drills can be written, versioned and replayed without recompiling, and
+// fuzz-found counterexamples are plain files anyone can rerun with
+// `fusesim -scenario <file.json>`. Every Action round-trips:
+// Load(Marshal(x)) preserves the schedule exactly, and because the engine
+// is deterministic, the loaded copy replays to a byte-identical trace for
+// the same seed.
 //
 // The format (README.md documents it with a full example):
 //
@@ -44,21 +43,39 @@ import (
 // reference for what each kind takes. Durations are Go duration
 // strings. Validation is strict and names the offending field
 // ("events[3].node: 40 out of range [0, 32)"): a typo'd schedule must
-// fail loudly, not silently drill the wrong scenario.
+// fail loudly, not silently drill the wrong scenario. Load validates a
+// script against the deployment it names; Start validates every script
+// against the cluster it is handed.
 
-// ScriptFile is the on-disk form of a scenario.
-type ScriptFile struct {
-	Name  string `json:"name"`
-	Nodes int    `json:"nodes"`
-	Seed  int64  `json:"seed"`
+// Script is a complete declarative scenario.
+type Script struct {
+	Name string `json:"name"`
+
+	// Nodes and Seed name the deployment the script is written for: a
+	// file and a preset carry them, and BuildPreset and fusesim build
+	// the cluster from them. A driver that brings its own cluster may
+	// leave them zero; Start rejects a nonzero Nodes that differs from
+	// the cluster's size.
+	Nodes int   `json:"nodes"`
+	Seed  int64 `json:"seed"`
 
 	Groups []GroupSpec `json:"groups"`
 	Events []Event     `json:"events"`
 
-	Duration      Duration `json:"duration"`
-	ExpectFail    []int    `json:"expect_fail,omitempty"`
-	ExpectSurvive []int    `json:"expect_survive,omitempty"`
-	LatencyBound  Duration `json:"latency_bound,omitempty"`
+	// Duration is the virtual time the scenario runs after setup. It
+	// must leave enough room after the last event for detection and
+	// repair to settle (the protocol's timeouts are minutes).
+	Duration Duration `json:"duration"`
+
+	// ExpectFail and ExpectSurvive list group indices that must have
+	// failed (every eligible member notified) or survived (state intact
+	// everywhere, zero notices) by the end of the run.
+	ExpectFail    []int `json:"expect_fail,omitempty"`
+	ExpectSurvive []int `json:"expect_survive,omitempty"`
+
+	// LatencyBound, when nonzero, bounds the span from the fault that
+	// felled a group to that group's last delivered notification.
+	LatencyBound Duration `json:"latency_bound,omitempty"`
 }
 
 // eventHead is the part of an event's JSON object every kind shares.
@@ -160,6 +177,9 @@ type Duration time.Duration
 
 func (d Duration) String() string { return time.Duration(d).String() }
 
+// Seconds returns the duration as a floating-point number of seconds.
+func (d Duration) Seconds() float64 { return time.Duration(d).Seconds() }
+
 // MarshalJSON implements json.Marshaler.
 func (d Duration) MarshalJSON() ([]byte, error) {
 	return json.Marshal(time.Duration(d).String())
@@ -182,23 +202,24 @@ func (d *Duration) UnmarshalJSON(data []byte) error {
 // Load parses and validates a JSON scenario. Unknown fields are
 // rejected (a misspelled knob must not silently fall back to a default),
 // and every validation error names the field it is about.
-func Load(data []byte) (*ScriptFile, error) {
+func Load(data []byte) (Script, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var sf ScriptFile
-	if err := dec.Decode(&sf); err != nil {
-		return nil, fmt.Errorf("scenario script: %w", err)
+	var s Script
+	if err := dec.Decode(&s); err != nil {
+		return Script{}, fmt.Errorf("scenario script: %w", err)
 	}
-	if err := sf.Validate(); err != nil {
-		return nil, err
+	if err := s.Validate(); err != nil {
+		return Script{}, err
 	}
-	return &sf, nil
+	return s, nil
 }
 
 // Marshal renders the canonical JSON form (indented, trailing newline).
-// Marshal-Load-Marshal is byte-stable.
-func (sf *ScriptFile) Marshal() ([]byte, error) {
-	data, err := json.MarshalIndent(sf, "", "  ")
+// Marshal-Load-Marshal is byte-stable. It fails on a hand-built Script
+// whose Action type is not in the registry.
+func (s Script) Marshal() ([]byte, error) {
+	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		return nil, err
 	}
@@ -208,9 +229,10 @@ func (sf *ScriptFile) Marshal() ([]byte, error) {
 // validator accumulates field-naming errors: every message starts with
 // the path of the field it is about, at + field.
 type validator struct {
-	sf   *ScriptFile
-	at   string // path prefix of the entry being checked: "" or "events[3]."
-	errs []string
+	s     *Script
+	nodes int    // the deployment's size
+	at    string // path prefix of the entry being checked: "" or "events[3]."
+	errs  []string
 }
 
 func (v *validator) errf(field, format string, args ...any) {
@@ -226,8 +248,8 @@ func (v *validator) err() error {
 
 // node checks a node index against the deployment size.
 func (v *validator) node(field string, n int) {
-	if n < 0 || n >= v.sf.Nodes {
-		v.errf(field, "%d out of range [0, %d)", n, v.sf.Nodes)
+	if n < 0 || n >= v.nodes {
+		v.errf(field, "%d out of range [0, %d)", n, v.nodes)
 	}
 }
 
@@ -269,20 +291,26 @@ func (v *validator) sides(sides [][]int) {
 	}
 }
 
-// Validate checks the whole file for structural and referential errors,
-// naming each offending field.
-func (sf *ScriptFile) Validate() error {
-	v := &validator{sf: sf}
-	if sf.Nodes < 2 {
-		v.errf("nodes", "%d, need at least 2", sf.Nodes)
+// Validate checks a script against the deployment it names (Nodes) for
+// structural and referential errors, naming each offending field.
+func (s Script) Validate() error { return s.validate(s.Nodes) }
+
+// validate checks s against a deployment of the given size.
+func (s Script) validate(nodes int) error {
+	v := &validator{s: &s, nodes: nodes}
+	switch {
+	case s.Nodes != 0 && s.Nodes != nodes:
+		v.errf("nodes", "%d, but the cluster has %d", s.Nodes, nodes)
+	case nodes < 2:
+		v.errf("nodes", "%d, need at least 2", nodes)
 	}
-	if sf.Duration <= 0 {
+	if s.Duration <= 0 {
 		v.errf("duration", "must be positive")
 	}
-	if len(sf.Groups) == 0 {
+	if len(s.Groups) == 0 {
 		v.errf("groups", "at least one group required")
 	}
-	for gi, g := range sf.Groups {
+	for gi, g := range s.Groups {
 		v.at = fmt.Sprintf("groups[%d].", gi)
 		v.node("root", g.Root)
 		if len(g.Members) == 0 {
@@ -298,21 +326,21 @@ func (sf *ScriptFile) Validate() error {
 			seen[m] = true
 		}
 		for si, st := range g.Stores {
-			if st < 0 || st >= sf.Nodes || !seen[st] {
+			if st < 0 || st >= nodes || !seen[st] {
 				v.errf(fmt.Sprintf("stores[%d]", si), "node %d is not in the group", st)
 			}
 		}
 	}
 	v.at = ""
-	failed := v.expect("expect_fail", sf.ExpectFail, nil)
-	v.expect("expect_survive", sf.ExpectSurvive, failed)
-	for ei, ev := range sf.Events {
+	failed := v.expect("expect_fail", s.ExpectFail, nil)
+	v.expect("expect_survive", s.ExpectSurvive, failed)
+	for ei, ev := range s.Events {
 		v.at = fmt.Sprintf("events[%d].", ei)
 		if ev.At < 0 {
 			v.errf("at", "must not be negative")
 		}
-		if time.Duration(sf.Duration) < ev.At {
-			v.errf("at", "%s is past the script duration %s", ev.At, sf.Duration)
+		if time.Duration(s.Duration) < ev.At {
+			v.errf("at", "%s is past the script duration %s", ev.At, s.Duration)
 		}
 		if ev.Do == nil {
 			v.errf("do", "required field missing (one of %v)", kindNames())
@@ -329,8 +357,8 @@ func (v *validator) expect(list string, idxs []int, other map[int]bool) map[int]
 	seen := make(map[int]bool, len(idxs))
 	for i, gi := range idxs {
 		field := fmt.Sprintf("%s[%d]", list, i)
-		if gi < 0 || gi >= len(v.sf.Groups) {
-			v.errf(field, "group %d out of range [0, %d)", gi, len(v.sf.Groups))
+		if gi < 0 || gi >= len(v.s.Groups) {
+			v.errf(field, "group %d out of range [0, %d)", gi, len(v.s.Groups))
 			continue
 		}
 		if seen[gi] {
@@ -342,54 +370,4 @@ func (v *validator) expect(list string, idxs []int, other map[int]bool) map[int]
 		seen[gi] = true
 	}
 	return seen
-}
-
-// Script converts the validated file to an engine Script.
-func (sf *ScriptFile) Script() Script {
-	return Script{
-		Name:          sf.Name,
-		Groups:        sf.Groups,
-		Events:        sf.Events,
-		Duration:      time.Duration(sf.Duration),
-		ExpectFail:    sf.ExpectFail,
-		ExpectSurvive: sf.ExpectSurvive,
-		LatencyBound:  time.Duration(sf.LatencyBound),
-	}
-}
-
-// Build constructs the cluster and Script for the file. Nonzero p.Seed
-// or p.Nodes override the file's own values (the file is revalidated
-// when the deployment shrinks, so scripts cannot index past the node
-// slice); the remaining Params fields are preset knobs with no meaning
-// here.
-func (sf *ScriptFile) Build(p Params) (*cluster.Cluster, Script, error) {
-	eff := *sf
-	if p.Seed != 0 {
-		eff.Seed = p.Seed
-	}
-	if p.Nodes != 0 {
-		eff.Nodes = p.Nodes
-		if err := eff.Validate(); err != nil {
-			return nil, Script{}, fmt.Errorf("with nodes=%d: %w", p.Nodes, err)
-		}
-	}
-	c := cluster.New(cluster.Options{N: eff.Nodes, Seed: eff.Seed, Workers: p.Workers})
-	return c, eff.Script(), nil
-}
-
-// ToFile pairs a Script with the cluster sizing that accompanies it: the
-// on-disk form. Marshal fails on a hand-built Script whose Action type
-// is not in the registry.
-func ToFile(nodes int, seed int64, s Script) *ScriptFile {
-	return &ScriptFile{
-		Name:          s.Name,
-		Nodes:         nodes,
-		Seed:          seed,
-		Groups:        s.Groups,
-		Events:        s.Events,
-		Duration:      Duration(s.Duration),
-		ExpectFail:    s.ExpectFail,
-		ExpectSurvive: s.ExpectSurvive,
-		LatencyBound:  Duration(s.LatencyBound),
-	}
 }

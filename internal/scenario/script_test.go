@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fuse/internal/cluster"
 )
 
 // TestPresetRoundTrip pins the acceptance criterion for scripts-as-data:
@@ -18,18 +20,16 @@ func TestPresetRoundTrip(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			p := Params{Seed: 11, Short: true}
-			c, s, err := BuildPreset(name, p)
+			c, s, err := BuildPreset(name, Params{Seed: 11, Short: true})
 			if err != nil {
 				t.Fatalf("BuildPreset: %v", err)
 			}
-			nodes := len(c.Nodes)
 			want, err := Run(c, s)
 			if err != nil {
 				t.Fatalf("direct run: %v", err)
 			}
 
-			data, err := ToFile(nodes, p.Seed, s).Marshal()
+			data, err := s.Marshal()
 			if err != nil {
 				t.Fatalf("Marshal: %v", err)
 			}
@@ -37,11 +37,7 @@ func TestPresetRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Load: %v\nscript:\n%s", err, data)
 			}
-			c2, s2, err := loaded.Build(Params{})
-			if err != nil {
-				t.Fatalf("Build: %v", err)
-			}
-			got, err := Run(c2, s2)
+			got, err := Run(clusterFor(loaded), loaded)
 			if err != nil {
 				t.Fatalf("replayed run: %v", err)
 			}
@@ -71,8 +67,8 @@ func TestPresetRoundTrip(t *testing.T) {
 // Event cases are JSON text, so they go through the same decoding a
 // scenario file does.
 func TestScriptValidationNamesFields(t *testing.T) {
-	base := func() *ScriptFile {
-		return &ScriptFile{
+	base := func() *Script {
+		return &Script{
 			Name:     "v",
 			Nodes:    16,
 			Seed:     1,
@@ -80,8 +76,8 @@ func TestScriptValidationNamesFields(t *testing.T) {
 			Duration: Duration(10 * time.Minute),
 		}
 	}
-	event := func(js string) func(sf *ScriptFile) {
-		return func(sf *ScriptFile) {
+	event := func(js string) func(sf *Script) {
+		return func(sf *Script) {
 			if err := json.Unmarshal([]byte("["+js+"]"), &sf.Events); err != nil {
 				t.Fatalf("event %s does not decode: %v", js, err)
 			}
@@ -90,18 +86,18 @@ func TestScriptValidationNamesFields(t *testing.T) {
 
 	cases := []struct {
 		name string
-		mut  func(sf *ScriptFile)
+		mut  func(sf *Script)
 		want string
 	}{
-		{"nodes too small", func(sf *ScriptFile) { sf.Nodes = 1 }, "nodes: 1"},
-		{"no duration", func(sf *ScriptFile) { sf.Duration = 0 }, "duration: must be positive"},
-		{"no groups", func(sf *ScriptFile) { sf.Groups = nil }, "groups: at least one group"},
-		{"root out of range", func(sf *ScriptFile) { sf.Groups[0].Root = 40 }, "groups[0].root: 40 out of range [0, 16)"},
-		{"member out of range", func(sf *ScriptFile) { sf.Groups[0].Members = []int{1, 99} }, "groups[0].members[1]: 99 out of range"},
-		{"duplicate member", func(sf *ScriptFile) { sf.Groups[0].Members = []int{1, 1} }, "groups[0].members[1]: node 1 listed twice"},
-		{"store outside group", func(sf *ScriptFile) { sf.Groups[0].Stores = []int{5} }, "groups[0].stores[0]: node 5 is not in the group"},
-		{"expect_fail out of range", func(sf *ScriptFile) { sf.ExpectFail = []int{3} }, "expect_fail[0]: group 3 out of range"},
-		{"conflicting expectations", func(sf *ScriptFile) { sf.ExpectFail = []int{0}; sf.ExpectSurvive = []int{0} }, "expect_survive[0]: group 0 cannot both fail and survive"},
+		{"nodes too small", func(sf *Script) { sf.Nodes = 1 }, "nodes: 1"},
+		{"no duration", func(sf *Script) { sf.Duration = 0 }, "duration: must be positive"},
+		{"no groups", func(sf *Script) { sf.Groups = nil }, "groups: at least one group"},
+		{"root out of range", func(sf *Script) { sf.Groups[0].Root = 40 }, "groups[0].root: 40 out of range [0, 16)"},
+		{"member out of range", func(sf *Script) { sf.Groups[0].Members = []int{1, 99} }, "groups[0].members[1]: 99 out of range"},
+		{"duplicate member", func(sf *Script) { sf.Groups[0].Members = []int{1, 1} }, "groups[0].members[1]: node 1 listed twice"},
+		{"store outside group", func(sf *Script) { sf.Groups[0].Stores = []int{5} }, "groups[0].stores[0]: node 5 is not in the group"},
+		{"expect_fail out of range", func(sf *Script) { sf.ExpectFail = []int{3} }, "expect_fail[0]: group 3 out of range"},
+		{"conflicting expectations", func(sf *Script) { sf.ExpectFail = []int{0}; sf.ExpectSurvive = []int{0} }, "expect_survive[0]: group 0 cannot both fail and survive"},
 		{"missing do", event(`{}`), "events[0].do: required field missing"},
 		{"unknown do", event(`{"do": "explode"}`), `events[0].do: unknown action "explode"`},
 		{"crash without node", event(`{"do": "crash"}`), "events[0].node: required field missing"},
@@ -168,8 +164,8 @@ func filled(t *testing.T, zero Action) Action {
 }
 
 // kindFile wraps one action in the script filled() is valid against.
-func kindFile(a Action) *ScriptFile {
-	return &ScriptFile{
+func kindFile(a Action) Script {
+	return Script{
 		Name:     "kind",
 		Nodes:    16,
 		Seed:     1,
@@ -180,8 +176,8 @@ func kindFile(a Action) *ScriptFile {
 }
 
 // TestEveryKindRoundTrips drives the file format from the registry, so a
-// kind cannot be registered without surviving marshal -> Load -> Script()
-// with every field intact.
+// kind cannot be registered without surviving marshal -> Load with every
+// field intact.
 func TestEveryKindRoundTrips(t *testing.T) {
 	if len(kinds) != 16 {
 		t.Errorf("registry has %d kinds, the failure model has 16", len(kinds))
@@ -206,7 +202,7 @@ func TestEveryKindRoundTrips(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Load: %v\n%s", err, data)
 			}
-			got := loaded.Script().Events
+			got := loaded.Events
 			if len(got) != 1 || got[0].At != time.Minute || !reflect.DeepEqual(got[0].Do, want) {
 				t.Errorf("round trip changed the event:\n got: %#v\nwant: %#v\n%s", got, want, data)
 			}
@@ -337,10 +333,12 @@ func TestLoadRejectsBareDurations(t *testing.T) {
 	}
 }
 
-// TestBuildOverrides: Params can override the file's seed and node
-// count, and a shrink that breaks the script's indices is re-validated.
-func TestBuildOverrides(t *testing.T) {
-	sf, err := Load([]byte(`{
+// TestDeploymentOverrides: a script names its deployment, and changing
+// its nodes is the override (fusesim's -nodes). A shrink that breaks the
+// script's indices fails validation, and Start holds a script that names
+// one size to a cluster of that size.
+func TestDeploymentOverrides(t *testing.T) {
+	s, err := Load([]byte(`{
   "name": "override",
   "nodes": 16,
   "seed": 3,
@@ -352,14 +350,22 @@ func TestBuildOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	c, _, err := sf.Build(Params{Nodes: 24, Seed: 9})
-	if err != nil {
-		t.Fatalf("Build with overrides: %v", err)
+	c := cluster.New(cluster.Options{N: 24, Seed: 9})
+	want := "scenario script: nodes: 16, but the cluster has 24"
+	if _, err := Start(c, s); err == nil || err.Error() != want {
+		t.Errorf("Start on a cluster of another size: got %v, want %q", err, want)
 	}
-	if len(c.Nodes) != 24 {
-		t.Errorf("nodes override ignored: got %d", len(c.Nodes))
+	s.Nodes = 24
+	if _, err := Start(c, s); err != nil {
+		t.Errorf("Start with the nodes override: %v", err)
 	}
-	if _, _, err := sf.Build(Params{Nodes: 8}); err == nil || !strings.Contains(err.Error(), "12 out of range [0, 8)") {
+	s.Nodes = 8
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "12 out of range [0, 8)") {
 		t.Errorf("shrinking below the script's indices must fail validation, got %v", err)
 	}
+}
+
+// clusterFor builds the deployment a script names.
+func clusterFor(s Script) *cluster.Cluster {
+	return cluster.New(cluster.Options{N: s.Nodes, Seed: s.Seed})
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"net/http"
 	"net/http/pprof"
 )
@@ -15,23 +14,15 @@ func (r *Registry) Handler() http.Handler {
 }
 
 // ServeMux builds the full fused observability surface: /metrics
-// (Prometheus text), /debug/vars (expvar — publish the registry there
-// with expvar.Publish(name, ExpvarFunc()) once per process), and
-// /debug/pprof/* (the stdlib profiler endpoints), without touching
-// http.DefaultServeMux.
+// (Prometheus text) and /debug/pprof/* (the stdlib profiler endpoints),
+// without touching http.DefaultServeMux.
 func (r *Registry) ServeMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// ExpvarFunc adapts the registry snapshot for expvar.Publish.
-func (r *Registry) ExpvarFunc() expvar.Func {
-	return expvar.Func(func() any { return r.ExpvarMap() })
 }

@@ -386,18 +386,3 @@ func (r *Registry) HistogramValue(name string) (count uint64, sum time.Duration,
 	}
 	return 0, 0, false
 }
-
-// ExpvarMap returns the merged snapshot as a plain map for
-// expvar.Func publication (fused's /debug/vars).
-func (r *Registry) ExpvarMap() map[string]any {
-	out := make(map[string]any)
-	for _, mv := range r.snapshot() {
-		if mv.kind == kindHistogram {
-			out[mv.name+"_count"] = mv.count
-			out[mv.name+"_sum_seconds"] = mv.sum.Seconds()
-			continue
-		}
-		out[mv.name] = mv.val
-	}
-	return out
-}
