@@ -26,6 +26,11 @@
 // routes first. -dump prints the script as canonical JSON instead of
 // running it, so a preset or a flag-built crash run can be saved and
 // edited into a custom drill.
+//
+// -trace writes the run's one event stream as JSON Lines: the protocol's
+// events (every ping too with -trace-pings) and the scenario engine's own
+// "action" and "notice" events, the ones the printed trace and audit are
+// folded from.
 package main
 
 import (
@@ -47,9 +52,10 @@ type telemetryOpts struct {
 	metrics bool
 }
 
-// arm sets the trace level before the run; events are only recorded
-// while a level is enabled, so this must precede any protocol activity
-// that should appear in the output.
+// arm sets the trace level before the run; protocol events are only
+// recorded while a level is enabled (the engine's own at any level), so
+// this must precede any protocol activity that should appear in the
+// output.
 func (o telemetryOpts) arm(reg *telemetry.Registry) {
 	if o.traceTo == "" {
 		return
@@ -98,7 +104,7 @@ func main() {
 		list    = flag.Bool("list-scenarios", false, "list the built-in scenario presets and exit")
 		dump    = flag.Bool("dump", false, "print the scenario as canonical JSON instead of running it")
 		workers = flag.Int("workers", 0, "event-loop worker goroutines over the default shard count; 0 = all nodes on one shard, one goroutine (traces are identical at every count >= 1)")
-		traceTo = flag.String("trace", "", "write the protocol-event trace as JSON Lines to this file (deterministic: diff two runs directly)")
+		traceTo = flag.String("trace", "", "write the event stream - protocol events plus the scenario engine's actions and notices - as JSON Lines to this file (deterministic: diff two runs directly)")
 		pings   = flag.Bool("trace-pings", false, "with -trace: include per-ping/ack events (verbose; large)")
 		metrics = flag.Bool("metrics", false, "print the end-of-run telemetry snapshot table")
 	)

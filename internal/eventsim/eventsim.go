@@ -346,12 +346,6 @@ func (s *Sim) After(d time.Duration, fn func()) *Timer {
 	return &Timer{l: &s.lane, ev: ev, gen: ev.gen}
 }
 
-// At schedules fn at the absolute virtual time t. Times in the past are
-// clamped to the present.
-func (s *Sim) At(t time.Time, fn func()) *Timer {
-	return s.After(t.Sub(s.Now()), fn)
-}
-
 // Schedule queues fn to run d from now without returning a handle. It is
 // the allocation-free path for fire-and-forget events (message deliveries,
 // one-shot follow-ups): the event comes from the pool and returns to it

@@ -169,16 +169,6 @@ func TestRunForAdvancesRelative(t *testing.T) {
 	}
 }
 
-func TestAtSchedulesAbsolute(t *testing.T) {
-	s := New(1)
-	var at time.Time
-	s.At(Epoch.Add(time.Minute), func() { at = s.Now() })
-	s.Run()
-	if !at.Equal(Epoch.Add(time.Minute)) {
-		t.Fatalf("fired at %v", at)
-	}
-}
-
 func TestAfterNilCallbackPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

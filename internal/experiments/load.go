@@ -9,12 +9,23 @@ import (
 
 // msgRate is the measurement every load figure makes: let drain pass
 // (creation and install traffic), then count the messages c's network
-// sends over window, per virtual second.
+// sends over window, per virtual second - the delta of the registry's
+// send counter between two readings.
 func msgRate(c *cluster.Cluster, drain, window time.Duration) float64 {
 	c.Sim.RunFor(drain)
-	base := c.Net.Sent()
+	base := metric(c, "simnet_messages_sent_total")
 	c.Sim.RunFor(window)
-	return float64(c.Net.Sent()-base) / window.Seconds()
+	return float64(metric(c, "simnet_messages_sent_total")-base) / window.Seconds()
+}
+
+// metric reads one counter or gauge from c's telemetry registry, at a
+// fence. A name the registry does not know is a driver bug, not a zero.
+func metric(c *cluster.Cluster, name string) int64 {
+	v, ok := c.Telemetry.Value(name)
+	if !ok {
+		panic("experiments: no metric " + name)
+	}
+	return v
 }
 
 // SteadyStateLoad reproduces the §7.5 steady-state measurement: the

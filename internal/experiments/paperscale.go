@@ -113,12 +113,12 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	}
 
 	// Steady-state measurement window.
-	baseExec := c.Sim.Executed()
+	baseExec := metric(c, "eventsim_events_executed_total")
 	wall := time.Now()
 	rate := msgRate(c, 0, window)
 	elapsed := time.Since(wall)
 	simSpeed := window.Seconds() / elapsed.Seconds()
-	evRate := float64(c.Sim.Executed()-baseExec) / elapsed.Seconds()
+	evRate := float64(metric(c, "eventsim_events_executed_total")-baseExec) / elapsed.Seconds()
 
 	c.Sim.RunFor(settle)
 	rep := e.Report()

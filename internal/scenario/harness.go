@@ -1,9 +1,7 @@
 package scenario
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
@@ -129,31 +127,51 @@ func (r *Report) violationf(format string, args ...any) {
 	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
 }
 
-// foldLines folds the recorded lines into the tracks and the final
-// trace, in (time, lane) order with per-lane FIFO stability - the
-// logical delivery order, independent of how many workers executed the
-// run.
-func (e *Engine) foldLines() string {
+// fold reads the run back from the cluster's telemetry into the tracks
+// and the final trace: the setup lines, then every action on this
+// engine's timeline and every notice for one of its groups, in the
+// registry's (time, lane, FIFO) order - the logical delivery order,
+// independent of how many workers executed the run. An earlier engine on
+// the same cluster stopped recording at its own Report, before this
+// timeline began, and its groups are not this engine's.
+func (e *Engine) fold() string {
 	var b strings.Builder
-	b.WriteString(e.trace.String()) // setup lines
-	slices.SortStableFunc(e.lines, func(x, y traceLine) int {
-		return cmp.Or(cmp.Compare(x.at, y.at), cmp.Compare(x.lane, y.lane))
-	})
-	for _, ln := range e.lines {
-		fmt.Fprintf(&b, "t=+%09.3fs  %s\n", ln.at.Seconds(), ln.text)
-		if d := ln.notice; d != nil {
-			tr := e.tracks[d.Group]
+	ours := make(map[string]int, len(e.tracks))
+	for gi, tr := range e.tracks {
+		ours[tr.id.String()] = gi
+		fmt.Fprintf(&b, "setup group=%d id=%s root=%d members=%v stores=%v\n",
+			gi, tr.id, tr.spec.Root, tr.spec.Members, tr.spec.Stores)
+	}
+	for _, ev := range e.c.Telemetry.Events() {
+		at := ev.At - e.t0
+		if gi, mine := ours[ev.Group]; ev.Kind == "notice" && mine {
+			// The detail is the handler's own line. A livetopo notice
+			// carries no reason, so "reason=" may be empty: it is cut
+			// out before the numbers are scanned.
+			d := Delivery{Group: gi, At: at}
+			head, reason, _ := strings.Cut(ev.Detail, " reason=")
+			reason, fault, _ := strings.Cut(reason, " fault=")
+			if _, err := fmt.Sscanf(head+" "+fault, "notify group=%d node=%d inc=%d %d", new(int), &d.Node, &d.Inc, &d.Fault); err != nil {
+				panic(fmt.Sprintf("scenario: unreadable notice %q: %v", ev.Detail, err))
+			}
+			d.Reason = core.Reason(reason)
+			tr := e.tracks[gi]
 			tr.counts[incKey{d.Node, d.Inc}]++
-			tr.notices = append(tr.notices, *d)
+			tr.notices = append(tr.notices, d)
+		} else if ev.Kind != "action" || at < 0 {
+			continue
 		}
+		fmt.Fprintf(&b, "t=+%09.3fs  %s\n", at.Seconds(), ev.Detail)
 	}
 	return b.String()
 }
 
 // Report audits every track at the end of the run. Call it once, at a
-// fence, after the clock has passed everything the script scheduled.
+// fence, after the clock has passed everything the script scheduled;
+// from then on the engine records nothing.
 func (e *Engine) Report() *Report {
-	trace := e.foldLines()
+	e.reported = true
+	trace := e.fold()
 	r := &Report{Name: e.script.Name, Groups: len(e.tracks)}
 
 	expectFail := make(map[int]bool, len(e.script.ExpectFail))
@@ -243,14 +261,12 @@ func (e *Engine) Report() *Report {
 	// observable form of the aggregated-deadline fairness bound
 	// (linkindex.go): a fault's latency can exceed the per-fault ideal
 	// by up to one CheckTimeout when its group rides a quiet link.
-	if reg := e.c.Telemetry; reg != nil {
-		h := reg.Histogram("scenario_detection_latency_ms",
-			"per-fault detection latency: fault to last attributed notice")
-		lane := reg.Lane(0)
-		for _, f := range r.Faults {
-			if f.Notices > 0 {
-				h.Observe(lane, f.Latency)
-			}
+	reg := e.c.Telemetry
+	h := reg.Histogram("scenario_detection_latency_ms",
+		"per-fault detection latency: fault to last attributed notice")
+	for _, f := range r.Faults {
+		if f.Notices > 0 {
+			h.Observe(reg.Lane(0), f.Latency)
 		}
 	}
 	return r

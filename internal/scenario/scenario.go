@@ -26,6 +26,14 @@
 //     produce the identical trace and statistics, so every scripted
 //     failure drill doubles as a reproducible regression test.
 //
+// The engine observes a run through the cluster's telemetry, like
+// everything else: each applied action is an "action" event on the
+// control lane and each failure-handler call a "notice" event on the
+// node's lane, recorded at any trace level, and Report folds them -
+// merged in the registry's (time, lane) order - into the trace and the
+// audit. A -trace JSONL therefore carries the engine's events beside the
+// protocol's.
+//
 // The paper's failure model (§3: crashes, partitions, intransitive
 // connectivity, message loss) maps onto Actions one-to-one; Presets
 // packages the recurring drills (churn §7.4, partition/heal, restart
@@ -35,13 +43,10 @@ package scenario
 import (
 	"fmt"
 	"math/rand"
-	"strings"
-	"sync"
 	"time"
 
 	"fuse/internal/cluster"
 	"fuse/internal/core"
-	"fuse/internal/eventsim"
 )
 
 // GroupSpec declares one FUSE group: a root node index, further member
@@ -74,26 +79,23 @@ type Action interface {
 //
 // All of the engine's own bookkeeping (fault records, incarnations,
 // churn/ramp processes) mutates only at fences: actions run as
-// control-lane events. The one structure failure handlers write from node
-// context - the trace and notice stream - is one list of lines, each
-// tagged with the lane that wrote it and appended under a mutex; Report
-// orders it by (time, lane), so the report and trace are byte-identical
-// at every worker count.
+// control-lane events. What failure handlers observe from node context
+// goes onto the node's own telemetry lane, which only that node's shard
+// writes; Report reads it back through the registry's merge, so the
+// report and trace are byte-identical at every worker count.
 type Engine struct {
 	c      *cluster.Cluster
 	script Script
 	rng    *rand.Rand
 
-	t0     time.Duration   // sim elapsed when the timeline starts
-	trace  strings.Builder // setup lines (written before the timeline starts)
-	mu     sync.Mutex      // guards lines: shards append in parallel windows
-	lines  []traceLine
-	tracks []*track
-	inc    []int          // per-node incarnation counter
-	faults []faultRec     // every recorded fault, in schedule order (seq = index+1)
-	active map[string]int // fault key -> index of the ongoing fault on that entity
-	churns []*churnProc   // every started churn process; ChurnStop halts them all
-	ramps  []*rampProc    // every started loss ramp; ClearLoss/HealAll cancel them
+	t0       time.Duration // sim elapsed when the timeline starts
+	reported bool          // Report was taken: record nothing more
+	tracks   []*track
+	inc      []int          // per-node incarnation counter
+	faults   []faultRec     // every recorded fault, in schedule order (seq = index+1)
+	active   map[string]int // fault key -> index of the ongoing fault on that entity
+	churns   []*churnProc   // every started churn process; ChurnStop halts them all
+	ramps    []*rampProc    // every started loss ramp; ClearLoss/HealAll cancel them
 }
 
 // Run executes script s against c: creates the declared groups, compiles
@@ -153,8 +155,6 @@ func (e *Engine) setup() error {
 			tr.member[n] = true
 		}
 		e.tracks = append(e.tracks, tr)
-		fmt.Fprintf(&e.trace, "setup group=%d id=%s root=%d members=%v stores=%v\n",
-			gi, id, g.Root, g.Members, g.Stores)
 		for _, n := range tr.nodes() {
 			e.attach(gi, n)
 		}
@@ -162,32 +162,16 @@ func (e *Engine) setup() error {
 	return nil
 }
 
-// traceLine is one line of the run's trace. Each lane executes in time
-// order and appends its own lines in that order, so sorting the list
-// stably by (at, lane) gives the logical order whatever the interleaving
-// of parallel windows was.
-type traceLine struct {
-	at   time.Duration // timeline-relative
-	lane int           // 0: control lane; 1+i: event shard i
-	text string
-	// notice is set on a failure handler's line: the invocation itself,
-	// which Report routes to its group's track.
-	notice *Delivery
-}
-
-func (e *Engine) record(ln traceLine) {
-	e.mu.Lock()
-	e.lines = append(e.lines, ln)
-	e.mu.Unlock()
-}
-
 // now returns the current timeline-relative virtual time.
 func (e *Engine) now() time.Duration { return e.c.Sim.Elapsed() - e.t0 }
 
-// tracef records a control-lane trace line at the present instant.
-// Actions and engine lifecycle steps run at fences, so lane 0 is theirs.
+// tracef records an action event, the trace line's text as its detail,
+// at the present instant. Actions and engine lifecycle steps run at
+// fences, so lane 0 is theirs.
 func (e *Engine) tracef(format string, args ...any) {
-	e.record(traceLine{at: e.now(), text: fmt.Sprintf(format, args...)})
+	if !e.reported {
+		e.c.Telemetry.Lane(0).Record(e.c.Sim.Now(), "action", "", "", 0, 0, fmt.Sprintf(format, args...))
+	}
 }
 
 // faultRec is one recorded fault, for per-fault latency attribution. A
@@ -268,24 +252,23 @@ func (e *Engine) attribute(gi int) int {
 
 // attach registers a failure handler for group gi on node's current
 // incarnation. The handler runs in the node's event context - possibly on
-// its shard's worker goroutine - so it records on the node's lane, reads
-// the node-local clock, and consults engine state that mutates
-// exclusively at fences (the fault schedule).
+// its shard's worker goroutine - so it records a notice event on the
+// node's lane at the node-local clock, and consults engine state that
+// mutates exclusively at fences (the fault schedule). Attribution happens
+// here, at delivery: Report's fold sorts a Signal's synchronous notice
+// after every same-instant control-lane action, faults applied after the
+// signal included, so attribution recomputed there could change.
 func (e *Engine) attach(gi, node int) {
 	tr := e.tracks[gi]
 	inc := e.inc[node]
 	tr.attached[node] = inc
-	lane := 1 + e.c.ShardOf(node)
+	lane := e.c.Telemetry.Lane(1 + e.c.ShardOf(node))
 	env := e.c.Nodes[node].Env
 	e.c.Nodes[node].Groups.RegisterFailureHandler(func(n core.Notice) {
-		at := env.Now().Sub(eventsim.Epoch) - e.t0
-		fs := e.attribute(gi)
-		e.record(traceLine{
-			at:     at,
-			lane:   lane,
-			text:   fmt.Sprintf("notify group=%d node=%d inc=%d reason=%s fault=%d", gi, node, inc, n.Reason, fs),
-			notice: &Delivery{Group: gi, Node: node, Inc: inc, At: at, Reason: n.Reason, Fault: fs},
-		})
+		if !e.reported {
+			lane.Record(env.Now(), "notice", cluster.NameOf(node), tr.id.String(), 0, 0,
+				fmt.Sprintf("notify group=%d node=%d inc=%d reason=%s fault=%d", gi, node, inc, n.Reason, e.attribute(gi)))
+		}
 	}, tr.id)
 }
 

@@ -1,9 +1,14 @@
 package scenario
 
 import (
+	"fmt"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"fuse/internal/cluster"
 	"fuse/internal/telemetry"
 )
 
@@ -125,5 +130,111 @@ func TestDetectionLatencyHistogram(t *testing.T) {
 	}
 	if sum <= 0 {
 		t.Fatalf("histogram sum %s, want > 0", sum)
+	}
+}
+
+// TestEngineRecordsOnTheTelemetryLanes: the engine observes a run through
+// the registry at any trace level. With tracing off (the default) a
+// restart drill leaves one notice event per delivery - same group, node,
+// incarnation and timeline instant - and one action event per applied
+// script event, and WriteTrace emits exactly those.
+func TestEngineRecordsOnTheTelemetryLanes(t *testing.T) {
+	c, s, err := BuildPreset("restart", Params{Seed: 5, Short: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Start(c, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Sim.RunFor(time.Duration(s.Duration))
+	rep := e.Report()
+	if !rep.OK() || len(rep.Deliveries) == 0 {
+		t.Fatalf("want a green run with deliveries:\n%s", rep.Stats())
+	}
+
+	incOf := regexp.MustCompile(`inc=\d+`)
+	var actions []string
+	var got, want []string
+	for _, ev := range c.Telemetry.Events() {
+		at := ev.At - e.t0
+		switch ev.Kind {
+		case "action":
+			actions = append(actions, fmt.Sprintf("%s %s", at, ev.Detail))
+		case "notice":
+			got = append(got, fmt.Sprintf("%s %s %s %s", ev.Group, ev.Node, incOf.FindString(ev.Detail), at))
+		default:
+			t.Fatalf("tracing is off, yet the registry holds a %q event", ev.Kind)
+		}
+	}
+	for _, d := range rep.Deliveries {
+		want = append(want, fmt.Sprintf("%s %s inc=%d %s", e.tracks[d.Group].id, cluster.NameOf(d.Node), d.Inc, d.At))
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("notice events differ from the deliveries:\n%s\nvs\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	var applied []string
+	for _, ev := range s.Events {
+		applied = append(applied, fmt.Sprintf("%s %s", ev.At, ev.Do))
+	}
+	if !slices.Equal(actions, applied) {
+		t.Errorf("action events %q, want the script's %q", actions, applied)
+	}
+
+	var tr strings.Builder
+	if err := c.Telemetry.WriteTrace(&tr); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(tr.String(), `"kind":"notice"`); n != len(want) {
+		t.Errorf("WriteTrace emitted %d notices, want %d", n, len(want))
+	}
+	if n := strings.Count(tr.String(), `"kind":"action"`); n != len(applied) {
+		t.Errorf("WriteTrace emitted %d actions, want %d", n, len(applied))
+	}
+}
+
+// TestLaterEngineFoldsNothingOfAnEarlierOne: an engine records nothing
+// once its Report is taken. The first engine here starts churn and never
+// stops it; the second, run on the same cluster while those flips go on,
+// traces and delivers only its own signal, and the registry holds no
+// action of the first from after its Report.
+func TestLaterEngineFoldsNothingOfAnEarlierOne(t *testing.T) {
+	c := cluster.New(cluster.Options{N: 24, Seed: 9})
+	first, err := Run(c, Script{
+		Name:     "first",
+		Groups:   []GroupSpec{{Root: 0, Members: []int{1, 2}}},
+		Events:   []Event{{At: 10 * time.Second, Do: ChurnStart{Bootstrap: 0, First: 12, Count: 12, MeanDwell: Duration(20 * time.Second)}}},
+		Duration: Duration(2 * time.Minute),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(first.Trace, "churn crash") {
+		t.Fatalf("the first engine's churn never flipped:\n%s", first.Trace)
+	}
+	reported := c.Sim.Elapsed()
+
+	second, err := Run(c, Script{
+		Name:       "second",
+		Groups:     []GroupSpec{{Root: 3, Members: []int{4, 5}}},
+		Events:     []Event{{At: 30 * time.Second, Do: Signal{Node: 4, Group: 0}}},
+		Duration:   Duration(2 * time.Minute),
+		ExpectFail: []int{0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.OK() || second.Notices != 3 || len(second.Deliveries) != 3 {
+		t.Fatalf("second: want a green run with 3 notices:\n%s\ntrace:\n%s", second.Stats(), second.Trace)
+	}
+	if strings.Contains(second.Trace, "churn") || strings.Count(second.Trace, "\n") != 1+1+3 {
+		t.Errorf("second trace holds more than its setup, signal and notices:\n%s", second.Trace)
+	}
+	for _, ev := range c.Telemetry.Events() {
+		if ev.Kind == "action" && ev.At > reported && !strings.HasPrefix(ev.Detail, "signal ") {
+			t.Errorf("the first engine recorded %q at %s, after its Report", ev.Detail, ev.At)
+		}
 	}
 }

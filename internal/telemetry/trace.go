@@ -51,12 +51,22 @@ type Event struct {
 	Detail string
 }
 
-// Emit appends one event to the lane's buffer. The caller must have
-// checked Tracing (Emit re-checks, so a race on shutdown is safe, but
-// argument construction is the expensive part). Timestamps are taken
-// from the owning clock by the caller.
+// Emit is Record gated on the trace level: at TraceOff it records
+// nothing. The caller must have checked Tracing (Emit re-checks, so a
+// race on shutdown is safe, but argument construction is the expensive
+// part).
 func (l *Lane) Emit(at time.Time, kind, node, group string, span, parent uint64, detail string) {
-	if l == nil || Level(l.reg.level.Load()) == TraceOff {
+	if l.Tracing(TraceProto) {
+		l.Record(at, kind, node, group, span, parent, detail)
+	}
+}
+
+// Record appends one event to the lane's buffer at any trace level: the
+// scenario engine's actions and notices, which its audit folds, must not
+// depend on verbosity. Timestamps are taken from the owning clock by the
+// caller.
+func (l *Lane) Record(at time.Time, kind, node, group string, span, parent uint64, detail string) {
+	if l == nil {
 		return
 	}
 	l.events = append(l.events, Event{
@@ -86,7 +96,7 @@ func (l *Lane) NewSpan() uint64 {
 }
 
 // Events returns every lane's buffer in (timestamp, lane, FIFO) order —
-// the order the scenario engine sorts its trace lines into — yielding a
+// the order the scenario engine's trace and audit fold — yielding a
 // sequence that is byte-identical across worker counts for a fixed
 // shard count.
 func (r *Registry) Events() []Event {
