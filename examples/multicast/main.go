@@ -33,7 +33,7 @@ func main() {
 
 	svcs := make([]*svtree.Service, len(c.Nodes))
 	for i, nd := range c.Nodes {
-		svcs[i] = svtree.New(nd.Env, nd.Overlay, nd.Fuse, svtree.DefaultConfig())
+		svcs[i] = svtree.New(nd.Env, nd.Overlay, nd.Fuse)
 		ov, fu, sv := nd.Overlay, nd.Fuse, svcs[i]
 		c.Net.SetHandler(nd.Addr, func(from transport.Addr, msg transport.Message) {
 			if ov.Handle(from, msg) || fu.Handle(from, msg) || sv.Handle(from, msg) {

@@ -2,7 +2,9 @@ package fuse_test
 
 import (
 	"context"
+	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -280,6 +282,27 @@ func TestStartRequiresName(t *testing.T) {
 	if _, err := fuse.Start(fuse.NodeConfig{Bind: "127.0.0.1:0"}); err == nil {
 		t.Fatal("expected error for missing name")
 	}
+}
+
+// TestStartRejectsBadTimeScale: a negative, NaN or infinite time scale is
+// refused before anything binds, naming the field; 0 is the paper's timing.
+func TestStartRejectsBadTimeScale(t *testing.T) {
+	for _, scale := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		nd, err := fuse.Start(fuse.NodeConfig{Name: "x", Bind: "127.0.0.1:0", TimeScale: scale})
+		if err == nil {
+			nd.Close()
+			t.Errorf("TimeScale %v accepted", scale)
+			continue
+		}
+		if !strings.Contains(err.Error(), "TimeScale") {
+			t.Errorf("TimeScale %v: error %q does not name the field", scale, err)
+		}
+	}
+	nd, err := fuse.Start(fuse.NodeConfig{Name: "x", Bind: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("TimeScale 0: %v", err)
+	}
+	nd.Close()
 }
 
 func TestStartBadBindFails(t *testing.T) {

@@ -183,7 +183,7 @@ func (c *Cluster) addNode(router netmodel.RouterID) *Node {
 // the message dispatcher.
 func (c *Cluster) buildStack(i int, addr transport.Addr, router netmodel.RouterID, env transport.Env) *Node {
 	ov := overlay.New(env, overlay.DefaultConfig(), NameOf(i))
-	fu := core.New(env, ov, core.DefaultConfig())
+	fu := core.New(env, ov, 1)
 	n := &Node{Index: i, Addr: addr, Router: router, Env: env, Overlay: ov, Fuse: fu, Groups: fu}
 	c.Net.SetHandler(addr, func(from transport.Addr, msg transport.Message) {
 		if !ov.Handle(from, msg) {

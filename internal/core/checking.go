@@ -155,8 +155,8 @@ func (f *Fuse) installArrivedAtRoot(ic *msgInstallChecking, prev overlay.NodeRef
 		if len(rs.installPending) == 0 {
 			stopTimer(rs.installTimer)
 			rs.installTimer = nil
-			rs.backoff = f.cfg.RepairBackoffInitial // tree healthy again
-			rs.cause = 0                            // prior observation repaired away
+			rs.backoff = f.scaled(backoffInitial) // tree healthy again
+			rs.cause = 0                          // prior observation repaired away
 		}
 		return
 	}
@@ -296,7 +296,7 @@ func (f *Fuse) handleGroupLists(m *msgGroupLists) {
 			i++
 			continue
 		}
-		if now.Sub(f.checking[id].link(m.From.Addr).installedAt) < f.cfg.GracePeriod {
+		if now.Sub(f.checking[id].link(m.From.Addr).installedAt) < f.scaled(gracePeriod) {
 			i++ // too young to judge: the neighbor may not have installed yet
 			continue
 		}

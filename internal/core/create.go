@@ -60,7 +60,7 @@ func (f *Fuse) CreateGroup(members []overlay.NodeRef, done func(GroupID, error))
 		f.env.Send(m.Addr, &msgGroupCreateRequest{ID: id, Members: members})
 	}
 	f.trace("create", id, 0, 0, "")
-	c.timer = f.env.After(f.cfg.CreateTimeout, func() { f.createTimedOut(c) })
+	c.timer = f.env.After(f.scaled(createTimeout), func() { f.createTimedOut(c) })
 }
 
 // handleCreateRequest installs member state and replies (§6.2): reply
@@ -114,7 +114,7 @@ func (f *Fuse) handleCreateReply(m *msgGroupCreateReply) {
 		id:             c.id,
 		members:        c.members,
 		installPending: make(map[string]bool, len(c.members)),
-		backoff:        f.cfg.RepairBackoffInitial,
+		backoff:        f.scaled(backoffInitial),
 	}
 	for _, mem := range c.members {
 		rs.installPending[mem.Name] = true
@@ -140,7 +140,7 @@ func (f *Fuse) armInstallTimer(rs *rootState) {
 		rs.installTimer = nil
 		return
 	}
-	rs.installTimer = f.env.After(f.cfg.InstallTimeout, func() {
+	rs.installTimer = f.env.After(f.scaled(installTimeout), func() {
 		if len(rs.installPending) > 0 {
 			f.scheduleRepair(rs)
 		}

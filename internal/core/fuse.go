@@ -44,6 +44,10 @@
 // in place through the transport's timer reschedule support - properties
 // the manygroups (2,000 groups on 100 nodes) and paperscale (16,000-node
 // overlay) experiments measure.
+//
+// Timing: the paper's parameters are constants (fuse.go), not
+// configuration. A node's one timing knob is the time scale New takes,
+// which multiplies them all; the simulator runs at 1.
 package core
 
 import (
@@ -91,81 +95,51 @@ type Notice struct {
 // Handler is an application failure callback.
 type Handler func(Notice)
 
-// Config holds the FUSE layer timing parameters. Defaults mirror the
-// paper's evaluation: 1 minute member-repair timeout, 2 minute root-repair
-// timeout, 5 second reconciliation grace period, exponential repair
-// backoff capped at 40 seconds.
-type Config struct {
-	// CreateTimeout bounds how long the root waits for all
+// The FUSE layer's timing: the paper's evaluation values (§7), which a
+// node stretches by the time scale New takes.
+const (
+	// createTimeout bounds how long the root waits for all
 	// GroupCreateReplies before declaring creation failed.
-	CreateTimeout time.Duration
+	createTimeout = 30 * time.Second
 
-	// InstallTimeout bounds how long the root waits for every member's
+	// installTimeout bounds how long the root waits for every member's
 	// InstallChecking to arrive before attempting a repair.
-	InstallTimeout time.Duration
+	installTimeout = 30 * time.Second
 
-	// CheckTimeout is the freshness bound on a monitored overlay link:
+	// checkTimeout is the freshness bound on a monitored overlay link:
 	// if no matching-hash ping (or reconciliation agreement) arrives
 	// within it, every group riding the link is declared failed. The
 	// deadline is shared by all groups on the link; a group installed on
 	// an already-monitored link inherits its current deadline. It must
-	// exceed the overlay ping interval plus ping timeout.
-	CheckTimeout time.Duration
+	// exceed the overlay's 60 s ping interval plus its 20 s ping timeout.
+	checkTimeout = 90 * time.Second
 
-	// MemberRepairTimeout is how long a member waits for the root to
-	// respond to NeedRepair before concluding the group has failed.
-	MemberRepairTimeout time.Duration
+	// memberRepairTimeout is how long a member waits for the root to
+	// respond to NeedRepair before concluding the group has failed: the
+	// paper's 1 minute.
+	memberRepairTimeout = time.Minute
 
-	// RootRepairTimeout is how long the root waits for all
-	// GroupRepairReplies before declaring the group failed.
-	RootRepairTimeout time.Duration
+	// rootRepairTimeout is how long the root waits for all
+	// GroupRepairReplies before declaring the group failed: the paper's
+	// 2 minutes.
+	rootRepairTimeout = 2 * time.Minute
 
-	// GracePeriod protects freshly installed checking state from being
+	// gracePeriod protects freshly installed checking state from being
 	// torn down by a reconciliation race during group creation.
-	GracePeriod time.Duration
+	gracePeriod = 5 * time.Second
 
-	// RepairBackoffInitial and RepairBackoffCap bound the per-group
-	// exponential backoff between repair attempts.
-	RepairBackoffInitial time.Duration
-	RepairBackoffCap     time.Duration
-}
-
-// DefaultConfig returns the paper's parameters.
-func DefaultConfig() Config {
-	return Config{
-		CreateTimeout:        30 * time.Second,
-		InstallTimeout:       30 * time.Second,
-		CheckTimeout:         90 * time.Second, // ping interval 60s + timeout 20s + slack
-		MemberRepairTimeout:  time.Minute,
-		RootRepairTimeout:    2 * time.Minute,
-		GracePeriod:          5 * time.Second,
-		RepairBackoffInitial: 2 * time.Second,
-		RepairBackoffCap:     40 * time.Second,
-	}
-}
-
-// Scale returns a copy with every duration multiplied by f (tests run
-// protocol time compressed).
-func (c Config) Scale(f float64) Config {
-	s := func(d time.Duration) time.Duration { return time.Duration(float64(d) * f) }
-	return Config{
-		CreateTimeout:        s(c.CreateTimeout),
-		InstallTimeout:       s(c.InstallTimeout),
-		CheckTimeout:         s(c.CheckTimeout),
-		MemberRepairTimeout:  s(c.MemberRepairTimeout),
-		RootRepairTimeout:    s(c.RootRepairTimeout),
-		GracePeriod:          s(c.GracePeriod),
-		RepairBackoffInitial: s(c.RepairBackoffInitial),
-		RepairBackoffCap:     s(c.RepairBackoffCap),
-	}
-}
+	// backoffInitial and backoffCap bound the per-group exponential
+	// backoff between repair attempts, capped at the paper's 40 s.
+	backoffInitial = 2 * time.Second
+	backoffCap     = 40 * time.Second
+)
 
 // Fuse is the per-node FUSE layer. It attaches to an overlay node as its
 // client and shares the node's single-threaded Env.
 type Fuse struct {
-	env transport.Env
-	ov  *overlay.Node
-	cfg Config
+	env   transport.Env
+	ov    *overlay.Node
+	scale float64 // multiplies every timing constant
 
 	self overlay.NodeRef
 
@@ -300,12 +274,13 @@ type treeLink struct {
 }
 
 // New creates the FUSE layer for an overlay node and installs itself as
-// the overlay's client.
-func New(env transport.Env, ov *overlay.Node, cfg Config) *Fuse {
+// the overlay's client. scale, positive, multiplies every timing
+// constant: 1 is the paper's timing.
+func New(env transport.Env, ov *overlay.Node, scale float64) *Fuse {
 	f := &Fuse{
 		env:      env,
 		ov:       ov,
-		cfg:      cfg,
+		scale:    scale,
 		self:     ov.Self(),
 		creating: make(map[GroupID]*creating),
 		roots:    make(map[GroupID]*rootState),
@@ -332,6 +307,11 @@ func New(env transport.Env, ov *overlay.Node, cfg Config) *Fuse {
 	}
 	ov.SetClient(f)
 	return f
+}
+
+// scaled stretches one of the timing constants by the node's time scale.
+func (f *Fuse) scaled(d time.Duration) time.Duration {
+	return time.Duration(float64(d) * f.scale)
 }
 
 // LiveGroups returns the IDs of all groups this node currently holds any

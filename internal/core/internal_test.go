@@ -97,7 +97,7 @@ func (e *fakeEnv) sentTo(addr transport.Addr) []transport.Message {
 func newFakeFuse(name string) (*Fuse, *fakeEnv) {
 	env := newFakeEnv(transport.Addr("addr-" + name))
 	ov := overlay.New(env, overlay.DefaultConfig(), name)
-	f := New(env, ov, DefaultConfig())
+	f := New(env, ov, 1)
 	return f, env
 }
 
@@ -233,7 +233,7 @@ func TestInstallsDoNotPostponeLinkFailure(t *testing.T) {
 	// The neighbor never refreshes the link, but installs keep arriving
 	// well inside CheckTimeout.
 	for i := 0; i < 10; i++ {
-		env.advance(f.cfg.CheckTimeout / 4)
+		env.advance(checkTimeout / 4)
 		f.addTreeLink(GroupID{Root: ref("r"), Num: uint64(i + 2)}, 0, peer)
 	}
 	if _, ok := f.checking[first]; ok {
@@ -256,9 +256,9 @@ func TestAggregatedDeadlineFairnessBound(t *testing.T) {
 	first := GroupID{Root: ref("r"), Num: 1}
 	late := GroupID{Root: ref("r"), Num: 2}
 	f.addTreeLink(first, 0, peer)
-	env.advance(2 * f.cfg.CheckTimeout / 3)
+	env.advance(2 * checkTimeout / 3)
 	f.addTreeLink(late, 0, peer)
-	env.advance(f.cfg.CheckTimeout/3 + time.Second)
+	env.advance(checkTimeout/3 + time.Second)
 	if _, ok := f.checking[late]; ok {
 		t.Fatal("late group outlived the shared deadline: waited more than a full CheckTimeout past its install")
 	}
@@ -268,11 +268,11 @@ func TestAggregatedDeadlineFairnessBound(t *testing.T) {
 	// still alive one step short of install + CheckTimeout, gone at it.
 	f, env = newFakeFuse("d")
 	f.addTreeLink(first, 0, peer)
-	env.advance(f.cfg.CheckTimeout / 2)
+	env.advance(checkTimeout / 2)
 	f.OnPingPayload(peer, f.PingPayload(peer)) // liveness evidence re-arms
 	env.advance(time.Second)
 	f.addTreeLink(late, 0, peer) // then the link goes quiet
-	env.advance(f.cfg.CheckTimeout - 2*time.Second)
+	env.advance(checkTimeout - 2*time.Second)
 	if _, ok := f.checking[late]; !ok {
 		t.Fatal("late group torn down before the shared deadline it inherited")
 	}
@@ -308,14 +308,14 @@ func TestSharedLinkTimerCoversAllGroups(t *testing.T) {
 		t.Fatalf("%d live timers for %d groups on one link, want 1", got, n)
 	}
 	// A matching-hash ping refreshes the shared deadline.
-	env.advance(f.cfg.CheckTimeout / 2)
+	env.advance(checkTimeout / 2)
 	f.OnPingPayload(peer, f.PingPayload(peer))
-	env.advance(f.cfg.CheckTimeout/2 + time.Second)
+	env.advance(checkTimeout/2 + time.Second)
 	if len(f.checking) != n {
 		t.Fatalf("refresh did not cover all groups: %d of %d survive", len(f.checking), n)
 	}
 	// Expiry fails every group riding the link.
-	env.advance(f.cfg.CheckTimeout)
+	env.advance(checkTimeout)
 	if len(f.checking) != 0 {
 		t.Fatalf("%d groups survived link timeout", len(f.checking))
 	}
@@ -329,16 +329,16 @@ func TestRepairBackoffDoublesAndCaps(t *testing.T) {
 	rs := &rootState{
 		id:      GroupID{Root: f.self, Num: 1},
 		members: []overlay.NodeRef{ref("m1")},
-		backoff: f.cfg.RepairBackoffInitial,
+		backoff: backoffInitial,
 	}
 	f.roots[rs.id] = rs
 
-	want := f.cfg.RepairBackoffInitial
+	want := backoffInitial
 	for i := 0; i < 8; i++ {
 		f.startRepair(rs)
 		want *= 2
-		if want > f.cfg.RepairBackoffCap {
-			want = f.cfg.RepairBackoffCap
+		if want > backoffCap {
+			want = backoffCap
 		}
 		if rs.backoff != want {
 			t.Fatalf("attempt %d: backoff = %v, want %v", i, rs.backoff, want)
@@ -346,10 +346,10 @@ func TestRepairBackoffDoublesAndCaps(t *testing.T) {
 		// Clear the in-flight attempt so the next one is allowed, and
 		// move past the backoff window.
 		rs.repairPending = nil
-		env.advance(f.cfg.RepairBackoffCap + time.Second)
+		env.advance(backoffCap + time.Second)
 	}
-	if rs.backoff != f.cfg.RepairBackoffCap {
-		t.Fatalf("backoff %v never capped at %v", rs.backoff, f.cfg.RepairBackoffCap)
+	if rs.backoff != backoffCap {
+		t.Fatalf("backoff %v never capped at %v", rs.backoff, backoffCap)
 	}
 }
 
@@ -358,7 +358,7 @@ func TestScheduleRepairHonorsBackoffWindow(t *testing.T) {
 	rs := &rootState{
 		id:      GroupID{Root: f.self, Num: 2},
 		members: []overlay.NodeRef{ref("m1")},
-		backoff: f.cfg.RepairBackoffInitial,
+		backoff: backoffInitial,
 	}
 	f.roots[rs.id] = rs
 	f.startRepair(rs)
@@ -375,7 +375,7 @@ func TestScheduleRepairHonorsBackoffWindow(t *testing.T) {
 	if rs.backoffTimer == nil {
 		t.Fatal("no deferred repair scheduled")
 	}
-	env.advance(f.cfg.RepairBackoffCap + time.Second)
+	env.advance(backoffCap + time.Second)
 	if got := len(env.sentTo(ref("m1").Addr)); got <= first {
 		t.Fatal("deferred repair never ran after the window")
 	}
@@ -427,7 +427,7 @@ func TestReconciliationGracePeriodProtectsFreshLinks(t *testing.T) {
 		t.Fatal("grace period did not protect a fresh link")
 	}
 	// Past the grace period the same disagreement kills the link.
-	env.advance(f.cfg.GracePeriod + time.Second)
+	env.advance(gracePeriod + time.Second)
 	f.handleGroupLists(&msgGroupLists{From: ref("peer"), IsReply: true})
 	if _, ok := f.checking[id]; ok {
 		t.Fatal("reconciliation did not fail a disagreed link after grace")
@@ -447,7 +447,7 @@ func TestGracePeriodSurvivesSharedLinkTimer(t *testing.T) {
 	agreedID := GroupID{Root: ref("r"), Num: 21}
 	freshID := GroupID{Root: ref("r"), Num: 22}
 	f.addTreeLink(agreedID, 1, peer)
-	env.advance(f.cfg.GracePeriod + time.Second) // agreedID is old
+	env.advance(gracePeriod + time.Second) // agreedID is old
 	f.addTreeLink(freshID, 0, peer)
 
 	lists := &msgGroupLists{From: peer, Entries: []listEntry{{ID: agreedID, Seq: 1}}, IsReply: true}
@@ -460,7 +460,7 @@ func TestGracePeriodSurvivesSharedLinkTimer(t *testing.T) {
 	}
 	// Agreement re-armed the shared deadline: nothing may expire before
 	// another full CheckTimeout.
-	env.advance(f.cfg.CheckTimeout - time.Second)
+	env.advance(checkTimeout - time.Second)
 	if _, ok := f.checking[agreedID]; !ok {
 		t.Fatal("shared deadline was not refreshed by reconciliation agreement")
 	}
@@ -482,7 +482,7 @@ func TestReconciliationAgreementResetsTimers(t *testing.T) {
 	f, env := newFakeFuse("d")
 	id := GroupID{Root: ref("r"), Num: 6}
 	f.addTreeLink(id, 2, ref("peer"))
-	env.advance(f.cfg.GracePeriod + time.Second)
+	env.advance(gracePeriod + time.Second)
 	f.handleGroupLists(&msgGroupLists{
 		From:    ref("peer"),
 		Entries: []listEntry{{ID: id, Seq: 2}},
@@ -557,7 +557,7 @@ func TestMemberRepairTimerNotExtendedByRepeatedFailures(t *testing.T) {
 	f.RegisterFailureHandler(func(n Notice) { notices = append(notices, n) }, id)
 	f.memberNeedsRepair(ms)
 	first := ms.repairTimer
-	env.advance(f.cfg.MemberRepairTimeout / 2)
+	env.advance(memberRepairTimeout / 2)
 	f.memberNeedsRepair(ms) // second local failure: must not re-arm
 	if ms.repairTimer != first {
 		t.Fatal("repeated failure extended the member's deadline")
@@ -565,7 +565,7 @@ func TestMemberRepairTimerNotExtendedByRepeatedFailures(t *testing.T) {
 	if len(notices) != 0 {
 		t.Fatalf("notices before the deadline: %v", notices)
 	}
-	env.advance(f.cfg.MemberRepairTimeout/2 + time.Second)
+	env.advance(memberRepairTimeout/2 + time.Second)
 	if f.HasState(id) {
 		t.Fatal("member never concluded failure")
 	}
@@ -588,12 +588,54 @@ func TestGroupIDStringAndZero(t *testing.T) {
 	}
 }
 
+// TestConfigScale: a node built at time scale 0.5 arms its repair timers
+// and its backoff window at half the paper's values.
 func TestConfigScale(t *testing.T) {
-	c := DefaultConfig().Scale(0.5)
-	if c.MemberRepairTimeout != 30*time.Second {
-		t.Fatalf("scaled member timeout = %v", c.MemberRepairTimeout)
+	env := newFakeEnv("addr-r")
+	f := New(env, overlay.New(env, overlay.DefaultConfig(), "r"), 0.5)
+	ms := &memberState{id: GroupID{Root: ref("s"), Num: 1}, root: ref("s")}
+	f.members[ms.id] = ms
+	f.memberNeedsRepair(ms)
+	rs := &rootState{id: GroupID{Root: f.self, Num: 2}, members: []overlay.NodeRef{ref("m")}}
+	f.roots[rs.id] = rs
+	f.startRepair(rs)
+	for name, c := range map[string]struct{ got, want time.Duration }{
+		"member repair timer": {ms.repairTimer.(*fakeTimer).at.Sub(env.now), 30 * time.Second},
+		"root repair timer":   {rs.repairTimer.(*fakeTimer).at.Sub(env.now), time.Minute},
+		"backoff window":      {rs.backoffUntil.Sub(env.now), time.Second},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s armed for %v, want %v", name, c.got, c.want)
+		}
 	}
-	if c.RootRepairTimeout != time.Minute {
-		t.Fatalf("scaled root timeout = %v", c.RootRepairTimeout)
+}
+
+// TestPaperParameters pins each timing constant to the value its comment
+// cites, and the invariant checkTimeout states: a link's check deadline
+// outlasts a full overlay ping cycle (interval plus timeout) at the
+// paper's scale and at the scales live nodes run at.
+func TestPaperParameters(t *testing.T) {
+	for name, c := range map[string]struct{ got, want time.Duration }{
+		"createTimeout":       {createTimeout, 30 * time.Second},
+		"installTimeout":      {installTimeout, 30 * time.Second},
+		"checkTimeout":        {checkTimeout, 90 * time.Second},
+		"memberRepairTimeout": {memberRepairTimeout, time.Minute},
+		"rootRepairTimeout":   {rootRepairTimeout, 2 * time.Minute},
+		"gracePeriod":         {gracePeriod, 5 * time.Second},
+		"backoffInitial":      {backoffInitial, 2 * time.Second},
+		"backoffCap":          {backoffCap, 40 * time.Second},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", name, c.got, c.want)
+		}
+	}
+	for _, scale := range []float64{1, 0.05, 0.02} {
+		env := newFakeEnv("addr-p")
+		ping := overlay.DefaultConfig().Scale(scale)
+		f := New(env, overlay.New(env, ping, "p"), scale)
+		if check := f.scaled(checkTimeout); check <= ping.PingInterval+ping.PingTimeout {
+			t.Errorf("scale %v: check timeout %v does not outlast a ping cycle of %v + %v",
+				scale, check, ping.PingInterval, ping.PingTimeout)
+		}
 	}
 }

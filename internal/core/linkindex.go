@@ -175,11 +175,11 @@ func (f *Fuse) detachFromLink(id GroupID, addr transport.Addr) {
 // ping, so the deadline moves in place where the transport supports it
 // instead of cancelling and reallocating a timer each time.
 func (f *Fuse) resetLinkTimer(ls *linkState) {
-	if ls.timer != nil && transport.ResetTimer(ls.timer, f.cfg.CheckTimeout) {
+	if ls.timer != nil && transport.ResetTimer(ls.timer, f.scaled(checkTimeout)) {
 		return
 	}
 	stopTimer(ls.timer)
-	ls.timer = f.env.After(f.cfg.CheckTimeout, func() { f.linkTimedOut(ls) })
+	ls.timer = f.env.After(f.scaled(checkTimeout), func() { f.linkTimedOut(ls) })
 }
 
 // ensureLinkTimer arms the shared deadline only when none is pending.

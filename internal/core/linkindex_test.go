@@ -327,13 +327,13 @@ func changeAllocatesOnlyTheDigest(t *testing.T, n int) {
 func TestLinkDeathTearsDownEveryGroupOnce(t *testing.T) {
 	causes := map[string]func(f *Fuse, env *fakeEnv, peer overlay.NodeRef){
 		"timeout": func(f *Fuse, env *fakeEnv, peer overlay.NodeRef) {
-			env.advance(f.cfg.CheckTimeout + time.Second)
+			env.advance(checkTimeout + time.Second)
 		},
 		"neighbor-down": func(f *Fuse, env *fakeEnv, peer overlay.NodeRef) {
 			f.OnNeighborDown(peer)
 		},
 		"reconcile": func(f *Fuse, env *fakeEnv, peer overlay.NodeRef) {
-			env.advance(f.cfg.GracePeriod + time.Second)
+			env.advance(gracePeriod + time.Second)
 			f.handleGroupLists(&msgGroupLists{From: peer, IsReply: true})
 		},
 	}
@@ -370,7 +370,7 @@ func TestLinkDeathTearsDownEveryGroupOnce(t *testing.T) {
 					repairs[m.ID]++
 				}
 			}
-			env.advance(f.cfg.MemberRepairTimeout + time.Second)
+			env.advance(memberRepairTimeout + time.Second)
 			for _, id := range ids {
 				if softs[id] != 1 || repairs[id] != 1 || notices[id] != 1 {
 					t.Errorf("group %v: %d soft notifications to its other link, %d repair requests, %d notices; want 1 each",

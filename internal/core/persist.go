@@ -60,7 +60,7 @@ func (f *Fuse) Recover() {
 				id:      rec.ID,
 				seq:     rec.Seq,
 				members: rec.Members,
-				backoff: f.cfg.RepairBackoffInitial,
+				backoff: f.scaled(backoffInitial),
 			}
 			f.roots[rec.ID] = rs
 			if len(rs.members) > 0 {
@@ -72,7 +72,7 @@ func (f *Fuse) Recover() {
 		f.members[rec.ID] = ms
 		f.memberNeedsRepair(ms)
 	}
-	f.recoverUntil = f.env.Now().Add(f.cfg.CheckTimeout)
+	f.recoverUntil = f.env.Now().Add(f.scaled(checkTimeout))
 	for _, nb := range f.ov.Neighbors() {
 		f.sendReconcileProbe(nb)
 	}

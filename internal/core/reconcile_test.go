@@ -40,7 +40,7 @@ func refHandleGroupLists(f *Fuse, m *msgGroupLists) {
 			agreed = true
 			continue
 		}
-		if now.Sub(cs.link(m.From.Addr).installedAt) < f.cfg.GracePeriod {
+		if now.Sub(cs.link(m.From.Addr).installedAt) < gracePeriod {
 			continue
 		}
 		f.linkFailed(id, overlay.NodeRef{}, f.tm.lane.NewSpan())
@@ -93,7 +93,7 @@ func (c *reconcileCase) build() (*Fuse, *fakeEnv) {
 		}
 	}
 	install(false)
-	env.advance(f.cfg.GracePeriod + time.Second)
+	env.advance(gracePeriod + time.Second)
 	install(true)
 	env.advance(time.Second)
 	env.onSend = func(s fakeSend) {
@@ -309,7 +309,7 @@ func TestReconcileAgreeingListsAllocatesOnlyTheReply(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates; alloc pin runs without -race")
 	}
 	env := quietEnv{newFakeEnv("addr-d")}
-	f := New(env, overlay.New(env, overlay.DefaultConfig(), "d"), DefaultConfig())
+	f := New(env, overlay.New(env, overlay.DefaultConfig(), "d"), 1)
 	peer := ref("peer")
 	for i := 0; i < 300; i++ {
 		f.addTreeLink(GroupID{Root: ref(fmt.Sprintf("n%03d.example.org", i%10)), Num: uint64(i)}, 1, peer)
@@ -325,7 +325,7 @@ func TestReconcileAgreeingListsAllocatesOnlyTheReply(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { f.handleGroupLists(probe) }); allocs != 2 {
 		t.Errorf("answering an agreeing probe allocates %.1f/op, want 2 (the reply and its entries)", allocs)
 	}
-	if want := env.now.Add(f.cfg.CheckTimeout); timer.at != want {
+	if want := env.now.Add(checkTimeout); timer.at != want {
 		t.Errorf("agreement left the link's deadline at %v, want %v", timer.at, want)
 	}
 }

@@ -16,7 +16,7 @@ func (f *Fuse) memberNeedsRepair(ms *memberState) {
 		return
 	}
 	f.env.Send(ms.root.Addr, &msgNeedRepair{ID: ms.id, Seq: ms.seq, Member: f.self})
-	ms.repairTimer = f.env.After(f.cfg.MemberRepairTimeout, func() {
+	ms.repairTimer = f.env.After(f.scaled(memberRepairTimeout), func() {
 		// The root never responded: conclude the group has failed
 		// (member-side guarantee). Tell the root anyway - if it is
 		// alive behind an asymmetric failure, it will fan out the
@@ -74,14 +74,9 @@ func (f *Fuse) startRepair(rs *rootState) {
 	f.trace("repair", rs.id, rs.cause, 0, "")
 
 	// Update the backoff window for the *next* attempt.
-	if rs.backoff < f.cfg.RepairBackoffInitial {
-		rs.backoff = f.cfg.RepairBackoffInitial
-	}
+	rs.backoff = max(rs.backoff, f.scaled(backoffInitial))
 	rs.backoffUntil = f.env.Now().Add(rs.backoff)
-	rs.backoff *= 2
-	if rs.backoff > f.cfg.RepairBackoffCap {
-		rs.backoff = f.cfg.RepairBackoffCap
-	}
+	rs.backoff = min(2*rs.backoff, f.scaled(backoffCap))
 
 	rs.repairPending = make(map[string]bool, len(rs.members))
 	rs.installPending = make(map[string]bool, len(rs.members))
@@ -91,7 +86,7 @@ func (f *Fuse) startRepair(rs *rootState) {
 		f.env.Send(m.Addr, &msgGroupRepairRequest{ID: rs.id, Seq: rs.seq})
 	}
 	stopTimer(rs.repairTimer)
-	rs.repairTimer = f.env.After(f.cfg.RootRepairTimeout, func() {
+	rs.repairTimer = f.env.After(f.scaled(rootRepairTimeout), func() {
 		if len(rs.repairPending) > 0 {
 			// Some member never answered a direct request: the group
 			// has failed (root-side guarantee).

@@ -31,7 +31,7 @@ func SVTreeGroupSizes(p Params) (*Result, error) {
 
 	svcs := make([]*svtree.Service, len(c.Nodes))
 	for i, nd := range c.Nodes {
-		svcs[i] = svtree.New(nd.Env, nd.Overlay, nd.Fuse, svtree.DefaultConfig())
+		svcs[i] = svtree.New(nd.Env, nd.Overlay, nd.Fuse)
 		ov, fu, sv := nd.Overlay, nd.Fuse, svcs[i]
 		c.Net.SetHandler(nd.Addr, func(from transport.Addr, msg transport.Message) {
 			if ov.Handle(from, msg) || fu.Handle(from, msg) || sv.Handle(from, msg) {
@@ -123,8 +123,7 @@ func AblationTopologies(p Params) (*Result, error) {
 // member, for fairness.
 func livetopoCluster(p Params, kind livetopo.Kind, n, groups, size int) (*cluster.Cluster, []scenario.GroupSpec) {
 	c := cluster.New(cluster.Options{N: n, Seed: p.Seed, SkipAssemble: true})
-	cfg := livetopo.DefaultConfig(kind)
-	cfg.Server = c.Nodes[0].Ref()
+	cfg := livetopo.Config{Kind: kind, Server: c.Nodes[0].Ref()}
 	for _, nd := range c.Nodes {
 		svc := livetopo.New(nd.Env, cfg, nd.Ref())
 		nd.Groups = svc

@@ -19,6 +19,10 @@
 // overlay-sharing implementation in internal/core. A Service speaks
 // core's group types, so it is a cluster.Groups like core.Fuse, and the
 // scenario engine creates, faults and audits its groups the same way.
+//
+// A Service is configured by its topology alone. It pings at the
+// overlay's interval and timeout (overlay.DefaultConfig), which keeps the
+// ablation's comparison with the overlay-sharing implementation fair.
 package livetopo
 
 import (
@@ -56,27 +60,20 @@ func (k Kind) String() string {
 	}
 }
 
-// Config times the protocols. Matching the overlay FUSE configuration
-// keeps ablation comparisons fair.
+// Config picks the topology.
 type Config struct {
-	Kind          Kind
-	PingInterval  time.Duration
-	PingTimeout   time.Duration
-	CreateTimeout time.Duration
+	Kind Kind
 	// Server is the central server's identity; required for
 	// CentralServer.
 	Server overlay.NodeRef
 }
 
-// DefaultConfig mirrors the paper's 60 s interval / 20 s timeout.
-func DefaultConfig(kind Kind) Config {
-	return Config{
-		Kind:          kind,
-		PingInterval:  60 * time.Second,
-		PingTimeout:   20 * time.Second,
-		CreateTimeout: 30 * time.Second,
-	}
-}
+// ping is the protocols' liveness timing: the overlay's own, so an
+// ablation compares topologies and not timings.
+var ping = overlay.DefaultConfig()
+
+// createTimeout bounds how long a root waits for every member to join.
+const createTimeout = 30 * time.Second
 
 // A group's ID, notices and handlers are core's: the ID embeds the root
 // so members can reach it directly, and a notice carries no Reason.
@@ -197,7 +194,7 @@ func (s *Service) CreateGroup(members []overlay.NodeRef, done func(GroupID, erro
 		s.env.After(0, func() { done(id, nil) })
 		return
 	}
-	c.timer = s.env.After(s.cfg.CreateTimeout, func() {
+	c.timer = s.env.After(createTimeout, func() {
 		if _, still := s.creating[id]; !still {
 			return
 		}
@@ -256,7 +253,7 @@ func (s *Service) install(id GroupID, members []overlay.NodeRef, isRoot bool) {
 	// A member whose activation never arrives cannot tell whether the
 	// group exists; after a generous bound it must resolve to failure,
 	// or its state would be orphaned forever.
-	g.activationTimer = s.env.After(2*s.cfg.CreateTimeout, func() {
+	g.activationTimer = s.env.After(2*createTimeout, func() {
 		if s.groups[id] == g && !g.active {
 			s.failGroup(g)
 		}
@@ -315,7 +312,7 @@ func (s *Service) addPeer(g *group, ref overlay.NodeRef) {
 	}
 	p := &peer{ref: ref}
 	g.peers[ref.Addr] = p
-	phase := time.Duration(s.env.Rand().Int63n(int64(s.cfg.PingInterval) + 1))
+	phase := time.Duration(s.env.Rand().Int63n(int64(ping.PingInterval) + 1))
 	p.sendT = s.env.After(phase, func() { s.pingPeer(g, p) })
 }
 
@@ -329,8 +326,8 @@ func (s *Service) pingPeer(g *group, p *peer) {
 	if p.timeout != nil {
 		p.timeout.Stop()
 	}
-	p.timeout = s.env.After(s.cfg.PingTimeout, func() { s.peerDead(g, p) })
-	p.sendT = s.env.After(s.cfg.PingInterval, func() { s.pingPeer(g, p) })
+	p.timeout = s.env.After(ping.PingTimeout, func() { s.peerDead(g, p) })
+	p.sendT = s.env.After(ping.PingInterval, func() { s.pingPeer(g, p) })
 }
 
 // peerDead converts a missed ack into a group failure decision.

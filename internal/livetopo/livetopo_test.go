@@ -31,11 +31,9 @@ func newRig(t testing.TB, n int, seed int64, kind livetopo.Kind) *rig {
 	net := simnet.New(sim, topo, simnet.Options{})
 	pts := topo.AttachPoints(n, sim.Rand())
 	r := &rig{sim: sim, net: net}
-	cfg := livetopo.DefaultConfig(kind)
 	// Node 0 always acts as the central server when that topology is in
 	// use.
-	server := overlay.NodeRef{Name: "s000", Addr: "svc-000"}
-	cfg.Server = server
+	cfg := livetopo.Config{Kind: kind, Server: overlay.NodeRef{Name: "s000", Addr: "svc-000"}}
 	for i := 0; i < n; i++ {
 		addr := transport.Addr(fmt.Sprintf("svc-%03d", i))
 		ref := overlay.NodeRef{Name: fmt.Sprintf("s%03d", i), Addr: addr}
@@ -225,8 +223,7 @@ func TestEngineAuditsEveryKind(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.String(), func(t *testing.T) {
 			c := cluster.New(cluster.Options{N: 12, Seed: 10, SkipAssemble: true})
-			cfg := livetopo.DefaultConfig(k)
-			cfg.Server = c.Nodes[0].Ref()
+			cfg := livetopo.Config{Kind: k, Server: c.Nodes[0].Ref()}
 			for _, nd := range c.Nodes {
 				svc := livetopo.New(nd.Env, cfg, nd.Ref())
 				nd.Groups = svc
@@ -295,7 +292,7 @@ func TestAllToAllWorstCaseLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := livetopo.DefaultConfig(livetopo.AllToAll)
+	ping := overlay.DefaultConfig()
 	var notifiedAt []time.Time
 	for _, i := range []int{1, 2, 4} {
 		i := i
@@ -309,7 +306,7 @@ func TestAllToAllWorstCaseLatency(t *testing.T) {
 	if len(notifiedAt) != 3 {
 		t.Fatalf("notified %d of 3", len(notifiedAt))
 	}
-	bound := 2*cfg.PingInterval + 2*cfg.PingTimeout + time.Minute // detection + propagation slack
+	bound := 2*ping.PingInterval + 2*ping.PingTimeout + time.Minute // detection + propagation slack
 	for _, at := range notifiedAt {
 		if at.Sub(crashAt) > bound {
 			t.Fatalf("notification after %v, bound %v", at.Sub(crashAt), bound)

@@ -32,7 +32,7 @@ func (n *Node) sendJoinLookup(bootstrap NodeRef) {
 		Dest:    n.self.Name,
 		Origin:  n.self,
 		LastHop: n.self,
-		TTL:     n.cfg.RouteTTL,
+		TTL:     routeTTL,
 		Inner:   &msgJoinLookup{Joiner: n.self},
 	})
 	// Retry while not integrated: the bootstrap node or the reply can be
@@ -65,7 +65,7 @@ func (n *Node) handleJoinReply(m *msgJoinReply) {
 // AssembleStatic wires the routing tables of an entire population in
 // place: sorted leaf sets at level 0 and per-prefix rings above, exactly
 // the converged state the join protocol reaches. It then starts liveness
-// pinging on every node. All nodes must share the same Base and LeafSize.
+// pinging on every node.
 func AssembleStatic(nodes []*Node) {
 	if len(nodes) == 0 {
 		return
@@ -81,7 +81,7 @@ func AssembleStatic(nodes []*Node) {
 	// Level 0: leaf sets from the global sorted order.
 	total := len(sorted)
 	for i, nd := range sorted {
-		half := nd.cfg.LeafSize / 2
+		half := leafSize / 2
 		nd.leafR = nd.leafR[:0]
 		nd.leafL = nd.leafL[:0]
 		for k := 1; k <= half && k < total; k++ {
@@ -92,7 +92,6 @@ func AssembleStatic(nodes []*Node) {
 
 	// Higher levels: group members by numeric-ID prefix; each group of
 	// two or more forms a ring in name order.
-	maxLevels := sorted[0].cfg.MaxLevels
 	group := make(map[string][]*Node)
 	for h := 1; h <= maxLevels; h++ {
 		clear(group)

@@ -21,12 +21,12 @@ func (n *Node) considerLeaf(ref NodeRef) bool {
 		return false
 	}
 	changed := false
-	if insertSorted(&n.leafR, ref, n.cfg.LeafSize/2, func(a, b NodeRef) bool {
+	if insertSorted(&n.leafR, ref, leafSize/2, func(a, b NodeRef) bool {
 		return cwDist(n.self.Name, a.Name, b.Name) < 0
 	}) {
 		changed = true
 	}
-	if insertSorted(&n.leafL, ref, n.cfg.LeafSize/2, func(a, b NodeRef) bool {
+	if insertSorted(&n.leafL, ref, leafSize/2, func(a, b NodeRef) bool {
 		// Counterclockwise closeness is the reverse clockwise order.
 		return cwDist(n.self.Name, a.Name, b.Name) > 0
 	}) {
@@ -83,7 +83,7 @@ func (n *Node) removeRef(addr transport.Addr) bool {
 	}
 	n.leafR = filter(n.leafR)
 	n.leafL = filter(n.leafL)
-	for h := 1; h <= n.cfg.MaxLevels; h++ {
+	for h := 1; h <= maxLevels; h++ {
 		if n.rights[h].Addr == addr {
 			n.rights[h] = NodeRef{}
 			removed = true
@@ -297,7 +297,7 @@ func (n *Node) neighborDead(ref NodeRef) {
 	// Remember which ring levels pointed at the dead node before
 	// removal so repair can target them.
 	var needRight, needLeft []int
-	for h := 1; h <= n.cfg.MaxLevels; h++ {
+	for h := 1; h <= maxLevels; h++ {
 		if n.rights[h].Addr == ref.Addr {
 			needRight = append(needRight, h)
 		}
@@ -312,7 +312,7 @@ func (n *Node) neighborDead(ref NodeRef) {
 	// surviving leaf (who knows nodes beyond our horizon). This is
 	// event-driven - one message per detected death - so it cannot
 	// storm, and it keeps table density from decaying under churn.
-	half := n.cfg.LeafSize / 2
+	half := leafSize / 2
 	if len(n.leafR) < half || len(n.leafL) < half {
 		if peer, ok := n.leafRefillPeer(); ok {
 			n.env.Send(peer.Addr, &msgLeafRequest{From: n.self})
@@ -333,7 +333,7 @@ func (n *Node) leafRefillPeer() (NodeRef, bool) {
 	if len(n.leafL) > 0 {
 		return n.leafL[len(n.leafL)-1], true
 	}
-	for h := 1; h <= n.cfg.MaxLevels; h++ {
+	for h := 1; h <= maxLevels; h++ {
 		if !n.rights[h].IsZero() {
 			return n.rights[h], true
 		}
@@ -379,7 +379,7 @@ func (n *Node) handleLevel0Insert(m *msgLevel0Insert) {
 // startRingSearch walks the level-1 below ring looking for this node's
 // nearest neighbor in the level ring (sharing `level` numeric-ID digits).
 func (n *Node) startRingSearch(level int, right bool) {
-	if level < 1 || level > n.cfg.MaxLevels {
+	if level < 1 || level > maxLevels {
 		return
 	}
 	key := searchKey{level: level, right: right}
@@ -397,7 +397,7 @@ func (n *Node) startRingSearch(level int, right bool) {
 		Origin:   n.self,
 		MatchLen: level,
 		WalkLeft: !right,
-		HopsLeft: n.cfg.RingSearchMax,
+		HopsLeft: ringSearchMax,
 	})
 }
 
@@ -420,7 +420,7 @@ func (n *Node) handleRingSearch(m *msgRingSearch) {
 	if m.Origin.Name == n.self.Name {
 		return // walked the full circle
 	}
-	originDigits := DigitsOf(m.Origin.Name, n.cfg.Base, n.cfg.MaxLevels)
+	originDigits := DigitsOf(m.Origin.Name, digitBase, maxLevels)
 	if SharedPrefix(n.digits, originDigits) >= m.MatchLen {
 		n.env.Send(m.Origin.Addr, &msgRingFound{
 			Node:     n.self,
@@ -444,7 +444,7 @@ func (n *Node) handleRingSearch(m *msgRingSearch) {
 
 func (n *Node) handleRingFound(m *msgRingFound) {
 	level := m.MatchLen
-	if level < 1 || level > n.cfg.MaxLevels {
+	if level < 1 || level > maxLevels {
 		return
 	}
 	delete(n.searches, searchKey{level: level, right: !m.WalkLeft})
@@ -452,7 +452,7 @@ func (n *Node) handleRingFound(m *msgRingFound) {
 	if cand.Name == n.self.Name {
 		return
 	}
-	candDigits := DigitsOf(cand.Name, n.cfg.Base, n.cfg.MaxLevels)
+	candDigits := DigitsOf(cand.Name, digitBase, maxLevels)
 	if SharedPrefix(n.digits, candDigits) < level {
 		return
 	}
@@ -501,10 +501,10 @@ func (n *Node) adoptRingNeighbor(level int, cand NodeRef, right bool) bool {
 
 func (n *Node) handleRingInsert(m *msgRingInsert) {
 	level := m.Level
-	if level < 1 || level > n.cfg.MaxLevels {
+	if level < 1 || level > maxLevels {
 		return
 	}
-	candDigits := DigitsOf(m.Node.Name, n.cfg.Base, n.cfg.MaxLevels)
+	candDigits := DigitsOf(m.Node.Name, digitBase, maxLevels)
 	if SharedPrefix(n.digits, candDigits) < level {
 		return
 	}
@@ -539,7 +539,7 @@ func (n *Node) handleRingInsert(m *msgRingInsert) {
 
 func (n *Node) handleRingInsertAck(m *msgRingInsertAck) {
 	level := m.Level
-	if level < 1 || level > n.cfg.MaxLevels {
+	if level < 1 || level > maxLevels {
 		return
 	}
 	if m.WasLeft {
@@ -559,10 +559,10 @@ func (n *Node) handleRingInsertAck(m *msgRingInsertAck) {
 }
 
 func (n *Node) handleSetRingNeighbor(m *msgSetRingNeighbor) {
-	if m.Level < 1 || m.Level > n.cfg.MaxLevels {
+	if m.Level < 1 || m.Level > maxLevels {
 		return
 	}
-	candDigits := DigitsOf(m.Node.Name, n.cfg.Base, n.cfg.MaxLevels)
+	candDigits := DigitsOf(m.Node.Name, digitBase, maxLevels)
 	if SharedPrefix(n.digits, candDigits) < m.Level {
 		return
 	}
@@ -573,7 +573,7 @@ func (n *Node) handleSetRingNeighbor(m *msgSetRingNeighbor) {
 // pointer, continuing the join's level-by-level table construction.
 func (n *Node) climbFrom(level int) {
 	next := level + 1
-	if next > n.cfg.MaxLevels {
+	if next > maxLevels {
 		return
 	}
 	if n.rights[next].IsZero() {

@@ -39,6 +39,10 @@
 // slot number for the link, so both handlers find their record by index
 // instead of hashing the sender's address, and each record holds its
 // neighbor as a destination the transport resolved once (transport.Dial).
+//
+// The structure (base, leaf set, levels, hop budgets) is fixed by
+// constants; Config holds only the ping interval and timeout, which a
+// live node scales by its time scale.
 package overlay
 
 import (
@@ -62,34 +66,31 @@ func (r NodeRef) IsZero() bool { return r.Name == "" && r.Addr == "" }
 
 func (r NodeRef) String() string { return r.Name }
 
-// Config carries the overlay parameters. The defaults mirror the paper's
-// evaluation setup (60 s ping period, base 8, leaf set 16) with a 20 s
-// ping timeout from its crash-notification experiment.
+// The overlay's structure: the paper's SkipNet configuration ("a base of
+// size 8", "a leaf set of size 16") and this implementation's level and
+// hop budgets.
+const (
+	digitBase     = 8   // numeric-ID digit base
+	leafSize      = 16  // total leaf set size (half per side)
+	maxLevels     = 16  // ring levels above the root ring
+	ringSearchMax = 32  // hop budget for ring-neighbor searches
+	routeTTL      = 100 // hop budget for routed messages
+)
+
+// Config is the overlay's liveness timing, the one part of it a node
+// scales (fuse.NodeConfig.TimeScale).
 type Config struct {
-	Base          int           // numeric-ID digit base
-	LeafSize      int           // total leaf set size (half per side)
-	MaxLevels     int           // ring levels above the root ring
-	PingInterval  time.Duration // neighbor liveness-check period
-	PingTimeout   time.Duration // unanswered ping => neighbor dead
-	RingSearchMax int           // hop budget for ring-neighbor searches
-	RouteTTL      int           // hop budget for routed messages
+	PingInterval time.Duration // neighbor liveness-check period
+	PingTimeout  time.Duration // unanswered ping => neighbor dead
 }
 
-// DefaultConfig returns the paper's overlay configuration.
+// DefaultConfig returns the paper's timing: a 60 s ping period, and the
+// 20 s ping timeout of its crash-notification experiment.
 func DefaultConfig() Config {
-	return Config{
-		Base:          8,
-		LeafSize:      16,
-		MaxLevels:     16,
-		PingInterval:  60 * time.Second,
-		PingTimeout:   20 * time.Second,
-		RingSearchMax: 32,
-		RouteTTL:      100,
-	}
+	return Config{PingInterval: 60 * time.Second, PingTimeout: 20 * time.Second}
 }
 
-// Scale returns a copy of the config with all durations multiplied by f,
-// used by tests to run protocol time faster.
+// Scale returns a copy of the config with both durations multiplied by f.
 func (c Config) Scale(f float64) Config {
 	c.PingInterval = time.Duration(float64(c.PingInterval) * f)
 	c.PingTimeout = time.Duration(float64(c.PingTimeout) * f)
@@ -222,10 +223,10 @@ func New(env transport.Env, cfg Config, name string) *Node {
 		env:      env,
 		cfg:      cfg,
 		self:     NodeRef{Name: name, Addr: env.Addr()},
-		digits:   DigitsOf(name, cfg.Base, cfg.MaxLevels),
+		digits:   DigitsOf(name, digitBase, maxLevels),
 		client:   nopClient{},
-		rights:   make([]NodeRef, cfg.MaxLevels+1),
-		lefts:    make([]NodeRef, cfg.MaxLevels+1),
+		rights:   make([]NodeRef, maxLevels+1),
+		lefts:    make([]NodeRef, maxLevels+1),
 		armed:    never,
 		start:    env.Now(),
 		pings:    make(map[transport.Addr]*pingState),
@@ -317,7 +318,7 @@ func (n *Node) eachTableRef(visit func(NodeRef)) {
 	for _, r := range n.leafL {
 		other(r)
 	}
-	for h := 1; h <= n.cfg.MaxLevels; h++ {
+	for h := 1; h <= maxLevels; h++ {
 		other(n.rights[h])
 		other(n.lefts[h])
 	}

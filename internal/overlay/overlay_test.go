@@ -179,12 +179,12 @@ func TestAssembleStaticInvariants(t *testing.T) {
 		if got := cl.byName[succ.Name].Predecessor(); got.Name != nd.Self().Name {
 			t.Fatalf("%s succ %s has pred %s", nd.Self().Name, succ.Name, got.Name)
 		}
-		if len(nd.leafR) != nd.cfg.LeafSize/2 || len(nd.leafL) != nd.cfg.LeafSize/2 {
+		if len(nd.leafR) != leafSize/2 || len(nd.leafL) != leafSize/2 {
 			t.Fatalf("%s leaf sizes %d/%d", nd.Self().Name, len(nd.leafR), len(nd.leafL))
 		}
 		// Ring pointers must share the prefix of their level and be
 		// symmetric.
-		for h := 1; h <= nd.cfg.MaxLevels; h++ {
+		for h := 1; h <= maxLevels; h++ {
 			r := nd.rights[h]
 			if r.IsZero() {
 				continue
@@ -566,8 +566,24 @@ func TestConfigScale(t *testing.T) {
 	if c.PingInterval != 30*time.Second || c.PingTimeout != 10*time.Second {
 		t.Fatalf("scaled config %+v", c)
 	}
-	if c.Base != 8 || c.LeafSize != 16 {
-		t.Fatal("Scale must not touch non-duration fields")
+}
+
+// TestPaperParameters pins the overlay's structure and timing to the
+// paper's SkipNet configuration and this implementation's budgets.
+func TestPaperParameters(t *testing.T) {
+	for name, c := range map[string]struct{ got, want int }{
+		"digitBase":     {digitBase, 8},
+		"leafSize":      {leafSize, 16},
+		"maxLevels":     {maxLevels, 16},
+		"ringSearchMax": {ringSearchMax, 32},
+		"routeTTL":      {routeTTL, 100},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", name, c.got, c.want)
+		}
+	}
+	if c := DefaultConfig(); c != (Config{PingInterval: 60 * time.Second, PingTimeout: 20 * time.Second}) {
+		t.Errorf("DefaultConfig() = %+v, want 60s pings with a 20s timeout", c)
 	}
 }
 

@@ -25,7 +25,7 @@ func refNeighbors(n *Node) []NodeRef {
 	for _, r := range n.leafL {
 		add(r)
 	}
-	for h := 1; h <= n.cfg.MaxLevels; h++ {
+	for h := 1; h <= maxLevels; h++ {
 		add(n.rights[h])
 		add(n.lefts[h])
 	}

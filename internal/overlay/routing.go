@@ -38,7 +38,7 @@ func (n *Node) NextHop(dest string) (NodeRef, bool) {
 	for _, r := range n.leafL {
 		consider(r)
 	}
-	for h := 1; h <= n.cfg.MaxLevels; h++ {
+	for h := 1; h <= maxLevels; h++ {
 		consider(n.rights[h])
 		consider(n.lefts[h])
 	}
@@ -79,7 +79,7 @@ func (n *Node) RouteTo(dest string, inner transport.Message) (first NodeRef, ok 
 		Origin:  n.self,
 		LastHop: n.self,
 		Hops:    1,
-		TTL:     n.cfg.RouteTTL,
+		TTL:     routeTTL,
 		Inner:   inner,
 	})
 	return next, true

@@ -118,7 +118,7 @@ func (s *Service) handleAttachFailed(m *msgAttachFailed) {
 	if m.Version != t.version || t.attached || !t.subscribed {
 		return
 	}
-	s.env.After(s.cfg.ReattachDelay, func() { s.attach(t) })
+	s.env.After(reattachDelay, func() { s.attach(t) })
 }
 
 // handleLinkInfo installs volunteer state guarded by the link's group.

@@ -18,6 +18,9 @@
 // orphaned subscriber re-attaches with a fresh version number and a fresh
 // FUSE group. Version stamps on subscriptions make late-arriving
 // notifications harmless, exactly the race resolution §3.3 describes.
+//
+// The service has no configuration: an orphan waits a fixed 2 s before
+// re-attaching, and walks are bounded at 64 hops.
 package svtree
 
 import (
@@ -28,19 +31,13 @@ import (
 	"fuse/internal/transport"
 )
 
-// Config tunes the application.
-type Config struct {
-	// ReattachDelay is how long an orphaned subscriber waits before
+const (
+	// reattachDelay is how long an orphaned subscriber waits before
 	// re-walking the tree (lets overlay repair settle first).
-	ReattachDelay time.Duration
-	// HopTTL bounds the subscribe/publish walks.
-	HopTTL int
-}
-
-// DefaultConfig returns sensible defaults.
-func DefaultConfig() Config {
-	return Config{ReattachDelay: 2 * time.Second, HopTTL: 64}
-}
+	reattachDelay = 2 * time.Second
+	// hopTTL bounds the subscribe/publish walks.
+	hopTTL = 64
+)
 
 // Service is the per-node SV-tree layer. It sits beside the FUSE layer on
 // the same event loop and uses the overlay only through its public
@@ -50,7 +47,6 @@ type Service struct {
 	env  transport.Env
 	ov   *overlay.Node
 	fuse *core.Fuse
-	cfg  Config
 	self overlay.NodeRef
 
 	topics map[string]*topicState
@@ -94,12 +90,11 @@ type childLink struct {
 }
 
 // New creates the service.
-func New(env transport.Env, ov *overlay.Node, fuse *core.Fuse, cfg Config) *Service {
+func New(env transport.Env, ov *overlay.Node, fuse *core.Fuse) *Service {
 	return &Service{
 		env:    env,
 		ov:     ov,
 		fuse:   fuse,
-		cfg:    cfg,
 		self:   ov.Self(),
 		topics: make(map[string]*topicState),
 	}
@@ -154,7 +149,7 @@ func (s *Service) attach(t *topicState) {
 		Subscriber: s.self,
 		Version:    v,
 		Path:       []overlay.NodeRef{s.self},
-		TTL:        s.cfg.HopTTL,
+		TTL:        hopTTL,
 	}
 	s.forwardSubscribe(msg)
 }
@@ -224,7 +219,7 @@ func (s *Service) parentLinkFailed(t *topicState, version uint64) {
 	if !t.subscribed {
 		return
 	}
-	s.env.After(s.cfg.ReattachDelay, func() { s.attach(t) })
+	s.env.After(reattachDelay, func() { s.attach(t) })
 }
 
 // Unsubscribe leaves the tree voluntarily by signalling the FUSE groups
@@ -252,7 +247,7 @@ func (s *Service) Publish(topic string, data any) {
 	t := s.topic(topic)
 	seq := t.lastSeq[s.self.Name] + 1
 	t.lastSeq[s.self.Name] = seq
-	s.routePublish(&msgPublish{Topic: topic, Publisher: s.self.Name, Seq: seq, Data: data, TTL: s.cfg.HopTTL})
+	s.routePublish(&msgPublish{Topic: topic, Publisher: s.self.Name, Seq: seq, Data: data, TTL: hopTTL})
 }
 
 func (s *Service) routePublish(m *msgPublish) {

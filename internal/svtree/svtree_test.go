@@ -21,7 +21,7 @@ func newRig(t testing.TB, n int, seed int64) *rig {
 	c := cluster.New(cluster.Options{N: n, Seed: seed})
 	r := &rig{c: c}
 	for _, nd := range c.Nodes {
-		svc := svtree.New(nd.Env, nd.Overlay, nd.Fuse, svtree.DefaultConfig())
+		svc := svtree.New(nd.Env, nd.Overlay, nd.Fuse)
 		r.svcs = append(r.svcs, svc)
 		r.installHandler(nd, svc)
 	}

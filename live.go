@@ -3,6 +3,7 @@ package fuse
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"fuse/internal/core"
@@ -25,11 +26,13 @@ type NodeConfig struct {
 	// start a new overlay.
 	Bootstrap Peer
 
-	// TimeScale multiplies every protocol timeout (ping intervals,
-	// repair timeouts, ...). 1.0 (or 0) gives the paper's parameters:
-	// 60 s ping period, 20 s ping timeout, 1 min member / 2 min root
-	// repair timeouts. Small deployments and tests use small values to
-	// detect failures faster at the cost of more ping traffic.
+	// TimeScale is the node's one timing knob: it multiplies every
+	// protocol timeout (ping interval and timeout, link check, creation
+	// and repair timeouts), which are otherwise the paper's constants.
+	// 1.0 (or 0) gives the paper's timing: 60 s ping period, 20 s ping
+	// timeout, 1 min member / 2 min root repair timeouts. Any other value
+	// must be positive and finite. Small deployments and tests use small
+	// values to detect failures faster at the cost of more ping traffic.
 	TimeScale float64
 }
 
@@ -50,8 +53,11 @@ func Start(cfg NodeConfig) (*Node, error) {
 		return nil, fmt.Errorf("fuse: NodeConfig.Name is required")
 	}
 	scale := cfg.TimeScale
-	if scale <= 0 {
+	switch {
+	case scale == 0:
 		scale = 1
+	case !(scale > 0) || math.IsInf(scale, 1):
+		return nil, fmt.Errorf("fuse: NodeConfig.TimeScale is %v; want a positive finite multiplier, or 0 for the paper's timing", scale)
 	}
 	tn, err := tcpnet.Listen(cfg.Bind, int64(len(cfg.Name))^time.Now().UnixNano())
 	if err != nil {
@@ -63,11 +69,8 @@ func Start(cfg NodeConfig) (*Node, error) {
 	reg := telemetry.New(time.Now(), 1)
 	tn.SetTelemetry(reg)
 
-	ovCfg := overlay.DefaultConfig().Scale(scale)
-	fuCfg := core.DefaultConfig().Scale(scale)
-
-	ov := overlay.New(tn, ovCfg, cfg.Name)
-	fu := core.New(tn, ov, fuCfg)
+	ov := overlay.New(tn, overlay.DefaultConfig().Scale(scale), cfg.Name)
+	fu := core.New(tn, ov, scale)
 	n := &Node{tn: tn, ov: ov, fuse: fu, self: ov.Self(), tele: reg}
 	tn.SetHandler(func(from transport.Addr, msg transport.Message) {
 		if !ov.Handle(from, msg) {

@@ -4,9 +4,7 @@ import (
 	"time"
 
 	"fuse/internal/cluster"
-	"fuse/internal/core"
 	"fuse/internal/netmodel"
-	"fuse/internal/overlay"
 	"fuse/internal/telemetry"
 )
 
@@ -136,9 +134,3 @@ func (s *Sim) Heal() { s.c.Net.ClearRules() }
 // MessagesSent reports the total messages the deployment has sent, for
 // load measurements.
 func (s *Sim) MessagesSent() uint64 { return s.c.Net.Sent() }
-
-// compile-time re-export checks
-var (
-	_ = core.DefaultConfig
-	_ = overlay.DefaultConfig
-)
