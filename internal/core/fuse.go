@@ -132,6 +132,44 @@ const (
 	// backoff between repair attempts, capped at the paper's 40 s.
 	backoffInitial = 2 * time.Second
 	backoffCap     = 40 * time.Second
+
+	// NotificationBound is the paper's "bounded time" at scale 1: once
+	// some member has been notified (the trigger: a SignalFailure, a
+	// repair timeout, a failed repair), every other live member is
+	// notified within this span of it. scenario.Engine.Report audits
+	// every run against it. The terms are the chain a notification
+	// takes when no message of the root's fan-out reaches a member:
+	NotificationBound = 0 +
+		// Detection. The trigger tore its group state down, so the
+		// checking tree stops vouching for the group: a link's shared
+		// deadline, armed no later than the trigger, expires within
+		// checkTimeout of it (the aggregated-deadline fairness bound that
+		// TestAggregatedDeadlineFairnessBound pins), and the overlay's
+		// own liveness check (60 s ping interval + 20 s ping timeout) is
+		// faster. A member that hears asks the root to repair.
+		checkTimeout +
+		// Repair backoff: the root defers a NeedRepair by at most one
+		// backoff window.
+		backoffCap +
+		// Repair. The root's round ends within rootRepairTimeout in a
+		// fan-out: a member that already notified answers the repair
+		// request with a HardNotification, and one that never answers
+		// fails the round. A root that stops instead sends the members
+		// that answered it back through detection, and each gives up
+		// on the root memberRepairTimeout after asking it again (a root
+		// cut off from a member, or whose fan-out is lost, does the
+		// same). That is the shape of the widest chains generated
+		// schedules reach, 2m57s over 3,000 seeds: in seed 81 the root,
+		// already repairing, stops 64 s after the trigger and its
+		// members hear 109-112 s later. The sum counts
+		// one detection: a root that stops late in a round begun a full
+		// detection after the trigger could exceed it, and the audit is
+		// what would find that run.
+		rootRepairTimeout + memberRepairTimeout +
+		// Propagation: the one-way messages the chain ends with
+		// (NeedRepair, repair request and reply, the fan-out), given the
+		// slack the protocol allows a message in flight.
+		gracePeriod
 )
 
 // Fuse is the per-node FUSE layer. It attaches to an overlay node as its

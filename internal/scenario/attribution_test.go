@@ -35,9 +35,8 @@ func TestLatencyAttributionUnderOverlap(t *testing.T) {
 			{At: time.Minute, Do: LossRamp{A: 0, B: 1, From: 0, To: 1, Steps: 5, Over: Duration(8 * time.Minute)}},
 			{At: 10 * time.Minute, Do: ChurnStop{}},
 		},
-		Duration:     Duration(20 * time.Minute),
-		ExpectFail:   []int{0},
-		LatencyBound: Duration(8 * time.Minute),
+		Duration:   Duration(20 * time.Minute),
+		ExpectFail: []int{0},
 	}
 	rep, err := Run(c, s)
 	if err != nil {
@@ -89,5 +88,49 @@ func TestLatencyAttributionUnderOverlap(t *testing.T) {
 	}
 	if rep.MaxLatency != loss.Latency {
 		t.Errorf("group detection latency %s not measured from the loss fault (%s)", rep.MaxLatency, loss.Latency)
+	}
+}
+
+// TestRecoveredDowntimeIsNotLatency: a member that is down when its
+// group fails, and later restarts with its store recovered, hears of the
+// failure as it comes back. Its downtime is no part of any latency: both
+// the fault's and the group's are measured from the restart, the start
+// of the incarnation that heard.
+func TestRecoveredDowntimeIsNotLatency(t *testing.T) {
+	const back = 8 * time.Minute
+	s := Script{
+		Name:   "recovered-downtime",
+		Groups: []GroupSpec{{Root: 0, Members: []int{1, 2}, Stores: []int{2}}},
+		Events: []Event{
+			{At: time.Minute, Do: Crash{Node: 2}},
+			{At: 2 * time.Minute, Do: Signal{Node: 1, Group: 0}},
+			{At: back, Do: Restart{Node: 2, Bootstrap: 0, Recover: true}},
+		},
+		Duration:   Duration(15 * time.Minute),
+		ExpectFail: []int{0},
+	}
+	rep, err := Run(cluster.New(cluster.Options{N: 16, Seed: 1}), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("run violated invariants:\n%s", rep.Stats())
+	}
+	var recovered *Delivery
+	for i, d := range rep.Deliveries {
+		if d.Node == 2 && d.Inc == 1 {
+			recovered = &rep.Deliveries[i]
+		}
+	}
+	if recovered == nil || recovered.At < back {
+		t.Fatalf("the recovered incarnation did not hear after its restart: %+v\n%s", rep.Deliveries, rep.Trace)
+	}
+	if rep.MaxLatency >= time.Minute {
+		t.Errorf("max latency %s counts the recovered member's downtime\n%s", rep.MaxLatency, rep.FaultTable())
+	}
+	for _, f := range rep.Faults {
+		if f.Latency >= time.Minute {
+			t.Errorf("fault %q latency %s counts the recovered member's downtime", f.Desc, f.Latency)
+		}
 	}
 }

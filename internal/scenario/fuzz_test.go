@@ -5,14 +5,20 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"fuse/internal/core"
 )
 
 // corpusSeeds is the checked-in seed corpus for FuzzScheduleInvariants
 // (testdata/fuzz/FuzzScheduleInvariants, regenerated with
 // GEN_FUZZ_CORPUS=1): a spread of generator seeds whose scripts between
-// them cover every action kind. Per-push CI runs exactly these; the
-// nightly fuzz job explores beyond them.
-var corpusSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8}
+// them cover every action kind, and the four whose trigger-to-notice
+// spans reach furthest toward core.NotificationBound (2m56s-2m57s of
+// 5m15s; seeds 1-8 peak at 70 s), so a bound cut below them fails
+// per-push CI. Per-push CI runs exactly these; the nightly fuzz job
+// explores beyond them.
+var corpusSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8, 81, 908, 1668, 2002}
 
 // FuzzScheduleInvariants is the property-based test of the whole
 // protocol: any seed becomes a well-formed random failure schedule, and
@@ -72,6 +78,33 @@ func writeCounterexample(t *testing.T, seed int64, data []byte) string {
 		t.Logf("writing counterexample: %v", err)
 	}
 	return path
+}
+
+// TestNotificationBoundIsTight pins that the audited bound is near what
+// the protocol takes. In seed 81 member 3 gives up on the root (the
+// trigger), the root stops mid-repair 64 s later, and members 8 and 10
+// give up on it in turn 109-112 s after that. Their span must fit
+// core.NotificationBound and exceed half of it: a bound loose enough to
+// pass a doubled latency fails here.
+func TestNotificationBoundIsTight(t *testing.T) {
+	s := GenerateScript(81)
+	e, err := Start(clusterFor(s), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.c.Sim.RunFor(time.Duration(s.Duration))
+	if rep := e.Report(); !rep.OK() {
+		t.Fatalf("seed 81 violated protocol invariants:\n%s", rep.Stats())
+	}
+	var widest time.Duration
+	for _, tr := range e.tracks {
+		for _, d := range tr.notices {
+			widest = max(widest, e.triggerSpan(tr, d))
+		}
+	}
+	if widest > core.NotificationBound || widest <= core.NotificationBound/2 {
+		t.Fatalf("widest trigger-to-notice span %s, want within (%s, %s]", widest, core.NotificationBound/2, core.NotificationBound)
+	}
 }
 
 // TestGeneratedScriptsReplayIdentically pins the counterexample

@@ -149,7 +149,6 @@ func restartPreset(p Params) (Script, error) {
 		Duration:      Duration(30 * time.Minute),
 		ExpectSurvive: []int{0},
 		ExpectFail:    []int{1},
-		LatencyBound:  Duration(10 * time.Minute),
 	}, nil
 }
 
@@ -186,7 +185,6 @@ func partitionHealPreset(p Params) (Script, error) {
 		Duration:      Duration(35 * time.Minute),
 		ExpectFail:    []int{0},
 		ExpectSurvive: []int{1},
-		LatencyBound:  Duration(10 * time.Minute),
 	}, nil
 }
 
@@ -211,9 +209,8 @@ func intransitivePreset(p Params) (Script, error) {
 			// monitored paths. Then fail-on-send.
 			{At: 11 * time.Minute, Do: Signal{Node: 8, Group: 0}},
 		},
-		Duration:     Duration(14 * time.Minute),
-		ExpectFail:   []int{0},
-		LatencyBound: Duration(2 * time.Minute),
+		Duration:   Duration(14 * time.Minute),
+		ExpectFail: []int{0},
 	}, nil
 }
 
@@ -287,6 +284,5 @@ func churnPreset(p Params) (Script, error) {
 		s.Events = append(s.Events, Event{At: crashAt, Do: Crash{Node: v}})
 	}
 	s.Duration = Duration(crashAt + 10*time.Minute)
-	s.LatencyBound = Duration(8 * time.Minute)
 	return s, nil
 }

@@ -19,9 +19,9 @@
 //     hears about it exactly once (no lost notifications),
 //   - a consistency audit: a group either survives everywhere (state
 //     intact, zero notices) or fails everywhere,
-//   - bounded detection latency: the span from the fault that felled a
-//     group to its last delivered notification, checked against the
-//     script's bound, and
+//   - the paper's bounded time: every delivered notice lands within
+//     core.NotificationBound of the group's first notice (the trigger),
+//     or of its incarnation's restart if that came later, and
 //   - a byte-deterministic event trace: the same seed and script
 //     produce the identical trace and statistics, so every scripted
 //     failure drill doubles as a reproducible regression test.
@@ -91,11 +91,12 @@ type Engine struct {
 	t0       time.Duration // sim elapsed when the timeline starts
 	reported bool          // Report was taken: record nothing more
 	tracks   []*track
-	inc      []int          // per-node incarnation counter
-	faults   []faultRec     // every recorded fault, in schedule order (seq = index+1)
-	active   map[string]int // fault key -> index of the ongoing fault on that entity
-	churns   []*churnProc   // every started churn process; ChurnStop halts them all
-	ramps    []*rampProc    // every started loss ramp; ClearLoss/HealAll cancel them
+	inc      []int                    // per-node incarnation counter
+	born     map[incKey]time.Duration // timeline instant each restarted incarnation began
+	faults   []faultRec               // every recorded fault, in schedule order (seq = index+1)
+	active   map[string]int           // fault key -> index of the ongoing fault on that entity
+	churns   []*churnProc             // every started churn process; ChurnStop halts them all
+	ramps    []*rampProc              // every started loss ramp; ClearLoss/HealAll cancel them
 }
 
 // Run executes script s against c: creates the declared groups, compiles
@@ -121,7 +122,7 @@ func Start(c *cluster.Cluster, s Script) (*Engine, error) {
 	if err := s.validate(len(c.Nodes)); err != nil {
 		return nil, err
 	}
-	e := &Engine{c: c, script: s, rng: c.Sim.Rand(), inc: make([]int, len(c.Nodes)), active: make(map[string]int)}
+	e := &Engine{c: c, script: s, rng: c.Sim.Rand(), inc: make([]int, len(c.Nodes)), born: make(map[incKey]time.Duration), active: make(map[string]int)}
 	if err := e.setup(); err != nil {
 		return nil, err
 	}
@@ -294,6 +295,7 @@ func (e *Engine) reattachRecovered(node int) {
 func (e *Engine) restartNode(node, bootstrap int, recover bool) {
 	e.clearFault(nodeKey(node))
 	e.inc[node]++
+	e.born[incKey{node, e.inc[node]}] = e.now()
 	boot := e.c.Nodes[bootstrap].Ref()
 	if recover {
 		e.c.RestartRecovered(node, boot)

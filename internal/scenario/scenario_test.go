@@ -89,6 +89,10 @@ func TestIntransitiveExactlyOnce(t *testing.T) {
 	if cut, sig := rep.Faults[0], rep.Faults[1]; cut.Notices != 0 || sig.Notices != 3 {
 		t.Fatalf("notices per fault: %q %d, %q %d; want 0 and 3", cut.Desc, cut.Notices, sig.Desc, sig.Notices)
 	}
+	// A signal needs no detection: the fan-out alone reaches everyone.
+	if rep.MaxLatency <= 0 || rep.MaxLatency > 2*time.Minute {
+		t.Fatalf("max latency %s out of range (0, 2m]", rep.MaxLatency)
+	}
 }
 
 // TestRestartLifecycle is the §3.6 drill: a brief crash with stable
@@ -107,6 +111,9 @@ func TestRestartLifecycle(t *testing.T) {
 	// once; the restarted-without-storage node is a fresh process.
 	if n := strings.Count(rep.Trace, "notify group=1"); n != 2 {
 		t.Fatalf("group 1 notified %d times, want 2:\n%s", n, rep.Trace)
+	}
+	if rep.MaxLatency <= 0 || rep.MaxLatency > 10*time.Minute {
+		t.Fatalf("max latency %s out of range (0, 10m]", rep.MaxLatency)
 	}
 }
 
@@ -129,6 +136,9 @@ func TestPartitionHealsSelectively(t *testing.T) {
 	}
 	if rep.Failed != 1 || rep.Survived != 1 {
 		t.Fatalf("want 1 failed + 1 survived, got %s", rep.Stats())
+	}
+	if rep.MaxLatency <= 0 || rep.MaxLatency > 10*time.Minute {
+		t.Fatalf("max latency %s out of range (0, 10m]", rep.MaxLatency)
 	}
 	// After the selective heal only the ramp's two directional loss
 	// overrides remain.

@@ -33,8 +33,7 @@ import (
 //	    {"at": "2m10s", "do": "restart", "node": 10, "bootstrap": 0, "recover": true}
 //	  ],
 //	  "duration": "30m0s",
-//	  "expect_survive": [0],
-//	  "latency_bound": "10m0s"
+//	  "expect_survive": [0]
 //	}
 //
 // There is no separate wire schema: a group is a GroupSpec, and an event
@@ -72,10 +71,6 @@ type Script struct {
 	// everywhere, zero notices) by the end of the run.
 	ExpectFail    []int `json:"expect_fail,omitempty"`
 	ExpectSurvive []int `json:"expect_survive,omitempty"`
-
-	// LatencyBound, when nonzero, bounds the span from the fault that
-	// felled a group to that group's last delivered notification.
-	LatencyBound Duration `json:"latency_bound,omitempty"`
 }
 
 // eventHead is the part of an event's JSON object every kind shares.

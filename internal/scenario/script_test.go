@@ -310,17 +310,30 @@ func TestReadmeExampleLoads(t *testing.T) {
 }
 
 // TestLoadRejectsUnknownFields: a misspelled knob must fail loudly, not
-// silently fall back to a default and drill the wrong scenario.
+// silently fall back to a default and drill the wrong scenario. So must
+// latency_bound: every run is held to core.NotificationBound, and no
+// script sets a bound of its own.
 func TestLoadRejectsUnknownFields(t *testing.T) {
-	_, err := Load([]byte(`{
+	for key, input := range map[string]string{
+		"nodeid": `{
   "name": "typo",
   "nodes": 16,
   "groups": [{"root": 0, "members": [1]}],
   "events": [{"at": "1m0s", "do": "crash", "nodeid": 1}],
   "duration": "10m0s"
-}`))
-	if err == nil || !strings.Contains(err.Error(), "nodeid") {
-		t.Fatalf("want unknown-field error mentioning nodeid, got %v", err)
+}`,
+		"latency_bound": `{
+  "name": "own-bound",
+  "nodes": 16,
+  "groups": [{"root": 0, "members": [1]}],
+  "events": [{"at": "1m0s", "do": "crash", "node": 1}],
+  "duration": "10m0s",
+  "latency_bound": "8m0s"
+}`,
+	} {
+		if _, err := Load([]byte(input)); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("want unknown-field error mentioning %s, got %v", key, err)
+		}
 	}
 }
 
