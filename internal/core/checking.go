@@ -171,28 +171,32 @@ func (f *Fuse) installArrivedAtRoot(ic *msgInstallChecking, prev overlay.NodeRef
 	}
 }
 
-// PingPayload supplies the piggyback hash for an overlay ping to neighbor:
-// the sum of the SHA-1 digests of the IDs of all groups whose checking
-// tree includes the link to that neighbor (20 bytes, exactly the paper's
-// overhead; see linkindex.go). The hash comes straight from the per-link
-// index: O(1) per ping, not a scan over every group on the node. The
-// caller may hold the slice while the ping is in flight: a membership
-// change makes a fresh one and leaves these bytes as they were.
-func (f *Fuse) PingPayload(neighbor overlay.NodeRef) []byte {
-	ls, ok := f.links[neighbor.Addr]
-	if !ok {
+// LinkPayload supplies the piggyback hash for an overlay ping to
+// neighbor over the overlay's link id link: the sum of the SHA-1 digests
+// of the IDs of all groups whose checking tree includes the link to that
+// neighbor (20 bytes, exactly the paper's overhead; see linkindex.go).
+// The hash comes straight from the per-link index, found by link id: O(1)
+// per ping, not a scan over every group on the node. The caller may hold
+// the slice while the ping is in flight: a membership change makes a
+// fresh one and leaves these bytes as they were.
+func (f *Fuse) LinkPayload(link uint32, neighbor overlay.NodeRef) []byte {
+	ls := f.linkByID(link, neighbor.Addr)
+	if ls == nil {
 		return nil
 	}
 	return ls.linkHash()
 }
 
-// OnPingPayload checks the neighbor's piggybacked hash against our own
+// PingPayload is LinkPayload without a link id.
+func (f *Fuse) PingPayload(neighbor overlay.NodeRef) []byte { return f.LinkPayload(0, neighbor) }
+
+// OnLinkPayload checks the neighbor's piggybacked hash against our own
 // cached view of the jointly monitored groups. A match re-arms the link's
 // single shared deadline, refreshing every group on the link at once; a
 // mismatch starts an explicit list exchange.
-func (f *Fuse) OnPingPayload(neighbor overlay.NodeRef, payload []byte) {
-	ls, ok := f.links[neighbor.Addr]
-	if !ok {
+func (f *Fuse) OnLinkPayload(link uint32, neighbor overlay.NodeRef, payload []byte) {
+	ls := f.linkByID(link, neighbor.Addr)
+	if ls == nil {
 		if len(payload) == 0 {
 			return // neither side monitors anything across this link
 		}
@@ -210,6 +214,11 @@ func (f *Fuse) OnPingPayload(neighbor overlay.NodeRef, payload []byte) {
 	f.tm.mismatches.Inc(f.tm.lane)
 	f.trace("hash-mismatch", GroupID{}, 0, 0, neighbor.Name)
 	f.sendReconcileProbe(neighbor)
+}
+
+// OnPingPayload is OnLinkPayload without a link id.
+func (f *Fuse) OnPingPayload(neighbor overlay.NodeRef, payload []byte) {
+	f.OnLinkPayload(0, neighbor, payload)
 }
 
 // OnNeighborUp reconciles eagerly with a neighbor that just entered the

@@ -192,6 +192,14 @@ type Fuse struct {
 	// single shared CheckTimeout deadline (see linkindex.go).
 	links map[transport.Addr]*linkState
 
+	// byID caches links by the overlay's link id (slot id-1), so the ping
+	// paths probe the map only on a miss (linkByID). A slot answers for
+	// the address it was filled for, and only under the linksGen it was
+	// filled under: linksGen moves whenever links gains or loses an
+	// entry, which invalidates every slot at once.
+	byID     []linkSlot
+	linksGen uint64
+
 	// persist, when non-nil, records group memberships durably (§3.6
 	// stable-storage variant).
 	persist *MemStore
@@ -326,6 +334,7 @@ func New(env transport.Env, ov *overlay.Node, scale float64) *Fuse {
 		checking: make(map[GroupID]*checkState),
 		handlers: make(map[GroupID][]Handler),
 		links:    make(map[transport.Addr]*linkState),
+		linksGen: 1, // a zero slot is never valid
 	}
 	if lane := telemetry.FromEnv(env); lane != nil {
 		reg := lane.Registry()

@@ -50,13 +50,17 @@ func (t *fakeTimer) Stop() bool {
 	return true
 }
 
+// fakeEpoch is where every fakeEnv's clock starts.
+var fakeEpoch = time.Unix(1000, 0)
+
 func newFakeEnv(addr transport.Addr) *fakeEnv {
-	return &fakeEnv{addr: addr, now: time.Unix(1000, 0), rng: rand.New(rand.NewSource(1))}
+	return &fakeEnv{addr: addr, now: fakeEpoch, rng: rand.New(rand.NewSource(1))}
 }
 
-func (e *fakeEnv) Addr() transport.Addr { return e.addr }
-func (e *fakeEnv) Now() time.Time       { return e.now }
-func (e *fakeEnv) Rand() *rand.Rand     { return e.rng }
+func (e *fakeEnv) Addr() transport.Addr   { return e.addr }
+func (e *fakeEnv) Now() time.Time         { return e.now }
+func (e *fakeEnv) Elapsed() time.Duration { return e.now.Sub(fakeEpoch) }
+func (e *fakeEnv) Rand() *rand.Rand       { return e.rng }
 
 func (e *fakeEnv) Send(to transport.Addr, msg transport.Message) {
 	e.sent = append(e.sent, fakeSend{to: to, msg: msg})

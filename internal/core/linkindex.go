@@ -41,6 +41,11 @@ import (
 // multiset of digests: two IDs alike in name and counter but rooted at
 // different addresses digest alike, and under XOR such a pair would
 // cancel - any two pairs would agree - where a sum counts it twice.
+//
+// The two ping paths find a link's entry by the overlay's id for the link
+// (linkByID): a slot per id caches what the address map held, so the map
+// is probed only when the slot was filled for another neighbor or before
+// the map last gained or lost an entry.
 
 // linkState aggregates the checking state crossing one overlay link.
 type linkState struct {
@@ -75,8 +80,39 @@ func (f *Fuse) linkFor(neighbor overlay.NodeRef) *linkState {
 	if !ok {
 		ls = &linkState{neighbor: neighbor}
 		f.links[neighbor.Addr] = ls
+		f.linksGen++
 	}
 	ls.neighbor = neighbor
+	return ls
+}
+
+// linkSlot is one entry of Fuse.byID: what links held for addr (nil for
+// nothing) when links was at generation gen.
+type linkSlot struct {
+	addr transport.Addr
+	ls   *linkState
+	gen  uint64
+}
+
+// linkByID returns links[addr], the index entry for the link the overlay
+// calls id (0: no id). The map is probed only when id's slot was filled
+// for another address or under an older generation, and the answer -
+// nothing included - refills the slot.
+func (f *Fuse) linkByID(id uint32, addr transport.Addr) *linkState {
+	if i := int(id) - 1; i >= 0 && i < len(f.byID) {
+		if s := &f.byID[i]; s.gen == f.linksGen && s.addr == addr {
+			return s.ls
+		}
+	}
+	ls := f.links[addr]
+	if id != 0 {
+		if int(id) > len(f.byID) {
+			// To the id and no further: the overlay hands out its lowest
+			// free ids, so the table ends up one slot per link.
+			f.byID = append(make([]linkSlot, 0, id), f.byID...)[:id]
+		}
+		f.byID[id-1] = linkSlot{addr: addr, ls: ls, gen: f.linksGen}
+	}
 	return ls
 }
 
@@ -166,6 +202,7 @@ func (f *Fuse) detachFromLink(id GroupID, addr transport.Addr) {
 	if len(ls.sorted) == 0 {
 		stopTimer(ls.timer) // order-independent: no sends, no rng
 		delete(f.links, addr)
+		f.linksGen++
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -273,6 +274,97 @@ func TestLinkIndexMatchesReference(t *testing.T) {
 			if got, wantHash := ls.linkHash(), refHashGroupIDs(want); !bytes.Equal(got, wantHash) {
 				fail(step, "running sum %x, from scratch %x", got, wantHash)
 			}
+		}
+	}
+}
+
+// TestLinkByIDMatchesAddress holds the ping paths' lookup by link id to
+// the address map it caches. The test plays the overlay: a link table
+// whose slots are freed as neighbors leave and reused, lowest first, for
+// other addresses, as syncPings does. Underneath, groups are attached to
+// and detached from links until a link's index entry empties and is made
+// again, and now and then the node crashes: a fresh Fuse recovers its
+// groups from the store while the link table keeps its ids. After every
+// step, every slot's id with its own address, and ids paired with some
+// other address, 0 and out of range, must find exactly what f.links
+// finds - none included - on both ping paths.
+func TestLinkByIDMatchesAddress(t *testing.T) {
+	for _, seed := range linkSeeds() {
+		rng := rand.New(rand.NewSource(seed))
+		fail := func(step int, format string, args ...any) {
+			t.Helper()
+			t.Fatalf("seed %d (-link.seed=%d) step %d: %s", seed, seed, step, fmt.Sprintf(format, args...))
+		}
+		var peers []overlay.NodeRef
+		for i := 0; i < 10; i++ {
+			peers = append(peers, ref(fmt.Sprintf("p%d", i)))
+		}
+		var groups []GroupID
+		for i := 0; i < 6; i++ {
+			groups = append(groups, GroupID{Root: peers[i%3], Num: uint64(i)})
+		}
+		store := NewMemStore()
+		for _, id := range groups[:2] {
+			store.SaveGroup(GroupRecord{ID: id, Seq: 1})
+		}
+		f, _ := newFakeFuse("d")
+		slots := []overlay.NodeRef{} // the link table: id i+1 in slot i, zero when free
+		held := func(addr transport.Addr) bool {
+			return slices.ContainsFunc(slots, func(r overlay.NodeRef) bool { return r.Addr == addr })
+		}
+		made, crashes := 0, 0
+		for step := 0; step < 3000; step++ {
+			switch op := rng.Intn(20); {
+			case op < 4: // a neighbor leaves the tables, freeing its slot
+				if i := rng.Intn(len(slots) + 1); i < len(slots) {
+					slots[i] = overlay.NodeRef{}
+				}
+			case op < 8: // a neighbor enters, in the lowest free slot
+				nb := peers[rng.Intn(len(peers))]
+				if held(nb.Addr) {
+					break
+				}
+				if i := slices.Index(slots, overlay.NodeRef{}); i >= 0 {
+					slots[i] = nb
+				} else {
+					slots = append(slots, nb)
+				}
+			case op < 14: // a group's checking tree crosses a link
+				nb := peers[rng.Intn(len(peers))]
+				if f.links[nb.Addr] == nil {
+					made++
+				}
+				f.addTreeLink(groups[rng.Intn(len(groups))], 1, nb)
+			case op < 19: // a group's checking state goes, from every link
+				f.dropChecking(groups[rng.Intn(len(groups))])
+			default: // crash and recover, the link table left as it was
+				f, _ = newFakeFuse("d")
+				f.SetPersistence(store)
+				f.Recover()
+				crashes++
+			}
+
+			check := func(id uint32, nb overlay.NodeRef) {
+				t.Helper()
+				want := f.links[nb.Addr]
+				if got := f.linkByID(id, nb.Addr); got != want {
+					fail(step, "link %d to %s: by id %p, by address %p", id, nb.Name, got, want)
+				}
+				if got, want := f.LinkPayload(id, nb), f.PingPayload(nb); !bytes.Equal(got, want) {
+					fail(step, "link %d to %s: payload by id %x, by address %x", id, nb.Name, got, want)
+				}
+			}
+			for i, nb := range slots {
+				if !nb.IsZero() {
+					check(uint32(i+1), nb)
+				}
+			}
+			for k := 0; k < 3; k++ {
+				check(uint32(rng.Intn(len(slots)+3)), peers[rng.Intn(len(peers))])
+			}
+		}
+		if made < 100 || crashes < 50 {
+			fail(3000, "only %d index entries made and %d crashes; the sequence exercised too little", made, crashes)
 		}
 	}
 }

@@ -41,7 +41,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sync/atomic"
 	"time"
 )
 
@@ -75,10 +74,10 @@ type lane struct {
 	inRing int // events linked into buckets
 
 	// pending counts this lane's scheduled-but-unfired events, plus, on a
-	// shard, the entries waiting in its outboxes. Only the goroutine that
-	// currently owns the lane writes it; it is atomic so Sim.Pending may
-	// sum the lanes from any goroutine.
-	pending atomic.Int64
+	// shard, the entries waiting in its outboxes. Like executed it is a
+	// plain counter: only the goroutine that currently owns the lane
+	// touches it, and Sim.Pending reads it at fences.
+	pending int64
 
 	// free is the event recycling pool. Events are pushed when they fire
 	// or are stopped and popped by the next After/Schedule; reuse is LIFO
@@ -141,15 +140,13 @@ func (s *Sim) Executed() uint64 {
 
 // Pending reports how many events are scheduled but have not fired,
 // across every lane and in-flight cross-shard outbox entry. Stopped timers
-// leave the queue immediately, so at a fence or between run calls the
-// count is exact. Each lane keeps its own atomic count, so Pending is safe
-// to call from any goroutine (e.g. a progress reporter); read while
-// windows are running it is a sum of per-lane readings taken at slightly
-// different moments.
+// leave the queue immediately, so the count is exact. Like Executed it
+// must be read at a fence or between run calls: the lanes' counts are
+// plain fields their own goroutines write inside windows.
 func (s *Sim) Pending() int {
-	n := s.lane.pending.Load()
+	n := s.lane.pending
 	for _, x := range s.shards {
-		n += x.lane.pending.Load()
+		n += x.lane.pending
 	}
 	return int(n)
 }
@@ -191,7 +188,7 @@ func (t *Timer) Stop() bool {
 	if !t.live() || t.ev.state != statePending {
 		return false
 	}
-	t.l.pending.Add(-1)
+	t.l.pending--
 	t.l.unlink(t.ev)
 	t.l.recycle(t.ev)
 	return true
@@ -218,7 +215,7 @@ func (t *Timer) Reset(d time.Duration) bool {
 		l.unlink(ev)
 	case stateFired:
 		ev.state = statePending
-		l.pending.Add(1)
+		l.pending++
 	default:
 		return false
 	}
@@ -302,7 +299,7 @@ func (l *lane) allocAt(at time.Duration, fn func()) *event {
 	l.seq++
 	ev.fn = fn
 	ev.state = statePending
-	l.pending.Add(1)
+	l.pending++
 	l.link(ev)
 	return ev
 }
@@ -320,7 +317,7 @@ func (l *lane) recycle(ev *event) {
 // execOne pops and fires the lane's next event, advancing the lane clock.
 // The caller has just read headAt, which settled the queue.
 func (l *lane) execOne() {
-	l.pending.Add(-1)
+	l.pending--
 	ev := l.popEvent()
 	if ev.at < l.now {
 		panic(fmt.Sprintf("eventsim: time went backwards: %v < %v", ev.at, l.now))

@@ -143,7 +143,7 @@ func (x *Shard) Post(dst *Shard, d time.Duration, fn func()) {
 		return
 	}
 	x.outbox[dst.lane.id] = append(x.outbox[dst.lane.id], xevent{at: at, fn: fn})
-	x.lane.pending.Add(1)
+	x.lane.pending++
 }
 
 // headAt returns the lane's earliest pending time, or maxDuration. It
@@ -256,21 +256,18 @@ func (s *Sim) runWindow(start, end time.Duration) {
 			s.shards[i].runTo(end)
 		}
 	} else {
+		// w-1 fresh goroutines and this one, whose stack has long grown
+		// to what a shard's deepest callback needs, share the shards.
 		var next atomic.Int32
 		var wg sync.WaitGroup
-		wg.Add(w)
-		for k := 0; k < w; k++ {
+		wg.Add(w - 1)
+		for k := 1; k < w; k++ {
 			go func() {
 				defer wg.Done()
-				for {
-					j := int(next.Add(1)) - 1
-					if j >= len(busy) {
-						return
-					}
-					s.shards[busy[j]].runTo(end)
-				}
+				s.runShare(busy, &next, end)
 			}()
 		}
+		s.runShare(busy, &next, end)
 		wg.Wait()
 	}
 	s.inWindow = false
@@ -292,7 +289,7 @@ func (s *Sim) runWindow(start, end time.Duration) {
 			if len(box) == 0 {
 				continue
 			}
-			src.lane.pending.Add(-int64(len(box)))
+			src.lane.pending -= int64(len(box))
 			for i := range box {
 				xe := &box[i]
 				if xe.at < end {
@@ -308,8 +305,20 @@ func (s *Sim) runWindow(start, end time.Duration) {
 	}
 }
 
-// runTo drains the shard's events strictly before end (worker goroutine
-// body; touches only this shard's lane plus its outboxes).
+// runShare is one goroutine's part of a window: it claims busy shards
+// through next until none is left, and runs each to end.
+func (s *Sim) runShare(busy []int, next *atomic.Int32, end time.Duration) {
+	for {
+		j := int(next.Add(1)) - 1
+		if j >= len(busy) {
+			return
+		}
+		s.shards[busy[j]].runTo(end)
+	}
+}
+
+// runTo drains the shard's events strictly before end (a window's
+// goroutine body; touches only this shard's lane plus its outboxes).
 func (x *Shard) runTo(end time.Duration) {
 	for x.lane.headAt() < end {
 		x.lane.execOne()

@@ -120,10 +120,25 @@ func TestShardedRunDrainsAndCountsExecuted(t *testing.T) {
 	}
 }
 
-// TestPendingIsSafeConcurrently polls Pending from another goroutine
-// while the simulation runs - without shards and with. Under -race this pins
-// the satellite fix: Pending used to read len(queue) unsynchronized.
-func TestPendingIsSafeConcurrently(t *testing.T) {
+// queued counts what the lanes hold - heap entries, bucketed events and
+// outbox entries - without the pending counters.
+func queued(sim *Sim) int {
+	n := len(sim.lane.queue) + sim.lane.inRing
+	for _, x := range sim.shards {
+		n += len(x.lane.queue) + x.lane.inRing
+		for _, box := range x.outbox {
+			n += len(box)
+		}
+	}
+	return n
+}
+
+// TestPendingExactAtFences reads Pending where it may be read - from
+// control-lane events, which run at fences, and between run calls -
+// without shards and with, and holds it to what the lanes actually hold.
+// The per-lane counts are plain fields written inside windows, so under
+// -race this also pins that nothing reads them there.
+func TestPendingExactAtFences(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		sim := New(7)
 		if workers > 0 {
@@ -139,27 +154,28 @@ func TestPendingIsSafeConcurrently(t *testing.T) {
 			}
 			sim.Schedule(0, tick)
 		}
+		check := func(where string) {
+			t.Helper()
+			if got, want := sim.Pending(), queued(sim); got != want {
+				t.Fatalf("workers=%d %s: Pending = %d, lanes hold %d", workers, where, got, want)
+			}
+		}
+		probes := 0
+		for at := 3 * time.Millisecond; at < 150*time.Millisecond; at += 7 * time.Millisecond {
+			sim.After(at, func() {
+				probes++
+				check("at a fence")
+			})
+		}
+		check("before running")
 		if sim.Pending() == 0 {
 			t.Fatalf("workers=%d: workload scheduled nothing", workers)
 		}
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					_ = sim.Pending()
-				}
-			}
-		}()
+		sim.RunFor(45 * time.Millisecond)
+		check("between run calls")
 		sim.Run()
-		close(stop)
-		<-done
-		if got := sim.Pending(); got != 0 {
-			t.Fatalf("workers=%d: Pending = %d after drain, want 0", workers, got)
+		if got := sim.Pending(); got != 0 || probes != 21 {
+			t.Fatalf("workers=%d: Pending = %d after drain (want 0), %d probes ran (want 21)", workers, got, probes)
 		}
 	}
 }

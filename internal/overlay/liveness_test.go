@@ -43,16 +43,16 @@ type scriptEnv struct {
 	onSend func(to transport.Addr, msg transport.Message)
 }
 
-func (e *scriptEnv) Addr() transport.Addr  { return e.addr }
-func (e *scriptEnv) Now() time.Time        { return e.sim.Now() }
-func (e *scriptEnv) Rand() *rand.Rand      { return e.rng }
-func (e *scriptEnv) at() time.Duration     { return e.sim.Elapsed() }
-func (e *scriptEnv) run(d time.Duration)   { e.sim.RunFor(d) }
-func (e *scriptEnv) runTo(t time.Duration) { e.sim.RunFor(t - e.sim.Elapsed()) }
+func (e *scriptEnv) Addr() transport.Addr   { return e.addr }
+func (e *scriptEnv) Now() time.Time         { return e.sim.Now() }
+func (e *scriptEnv) Rand() *rand.Rand       { return e.rng }
+func (e *scriptEnv) Elapsed() time.Duration { return e.sim.Elapsed() }
+func (e *scriptEnv) run(d time.Duration)    { e.sim.RunFor(d) }
+func (e *scriptEnv) runTo(t time.Duration)  { e.sim.RunFor(t - e.sim.Elapsed()) }
 
 func (e *scriptEnv) After(d time.Duration, fn func()) transport.Timer {
 	return e.sim.After(d, func() {
-		e.wakes = append(e.wakes, e.at())
+		e.wakes = append(e.wakes, e.Elapsed())
 		fn()
 	})
 }
@@ -207,8 +207,8 @@ func TestPingScheduleMatchesReference(t *testing.T) {
 			if !ok {
 				return // repair traffic after a death
 			}
-			from := nd.pings[to].ref
-			got = append(got, stamp{env.at(), "ping", from.Name})
+			from := linkTo(nd, to).ref
+			got = append(got, stamp{env.Elapsed(), "ping", from.Name})
 			var delay time.Duration
 			switch p := drive.Intn(100); {
 			case p < 12:
@@ -301,11 +301,11 @@ type deathLog struct {
 }
 
 func (deathLog) OnRouteMessage(transport.Message, RouteInfo) {}
-func (deathLog) PingPayload(NodeRef) []byte                  { return nil }
-func (deathLog) OnPingPayload(NodeRef, []byte)               {}
+func (deathLog) LinkPayload(uint32, NodeRef) []byte          { return nil }
+func (deathLog) OnLinkPayload(uint32, NodeRef, []byte)       {}
 func (deathLog) OnNeighborUp(NodeRef)                        {}
 func (c deathLog) OnNeighborDown(ref NodeRef) {
-	*c.log = append(*c.log, stamp{c.env.at(), "dead", ref.Name})
+	*c.log = append(*c.log, stamp{c.env.Elapsed(), "dead", ref.Name})
 }
 
 // pingLog records the pings a scripted node sends.
@@ -314,7 +314,7 @@ func pingLog(env *scriptEnv) *[]stamp {
 	prev := env.onSend
 	env.onSend = func(to transport.Addr, msg transport.Message) {
 		if _, ok := msg.(*msgPing); ok {
-			log = append(log, stamp{env.at(), "ping", string(to)})
+			log = append(log, stamp{env.Elapsed(), "ping", string(to)})
 		}
 		if prev != nil {
 			prev(to, msg)
@@ -327,7 +327,15 @@ func pingLog(env *scriptEnv) *[]stamp {
 // link's first ping where it needs it. at[i] is for link id i+1.
 func schedule(nd *Node, at ...time.Duration) {
 	copy(nd.due, at)
-	nd.arm(slices.Min(at), nd.elapsed())
+	nd.arm(slices.Min(at), nd.env.Elapsed())
+}
+
+// linkTo is the link-table record of the neighbor at addr, or nil.
+func linkTo(nd *Node, addr transport.Addr) *pingState {
+	if id, ok := nd.pings[addr]; ok {
+		return &nd.links[id-1]
+	}
+	return nil
 }
 
 func ackFrom(nd *Node, from NodeRef, seq uint64, link, peerLink uint32) {
@@ -439,8 +447,8 @@ func TestLinkIdHygiene(t *testing.T) {
 	a, b, c := testRef(1), testRef(2), testRef(3)
 	nd.considerLeaf(a)
 	nd.considerLeaf(b)
-	if nd.pings[a.Addr].id != 1 || nd.pings[b.Addr].id != 2 {
-		t.Fatalf("ids %d, %d; want 1, 2", nd.pings[a.Addr].id, nd.pings[b.Addr].id)
+	if nd.pings[a.Addr] != 1 || nd.pings[b.Addr] != 2 {
+		t.Fatalf("ids %d, %d; want 1, 2", nd.pings[a.Addr], nd.pings[b.Addr])
 	}
 
 	// A neighbor's ping is answered through its link, with our id for it,
@@ -449,20 +457,28 @@ func TestLinkIdHygiene(t *testing.T) {
 	for i, echo := range []uint32{2, 0, 1, 99} {
 		before := env.viaPeer
 		ack := pingFrom(b, 30+uint32(i), echo)
-		if ack.Link != 2 || env.viaPeer != before+1 || nd.pings[b.Addr].peerLink != 30+uint32(i) {
+		if ack.Link != 2 || env.viaPeer != before+1 || linkTo(nd, b.Addr).peerLink != 30+uint32(i) {
 			t.Fatalf("ping from b echoing id %d: acked with Link %d (want 2), via peer %v, learned %d (want %d)",
-				echo, ack.Link, env.viaPeer != before, nd.pings[b.Addr].peerLink, 30+i)
+				echo, ack.Link, env.viaPeer != before, linkTo(nd, b.Addr).peerLink, 30+i)
+		}
+		// The client hears the payload on our id for the link, whatever
+		// the ping echoed.
+		if rc.heardOn[b.Name] != 2 {
+			t.Fatalf("ping from b echoing id %d handed to the client on link %d, want 2", echo, rc.heardOn[b.Name])
 		}
 	}
-	if nd.pings[a.Addr].peerLink != 0 {
+	if linkTo(nd, a.Addr).peerLink != 0 {
 		t.Fatal("b's ping echoing a's id taught a's link something")
 	}
 
 	// A stranger is acked through the env with no id of ours, even when it
 	// echoes an id that is in use, and is not adopted.
 	before := env.viaPeer
-	if ack := pingFrom(c, 5, 1); ack.Link != 0 || env.viaPeer != before || nd.pings[c.Addr] != nil {
+	if ack := pingFrom(c, 5, 1); ack.Link != 0 || env.viaPeer != before || linkTo(nd, c.Addr) != nil {
 		t.Fatalf("stranger's ping acked with Link %d via peer %v", ack.Link, env.viaPeer != before)
+	}
+	if link, ok := rc.heardOn[c.Name]; !ok || link != 0 {
+		t.Fatalf("stranger's ping handed to the client on link %d (heard: %v), want 0", link, ok)
 	}
 
 	// a is pinged, leaves the tables, and c takes over its slot and is
@@ -473,22 +489,22 @@ func TestLinkIdHygiene(t *testing.T) {
 	nd.removeRef(a.Addr)
 	nd.syncPings()
 	nd.considerLeaf(c)
-	if ps := nd.pings[c.Addr]; ps == nil || ps.id != 1 || nd.links[0] != ps {
-		t.Fatalf("c did not reuse a's slot: %+v", ps)
+	if ps := linkTo(nd, c.Addr); nd.pings[c.Addr] != 1 || ps.ref != c {
+		t.Fatalf("c did not reuse a's slot: id %d, %+v", nd.pings[c.Addr], ps)
 	}
 	schedule(nd, 12*s, 50*s)
 	env.runTo(13 * s)
-	if ps := nd.pings[c.Addr]; !ps.awaiting || ps.seq != 1 {
-		t.Fatalf("c not pinged: %+v", ps)
+	if ps := linkTo(nd, c.Addr); !ps.awaiting || ps.seq != 1 || rc.sentOn[c.Name] != 1 {
+		t.Fatalf("c not pinged on its link id 1: %+v, client asked on link %d", ps, rc.sentOn[c.Name])
 	}
 	ackFrom(nd, a, 1, 9, 1)
-	if ps := nd.pings[c.Addr]; !ps.awaiting || ps.peerLink != 0 {
+	if ps := linkTo(nd, c.Addr); !ps.awaiting || ps.peerLink != 0 {
 		t.Fatalf("a's late ack was credited to c, which now holds its slot: %+v", ps)
 	}
 	// An ack from c itself is credited through the address index when its
 	// echo is stale, and teaches us c's id.
 	ackFrom(nd, c, 1, 9, 2)
-	if ps := nd.pings[c.Addr]; ps.awaiting || ps.peerLink != 9 || nd.due[0] != 72*s {
+	if ps := linkTo(nd, c.Addr); ps.awaiting || ps.peerLink != 9 || nd.due[0] != 72*s {
 		t.Fatalf("c's ack with a stale echo was not credited: %+v, due %v", ps, nd.due[0])
 	}
 	if len(rc.down) != 0 {
@@ -505,8 +521,8 @@ func TestLinkIdsLearnedInOneExchange(t *testing.T) {
 	cl.assemble()
 	acked := func() (*Node, *pingState) {
 		for _, nd := range cl.nodes {
-			for _, ps := range nd.links {
-				if ps.seq == 1 && !ps.awaiting {
+			for i := range nd.links {
+				if ps := &nd.links[i]; ps.seq == 1 && !ps.awaiting {
 					return nd, ps
 				}
 			}
@@ -521,9 +537,11 @@ func TestLinkIdsLearnedInOneExchange(t *testing.T) {
 	if pinger == nil {
 		t.Fatal("no ping was ever acked")
 	}
-	back := cl.byName[ps.ref.Name].pings[pinger.self.Addr]
-	if ps.peerLink != back.id || back.peerLink != ps.id {
+	acker := cl.byName[ps.ref.Name]
+	id, backID := pinger.pings[ps.ref.Addr], acker.pings[pinger.self.Addr]
+	back := linkTo(acker, pinger.self.Addr)
+	if ps.peerLink != backID || back.peerLink != id {
 		t.Fatalf("after one exchange %s holds id %d and echoes %d, %s holds id %d and echoes %d",
-			pinger.self.Name, ps.id, ps.peerLink, ps.ref.Name, back.id, back.peerLink)
+			pinger.self.Name, id, ps.peerLink, ps.ref.Name, backID, back.peerLink)
 	}
 }

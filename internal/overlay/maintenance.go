@@ -98,30 +98,29 @@ func (n *Node) removeRef(addr transport.Addr) bool {
 
 // --- liveness pings ---
 
-// pingState is one neighbor's liveness record: who it is, how to reach it
-// without a lookup, and where its two-phase cycle stands - a ping goes
-// out and the link waits PingTimeout for the ack (awaiting), then sleeps
-// out the rest of PingInterval and pings again. It owns no timer: when
-// the current phase ends is Node.due[id-1], and the node's one timer
-// serves whichever link's entry comes first.
+// pingState is one neighbor's liveness record, a slot of Node.links: who
+// it is, how to reach it without a lookup, and where its two-phase cycle
+// stands - a ping goes out and the link waits PingTimeout for the ack
+// (awaiting), then sleeps out the rest of PingInterval and pings again.
+// It owns no timer: when the current phase ends is Node.due[id-1], and
+// the node's one timer serves whichever link's entry comes first. The
+// link's id is its slot's index plus one, sent as Link in every ping and
+// ack so the neighbor can echo it back. A free slot is the zero record,
+// its peer nil.
 type pingState struct {
-	ref  NodeRef
-	peer transport.Peer // ref.Addr, dialed once
-	// id is this link's index in Node.links plus one, sent as Link in
-	// every ping and ack so the neighbor can echo it back; peerLink is the
-	// neighbor's id for us as last heard, echoed to it as PeerLink.
-	id       uint32
-	peerLink uint32
-	seq      uint64 // seq of the last ping sent
-	awaiting bool   // between a send and its ack or ack deadline
-	gen      uint64 // Node.pingGen of the last syncPings that found ref in the tables
+	ref      NodeRef
+	peer     transport.Peer // ref.Addr, dialed once
+	seq      uint64         // seq of the last ping sent
+	gen      uint64         // Node.pingGen of the last syncPings that found ref in the tables
+	peerLink uint32         // the neighbor's id for us as last heard, echoed to it as PeerLink
+	awaiting bool           // between a send and its ack or ack deadline
 }
+
+// linkSlab is how many slots the link table grows by when it is full.
+const linkSlab = 8
 
 // never is the due entry of a free slot in the link table.
 const never = time.Duration(math.MaxInt64)
-
-// elapsed is the node's clock for due: time since the node was built.
-func (n *Node) elapsed() time.Duration { return n.env.Now().Sub(n.start) }
 
 // syncPings reconciles the ping schedule with the routing tables in
 // place: every ref the tables hold is stamped with this pass's
@@ -136,48 +135,55 @@ func (n *Node) syncPings() {
 	}
 	n.pingGen++
 	n.eachTableRef(func(ref NodeRef) {
-		ps := n.pings[ref.Addr]
-		if ps == nil {
-			ps = n.startPinging(ref)
+		id, ok := n.pings[ref.Addr]
+		if !ok {
+			id = n.startPinging(ref)
 		}
-		ps.gen = n.pingGen
+		n.links[id-1].gen = n.pingGen
 	})
-	for addr, ps := range n.pings {
-		if ps.gen != n.pingGen {
+	for i := range n.links {
+		if ps := &n.links[i]; ps.peer != nil && ps.gen != n.pingGen {
 			// Free the slot; the timer, if it was armed for this link,
 			// fires, finds nothing due and re-arms.
-			n.links[ps.id-1], n.due[ps.id-1] = nil, never
-			delete(n.pings, addr)
+			delete(n.pings, ps.ref.Addr)
+			n.links[i], n.due[i] = pingState{}, never
 		}
 	}
 }
 
 // startPinging begins the ping cycle of a neighbor that just entered the
-// tables, in the lowest free slot of the link table, and tells the client.
-func (n *Node) startPinging(ref NodeRef) *pingState {
-	i := slices.Index(n.links, nil)
+// tables, in the lowest free slot of the link table, tells the client,
+// and returns the link's id.
+func (n *Node) startPinging(ref NodeRef) uint32 {
+	i := slices.IndexFunc(n.links, func(ps pingState) bool { return ps.peer == nil })
 	if i < 0 {
 		i = len(n.links)
-		n.links, n.due = append(n.links, nil), append(n.due, never)
+		if i == cap(n.links) {
+			// A few slots at a time, not twice the table: a node keeps a
+			// few dozen neighbors for as long as it runs.
+			n.links = append(make([]pingState, 0, i+linkSlab), n.links...)
+		}
+		n.links, n.due = append(n.links, pingState{}), append(n.due, never)
 	}
-	ps := &pingState{ref: ref, peer: transport.Dial(n.env, ref.Addr), id: uint32(i + 1)}
-	n.links[i], n.pings[ref.Addr] = ps, ps
+	id := uint32(i + 1)
+	n.links[i] = pingState{ref: ref, peer: transport.Dial(n.env, ref.Addr)}
+	n.pings[ref.Addr] = id
 	// Stagger first pings uniformly over the interval so a large
 	// overlay's background load is smooth, as a deployed system's
 	// would be.
 	phase := time.Duration(n.env.Rand().Int63n(int64(n.cfg.PingInterval) + 1))
-	now := n.elapsed()
+	now := n.env.Elapsed()
 	n.due[i] = now + phase
 	if n.due[i] < n.armed {
 		n.arm(n.due[i], now)
 	}
 	n.client.OnNeighborUp(ref)
-	return ps
+	return id
 }
 
 // arm sets the node's timer to fire at at, now being the current reading
-// of elapsed(); in place when the transport can, which is always from
-// pingTick and whenever the timer is still pending.
+// of the env's Elapsed clock; in place when the transport can, which is
+// always from pingTick and whenever the timer is still pending.
 func (n *Node) arm(at, now time.Duration) {
 	n.armed = at
 	if n.timer != nil && transport.ResetTimer(n.timer, at-now) {
@@ -188,74 +194,85 @@ func (n *Node) arm(at, now time.Duration) {
 
 // pingTick serves every link whose phase has ended - the next ping is
 // due, or the last ping's ack deadline passed unanswered - and re-arms the
-// timer for the earliest entry left. Links due in the same tick are
-// served in link-id order. A tick that finds nothing due (the link it was
-// armed for was acked, which moved its entry later, or retired) only
-// re-arms.
+// timer for the earliest entry left, which it finds in the same pass.
+// Links due in the same tick are served in link-id order. A tick that
+// finds nothing due (the link it was armed for was acked, which moved its
+// entry later, or retired) only re-arms.
 func (n *Node) pingTick() {
 	if n.stopped {
 		return
 	}
 	n.armed = never
-	now := n.elapsed()
-	// neighborDead edits the table under the loop, so index it afresh.
+	now := n.env.Elapsed()
+	next, edited := never, false
+	// neighborDead edits the table under the loop, so index it afresh,
+	// and look the earliest entry up again after it.
 	for i := 0; i < len(n.due); i++ {
-		if n.due[i] > now {
+		if d := n.due[i]; d > now {
+			next = min(next, d)
 			continue
 		}
-		ps := n.links[i]
+		ps := &n.links[i]
 		if ps.awaiting {
 			n.neighborDead(ps.ref)
+			edited = true
 			continue
 		}
 		ps.seq++
 		ps.awaiting = true
 		n.due[i] = now + n.cfg.PingTimeout
+		next = min(next, n.due[i])
 		// The ping record comes from the pool and aliases the client's cached
 		// payload; the transport recycles it (dropping the alias) after
 		// delivery, so the steady-state send allocates nothing.
+		id := uint32(i + 1)
 		m := newMsgPing()
-		m.From, m.Seq, m.Payload = n.self, ps.seq, n.client.PingPayload(ps.ref)
-		m.Link, m.PeerLink = ps.id, ps.peerLink
+		m.From, m.Seq, m.Payload = n.self, ps.seq, n.client.LinkPayload(id, ps.ref)
+		m.Link, m.PeerLink = id, ps.peerLink
 		ps.peer.Send(m)
 		n.tm.pingsSent.Inc(n.tm.lane)
 		if n.tm.lane.Tracing(telemetry.TraceVerbose) {
 			n.tm.lane.Emit(n.env.Now(), "ping", n.self.Name, "", 0, 0, ps.ref.Name)
 		}
 	}
-	next := never
-	for _, d := range n.due {
-		next = min(next, d)
+	if edited {
+		next = never
+		for _, d := range n.due {
+			next = min(next, d)
+		}
 	}
 	if next < never {
 		n.arm(next, now)
 	}
 }
 
-// linkOf finds the ping cycle of the neighbor at addr: by the link id it
-// echoed when that names a slot holding addr, else by address.
-func (n *Node) linkOf(id uint32, addr transport.Addr) *pingState {
-	if i := int(id) - 1; i >= 0 && i < len(n.links) {
-		if ps := n.links[i]; ps != nil && ps.ref.Addr == addr {
-			return ps
-		}
+// linkOf finds the slot of the neighbor at addr in the link table: the
+// one the link id it echoed names when that slot holds addr, else the one
+// the address index names, else -1.
+func (n *Node) linkOf(id uint32, addr transport.Addr) int {
+	if i := int(id) - 1; i >= 0 && i < len(n.links) && n.links[i].peer != nil && n.links[i].ref.Addr == addr {
+		return i
 	}
-	return n.pings[addr]
+	if id, ok := n.pings[addr]; ok {
+		return int(id) - 1
+	}
+	return -1
 }
 
 func (n *Node) handlePing(m *msgPing) {
 	n.tm.pingsRecv.Inc(n.tm.lane)
-	n.client.OnPingPayload(m.From, m.Payload)
+	i := n.linkOf(m.PeerLink, m.From.Addr)
+	n.client.OnLinkPayload(uint32(i+1), m.From, m.Payload)
 	ack := newMsgPingAck()
 	ack.From, ack.Seq, ack.PeerLink = n.self, m.Seq, m.Link
-	ps := n.linkOf(m.PeerLink, m.From.Addr)
-	if ps == nil {
+	if i < 0 {
 		// Not our neighbor (its tables run ahead of ours, or ours of its).
 		n.env.Send(m.From.Addr, ack)
 		return
 	}
+	ps := &n.links[i]
 	ps.peerLink = m.Link
-	ack.Link = ps.id
+	ack.Link = uint32(i + 1)
 	ps.peer.Send(ack)
 }
 
@@ -264,16 +281,20 @@ func (n *Node) handlePing(m *msgPing) {
 // PingTimeout after it. Moving the entry is all it takes - no timer is
 // touched and no event fires for the deadline that did not expire.
 func (n *Node) handlePingAck(m *msgPingAck) {
-	ps := n.linkOf(m.PeerLink, m.From.Addr)
-	if ps == nil || !ps.awaiting || m.Seq != ps.seq {
+	i := n.linkOf(m.PeerLink, m.From.Addr)
+	if i < 0 {
+		return
+	}
+	ps := &n.links[i]
+	if !ps.awaiting || m.Seq != ps.seq {
 		return
 	}
 	ps.peerLink = m.Link
 	ps.awaiting = false
-	sentAt := n.due[ps.id-1] - n.cfg.PingTimeout
-	n.due[ps.id-1] = sentAt + n.cfg.PingInterval
+	sentAt := n.due[i] - n.cfg.PingTimeout
+	n.due[i] = sentAt + n.cfg.PingInterval
 	n.tm.acksRecv.Inc(n.tm.lane)
-	n.tm.rtt.Observe(n.tm.lane, n.elapsed()-sentAt)
+	n.tm.rtt.Observe(n.tm.lane, n.env.Elapsed()-sentAt)
 	if n.tm.lane.Tracing(telemetry.TraceVerbose) {
 		n.tm.lane.Emit(n.env.Now(), "ack", n.self.Name, "", 0, 0, ps.ref.Name)
 	}

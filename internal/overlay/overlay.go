@@ -22,10 +22,10 @@
 // an InstallChecking message").
 //
 // Liveness checking runs on one timer per node, not one per neighbor.
-// Every neighbor has a slot in a dense link table, and a parallel array,
-// due, holds the instant each link's current phase ends: the next ping
-// while it sleeps out the interval, the ack deadline while a ping is
-// outstanding. The node's timer is armed for the earliest entry and its
+// Every neighbor has a slot in a dense link table of records held by
+// value, and a parallel array, due, holds the instant each link's
+// current phase ends: the next ping while it sleeps out the interval,
+// the ack deadline while a ping is outstanding. The node's timer is armed for the earliest entry and its
 // callback scans the few dozen contiguous entries, pinging or declaring
 // dead whichever have fallen due. An ack that arrives in time costs no
 // event at all: it moves its link's entry from the deadline to the next
@@ -39,6 +39,10 @@
 // slot number for the link, so both handlers find their record by index
 // instead of hashing the sender's address, and each record holds its
 // neighbor as a destination the transport resolved once (transport.Dial).
+// The client is handed the same link id with every payload it supplies or
+// receives (Client.LinkPayload), so it can keep its own per-link state by
+// index too. The schedule runs on the transport's Elapsed clock, a
+// Duration, so a tick does no time.Time arithmetic.
 //
 // The structure (base, leaf set, levels, hop budgets) is fixed by
 // constants; Config holds only the ping interval and timeout, which a
@@ -119,13 +123,20 @@ type Client interface {
 	// routing dies. Forwarding happens after the upcall returns.
 	OnRouteMessage(msg transport.Message, info RouteInfo)
 
-	// PingPayload supplies the piggyback content for a liveness ping
+	// LinkPayload supplies the piggyback content for a liveness ping
 	// about to be sent to neighbor. A nil return piggybacks nothing.
-	PingPayload(neighbor NodeRef) []byte
+	//
+	// link is this node's id for the link to neighbor: its slot in the
+	// link table plus one. An id names one neighbor for as long as that
+	// neighbor stays in the routing table, and is reused for another
+	// once it leaves, so a client may index per-link state by it as
+	// long as it checks the neighbor's address. 0 means no id.
+	LinkPayload(link uint32, neighbor NodeRef) []byte
 
-	// OnPingPayload examines the piggyback content of a ping received
-	// from neighbor.
-	OnPingPayload(neighbor NodeRef, payload []byte)
+	// OnLinkPayload examines the piggyback content of a ping received
+	// from neighbor. link is as for LinkPayload, or 0 when the sender is
+	// not in this node's routing table.
+	OnLinkPayload(link uint32, neighbor NodeRef, payload []byte)
 
 	// OnNeighborDown reports that a routing-table neighbor failed its
 	// liveness check and has been removed from the table. It fires
@@ -145,8 +156,8 @@ type Client interface {
 type nopClient struct{}
 
 func (nopClient) OnRouteMessage(transport.Message, RouteInfo) {}
-func (nopClient) PingPayload(NodeRef) []byte                  { return nil }
-func (nopClient) OnPingPayload(NodeRef, []byte)               {}
+func (nopClient) LinkPayload(uint32, NodeRef) []byte          { return nil }
+func (nopClient) OnLinkPayload(uint32, NodeRef, []byte)       {}
 func (nopClient) OnNeighborDown(NodeRef)                      {}
 func (nopClient) OnNeighborUp(NodeRef)                        {}
 
@@ -171,20 +182,20 @@ type Node struct {
 	rights []NodeRef
 	lefts  []NodeRef
 
-	// Liveness: links is the dense table of ping cycles (a link's id is
-	// its index plus one; a free slot is nil) and due, parallel to it, is
-	// when each link's current phase ends on the elapsed() clock (never
-	// for a free slot). One timer serves them all: it is armed for armed,
-	// which is at or before the earliest due entry, and tick is pingTick
-	// bound once. pings indexes the same cycles by address for the cold
-	// paths: table reconciliation, and a message carrying no usable id.
-	links   []*pingState
+	// Liveness: links is the dense table of ping cycles, held by value (a
+	// link's id is its index plus one; a free slot is the zero
+	// pingState) and due, parallel to it, is when each link's current
+	// phase ends on the env's Elapsed clock (never for a free slot). One
+	// timer serves them all: it is armed for armed, which is at or before
+	// the earliest due entry, and tick is pingTick bound once. pings maps
+	// each neighbor's address to its link id for the cold paths: table
+	// reconciliation, and a message carrying no usable id.
+	links   []pingState
 	due     []time.Duration
 	timer   transport.Timer
 	armed   time.Duration
 	tick    func()
-	start   time.Time
-	pings   map[transport.Addr]*pingState
+	pings   map[transport.Addr]uint32
 	pingGen uint64 // bumped by every syncPings; stamps the refs it found
 
 	// searches tracks in-flight ring-neighbor searches by level so
@@ -228,8 +239,7 @@ func New(env transport.Env, cfg Config, name string) *Node {
 		rights:   make([]NodeRef, maxLevels+1),
 		lefts:    make([]NodeRef, maxLevels+1),
 		armed:    never,
-		start:    env.Now(),
-		pings:    make(map[transport.Addr]*pingState),
+		pings:    make(map[transport.Addr]uint32),
 		searches: make(map[searchKey]bool),
 	}
 	n.tick = n.pingTick
@@ -265,7 +275,7 @@ func (n *Node) Stop() {
 	if n.timer != nil {
 		n.timer.Stop()
 	}
-	n.links, n.due, n.pings = nil, nil, map[transport.Addr]*pingState{}
+	n.links, n.due, n.pings = nil, nil, map[transport.Addr]uint32{}
 }
 
 // DigitsOf derives a node's numeric ID: the SHA-1 of its name split into

@@ -39,6 +39,8 @@ func probe(s string) *probeMsg { return &probeMsg{S: s} }
 type recClient struct {
 	routes    []RouteInfo
 	payloads  map[string][]byte // last payload per pinger name
+	sentOn    map[string]uint32 // link id of the last ping sent, per neighbor name
+	heardOn   map[string]uint32 // link id of the last ping received, per pinger name
 	down      []NodeRef
 	up        []NodeRef
 	provide   func(neighbor NodeRef) []byte
@@ -52,18 +54,23 @@ func (c *recClient) OnRouteMessage(msg transport.Message, info RouteInfo) {
 	}
 }
 
-func (c *recClient) PingPayload(neighbor NodeRef) []byte {
+func (c *recClient) LinkPayload(link uint32, neighbor NodeRef) []byte {
+	if c.sentOn == nil {
+		c.sentOn = make(map[string]uint32)
+	}
+	c.sentOn[neighbor.Name] = link
 	if c.provide != nil {
 		return c.provide(neighbor)
 	}
 	return nil
 }
 
-func (c *recClient) OnPingPayload(neighbor NodeRef, payload []byte) {
+func (c *recClient) OnLinkPayload(link uint32, neighbor NodeRef, payload []byte) {
 	if c.payloads == nil {
-		c.payloads = make(map[string][]byte)
+		c.payloads, c.heardOn = make(map[string][]byte), make(map[string]uint32)
 	}
 	c.payloads[neighbor.Name] = payload
+	c.heardOn[neighbor.Name] = link
 }
 
 func (c *recClient) OnNeighborDown(neighbor NodeRef) {

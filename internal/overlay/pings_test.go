@@ -3,6 +3,7 @@ package overlay
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"fuse/internal/transport"
 )
@@ -46,12 +47,14 @@ func TestPingScheduleTracksTables(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		other := func() NodeRef { return cl.nodes[1+rng.Intn(len(cl.nodes)-1)].Self() }
 		started := 0
-		// A retired cycle no longer holds its slot in the link table.
-		retired := func(ps *pingState) bool { return nd.links[ps.id-1] != ps }
+		type cycle struct {
+			id  uint32
+			due time.Duration
+		}
 		for step := 0; step < 3000; step++ {
-			before := make(map[transport.Addr]*pingState, len(nd.pings))
-			for addr, ps := range nd.pings {
-				before[addr] = ps
+			before := make(map[transport.Addr]cycle, len(nd.pings))
+			for addr, id := range nd.pings {
+				before[addr] = cycle{id, nd.due[id-1]}
 			}
 			switch rng.Intn(6) {
 			case 0, 1:
@@ -81,20 +84,40 @@ func TestPingScheduleTracksTables(t *testing.T) {
 			if len(nd.pings) != len(want) {
 				t.Fatalf("seed %d step %d: %d ping cycles for %d neighbors", seed, step, len(nd.pings), len(want))
 			}
+			// The table and the address index describe the same cycles:
+			// every occupied slot is indexed under its neighbor's address
+			// with its own id, and a free slot is the zero record, never
+			// due.
+			occupied := 0
+			for i, ps := range nd.links {
+				switch {
+				case ps.peer == nil && (ps != pingState{} || nd.due[i] != never):
+					t.Fatalf("seed %d step %d: free slot %d holds %+v, due %v", seed, step, i, ps, nd.due[i])
+				case ps.peer != nil && nd.pings[ps.ref.Addr] != uint32(i+1):
+					t.Fatalf("seed %d step %d: slot %d indexed as id %d", seed, step, i, nd.pings[ps.ref.Addr])
+				case ps.peer != nil:
+					occupied++
+				}
+			}
+			if occupied != len(nd.pings) || len(nd.due) != len(nd.links) {
+				t.Fatalf("seed %d step %d: %d occupied slots, %d indexed, %d due entries for %d slots",
+					seed, step, occupied, len(nd.pings), len(nd.due), len(nd.links))
+			}
 			for _, r := range want {
-				ps := nd.pings[r.Addr]
-				if ps == nil || retired(ps) || ps.ref.Addr != r.Addr {
+				ps := linkTo(nd, r.Addr)
+				if ps == nil || ps.ref.Addr != r.Addr {
 					t.Fatalf("seed %d step %d: neighbor %s has no live ping cycle (%+v)", seed, step, r.Name, ps)
 				}
-				if old, ok := before[r.Addr]; ok && old != ps {
+				id := nd.pings[r.Addr]
+				if old, ok := before[r.Addr]; ok && old != (cycle{id, nd.due[id-1]}) {
 					t.Fatalf("seed %d step %d: neighbor %s stayed in the tables but its ping cycle was replaced", seed, step, r.Name)
 				} else if !ok {
 					started++
 				}
 			}
-			for addr, ps := range before {
-				if nd.pings[addr] == nil && !retired(ps) {
-					t.Fatalf("seed %d step %d: %s left the tables but its ping cycle still runs", seed, step, ps.ref.Name)
+			for addr, old := range before {
+				if _, ok := nd.pings[addr]; !ok && nd.links[old.id-1].ref.Addr == addr {
+					t.Fatalf("seed %d step %d: %s left the tables but its ping cycle still runs", seed, step, addr)
 				}
 			}
 			if len(rc.up) != started {

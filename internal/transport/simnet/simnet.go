@@ -540,6 +540,9 @@ func (nd *node) Rand() *rand.Rand     { return nd.rng }
 // clock, but it is exactly the executing event's time.
 func (nd *node) Now() time.Time { return nd.shard.Now() }
 
+// Elapsed is Now as an offset from the simulation epoch.
+func (nd *node) Elapsed() time.Duration { return nd.shard.Elapsed() }
+
 func (nd *node) After(d time.Duration, fn func()) transport.Timer {
 	epoch := nd.epoch
 	wrapped := func() {

@@ -78,6 +78,8 @@ type Node struct {
 	// have no shards). Atomic because the reaper and writer goroutines
 	// are already running when SetTelemetry is called.
 	tele atomic.Pointer[telemetry.Registry]
+
+	start time.Time // Elapsed's epoch
 }
 
 // SetTelemetry attaches a registry: the node's protocol stack resolves
@@ -159,6 +161,7 @@ func Listen(bind string, seed int64) (*Node, error) {
 		idleSet: make(chan struct{}, 1),
 		conns:   make(map[transport.Addr]*outConn),
 		rng:     rand.New(rand.NewSource(seed)),
+		start:   time.Now(),
 	}
 	n.idleTimeout.Store(int64(defaultIdleTimeout))
 	n.wg.Add(3)
@@ -242,6 +245,9 @@ func (n *Node) Addr() transport.Addr { return n.addr }
 
 // Now returns wall-clock time.
 func (n *Node) Now() time.Time { return time.Now() }
+
+// Elapsed returns the monotonic time since the node was created.
+func (n *Node) Elapsed() time.Duration { return time.Since(n.start) }
 
 // Rand returns the node's random source. It must only be used from the
 // mailbox goroutine, matching the Env contract.

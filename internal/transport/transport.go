@@ -171,6 +171,13 @@ type Env interface {
 	// live).
 	Now() time.Time
 
+	// Elapsed is the same clock as an offset from a fixed epoch: the
+	// simulation's start in simulation, the Env's creation live (read
+	// from the monotonic clock). Protocol code that only orders and
+	// subtracts instants - the overlay's ping schedule, once per ping -
+	// reads it instead of doing time.Time arithmetic on Now.
+	Elapsed() time.Duration
+
 	// After schedules fn to run on this node's event loop after d.
 	After(d time.Duration, fn func()) Timer
 
