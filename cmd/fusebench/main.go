@@ -28,7 +28,7 @@ func main() {
 		groups  = flag.Int("groups", 0, "override group count where the driver has one (0 = default)")
 		window  = flag.Duration("window", 0, "override steady-state measurement window (0 = default)")
 		short   = flag.Bool("short", false, "reduced-scale run")
-		workers = flag.Int("workers", 0, "event-loop worker goroutines for fig6-9, steady, manygroups, paperscale and churn; 0 = all nodes on one shard, one goroutine")
+		workers = flag.Int("workers", 0, "event-loop worker goroutines for fig6-9, steady, manygroups, paperscale and churn (at most this many per window; a window with fewer than 32 events queued runs on one); 0 = all nodes on one shard, one goroutine")
 	)
 	flag.Parse()
 

@@ -37,14 +37,16 @@ type Options struct {
 	NetConfig  *netmodel.Config
 	SimOptions *simnet.Options // nil => no per-message overheads
 
-	// Workers is how many goroutines execute the event loop's windows.
-	// 0 (the default) is one goroutine and one event shard: every node
-	// on a single lane, the same run as Workers=1 with Shards=1. With
-	// Workers >= 1 nodes are partitioned by AS into Shards event lanes
-	// and the lookahead horizon is the network's minimum cross-AS
-	// delivery delay; the logical event order depends on the
-	// shard count only, so Workers=1 is the determinism cross-check for
-	// higher worker counts.
+	// Workers is how many goroutines may execute one of the event loop's
+	// windows. A window with fewer than 32 events queued, too little to
+	// pay for a fork, runs on one whatever Workers is; at 1,000 nodes
+	// that is nearly every window. 0 (the default) is one goroutine and
+	// one event shard: every node on a single lane, the same run as
+	// Workers=1 with Shards=1. With Workers >= 1 nodes are partitioned by
+	// AS into Shards event lanes and the lookahead horizon is the
+	// network's minimum cross-AS delivery delay; the logical event order
+	// depends on the shard count only, so Workers=1 is the determinism
+	// cross-check for higher worker counts.
 	Workers int
 
 	// Shards overrides DefaultShards when Workers > 0.

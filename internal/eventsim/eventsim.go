@@ -106,6 +106,11 @@ type Sim struct {
 	inWindow bool
 
 	busy []int // scratch: indices of shards with work in the window
+
+	// windows counts the windows run, forked those that ran on more than
+	// one goroutine. Only the run-loop goroutine writes them, between
+	// windows; they are for tests and are not registered in telemetry.
+	windows, forked uint64
 }
 
 // New returns a simulator whose random source is seeded with seed.

@@ -30,13 +30,20 @@ const maxDuration = time.Duration(math.MaxInt64)
 //     outboxes and merged into destination lanes at the window barrier.
 //     With a single shard there is no other shard to wait for, so the
 //     window is clipped by the control lane and the deadline alone.
+//     A window forks - its busy shards shared among worker goroutines -
+//     only when they have at least minForkEvents events queued. A
+//     smaller window runs its shards in index order on the run-loop
+//     goroutine, which costs less than the fork and join would
+//     (forkrule.go has the readings). At 1,000 nodes a window holds
+//     about 14 events and runs serially; at 16,000 it holds about 200
+//     and forks.
 //
 // Determinism holds by construction, not by scheduling luck: every event
 // carries a (time, lane, sequence) key, window contents depend only on
 // those keys, and outboxes merge in fixed (destination, source, FIFO)
-// order. Worker count parallelizes shard execution inside a window but
-// never reorders the logical total order, so traces are byte-identical
-// from workers=1 to workers=N.
+// order. Worker count, and whether a window forks at all, decide which
+// goroutine runs a shard, never what it runs or in which order: traces
+// are byte-identical from workers=1 to workers=N.
 
 // Shard is one partition of the simulation's events. Nodes are assigned
 // to shards at setup; each node schedules its timers on its own shard and
@@ -54,13 +61,14 @@ type xevent struct {
 }
 
 // EnableShards gives the simulation n shard lanes executed by up to
-// workers goroutines per window, and returns the shards for node
-// assignment. lookahead must be a lower bound on the virtual delay of
-// every cross-shard event (for a simulated network that keeps each AS on
-// one shard: send overhead + the cheapest inter-AS link's latency +
-// deliver overhead); the barrier merge panics if a cross-shard event ever
-// undercuts it. One shard has no cross-shard events, so its lookahead is
-// never consulted and may be anything.
+// workers goroutines per window (one, whatever workers is, for a window
+// with fewer than minForkEvents events queued), and returns the shards
+// for node assignment. lookahead must be a lower bound on the virtual
+// delay of every cross-shard event (for a simulated network that keeps
+// each AS on one shard: send overhead + the cheapest inter-AS link's
+// latency + deliver overhead); the barrier merge panics if a cross-shard
+// event ever undercuts it. One shard has no cross-shard events, so its
+// lookahead is never consulted and may be anything.
 //
 // The shard count is part of the logical event order: runs with equal
 // shard counts and seeds are byte-identical at any worker count, runs
@@ -234,8 +242,10 @@ func (s *Sim) run(limit time.Duration) {
 	}
 }
 
-// runWindow executes every shard event in [start, end), in parallel when
-// more than one shard has work, then merges the outboxes.
+// runWindow executes every shard event in [start, end), then merges the
+// outboxes. The busy shards run in parallel when more than one has work
+// and, together, at least minForkEvents events queued; otherwise in
+// index order on this goroutine.
 func (s *Sim) runWindow(start, end time.Duration) {
 	s.busy = s.busy[:0]
 	for i, x := range s.shards {
@@ -251,11 +261,13 @@ func (s *Sim) runWindow(start, end time.Duration) {
 	busy := s.busy
 
 	s.inWindow = true
-	if w := min(s.workers, len(busy)); w <= 1 {
+	s.windows++
+	if w := min(s.workers, len(busy)); w <= 1 || s.queued(busy) < minForkEvents {
 		for _, i := range busy {
 			s.shards[i].runTo(end)
 		}
 	} else {
+		s.forked++
 		// w-1 fresh goroutines and this one, whose stack has long grown
 		// to what a shard's deepest callback needs, share the shards.
 		var next atomic.Int32
@@ -303,6 +315,19 @@ func (s *Sim) runWindow(start, end time.Duration) {
 			src.outbox[di] = box[:0]
 		}
 	}
+}
+
+// queued is the fork rule's measure of a window's work: the busy shards'
+// heap lengths. headAt has just settled each of them, so a heap holds
+// the events of its shard's earliest slot, which is about the window's
+// own share: a window (13.9 ms on the default topology) is shorter than
+// a slot (16.8 ms).
+func (s *Sim) queued(busy []int) int {
+	n := 0
+	for _, i := range busy {
+		n += len(s.shards[i].lane.queue)
+	}
+	return n
 }
 
 // runShare is one goroutine's part of a window: it claims busy shards

@@ -337,3 +337,79 @@ func TestControlLaneOnlySim(t *testing.T) {
 		t.Fatalf("far deadline did not drain: fired = %v, Pending = %d", fired, sim.Pending())
 	}
 }
+
+// runTicks runs a periodic tick on each of 8 shards until 200ms: shard
+// i ticks every period from i*10µs, and every fourth tick posts a
+// message 12ms ahead (above the 10ms lookahead) to shard i+3. Records
+// land in per-lane logs, as in shardWorkload; it returns the drained
+// Sim and the transcript.
+func runTicks(workers int, period time.Duration) (*Sim, []string) {
+	sim := New(7)
+	shards := sim.EnableShards(8, workers, 10*time.Millisecond)
+	logs := make([][]string, len(shards))
+	for i, sh := range shards {
+		n := 0
+		var tick func()
+		tick = func() {
+			logs[i] = append(logs[i], fmt.Sprintf("lane=%d at=%v tick#%d", i, sh.Elapsed(), n))
+			n++
+			if n%4 == 0 {
+				dst := (i + 3) % len(shards)
+				from := i
+				sh.Post(shards[dst], 12*time.Millisecond, func() {
+					logs[dst] = append(logs[dst], fmt.Sprintf("lane=%d at=%v recv-from=%d", dst, shards[dst].Elapsed(), from))
+				})
+			}
+			if sh.Elapsed() < 200*time.Millisecond {
+				sh.Schedule(period, tick)
+			}
+		}
+		sh.Schedule(time.Duration(i)*10*time.Microsecond, tick)
+	}
+	sim.Run()
+	var out []string
+	for _, l := range logs {
+		out = append(out, l...)
+	}
+	return sim, out
+}
+
+// TestWindowForkRule pins who runs a window's shards. A dense window (a
+// tick every 500µs on each of 8 shards: about 200 events per 10ms
+// window, posts included) forks at every worker count above one, and
+// its transcript is the one-worker transcript. A sparse one (a tick
+// every 20ms: at most a tick and a post per shard per slot, so at most
+// 16 queued) runs on the run-loop goroutine at
+// workers=2 - except under the race detector, whose build forks every
+// window with two or more busy shards (forkrule_race.go) - and its
+// transcript does not move either.
+func TestWindowForkRule(t *testing.T) {
+	const dense, sparse = 500 * time.Microsecond, 20 * time.Millisecond
+	sim, base := runTicks(1, dense)
+	if sim.windows == 0 || sim.forked != 0 {
+		t.Fatalf("dense, workers=1: %d windows, %d forked; want some windows, none forked", sim.windows, sim.forked)
+	}
+	for _, workers := range []int{2, 4, 8} {
+		sim, got := runTicks(workers, dense)
+		if sim.forked == 0 {
+			t.Fatalf("dense, workers=%d: none of %d windows forked", workers, sim.windows)
+		}
+		if strings.Join(got, "\n") != strings.Join(base, "\n") {
+			t.Fatalf("dense, workers=%d: transcript diverged from workers=1 (%d vs %d records)", workers, len(got), len(base))
+		}
+	}
+
+	_, base = runTicks(1, sparse)
+	sim, got := runTicks(2, sparse)
+	if strings.Join(got, "\n") != strings.Join(base, "\n") {
+		t.Fatalf("sparse, workers=2: transcript diverged from workers=1 (%d vs %d records)", len(got), len(base))
+	}
+	want := uint64(0)
+	if minForkEvents == 1 {
+		want = sim.windows
+	}
+	if sim.windows == 0 || sim.forked != want {
+		t.Fatalf("sparse, workers=2: %d of %d windows forked, want %d (minForkEvents %d)",
+			sim.forked, sim.windows, want, minForkEvents)
+	}
+}

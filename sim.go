@@ -27,13 +27,14 @@ func NewSim(n int, seed int64) *Sim {
 	return NewSimWorkers(n, seed, 0)
 }
 
-// NewSimWorkers is NewSim with the event loop's windows executed by the
-// given number of worker goroutines: nodes are partitioned by AS into
-// event shards that advance in parallel windows bounded by the cheapest
-// inter-AS delivery. workers=0 is NewSim: every node on one shard,
-// one goroutine (the same run as one worker over one shard). Runs are
-// deterministic and identical across all worker counts >= 1; only
-// wall-clock speed changes.
+// NewSimWorkers is NewSim with the event loop's windows executed by up
+// to the given number of worker goroutines: nodes are partitioned by AS
+// into event shards that advance in windows bounded by the cheapest
+// inter-AS delivery, in parallel when a window holds enough work to pay
+// for the fork (32 events queued). workers=0 is NewSim: every node on
+// one shard, one goroutine (the same run as one worker over one shard).
+// Runs are deterministic and identical across all worker counts >= 1;
+// only wall-clock speed changes.
 func NewSimWorkers(n int, seed int64, workers int) *Sim {
 	return &Sim{c: cluster.New(cluster.Options{N: n, Seed: seed, Workers: workers})}
 }
