@@ -28,16 +28,16 @@ func (f *Fuse) addTreeLink(id GroupID, seq uint64, neighbor overlay.NodeRef) {
 	}
 	ls := f.linkFor(neighbor)
 	if l := cs.link(neighbor.Addr); l != nil {
-		l.installedAt = f.env.Now()
+		l.installedAt = f.env.Elapsed()
 		f.ensureLinkTimer(ls)
 		return
 	}
 	i := 0
-	for i < len(cs.links) && cs.links[i].neighbor.Addr < neighbor.Addr {
+	for i < len(cs.links) && cs.links[i].ls.neighbor.Addr < neighbor.Addr {
 		i++
 	}
-	cs.links = slices.Insert(cs.links, i, treeLink{neighbor: neighbor, installedAt: f.env.Now()})
-	ls.attach(id)
+	cs.links = slices.Insert(cs.links, i, treeLink{ls: ls, installedAt: f.env.Elapsed()})
+	ls.attach(cs)
 	f.ensureLinkTimer(ls)
 }
 
@@ -53,10 +53,10 @@ func (f *Fuse) linkFailed(id GroupID, from overlay.NodeRef, span uint64) {
 	if ok {
 		seq := cs.seq
 		for _, l := range cs.links {
-			if l.neighbor.Addr == from.Addr {
+			if l.ls.neighbor.Addr == from.Addr {
 				continue
 			}
-			f.env.Send(l.neighbor.Addr, &msgSoftNotification{ID: id, Seq: seq, From: f.self, Trace: span})
+			f.env.Send(l.ls.neighbor.Addr, &msgSoftNotification{ID: id, Seq: seq, From: f.self, Trace: span})
 		}
 		f.dropChecking(id)
 	}
@@ -96,10 +96,10 @@ func (f *Fuse) handleSoft(m *msgSoftNotification) {
 			return // stale generation: a repair already superseded it
 		}
 		for _, l := range cs.links {
-			if l.neighbor.Addr == m.From.Addr {
+			if l.ls.neighbor.Addr == m.From.Addr {
 				continue
 			}
-			f.env.Send(l.neighbor.Addr, &msgSoftNotification{ID: m.ID, Seq: m.Seq, From: f.self, Trace: m.Trace})
+			f.env.Send(l.ls.neighbor.Addr, &msgSoftNotification{ID: m.ID, Seq: m.Seq, From: f.self, Trace: m.Trace})
 		}
 		f.dropChecking(m.ID)
 	}
@@ -153,6 +153,7 @@ func (f *Fuse) installArrivedAtRoot(ic *msgInstallChecking, prev overlay.NodeRef
 		delete(rs.installPending, ic.Member.Name)
 		f.addTreeLink(ic.ID, ic.Seq, prev)
 		if len(rs.installPending) == 0 {
+			rs.installPending = nil
 			stopTimer(rs.installTimer)
 			rs.installTimer = nil
 			rs.backoff = f.scaled(backoffInitial) // tree healthy again
@@ -263,16 +264,17 @@ func (f *Fuse) OnNeighborDown(neighbor overlay.NodeRef) {
 
 // linkEntries lists the groups whose checking tree crosses the link to
 // addr with their sequence numbers, in the index's order - which the
-// receiver's merge walk counts on. Cold-path helper for reconciliation;
-// the ping paths use the hash directly.
+// receiver's merge walk counts on - read from the records the index
+// lists. Cold-path helper for reconciliation; the ping paths use the hash
+// directly.
 func (f *Fuse) linkEntries(addr transport.Addr) []listEntry {
 	ls, ok := f.links[addr]
 	if !ok {
 		return nil
 	}
 	entries := make([]listEntry, len(ls.sorted))
-	for i, id := range ls.sorted {
-		entries[i] = listEntry{ID: id, Seq: f.checking[id].seq}
+	for i, cs := range ls.sorted {
+		entries[i] = listEntry{ID: cs.id, Seq: cs.seq}
 	}
 	return entries
 }
@@ -292,11 +294,12 @@ func (f *Fuse) handleGroupLists(m *msgGroupLists) {
 		theirs = slices.Clone(theirs)
 		slices.SortFunc(theirs, byID)
 	}
-	now := f.env.Now()
+	now := f.env.Elapsed()
 	agreed := false
 	ls := f.links[m.From.Addr]
 	for i := 0; ls != nil && i < len(ls.sorted); {
-		id := ls.sorted[i]
+		cs := ls.sorted[i]
+		id := cs.id
 		for len(theirs) > 0 && compareIDs(theirs[0].ID, id) < 0 {
 			theirs = theirs[1:]
 		}
@@ -305,7 +308,7 @@ func (f *Fuse) handleGroupLists(m *msgGroupLists) {
 			i++
 			continue
 		}
-		if now.Sub(f.checking[id].link(m.From.Addr).installedAt) < f.scaled(gracePeriod) {
+		if now-cs.link(m.From.Addr).installedAt < f.scaled(gracePeriod) {
 			i++ // too young to judge: the neighbor may not have installed yet
 			continue
 		}
@@ -318,7 +321,7 @@ func (f *Fuse) handleGroupLists(m *msgGroupLists) {
 		// may have torn down more than id: resume at the first ID alike
 		// in name and counter that is left. One seen before is judged
 		// again, the same way.
-		i, _ = slices.BinarySearchFunc(ls.sorted, id, compareIDs)
+		i, _ = slices.BinarySearchFunc(ls.sorted, id, compareRecord)
 	}
 	if agreed {
 		if ls, ok := f.links[m.From.Addr]; ok {

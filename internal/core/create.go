@@ -72,7 +72,7 @@ func (f *Fuse) handleCreateRequest(m *msgGroupCreateRequest) {
 		f.env.Send(m.ID.Root.Addr, &msgGroupCreateReply{ID: m.ID, Member: f.self})
 		return
 	}
-	ms := &memberState{id: m.ID, root: m.ID.Root}
+	ms := &memberState{id: m.ID}
 	f.members[m.ID] = ms
 	f.saveMember(ms)
 	f.env.Send(m.ID.Root.Addr, &msgGroupCreateReply{ID: m.ID, Member: f.self})
@@ -137,6 +137,7 @@ func (f *Fuse) handleCreateReply(m *msgGroupCreateReply) {
 func (f *Fuse) armInstallTimer(rs *rootState) {
 	stopTimer(rs.installTimer)
 	if len(rs.installPending) == 0 {
+		rs.installPending = nil // every install already credited
 		rs.installTimer = nil
 		return
 	}

@@ -7,7 +7,9 @@ package core
 // manually advanced clock.
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -113,7 +115,7 @@ func ref(name string) overlay.NodeRef {
 func hashOf(ids ...GroupID) string {
 	ls := &linkState{}
 	for _, id := range ids {
-		ls.attach(id)
+		ls.attach(&checkState{id: id})
 	}
 	return string(ls.linkHash())
 }
@@ -161,11 +163,44 @@ func TestHashGroupIDsProperty(t *testing.T) {
 	}
 }
 
+// indexPointsAtRecords checks the pointers between the per-link index and
+// the groups' checking records: every record a link's list holds is the
+// very f.checking entry for its ID and has a tree link on that list's
+// entry, and every tree link's entry is the one f.links holds for the
+// entry's neighbor and lists the record.
+func indexPointsAtRecords(f *Fuse) error {
+	for addr, ls := range f.links {
+		if ls.neighbor.Addr != addr {
+			return fmt.Errorf("f.links[%s] is the entry for %s", addr, ls.neighbor.Addr)
+		}
+		for _, cs := range ls.sorted {
+			if f.checking[cs.id] != cs {
+				return fmt.Errorf("link %s lists a record for %v that is not f.checking's", addr, cs.id)
+			}
+			if !slices.ContainsFunc(cs.links, func(l treeLink) bool { return l.ls == ls }) {
+				return fmt.Errorf("link %s lists %v, whose tree links do not include it", addr, cs.id)
+			}
+		}
+	}
+	for id, cs := range f.checking {
+		for _, l := range cs.links {
+			if addr := l.ls.neighbor.Addr; f.links[addr] != l.ls {
+				return fmt.Errorf("%v's tree link to %s points at an entry f.links does not hold", id, addr)
+			}
+			if _, ok := l.ls.find(id); !ok {
+				return fmt.Errorf("%v's tree link to %s is not on its entry's list", id, l.ls.neighbor.Addr)
+			}
+		}
+	}
+	return nil
+}
+
 // TestLinkHashCacheCoherence drives the per-link index through random
 // sequences of addTreeLink / dropChecking / seq bumps and checks, after
 // every step, that the running piggyback hash for every link equals a
 // from-scratch fold over the groups actually crossing it - the invariant
-// PingPayload serves from.
+// PingPayload serves from - and that the index and the records point at
+// each other (indexPointsAtRecords).
 func TestLinkHashCacheCoherence(t *testing.T) {
 	f, _ := newFakeFuse("d")
 	rng := rand.New(rand.NewSource(42))
@@ -196,6 +231,9 @@ func TestLinkHashCacheCoherence(t *testing.T) {
 			if cs, ok := f.checking[id]; ok {
 				cs.seq++
 			}
+		}
+		if err := indexPointsAtRecords(f); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 		for _, nb := range neighbors {
 			want := naiveHash(nb.Addr)
@@ -515,7 +553,7 @@ func TestReconciliationAgreementResetsTimers(t *testing.T) {
 func TestTeardownStopsEveryTimer(t *testing.T) {
 	f, env := newFakeFuse("n")
 	id := GroupID{Root: ref("r"), Num: 7}
-	f.members[id] = &memberState{id: id, root: ref("r")}
+	f.members[id] = &memberState{id: id}
 	f.addTreeLink(id, 0, ref("a"))
 	f.addTreeLink(id, 0, ref("b"))
 	f.memberNeedsRepair(f.members[id])
@@ -555,7 +593,7 @@ func TestSignalFailureOnUnknownGroupIsNoop(t *testing.T) {
 func TestMemberRepairTimerNotExtendedByRepeatedFailures(t *testing.T) {
 	f, env := newFakeFuse("m")
 	id := GroupID{Root: ref("r"), Num: 10}
-	ms := &memberState{id: id, root: ref("r")}
+	ms := &memberState{id: id}
 	f.members[id] = ms
 	var notices []Notice
 	f.RegisterFailureHandler(func(n Notice) { notices = append(notices, n) }, id)
@@ -597,7 +635,7 @@ func TestGroupIDStringAndZero(t *testing.T) {
 func TestConfigScale(t *testing.T) {
 	env := newFakeEnv("addr-r")
 	f := New(env, overlay.New(env, overlay.DefaultConfig(), "r"), 0.5)
-	ms := &memberState{id: GroupID{Root: ref("s"), Num: 1}, root: ref("s")}
+	ms := &memberState{id: GroupID{Root: ref("s"), Num: 1}}
 	f.members[ms.id] = ms
 	f.memberNeedsRepair(ms)
 	rs := &rootState{id: GroupID{Root: f.self, Num: 2}, members: []overlay.NodeRef{ref("m")}}

@@ -23,14 +23,22 @@ import (
 // a clock. Ping sends and receives are O(1), and timers collapse from
 // O(groups x links) to O(links).
 //
-// Maintained on every change: the ID list, kept sorted in place - an
-// install or teardown is a binary search and one copy, not a re-collect
-// and re-sort of the link's whole membership - and the running sum the
-// piggyback is made of, so a change costs one small SHA-1 over the ID
-// that changed, not a pass over the IDs the link holds. Cached until the
-// next change: only the sum's 20-byte wire form. The treeLink itself,
-// with the per-group installedAt the reconciliation grace period reads,
-// is reached through checkState.link.
+// Maintained on every change: the membership list, kept sorted in place -
+// an install or teardown is a binary search and one copy, not a
+// re-collect and re-sort of the link's whole membership - and the running
+// sum the piggyback is made of, so a change costs one small SHA-1 over
+// the ID that changed, not a pass over the IDs the link holds. Cached
+// until the next change: only the sum's 20-byte wire form.
+//
+// The index and the groups' records point at each other, and neither
+// copies the other: the list holds each group's own *checkState (8 bytes
+// an entry), and each of the group's treeLinks holds the *linkState it
+// rides (its neighbor is the entry's). So a walk over a link reads every
+// group's ID, generation and per-pair installedAt - the one thing the
+// reconciliation grace period reads - straight from the record. The
+// invariant: every record a list holds is the f.checking entry for its
+// ID and has a treeLink on that list's entry, and every treeLink's entry
+// is the one f.links holds for its neighbor's address.
 //
 // The piggyback is a hash of the *set*: each ID's SHA-1 (over its root
 // name, a zero byte and its little-endian counter) is read as five
@@ -51,12 +59,13 @@ import (
 type linkState struct {
 	neighbor overlay.NodeRef
 
-	// sorted is the link's membership: the IDs of the groups monitored
-	// across it, ordered by (Root.Name, Num) - the order reconciliation
+	// sorted is the link's membership: the checking records of the
+	// groups monitored across it - each the f.checking entry itself -
+	// ordered by their IDs' (Root.Name, Num), the order reconciliation
 	// lists and walks them in. attach and detach edit it in place, so a
 	// caller that tears groups down while walking the link iterates a
-	// snapshot or finds its place again after each teardown.
-	sorted []GroupID
+	// snapshot of the IDs or finds its place again after each teardown.
+	sorted []*checkState
 
 	// sum is the piggyback: the lane-wise sum of digestID over sorted.
 	sum [5]uint32
@@ -126,13 +135,17 @@ func compareIDs(a, b GroupID) int {
 	return cmp.Compare(a.Num, b.Num)
 }
 
+// compareRecord is compareIDs between a listed record's ID and id: the
+// comparison a binary search over sorted takes.
+func compareRecord(cs *checkState, id GroupID) int { return compareIDs(cs.id, id) }
+
 // find locates id in sorted: its index if present, else where it belongs.
 // The binary search lands on the first ID equal in name and counter; the
 // exact match, if any, is within that run.
 func (ls *linkState) find(id GroupID) (int, bool) {
-	i, _ := slices.BinarySearchFunc(ls.sorted, id, compareIDs)
-	for ; i < len(ls.sorted) && compareIDs(ls.sorted[i], id) == 0; i++ {
-		if ls.sorted[i] == id {
+	i, _ := slices.BinarySearchFunc(ls.sorted, id, compareRecord)
+	for ; i < len(ls.sorted) && compareRecord(ls.sorted[i], id) == 0; i++ {
+		if ls.sorted[i].id == id {
 			return i, true
 		}
 	}
@@ -154,18 +167,20 @@ func digestID(id GroupID) (d [5]uint32) {
 	return d
 }
 
-// attach adds id to the link's membership (a no-op if already there).
-func (ls *linkState) attach(id GroupID) {
-	if i, ok := ls.find(id); !ok {
-		ls.sorted = slices.Insert(ls.sorted, i, id)
-		for k, lane := range digestID(id) {
+// attach adds the group cs records to the link's membership (a no-op if
+// its ID is already there).
+func (ls *linkState) attach(cs *checkState) {
+	if i, ok := ls.find(cs.id); !ok {
+		ls.sorted = slices.Insert(ls.sorted, i, cs)
+		for k, lane := range digestID(cs.id) {
 			ls.sum[k] += lane
 		}
 		ls.hash = nil
 	}
 }
 
-// detach removes id from the link's membership (a no-op if absent).
+// detach removes group id's record from the link's membership (a no-op
+// if absent).
 func (ls *linkState) detach(id GroupID) {
 	if i, ok := ls.find(id); ok {
 		ls.sorted = slices.Delete(ls.sorted, i, i+1)
@@ -177,8 +192,16 @@ func (ls *linkState) detach(id GroupID) {
 }
 
 // snapshot copies the link's IDs for a caller about to tear groups down
-// while iterating: each teardown detaches from sorted in place.
-func (ls *linkState) snapshot() []GroupID { return slices.Clone(ls.sorted) }
+// while iterating: each teardown detaches from sorted in place, and may
+// tear down more groups than the one it was called for, so the caller
+// looks each ID up again before acting on it.
+func (ls *linkState) snapshot() []GroupID {
+	ids := make([]GroupID, len(ls.sorted))
+	for i, cs := range ls.sorted {
+		ids[i] = cs.id
+	}
+	return ids
+}
 
 // linkHash returns the piggyback's 20 bytes (nil for an empty link).
 func (ls *linkState) linkHash() []byte {
@@ -191,17 +214,13 @@ func (ls *linkState) linkHash() []byte {
 	return ls.hash
 }
 
-// detachFromLink removes group id from the index entry for addr,
+// detachFromLink removes group id from ls, a tree link's index entry,
 // dropping the entry (and its timer) when the last group leaves.
-func (f *Fuse) detachFromLink(id GroupID, addr transport.Addr) {
-	ls, ok := f.links[addr]
-	if !ok {
-		return
-	}
+func (f *Fuse) detachFromLink(id GroupID, ls *linkState) {
 	ls.detach(id)
 	if len(ls.sorted) == 0 {
 		stopTimer(ls.timer) // order-independent: no sends, no rng
-		delete(f.links, addr)
+		delete(f.links, ls.neighbor.Addr)
 		f.linksGen++
 	}
 }

@@ -68,7 +68,7 @@ func (f *Fuse) Recover() {
 			}
 			continue
 		}
-		ms := &memberState{id: rec.ID, seq: rec.Seq, root: rec.ID.Root}
+		ms := &memberState{id: rec.ID, seq: rec.Seq}
 		f.members[rec.ID] = ms
 		f.memberNeedsRepair(ms)
 	}

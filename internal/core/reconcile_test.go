@@ -1,10 +1,12 @@
 package core
 
 // Reconciliation against its specification. handleGroupLists walks the
-// link's sorted ID list against the neighbour's, in place; the reference
-// below is the way it used to be done - the neighbour's list into a map,
-// our own cloned before the first teardown - and the two must leave the
-// node in the same state having sent the same messages in the same order.
+// link's sorted list of records against the neighbour's ID list, in
+// place; the reference below is the way it used to be done - the
+// neighbour's list into a map, our own IDs copied before the first
+// teardown, each looked up again in f.checking - and the two must leave
+// the node in the same state having sent the same messages in the same
+// order.
 
 import (
 	"fmt"
@@ -25,11 +27,11 @@ func refHandleGroupLists(f *Fuse, m *msgGroupLists) {
 	for _, e := range m.Entries {
 		theirs[e.ID] = true
 	}
-	now := f.env.Now()
+	now := f.env.Elapsed()
 	agreed := false
 	var ours []GroupID
 	if ls, ok := f.links[m.From.Addr]; ok {
-		ours = slices.Clone(ls.sorted)
+		ours = ls.snapshot()
 	}
 	for _, id := range ours {
 		cs, ok := f.checking[id]
@@ -40,7 +42,7 @@ func refHandleGroupLists(f *Fuse, m *msgGroupLists) {
 			agreed = true
 			continue
 		}
-		if now.Sub(cs.link(m.From.Addr).installedAt) < gracePeriod {
+		if now-cs.link(m.From.Addr).installedAt < gracePeriod {
 			continue
 		}
 		f.linkFailed(id, overlay.NodeRef{}, f.tm.lane.NewSpan())
@@ -85,7 +87,7 @@ func (c *reconcileCase) build() (*Fuse, *fakeEnv) {
 			if g.young != young {
 				continue
 			}
-			f.members[g.id] = &memberState{id: g.id, root: g.id.Root}
+			f.members[g.id] = &memberState{id: g.id}
 			f.addTreeLink(g.id, g.seq, ref("peer"))
 			if g.otherLink {
 				f.addTreeLink(g.id, g.seq, ref("other"))
@@ -116,8 +118,15 @@ type reconcileOutcome struct {
 	sent     []fakeSend                   // every message, in order: teardowns show as repair requests and softs
 	links    map[transport.Addr][]GroupID // the per-link index
 	deadline map[transport.Addr]time.Time // each link's live CheckTimeout deadline
-	checking map[GroupID][]treeLink
+	checking map[GroupID][]outcomeLink
 	members  int
+}
+
+// outcomeLink is a tree link by value: its neighbor's address, not a
+// pointer into one node's index, so two nodes' links compare equal.
+type outcomeLink struct {
+	neighbor    transport.Addr
+	installedAt time.Duration
 }
 
 func outcomeOf(f *Fuse, env *fakeEnv) reconcileOutcome {
@@ -125,17 +134,19 @@ func outcomeOf(f *Fuse, env *fakeEnv) reconcileOutcome {
 		sent:     env.sent,
 		links:    make(map[transport.Addr][]GroupID),
 		deadline: make(map[transport.Addr]time.Time),
-		checking: make(map[GroupID][]treeLink),
+		checking: make(map[GroupID][]outcomeLink),
 		members:  len(f.members),
 	}
 	for addr, ls := range f.links {
-		o.links[addr] = ls.sorted
+		o.links[addr] = ls.snapshot()
 		if tm := ls.timer.(*fakeTimer); !tm.stopped && !tm.fired {
 			o.deadline[addr] = tm.at
 		}
 	}
 	for id, cs := range f.checking {
-		o.checking[id] = cs.links
+		for _, l := range cs.links {
+			o.checking[id] = append(o.checking[id], outcomeLink{l.ls.neighbor.Addr, l.installedAt})
+		}
 	}
 	return o
 }

@@ -15,7 +15,7 @@ func (f *Fuse) memberNeedsRepair(ms *memberState) {
 	if ms.repairTimer != nil {
 		return
 	}
-	f.env.Send(ms.root.Addr, &msgNeedRepair{ID: ms.id, Seq: ms.seq, Member: f.self})
+	f.env.Send(ms.id.Root.Addr, &msgNeedRepair{ID: ms.id, Seq: ms.seq, Member: f.self})
 	ms.repairTimer = f.env.After(f.scaled(memberRepairTimeout), func() {
 		// The root never responded: conclude the group has failed
 		// (member-side guarantee). Tell the root anyway - if it is
@@ -23,7 +23,7 @@ func (f *Fuse) memberNeedsRepair(ms *memberState) {
 		// notification.
 		span := ms.cause
 		f.trace("member-timeout", ms.id, span, 0, "")
-		f.env.Send(ms.root.Addr, &msgHardNotification{ID: ms.id, From: f.self, Trace: span})
+		f.env.Send(ms.id.Root.Addr, &msgHardNotification{ID: ms.id, From: f.self, Trace: span})
 		f.notifyLocal(ms.id, ReasonRepairTimeout, span)
 		f.teardown(ms.id)
 	})
@@ -171,7 +171,7 @@ func (f *Fuse) softSweep(id GroupID, span uint64) {
 	}
 	seq := cs.seq + 1 // strictly newer than any installed generation
 	for _, l := range cs.links {
-		f.env.Send(l.neighbor.Addr, &msgSoftNotification{ID: id, Seq: seq, From: f.self, Trace: span})
+		f.env.Send(l.ls.neighbor.Addr, &msgSoftNotification{ID: id, Seq: seq, From: f.self, Trace: span})
 	}
 }
 
