@@ -1,12 +1,14 @@
 package cluster_test
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"fuse/internal/cluster"
 	"fuse/internal/core"
 	"fuse/internal/netmodel"
+	"fuse/internal/transport/simnet"
 )
 
 func TestNewBuildsConvergedOverlay(t *testing.T) {
@@ -144,5 +146,35 @@ func TestSkipAssembleLeavesTablesEmpty(t *testing.T) {
 	c.Sim.RunFor(time.Minute)
 	if notified != 1 {
 		t.Fatalf("notified = %d", notified)
+	}
+}
+
+// TestDialedRoutesCostOneSweepPerNode pins what a 1,000-node deployment
+// asks of the topology's route caches. Each node's first send resolves
+// every link its overlay was assembled with in one batched query, so the
+// build, 125 groups of 5 and two virtual minutes cost about one sweep per
+// node, and the tree pool stays within its 256-tree cap. Resolving each
+// link on its own first send would need every source's tree pooled
+// across the first minute, as the links first send at random phases:
+// with a cap of 256 that thrashes into several sweeps per node.
+func TestDialedRoutesCostOneSweepPerNode(t *testing.T) {
+	const nodes, groups, size = 1000, 125, 5
+	opts := simnet.DefaultOptions()
+	c := cluster.New(cluster.Options{N: nodes, Seed: 1, SimOptions: &opts})
+	rng := rand.New(rand.NewSource(1))
+	for g := 0; g < groups; g++ {
+		m := rng.Perm(nodes)[:size]
+		if _, err := c.CreateGroup(m[0], m[1:]...); err != nil {
+			t.Fatalf("group %d %v: %v", g, m, err)
+		}
+	}
+	c.Sim.RunFor(2 * time.Minute)
+	st := c.Topo.RouteStats()
+	t.Logf("route stats: %+v", st)
+	if limit := nodes * 115 / 100; st.Sweeps > limit {
+		t.Errorf("%d sweeps for %d nodes, want at most %d (1.15 per node)", st.Sweeps, nodes, limit)
+	}
+	if st.Trees > 256 {
+		t.Errorf("%d trees pooled, want at most 256", st.Trees)
 	}
 }

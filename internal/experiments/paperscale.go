@@ -121,6 +121,7 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	evRate := float64(metric(c, "eventsim_events_executed_total")-baseExec) / elapsed.Seconds()
 
 	c.Sim.RunFor(settle)
+	pooled := c.Topo.RouteStats()
 	rep := e.Report()
 	lat, err := auditedLatencies(rep, time.Duration.Seconds)
 	if err != nil {
@@ -131,8 +132,9 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	r := newResult("paperscale", fmt.Sprintf(
 		"§7.3 paper-scale simulation: %d nodes, %d groups of %d, %d crashed (%d shards, %d workers)",
 		n, groups, size, kill, c.ShardCount(), c.Workers()))
-	r.addLine("setup: route warmup %.1fs wall (%d sweeps for %d pairs over %d border routers, %d edges), %d groups created in %.1fs wall",
-		warmWall.Seconds(), routes.Sweeps, routes.Pairs, routes.Borders, routes.BorderEdges, groups, createWall.Seconds())
+	r.addLine("setup: route warmup %.1fs wall (%d sweeps for %d pairs over %d border routers, %d edges; by the run's end %d more sweeps, %d trees pooled), %d groups created in %.1fs wall",
+		warmWall.Seconds(), routes.Sweeps, routes.Pairs, routes.Borders, routes.BorderEdges,
+		pooled.Sweeps-routes.Sweeps, pooled.Trees, groups, createWall.Seconds())
 	r.addLine("steady state:  %10.1f msg/s background  (%d monitored pairs, %d shared timers)",
 		rate, pairs, timers)
 	r.addLine("sim throughput: %9.1f virtual s / wall s  (%.0f events/s wall)", simSpeed, evRate)

@@ -127,6 +127,24 @@ func TestPathDuringWarmRoutesPanics(t *testing.T) {
 	topo.WarmRoutes([][2]RouterID{{0, 1}}, 2)
 }
 
+// TestRouteStatsDuringWarmRoutesPanics: WarmRoutes writes the counters
+// RouteStats reads under its warming flag, not under the mutex, so
+// RouteStats takes Path's guard and panics rather than race.
+func TestRouteStatsDuringWarmRoutesPanics(t *testing.T) {
+	topo := testTopology(t, 13)
+	topo.onWarmStart = func() { topo.RouteStats() }
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("RouteStats during WarmRoutes did not panic")
+		}
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "concurrently with WarmRoutes") {
+			t.Fatalf("unexpected panic: %v", r)
+		}
+	}()
+	topo.WarmRoutes([][2]RouterID{{0, 1}}, 2)
+}
+
 func TestOverlappingWarmRoutesPanics(t *testing.T) {
 	topo := testTopology(t, 13)
 	topo.onWarmStart = func() { topo.WarmRoutes([][2]RouterID{{2, 3}}, 1) }

@@ -187,17 +187,22 @@ type rawLink struct {
 // - the working set of a simulation is the pairs its nodes actually talk
 // over) and a bounded FIFO pool of single-source trees. A tree is one
 // route per border router, 16 bytes each: ~310 KB at paper scale, ~24 KB
-// on the default topology, against a ~64 MB budget for the pool. An
-// evicted tree's array becomes the next sweep's, so a cold miss on a full
-// pool allocates nothing that grows with the topology. WarmRoutes
-// bulk-fills the pair memo with parallel sweeps and pools nothing.
+// on the default topology. The pool holds at most 256 trees and at most
+// a ~64 MB budget's worth (214 at paper scale). It is small because the
+// pairs a node plans to use arrive together: PathsFrom resolves them with
+// one sweep from the node, so the pool only has to serve the pairs
+// nobody asked for ahead of time. An evicted tree's array becomes the
+// next sweep's, so a cold miss on a full pool allocates nothing that
+// grows with the topology. WarmRoutes bulk-fills the pair memo with
+// parallel sweeps and pools nothing.
 //
-// Concurrency: Path serializes its memo and tree pool behind a mutex, so
-// cold route-cache misses from parallel simulation shards are safe (and
-// still exact - the caches only memoize, they never change answers).
-// WarmRoutes must not run concurrently with Path: the bulk fill assumes
-// sole ownership of the pair memo, and an atomic in-progress flag turns
-// any violation into a panic instead of silent memo corruption.
+// Concurrency: Path and PathsFrom serialize the memo and tree pool behind
+// a mutex, so cold route-cache misses from parallel simulation shards are
+// safe (and still exact - the caches only memoize, they never change
+// answers). WarmRoutes must not run concurrently with a query or with
+// RouteStats: the bulk fill assumes sole ownership of the pair memo, and
+// an atomic in-progress flag turns any violation into a panic instead of
+// silent memo corruption.
 type Topology struct {
 	cfg      Config
 	numLinks int
@@ -224,7 +229,7 @@ type Topology struct {
 	order    []RouterID           // ring of pooled sources, oldest at head
 	head     int
 	maxTrees int
-	sw       *sweep // Path's scratch
+	sw       *sweep // the queries' scratch
 	sweeps   int
 
 	// warming is set for the duration of WarmRoutes; Path panics while it
@@ -456,20 +461,51 @@ func (t *Topology) AttachPoints(n int, rng *rand.Rand) []RouterID {
 // Path returns the best route between two routers: the lowest latency,
 // and among routes of equal latency the fewest hops. That order is total
 // over what Path reports (Loss follows from Hops), so an answer depends on
-// the graph alone - not on which end was swept, on whether WarmRoutes or
-// Path computed it, or on the order links were generated in - and
-// Path(a, b) == Path(b, a). Answered pairs are memoized exactly; source
-// trees are pooled with FIFO eviction under the memory budget. Path(a, a)
-// is the zero Path.
+// the graph alone - not on which end was swept, on whether WarmRoutes,
+// PathsFrom or Path computed it, or on the order links were generated in -
+// and Path(a, b) == Path(b, a). Path is PathsFrom with one destination:
+// answered pairs are memoized exactly, and a miss sweeps from the source
+// unless a pooled tree of either end answers it. Path(a, a) is the zero
+// Path.
 func (t *Topology) Path(from, to RouterID) Path {
 	if from == to {
 		return Path{}
 	}
-	if t.warming.Load() {
-		panic("netmodel: Path called concurrently with WarmRoutes; finish the warmup before querying (the pair memo would corrupt)")
-	}
+	var out [1]Path
+	t.PathsFrom(from, []RouterID{to}, out[:])
+	return out[0]
+}
+
+// PathsFrom sets out[i] to Path(src, dsts[i]) for every destination; out
+// must be at least as long as dsts. Each pair is answered from the memo,
+// from a pooled tree of either end, or from src's tree, swept the first
+// time a pair needs it and pooled like any other: one call runs at most
+// one sweep and pools at most one tree, however many destinations it
+// resolves. A caller that knows several of a source's destinations ahead
+// of time asks for them together, so they share that sweep rather than
+// each depending on src's tree staying pooled until it is asked.
+func (t *Topology) PathsFrom(src RouterID, dsts []RouterID, out []Path) {
+	t.notWarming()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	for i, dst := range dsts {
+		out[i] = t.path(src, dst)
+	}
+}
+
+// notWarming panics if WarmRoutes is running: it writes the pair memo,
+// the sweep count and the border graph under its flag, not under mu.
+func (t *Topology) notWarming() {
+	if t.warming.Load() {
+		panic("netmodel: route query or RouteStats called concurrently with WarmRoutes; finish the warmup first (the pair memo would corrupt)")
+	}
+}
+
+// path answers one query under mu.
+func (t *Topology) path(from, to RouterID) Path {
+	if from == to {
+		return Path{}
+	}
 	k := mkPair(from, to)
 	if p, ok := t.pairs[k]; ok {
 		return p
@@ -512,7 +548,7 @@ func (t *Topology) poolTree(src RouterID) []route {
 
 // RouteStats counts the routing work a topology has done.
 type RouteStats struct {
-	Sweeps      int // single-source sweeps: WarmRoutes sources plus cold Path misses
+	Sweeps      int // single-source sweeps: WarmRoutes sources plus cold Path and PathsFrom misses
 	Pairs       int // memoized (src, dst) answers
 	Trees       int // source trees in the pool
 	Borders     int // border-graph vertices; 0 until the first sweep
@@ -521,6 +557,7 @@ type RouteStats struct {
 
 // RouteStats reports the counters; like Path, not during WarmRoutes.
 func (t *Topology) RouteStats() RouteStats {
+	t.notWarming()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return RouteStats{t.sweeps, len(t.pairs), len(t.cache), len(t.borders), len(t.borderAdj)}
@@ -590,10 +627,16 @@ func (t *Topology) contract(workers int) {
 	t.borderStart, t.borderSplit, t.borderAdj = start, split, adj
 	t.sw = t.newSweep()
 
-	// Bound the tree pool by a ~64 MB memory budget so small topologies
-	// keep effectively unlimited trees and paper-scale ones stay cheap.
-	const treeBudget, routeBytes = 64 << 20, 16
-	t.maxTrees = min(max(treeBudget/(routeBytes*len(t.borders)+1), 16), 1024)
+	// Bound the tree pool by a ~64 MB memory budget and by 256 trees.
+	// The pairs of a node's assembled links cost it one batched sweep
+	// (PathsFrom, from simnet), so the pool serves only pairs nobody
+	// dialed ahead: a root's messages to its members, a repair's new
+	// neighbour. 256 trees hold every source a deployment keeps reusing
+	// for those (a churn-150 run sweeps about 145 sources and reuses them
+	// throughout, group-lifecycle 99), and the cap does not bind at
+	// paper scale, where the budget allows 214.
+	const treeBudget, routeBytes, treeCap = 64 << 20, 16, 256
+	t.maxTrees = min(max(treeBudget/(routeBytes*len(t.borders)+1), 16), treeCap)
 }
 
 // WarmRoutes computes and memoizes the paths for the given router pairs,
@@ -601,9 +644,9 @@ func (t *Topology) contract(workers int) {
 // immutable; each sweep has private state), after building the border
 // graph with the same workers if this is its first use. Large simulations
 // call this once with every pair their overlay links will use: one sweep
-// per distinct source resolves all of that source's pairs, where
-// resolving them lazily through Path would recompute sweeps as trees
-// rotate out of the bounded pool. Results are identical to Path's, and the memo insert
+// per distinct source resolves all of that source's pairs, in parallel,
+// where resolving them lazily costs a serial sweep per source at its
+// first send. Results are identical to Path's, and the memo insert
 // order is deterministic. WarmRoutes must not run concurrently with Path
 // (or itself); violations panic via the warming flag rather than
 // corrupting the memo silently.

@@ -402,7 +402,10 @@ func tiedConfig(seed int64) Config {
 }
 
 // TestRoutesMatchReference holds Path to the full-graph sweep for every
-// destination of many sources, over the shapes the contraction has to
+// destination of many sources, and PathsFrom over each source's
+// destinations in a shuffled order on a second copy of the topology (so
+// a batch meets a memo filled by earlier batches, never by Path), over
+// the shapes the contraction has to
 // get right: lossy links, tiny and chordless ASes, ASes with a single
 // border router, ASes whose only inter-AS links are T3, sources that are
 // and are not border routers (same-AS destinations come with "every
@@ -471,7 +474,8 @@ func TestRoutesMatchReference(t *testing.T) {
 				isBorder[b] = true
 			}
 			fromBorder, fromInterior := 0, 0
-			for _, src := range srcs {
+			wants := make([][]Path, len(srcs))
+			for i, src := range srcs {
 				if isBorder[src] {
 					fromBorder++
 				} else {
@@ -481,6 +485,24 @@ func TestRoutesMatchReference(t *testing.T) {
 				for dst := range want {
 					if got := topo.Path(src, RouterID(dst)); got != want[dst] {
 						t.Fatalf("Path(%d, %d) = %+v, full-graph sweep says %+v", src, dst, got, want[dst])
+					}
+				}
+				wants[i] = want
+			}
+			// topo's memo goes before the second copy fills its own, so
+			// at paper scale one memo of a million pairs is live at a time.
+			topo.pairs = nil
+			batched := Generate(tc.cfg)
+			for i, src := range srcs {
+				dsts := make([]RouterID, len(wants[i]))
+				for j, dst := range rng.Perm(len(dsts)) {
+					dsts[j] = RouterID(dst)
+				}
+				got := make([]Path, len(dsts))
+				batched.PathsFrom(src, dsts, got)
+				for j, dst := range dsts {
+					if got[j] != wants[i][dst] {
+						t.Fatalf("PathsFrom(%d, ...) to %d = %+v, full-graph sweep says %+v", src, dst, got[j], wants[i][dst])
 					}
 				}
 			}
@@ -572,5 +594,68 @@ func TestColdMissOnFullPoolReusesTree(t *testing.T) {
 	}
 	if st := topo.RouteStats(); st.Sweeps-sweeps != 201 || st.Trees != 8 {
 		t.Fatalf("201 cold misses ran %d sweeps and left %d trees pooled (max 8)", st.Sweeps-sweeps, st.Trees)
+	}
+}
+
+// TestPathsFromSweepsAtMostOnce: one PathsFrom call, however many
+// destinations it resolves, runs at most one sweep and pools at most one
+// tree - none when the memo or a pooled tree of either end answers every
+// pair - and answers as Path does.
+func TestPathsFromSweepsAtMostOnce(t *testing.T) {
+	topo, lazy := testTopology(t, 18), testTopology(t, 18)
+	pts := topo.AttachPoints(200, rand.New(rand.NewSource(53)))
+	out := make([]Path, 40)
+	for i := 0; i+41 <= len(pts); i += 41 {
+		src, dsts := pts[i], pts[i+1:i+41]
+		before := topo.RouteStats()
+		topo.PathsFrom(src, dsts, out)
+		st := topo.RouteStats()
+		if st.Sweeps-before.Sweeps != 1 || st.Trees-before.Trees != 1 {
+			t.Fatalf("PathsFrom to %d new destinations ran %d sweeps and pooled %d trees, want 1 and 1",
+				len(dsts), st.Sweeps-before.Sweeps, st.Trees-before.Trees)
+		}
+		for j, dst := range dsts {
+			if want := lazy.Path(src, dst); out[j] != want {
+				t.Fatalf("PathsFrom(%d, ...) to %d = %+v, Path says %+v", src, dst, out[j], want)
+			}
+		}
+		// Asked again, in reverse and from the far ends, nothing sweeps.
+		topo.PathsFrom(src, dsts[:1], out)
+		for _, dst := range dsts {
+			topo.PathsFrom(dst, []RouterID{src, dst}, out)
+		}
+		if again := topo.RouteStats(); again.Sweeps != st.Sweeps || again.Trees != st.Trees {
+			t.Fatalf("answered pairs swept again: %+v -> %+v", st, again)
+		}
+	}
+	// A batch whose pairs a pooled tree of the far end answers sweeps
+	// nothing either: pts[0]'s tree is pooled, and a batch from pts[199],
+	// which nothing has asked about, to it and to itself needs no tree of
+	// its own.
+	before := topo.RouteStats()
+	topo.PathsFrom(pts[199], []RouterID{pts[0], pts[199], pts[0]}, out)
+	if st := topo.RouteStats(); st.Sweeps != before.Sweeps || out[0] != lazy.Path(pts[0], pts[199]) || out[1] != (Path{}) || out[2] != out[0] {
+		t.Fatalf("batch answered by a pooled tree: %+v -> %+v, answers %+v", before, st, out[:3])
+	}
+}
+
+// TestTreePoolCap pins the pool's size on both shipped topologies: 256
+// trees on the default one, where the 64 MB budget alone would allow
+// ~3,000, and the budget's 214 at paper scale.
+func TestTreePoolCap(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		want int
+	}{
+		{"default", DefaultConfig(1), 256},
+		{"paper-scale", PaperScaleConfig(1), 214},
+	}
+	for _, tc := range cases {
+		topo := Generate(tc.cfg)
+		topo.contract(1)
+		if topo.maxTrees != tc.want {
+			t.Errorf("%s: pool holds %d trees, want %d", tc.name, topo.maxTrees, tc.want)
+		}
 	}
 }

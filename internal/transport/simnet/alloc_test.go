@@ -194,8 +194,8 @@ func TestUnknownDestinationsLeaveNoCacheEntry(t *testing.T) {
 	if net.Dropped() != 200 || net.Sent() != 0 {
 		t.Fatalf("dropped = %d, sent = %d; want 200 and 0", net.Dropped(), net.Sent())
 	}
-	if len(a.routes) != 0 {
-		t.Fatalf("%d cache entries left behind by sends to unknown addresses", len(a.routes))
+	if len(a.routes) != 0 || len(a.pending) != 0 {
+		t.Fatalf("%d cache entries and %d pending links left behind by sends to unknown addresses", len(a.routes), len(a.pending))
 	}
 	// A dial alone caches nothing either; the first send that finds the
 	// destination does, and later dials get that entry.
@@ -244,5 +244,49 @@ func TestDialBeforeAddNodeDeliversOnceNodeExists(t *testing.T) {
 	}
 	if a.Dial("late") != p {
 		t.Fatal("the resolved link did not enter the cache")
+	}
+}
+
+// TestDialedLinksResolveWithOneSweep: a node that dialed k existing peers
+// resolves all k links at its first send, with one batched topology
+// query - one sweep from its router - and caches every one of them, each
+// holding the path Path answers. A link dialed after that send waits for
+// its own.
+func TestDialedLinksResolveWithOneSweep(t *testing.T) {
+	const k = 12
+	net, addrs := testNet(t, k+2, Options{})
+	a := net.nodes[addrs[0]]
+	peers := make([]transport.Peer, k)
+	for i := range peers {
+		peers[i] = a.Dial(addrs[1+i])
+	}
+	if len(a.pending) != k || len(a.routes) != 0 {
+		t.Fatalf("after %d dials: %d pending, %d cached; want %d and 0", k, len(a.pending), len(a.routes), k)
+	}
+	before := net.topo.RouteStats().Sweeps
+	peers[k/2].Send(num(0))
+	net.sim.Run()
+	if sweeps := net.topo.RouteStats().Sweeps - before; sweeps != 1 {
+		t.Fatalf("first send after %d dials ran %d sweeps, want 1", k, sweeps)
+	}
+	if len(a.pending) != 0 || len(a.routes) != k {
+		t.Fatalf("after the first send: %d pending, %d cached; want 0 and %d", len(a.pending), len(a.routes), k)
+	}
+	for i, p := range peers {
+		l := p.(*link)
+		if a.routes[addrs[1+i]] != l {
+			t.Fatalf("link to %s not cached", addrs[1+i])
+		}
+		if want := net.topo.Path(a.router, net.nodes[addrs[1+i]].router); l.dst != net.nodes[addrs[1+i]] || l.path != want {
+			t.Fatalf("link to %s resolved to %+v, want path %+v", addrs[1+i], l.path, want)
+		}
+	}
+	late := a.Dial(addrs[k+1])
+	if len(a.pending) != 0 || len(a.routes) != k {
+		t.Fatalf("dial after the first send: %d pending, %d cached; want 0 and %d", len(a.pending), len(a.routes), k)
+	}
+	late.Send(num(1))
+	if a.routes[addrs[k+1]] != late {
+		t.Fatal("the late link did not resolve at its own send")
 	}
 }

@@ -30,7 +30,11 @@
 // the lookup, hashing no address per message. A link resolves (and enters
 // the cache) at the first send that finds a node at its address, so a
 // dial may precede the destination's AddNode and sends to addresses that
-// never exist leave nothing behind. Beyond that,
+// never exist leave nothing behind. The links a node dials to existing
+// nodes before its first send, the neighbours its overlay was assembled
+// with, wait for that send and resolve with it in one topology call,
+// which costs at most one single-source sweep however many there are.
+// Beyond that,
 // deliveries are pooled objects with reused callback closures handed to
 // the simulator's handle-free Schedule path, and the fault-rule table is
 // only consulted when rules exist. Messages are typed records passed by
@@ -220,6 +224,13 @@ type node struct {
 	// router), so entries stay valid for the life of the network. Only
 	// resolved links are cached (see link.Send).
 	routes map[transport.Addr]*link
+	// pending holds the links Dial handed out, before the node's first
+	// resolved send, to addresses that have a node; that send resolves
+	// them with its own link (see resolve). From then on resolved is set
+	// and a link dialed later resolves at its own first send, so one the
+	// overlay drops before using it costs no route lookup.
+	pending  []*link
+	resolved bool
 }
 
 // TelemetryLane implements telemetry.LaneProvider: the node's metric
@@ -236,8 +247,9 @@ func (nd *node) TelemetryLane() *telemetry.Lane {
 
 // link is one destination of one node: the send cache's entry, and the
 // transport.Peer that Dial hands out so a periodic sender reaches it
-// without the cache lookup. dst and path stay zero until the first send
-// that finds a node at to.
+// without the cache lookup. dst and path stay zero until a send finds a
+// node at to: a send on this link, or on another of the node's links
+// while this one is pending.
 type link struct {
 	src, dst *node
 	to       transport.Addr
@@ -253,8 +265,44 @@ func (nd *node) dial(to transport.Addr) *link {
 	return &link{src: nd, to: to}
 }
 
-// Dial implements transport.Dialer.
-func (nd *node) Dial(to transport.Addr) transport.Peer { return nd.dial(to) }
+// Dial implements transport.Dialer. Until the node's first resolved
+// send, a link to an address that has a node is one of the neighbours
+// its overlay was assembled with, so it waits in pending to be resolved
+// with that send; one to an address with no node yet resolves on its own
+// first send that finds one.
+func (nd *node) Dial(to transport.Addr) transport.Peer {
+	l := nd.dial(to)
+	if !nd.resolved && l.dst == nil && nd.net.nodes[to] != nil {
+		if nd.pending == nil {
+			// One allocation for an assembled node's ~20 neighbours.
+			nd.pending = make([]*link, 0, 32)
+		}
+		nd.pending = append(nd.pending, l)
+	}
+	return l
+}
+
+// resolve points l and every pending link at their destination nodes and
+// caches them, looking up all their paths with one PathsFrom call: the
+// node's assembled neighbours cost it at most one sweep, not one each
+// while its tree waits in the topology's pool. l's destination must
+// exist; if l was pending it is looked up twice, the second time in the
+// pair memo.
+func (nd *node) resolve(l *link) {
+	batch := append(nd.pending, l)
+	nd.pending, nd.resolved = nil, true
+	dsts := make([]netmodel.RouterID, len(batch))
+	for i, b := range batch {
+		b.dst = nd.net.nodes[b.to]
+		dsts[i] = b.dst.router
+	}
+	paths := make([]netmodel.Path, len(batch))
+	nd.net.topo.PathsFrom(nd.router, dsts, paths)
+	for i, b := range batch {
+		b.path = paths[i]
+		nd.routes[b.to] = b
+	}
+}
 
 // delivery is a pooled in-flight message. Its run closure is built once
 // and reused, so the per-send scheduling cost is one pooled event and
@@ -571,14 +619,12 @@ func (l *link) Send(msg transport.Message) {
 		return
 	}
 	if l.dst == nil {
-		dst, exists := net.nodes[l.to]
-		if !exists {
+		if net.nodes[l.to] == nil {
 			slot.dropped++
 			transport.ReleaseMessage(msg)
 			return
 		}
-		l.dst, l.path = dst, net.topo.Path(nd.router, dst.router)
-		nd.routes[l.to] = l
+		nd.resolve(l)
 	}
 	slot.sent++
 

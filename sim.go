@@ -22,7 +22,8 @@ type Sim struct {
 // NewSim builds a deployment of n nodes with a converged overlay. The
 // topology follows n: the default one while it has a router per node
 // (2,880), the paper-scale Mercator substitute (~104k routers) beyond
-// that. Routes resolve lazily on first send.
+// that. Routes resolve on first send: a node's first send resolves all
+// its assembled overlay links with one route sweep.
 func NewSim(n int, seed int64) *Sim {
 	return NewSimWorkers(n, seed, 0)
 }
