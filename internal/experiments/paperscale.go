@@ -132,9 +132,9 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	r := newResult("paperscale", fmt.Sprintf(
 		"§7.3 paper-scale simulation: %d nodes, %d groups of %d, %d crashed (%d shards, %d workers)",
 		n, groups, size, kill, c.ShardCount(), c.Workers()))
-	r.addLine("setup: route warmup %.1fs wall (%d sweeps for %d pairs over %d border routers, %d edges; by the run's end %d more sweeps, %d trees pooled), %d groups created in %.1fs wall",
+	r.addLine("setup: route warmup %.1fs wall (%d sweeps for %d pairs over %d border routers, %d edges; by the run's end %d more sweeps, %d trees pooled), %d groups created in %.1fs wall, peak RSS %.0f MB",
 		warmWall.Seconds(), routes.Sweeps, routes.Pairs, routes.Borders, routes.BorderEdges,
-		pooled.Sweeps-routes.Sweeps, pooled.Trees, groups, createWall.Seconds())
+		pooled.Sweeps-routes.Sweeps, pooled.Trees, groups, createWall.Seconds(), peakRSSMB())
 	r.addLine("steady state:  %10.1f msg/s background  (%d monitored pairs, %d shared timers)",
 		rate, pairs, timers)
 	r.addLine("sim throughput: %9.1f virtual s / wall s  (%.0f events/s wall)", simSpeed, evRate)

@@ -34,6 +34,11 @@
 // route arrived over an intra-AS entry skips the intra-AS part of its
 // row: the router it came from has already relaxed those entries, and
 // more cheaply.
+//
+// A route's cost - latency, then hop count - is one packed integer (see
+// cost), 8 bytes wherever it is stored: in the adjacencies beside the
+// vertex an entry leads to, in a sweep's labels and pooled trees, and in
+// the pair memo, which rebuilds a Path from it on every read.
 package netmodel
 
 import (
@@ -135,29 +140,25 @@ func PaperScaleConfig(seed int64) Config {
 // RouterID names a router within a Topology.
 type RouterID int32
 
-// route is a cost - latency, then hop count - and the vertex it leads
-// to. One type serves as an adjacency entry (the cost of the edge and its
-// far end) and as a sweep's label (the best known cost from the source to
-// v). A vertex is a router in the intra-AS adjacency and an index into
-// Topology.borders in the border graph.
-type route struct {
-	lat  time.Duration
-	hops int32
-	v    int32
-}
+// cost is the cost of a route, an edge or an onward route: its latency
+// in nanoseconds above hopBits bits of hop count. Integer order is then
+// the package's one ordering of routes - lower latency, then fewer hops -
+// so a tie never falls to traversal order, and a + b extends route a by
+// b. Generate refuses a topology whose sums could overflow either field.
+type cost uint64
 
-// unreached compares worse than any real route.
-var unreached = route{lat: math.MaxInt64}
+// hopBits holds the hop count of any route plus one onward step.
+const hopBits = 20
 
-// less is the package's one ordering of routes: lower latency, then fewer
-// hops. Every relaxation and the final minimum use it, so a tie never
-// falls to traversal order.
-func (r route) less(o route) bool {
-	return r.lat < o.lat || r.lat == o.lat && r.hops < o.hops
-}
+func pack(lat time.Duration, hops int) cost { return cost(lat)<<hopBits | cost(hops) }
 
-// via extends r by the edge (or onward route) e.
-func (r route) via(e route) route { return route{r.lat + e.lat, r.hops + e.hops, e.v} }
+func (c cost) lat() time.Duration { return time.Duration(c >> hopBits) }
+
+func (c cost) hops() int { return int(c & (1<<hopBits - 1)) }
+
+// unreached compares worse than any real route. It is never extended:
+// the unsigned add would wrap.
+const unreached = cost(math.MaxUint64)
 
 // rawLink is an undirected link as the generator draws it.
 type rawLink struct {
@@ -168,10 +169,12 @@ type rawLink struct {
 // Topology is an immutable router graph in contracted form plus two path
 // caches.
 //
-// The graph: intra holds every intra-AS link (row r of intraStart is
-// router r's neighbours), which is all a route needs inside an AS -
-// RoutersPer routers, so a pass over one is microseconds. The border
-// graph (borders, asBorders, borderStart, borderSplit, borderAdj) has one
+// The graph: intraCost and intraTo hold every intra-AS link (row r of
+// intraStart is router r's neighbours), which is all a route needs
+// inside an AS - RoutersPer routers, so a pass over one is microseconds.
+// Both flat adjacencies are two parallel arrays, an entry's cost and the
+// vertex it leads to: 12 bytes an entry. The border graph (borders,
+// asBorders, borderStart, borderSplit, borderCost, borderTo) has one
 // vertex per border router, numbered in router order so an AS's are
 // contiguous; a row holds the best intra-AS route to each other border
 // router of the same AS, then, from borderSplit on, the router's inter-AS
@@ -185,13 +188,14 @@ type rawLink struct {
 //
 // The caches: a memo of answered (src, dst) queries (exact, never evicted
 // - the working set of a simulation is the pairs its nodes actually talk
-// over) and a bounded FIFO pool of single-source trees. A tree is one
-// route per border router, 16 bytes each: ~310 KB at paper scale, ~24 KB
-// on the default topology. The pool holds at most 256 trees and at most
-// a ~64 MB budget's worth (214 at paper scale). It is small because the
-// pairs a node plans to use arrive together: PathsFrom resolves them with
-// one sweep from the node, so the pool only has to serve the pairs
-// nobody asked for ahead of time. An evicted tree's array becomes the
+// over; a Path is rebuilt from its cost on every read, its Loss from a
+// per-hop-count table) and a bounded FIFO pool of single-source trees. A
+// tree is one cost per border router, 8 bytes each: ~157 KB at paper
+// scale, ~12 KB on the default topology. The pool holds at most 256 trees
+// and at most a ~32 MB budget's worth (214 at paper scale). It is small
+// because the pairs a node plans to use arrive together: PathsFrom
+// resolves them with one sweep from the node, so the pool only has to
+// serve the pairs nobody asked for ahead of time. An evicted tree's array becomes the
 // next sweep's, so a cold miss on a full pool allocates nothing that
 // grows with the topology. WarmRoutes bulk-fills the pair memo with
 // parallel sweeps and pools nothing.
@@ -214,19 +218,22 @@ type Topology struct {
 	width, span time.Duration
 
 	intraStart []int32
-	intra      []route
+	intraCost  []cost
+	intraTo    []int32
 
 	inter       []rawLink  // inter-AS links; nil once contracted
 	borders     []RouterID // border vertex -> router
 	asBorders   []int32    // AS -> its first border vertex; ASes+1 long
 	borderStart []int32
-	borderSplit []int32 // border vertex -> index in borderAdj of its first inter-AS link
-	borderAdj   []route
+	borderSplit []int32 // border vertex -> index of its first inter-AS link
+	borderCost  []cost
+	borderTo    []int32
 
 	mu       sync.Mutex // guards everything below, and contract
-	pairs    map[pairKey]Path
-	cache    map[RouterID][]route // pooled trees by source
-	order    []RouterID           // ring of pooled sources, oldest at head
+	pairs    map[pairKey]cost
+	deliver  []float64           // hops -> delivery probability, grown on demand
+	cache    map[RouterID][]cost // pooled trees by source
+	order    []RouterID          // ring of pooled sources, oldest at head
 	head     int
 	maxTrees int
 	sw       *sweep // the queries' scratch
@@ -261,7 +268,12 @@ type Path struct {
 // Generate builds a topology from cfg. Generation is deterministic in
 // cfg.Seed. Every link must cost something, and the latency ranges must
 // fit a sweep's bucket ring: the dearest step a sweep can take, over the
-// cheapest link, may need at most maxBuckets buckets.
+// cheapest link, may need at most maxBuckets buckets. Every sum a sweep
+// forms - a best route (a simple path) plus one step (no dearer than a
+// simple path) - must fit a cost: routers plus RoutersPer below
+// 2^hopBits, and the links' latencies summing to under half the 44-bit
+// latency field (~2.4 hours; paper scale sums to ~13 minutes). A config
+// past either bound panics before its links are laid out.
 func Generate(cfg Config) *Topology {
 	cheapest := min(cfg.IntraASLatencyMin, cfg.OC3LatencyMin, cfg.T3LatencyMin)
 	if cfg.Continents < 1 || cfg.ASes < cfg.Continents || cfg.RoutersPer < 3 || cheapest <= 0 ||
@@ -271,18 +283,25 @@ func Generate(cfg Config) *Topology {
 	if len(cfg.ContinentWeights) != cfg.Continents {
 		panic(fmt.Sprintf("netmodel: %d continent weights for %d continents", len(cfg.ContinentWeights), cfg.Continents))
 	}
+	if (cfg.ASes+1)*cfg.RoutersPer >= 1<<hopBits {
+		panic(fmt.Sprintf("netmodel: %d routers of %d per AS overflow a route's %d hop bits", cfg.ASes*cfg.RoutersPer, cfg.RoutersPer, hopBits))
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	t := &Topology{
-		cfg:   cfg,
-		pairs: make(map[pairKey]Path),
-		cache: make(map[RouterID][]route),
+		cfg:     cfg,
+		pairs:   make(map[pairKey]cost),
+		deliver: []float64{1},
+		cache:   make(map[RouterID][]cost),
 	}
 	// A link inside one AS goes to the intra-AS adjacency, one between
 	// two to the list contract turns into the border graph.
 	intra := make([]rawLink, 0, cfg.ASes*(cfg.RoutersPer+cfg.IntraASDegree))
 	t.inter = make([]rawLink, 0, cfg.ASes*(1+cfg.InterASDegree)+cfg.InterContinentLinks)
-	var maxIntra, maxInter time.Duration
+	var maxIntra, maxInter, sum time.Duration
 	addLink := func(a, b RouterID, lat time.Duration, class LinkClass) {
+		if sum += lat; sum >= 1<<(63-hopBits) {
+			panic(fmt.Sprintf("netmodel: link latencies sum past %v, too long for a route's cost", sum))
+		}
 		l := rawLink{int32(a), int32(b), lat}
 		if t.numLinks == 0 || lat < t.width {
 			t.width = lat
@@ -392,14 +411,15 @@ func Generate(cfg Config) *Topology {
 	}
 	t.span = stepBound(maxInter, maxIntra, cfg.RoutersPer)
 	t.intraStart = make([]int32, t.NumRouters()+1)
-	t.intra = flatten(t.intraStart, intra)
+	t.intraCost, t.intraTo = flatten(t.intraStart, intra)
 	return t
 }
 
 // flatten lays undirected links out as a flat adjacency: on return row v
-// is adj[start[v]:start[v+1]]. On entry start[v+1] holds the number of
-// leading entries to leave empty in row v for the caller to fill.
-func flatten(start []int32, links []rawLink) (adj []route) {
+// is costs[start[v]:start[v+1]], each entry's far end at the same index
+// of to. On entry start[v+1] holds the number of leading entries to leave
+// empty in row v for the caller to fill.
+func flatten(start []int32, links []rawLink) (costs []cost, to []int32) {
 	for _, l := range links {
 		start[l.a+1]++
 		start[l.b+1]++
@@ -407,15 +427,16 @@ func flatten(start []int32, links []rawLink) (adj []route) {
 	for v := 1; v < len(start); v++ {
 		start[v] += start[v-1]
 	}
-	adj = make([]route, start[len(start)-1])
+	costs, to = make([]cost, start[len(start)-1]), make([]int32, start[len(start)-1])
 	next := append([]int32(nil), start[1:]...) // rows fill from their ends
 	for _, l := range links {
+		c := pack(l.lat, 1)
 		next[l.a]--
-		adj[next[l.a]] = route{l.lat, 1, l.b}
+		costs[next[l.a]], to[next[l.a]] = c, l.b
 		next[l.b]--
-		adj[next[l.b]] = route{l.lat, 1, l.a}
+		costs[next[l.b]], to[next[l.b]] = c, l.a
 	}
-	return adj
+	return costs, to
 }
 
 // MinInterASLatency returns the smallest inter-AS link latency: a lower
@@ -507,8 +528,8 @@ func (t *Topology) path(from, to RouterID) Path {
 		return Path{}
 	}
 	k := mkPair(from, to)
-	if p, ok := t.pairs[k]; ok {
-		return p
+	if c, ok := t.pairs[k]; ok {
+		return t.pathOf(c)
 	}
 	t.contract(1)
 	tree, ok := t.cache[from]
@@ -522,18 +543,30 @@ func (t *Topology) path(from, to RouterID) Path {
 			t.sweeps++
 		}
 	}
-	p := t.sw.path(t, tree, from, to)
-	t.pairs[k] = p
-	return p
+	c := t.sw.path(t, tree, from, to)
+	t.pairs[k] = c
+	return t.pathOf(c)
+}
+
+// pathOf is the Path a route of cost c describes. Delivery probability
+// compounds per hop by repeated multiplication, left to right, in a table
+// grown as longer routes turn up, so Loss is bit for bit a function of
+// the hop count. The caller holds mu.
+func (t *Topology) pathOf(c cost) Path {
+	h := c.hops()
+	for len(t.deliver) <= h {
+		t.deliver = append(t.deliver, t.deliver[len(t.deliver)-1]*(1-t.cfg.LinkLoss))
+	}
+	return Path{Latency: c.lat(), Hops: h, Loss: 1 - t.deliver[h]}
 }
 
 // poolTree returns the array for src's tree and pools it, taking over the
 // oldest pooled tree's array once the pool is full. Evictions lose nothing
 // exact: every answered query stays in the pair memo.
-func (t *Topology) poolTree(src RouterID) []route {
-	var tree []route
+func (t *Topology) poolTree(src RouterID) []cost {
+	var tree []cost
 	if len(t.order) < t.maxTrees {
-		tree = make([]route, len(t.borders))
+		tree = make([]cost, len(t.borders))
 		t.order = append(t.order, src)
 	} else {
 		old := t.order[t.head]
@@ -560,7 +593,7 @@ func (t *Topology) RouteStats() RouteStats {
 	t.notWarming()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return RouteStats{t.sweeps, len(t.pairs), len(t.cache), len(t.borders), len(t.borderAdj)}
+	return RouteStats{t.sweeps, len(t.pairs), len(t.cache), len(t.borders), len(t.borderTo)}
 }
 
 // contract builds the border graph if it is not built yet, computing the
@@ -596,7 +629,7 @@ func (t *Topology) contract(workers int) {
 	for i, l := range t.inter {
 		t.inter[i].a, t.inter[i].b = vertex[l.a], vertex[l.b]
 	}
-	adj := flatten(start, t.inter)
+	costs, to := flatten(start, t.inter)
 	t.inter = nil
 	for v := range split {
 		split[v] += start[v]
@@ -612,11 +645,11 @@ func (t *Topology) contract(workers int) {
 				lo, hi := t.asBorders[as], t.asBorders[as+1]
 				for v := lo; v < hi; v++ {
 					sw.within(t, t.borders[v])
-					row := adj[start[v]:]
+					k := start[v]
 					for o := lo; o < hi; o++ {
 						if o != v {
-							row[0] = sw.toBorder(t, o)
-							row = row[1:]
+							costs[k], to[k] = sw.toBorder(t, o), o
+							k++
 						}
 					}
 				}
@@ -624,10 +657,10 @@ func (t *Topology) contract(workers int) {
 		}(w)
 	}
 	wg.Wait()
-	t.borderStart, t.borderSplit, t.borderAdj = start, split, adj
+	t.borderStart, t.borderSplit, t.borderCost, t.borderTo = start, split, costs, to
 	t.sw = t.newSweep()
 
-	// Bound the tree pool by a ~64 MB memory budget and by 256 trees.
+	// Bound the tree pool by a ~32 MB memory budget and by 256 trees.
 	// The pairs of a node's assembled links cost it one batched sweep
 	// (PathsFrom, from simnet), so the pool serves only pairs nobody
 	// dialed ahead: a root's messages to its members, a repair's new
@@ -635,8 +668,8 @@ func (t *Topology) contract(workers int) {
 	// for those (a churn-150 run sweeps about 145 sources and reuses them
 	// throughout, group-lifecycle 99), and the cap does not bind at
 	// paper scale, where the budget allows 214.
-	const treeBudget, routeBytes, treeCap = 64 << 20, 16, 256
-	t.maxTrees = min(max(treeBudget/(routeBytes*len(t.borders)+1), 16), treeCap)
+	const treeBudget, costBytes, treeCap = 32 << 20, 8, 256
+	t.maxTrees = min(max(treeBudget/(costBytes*len(t.borders)+1), 16), treeCap)
 }
 
 // WarmRoutes computes and memoizes the paths for the given router pairs,
@@ -719,7 +752,7 @@ func (t *Topology) WarmRoutes(routePairs [][2]RouterID, workers int) {
 	}
 	type answer struct {
 		k pairKey
-		p Path
+		c cost
 	}
 	answers := make([][]answer, len(tasks))
 	next := make(chan int)
@@ -728,13 +761,13 @@ func (t *Topology) WarmRoutes(routePairs [][2]RouterID, workers int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sw, tree := t.newSweep(), make([]route, len(t.borders))
+			sw, tree := t.newSweep(), make([]cost, len(t.borders))
 			for i := range next {
 				tk := tasks[i]
 				sw.run(t, tk.src, tree)
 				out := make([]answer, len(tk.dsts))
 				for j, dst := range tk.dsts {
-					out[j] = answer{k: mkPair(tk.src, dst), p: sw.path(t, tree, tk.src, dst)}
+					out[j] = answer{k: mkPair(tk.src, dst), c: sw.path(t, tree, tk.src, dst)}
 				}
 				answers[i] = out
 			}
@@ -747,7 +780,7 @@ func (t *Topology) WarmRoutes(routePairs [][2]RouterID, workers int) {
 	wg.Wait()
 	for _, out := range answers {
 		for _, a := range out {
-			t.pairs[a.k] = a.p
+			t.pairs[a.k] = a.c
 		}
 	}
 }
@@ -795,7 +828,7 @@ type sweep struct {
 	queued     int
 	short      []bool // per vertex: its label arrived over an intra-AS entry, or seeded the run
 
-	intra []route  // set by within; indexed by router minus base
+	intra []cost   // set by within; indexed by router minus base
 	base  RouterID // first router of the AS within last covered
 }
 
@@ -810,7 +843,7 @@ func (t *Topology) newSweep() *sweep {
 		cur:   int32(ring) - 1,
 		floor: -t.width,
 		short: make([]bool, n),
-		intra: make([]route, t.cfg.RoutersPer),
+		intra: make([]cost, t.cfg.RoutersPer),
 	}
 	for h := n; h < n+ring; h++ {
 		sw.next[h], sw.prev[h] = int32(h), int32(h)
@@ -847,11 +880,13 @@ func (sw *sweep) unlink(i int32) {
 
 // settle runs Dijkstra from the queued vertices over a flat adjacency;
 // dist[v-base] is the best route to vertex v. Row v is
-// adj[start[v]:start[v+1]], and its entries before split[v] are intra-AS
-// routes, which a vertex whose label arrived over one need not relax.
-// Buckets are settled in latency order, each in any order; the ring is
-// left empty with its cursor back before 0, ready to be seeded again.
-func (sw *sweep) settle(dist []route, base int32, start, split []int32, adj []route) {
+// costs[start[v]:start[v+1]] (and the same span of to), and its entries
+// before split[v] are intra-AS routes, which a vertex whose label arrived
+// over one need not relax. Buckets are settled in latency order, each in
+// any order; the ring is left empty with its cursor back before 0, ready
+// to be seeded again. A label is extended only once settled, so an
+// unreached one never is.
+func (sw *sweep) settle(dist []cost, base int32, start, split []int32, costs []cost, to []int32) {
 	for sw.queued > 0 {
 		if sw.cur++; sw.cur == sw.ring {
 			sw.cur = 0
@@ -865,14 +900,15 @@ func (sw *sweep) settle(dist []route, base int32, start, split []int32, adj []ro
 			if sw.short[i] {
 				lo = mid
 			}
-			for k, e := range adj[lo:start[v+1]] {
-				j := e.v - base
-				if alt := at.via(e); alt.less(dist[j]) {
-					if dist[j].lat != unreached.lat {
+			cs, ts := costs[lo:start[v+1]], to[lo:start[v+1]]
+			for k, c := range cs {
+				j := ts[k] - base
+				if alt := at + c; alt < dist[j] {
+					if dist[j] != unreached {
 						sw.unlink(j) // queued under a worse label
 					}
 					dist[j] = alt
-					sw.push(j, alt.lat, lo+int32(k) < mid)
+					sw.push(j, alt.lat(), lo+int32(k) < mid)
 				}
 			}
 		}
@@ -889,19 +925,17 @@ func (sw *sweep) within(t *Topology, r RouterID) (as int) {
 		sw.intra[i] = unreached
 	}
 	i := int32(r - sw.base)
-	sw.intra[i] = route{v: int32(r)}
+	sw.intra[i] = 0
 	sw.push(i, 0, false)
 	// Every entry is a link: split at the row start, so none is skipped.
-	sw.settle(sw.intra, int32(sw.base), t.intraStart, t.intraStart, t.intra)
+	sw.settle(sw.intra, int32(sw.base), t.intraStart, t.intraStart, t.intraCost, t.intraTo)
 	return as
 }
 
-// toBorder is within's route to border vertex v of the same AS, as a
-// border-graph entry.
-func (sw *sweep) toBorder(t *Topology, v int32) route {
-	r := sw.intra[t.borders[v]-sw.base]
-	r.v = v
-	return r
+// toBorder is the cost of within's route to border vertex v of the same
+// AS.
+func (sw *sweep) toBorder(t *Topology, v int32) cost {
+	return sw.intra[t.borders[v]-sw.base]
 }
 
 // run fills tree with the best route from src to every border router:
@@ -909,37 +943,31 @@ func (sw *sweep) toBorder(t *Topology, v int32) route {
 // border graph carries those outward. A seed relaxes no intra-AS entry,
 // since the seed of every other border router of the AS is at least as
 // good as a route through it.
-func (sw *sweep) run(t *Topology, src RouterID, tree []route) {
+func (sw *sweep) run(t *Topology, src RouterID, tree []cost) {
 	for i := range tree {
 		tree[i] = unreached
 	}
 	as := sw.within(t, src)
 	for v := t.asBorders[as]; v < t.asBorders[as+1]; v++ {
 		tree[v] = sw.toBorder(t, v)
-		sw.push(v, tree[v].lat, true)
+		sw.push(v, tree[v].lat(), true)
 	}
-	sw.settle(tree, 0, t.borderStart, t.borderSplit, t.borderAdj)
+	sw.settle(tree, 0, t.borderStart, t.borderSplit, t.borderCost, t.borderTo)
 }
 
-// path reads the route src -> dst off src's tree: the best over dst's
-// AS's border routers of the tree's route there plus the intra-AS route
-// on to dst, or the route inside the AS when src shares it. Delivery
-// probability compounds per hop by repeated multiplication, so it is
-// bit-for-bit a function of the hop count.
-func (sw *sweep) path(t *Topology, tree []route, src, dst RouterID) Path {
+// path reads the cost of route src -> dst off src's tree: the best over
+// dst's AS's border routers of the tree's route there plus the intra-AS
+// route on to dst, or the route inside the AS when src shares it. The
+// generator's topology is connected, so every tree entry extended here
+// is reached.
+func (sw *sweep) path(t *Topology, tree []cost, src, dst RouterID) cost {
 	as := sw.within(t, dst)
 	best := unreached
 	if t.ASOf(src) == as {
 		best = sw.intra[src-sw.base]
 	}
 	for v := t.asBorders[as]; v < t.asBorders[as+1]; v++ {
-		if r := tree[v].via(sw.toBorder(t, v)); r.less(best) {
-			best = r
-		}
+		best = min(best, tree[v]+sw.toBorder(t, v))
 	}
-	deliver, keep := 1.0, 1-t.cfg.LinkLoss
-	for i := int32(0); i < best.hops; i++ {
-		deliver *= keep
-	}
-	return Path{Latency: best.lat, Hops: int(best.hops), Loss: 1 - deliver}
+	return best
 }

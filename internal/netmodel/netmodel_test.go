@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -37,27 +38,50 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// TestInvalidConfigPanics: a config Generate cannot build, or whose
-// latencies a sweep's bucket ring cannot hold, panics.
+// TestInvalidConfigPanics: a config Generate cannot build, whose
+// latencies a sweep's bucket ring cannot hold, or whose routes could
+// overflow a packed cost, panics - before it allocates anything that
+// grows with the topology.
 func TestInvalidConfigPanics(t *testing.T) {
 	with := func(edit func(*Config)) Config {
 		cfg := DefaultConfig(1)
 		edit(&cfg)
 		return cfg
 	}
-	for name, cfg := range map[string]Config{
-		"no-continents": {Continents: 0},
-		"zero-latency":  with(func(c *Config) { c.IntraASLatencyMin = 0 }),
+	type invalid struct {
+		cfg  Config
+		want string
+	}
+	for name, tc := range map[string]invalid{
+		"no-continents": {Config{Continents: 0}, "invalid config"},
+		"zero-latency":  {with(func(c *Config) { c.IntraASLatencyMin = 0 }), "invalid config"},
 		// 500 ms T3 links over 7.6 µs buckets: 65,791 buckets.
-		"too-many-buckets": with(func(c *Config) { c.OC3LatencyMin = 7600 * time.Nanosecond }),
+		"too-many-buckets": {with(func(c *Config) { c.OC3LatencyMin = 7600 * time.Nanosecond }), "invalid config"},
+		"slow-t3":          {with(func(c *Config) { c.T3LatencyMax = 1000 * time.Hour }), "invalid config"},
+		// The fewest ASes with routers + RoutersPer >= 2^hopBits.
+		"too-many-hops": {with(func(c *Config) { c.ASes = (1<<hopBits+c.RoutersPer-1)/c.RoutersPer - 1 }), "hop bits"},
+		// Hour-long links fit the ring (a step spans 6 of its buckets)
+		// but sum past 2^43 ns within the first 3 links.
+		"latency-sum": {with(func(c *Config) {
+			c.IntraASLatencyMin, c.IntraASLatencyMax = time.Hour, time.Hour
+			c.OC3LatencyMin, c.OC3LatencyMax = time.Hour, time.Hour
+			c.T3LatencyMin, c.T3LatencyMax = time.Hour, time.Hour
+		}), "latencies sum past"},
 	} {
 		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			defer func() {
-				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "invalid config") {
-					t.Fatalf("recovered %v, want the invalid-config panic", r)
+				r := recover()
+				runtime.ReadMemStats(&after)
+				if r == nil || !strings.Contains(fmt.Sprint(r), tc.want) {
+					t.Fatalf("recovered %v, want a panic saying %q", r, tc.want)
+				}
+				if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+					t.Fatalf("allocated %d bytes before refusing", grew)
 				}
 			}()
-			Generate(cfg)
+			Generate(tc.cfg)
 		})
 	}
 }
@@ -305,21 +329,37 @@ func TestBoundedTreeCacheStaysExact(t *testing.T) {
 	}
 }
 
+// refRoute is the oracle's own route: a latency, a hop count and the
+// router it leads to, unpacked.
+type refRoute struct {
+	lat  time.Duration
+	hops int32
+	v    int32
+}
+
 // referenceGraph rebuilds the plain router-level adjacency - every link,
 // intra-AS and inter-AS - from a topology that has not answered a route
 // yet (the first route turns the inter-AS links into the border graph).
-func referenceGraph(t *testing.T, topo *Topology) [][]route {
+// An intra-AS entry is one link, so it decodes to the link's latency
+// (the packed cost shifted down) and one hop.
+func referenceGraph(t *testing.T, topo *Topology) [][]refRoute {
 	t.Helper()
 	if topo.borderStart != nil {
 		t.Fatal("referenceGraph after the topology was contracted")
 	}
-	adj := make([][]route, topo.NumRouters())
+	adj := make([][]refRoute, topo.NumRouters())
 	for r := range adj {
-		adj[r] = append(adj[r], topo.intra[topo.intraStart[r]:topo.intraStart[r+1]]...)
+		for k := topo.intraStart[r]; k < topo.intraStart[r+1]; k++ {
+			c := uint64(topo.intraCost[k])
+			if c&(1<<hopBits-1) != 1 {
+				t.Fatalf("intra-AS entry %d of router %d is %d hops, want one link", k, r, c&(1<<hopBits-1))
+			}
+			adj[r] = append(adj[r], refRoute{time.Duration(c >> hopBits), 1, topo.intraTo[k]})
+		}
 	}
 	for _, l := range topo.inter {
-		adj[l.a] = append(adj[l.a], route{l.lat, 1, l.b})
-		adj[l.b] = append(adj[l.b], route{l.lat, 1, l.a})
+		adj[l.a] = append(adj[l.a], refRoute{l.lat, 1, l.b})
+		adj[l.b] = append(adj[l.b], refRoute{l.lat, 1, l.a})
 	}
 	ends := 0
 	for _, row := range adj {
@@ -332,20 +372,20 @@ func referenceGraph(t *testing.T, topo *Topology) [][]route {
 }
 
 // refBetter spells the tie rule out again, and refHeap is container/heap,
-// so the oracle shares only the route struct with the package.
-func refBetter(a, b route) bool {
+// so the oracle shares no type and no ordering with the package.
+func refBetter(a, b refRoute) bool {
 	if a.lat != b.lat {
 		return a.lat < b.lat
 	}
 	return a.hops < b.hops
 }
 
-type refHeap []route
+type refHeap []refRoute
 
 func (h refHeap) Len() int           { return len(h) }
 func (h refHeap) Less(i, j int) bool { return refBetter(h[i], h[j]) }
 func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)        { *h = append(*h, x.(route)) }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(refRoute)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	it := old[len(old)-1]
@@ -357,24 +397,24 @@ func (h *refHeap) Pop() any {
 // the graph: one Dijkstra from src over every router, loss compounded
 // link by link along the tree. It is the oracle Path is held to, bit for
 // bit. Ties break as Path documents: lower latency, then fewer hops.
-func referenceSweep(adj [][]route, src RouterID, linkLoss float64) []Path {
-	dist := make([]route, len(adj))
+func referenceSweep(adj [][]refRoute, src RouterID, linkLoss float64) []Path {
+	dist := make([]refRoute, len(adj))
 	deliver := make([]float64, len(adj))
 	done := make([]bool, len(adj))
 	for i := range dist {
 		dist[i].lat = math.MaxInt64
 	}
-	dist[src] = route{v: int32(src)}
+	dist[src] = refRoute{v: int32(src)}
 	deliver[src] = 1
 	pq := &refHeap{dist[src]}
 	for pq.Len() > 0 {
-		u := heap.Pop(pq).(route).v
+		u := heap.Pop(pq).(refRoute).v
 		if done[u] {
 			continue
 		}
 		done[u] = true
 		for _, e := range adj[u] {
-			alt := route{dist[u].lat + e.lat, dist[u].hops + 1, e.v}
+			alt := refRoute{dist[u].lat + e.lat, dist[u].hops + 1, e.v}
 			if refBetter(alt, dist[e.v]) {
 				dist[e.v] = alt
 				deliver[e.v] = deliver[u] * (1 - linkLoss)
@@ -566,7 +606,7 @@ func TestWarmRoutesWorkerCountDoesNotChangeMemo(t *testing.T) {
 	if !reflect.DeepEqual(one.pairs, four.pairs) {
 		t.Fatal("pair memo differs between workers=1 and workers=4")
 	}
-	if !reflect.DeepEqual(one.borderAdj, four.borderAdj) {
+	if !reflect.DeepEqual(one.borderCost, four.borderCost) || !reflect.DeepEqual(one.borderTo, four.borderTo) {
 		t.Fatal("border graph differs between workers=1 and workers=4")
 	}
 }
@@ -640,7 +680,7 @@ func TestPathsFromSweepsAtMostOnce(t *testing.T) {
 }
 
 // TestTreePoolCap pins the pool's size on both shipped topologies: 256
-// trees on the default one, where the 64 MB budget alone would allow
+// trees on the default one, where the 32 MB budget alone would allow
 // ~3,000, and the budget's 214 at paper scale.
 func TestTreePoolCap(t *testing.T) {
 	cases := []struct {
