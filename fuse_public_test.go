@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fuse"
+	"fuse/internal/telemetry"
 )
 
 // startLive boots n live TCP nodes on loopback with compressed timeouts,
@@ -164,6 +165,49 @@ func TestLiveCreateGroupContextCancel(t *testing.T) {
 	}
 	if err != context.DeadlineExceeded {
 		t.Logf("err = %v (create timeout also acceptable)", err)
+	}
+}
+
+// TestLiveTraceOnNodeClock: a live node's trace events are offsets on
+// its own clock, so the registry epoch plus an event's At is the wall
+// instant it was recorded at.
+func TestLiveTraceOnNodeClock(t *testing.T) {
+	before := time.Now()
+	nd, err := fuse.Start(fuse.NodeConfig{Name: nodeName(0), Bind: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	nd.Telemetry().EnableTrace(telemetry.TraceProto)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	id, err := nd.CreateGroup(ctx, []fuse.Peer{nd.Ref()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{}, 1)
+	nd.RegisterFailureHandler(func(fuse.Notice) { done <- struct{}{} }, id)
+	nd.SignalFailure(id)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("singleton group not notified")
+	}
+	nd.LiveGroups() // a round trip through the event loop: every event is recorded
+	after := time.Now()
+
+	evs := nd.Telemetry().Events()
+	if len(evs) == 0 || evs[0].Kind != "trigger" || evs[len(evs)-1].Kind != "notify" {
+		t.Fatalf("events %+v, want the trigger first and the notify last", evs)
+	}
+	epoch := nd.Telemetry().Epoch()
+	for i, ev := range evs {
+		if i > 0 && ev.At < evs[i-1].At {
+			t.Fatalf("event %d at %v, before its predecessor at %v", i, ev.At, evs[i-1].At)
+		}
+		if at := epoch.Add(ev.At); at.Before(before) || at.After(after) {
+			t.Fatalf("%s event stamped %v, outside [%v, %v]", ev.Kind, at, before, after)
+		}
 	}
 }
 

@@ -232,7 +232,7 @@ func (f *Fuse) OnPingPayload(neighbor overlay.NodeRef, payload []byte) {
 // down as link failures, which drives members to the root for the repair
 // that rebuilds this node's per-link checking registry.
 func (f *Fuse) OnNeighborUp(neighbor overlay.NodeRef) {
-	if !f.env.Now().Before(f.recoverUntil) {
+	if f.env.Elapsed() >= f.recoverUntil {
 		return
 	}
 	f.sendReconcileProbe(neighbor)

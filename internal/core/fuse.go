@@ -216,7 +216,7 @@ type Fuse struct {
 	// immediately instead of on the next ping exchange (see
 	// OnNeighborUp). The zero value (before any Recover) is always in
 	// the past.
-	recoverUntil time.Time
+	recoverUntil time.Duration
 
 	tm fuseTelemetry
 }
@@ -269,7 +269,7 @@ type rootState struct {
 	repairTimer   transport.Timer
 
 	backoff      time.Duration
-	backoffUntil time.Time
+	backoffUntil time.Duration
 	backoffTimer transport.Timer
 
 	// cause is the telemetry span of the first failure observation that
@@ -474,7 +474,7 @@ func (f *Fuse) trace(kind string, id GroupID, span, parent uint64, detail string
 	if !id.IsZero() {
 		group = id.String()
 	}
-	f.tm.lane.Emit(f.env.Now(), kind, f.self.Name, group, span, parent, detail)
+	f.tm.lane.Record(f.env.Elapsed(), kind, f.self.Name, group, span, parent, detail)
 }
 
 // notifyLocal invokes and clears all handlers for id, exactly once.

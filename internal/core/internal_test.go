@@ -22,7 +22,7 @@ import (
 // when the test advances the clock.
 type fakeEnv struct {
 	addr   transport.Addr
-	now    time.Time
+	now    time.Duration // the clock, Elapsed
 	rng    *rand.Rand
 	sent   []fakeSend
 	timers []*fakeTimer
@@ -38,7 +38,7 @@ type fakeSend struct {
 }
 
 type fakeTimer struct {
-	at      time.Time
+	at      time.Duration
 	fn      func()
 	stopped bool
 	fired   bool
@@ -52,16 +52,12 @@ func (t *fakeTimer) Stop() bool {
 	return true
 }
 
-// fakeEpoch is where every fakeEnv's clock starts.
-var fakeEpoch = time.Unix(1000, 0)
-
 func newFakeEnv(addr transport.Addr) *fakeEnv {
-	return &fakeEnv{addr: addr, now: fakeEpoch, rng: rand.New(rand.NewSource(1))}
+	return &fakeEnv{addr: addr, rng: rand.New(rand.NewSource(1))}
 }
 
 func (e *fakeEnv) Addr() transport.Addr   { return e.addr }
-func (e *fakeEnv) Now() time.Time         { return e.now }
-func (e *fakeEnv) Elapsed() time.Duration { return e.now.Sub(fakeEpoch) }
+func (e *fakeEnv) Elapsed() time.Duration { return e.now }
 func (e *fakeEnv) Rand() *rand.Rand       { return e.rng }
 
 func (e *fakeEnv) Send(to transport.Addr, msg transport.Message) {
@@ -72,16 +68,16 @@ func (e *fakeEnv) Send(to transport.Addr, msg transport.Message) {
 }
 
 func (e *fakeEnv) After(d time.Duration, fn func()) transport.Timer {
-	t := &fakeTimer{at: e.now.Add(d), fn: fn}
+	t := &fakeTimer{at: e.now + d, fn: fn}
 	e.timers = append(e.timers, t)
 	return t
 }
 
 // advance moves the clock and fires due timers in scheduling order.
 func (e *fakeEnv) advance(d time.Duration) {
-	e.now = e.now.Add(d)
+	e.now += d
 	for _, t := range e.timers {
-		if !t.stopped && !t.fired && !t.at.After(e.now) {
+		if !t.stopped && !t.fired && t.at <= e.now {
 			t.fired = true
 			t.fn()
 		}
@@ -642,13 +638,44 @@ func TestConfigScale(t *testing.T) {
 	f.roots[rs.id] = rs
 	f.startRepair(rs)
 	for name, c := range map[string]struct{ got, want time.Duration }{
-		"member repair timer": {ms.repairTimer.(*fakeTimer).at.Sub(env.now), 30 * time.Second},
-		"root repair timer":   {rs.repairTimer.(*fakeTimer).at.Sub(env.now), time.Minute},
-		"backoff window":      {rs.backoffUntil.Sub(env.now), time.Second},
+		"member repair timer": {ms.repairTimer.(*fakeTimer).at - env.now, 30 * time.Second},
+		"root repair timer":   {rs.repairTimer.(*fakeTimer).at - env.now, time.Minute},
+		"backoff window":      {rs.backoffUntil - env.now, time.Second},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s armed for %v, want %v", name, c.got, c.want)
 		}
+	}
+}
+
+// TestRecoverWindowProbesNewNeighbours pins the post-Recover window: a
+// neighbour coming up is sent one unsolicited GroupLists probe while the
+// window is open, CheckTimeout from the Recover, and nothing before any
+// Recover or once the window has closed.
+func TestRecoverWindowProbesNewNeighbours(t *testing.T) {
+	f, env := newFakeFuse("r")
+	f.SetPersistence(NewMemStore())
+	env.advance(time.Minute)
+	f.OnNeighborUp(ref("before"))
+	if got := env.sentTo("addr-before"); len(got) != 0 {
+		t.Fatalf("a neighbour up before any Recover was sent %v", got)
+	}
+
+	f.Recover()
+	env.advance(checkTimeout - time.Nanosecond)
+	f.OnNeighborUp(ref("inside"))
+	got := env.sentTo("addr-inside")
+	if len(got) != 1 {
+		t.Fatalf("a neighbour up 1ns before the window closes was sent %v, want one probe", got)
+	}
+	if m, ok := got[0].(*msgGroupLists); !ok || m.IsReply {
+		t.Fatalf("sent %#v, want an unsolicited msgGroupLists", got[0])
+	}
+
+	env.advance(time.Nanosecond)
+	f.OnNeighborUp(ref("after"))
+	if got := env.sentTo("addr-after"); len(got) != 0 {
+		t.Fatalf("a neighbour up as the window closes was sent %v", got)
 	}
 }
 

@@ -72,7 +72,7 @@ func (f *Fuse) Recover() {
 		f.members[rec.ID] = ms
 		f.memberNeedsRepair(ms)
 	}
-	f.recoverUntil = f.env.Now().Add(f.scaled(checkTimeout))
+	f.recoverUntil = f.env.Elapsed() + f.scaled(checkTimeout)
 	for _, nb := range f.ov.Neighbors() {
 		f.sendReconcileProbe(nb)
 	}

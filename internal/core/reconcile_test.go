@@ -115,9 +115,9 @@ func (c *reconcileCase) build() (*Fuse, *fakeEnv) {
 
 // reconcileOutcome is everything a reconciliation may change or emit.
 type reconcileOutcome struct {
-	sent     []fakeSend                   // every message, in order: teardowns show as repair requests and softs
-	links    map[transport.Addr][]GroupID // the per-link index
-	deadline map[transport.Addr]time.Time // each link's live CheckTimeout deadline
+	sent     []fakeSend                       // every message, in order: teardowns show as repair requests and softs
+	links    map[transport.Addr][]GroupID     // the per-link index
+	deadline map[transport.Addr]time.Duration // each link's live CheckTimeout deadline
 	checking map[GroupID][]outcomeLink
 	members  int
 }
@@ -133,7 +133,7 @@ func outcomeOf(f *Fuse, env *fakeEnv) reconcileOutcome {
 	o := reconcileOutcome{
 		sent:     env.sent,
 		links:    make(map[transport.Addr][]GroupID),
-		deadline: make(map[transport.Addr]time.Time),
+		deadline: make(map[transport.Addr]time.Duration),
 		checking: make(map[GroupID][]outcomeLink),
 		members:  len(f.members),
 	}
@@ -246,7 +246,7 @@ func TestReconcileMatchesReference(t *testing.T) {
 			f, env := c.build()
 			start := len(env.sent)
 			before := f.links[c.msg.From.Addr]
-			var deadline time.Time
+			var deadline time.Duration
 			if before != nil {
 				deadline = before.timer.(*fakeTimer).at
 			}
@@ -296,18 +296,18 @@ type quietEnv struct{ *fakeEnv }
 func (quietEnv) Send(transport.Addr, transport.Message) {}
 
 func (e quietEnv) After(d time.Duration, fn func()) transport.Timer {
-	return &quietTimer{env: e.fakeEnv, at: e.now.Add(d)}
+	return &quietTimer{env: e.fakeEnv, at: e.now + d}
 }
 
 type quietTimer struct {
 	env *fakeEnv
-	at  time.Time
+	at  time.Duration
 }
 
 func (t *quietTimer) Stop() bool { return true }
 
 func (t *quietTimer) Reset(d time.Duration) bool {
-	t.at = t.env.now.Add(d)
+	t.at = t.env.now + d
 	return true
 }
 
@@ -329,14 +329,14 @@ func TestReconcileAgreeingListsAllocatesOnlyTheReply(t *testing.T) {
 	reply := &msgGroupLists{From: peer, Entries: probe.Entries, IsReply: true}
 	timer := f.links[peer.Addr].timer.(*quietTimer)
 
-	env.now = env.now.Add(time.Second)
+	env.now += time.Second
 	if allocs := testing.AllocsPerRun(100, func() { f.handleGroupLists(reply) }); allocs != 0 {
 		t.Errorf("handling an agreeing reply allocates %.1f/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { f.handleGroupLists(probe) }); allocs != 2 {
 		t.Errorf("answering an agreeing probe allocates %.1f/op, want 2 (the reply and its entries)", allocs)
 	}
-	if want := env.now.Add(checkTimeout); timer.at != want {
+	if want := env.now + checkTimeout; timer.at != want {
 		t.Errorf("agreement left the link's deadline at %v, want %v", timer.at, want)
 	}
 }

@@ -47,10 +47,8 @@ func (f *Fuse) scheduleRepair(rs *rootState) {
 	if rs.repairPending != nil || rs.backoffTimer != nil {
 		return // already repairing or already scheduled
 	}
-	now := f.env.Now()
-	if now.Before(rs.backoffUntil) {
-		delay := rs.backoffUntil.Sub(now)
-		rs.backoffTimer = f.env.After(delay, func() {
+	if now := f.env.Elapsed(); now < rs.backoffUntil {
+		rs.backoffTimer = f.env.After(rs.backoffUntil-now, func() {
 			rs.backoffTimer = nil
 			f.startRepair(rs)
 		})
@@ -75,7 +73,7 @@ func (f *Fuse) startRepair(rs *rootState) {
 
 	// Update the backoff window for the *next* attempt.
 	rs.backoff = max(rs.backoff, f.scaled(backoffInitial))
-	rs.backoffUntil = f.env.Now().Add(rs.backoff)
+	rs.backoffUntil = f.env.Elapsed() + rs.backoff
 	rs.backoff = min(2*rs.backoff, f.scaled(backoffCap))
 
 	rs.repairPending = make(map[string]bool, len(rs.members))

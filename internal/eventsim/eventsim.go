@@ -121,12 +121,10 @@ func New(seed int64) *Sim {
 	return s
 }
 
-// Now returns the current virtual time of the control lane: exact at
-// fences, between run calls and while stepping. Inside a window the shards
-// run ahead of it; shard callbacks read Shard.Now, their own clock.
-func (s *Sim) Now() time.Time { return Epoch.Add(s.lane.now) }
-
-// Elapsed returns the virtual time elapsed since the simulation epoch.
+// Elapsed returns the control lane's virtual time since the simulation
+// epoch: exact at fences, between run calls and while stepping. Inside a
+// window the shards run ahead of it; shard callbacks read Shard.Elapsed,
+// their own clock.
 func (s *Sim) Elapsed() time.Duration { return s.lane.now }
 
 // Rand returns the simulation's deterministic random source. It must only
@@ -357,8 +355,9 @@ func (s *Sim) Schedule(d time.Duration, fn func()) {
 	s.lane.alloc(d, fn)
 }
 
-// RunFor is RunUntil(Now().Add(d)).
-func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.Now().Add(d)) }
+// RunFor is RunUntil(Elapsed() + d), the sum clamped at the largest
+// representable offset so a far d drains like Run.
+func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.lane.now + min(d, maxDuration-s.lane.now)) }
 
 // The pending queue: a timing wheel in front of a 4-ary min-heap.
 //

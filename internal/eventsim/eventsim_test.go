@@ -13,8 +13,8 @@ func TestEmptySimRunReturns(t *testing.T) {
 	if s.Executed() != 0 {
 		t.Fatalf("executed = %d, want 0", s.Executed())
 	}
-	if !s.Now().Equal(Epoch) {
-		t.Fatalf("clock moved on empty run: %v", s.Now())
+	if s.Elapsed() != 0 {
+		t.Fatalf("clock moved on empty run: %v", s.Elapsed())
 	}
 }
 
@@ -50,10 +50,10 @@ func TestSameInstantFiresInScheduleOrder(t *testing.T) {
 
 func TestClockAdvancesToEventTime(t *testing.T) {
 	s := New(1)
-	var at time.Time
-	s.After(90*time.Second, func() { at = s.Now() })
+	var at time.Duration
+	s.After(90*time.Second, func() { at = s.Elapsed() })
 	s.Run()
-	if want := Epoch.Add(90 * time.Second); !at.Equal(want) {
+	if want := 90 * time.Second; at != want {
 		t.Fatalf("fired at %v, want %v", at, want)
 	}
 }
@@ -66,8 +66,8 @@ func TestNegativeDelayClampsToNow(t *testing.T) {
 	if !fired {
 		t.Fatal("negative-delay event did not fire")
 	}
-	if !s.Now().Equal(Epoch) {
-		t.Fatalf("clock moved backwards or forwards: %v", s.Now())
+	if s.Elapsed() != 0 {
+		t.Fatalf("clock moved backwards or forwards: %v", s.Elapsed())
 	}
 }
 
@@ -124,8 +124,8 @@ func TestNestedScheduling(t *testing.T) {
 	if depth != 100 {
 		t.Fatalf("depth = %d, want 100", depth)
 	}
-	if want := Epoch.Add(99 * time.Millisecond); !s.Now().Equal(want) {
-		t.Fatalf("final clock %v, want %v", s.Now(), want)
+	if want := 99 * time.Millisecond; s.Elapsed() != want {
+		t.Fatalf("final clock %v, want %v", s.Elapsed(), want)
 	}
 }
 
@@ -134,12 +134,12 @@ func TestRunUntilLeavesFutureEventsPending(t *testing.T) {
 	var fired []int
 	s.After(time.Second, func() { fired = append(fired, 1) })
 	s.After(3*time.Second, func() { fired = append(fired, 2) })
-	s.RunUntil(Epoch.Add(2 * time.Second))
+	s.RunUntil(2 * time.Second)
 	if len(fired) != 1 || fired[0] != 1 {
 		t.Fatalf("fired = %v, want [1]", fired)
 	}
-	if !s.Now().Equal(Epoch.Add(2 * time.Second)) {
-		t.Fatalf("clock = %v, want epoch+2s", s.Now())
+	if s.Elapsed() != 2*time.Second {
+		t.Fatalf("clock = %v, want 2s", s.Elapsed())
 	}
 	if s.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1", s.Pending())
@@ -154,7 +154,7 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 	s := New(1)
 	fired := false
 	s.After(2*time.Second, func() { fired = true })
-	s.RunUntil(Epoch.Add(2 * time.Second))
+	s.RunUntil(2 * time.Second)
 	if !fired {
 		t.Fatal("event exactly at the deadline should fire")
 	}
@@ -164,8 +164,8 @@ func TestRunForAdvancesRelative(t *testing.T) {
 	s := New(1)
 	s.RunFor(5 * time.Second)
 	s.RunFor(5 * time.Second)
-	if want := Epoch.Add(10 * time.Second); !s.Now().Equal(want) {
-		t.Fatalf("clock = %v, want %v", s.Now(), want)
+	if want := 10 * time.Second; s.Elapsed() != want {
+		t.Fatalf("clock = %v, want %v", s.Elapsed(), want)
 	}
 }
 
@@ -221,14 +221,14 @@ func TestMonotonicClock(t *testing.T) {
 	prop := func(seed int64) bool {
 		s := New(seed)
 		r := rand.New(rand.NewSource(seed))
-		last := s.Now()
+		last := s.Elapsed()
 		ok := true
 		var spawn func(depth int)
 		spawn = func(depth int) {
-			if s.Now().Before(last) {
+			if s.Elapsed() < last {
 				ok = false
 			}
-			last = s.Now()
+			last = s.Elapsed()
 			if depth < 3 {
 				for i := 0; i < 3; i++ {
 					s.After(time.Duration(r.Intn(100))*time.Millisecond, func() { spawn(depth + 1) })
@@ -272,8 +272,8 @@ func TestStopShrinksPending(t *testing.T) {
 
 func TestResetMovesPendingDeadline(t *testing.T) {
 	s := New(1)
-	var at time.Time
-	tm := s.After(time.Second, func() { at = s.Now() })
+	var at time.Duration
+	tm := s.After(time.Second, func() { at = s.Elapsed() })
 	if !tm.Reset(5 * time.Second) {
 		t.Fatal("Reset on pending timer reported false")
 	}
@@ -281,7 +281,7 @@ func TestResetMovesPendingDeadline(t *testing.T) {
 		t.Fatalf("pending = %d, want 1 (reset must not duplicate)", s.Pending())
 	}
 	s.Run()
-	if want := Epoch.Add(5 * time.Second); !at.Equal(want) {
+	if want := 5 * time.Second; at != want {
 		t.Fatalf("fired at %v, want %v", at, want)
 	}
 }
@@ -302,8 +302,8 @@ func TestResetFromOwnCallbackMakesPeriodicTimer(t *testing.T) {
 	if fires != 5 {
 		t.Fatalf("fires = %d, want 5", fires)
 	}
-	if want := Epoch.Add(5 * time.Second); !s.Now().Equal(want) {
-		t.Fatalf("clock = %v, want %v", s.Now(), want)
+	if want := 5 * time.Second; s.Elapsed() != want {
+		t.Fatalf("clock = %v, want %v", s.Elapsed(), want)
 	}
 	if tm.Reset(time.Second) {
 		t.Fatal("Reset after the final fire should report false")

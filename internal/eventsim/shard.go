@@ -113,11 +113,8 @@ func (s *Sim) Lookahead() time.Duration { return s.lookahead }
 // Index returns the shard's position in the EnableShards result.
 func (x *Shard) Index() int { return x.lane.id }
 
-// Now returns the shard's local virtual clock: the current event's time
-// inside a window, the control lane's clock at fences.
-func (x *Shard) Now() time.Time { return Epoch.Add(x.base()) }
-
-// Elapsed is Now as an offset from the simulation epoch.
+// Elapsed returns the shard's local virtual clock: the current event's
+// time inside a window, the control lane's clock at fences.
 func (x *Shard) Elapsed() time.Duration { return x.base() }
 
 // After schedules fn on this shard d from the shard's local clock and
@@ -185,7 +182,7 @@ func (s *Sim) Step() bool {
 	if at == maxDuration {
 		return false
 	}
-	// Keep the control clock abreast so Sim.Now and fence-relative
+	// Keep the control clock abreast so Sim.Elapsed and fence-relative
 	// scheduling are exact while stepping, inside the callback too.
 	if s.lane.now < at {
 		s.lane.now = at
@@ -198,14 +195,14 @@ func (s *Sim) Step() bool {
 // event fired.
 func (s *Sim) Run() { s.run(maxDuration) }
 
-// RunUntil fires events with timestamps at or before deadline, then
-// advances the clock to deadline. Events scheduled after deadline remain
-// pending, so simulations can be resumed with further RunUntil or Run calls.
-func (s *Sim) RunUntil(deadline time.Time) {
-	limit := deadline.Sub(Epoch)
-	s.run(limit)
-	if s.lane.now < limit {
-		s.lane.now = limit
+// RunUntil fires events with timestamps at or before deadline, an offset
+// from the epoch, then advances the clock to deadline. Events scheduled
+// after deadline remain pending, so simulations can be resumed with
+// further RunUntil or Run calls.
+func (s *Sim) RunUntil(deadline time.Duration) {
+	s.run(deadline)
+	if s.lane.now < deadline {
+		s.lane.now = deadline
 	}
 }
 

@@ -292,7 +292,7 @@ func TestOneShardStepMatchesRunUntil(t *testing.T) {
 	}
 
 	ran, ranLog := build()
-	ran.RunUntil(Epoch.Add(T))
+	ran.RunUntil(T)
 	n := ran.Executed()
 	if n < 500 || ran.Pending() == 0 {
 		t.Fatalf("schedule too small to mean anything: %d executed, %d pending", n, ran.Pending())
@@ -312,7 +312,7 @@ func TestOneShardStepMatchesRunUntil(t *testing.T) {
 // TestControlLaneOnlySim pins the shard-less Sim (a bare event queue, as
 // unit tests and micro-benchmarks use it) on the one loop: every event is
 // a fence, one instant's events fire in schedule order, RunUntil leaves
-// later events pending with the clock at its deadline, and a deadline
+// later events pending with the clock at its deadline, and a RunFor
 // beyond the representable range drains like Run.
 func TestControlLaneOnlySim(t *testing.T) {
 	sim := New(1)
@@ -322,7 +322,7 @@ func TestControlLaneOnlySim(t *testing.T) {
 		sim.After(time.Second, func() { fired = append(fired, i) })
 	}
 	sim.After(3*time.Second, func() { fired = append(fired, 4) })
-	sim.RunUntil(Epoch.Add(2 * time.Second))
+	sim.RunUntil(2 * time.Second)
 	if fmt.Sprint(fired) != "[0 1 2 3]" {
 		t.Fatalf("fired = %v, want [0 1 2 3]", fired)
 	}
@@ -330,9 +330,12 @@ func TestControlLaneOnlySim(t *testing.T) {
 		t.Fatalf("after RunUntil: Elapsed = %v, Pending = %d; want 2s, 1", sim.Elapsed(), sim.Pending())
 	}
 
+	// RunFor from a clock already past zero: an unclamped sum would wrap
+	// negative and fire nothing.
 	sim = New(1)
+	sim.RunFor(time.Second)
 	sim.After(3*time.Second, func() { fired = append(fired, 5) })
-	sim.RunUntil(Epoch.Add(maxDuration).Add(time.Hour))
+	sim.RunFor(maxDuration)
 	if fired[len(fired)-1] != 5 || sim.Pending() != 0 {
 		t.Fatalf("far deadline did not drain: fired = %v, Pending = %d", fired, sim.Pending())
 	}

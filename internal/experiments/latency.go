@@ -68,12 +68,12 @@ func Fig6RPCLatency(p Params) (*Result, error) {
 		if a == b {
 			continue
 		}
-		start := c.Sim.Now()
+		start := c.Sim.Elapsed()
 		replied = false
 		c.Nodes[a].Env.Send(c.Nodes[b].Addr, &echo{})
 		for !replied && c.Sim.Step() {
 		}
-		sample.AddDuration(c.Sim.Now().Sub(start))
+		sample.AddDuration(c.Sim.Elapsed() - start)
 	}
 
 	r := newResult("fig6", "RPC latency CDF (simulated transport), milliseconds")
@@ -110,12 +110,12 @@ func randomGroups(c *cluster.Cluster, count, size int) []scenario.GroupSpec {
 // each blocking creation's latency to lat (when non-nil).
 func createGroups(c *cluster.Cluster, count, size int, lat *stats.Sample) error {
 	for g, spec := range randomGroups(c, count, size) {
-		start := c.Sim.Now()
+		start := c.Sim.Elapsed()
 		if _, err := c.CreateGroup(spec.Root, spec.Members...); err != nil {
 			return fmt.Errorf("creating group %d (size %d): %w", g, size, err)
 		}
 		if lat != nil {
-			lat.AddDuration(c.Sim.Now().Sub(start))
+			lat.AddDuration(c.Sim.Elapsed() - start)
 		}
 	}
 	return nil

@@ -44,7 +44,6 @@ type scriptEnv struct {
 }
 
 func (e *scriptEnv) Addr() transport.Addr   { return e.addr }
-func (e *scriptEnv) Now() time.Time         { return e.sim.Now() }
 func (e *scriptEnv) Rand() *rand.Rand       { return e.rng }
 func (e *scriptEnv) Elapsed() time.Duration { return e.sim.Elapsed() }
 func (e *scriptEnv) run(d time.Duration)    { e.sim.RunFor(d) }

@@ -232,7 +232,7 @@ func (n *Node) pingTick() {
 		ps.peer.Send(m)
 		n.tm.pingsSent.Inc(n.tm.lane)
 		if n.tm.lane.Tracing(telemetry.TraceVerbose) {
-			n.tm.lane.Emit(n.env.Now(), "ping", n.self.Name, "", 0, 0, ps.ref.Name)
+			n.tm.lane.Record(n.env.Elapsed(), "ping", n.self.Name, "", 0, 0, ps.ref.Name)
 		}
 	}
 	if edited {
@@ -296,7 +296,7 @@ func (n *Node) handlePingAck(m *msgPingAck) {
 	n.tm.acksRecv.Inc(n.tm.lane)
 	n.tm.rtt.Observe(n.tm.lane, n.env.Elapsed()-sentAt)
 	if n.tm.lane.Tracing(telemetry.TraceVerbose) {
-		n.tm.lane.Emit(n.env.Now(), "ack", n.self.Name, "", 0, 0, ps.ref.Name)
+		n.tm.lane.Record(n.env.Elapsed(), "ack", n.self.Name, "", 0, 0, ps.ref.Name)
 	}
 }
 
@@ -311,7 +311,7 @@ func (n *Node) neighborDead(ref NodeRef) {
 	}
 	n.tm.neighborsDead.Inc(n.tm.lane)
 	if n.tm.lane.Tracing(telemetry.TraceProto) {
-		n.tm.lane.Emit(n.env.Now(), "neighbor-dead", n.self.Name, "", 0, 0, ref.Name)
+		n.tm.lane.Record(n.env.Elapsed(), "neighbor-dead", n.self.Name, "", 0, 0, ref.Name)
 	}
 	n.client.OnNeighborDown(ref)
 

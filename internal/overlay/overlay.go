@@ -41,8 +41,7 @@
 // neighbor as a destination the transport resolved once (transport.Dial).
 // The client is handed the same link id with every payload it supplies or
 // receives (Client.LinkPayload), so it can keep its own per-link state by
-// index too. The schedule runs on the transport's Elapsed clock, a
-// Duration, so a tick does no time.Time arithmetic.
+// index too.
 //
 // The structure (base, leaf set, levels, hop budgets) is fixed by
 // constants; Config holds only the ping interval and timeout, which a

@@ -140,7 +140,7 @@ func (n *Node) routeJoinLookup(m *msgRoute, lookup *msgJoinLookup) {
 		// Name resolution landed on an existing node with the joiner's
 		// name: duplicate names are a deployment error.
 		if n.tm.lane.Tracing(telemetry.TraceProto) {
-			n.tm.lane.Emit(n.env.Now(), "join-dropped", n.self.Name, "", 0, 0, lookup.Joiner.Name)
+			n.tm.lane.Record(n.env.Elapsed(), "join-dropped", n.self.Name, "", 0, 0, lookup.Joiner.Name)
 		}
 		return
 	}

@@ -171,7 +171,7 @@ func (e *Engine) now() time.Duration { return e.c.Sim.Elapsed() - e.t0 }
 // fences, so lane 0 is theirs.
 func (e *Engine) tracef(format string, args ...any) {
 	if !e.reported {
-		e.c.Telemetry.Lane(0).Record(e.c.Sim.Now(), "action", "", "", 0, 0, fmt.Sprintf(format, args...))
+		e.c.Telemetry.Lane(0).Record(e.c.Sim.Elapsed(), "action", "", "", 0, 0, fmt.Sprintf(format, args...))
 	}
 }
 
@@ -267,7 +267,7 @@ func (e *Engine) attach(gi, node int) {
 	env := e.c.Nodes[node].Env
 	e.c.Nodes[node].Groups.RegisterFailureHandler(func(n core.Notice) {
 		if !e.reported {
-			lane.Record(env.Now(), "notice", cluster.NameOf(node), tr.id.String(), 0, 0,
+			lane.Record(env.Elapsed(), "notice", cluster.NameOf(node), tr.id.String(), 0, 0,
 				fmt.Sprintf("notify group=%d node=%d inc=%d reason=%s fault=%d", gi, node, inc, n.Reason, e.attribute(gi)))
 		}
 	}, tr.id)

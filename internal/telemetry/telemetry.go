@@ -12,13 +12,14 @@
 // byte-identical across worker counts (the lane layout is a function of
 // the shard count only, exactly like the logical event order).
 //
-// Timestamps come from the owning clock: the virtual eventsim clock in
-// simulation (Registry epoch = eventsim.Epoch) and the wall clock in a
-// live fused process (epoch = process start). Instrumented packages
-// resolve their Lane once at stack construction via FromEnv; a nil Lane
-// is valid everywhere and makes every write a no-op, so telemetry-free
-// environments (unit-test stacks built directly on simnet) pay a single
-// nil check.
+// Timestamps are offsets from the registry epoch, read from the owning
+// clock (transport.Env.Elapsed): virtual time in simulation (epoch =
+// eventsim.Epoch) and a live node's monotonic clock (epoch = the
+// wall-clock instant the node's Elapsed counts from). Instrumented
+// packages resolve their Lane once at stack construction via FromEnv; a
+// nil Lane is valid everywhere and makes every write a no-op, so
+// telemetry-free environments (unit-test stacks built directly on
+// simnet) pay a single nil check.
 //
 // Metric registration is deduplicated by name: cluster.Restart rebuilds
 // protocol stacks mid-run at fences, and re-registering resolves to the
@@ -101,8 +102,9 @@ type Lane struct {
 }
 
 // New creates a registry with the given number of lanes. Pass the
-// owning clock's epoch (eventsim.Epoch in sim, time.Now() in live) and
-// 1 lane for a live node or 1+shards for a simulation.
+// owning clock's epoch (eventsim.Epoch in sim, the instant a live
+// node's Elapsed counts from) and 1 lane for a live node or 1+shards
+// for a simulation.
 func New(epoch time.Time, lanes int) *Registry {
 	if lanes < 1 {
 		lanes = 1

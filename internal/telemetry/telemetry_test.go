@@ -205,9 +205,9 @@ func TestTraceMergeOrdersByTimeThenLane(t *testing.T) {
 func TestRecordIgnoresTheTraceLevel(t *testing.T) {
 	r := New(epoch, 2)
 	r.Lane(1).Emit(epoch.Add(time.Second), "notify", "n1", "g1", 0, 0, "")
-	r.Lane(1).Record(epoch.Add(time.Second), "notice", "n1", "g1", 0, 0, "notify group=0")
+	r.Lane(1).Record(time.Second, "notice", "n1", "g1", 0, 0, "notify group=0")
 	var nilLane *Lane
-	nilLane.Record(epoch, "notice", "", "", 0, 0, "")
+	nilLane.Record(0, "notice", "", "", 0, 0, "")
 	evs := r.Events()
 	if len(evs) != 1 || evs[0].Kind != "notice" || evs[0].Lane != 1 || evs[0].At != time.Second || evs[0].Detail != "notify group=0" {
 		t.Fatalf("events at TraceOff = %+v, want the one recorded notice", evs)

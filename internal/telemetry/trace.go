@@ -35,11 +35,11 @@ func (l *Lane) Tracing(min Level) bool {
 	return l != nil && Level(l.reg.level.Load()) >= min
 }
 
-// Event is one structured protocol-trace record. At is relative to the
-// registry epoch (virtual time in sim, wall time since process start in
-// live). Span/Parent link notification trigger→delivery chains: the
-// trigger event allocates a span ID, notification messages carry it
-// across the wire, and each delivery records it as Parent.
+// Event is one structured protocol-trace record. At is the owning
+// clock's offset from the registry epoch: virtual time in sim, the
+// node's Elapsed live. Span/Parent link notification trigger→delivery
+// chains: the trigger event allocates a span ID, notification messages
+// carry it across the wire, and each delivery records it as Parent.
 type Event struct {
 	At     time.Duration
 	Lane   int
@@ -51,26 +51,26 @@ type Event struct {
 	Detail string
 }
 
-// Emit is Record gated on the trace level: at TraceOff it records
-// nothing. The caller must have checked Tracing (Emit re-checks, so a
-// race on shutdown is safe, but argument construction is the expensive
-// part).
+// Emit is Record for an instant, gated on the trace level: at TraceOff
+// it records nothing, and otherwise it records at's offset from the
+// registry epoch.
 func (l *Lane) Emit(at time.Time, kind, node, group string, span, parent uint64, detail string) {
 	if l.Tracing(TraceProto) {
-		l.Record(at, kind, node, group, span, parent, detail)
+		l.Record(at.Sub(l.reg.epoch), kind, node, group, span, parent, detail)
 	}
 }
 
-// Record appends one event to the lane's buffer at any trace level: the
-// scenario engine's actions and notices, which its audit folds, must not
-// depend on verbosity. Timestamps are taken from the owning clock by the
-// caller.
-func (l *Lane) Record(at time.Time, kind, node, group string, span, parent uint64, detail string) {
+// Record appends one event to the lane's buffer at any trace level, at
+// offset at from the registry epoch: the owning clock's reading
+// (Env.Elapsed), taken by the caller. Protocol sites gate on Tracing
+// themselves, before building the fields; the scenario engine's actions
+// and notices, which its audit folds, are recorded at every level.
+func (l *Lane) Record(at time.Duration, kind, node, group string, span, parent uint64, detail string) {
 	if l == nil {
 		return
 	}
 	l.events = append(l.events, Event{
-		At:     at.Sub(l.reg.epoch),
+		At:     at,
 		Lane:   l.id,
 		Kind:   kind,
 		Node:   node,

@@ -226,21 +226,21 @@ func TestDialBeforeAddNodeDeliversOnceNodeExists(t *testing.T) {
 	router := net.topo.AttachPoints(3, net.sim.Rand())[2]
 	late := net.AddNode("late", router)
 	var got []string
-	var at time.Time
+	var at time.Duration
 	net.SetHandler("late", func(from transport.Addr, msg transport.Message) {
 		if from != addrs[0] {
 			t.Errorf("delivered from %q, want %q", from, addrs[0])
 		}
-		got, at = append(got, msg.(*tmsg).V), late.Now()
+		got, at = append(got, msg.(*tmsg).V), late.Elapsed()
 	})
-	sentAt := net.sim.Now()
+	sentAt := net.sim.Elapsed()
 	p.Send(str("hello"))
 	net.sim.Run()
 	if len(got) != 1 || got[0] != "hello" {
 		t.Fatalf("delivered %q, want one hello", got)
 	}
-	if want := net.topo.Path(a.router, router).Latency; at.Sub(sentAt) != want {
-		t.Fatalf("delivery took %v, want the path latency %v", at.Sub(sentAt), want)
+	if want := net.topo.Path(a.router, router).Latency; at-sentAt != want {
+		t.Fatalf("delivery took %v, want the path latency %v", at-sentAt, want)
 	}
 	if a.Dial("late") != p {
 		t.Fatal("the resolved link did not enter the cache")

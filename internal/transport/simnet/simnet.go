@@ -214,9 +214,7 @@ type node struct {
 	// keeps running (timers fire, sends and receives are dropped).
 	detached bool
 	epoch    uint64 // incremented on restart; stale callbacks are dropped
-	// nextFree is when the sender-side serialization queue drains, as an
-	// offset from the simulation epoch (plain integer arithmetic on the
-	// send path, no time.Time).
+	// nextFree is when the sender-side serialization queue drains.
 	nextFree time.Duration
 
 	// routes caches resolved destinations: the endpoint object and the
@@ -583,12 +581,9 @@ func (n *Net) Dropped() uint64 {
 func (nd *node) Addr() transport.Addr { return nd.addr }
 func (nd *node) Rand() *rand.Rand     { return nd.rng }
 
-// Now returns the node's local virtual clock, its shard's: inside a
+// Elapsed returns the node's local virtual clock, its shard's: inside a
 // window it may run ahead of other shards and of the simulator's fence
 // clock, but it is exactly the executing event's time.
-func (nd *node) Now() time.Time { return nd.shard.Now() }
-
-// Elapsed is Now as an offset from the simulation epoch.
 func (nd *node) Elapsed() time.Duration { return nd.shard.Elapsed() }
 
 func (nd *node) After(d time.Duration, fn func()) transport.Timer {

@@ -49,9 +49,9 @@ func TestDeliveryAndLatency(t *testing.T) {
 	net, addrs := testNet(t, 2, Options{})
 	var gotFrom transport.Addr
 	var gotMsg string
-	var at time.Time
+	var at time.Duration
 	net.SetHandler(addrs[1], func(from transport.Addr, msg transport.Message) {
-		gotFrom, gotMsg, at = from, msg.(*tmsg).V, net.nodes[addrs[1]].Now()
+		gotFrom, gotMsg, at = from, msg.(*tmsg).V, net.nodes[addrs[1]].Elapsed()
 	})
 	net.SetHandler(addrs[0], func(transport.Addr, transport.Message) {})
 	env := net.nodes[addrs[0]]
@@ -61,17 +61,17 @@ func TestDeliveryAndLatency(t *testing.T) {
 		t.Fatalf("got %v %v", gotFrom, gotMsg)
 	}
 	want := net.topo.Path(net.Router(addrs[0]), net.Router(addrs[1])).Latency
-	if got := at.Sub(eventsim.Epoch); got != want {
-		t.Fatalf("delivery latency %v, want path latency %v", got, want)
+	if at != want {
+		t.Fatalf("delivery latency %v, want path latency %v", at, want)
 	}
 }
 
 func TestSendOverheadSerializesSender(t *testing.T) {
 	opts := Options{SendOverhead: 10 * time.Millisecond}
 	net, addrs := testNet(t, 2, opts)
-	var arrivals []time.Time
+	var arrivals []time.Duration
 	net.SetHandler(addrs[1], func(transport.Addr, transport.Message) {
-		arrivals = append(arrivals, net.nodes[addrs[1]].Now())
+		arrivals = append(arrivals, net.nodes[addrs[1]].Elapsed())
 	})
 	env := net.nodes[addrs[0]]
 	for i := 0; i < 3; i++ {
@@ -82,7 +82,7 @@ func TestSendOverheadSerializesSender(t *testing.T) {
 		t.Fatalf("delivered %d, want 3", len(arrivals))
 	}
 	for i := 1; i < 3; i++ {
-		if gap := arrivals[i].Sub(arrivals[i-1]); gap != opts.SendOverhead {
+		if gap := arrivals[i] - arrivals[i-1]; gap != opts.SendOverhead {
 			t.Fatalf("gap %d = %v, want %v (serialized sends)", i, gap, opts.SendOverhead)
 		}
 	}
@@ -226,19 +226,19 @@ func TestModerateLossIsMaskedByRetries(t *testing.T) {
 func TestRetriesAddLatency(t *testing.T) {
 	opts := Options{RetriesBeforeBreak: 5, RetryRTO: time.Second}
 	net, addrs := testNet(t, 2, opts)
-	var sentAt []time.Time
+	var sentAt []time.Duration
 	var maxDelay time.Duration
 	base := net.topo.Path(net.Router(addrs[0]), net.Router(addrs[1])).Latency
 	net.SetHandler(addrs[1], func(_ transport.Addr, msg transport.Message) {
 		i := msg.(*imsg).I
-		if d := net.nodes[addrs[1]].Now().Sub(sentAt[i]) - base; d > maxDelay {
+		if d := net.nodes[addrs[1]].Elapsed() - sentAt[i] - base; d > maxDelay {
 			maxDelay = d
 		}
 	})
 	// High loss: most deliveries need one or more retransmissions.
 	net.SetLinkLoss(addrs[0], addrs[1], 0.95)
 	for i := 0; i < 50; i++ {
-		sentAt = append(sentAt, net.sim.Now())
+		sentAt = append(sentAt, net.sim.Elapsed())
 		net.nodes[addrs[0]].Send(addrs[1], num(i))
 		net.sim.Run()
 	}

@@ -243,9 +243,6 @@ func (n *Node) SetIdleTimeout(d time.Duration) {
 // Addr returns the node's dialable address.
 func (n *Node) Addr() transport.Addr { return n.addr }
 
-// Now returns wall-clock time.
-func (n *Node) Now() time.Time { return time.Now() }
-
 // Elapsed returns the monotonic time since the node was created.
 func (n *Node) Elapsed() time.Duration { return time.Since(n.start) }
 

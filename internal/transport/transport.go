@@ -167,15 +167,11 @@ type Env interface {
 	// Addr returns this node's own address.
 	Addr() Addr
 
-	// Now returns the current time (virtual in simulation, wall-clock
-	// live).
-	Now() time.Time
-
-	// Elapsed is the same clock as an offset from a fixed epoch: the
-	// simulation's start in simulation, the Env's creation live (read
-	// from the monotonic clock). Protocol code that only orders and
-	// subtracts instants - the overlay's ping schedule, once per ping -
-	// reads it instead of doing time.Time arithmetic on Now.
+	// Elapsed is the node's clock: the time since a fixed epoch, which
+	// is the simulation's start in simulation (virtual time) and the
+	// Env's creation live (read from the monotonic clock). It never goes
+	// backwards and is never negative, so a zero offset is never in the
+	// future. Protocol code keeps every instant as such an offset.
 	Elapsed() time.Duration
 
 	// After schedules fn to run on this node's event loop after d.

@@ -64,9 +64,10 @@ func Start(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 
-	// Live telemetry: one lane, wall-clock epoch, attached before the
-	// protocol stacks are built so they resolve it from the env.
-	reg := telemetry.New(time.Now(), 1)
+	// Live telemetry: one lane, attached before the protocol stacks are
+	// built so they resolve it from the env. Its epoch is the instant the
+	// node's Elapsed counts from, so a trace's offsets are that clock.
+	reg := telemetry.New(time.Now().Add(-tn.Elapsed()), 1)
 	tn.SetTelemetry(reg)
 
 	ov := overlay.New(tn, overlay.DefaultConfig().Scale(scale), cfg.Name)

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"fuse/internal/cluster"
+	"fuse/internal/eventsim"
 	"fuse/internal/netmodel"
 	"fuse/internal/telemetry"
 )
@@ -69,12 +70,12 @@ func (s *Sim) Peer(i int) Peer { return s.c.Nodes[i].Ref() }
 // While RunFor is executing events it lags the nodes by up to a whole
 // window, so a failure handler that wants to know when it ran reads
 // NodeNow.
-func (s *Sim) Now() time.Time { return s.c.Sim.Now() }
+func (s *Sim) Now() time.Time { return eventsim.Epoch.Add(s.c.Sim.Elapsed()) }
 
 // NodeNow returns node i's own virtual clock: the time of the event the
 // node is executing, and therefore the correct timestamp inside a failure
 // handler. Between run calls it equals Now.
-func (s *Sim) NodeNow(i int) time.Time { return s.c.Nodes[i].Env.Now() }
+func (s *Sim) NodeNow(i int) time.Time { return eventsim.Epoch.Add(s.c.Nodes[i].Env.Elapsed()) }
 
 // RunFor advances virtual time by d, executing all protocol events due in
 // that window.
