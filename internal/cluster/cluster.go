@@ -122,6 +122,20 @@ func New(opts Options) *Cluster {
 	if opts.N <= 0 {
 		panic("cluster: N must be positive")
 	}
+	c := newNetwork(opts)
+	pts := c.Topo.AttachPoints(opts.N, c.Sim.Rand())
+	for i := 0; i < opts.N; i++ {
+		c.addNode(pts[i])
+	}
+	if !opts.SkipAssemble {
+		c.Assemble()
+	}
+	return c
+}
+
+// newNetwork builds the deployment New describes without its nodes: the
+// simulator, the topology, the network and the telemetry registry.
+func newNetwork(opts Options) *Cluster {
 	netCfg := netmodel.DefaultConfig(opts.Seed)
 	switch {
 	case opts.NetConfig != nil:
@@ -154,21 +168,13 @@ func New(opts Options) *Cluster {
 	reg.GaugeFunc("eventsim_events_pending",
 		"simulation events scheduled and not yet run", func() int64 { return int64(sim.Pending()) })
 	net.SetTelemetry(reg)
-	c := &Cluster{
+	return &Cluster{
 		Sim:       sim,
 		Topo:      topo,
 		Net:       net,
 		Telemetry: reg,
 		stores:    make(map[int]*core.MemStore),
 	}
-	pts := topo.AttachPoints(opts.N, sim.Rand())
-	for i := 0; i < opts.N; i++ {
-		c.addNode(pts[i])
-	}
-	if !opts.SkipAssemble {
-		c.Assemble()
-	}
-	return c
 }
 
 func (c *Cluster) addNode(router netmodel.RouterID) *Node {

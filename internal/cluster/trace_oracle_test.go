@@ -17,9 +17,12 @@ import (
 // against the per-link ping timers and must keep passing, unedited, under
 // any change to how the overlay schedules its liveness checks: such a
 // change may move how many simulator events a run costs, never what the
-// protocol does or when.
+// protocol does or when. It was re-recorded once, when each simulated
+// node's random source became a PCG and so drew a different stream:
+// 20,582 events (10,230 pings, 10,168 acks, 57 neighbour deaths), 7
+// notices.
 func TestVerboseTraceOracle(t *testing.T) {
-	const want = "eb02402b3b14ba477c47396ec42fd80e7ac5ea5e6d675d3702fb53b1212862f9"
+	const want = "9c3b3e18266443b1c62d5133d97acfe90af526c6c96dbf0a2e40e9b1083e5e4e"
 
 	c := cluster.New(cluster.Options{N: 60, Seed: 22})
 	c.Telemetry.EnableTrace(telemetry.TraceVerbose)

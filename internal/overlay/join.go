@@ -107,8 +107,8 @@ func AssembleStatic(nodes []*Node) {
 			any = true
 			// members is already name-sorted (stable from sorted).
 			for i, nd := range members {
-				nd.rights[h] = members[(i+1)%len(members)].self
-				nd.lefts[h] = members[(i-1+len(members))%len(members)].self
+				*nd.ringSlot(h, true) = members[(i+1)%len(members)].self
+				*nd.ringSlot(h, false) = members[(i-1+len(members))%len(members)].self
 			}
 		}
 		if !any {

@@ -83,7 +83,7 @@ func (n *Node) removeRef(addr transport.Addr) bool {
 	}
 	n.leafR = filter(n.leafR)
 	n.leafL = filter(n.leafL)
-	for h := 1; h <= maxLevels; h++ {
+	for h := 1; h < len(n.rights); h++ {
 		if n.rights[h].Addr == addr {
 			n.rights[h] = NodeRef{}
 			removed = true
@@ -318,7 +318,7 @@ func (n *Node) neighborDead(ref NodeRef) {
 	// Remember which ring levels pointed at the dead node before
 	// removal so repair can target them.
 	var needRight, needLeft []int
-	for h := 1; h <= maxLevels; h++ {
+	for h := 1; h < len(n.rights); h++ {
 		if n.rights[h].Addr == ref.Addr {
 			needRight = append(needRight, h)
 		}
@@ -354,7 +354,7 @@ func (n *Node) leafRefillPeer() (NodeRef, bool) {
 	if len(n.leafL) > 0 {
 		return n.leafL[len(n.leafL)-1], true
 	}
-	for h := 1; h <= maxLevels; h++ {
+	for h := 1; h < len(n.rights); h++ {
 		if !n.rights[h].IsZero() {
 			return n.rights[h], true
 		}
@@ -431,10 +431,7 @@ func (n *Node) walkNeighbor(walkLevel int, right bool) NodeRef {
 		}
 		return n.Predecessor()
 	}
-	if right {
-		return n.rights[walkLevel]
-	}
-	return n.lefts[walkLevel]
+	return n.ring(walkLevel, right)
 }
 
 func (n *Node) handleRingSearch(m *msgRingSearch) {
@@ -495,12 +492,7 @@ func (n *Node) handleRingFound(m *msgRingFound) {
 // closer than the current pointer (or the pointer is empty). It reports
 // whether the pointer changed.
 func (n *Node) adoptRingNeighbor(level int, cand NodeRef, right bool) bool {
-	var cur *NodeRef
-	if right {
-		cur = &n.rights[level]
-	} else {
-		cur = &n.lefts[level]
-	}
+	cur := n.ring(level, right)
 	if cand.Name == n.self.Name {
 		return false
 	}
@@ -515,7 +507,7 @@ func (n *Node) adoptRingNeighbor(level int, cand NodeRef, right bool) bool {
 	if !closer {
 		return false
 	}
-	*cur = cand
+	*n.ringSlot(level, right) = cand
 	n.syncPings()
 	return true
 }
@@ -531,12 +523,12 @@ func (n *Node) handleRingInsert(m *msgRingInsert) {
 	}
 	var displaced NodeRef
 	if m.AsLeft {
-		displaced = n.lefts[level]
+		displaced = n.ring(level, false)
 		if !n.adoptRingNeighbor(level, m.Node, false) {
 			return
 		}
 	} else {
-		displaced = n.rights[level]
+		displaced = n.ring(level, true)
 		if !n.adoptRingNeighbor(level, m.Node, true) {
 			return
 		}
@@ -597,10 +589,10 @@ func (n *Node) climbFrom(level int) {
 	if next > maxLevels {
 		return
 	}
-	if n.rights[next].IsZero() {
+	if n.ring(next, true).IsZero() {
 		n.startRingSearch(next, true)
 	}
-	if n.lefts[next].IsZero() {
+	if n.ring(next, false).IsZero() {
 		n.startRingSearch(next, false)
 	}
 }

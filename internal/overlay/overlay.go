@@ -178,6 +178,9 @@ type Node struct {
 	// Ring state for levels >= 1: rights[h] / lefts[h] are this node's
 	// clockwise/counterclockwise neighbors in the ring of nodes sharing
 	// h numeric-ID digits. Index 0 is unused (derived from leaf sets).
+	// Both tables start empty and grow together, only as far as the
+	// highest level ever written (ringSlot); ring reads past them as
+	// empty.
 	rights []NodeRef
 	lefts  []NodeRef
 
@@ -235,8 +238,6 @@ func New(env transport.Env, cfg Config, name string) *Node {
 		self:     NodeRef{Name: name, Addr: env.Addr()},
 		digits:   DigitsOf(name, digitBase, maxLevels),
 		client:   nopClient{},
-		rights:   make([]NodeRef, maxLevels+1),
-		lefts:    make([]NodeRef, maxLevels+1),
 		armed:    never,
 		pings:    make(map[transport.Addr]uint32),
 		searches: make(map[searchKey]bool),
@@ -327,10 +328,37 @@ func (n *Node) eachTableRef(visit func(NodeRef)) {
 	for _, r := range n.leafL {
 		other(r)
 	}
-	for h := 1; h <= maxLevels; h++ {
+	for h := 1; h < len(n.rights); h++ {
 		other(n.rights[h])
 		other(n.lefts[h])
 	}
+}
+
+// ring returns the level-h ring neighbor on the right (clockwise) or
+// left side; a level past the tables is empty.
+func (n *Node) ring(h int, right bool) NodeRef {
+	if h >= len(n.rights) {
+		return NodeRef{}
+	}
+	if right {
+		return n.rights[h]
+	}
+	return n.lefts[h]
+}
+
+// ringSlot returns the level-h entry on one side for writing, first
+// growing both tables to exactly h+1 levels if they are shorter.
+func (n *Node) ringSlot(h int, right bool) *NodeRef {
+	if h >= len(n.rights) {
+		rights, lefts := make([]NodeRef, h+1), make([]NodeRef, h+1)
+		copy(rights, n.rights)
+		copy(lefts, n.lefts)
+		n.rights, n.lefts = rights, lefts
+	}
+	if right {
+		return &n.rights[h]
+	}
+	return &n.lefts[h]
 }
 
 // Neighbors returns the distinct set of routing-table neighbors, the

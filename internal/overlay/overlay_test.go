@@ -192,7 +192,7 @@ func TestAssembleStaticInvariants(t *testing.T) {
 		// Ring pointers must share the prefix of their level and be
 		// symmetric.
 		for h := 1; h <= maxLevels; h++ {
-			r := nd.rights[h]
+			r := nd.ring(h, true)
 			if r.IsZero() {
 				continue
 			}
@@ -200,7 +200,7 @@ func TestAssembleStaticInvariants(t *testing.T) {
 			if SharedPrefix(nd.digits, other.digits) < h {
 				t.Fatalf("%s level-%d right %s shares too little prefix", nd.Self().Name, h, r.Name)
 			}
-			if other.lefts[h].Name != nd.Self().Name {
+			if other.ring(h, false).Name != nd.Self().Name {
 				t.Fatalf("ring asymmetry at level %d: %s -> %s", h, nd.Self().Name, r.Name)
 			}
 		}
@@ -516,6 +516,76 @@ func TestJoinIntegratesNewNodes(t *testing.T) {
 	}
 	check(newNodes[0], newClients[7], newNodes[7])
 	check(newNodes[7], newClients[0], newNodes[0])
+}
+
+// height returns a node's highest ring level with a neighbor on either
+// side, 0 if it has none.
+func height(nd *Node) int {
+	top := 0
+	for h := 1; h < len(nd.rights); h++ {
+		if !nd.ring(h, true).IsZero() || !nd.ring(h, false).IsZero() {
+			top = h
+		}
+	}
+	return top
+}
+
+// TestRingTablesGrowOnClimb pins the ring tables' size: AssembleStatic
+// leaves each node's rights and lefts exactly one past its height, and a
+// live Join whose ring searches climb above its bootstrap's height grows
+// both nodes' tables to the new level.
+func TestRingTablesGrowOnClimb(t *testing.T) {
+	cfg := DefaultConfig()
+	cl := newCluster(t, 200, 3, cfg)
+	cl.assemble()
+	tight := func(nodes ...*Node) {
+		t.Helper()
+		for _, nd := range nodes {
+			want := height(nd) + 1
+			if want == 1 {
+				want = 0 // no ring at all: the tables were never written
+			}
+			if len(nd.rights) != want || len(nd.lefts) != want || cap(nd.rights) != want || cap(nd.lefts) != want {
+				t.Fatalf("%s at height %d: rights len %d cap %d, lefts len %d cap %d, want %d",
+					nd.Self().Name, height(nd), len(nd.rights), cap(nd.rights), len(nd.lefts), cap(nd.lefts), want)
+			}
+		}
+	}
+	tight(cl.nodes...)
+
+	// A newcomer sharing one digit more with the bootstrap than the
+	// bootstrap's height: its searches climb to a level the bootstrap
+	// has no slot for, and the two form that level's ring.
+	boot := cl.nodes[0]
+	top := height(boot)
+	name := ""
+	for k := 0; name == ""; k++ {
+		cand := fmt.Sprintf("climb%d.example.org", k)
+		if SharedPrefix(DigitsOf(cand, digitBase, maxLevels), boot.digits) == top+1 {
+			name = cand
+		}
+	}
+	addr := transport.Addr("node-climb")
+	nd := New(cl.net.AddNode(addr, cl.net.Router(boot.Self().Addr)), cfg, name)
+	nd.SetClient(&recClient{})
+	cl.net.SetHandler(addr, func(from transport.Addr, msg transport.Message) { nd.Handle(from, msg) })
+	nd.Join(boot.Self())
+	cl.sim.RunFor(2 * cfg.PingInterval)
+
+	for _, c := range []struct{ a, b *Node }{{nd, boot}, {boot, nd}} {
+		if got := height(c.a); got != top+1 || len(c.a.rights) != top+2 || len(c.a.lefts) != top+2 {
+			t.Fatalf("%s: height %d, tables %d/%d long; want height %d, %d long",
+				c.a.Self().Name, got, len(c.a.rights), len(c.a.lefts), top+1, top+2)
+		}
+		if c.a.ring(top+1, true).Name != c.b.Self().Name || c.a.ring(top+1, false).Name != c.b.Self().Name {
+			t.Fatalf("%s: level-%d ring %s / %s, want %s on both sides", c.a.Self().Name, top+1,
+				c.a.ring(top+1, true).Name, c.a.ring(top+1, false).Name, c.b.Self().Name)
+		}
+		if linkTo(c.a, c.b.Self().Addr) == nil {
+			t.Fatalf("%s does not ping its new ring neighbor %s", c.a.Self().Name, c.b.Self().Name)
+		}
+	}
+	tight(append(cl.nodes, nd)...)
 }
 
 // Property: for any pair of distinct nodes in an assembled overlay,

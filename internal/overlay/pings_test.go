@@ -27,8 +27,8 @@ func refNeighbors(n *Node) []NodeRef {
 		add(r)
 	}
 	for h := 1; h <= maxLevels; h++ {
-		add(n.rights[h])
-		add(n.lefts[h])
+		add(n.ring(h, true))
+		add(n.ring(h, false))
 	}
 	return out
 }

@@ -38,7 +38,7 @@ func (n *Node) NextHop(dest string) (NodeRef, bool) {
 	for _, r := range n.leafL {
 		consider(r)
 	}
-	for h := 1; h <= maxLevels; h++ {
+	for h := 1; h < len(n.rights); h++ {
 		consider(n.rights[h])
 		consider(n.lefts[h])
 	}

@@ -13,12 +13,14 @@ import (
 // corpusSeeds is the checked-in seed corpus for FuzzScheduleInvariants
 // (testdata/fuzz/FuzzScheduleInvariants, regenerated with
 // GEN_FUZZ_CORPUS=1): a spread of generator seeds whose scripts between
-// them cover every action kind, and the four whose trigger-to-notice
-// spans reach furthest toward core.NotificationBound (2m56s-2m57s of
-// 5m15s; seeds 1-8 peak at 70 s), so a bound cut below them fails
-// per-push CI. Per-push CI runs exactly these; the nightly fuzz job
-// explores beyond them.
-var corpusSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8, 81, 908, 1668, 2002}
+// them cover every action kind, and those whose trigger-to-notice spans
+// reach furthest toward core.NotificationBound (of 3,000 seeds, 1086,
+// 2140, 2002, 11, 1592 and 81 at 2m55s-3m11s of 5m15s; seeds 1-8 peak
+// at 70.5 s), so a bound cut below them fails per-push CI. Seeds 908 and
+// 1668 were the widest before simulated nodes drew from PCG streams.
+// Per-push CI runs exactly these; the nightly fuzz job explores beyond
+// them.
+var corpusSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8, 11, 81, 908, 1086, 1592, 1668, 2002, 2140}
 
 // FuzzScheduleInvariants is the property-based test of the whole
 // protocol: any seed becomes a well-formed random failure schedule, and
@@ -81,11 +83,12 @@ func writeCounterexample(t *testing.T, seed int64, data []byte) string {
 }
 
 // TestNotificationBoundIsTight pins that the audited bound is near what
-// the protocol takes. In seed 81 member 3 gives up on the root (the
-// trigger), the root stops mid-repair 64 s later, and members 8 and 10
-// give up on it in turn 109-112 s after that. Their span must fit
-// core.NotificationBound and exceed half of it: a bound loose enough to
-// pass a doubled latency fails here.
+// the protocol takes. In seed 81 a partition cuts root 11 off from
+// members 3 and 9: member 9 gives up on the root (the trigger) and
+// member 3 29 s later, the root stops mid-repair 19 s after that, and
+// members 8 and 10 give up on it in turn 2m19s and 2m55s after the
+// trigger. That span must fit core.NotificationBound and exceed half
+// of it: a bound loose enough to pass a doubled latency fails here.
 func TestNotificationBoundIsTight(t *testing.T) {
 	s := GenerateScript(81)
 	e, err := Start(clusterFor(s), s)

@@ -47,6 +47,7 @@ package simnet
 import (
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"time"
 
 	"fuse/internal/eventsim"
@@ -359,7 +360,7 @@ func (n *Net) AddNode(addr transport.Addr, router netmodel.RouterID) transport.E
 		net:      n,
 		addr:     addr,
 		router:   router,
-		rng:      rand.New(rand.NewSource(n.sim.Rand().Int63())),
+		rng:      rand.New(newPCGSource(n.sim.Rand().Int63())),
 		shard:    n.shards[slot],
 		slot:     slot,
 		nextFree: n.sim.Elapsed(),
@@ -368,6 +369,20 @@ func (n *Net) AddNode(addr transport.Addr, router netmodel.RouterID) transport.E
 	n.nodes[addr] = nd
 	return nd
 }
+
+// pcgSource backs a node's *rand.Rand with math/rand/v2's PCG: 16 B of
+// state where math/rand's own source is 5,424 B, for the few draws a
+// node makes.
+type pcgSource struct{ randv2.PCG }
+
+func newPCGSource(seed int64) *pcgSource {
+	s := &pcgSource{}
+	s.Seed(seed)
+	return s
+}
+
+func (s *pcgSource) Int63() int64    { return int64(s.Uint64() >> 1) }
+func (s *pcgSource) Seed(seed int64) { s.PCG.Seed(uint64(seed), 0) }
 
 // SetHandler installs the message handler for addr.
 func (n *Net) SetHandler(addr transport.Addr, h transport.Handler) {
