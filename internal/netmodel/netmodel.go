@@ -4,10 +4,11 @@
 //
 // It substitutes for the Mercator-derived topology used in the paper
 // (102,639 routers, 2,662 ASes, 142,303 links). The experiments depend only
-// on the *induced distributions*: round-trip latencies with a median around
-// 130 ms and a significant heavy tail (paths crossing one or more
-// intercontinental T3 links), router-level routes of roughly 2-43 hops with
-// a median near 15, and per-route loss rates compounding per-link loss.
+// on the *induced distributions*: round-trip latencies with a significant
+// heavy tail (paths crossing one or more intercontinental T3 links; the
+// median is fig6's 181.2 ms, not the paper's ~130 ms, see ROADMAP item
+// 15), router-level routes of roughly 2-43 hops with a median near 15,
+// and per-route loss rates compounding per-link loss.
 // The generator reproduces those shapes with a three-level hierarchy:
 // continents -> autonomous systems -> router rings, where inter-continent
 // links are T3 (300-500 ms) and everything else is OC3 (10-40 ms), matching
@@ -75,8 +76,10 @@ type Config struct {
 	Continents int
 	// ContinentWeights gives the relative AS population of each continent.
 	// Uneven weights make same-continent routes (no T3 crossing) the
-	// common case, which is what produces the paper's 130 ms median RTT
-	// with a T3-induced heavy tail. Must have length Continents.
+	// common case, with a T3-induced heavy tail. On the default topology
+	// fig6 reads a 181.2 ms median RPC latency (p75 808 ms), not the
+	// paper's ~130 ms; ROADMAP item 15 is that calibration. Must have
+	// length Continents.
 	ContinentWeights []float64
 	ASes             int // total autonomous systems across all continents
 	RoutersPer       int // routers per AS

@@ -1,24 +1,25 @@
-package tcpnet
+package transport
 
-// Wire codec. The old framing gob-encoded an Envelope{From, Payload any}
-// per message, which forced every payload through gob's interface
-// machinery (an allocation-heavy reflection path) and repeated the sender
-// address on every frame. The typed transport.Message union lets the
-// codec frame messages explicitly instead:
+// Wire codec: the one byte format every byte-oriented transport speaks.
+// Frames name the typed Message union's records explicitly, by registry
+// tag, and the sender address travels once per connection, so no payload
+// goes through gob's interface machinery (an allocation-heavy reflection
+// path) and no frame repeats the sender:
 //
 //	connection: header frame*
 //	header:     uvarint(len(from)) from           — sent once per connection
 //	frame:      uvarint(len(tag)) tag uvarint(len(body)) body
 //
 // where tag is the stable name the message type was registered under
-// (transport.Register) and body is the gob encoding of the concrete
-// record by a fresh per-frame encoder, so every body is self-describing.
+// (Register) and body is the gob encoding of the concrete record by a
+// fresh per-frame encoder, so every body is self-describing.
 // Compatibility holds within a run: both endpoints are built from the
 // same binary, so they assign identical tags, and gob's self-describing
 // bodies tolerate field-set evolution between binaries that share tags.
 // A decoder meeting an unknown tag, an oversized length, or a truncated
-// frame returns a clean error (never panics) and the connection is torn
-// down, which the protocols above experience as an unreachable peer.
+// frame returns a clean error (never panics); a transport tears the
+// connection down, which the protocols above experience as an
+// unreachable peer.
 
 import (
 	"bufio"
@@ -28,8 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"fuse/internal/transport"
+	"slices"
 )
 
 // Frame-sanity bounds. They exist so a corrupt or adversarial length
@@ -42,14 +42,19 @@ const (
 	maxBodyLen = 16 << 20
 )
 
+// readChunk caps how far a read runs ahead of the bytes received: a body
+// is read in slices of at most this size, so a length prefix that
+// announces more than the peer sends costs at most one slice.
+const readChunk = 64 << 10
+
 var (
-	errTagTooLong  = errors.New("tcpnet: frame tag exceeds length bound")
-	errFromTooLong = errors.New("tcpnet: connection header exceeds length bound")
-	errBodyTooLong = errors.New("tcpnet: frame body exceeds length bound")
+	errTagTooLong  = errors.New("transport: frame tag exceeds length bound")
+	errFromTooLong = errors.New("transport: connection header exceeds length bound")
+	errBodyTooLong = errors.New("transport: frame body exceeds length bound")
 )
 
-// writeHeader sends the one-per-connection sender address.
-func writeHeader(w *bufio.Writer, from transport.Addr) error {
+// WriteHeader sends the one-per-connection sender address.
+func WriteHeader(w *bufio.Writer, from Addr) error {
 	if len(from) > maxFromLen {
 		return errFromTooLong
 	}
@@ -62,22 +67,22 @@ func writeHeader(w *bufio.Writer, from transport.Addr) error {
 	return err
 }
 
-// readHeader reads the sender address a dialing peer announced.
-func readHeader(r *bufio.Reader) (transport.Addr, error) {
+// ReadHeader reads the sender address a dialing peer announced.
+func ReadHeader(r *bufio.Reader) (Addr, error) {
 	b, err := readLenPrefixed(r, maxFromLen, errFromTooLong)
 	if err != nil {
 		return "", err
 	}
-	return transport.Addr(b), nil
+	return Addr(b), nil
 }
 
-// encodeFrame appends one framed message to buf: the registry tag, then a
+// AppendFrame appends one framed message to buf: the registry tag, then a
 // length-prefixed self-describing gob body. buf is reused across frames
 // by the connection writer.
-func encodeFrame(buf *bytes.Buffer, msg transport.Message) error {
-	tag, ok := transport.MessageName(msg)
+func AppendFrame(buf *bytes.Buffer, msg Message) error {
+	tag, ok := messageName(msg)
 	if !ok {
-		return fmt.Errorf("tcpnet: unregistered message type %T", msg)
+		return fmt.Errorf("transport: unregistered message type %T", msg)
 	}
 	var lenBuf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(lenBuf[:], uint64(len(tag)))
@@ -90,7 +95,7 @@ func encodeFrame(buf *bytes.Buffer, msg transport.Message) error {
 	buf.Write(lenBuf[:binary.MaxVarintLen64])
 	bodyAt := buf.Len()
 	if err := gob.NewEncoder(buf).Encode(msg); err != nil {
-		return fmt.Errorf("tcpnet: encode %s: %w", tag, err)
+		return fmt.Errorf("transport: encode %s: %w", tag, err)
 	}
 	bodyLen := buf.Len() - bodyAt
 	if bodyLen > maxBodyLen {
@@ -112,12 +117,12 @@ func putUvarintPadded(slot []byte, v uint64) {
 	slot[len(slot)-1] = byte(v) & 0x7f
 }
 
-// decodeFrame reads one framed message, consulting the registry for the
+// ReadFrame reads one framed message, consulting the registry for the
 // record to gob-decode into. Any malformed input — unknown tag, length
 // over bound, truncated tag/length/body, undecodable gob — yields an
 // error, never a panic; a clean EOF before the first byte of a frame is
 // reported as io.EOF so the read loop can distinguish orderly close.
-func decodeFrame(r *bufio.Reader) (transport.Message, error) {
+func ReadFrame(r *bufio.Reader) (Message, error) {
 	tag, err := readLenPrefixed(r, maxTagLen, errTagTooLong)
 	if err != nil {
 		return nil, err
@@ -126,19 +131,20 @@ func decodeFrame(r *bufio.Reader) (transport.Message, error) {
 	if err != nil {
 		return nil, notEOF(err)
 	}
-	msg, ok := transport.NewMessage(string(tag))
+	msg, ok := NewMessage(string(tag))
 	if !ok {
-		return nil, fmt.Errorf("tcpnet: unknown message tag %q", tag)
+		return nil, fmt.Errorf("transport: unknown message tag %q", tag)
 	}
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(msg); err != nil {
-		transport.ReleaseMessage(msg)
-		return nil, fmt.Errorf("tcpnet: decode %s: %w", tag, err)
+		ReleaseMessage(msg)
+		return nil, fmt.Errorf("transport: decode %s: %w", tag, err)
 	}
 	return msg, nil
 }
 
 // readLenPrefixed reads a uvarint length bounded by max, then that many
-// bytes. io.EOF passes through only when not a single byte was read.
+// bytes, growing the buffer by at most readChunk ahead of what arrived.
+// io.EOF passes through only when not a single byte was read.
 func readLenPrefixed(r *bufio.Reader, max int, overflow error) ([]byte, error) {
 	first := true
 	length := uint64(0)
@@ -162,9 +168,13 @@ func readLenPrefixed(r *bufio.Reader, max int, overflow error) ([]byte, error) {
 	if length > uint64(max) {
 		return nil, overflow
 	}
-	buf := make([]byte, length)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, notEOF(err)
+	buf := make([]byte, 0, min(int(length), readChunk))
+	for len(buf) < int(length) {
+		n := min(int(length)-len(buf), readChunk)
+		buf = slices.Grow(buf, n)[:len(buf)+n]
+		if _, err := io.ReadFull(r, buf[len(buf)-n:]); err != nil {
+			return nil, notEOF(err)
+		}
 	}
 	return buf, nil
 }

@@ -328,6 +328,12 @@ func (n *Net) newDelivery(slot int) *delivery {
 	return d
 }
 
+// wireRoundTrip is nil in every production run. Tests set it (through
+// export_test.go) to pass each delivered message through the wire codec:
+// it takes ownership of msg and returns the decoded copy, which deliver
+// hands to the handler in msg's place.
+var wireRoundTrip func(transport.Message) transport.Message
+
 // deliver hands the message to the destination's handler (or counts a
 // drop) and recycles the record. Recycling happens before the handler
 // runs so that sends made from within it reuse this same record; the
@@ -345,6 +351,9 @@ func (d *delivery) deliver() {
 		return
 	}
 	slot.delivered++
+	if wireRoundTrip != nil {
+		msg = wireRoundTrip(msg)
+	}
 	dst.handler(from, msg)
 	transport.ReleaseMessage(msg)
 }

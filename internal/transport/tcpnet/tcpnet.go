@@ -16,11 +16,12 @@
 // deadlines) run identically here and in simulation.
 //
 // On the wire, each connection carries a one-time sender-address header
-// followed by framed messages from the transport.Message union: a
-// registry tag plus a length-prefixed, self-describing gob body (see
-// codec.go). Malformed or truncated frames fail cleanly and tear the
-// connection down, which the protocols above observe as an unreachable
-// peer.
+// followed by framed messages from the transport.Message union, in the
+// wire format package transport owns (transport.WriteHeader and
+// AppendFrame out, ReadHeader and ReadFrame in); this package keeps the
+// sockets, queues and counters. Malformed or truncated frames fail
+// cleanly and tear the connection down, which the protocols above
+// observe as an unreachable peer.
 //
 // Drops are counted, not logged: a full send queue, a failed connection,
 // an unencodable message and a broken inbound stream each have a counter
@@ -422,13 +423,13 @@ func (n *Node) readLoop(conn net.Conn) {
 		}
 	}()
 	r := bufio.NewReader(conn)
-	from, err := readHeader(r)
+	from, err := transport.ReadHeader(r)
 	if err != nil {
 		n.countReadError(err)
 		return
 	}
 	for {
-		msg, err := decodeFrame(r)
+		msg, err := transport.ReadFrame(r)
 		if err != nil {
 			n.countReadError(err)
 			return
@@ -482,14 +483,14 @@ func (c *outConn) writeLoop() {
 			}
 			n.openOut.Add(1)
 			w = bufio.NewWriter(conn)
-			if err := writeHeader(w, n.addr); err != nil {
+			if err := transport.WriteHeader(w, n.addr); err != nil {
 				transport.ReleaseMessage(msg)
 				c.abandon()
 				return
 			}
 		}
 		frame.Reset()
-		err := encodeFrame(&frame, msg)
+		err := transport.AppendFrame(&frame, msg)
 		transport.ReleaseMessage(msg) // serialized (or unencodable): sender side is done with it
 		if err != nil {
 			// Encoding failure is a per-message bug (unregistered type),

@@ -703,7 +703,7 @@ func TestDropsAreCounted(t *testing.T) {
 		// Garbage in place of the header, then garbage after a valid one.
 		var header bytes.Buffer
 		w := bufio.NewWriter(&header)
-		if err := writeHeader(w, "peer"); err != nil {
+		if err := transport.WriteHeader(w, "peer"); err != nil {
 			t.Fatal(err)
 		}
 		w.Flush()

@@ -1,9 +1,10 @@
 package tcpnet
 
-// Codec tests and fuzzing. The blank imports pull in every protocol
-// package so their init-time registrations populate the transport
-// registry: the round-trip tests then enumerate the full closed union -
-// overlay, FUSE core, svtree, livetopo - rather than a
+// Wire tests and fuzzing: tcpnet speaks transport's codec, and these
+// drive it over every message a node can send. The blank imports pull in
+// every protocol package so their init-time registrations populate the
+// transport registry: the round-trip tests then enumerate the full closed
+// union - overlay, FUSE core, svtree, livetopo - rather than a
 // hand-maintained list that would rot as message types are added.
 
 import (
@@ -67,14 +68,14 @@ func fillValue(v reflect.Value, seed *int, maxLen int) {
 func encodeToBytes(t *testing.T, msg transport.Message) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := encodeFrame(&buf, msg); err != nil {
+	if err := transport.AppendFrame(&buf, msg); err != nil {
 		t.Fatalf("encode %T: %v", msg, err)
 	}
 	return buf.Bytes()
 }
 
 func decodeFromBytes(data []byte) (transport.Message, error) {
-	return decodeFrame(bufio.NewReader(bytes.NewReader(data)))
+	return transport.ReadFrame(bufio.NewReader(bytes.NewReader(data)))
 }
 
 // TestWireRoundTripEveryRegisteredType round-trips the zero value and a
@@ -105,9 +106,10 @@ func TestWireRoundTripEveryRegisteredType(t *testing.T) {
 			if !reflect.DeepEqual(got, msg) {
 				t.Fatalf("%s/%s: round trip mismatch:\n got %#v\nwant %#v", name, variant, got, msg)
 			}
-			gotName, _ := transport.MessageName(got)
-			if gotName != name {
-				t.Fatalf("decoded record has tag %q, want %q", gotName, name)
+			// Register keeps tags and types one to one, so the type
+			// names the tag.
+			if reflect.TypeOf(got) != reflect.TypeOf(msg) {
+				t.Fatalf("decoded record is a %T, want %s's %T", got, name, msg)
 			}
 		}
 	}
@@ -150,39 +152,6 @@ func TestDecodeRejectsUnknownTag(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsOversizedLengths(t *testing.T) {
-	// A tag length over the bound, encoded as a huge uvarint.
-	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
-	if _, err := decodeFromBytes(huge); err != errTagTooLong {
-		t.Fatalf("err = %v, want errTagTooLong", err)
-	}
-	// A valid tag followed by a body length over the bound: must fail on
-	// the length alone, without trying to allocate or read the body.
-	var buf bytes.Buffer
-	buf.WriteByte(12)
-	buf.WriteString("overlay.ping")
-	buf.Write(huge)
-	if _, err := decodeFromBytes(buf.Bytes()); err != errBodyTooLong {
-		t.Fatalf("err = %v, want errBodyTooLong", err)
-	}
-}
-
-func TestHeaderRoundTrip(t *testing.T) {
-	var wire bytes.Buffer
-	w := bufio.NewWriter(&wire)
-	if err := writeHeader(w, "10.0.0.7:9000"); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	got, err := readHeader(bufio.NewReader(&wire))
-	if err != nil || got != "10.0.0.7:9000" {
-		t.Fatalf("readHeader = %q, %v", got, err)
-	}
-	if err := writeHeader(w, transport.Addr(strings.Repeat("x", maxFromLen+1))); err != errFromTooLong {
-		t.Fatalf("oversized header: err = %v, want errFromTooLong", err)
-	}
-}
-
 // FuzzWireRoundTrip throws arbitrary byte streams at the frame decoder.
 // The invariants: decoding never panics, never returns a non-nil message
 // together with an error, and every successfully decoded message
@@ -197,7 +166,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	for _, name := range transport.RegisteredMessages() {
 		msg, _ := transport.NewMessage(name)
 		var buf bytes.Buffer
-		if err := encodeFrame(&buf, msg); err != nil {
+		if err := transport.AppendFrame(&buf, msg); err != nil {
 			f.Fatalf("seed encode %s: %v", name, err)
 		}
 		zero := bytes.Clone(buf.Bytes())
@@ -208,7 +177,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		seed := 0
 		fillValue(reflect.ValueOf(filled), &seed, 64)
 		buf.Reset()
-		if err := encodeFrame(&buf, filled); err != nil {
+		if err := transport.AppendFrame(&buf, filled); err != nil {
 			f.Fatalf("seed encode filled %s: %v", name, err)
 		}
 		f.Add(buf.Bytes())
@@ -228,25 +197,23 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		for i := 0; i < 64; i++ { // bound frames per input
-			msg, err := decodeFrame(r)
+			msg, err := transport.ReadFrame(r)
 			if err != nil {
 				if msg != nil {
-					t.Fatalf("decodeFrame returned both a message (%T) and an error (%v)", msg, err)
+					t.Fatalf("ReadFrame returned both a message (%T) and an error (%v)", msg, err)
 				}
 				return
 			}
 			var buf bytes.Buffer
-			if err := encodeFrame(&buf, msg); err != nil {
+			if err := transport.AppendFrame(&buf, msg); err != nil {
 				t.Fatalf("decoded %T does not re-encode: %v", msg, err)
 			}
 			again, err := decodeFromBytes(buf.Bytes())
 			if err != nil {
 				t.Fatalf("re-encoded %T does not decode: %v", msg, err)
 			}
-			a, _ := transport.MessageName(msg)
-			b, _ := transport.MessageName(again)
-			if a != b {
-				t.Fatalf("tag changed across re-encode: %q -> %q", a, b)
+			if a, b := reflect.TypeOf(msg), reflect.TypeOf(again); a != b {
+				t.Fatalf("tag changed across re-encode: %v -> %v", a, b)
 			}
 			transport.ReleaseMessage(again)
 			transport.ReleaseMessage(msg)

@@ -20,10 +20,12 @@
 // Messages form a closed, typed union: every wire message implements
 // Message by embedding Body (conventionally through an unexported alias,
 // so the marker field stays off the wire), and registers itself with
-// Register so byte-oriented transports can frame it with a stable type
-// tag. Passing concrete message records as pointers through the Message
-// interface means a send boxes nothing; the ping-cycle records are
-// additionally pool-backed (Pooled), making the steady-state
+// Register so this package's codec can frame it with a stable type tag.
+// The codec (AppendFrame, ReadFrame, and the connection header) is the
+// one wire format: byte-oriented transports call it and own only their
+// sockets. Passing concrete message records as pointers through the
+// Message interface means a send boxes nothing; the ping-cycle records
+// are additionally pool-backed (Pooled), making the steady-state
 // send->deliver->handle cycle allocation-free on the simulated transport.
 package transport
 
@@ -192,12 +194,12 @@ type Env interface {
 
 // --- message registry ---
 
-// The registry maps stable wire tags to message factories (decode side)
-// and concrete types back to tags (encode side). Tags are assigned by the
-// protocol packages' init functions, so both endpoints of a run built
-// from the same binary agree on them; the tcpnet codec additionally
-// gob-encodes each record self-describingly, keeping frames decodable
-// within a run even as field sets evolve.
+// The registry maps stable wire tags to message factories (decode side,
+// ReadFrame) and concrete types back to tags (encode side, AppendFrame).
+// Tags are assigned by the protocol packages' init functions, so both
+// endpoints of a run built from the same binary agree on them; the codec
+// (codec.go) additionally gob-encodes each record self-describingly,
+// keeping frames decodable within a run even as field sets evolve.
 
 type registryEntry struct {
 	name string
@@ -237,8 +239,8 @@ func Register(name string, newFn func() Message) {
 	ReleaseMessage(rec)
 }
 
-// MessageName returns the wire tag msg was registered under.
-func MessageName(msg Message) (string, bool) {
+// messageName returns the wire tag msg was registered under.
+func messageName(msg Message) (string, bool) {
 	registryMu.RLock()
 	e, ok := registryByType[reflect.TypeOf(msg)]
 	registryMu.RUnlock()
