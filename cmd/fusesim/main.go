@@ -29,8 +29,9 @@
 //
 // -trace writes the run's one event stream as JSON Lines: the protocol's
 // events (every ping too with -trace-pings) and the scenario engine's own
-// "action" and "notice" events, the ones the printed trace and audit are
-// folded from.
+// record of the run - its "setup", "action", "fault", "restart", "notice"
+// and "end" events, the only input the printed trace and audit are folded
+// from, so the file alone re-audits to the printed report.
 package main
 
 import (
@@ -104,7 +105,7 @@ func main() {
 		list    = flag.Bool("list-scenarios", false, "list the built-in scenario presets and exit")
 		dump    = flag.Bool("dump", false, "print the scenario as canonical JSON instead of running it")
 		workers = flag.Int("workers", 0, "event-loop worker goroutines over the default shard count (at most this many per window; a window with fewer than 32 events queued runs on one); 0 = all nodes on one shard, one goroutine (traces are identical at every count >= 1)")
-		traceTo = flag.String("trace", "", "write the event stream - protocol events plus the scenario engine's actions and notices - as JSON Lines to this file (deterministic: diff two runs directly)")
+		traceTo = flag.String("trace", "", "write the event stream - protocol events plus the scenario engine's record of the run - as JSON Lines to this file (deterministic: diff two runs directly)")
 		pings   = flag.Bool("trace-pings", false, "with -trace: include per-ping/ack events (verbose; large)")
 		metrics = flag.Bool("metrics", false, "print the end-of-run telemetry snapshot table")
 	)

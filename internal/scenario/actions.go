@@ -310,8 +310,8 @@ type Signal struct {
 // node's own handler fires synchronously inside it and must attribute
 // to this signal, not to whatever fault preceded it.
 func (a Signal) apply(e *Engine) {
-	e.groupFault(a.Group, a.String(), a.Node)
-	e.c.Nodes[a.Node].Groups.SignalFailure(e.tracks[a.Group].id)
+	e.addFault(a.Group, a.String(), []int{a.Node})
+	e.c.Nodes[a.Node].Groups.SignalFailure(e.ids[a.Group])
 }
 func (a Signal) String() string { return fmt.Sprintf("signal group=%d node=%d", a.Group, a.Node) }
 func (a Signal) validate(v *validator) {

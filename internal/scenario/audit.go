@@ -6,11 +6,14 @@ import (
 	"time"
 
 	"fuse/internal/core"
+	"fuse/internal/telemetry"
 )
 
-// The invariant harness: one track per group accumulates every failure
-// notification delivered to any member incarnation; Report audits the
-// run against the paper's guarantees.
+// The audit: a run is its event stream. audit reads back what the engine
+// recorded (scenario.go) - the setup, action, fault, restart, notice and
+// end events - and checks the run against the paper's guarantees. It
+// reads nothing else, no engine and no cluster, so a -trace JSONL alone
+// re-audits to the same Report.
 
 type incKey struct{ node, inc int }
 
@@ -22,21 +25,6 @@ type Delivery struct {
 	At        time.Duration // timeline-relative, on the node's own clock
 	Reason    core.Reason
 	Fault     int // Seq of the attributed entry of Report.Faults (0: none)
-}
-
-// track is the harness record for one group.
-type track struct {
-	spec     GroupSpec
-	id       core.GroupID
-	attached map[int]int // node -> incarnation the handler is registered on
-	counts   map[incKey]int
-	notices  []Delivery   // in time order (fold's merge): notices[0] is the trigger
-	member   map[int]bool // the group's node set, for fault attribution
-}
-
-// nodes returns the group's node indices, root first.
-func (tr *track) nodes() []int {
-	return append([]int{tr.spec.Root}, tr.spec.Members...)
 }
 
 // Report is the outcome of one scenario run.
@@ -128,71 +116,115 @@ func (r *Report) violationf(format string, args ...any) {
 	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
 }
 
-// fold reads the run back from the cluster's telemetry into the tracks
-// and the final trace: the setup lines, then every action on this
-// engine's timeline and every notice for one of its groups, in the
-// registry's (time, lane, FIFO) order - the logical delivery order,
-// independent of how many workers executed the run. An earlier engine on
-// the same cluster stopped recording at its own Report, before this
-// timeline began, and its groups are not this engine's.
-func (e *Engine) fold() string {
-	var b strings.Builder
-	ours := make(map[string]int, len(e.tracks))
-	for gi, tr := range e.tracks {
-		ours[tr.id.String()] = gi
-		fmt.Fprintf(&b, "setup group=%d id=%s root=%d members=%v stores=%v\n",
-			gi, tr.id, tr.spec.Root, tr.spec.Members, tr.spec.Stores)
+// history is one engine's run as its event stream records it.
+type history struct {
+	t0           time.Duration // the timeline's start: the last setup event's instant
+	setup, trace strings.Builder
+	notices      [][]Delivery             // per group, in stream order: [g][0] is the trigger
+	faults       []Fault                  // the fault schedule, in seq order
+	inc          map[int]int              // node -> its latest incarnation
+	born         map[incKey]time.Duration // the instant each restarted incarnation began
+	fresh        map[int]bool             // the node's latest restart was without its store
+	up           map[int]bool             // node -> up when the report was taken
+	held         map[[2]int]bool          // (group, node) -> it held the group's state then
+}
+
+// read folds the stream's last run: the one whose len(s.Groups) setup
+// events come last. An earlier engine on the same cluster recorded
+// nothing after its Report, before this run's first setup, so the run is
+// every event from that setup on, in the registry's (time, lane, FIFO)
+// order - the logical order, independent of how many workers executed
+// the run. Notices delivered during setup are part of it.
+func read(s Script, events []telemetry.Event) *history {
+	r := &history{notices: make([][]Delivery, len(s.Groups)), inc: map[int]int{},
+		born: map[incKey]time.Duration{}, fresh: map[int]bool{}, up: map[int]bool{}, held: map[[2]int]bool{}}
+	start, setups := len(events), 0
+	for i := len(events) - 1; i >= 0 && setups < len(s.Groups); i-- {
+		if events[i].Kind == "setup" {
+			if setups == 0 {
+				r.t0 = events[i].At
+			}
+			start, setups = i, setups+1
+		}
 	}
-	for _, ev := range e.c.Telemetry.Events() {
-		at := ev.At - e.t0
-		if gi, mine := ours[ev.Group]; ev.Kind == "notice" && mine {
+	for _, ev := range events[start:] {
+		at := ev.At - r.t0
+		switch ev.Kind {
+		case "setup":
+			r.setup.WriteString(ev.Detail + "\n")
+		case "fault":
+			f := Fault{At: at}
+			seq, desc, _ := strings.Cut(ev.Detail, " ")
+			scan(seq, "fault=%d", &f.Seq)
+			f.Desc = desc
+			r.faults = append(r.faults, f)
+		case "restart":
+			var node, inc int
+			var recovered bool
+			scan(ev.Detail, "restart node=%d inc=%d recover=%t", &node, &inc, &recovered)
+			r.inc[node], r.born[incKey{node, inc}], r.fresh[node] = inc, at, !recovered
+		case "end":
+			var gi, node int
+			var up, state bool
+			scan(ev.Detail, "end group=%d node=%d up=%t state=%t", &gi, &node, &up, &state)
+			r.up[node], r.held[[2]int{gi, node}] = up, state
+		case "notice":
 			// The detail is the handler's own line. A livetopo notice
 			// carries no reason, so "reason=" may be empty: it is cut
 			// out before the numbers are scanned.
-			d := Delivery{Group: gi, At: at}
+			d := Delivery{At: at}
 			head, reason, _ := strings.Cut(ev.Detail, " reason=")
 			reason, fault, _ := strings.Cut(reason, " fault=")
-			if _, err := fmt.Sscanf(head+" "+fault, "notify group=%d node=%d inc=%d %d", new(int), &d.Node, &d.Inc, &d.Fault); err != nil {
-				panic(fmt.Sprintf("scenario: unreadable notice %q: %v", ev.Detail, err))
-			}
+			scan(head+" "+fault, "notify group=%d node=%d inc=%d %d", &d.Group, &d.Node, &d.Inc, &d.Fault)
 			d.Reason = core.Reason(reason)
-			tr := e.tracks[gi]
-			tr.counts[incKey{d.Node, d.Inc}]++
-			tr.notices = append(tr.notices, d)
-		} else if ev.Kind != "action" || at < 0 {
-			continue
+			r.notices[d.Group] = append(r.notices[d.Group], d)
+			fallthrough
+		case "action":
+			fmt.Fprintf(&r.trace, "t=%+010.3fs  %s\n", at.Seconds(), ev.Detail)
 		}
-		fmt.Fprintf(&b, "t=+%09.3fs  %s\n", at.Seconds(), ev.Detail)
 	}
-	return b.String()
+	return r
 }
 
-// Report audits every track at the end of the run. Call it once, at a
-// fence, after the clock has passed everything the script scheduled;
-// from then on the engine records nothing.
-func (e *Engine) Report() *Report {
-	e.reported = true
-	trace := e.fold()
-	r := &Report{Name: e.script.Name, Groups: len(e.tracks)}
+// scan parses an engine event's detail; one the engine did not write
+// panics.
+func scan(detail, format string, args ...any) {
+	if _, err := fmt.Sscanf(detail, format, args...); err != nil {
+		panic(fmt.Sprintf("scenario: unreadable event %q: %v", detail, err))
+	}
+}
 
-	expectFail := make(map[int]bool, len(e.script.ExpectFail))
-	for _, gi := range e.script.ExpectFail {
+// audit checks the stream's last run (read) against the script: the
+// exactly-once, no-lost-notification, consistency and expectation
+// audits, the paper's bounded time, the latencies and the per-fault
+// attribution.
+func audit(s Script, events []telemetry.Event) *Report {
+	h := read(s, events)
+	r := &Report{Name: s.Name, Groups: len(s.Groups), Faults: h.faults, Trace: h.setup.String() + h.trace.String()}
+
+	expectFail := make(map[int]bool, len(s.ExpectFail))
+	for _, gi := range s.ExpectFail {
 		expectFail[gi] = true
 	}
-	expectSurvive := make(map[int]bool, len(e.script.ExpectSurvive))
-	for _, gi := range e.script.ExpectSurvive {
+	expectSurvive := make(map[int]bool, len(s.ExpectSurvive))
+	for _, gi := range s.ExpectSurvive {
 		expectSurvive[gi] = true
 	}
 
-	for gi, tr := range e.tracks {
-		r.Notices += len(tr.notices)
-		r.Deliveries = append(r.Deliveries, tr.notices...)
+	for gi, g := range s.Groups {
+		notices := h.notices[gi]
+		r.Notices += len(notices)
+		r.Deliveries = append(r.Deliveries, notices...)
+		counts := make(map[incKey]int)
+		for _, d := range notices {
+			counts[incKey{d.Node, d.Inc}]++
+		}
 
 		// Exactly-once: no (node, incarnation) hears about a group twice,
 		// ever - regardless of how the run went.
-		for _, n := range tr.nodes() {
-			for inc := 0; inc <= e.inc[n]; inc++ {
-				if c := tr.counts[incKey{n, inc}]; c > 1 {
+		for _, n := range g.nodes() {
+			for inc := 0; inc <= h.inc[n]; inc++ {
+				if c := counts[incKey{n, inc}]; c > 1 {
 					r.Duplicates += c - 1
 					r.violationf("group %d: node %d (incarnation %d) notified %d times", gi, n, inc, c)
 				}
@@ -203,20 +235,15 @@ func (e *Engine) Report() *Report {
 		// handler still registered on the current incarnation. (A node
 		// that restarted without stable storage is a fresh process with
 		// no knowledge of the group - the paper exempts it; one that
-		// recovered via §3.6 was re-registered and stays audited.)
-		var eligible []int
-		for _, n := range tr.nodes() {
-			if !e.c.Crashed(n) && tr.attached[n] == e.inc[n] {
-				eligible = append(eligible, n)
-			}
-		}
-
-		// A group failed if anyone was ever notified, or any eligible
+		// recovered via §3.6 was re-registered and stays audited.) A
+		// group failed if anyone was ever notified, or any eligible
 		// member no longer holds state (its view was torn down).
-		failed := len(tr.notices) > 0
-		for _, n := range eligible {
-			if !e.c.Nodes[n].Groups.HasState(tr.id) {
-				failed = true
+		var eligible []int
+		failed := len(notices) > 0
+		for _, n := range g.nodes() {
+			if h.up[n] && !h.fresh[n] {
+				eligible = append(eligible, n)
+				failed = failed || !h.held[[2]int{gi, n}]
 			}
 		}
 
@@ -225,12 +252,11 @@ func (e *Engine) Report() *Report {
 			// No lost notifications, and failure is group-wide: every
 			// eligible member heard exactly once and holds no state.
 			for _, n := range eligible {
-				cnt := tr.counts[incKey{n, e.inc[n]}]
-				if cnt == 0 {
+				if counts[incKey{n, h.inc[n]}] == 0 {
 					r.Missed++
 					r.violationf("group %d failed but node %d was never notified", gi, n)
 				}
-				if e.c.Nodes[n].Groups.HasState(tr.id) {
+				if h.held[[2]int{gi, n}] {
 					r.violationf("group %d failed but node %d still holds state", gi, n)
 				}
 			}
@@ -239,13 +265,19 @@ func (e *Engine) Report() *Report {
 			}
 			// Bounded time: every notice lands within the bound of the
 			// trigger.
-			for _, d := range tr.notices {
-				if span := e.triggerSpan(tr, d); span > core.NotificationBound {
+			for _, d := range notices {
+				if span := h.triggerSpan(d); span > core.NotificationBound {
 					r.violationf("group %d: node %d notified %s after the trigger, past the bound %s", gi, d.Node, span, core.NotificationBound)
 				}
 			}
-			if lat := e.groupLatency(tr); lat > r.MaxLatency {
-				r.MaxLatency = lat
+			// Detection latency: the widest span from a notice's
+			// attributed fault (the trigger when it has none) to it.
+			for _, d := range notices {
+				cause := notices[0].At
+				if d.Fault > 0 {
+					cause = h.faults[d.Fault-1].At
+				}
+				r.MaxLatency = max(r.MaxLatency, d.At-h.since(cause, d))
 			}
 		} else {
 			r.Survived++
@@ -254,84 +286,32 @@ func (e *Engine) Report() *Report {
 			}
 		}
 	}
-	r.Faults = e.faultSchedule()
-	r.Trace = trace
 
-	// Detection latency (fault → last attributed delegate notice) as a
-	// telemetry histogram, observed on the control lane at audit time —
-	// the same fence discipline as the trace's ordering, so sharded runs
-	// stay byte-identical across worker counts. It is a report, not the
-	// audit: it runs from the fault, detection before the trigger
-	// included. The audited span is core.NotificationBound, whose
-	// detection term is the aggregated-deadline fairness bound
-	// (linkindex.go).
-	reg := e.c.Telemetry
-	h := reg.Histogram("scenario_detection_latency_ms",
-		"per-fault detection latency: fault to last attributed notice")
-	for _, f := range r.Faults {
-		if f.Notices > 0 {
-			h.Observe(reg.Lane(0), f.Latency)
+	// The fault schedule's attribution: how many notices each fault
+	// caused, and the span from it to the last of them.
+	for _, d := range r.Deliveries {
+		if d.Fault > 0 {
+			f := &r.Faults[d.Fault-1]
+			f.Notices++
+			f.Latency = max(f.Latency, d.At-h.since(f.At, d))
 		}
 	}
 	return r
 }
 
-// faultSchedule summarizes every recorded fault with its attributed
-// notifications: Notices counts them across all groups, Latency is the
-// span from the fault to the last one.
-func (e *Engine) faultSchedule() []Fault {
-	out := make([]Fault, len(e.faults))
-	for i, f := range e.faults {
-		out[i] = Fault{Seq: f.seq, At: f.at, Desc: f.desc}
-	}
-	for _, tr := range e.tracks {
-		for _, n := range tr.notices {
-			if n.Fault == 0 {
-				continue
-			}
-			f := &out[n.Fault-1]
-			f.Notices++
-			if d := n.At - e.since(f.At, n); d > f.Latency {
-				f.Latency = d
-			}
-		}
-	}
-	return out
-}
-
-// groupLatency returns the group's detection latency: the widest span
-// from a notification's attributed fault (recorded at delivery by
-// Engine.attribute), or from the incarnation's start if that came later,
-// to the notification itself. A notification with no attributable fault
-// falls back to the group's first notice; a group without notices has
-// none.
-func (e *Engine) groupLatency(tr *track) time.Duration {
-	var lat time.Duration
-	for _, n := range tr.notices {
-		cause := tr.notices[0].At
-		if n.Fault > 0 {
-			cause = e.faults[n.Fault-1].at
-		}
-		if d := n.At - e.since(cause, n); d > lat {
-			lat = d
-		}
-	}
-	return lat
-}
-
-// triggerSpan is the span the paper bounds for one notice of tr: from
-// the group's first notice (the trigger), or from the notified
-// incarnation's start if that came later, to the notice.
-func (e *Engine) triggerSpan(tr *track, d Delivery) time.Duration {
-	return d.At - e.since(tr.notices[0].At, d)
+// triggerSpan is the span the paper bounds for a notice: from its
+// group's first notice (the trigger), or from the notified incarnation's
+// start if that came later, to the notice.
+func (r *history) triggerSpan(d Delivery) time.Duration {
+	return d.At - r.since(r.notices[d.Group][0].At, d)
 }
 
 // since returns the later of from and the instant the notified
 // incarnation began: a node that restarted with its store recovered
 // cannot hear of a failure before it is up, so its downtime is no part
 // of any span that ends in its notice.
-func (e *Engine) since(from time.Duration, d Delivery) time.Duration {
-	if born, ok := e.born[incKey{d.Node, d.Inc}]; ok && born > from {
+func (r *history) since(from time.Duration, d Delivery) time.Duration {
+	if born, ok := r.born[incKey{d.Node, d.Inc}]; ok && born > from {
 		return born
 	}
 	return from

@@ -40,7 +40,8 @@ func FuzzScheduleInvariants(f *testing.F) {
 
 // runGenerated executes one generated schedule end to end through the
 // same path fusesim uses for .json files: generate, marshal, load,
-// build the cluster it names, run, audit.
+// build the cluster it names, run, audit - and re-audit from the run's
+// -trace JSONL.
 func runGenerated(t *testing.T, seed int64) {
 	sf := GenerateScript(seed)
 	if err := sf.Validate(); err != nil {
@@ -54,10 +55,12 @@ func runGenerated(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatalf("seed %d: generated script does not load back: %v\n%s", seed, err, data)
 	}
-	rep, err := Run(clusterFor(loaded), loaded)
+	c := clusterFor(loaded)
+	rep, err := Run(c, loaded)
 	if err != nil {
 		t.Fatalf("seed %d: run: %v", seed, err)
 	}
+	requireReaudit(t, loaded, c.Telemetry, rep)
 	if !rep.OK() {
 		path := writeCounterexample(t, seed, data)
 		t.Fatalf("seed %d violated protocol invariants:\n%sreplay with: go run ./cmd/fusesim -scenario %s\nscript:\n%s",
@@ -100,9 +103,10 @@ func TestNotificationBoundIsTight(t *testing.T) {
 		t.Fatalf("seed 81 violated protocol invariants:\n%s", rep.Stats())
 	}
 	var widest time.Duration
-	for _, tr := range e.tracks {
-		for _, d := range tr.notices {
-			widest = max(widest, e.triggerSpan(tr, d))
+	h := read(s, e.c.Telemetry.Events())
+	for _, notices := range h.notices {
+		for _, d := range notices {
+			widest = max(widest, h.triggerSpan(d))
 		}
 	}
 	if widest > core.NotificationBound || widest <= core.NotificationBound/2 {

@@ -4,8 +4,8 @@
 // storage), partitions and selective heals, intransitive-connectivity
 // blocks, loss ramps, Poisson churn - onto the eventsim virtual clock,
 // driving the simnet fault hooks and the cluster's node lifecycle, and
-// checks the paper's delivery guarantees over the whole run with an
-// invariant harness.
+// checks the paper's delivery guarantees over the whole run by auditing
+// what the run recorded.
 //
 // A Script is data, and its own JSON form (script.go): the deployment it
 // is written for (nodes, seed), a set of FUSE groups to create, a
@@ -26,13 +26,16 @@
 //     produce the identical trace and statistics, so every scripted
 //     failure drill doubles as a reproducible regression test.
 //
-// The engine observes a run through the cluster's telemetry, like
-// everything else: each applied action is an "action" event on the
-// control lane and each failure-handler call a "notice" event on the
-// node's lane, recorded at any trace level, and Report folds them -
-// merged in the registry's (time, lane) order - into the trace and the
-// audit. A -trace JSONL therefore carries the engine's events beside the
-// protocol's.
+// A run is recorded once, in the cluster's telemetry, like everything
+// else, and at any trace level: each applied action is an "action" event
+// on the control lane and each failure-handler call a "notice" event on
+// the node's lane; the engine adds a "setup" event per group created, a
+// "fault" event per fault it attributes notices to, a "restart" event per
+// restarted node and, at Report, an "end" event per group member. The
+// audit reads that stream and nothing else - merged in the registry's
+// (time, lane) order - into the trace and the Report, so a -trace JSONL
+// carries the engine's events beside the protocol's and re-audits to the
+// same Report.
 //
 // The paper's failure model (§3: crashes, partitions, intransitive
 // connectivity, message loss) maps onto Actions one-to-one; Presets
@@ -43,6 +46,7 @@ package scenario
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"fuse/internal/cluster"
@@ -77,26 +81,25 @@ type Action interface {
 
 // Engine executes one Script over one cluster. It is single-use.
 //
-// All of the engine's own bookkeeping (fault records, incarnations,
-// churn/ramp processes) mutates only at fences: actions run as
-// control-lane events. What failure handlers observe from node context
-// goes onto the node's own telemetry lane, which only that node's shard
-// writes; Report reads it back through the registry's merge, so the
-// report and trace are byte-identical at every worker count.
+// The engine keeps only what it needs to act - group ids, incarnations,
+// the fault list it attributes notices to, the churn and ramp processes -
+// and mutates it only at fences: actions run as control-lane events.
+// What failure handlers observe from node context goes onto the node's
+// own telemetry lane, which only that node's shard writes; Report reads
+// the run back through the registry's merge, so the report and trace are
+// byte-identical at every worker count.
 type Engine struct {
 	c      *cluster.Cluster
 	script Script
 	rng    *rand.Rand
 
-	t0       time.Duration // sim elapsed when the timeline starts
-	reported bool          // Report was taken: record nothing more
-	tracks   []*track
-	inc      []int                    // per-node incarnation counter
-	born     map[incKey]time.Duration // timeline instant each restarted incarnation began
-	faults   []faultRec               // every recorded fault, in schedule order (seq = index+1)
-	active   map[string]int           // fault key -> index of the ongoing fault on that entity
-	churns   []*churnProc             // every started churn process; ChurnStop halts them all
-	ramps    []*rampProc              // every started loss ramp; ClearLoss/HealAll cancel them
+	reported bool            // Report was taken: record nothing more
+	ids      []core.GroupID  // per script group
+	inc      []int           // per-node incarnation counter
+	faults   []faultRec      // every recorded fault, in schedule order (seq = index+1)
+	active   map[string]bool // faulting entities whose fault is ongoing
+	churns   []*churnProc    // every started churn process; ChurnStop halts them all
+	ramps    []*rampProc     // every started loss ramp; ClearLoss/HealAll cancel them
 }
 
 // Run executes script s against c: creates the declared groups, compiles
@@ -122,11 +125,10 @@ func Start(c *cluster.Cluster, s Script) (*Engine, error) {
 	if err := s.validate(len(c.Nodes)); err != nil {
 		return nil, err
 	}
-	e := &Engine{c: c, script: s, rng: c.Sim.Rand(), inc: make([]int, len(c.Nodes)), born: make(map[incKey]time.Duration), active: make(map[string]int)}
+	e := &Engine{c: c, script: s, rng: c.Sim.Rand(), inc: make([]int, len(c.Nodes)), active: make(map[string]bool)}
 	if err := e.setup(); err != nil {
 		return nil, err
 	}
-	e.t0 = c.Sim.Elapsed()
 	for _, ev := range s.Events {
 		ev := ev
 		c.Sim.After(ev.At, func() {
@@ -138,8 +140,9 @@ func Start(c *cluster.Cluster, s Script) (*Engine, error) {
 }
 
 // setup attaches declared stores and creates every group, recording a
-// harness track (with failure handlers on the root and all members) per
-// group.
+// setup event (the trace's setup line) and attaching failure handlers on
+// the root and all members per group. The last group's setup event is
+// the timeline's start.
 func (e *Engine) setup() error {
 	for gi, g := range e.script.Groups {
 		for _, n := range g.Stores {
@@ -151,60 +154,58 @@ func (e *Engine) setup() error {
 		if err != nil {
 			return fmt.Errorf("scenario %s: create group %d: %w", e.script.Name, gi, err)
 		}
-		tr := &track{spec: g, id: id, attached: make(map[int]int), counts: make(map[incKey]int), member: make(map[int]bool)}
-		for _, n := range tr.nodes() {
-			tr.member[n] = true
-		}
-		e.tracks = append(e.tracks, tr)
-		for _, n := range tr.nodes() {
+		e.ids = append(e.ids, id)
+		e.record("setup", "", id.String(), fmt.Sprintf("setup group=%d id=%s root=%d members=%v stores=%v", gi, id, g.Root, g.Members, g.Stores))
+		for _, n := range g.nodes() {
 			e.attach(gi, n)
 		}
 	}
 	return nil
 }
 
-// now returns the current timeline-relative virtual time.
-func (e *Engine) now() time.Duration { return e.c.Sim.Elapsed() - e.t0 }
+// nodes returns the group's node indices, root first.
+func (g GroupSpec) nodes() []int { return append([]int{g.Root}, g.Members...) }
 
-// tracef records an action event, the trace line's text as its detail,
-// at the present instant. Actions and engine lifecycle steps run at
-// fences, so lane 0 is theirs.
-func (e *Engine) tracef(format string, args ...any) {
+// has reports whether node n is in the group.
+func (g GroupSpec) has(n int) bool { return n == g.Root || slices.Contains(g.Members, n) }
+
+// record appends one engine event at the present instant. Actions and
+// engine lifecycle steps run at fences, so lane 0 is theirs.
+func (e *Engine) record(kind, node, group, detail string) {
 	if !e.reported {
-		e.c.Telemetry.Lane(0).Record(e.c.Sim.Elapsed(), "action", "", "", 0, 0, fmt.Sprintf(format, args...))
+		e.c.Telemetry.Lane(0).Record(e.c.Sim.Elapsed(), kind, node, group, 0, 0, detail)
 	}
+}
+
+// tracef records an action event, the trace line's text as its detail.
+func (e *Engine) tracef(format string, args ...any) {
+	e.record("action", "", "", fmt.Sprintf(format, args...))
 }
 
 // faultRec is one recorded fault, for per-fault latency attribution. A
 // fault is an interval on one faulting entity - a down node, a lossy or
-// blocked link, a partition cut - identified by key: repeated
-// degradations of an entity whose fault is still ongoing (a loss ramp
-// stepping past the breaking threshold again, a churn crash of an
-// already-counted node) extend the existing record instead of starting a
-// new one, so attribution lands on the step that actually broke the
-// entity rather than the latest event before a notification. A clearing
-// action (restart, heal, unblock, loss dropping below the threshold)
-// ends the interval; a later fault on the same key starts a fresh record
-// with its own seq.
+// blocked link, a partition cut - identified by a key ("crash:3",
+// "loss:2-9", ...): repeated degradations of an entity whose fault is
+// still ongoing (a loss ramp stepping past the breaking threshold again,
+// a churn crash of an already-counted node) extend the existing record
+// instead of starting a new one, so attribution lands on the step that
+// actually broke the entity rather than the latest event before a
+// notification. A clearing action (restart, heal, unblock, loss dropping
+// below the threshold) ends the interval; a later fault on the same key
+// starts a fresh record with its own seq. Its seq, instant and the
+// action that started it are its fault event's.
 type faultRec struct {
-	seq   int // 1-based position in the fault schedule
-	at    time.Duration
-	key   string // faulting entity ("crash:3", "loss:2-9", ...)
-	desc  string // the action that started the fault, for reports
-	nodes []int  // nodes the fault touches directly
-	group int    // group index when the action names one (Signal), -1 otherwise
+	nodes []int // nodes the fault touches directly
+	group int   // group index when the action names one (Signal), -1 otherwise
 }
 
 // fault records the present instant as the start of a fault on entity
 // key, unless a fault on that entity is already ongoing.
 func (e *Engine) fault(key, desc string, nodes ...int) {
-	if _, ongoing := e.active[key]; ongoing {
-		return
+	if !e.active[key] {
+		e.active[key] = true
+		e.addFault(-1, desc, nodes)
 	}
-	e.active[key] = len(e.faults)
-	e.faults = append(e.faults, faultRec{
-		seq: len(e.faults) + 1, at: e.now(), key: key, desc: desc, nodes: nodes, group: -1,
-	})
 }
 
 // clearFault ends the ongoing fault on entity key, if any. The record
@@ -213,13 +214,12 @@ func (e *Engine) fault(key, desc string, nodes ...int) {
 // a later fault on the same entity gets its own record.
 func (e *Engine) clearFault(key string) { delete(e.active, key) }
 
-// groupFault records a one-shot fault explicitly tied to one group
-// (Signal). Signals are instantaneous, so they never dedup.
-func (e *Engine) groupFault(group int, desc string, nodes ...int) {
-	e.faults = append(e.faults, faultRec{
-		seq: len(e.faults) + 1, at: e.now(), key: fmt.Sprintf("signal:%d", group),
-		desc: desc, nodes: nodes, group: group,
-	})
+// addFault appends a fault to the schedule - tied to group, or to none
+// when group is -1 - and records its fault event: seq and description.
+// A Signal's fault never dedups: signals are instantaneous.
+func (e *Engine) addFault(group int, desc string, nodes []int) {
+	e.faults = append(e.faults, faultRec{nodes: nodes, group: group})
+	e.record("fault", "", "", fmt.Sprintf("fault=%d %s", len(e.faults), desc))
 }
 
 // attribute picks the fault that caused a notification for group gi
@@ -229,20 +229,10 @@ func (e *Engine) groupFault(group int, desc string, nodes ...int) {
 // touching its members). Returns the fault's seq, or 0 when no fault has
 // been recorded yet (e.g. a failed creation).
 func (e *Engine) attribute(gi int) int {
-	tr := e.tracks[gi]
-	ours, any := 0, 0
-	for i := range e.faults {
-		f := &e.faults[i]
-		any = f.seq
-		if f.group == gi {
-			ours = f.seq
-			continue
-		}
-		for _, n := range f.nodes {
-			if tr.member[n] {
-				ours = f.seq
-				break
-			}
+	ours, any, member := 0, len(e.faults), e.script.Groups[gi].has
+	for i, f := range e.faults {
+		if f.group == gi || slices.ContainsFunc(f.nodes, member) {
+			ours = i + 1
 		}
 	}
 	if ours == 0 {
@@ -256,51 +246,74 @@ func (e *Engine) attribute(gi int) int {
 // its shard's worker goroutine - so it records a notice event on the
 // node's lane at the node-local clock, and consults engine state that
 // mutates exclusively at fences (the fault schedule). Attribution happens
-// here, at delivery: Report's fold sorts a Signal's synchronous notice
-// after every same-instant control-lane action, faults applied after the
-// signal included, so attribution recomputed there could change.
+// here, at delivery: the merge sorts a Signal's synchronous notice after
+// every same-instant control-lane event, faults applied after the signal
+// included, so attribution recomputed from the stream could change.
 func (e *Engine) attach(gi, node int) {
-	tr := e.tracks[gi]
-	inc := e.inc[node]
-	tr.attached[node] = inc
+	id, inc := e.ids[gi], e.inc[node]
 	lane := e.c.Telemetry.Lane(1 + e.c.ShardOf(node))
 	env := e.c.Nodes[node].Env
 	e.c.Nodes[node].Groups.RegisterFailureHandler(func(n core.Notice) {
 		if !e.reported {
-			lane.Record(env.Elapsed(), "notice", cluster.NameOf(node), tr.id.String(), 0, 0,
+			lane.Record(env.Elapsed(), "notice", cluster.NameOf(node), id.String(), 0, 0,
 				fmt.Sprintf("notify group=%d node=%d inc=%d reason=%s fault=%d", gi, node, inc, n.Reason, e.attribute(gi)))
 		}
-	}, tr.id)
-}
-
-// reattachRecovered re-registers handlers on a node that restarted with
-// its store recovered: the new incarnation resumes observing every group
-// it belongs to. (A restart without storage deliberately does not
-// re-register - the fresh process has no knowledge of the group, exactly
-// the paper's recovery model.)
-func (e *Engine) reattachRecovered(node int) {
-	for gi, tr := range e.tracks {
-		for _, n := range tr.nodes() {
-			if n == node {
-				e.attach(gi, node)
-				break
-			}
-		}
-	}
+	}, id)
 }
 
 // restartNode revives node (bumping its incarnation) with or without the
-// §3.6 stable-storage recovery path. The node's down-fault ends here:
-// a later crash of the same node is a new fault with its own seq.
+// §3.6 stable-storage recovery path, and records a restart event. The
+// node's down-fault ends here: a later crash of the same node is a new
+// fault with its own seq. A recovered node's new incarnation resumes
+// observing every group it belongs to; one restarted without storage
+// deliberately is not re-registered - the fresh process has no knowledge
+// of the group, exactly the paper's recovery model.
 func (e *Engine) restartNode(node, bootstrap int, recover bool) {
 	e.clearFault(nodeKey(node))
 	e.inc[node]++
-	e.born[incKey{node, e.inc[node]}] = e.now()
+	e.record("restart", cluster.NameOf(node), "", fmt.Sprintf("restart node=%d inc=%d recover=%t", node, e.inc[node], recover))
 	boot := e.c.Nodes[bootstrap].Ref()
-	if recover {
-		e.c.RestartRecovered(node, boot)
-		e.reattachRecovered(node)
+	if !recover {
+		e.c.Restart(node, boot)
 		return
 	}
-	e.c.Restart(node, boot)
+	e.c.RestartRecovered(node, boot)
+	for gi, g := range e.script.Groups {
+		if g.has(node) {
+			e.attach(gi, node)
+		}
+	}
+}
+
+// Report records an end event per group member - whether it is up and
+// still holds the group's state - and audits the run. Call it once, at a
+// fence, after the clock has passed everything the script scheduled;
+// from then on the engine records nothing.
+func (e *Engine) Report() *Report {
+	for gi, g := range e.script.Groups {
+		for _, n := range g.nodes() {
+			e.record("end", cluster.NameOf(n), e.ids[gi].String(), fmt.Sprintf("end group=%d node=%d up=%t state=%t",
+				gi, n, !e.c.Crashed(n), e.c.Nodes[n].Groups.HasState(e.ids[gi])))
+		}
+	}
+	e.reported = true
+	r := audit(e.script, e.c.Telemetry.Events())
+
+	// Detection latency (fault → last attributed delegate notice) as a
+	// telemetry histogram, observed on the control lane at audit time —
+	// the same fence discipline as the trace's ordering, so sharded runs
+	// stay byte-identical across worker counts. It is a report, not the
+	// audit: it runs from the fault, detection before the trigger
+	// included. The audited span is core.NotificationBound, whose
+	// detection term is the aggregated-deadline fairness bound
+	// (linkindex.go).
+	reg := e.c.Telemetry
+	h := reg.Histogram("scenario_detection_latency_ms",
+		"per-fault detection latency: fault to last attributed notice")
+	for _, f := range r.Faults {
+		if f.Notices > 0 {
+			h.Observe(reg.Lane(0), f.Latency)
+		}
+	}
+	return r
 }

@@ -373,3 +373,39 @@ func TestEnginesBackToBackOnOneCluster(t *testing.T) {
 		}
 	}
 }
+
+// TestNoticesDuringSetupCount: a notice delivered before the timeline
+// starts is part of the run. Here member 1 of group 0 crashes 2 s in,
+// while 4,000 more groups on nodes 3-23 are still being created, so the
+// other two members hear half an hour before the timeline's zero: the
+// audit counts both, finds no one missed, and the trace prints them at
+// their negative instants.
+func TestNoticesDuringSetupCount(t *testing.T) {
+	c := cluster.New(cluster.Options{N: 24, Seed: 9})
+	s := Script{
+		Name:       "setup-notice",
+		Groups:     []GroupSpec{{Root: 0, Members: []int{1, 2}}},
+		Duration:   Duration(time.Minute),
+		ExpectFail: []int{0},
+	}
+	for i := range 4000 {
+		s.Groups = append(s.Groups, GroupSpec{Root: 3 + i%21, Members: []int{3 + (i+1)%21, 3 + (i+2)%21}})
+	}
+	c.Sim.After(2*time.Second, func() { c.Crash(1) })
+	rep, err := Run(c, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.Failed != 1 || rep.Notices != 2 || rep.Missed != 0 {
+		t.Fatalf("want group 0 failed with 2 notices, none missed:\n%s", rep.Stats())
+	}
+	for _, d := range rep.Deliveries {
+		if d.At >= 0 {
+			t.Errorf("node %d heard at %s, want before the timeline's start", d.Node, d.At)
+		}
+	}
+	heard := regexp.MustCompile(`(?m)^t=-\d{5}\.\d{3}s  notify group=0 node=(0|2) `)
+	if n := len(heard.FindAllString(rep.Trace, -1)); n != 2 {
+		t.Errorf("trace prints %d setup-time notices as t=-0…, want 2:\n%s", n, head(rep.Trace, 8))
+	}
+}

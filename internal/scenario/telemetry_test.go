@@ -1,7 +1,10 @@
 package scenario
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
@@ -136,8 +139,11 @@ func TestDetectionLatencyHistogram(t *testing.T) {
 // TestEngineRecordsOnTheTelemetryLanes: the engine observes a run through
 // the registry at any trace level. With tracing off (the default) a
 // restart drill leaves one notice event per delivery - same group, node,
-// incarnation and timeline instant - and one action event per applied
-// script event, and WriteTrace emits exactly those.
+// incarnation and timeline instant - one action event per applied script
+// event, one setup event per group, one fault event per entry of the
+// report's fault schedule (same instant and description), one restart
+// event per restart and one end event per group member, and WriteTrace
+// emits exactly those.
 func TestEngineRecordsOnTheTelemetryLanes(t *testing.T) {
 	c, s, err := BuildPreset("restart", Params{Seed: 5, Short: true})
 	if err != nil {
@@ -149,31 +155,68 @@ func TestEngineRecordsOnTheTelemetryLanes(t *testing.T) {
 	}
 	c.Sim.RunFor(time.Duration(s.Duration))
 	rep := e.Report()
-	if !rep.OK() || len(rep.Deliveries) == 0 {
-		t.Fatalf("want a green run with deliveries:\n%s", rep.Stats())
+	if !rep.OK() || len(rep.Deliveries) == 0 || len(rep.Faults) == 0 {
+		t.Fatalf("want a green run with faults and deliveries:\n%s", rep.Stats())
 	}
 
+	events := c.Telemetry.Events()
+	var t0 time.Duration // the timeline starts at the last setup
+	for _, ev := range events {
+		if ev.Kind == "setup" {
+			t0 = ev.At
+		}
+	}
 	incOf := regexp.MustCompile(`inc=\d+`)
-	var actions []string
+	var actions, faults, ends []string
 	var got, want []string
-	for _, ev := range c.Telemetry.Events() {
-		at := ev.At - e.t0
+	setups, restarts, restarted := 0, 0, 0
+	for _, ev := range events {
+		at := ev.At - t0
 		switch ev.Kind {
 		case "action":
 			actions = append(actions, fmt.Sprintf("%s %s", at, ev.Detail))
+			if strings.HasPrefix(ev.Detail, "restart ") || strings.HasPrefix(ev.Detail, "churn restart ") {
+				restarted++
+			}
 		case "notice":
 			got = append(got, fmt.Sprintf("%s %s %s %s", ev.Group, ev.Node, incOf.FindString(ev.Detail), at))
+		case "setup":
+			setups++
+		case "fault":
+			faults = append(faults, fmt.Sprintf("%s %s", at, ev.Detail))
+		case "restart":
+			restarts++
+		case "end":
+			ends = append(ends, ev.Group+" "+ev.Node)
 		default:
 			t.Fatalf("tracing is off, yet the registry holds a %q event", ev.Kind)
 		}
 	}
 	for _, d := range rep.Deliveries {
-		want = append(want, fmt.Sprintf("%s %s inc=%d %s", e.tracks[d.Group].id, cluster.NameOf(d.Node), d.Inc, d.At))
+		want = append(want, fmt.Sprintf("%s %s inc=%d %s", e.ids[d.Group], cluster.NameOf(d.Node), d.Inc, d.At))
 	}
 	slices.Sort(got)
 	slices.Sort(want)
 	if !slices.Equal(got, want) {
 		t.Errorf("notice events differ from the deliveries:\n%s\nvs\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	var wantFaults, wantEnds []string
+	for _, f := range rep.Faults {
+		wantFaults = append(wantFaults, fmt.Sprintf("%s fault=%d %s", f.At, f.Seq, f.Desc))
+	}
+	if !slices.Equal(faults, wantFaults) {
+		t.Errorf("fault events %q, want the report's %q", faults, wantFaults)
+	}
+	for gi, g := range s.Groups {
+		for _, n := range g.nodes() {
+			wantEnds = append(wantEnds, e.ids[gi].String()+" "+cluster.NameOf(n))
+		}
+	}
+	if !slices.Equal(ends, wantEnds) {
+		t.Errorf("end events %q, want one per group member %q", ends, wantEnds)
+	}
+	if setups != len(s.Groups) || restarts != restarted || restarts == 0 {
+		t.Errorf("%d setup and %d restart events, want %d and %d (> 0)", setups, restarts, len(s.Groups), restarted)
 	}
 	var applied []string
 	for _, ev := range s.Events {
@@ -199,7 +242,7 @@ func TestEngineRecordsOnTheTelemetryLanes(t *testing.T) {
 // once its Report is taken. The first engine here starts churn and never
 // stops it; the second, run on the same cluster while those flips go on,
 // traces and delivers only its own signal, and the registry holds no
-// action of the first from after its Report.
+// action, fault or restart of the first from after its Report.
 func TestLaterEngineFoldsNothingOfAnEarlierOne(t *testing.T) {
 	c := cluster.New(cluster.Options{N: 24, Seed: 9})
 	first, err := Run(c, Script{
@@ -233,8 +276,77 @@ func TestLaterEngineFoldsNothingOfAnEarlierOne(t *testing.T) {
 		t.Errorf("second trace holds more than its setup, signal and notices:\n%s", second.Trace)
 	}
 	for _, ev := range c.Telemetry.Events() {
-		if ev.Kind == "action" && ev.At > reported && !strings.HasPrefix(ev.Detail, "signal ") {
-			t.Errorf("the first engine recorded %q at %s, after its Report", ev.Detail, ev.At)
+		churned := ev.Kind == "restart" || (ev.Kind == "action" || ev.Kind == "fault") && !strings.Contains(ev.Detail, "signal ")
+		if churned && ev.At > reported {
+			t.Errorf("the first engine recorded %s %q at %s, after its Report", ev.Kind, ev.Detail, ev.At)
 		}
 	}
+}
+
+// requireReaudit holds a run's -trace JSONL to its live Report: the
+// registry's events, written as JSON Lines and decoded back, re-audit to
+// a Report deep-equal to the one the engine returned.
+func requireReaudit(t *testing.T, s Script, reg *telemetry.Registry, live *Report) {
+	t.Helper()
+	var jsonl strings.Builder
+	if err := reg.WriteTrace(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	var events []telemetry.Event
+	for line := range strings.Lines(jsonl.String()) {
+		var l struct {
+			T                 float64
+			Lane              int
+			Kind, Node, Group string
+			Span, Parent      uint64
+			Detail            string
+		}
+		if err := json.Unmarshal([]byte(line), &l); err != nil {
+			t.Fatalf("%s: %v in %q", s.Name, err, line)
+		}
+		events = append(events, telemetry.Event{At: time.Duration(math.Round(l.T * 1e9)), Lane: l.Lane,
+			Kind: l.Kind, Node: l.Node, Group: l.Group, Span: l.Span, Parent: l.Parent, Detail: l.Detail})
+	}
+	if got := audit(s, events); !reflect.DeepEqual(got, live) {
+		t.Errorf("%s: the -trace JSONL re-audits to\n%s%s\nnot the live\n%s%s",
+			s.Name, got.Stats(), got.FaultTable(), live.Stats(), live.FaultTable())
+	}
+}
+
+// TestTraceReauditsToTheReport: a run is its event stream. Every preset,
+// on one shard and on eight with four workers and the protocol's own
+// events interleaved, re-audits from its -trace JSONL alone to the
+// Report the engine returned. (runGenerated holds every fuzzed schedule
+// to the same.)
+func TestTraceReauditsToTheReport(t *testing.T) {
+	for _, name := range Names() {
+		for _, workers := range []int{0, 4} {
+			c, s, err := BuildPreset(name, Params{Seed: 3, Short: true, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Telemetry.EnableTrace(telemetry.TraceProto)
+			rep, err := Run(c, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireReaudit(t, s, c.Telemetry, rep)
+		}
+	}
+
+	// A failed audit re-audits to the same violations. Member 2 restarts
+	// behind the engine's back, a fresh process the engine still audits:
+	// at the end it is up, holds no state and never heard.
+	c := cluster.New(cluster.Options{N: 16, Seed: 1})
+	s := Script{Name: "unseen-restart", Groups: []GroupSpec{{Root: 0, Members: []int{1, 2}}}, Duration: Duration(10 * time.Minute)}
+	c.Sim.After(time.Minute, func() { c.Crash(2) })
+	c.Sim.After(2*time.Minute, func() { c.Restart(2, c.Nodes[0].Ref()) })
+	rep, err := Run(c, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK() || rep.Missed != 1 {
+		t.Fatalf("want node 2 caught missed:\n%s", rep.Stats())
+	}
+	requireReaudit(t, s, c.Telemetry, rep)
 }

@@ -63,8 +63,9 @@ func (l *Lane) Emit(at time.Time, kind, node, group string, span, parent uint64,
 // Record appends one event to the lane's buffer at any trace level, at
 // offset at from the registry epoch: the owning clock's reading
 // (Env.Elapsed), taken by the caller. Protocol sites gate on Tracing
-// themselves, before building the fields; the scenario engine's actions
-// and notices, which its audit folds, are recorded at every level.
+// themselves, before building the fields; the scenario engine's events -
+// setup, action, fault, restart, notice and end, the whole record its
+// audit folds - are recorded at every level.
 func (l *Lane) Record(at time.Duration, kind, node, group string, span, parent uint64, detail string) {
 	if l == nil {
 		return
