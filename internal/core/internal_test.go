@@ -3,8 +3,8 @@ package core
 // White-box unit tests for protocol internals that the integration suite
 // (fuse_test.go, package core_test) cannot reach directly: the piggyback
 // hash, sequence-number guards, backoff arithmetic, and teardown
-// bookkeeping. They run the FUSE layer over a minimal fake Env with a
-// manually advanced clock.
+// bookkeeping. They run the FUSE layer on a transporttest.Net: a clock the
+// test runs by hand, and sends held until the test delivers them.
 
 import (
 	"fmt"
@@ -16,91 +16,26 @@ import (
 
 	"fuse/internal/overlay"
 	"fuse/internal/transport"
+	"fuse/internal/transport/transporttest"
 )
 
-// fakeEnv is a hand-cranked Env: sends are recorded, timers fire only
-// when the test advances the clock.
-type fakeEnv struct {
-	addr   transport.Addr
-	now    time.Duration // the clock, Elapsed
-	rng    *rand.Rand
-	sent   []fakeSend
-	timers []*fakeTimer
-
-	// onSend, when set, runs after each send is recorded: a test's way to
-	// make something happen in the middle of a protocol step.
-	onSend func(fakeSend)
+// newFakeFuse builds a FUSE layer on an isolated (neighborless) overlay
+// node, alone on a new Net.
+func newFakeFuse(name string) (*Fuse, *transporttest.Net) {
+	net := transporttest.NewNet()
+	env := net.NewEnv(transport.Addr("addr-"+name), 1)
+	return New(env, overlay.New(env, overlay.DefaultConfig(), name), 1), net
 }
 
-type fakeSend struct {
-	to  transport.Addr
-	msg transport.Message
-}
-
-type fakeTimer struct {
-	at      time.Duration
-	fn      func()
-	stopped bool
-	fired   bool
-}
-
-func (t *fakeTimer) Stop() bool {
-	if t.stopped || t.fired {
-		return false
-	}
-	t.stopped = true
-	return true
-}
-
-func newFakeEnv(addr transport.Addr) *fakeEnv {
-	return &fakeEnv{addr: addr, rng: rand.New(rand.NewSource(1))}
-}
-
-func (e *fakeEnv) Addr() transport.Addr   { return e.addr }
-func (e *fakeEnv) Elapsed() time.Duration { return e.now }
-func (e *fakeEnv) Rand() *rand.Rand       { return e.rng }
-
-func (e *fakeEnv) Send(to transport.Addr, msg transport.Message) {
-	e.sent = append(e.sent, fakeSend{to: to, msg: msg})
-	if e.onSend != nil {
-		e.onSend(fakeSend{to: to, msg: msg})
-	}
-}
-
-func (e *fakeEnv) After(d time.Duration, fn func()) transport.Timer {
-	t := &fakeTimer{at: e.now + d, fn: fn}
-	e.timers = append(e.timers, t)
-	return t
-}
-
-// advance moves the clock and fires due timers in scheduling order.
-func (e *fakeEnv) advance(d time.Duration) {
-	e.now += d
-	for _, t := range e.timers {
-		if !t.stopped && !t.fired && t.at <= e.now {
-			t.fired = true
-			t.fn()
-		}
-	}
-}
-
-func (e *fakeEnv) sentTo(addr transport.Addr) []transport.Message {
+// sentTo is the pending messages to addr, oldest first.
+func sentTo(net *transporttest.Net, addr transport.Addr) []transport.Message {
 	var out []transport.Message
-	for _, s := range e.sent {
-		if s.to == addr {
-			out = append(out, s.msg)
+	for _, s := range net.Sends() {
+		if s.To == addr {
+			out = append(out, s.Msg)
 		}
 	}
 	return out
-}
-
-// newFakeFuse builds a FUSE layer on an isolated (neighborless) overlay
-// node.
-func newFakeFuse(name string) (*Fuse, *fakeEnv) {
-	env := newFakeEnv(transport.Addr("addr-" + name))
-	ov := overlay.New(env, overlay.DefaultConfig(), name)
-	f := New(env, ov, 1)
-	return f, env
 }
 
 func ref(name string) overlay.NodeRef {
@@ -264,14 +199,14 @@ func TestLinkHashCacheCoherence(t *testing.T) {
 // must not postpone failure detection for groups already riding the
 // link. Only a matching-hash ping or reconciliation agreement re-arms.
 func TestInstallsDoNotPostponeLinkFailure(t *testing.T) {
-	f, env := newFakeFuse("d")
+	f, net := newFakeFuse("d")
 	peer := ref("peer")
 	first := GroupID{Root: ref("r"), Num: 1}
 	f.addTreeLink(first, 0, peer)
 	// The neighbor never refreshes the link, but installs keep arriving
 	// well inside CheckTimeout.
 	for i := 0; i < 10; i++ {
-		env.advance(checkTimeout / 4)
+		net.Advance(checkTimeout / 4)
 		f.addTreeLink(GroupID{Root: ref("r"), Num: uint64(i + 2)}, 0, peer)
 	}
 	if _, ok := f.checking[first]; ok {
@@ -289,14 +224,14 @@ func TestAggregatedDeadlineFairnessBound(t *testing.T) {
 	// Mid-window install: the late group inherits the first group's
 	// deadline and is torn down CheckTimeout/3 after its own install -
 	// sooner than a private timer, within the bound.
-	f, env := newFakeFuse("d")
+	f, net := newFakeFuse("d")
 	peer := ref("peer")
 	first := GroupID{Root: ref("r"), Num: 1}
 	late := GroupID{Root: ref("r"), Num: 2}
 	f.addTreeLink(first, 0, peer)
-	env.advance(2 * checkTimeout / 3)
+	net.Advance(2 * checkTimeout / 3)
 	f.addTreeLink(late, 0, peer)
-	env.advance(checkTimeout/3 + time.Second)
+	net.Advance(checkTimeout/3 + time.Second)
 	if _, ok := f.checking[late]; ok {
 		t.Fatal("late group outlived the shared deadline: waited more than a full CheckTimeout past its install")
 	}
@@ -304,17 +239,17 @@ func TestAggregatedDeadlineFairnessBound(t *testing.T) {
 	// Worst case: the deadline is re-armed by a ping just before the
 	// install, so the late group rides almost the entire shared window -
 	// still alive one step short of install + CheckTimeout, gone at it.
-	f, env = newFakeFuse("d")
+	f, net = newFakeFuse("d")
 	f.addTreeLink(first, 0, peer)
-	env.advance(checkTimeout / 2)
+	net.Advance(checkTimeout / 2)
 	f.OnPingPayload(peer, f.PingPayload(peer)) // liveness evidence re-arms
-	env.advance(time.Second)
+	net.Advance(time.Second)
 	f.addTreeLink(late, 0, peer) // then the link goes quiet
-	env.advance(checkTimeout - 2*time.Second)
+	net.Advance(checkTimeout - 2*time.Second)
 	if _, ok := f.checking[late]; !ok {
 		t.Fatal("late group torn down before the shared deadline it inherited")
 	}
-	env.advance(2 * time.Second)
+	net.Advance(2 * time.Second)
 	if _, ok := f.checking[late]; ok {
 		t.Fatal("quiet link left the late group past install + CheckTimeout")
 	}
@@ -327,33 +262,24 @@ func TestAggregatedDeadlineFairnessBound(t *testing.T) {
 // over one link share a single deadline, one ping refresh re-arms them
 // all, and expiry fails every group on the link.
 func TestSharedLinkTimerCoversAllGroups(t *testing.T) {
-	f, env := newFakeFuse("d")
+	f, net := newFakeFuse("d")
 	peer := ref("peer")
 	const n = 20
 	for i := 0; i < n; i++ {
 		f.addTreeLink(GroupID{Root: ref("r"), Num: uint64(i + 1)}, 0, peer)
 	}
-	live := func() int {
-		c := 0
-		for _, tm := range env.timers {
-			if !tm.stopped && !tm.fired {
-				c++
-			}
-		}
-		return c
-	}
-	if got := live(); got != 1 {
+	if got := len(net.Timers()); got != 1 {
 		t.Fatalf("%d live timers for %d groups on one link, want 1", got, n)
 	}
 	// A matching-hash ping refreshes the shared deadline.
-	env.advance(checkTimeout / 2)
+	net.Advance(checkTimeout / 2)
 	f.OnPingPayload(peer, f.PingPayload(peer))
-	env.advance(checkTimeout/2 + time.Second)
+	net.Advance(checkTimeout/2 + time.Second)
 	if len(f.checking) != n {
 		t.Fatalf("refresh did not cover all groups: %d of %d survive", len(f.checking), n)
 	}
 	// Expiry fails every group riding the link.
-	env.advance(checkTimeout)
+	net.Advance(checkTimeout)
 	if len(f.checking) != 0 {
 		t.Fatalf("%d groups survived link timeout", len(f.checking))
 	}
@@ -363,7 +289,7 @@ func TestSharedLinkTimerCoversAllGroups(t *testing.T) {
 }
 
 func TestRepairBackoffDoublesAndCaps(t *testing.T) {
-	f, env := newFakeFuse("root")
+	f, net := newFakeFuse("root")
 	rs := &rootState{
 		id:      GroupID{Root: f.self, Num: 1},
 		members: []overlay.NodeRef{ref("m1")},
@@ -384,7 +310,7 @@ func TestRepairBackoffDoublesAndCaps(t *testing.T) {
 		// Clear the in-flight attempt so the next one is allowed, and
 		// move past the backoff window.
 		rs.repairPending = nil
-		env.advance(backoffCap + time.Second)
+		net.Advance(backoffCap + time.Second)
 	}
 	if rs.backoff != backoffCap {
 		t.Fatalf("backoff %v never capped at %v", rs.backoff, backoffCap)
@@ -392,7 +318,7 @@ func TestRepairBackoffDoublesAndCaps(t *testing.T) {
 }
 
 func TestScheduleRepairHonorsBackoffWindow(t *testing.T) {
-	f, env := newFakeFuse("root")
+	f, net := newFakeFuse("root")
 	rs := &rootState{
 		id:      GroupID{Root: f.self, Num: 2},
 		members: []overlay.NodeRef{ref("m1")},
@@ -400,21 +326,21 @@ func TestScheduleRepairHonorsBackoffWindow(t *testing.T) {
 	}
 	f.roots[rs.id] = rs
 	f.startRepair(rs)
-	first := len(env.sentTo(ref("m1").Addr))
+	first := len(sentTo(net, ref("m1").Addr))
 	if first == 0 {
 		t.Fatal("no repair request sent")
 	}
 	rs.repairPending = nil
 	// Immediately re-scheduling must defer: the backoff window is open.
 	f.scheduleRepair(rs)
-	if got := len(env.sentTo(ref("m1").Addr)); got != first {
+	if got := len(sentTo(net, ref("m1").Addr)); got != first {
 		t.Fatalf("repair ran inside the backoff window (%d -> %d sends)", first, got)
 	}
 	if rs.backoffTimer == nil {
 		t.Fatal("no deferred repair scheduled")
 	}
-	env.advance(backoffCap + time.Second)
-	if got := len(env.sentTo(ref("m1").Addr)); got <= first {
+	net.Advance(backoffCap + time.Second)
+	if got := len(sentTo(net, ref("m1").Addr)); got <= first {
 		t.Fatal("deferred repair never ran after the window")
 	}
 }
@@ -437,15 +363,15 @@ func TestStaleSoftNotificationDiscarded(t *testing.T) {
 }
 
 func TestSoftNotificationForwardsToOtherLinksOnly(t *testing.T) {
-	f, env := newFakeFuse("d")
+	f, net := newFakeFuse("d")
 	id := GroupID{Root: ref("r"), Num: 4}
 	f.addTreeLink(id, 0, ref("up"))
 	f.addTreeLink(id, 0, ref("down"))
 	f.handleSoft(&msgSoftNotification{ID: id, Seq: 0, From: ref("up")})
-	if got := env.sentTo(ref("up").Addr); len(got) != 0 {
+	if got := sentTo(net, ref("up").Addr); len(got) != 0 {
 		t.Fatalf("soft echoed back to its sender: %v", got)
 	}
-	fwd := env.sentTo(ref("down").Addr)
+	fwd := sentTo(net, ref("down").Addr)
 	if len(fwd) != 1 {
 		t.Fatalf("forwarded %d messages to the other link, want 1", len(fwd))
 	}
@@ -455,7 +381,7 @@ func TestSoftNotificationForwardsToOtherLinksOnly(t *testing.T) {
 }
 
 func TestReconciliationGracePeriodProtectsFreshLinks(t *testing.T) {
-	f, env := newFakeFuse("d")
+	f, net := newFakeFuse("d")
 	id := GroupID{Root: ref("r"), Num: 5}
 	f.addTreeLink(id, 0, ref("peer"))
 	// The peer's list does not mention the group, but the link is
@@ -465,7 +391,7 @@ func TestReconciliationGracePeriodProtectsFreshLinks(t *testing.T) {
 		t.Fatal("grace period did not protect a fresh link")
 	}
 	// Past the grace period the same disagreement kills the link.
-	env.advance(gracePeriod + time.Second)
+	net.Advance(gracePeriod + time.Second)
 	f.handleGroupLists(&msgGroupLists{From: ref("peer"), IsReply: true})
 	if _, ok := f.checking[id]; ok {
 		t.Fatal("reconciliation did not fail a disagreed link after grace")
@@ -480,12 +406,12 @@ func TestReconciliationGracePeriodProtectsFreshLinks(t *testing.T) {
 // once the grace period lapses, even though agreement on the other group
 // keeps refreshing the link's only timer.
 func TestGracePeriodSurvivesSharedLinkTimer(t *testing.T) {
-	f, env := newFakeFuse("d")
+	f, net := newFakeFuse("d")
 	peer := ref("peer")
 	agreedID := GroupID{Root: ref("r"), Num: 21}
 	freshID := GroupID{Root: ref("r"), Num: 22}
 	f.addTreeLink(agreedID, 1, peer)
-	env.advance(gracePeriod + time.Second) // agreedID is old
+	net.Advance(gracePeriod + time.Second) // agreedID is old
 	f.addTreeLink(freshID, 0, peer)
 
 	lists := &msgGroupLists{From: peer, Entries: []listEntry{{ID: agreedID, Seq: 1}}, IsReply: true}
@@ -498,7 +424,7 @@ func TestGracePeriodSurvivesSharedLinkTimer(t *testing.T) {
 	}
 	// Agreement re-armed the shared deadline: nothing may expire before
 	// another full CheckTimeout.
-	env.advance(checkTimeout - time.Second)
+	net.Advance(checkTimeout - time.Second)
 	if _, ok := f.checking[agreedID]; !ok {
 		t.Fatal("shared deadline was not refreshed by reconciliation agreement")
 	}
@@ -517,10 +443,10 @@ func TestGracePeriodSurvivesSharedLinkTimer(t *testing.T) {
 }
 
 func TestReconciliationAgreementResetsTimers(t *testing.T) {
-	f, env := newFakeFuse("d")
+	f, net := newFakeFuse("d")
 	id := GroupID{Root: ref("r"), Num: 6}
 	f.addTreeLink(id, 2, ref("peer"))
-	env.advance(gracePeriod + time.Second)
+	net.Advance(gracePeriod + time.Second)
 	f.handleGroupLists(&msgGroupLists{
 		From:    ref("peer"),
 		Entries: []listEntry{{ID: id, Seq: 2}},
@@ -536,7 +462,7 @@ func TestReconciliationAgreementResetsTimers(t *testing.T) {
 		IsReply: false,
 	})
 	replies := 0
-	for _, m := range env.sentTo(ref("peer").Addr) {
+	for _, m := range sentTo(net, ref("peer").Addr) {
 		if gl, ok := m.(*msgGroupLists); ok && gl.IsReply {
 			replies++
 		}
@@ -547,7 +473,7 @@ func TestReconciliationAgreementResetsTimers(t *testing.T) {
 }
 
 func TestTeardownStopsEveryTimer(t *testing.T) {
-	f, env := newFakeFuse("n")
+	f, net := newFakeFuse("n")
 	id := GroupID{Root: ref("r"), Num: 7}
 	f.members[id] = &memberState{id: id}
 	f.addTreeLink(id, 0, ref("a"))
@@ -557,13 +483,7 @@ func TestTeardownStopsEveryTimer(t *testing.T) {
 	if f.HasState(id) {
 		t.Fatal("state survives teardown")
 	}
-	live := 0
-	for _, tm := range env.timers {
-		if !tm.stopped && !tm.fired {
-			live++
-		}
-	}
-	if live != 0 {
+	if live := len(net.Timers()); live != 0 {
 		t.Fatalf("%d timers still pending after teardown", live)
 	}
 }
@@ -579,15 +499,15 @@ func TestLiveGroupsDeduplicatesRoles(t *testing.T) {
 }
 
 func TestSignalFailureOnUnknownGroupIsNoop(t *testing.T) {
-	f, env := newFakeFuse("n")
+	f, net := newFakeFuse("n")
 	f.SignalFailure(GroupID{Root: ref("r"), Num: 9})
-	if len(env.sent) != 0 {
-		t.Fatalf("unknown-group signal sent %v", env.sent)
+	if sent := net.Sends(); len(sent) != 0 {
+		t.Fatalf("unknown-group signal sent %v", sent)
 	}
 }
 
 func TestMemberRepairTimerNotExtendedByRepeatedFailures(t *testing.T) {
-	f, env := newFakeFuse("m")
+	f, net := newFakeFuse("m")
 	id := GroupID{Root: ref("r"), Num: 10}
 	ms := &memberState{id: id}
 	f.members[id] = ms
@@ -595,7 +515,7 @@ func TestMemberRepairTimerNotExtendedByRepeatedFailures(t *testing.T) {
 	f.RegisterFailureHandler(func(n Notice) { notices = append(notices, n) }, id)
 	f.memberNeedsRepair(ms)
 	first := ms.repairTimer
-	env.advance(memberRepairTimeout / 2)
+	net.Advance(memberRepairTimeout / 2)
 	f.memberNeedsRepair(ms) // second local failure: must not re-arm
 	if ms.repairTimer != first {
 		t.Fatal("repeated failure extended the member's deadline")
@@ -603,7 +523,7 @@ func TestMemberRepairTimerNotExtendedByRepeatedFailures(t *testing.T) {
 	if len(notices) != 0 {
 		t.Fatalf("notices before the deadline: %v", notices)
 	}
-	env.advance(memberRepairTimeout/2 + time.Second)
+	net.Advance(memberRepairTimeout/2 + time.Second)
 	if f.HasState(id) {
 		t.Fatal("member never concluded failure")
 	}
@@ -629,7 +549,7 @@ func TestGroupIDStringAndZero(t *testing.T) {
 // TestConfigScale: a node built at time scale 0.5 arms its repair timers
 // and its backoff window at half the paper's values.
 func TestConfigScale(t *testing.T) {
-	env := newFakeEnv("addr-r")
+	env := transporttest.NewNet().NewEnv("addr-r", 1)
 	f := New(env, overlay.New(env, overlay.DefaultConfig(), "r"), 0.5)
 	ms := &memberState{id: GroupID{Root: ref("s"), Num: 1}}
 	f.members[ms.id] = ms
@@ -638,9 +558,9 @@ func TestConfigScale(t *testing.T) {
 	f.roots[rs.id] = rs
 	f.startRepair(rs)
 	for name, c := range map[string]struct{ got, want time.Duration }{
-		"member repair timer": {ms.repairTimer.(*fakeTimer).at - env.now, 30 * time.Second},
-		"root repair timer":   {rs.repairTimer.(*fakeTimer).at - env.now, time.Minute},
-		"backoff window":      {rs.backoffUntil - env.now, time.Second},
+		"member repair timer": {ms.repairTimer.(*transporttest.Timer).At() - env.Elapsed(), 30 * time.Second},
+		"root repair timer":   {rs.repairTimer.(*transporttest.Timer).At() - env.Elapsed(), time.Minute},
+		"backoff window":      {rs.backoffUntil - env.Elapsed(), time.Second},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s armed for %v, want %v", name, c.got, c.want)
@@ -653,18 +573,18 @@ func TestConfigScale(t *testing.T) {
 // window is open, CheckTimeout from the Recover, and nothing before any
 // Recover or once the window has closed.
 func TestRecoverWindowProbesNewNeighbours(t *testing.T) {
-	f, env := newFakeFuse("r")
+	f, net := newFakeFuse("r")
 	f.SetPersistence(NewMemStore())
-	env.advance(time.Minute)
+	net.Advance(time.Minute)
 	f.OnNeighborUp(ref("before"))
-	if got := env.sentTo("addr-before"); len(got) != 0 {
+	if got := sentTo(net, "addr-before"); len(got) != 0 {
 		t.Fatalf("a neighbour up before any Recover was sent %v", got)
 	}
 
 	f.Recover()
-	env.advance(checkTimeout - time.Nanosecond)
+	net.Advance(checkTimeout - time.Nanosecond)
 	f.OnNeighborUp(ref("inside"))
-	got := env.sentTo("addr-inside")
+	got := sentTo(net, "addr-inside")
 	if len(got) != 1 {
 		t.Fatalf("a neighbour up 1ns before the window closes was sent %v, want one probe", got)
 	}
@@ -672,9 +592,9 @@ func TestRecoverWindowProbesNewNeighbours(t *testing.T) {
 		t.Fatalf("sent %#v, want an unsolicited msgGroupLists", got[0])
 	}
 
-	env.advance(time.Nanosecond)
+	net.Advance(time.Nanosecond)
 	f.OnNeighborUp(ref("after"))
-	if got := env.sentTo("addr-after"); len(got) != 0 {
+	if got := sentTo(net, "addr-after"); len(got) != 0 {
 		t.Fatalf("a neighbour up as the window closes was sent %v", got)
 	}
 }
@@ -699,7 +619,7 @@ func TestPaperParameters(t *testing.T) {
 		}
 	}
 	for _, scale := range []float64{1, 0.05, 0.02} {
-		env := newFakeEnv("addr-p")
+		env := transporttest.NewNet().NewEnv("addr-p", 1)
 		ping := overlay.DefaultConfig().Scale(scale)
 		f := New(env, overlay.New(env, ping, "p"), scale)
 		if check := f.scaled(checkTimeout); check <= ping.PingInterval+ping.PingTimeout {

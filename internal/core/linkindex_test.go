@@ -23,6 +23,7 @@ import (
 
 	"fuse/internal/overlay"
 	"fuse/internal/transport"
+	"fuse/internal/transport/transporttest"
 )
 
 var linkSeed = flag.Int64("link.seed", 0, "run the link index property test on this one seed")
@@ -432,21 +433,21 @@ func changeAllocatesOnlyTheDigest(t *testing.T, n int) {
 // root staying silent) one notice to the application - and the link's
 // index entry and its deadline must be gone.
 func TestLinkDeathTearsDownEveryGroupOnce(t *testing.T) {
-	causes := map[string]func(f *Fuse, env *fakeEnv, peer overlay.NodeRef){
-		"timeout": func(f *Fuse, env *fakeEnv, peer overlay.NodeRef) {
-			env.advance(checkTimeout + time.Second)
+	causes := map[string]func(f *Fuse, net *transporttest.Net, peer overlay.NodeRef){
+		"timeout": func(f *Fuse, net *transporttest.Net, peer overlay.NodeRef) {
+			net.Advance(checkTimeout + time.Second)
 		},
-		"neighbor-down": func(f *Fuse, env *fakeEnv, peer overlay.NodeRef) {
+		"neighbor-down": func(f *Fuse, net *transporttest.Net, peer overlay.NodeRef) {
 			f.OnNeighborDown(peer)
 		},
-		"reconcile": func(f *Fuse, env *fakeEnv, peer overlay.NodeRef) {
-			env.advance(gracePeriod + time.Second)
+		"reconcile": func(f *Fuse, net *transporttest.Net, peer overlay.NodeRef) {
+			net.Advance(gracePeriod + time.Second)
 			f.handleGroupLists(&msgGroupLists{From: peer, IsReply: true})
 		},
 	}
 	for name, kill := range causes {
 		t.Run(name, func(t *testing.T) {
-			f, env := newFakeFuse("d")
+			f, net := newFakeFuse("d")
 			peer, other := ref("peer"), ref("other")
 			ids := []GroupID{
 				{Root: ref("r"), Num: 1},
@@ -462,22 +463,22 @@ func TestLinkDeathTearsDownEveryGroupOnce(t *testing.T) {
 				f.addTreeLink(id, 0, other)
 			}
 			ls := f.links[peer.Addr]
-			timer := ls.timer.(*fakeTimer)
+			timer := ls.timer.(*transporttest.Timer)
 
-			kill(f, env, peer)
+			kill(f, net, peer)
 
 			softs, repairs := make(map[GroupID]int), make(map[GroupID]int)
-			for _, s := range env.sent {
-				switch m := s.msg.(type) {
+			for _, s := range net.Sends() {
+				switch m := s.Msg.(type) {
 				case *msgSoftNotification:
-					if s.to == other.Addr {
+					if s.To == other.Addr {
 						softs[m.ID]++
 					}
 				case *msgNeedRepair:
 					repairs[m.ID]++
 				}
 			}
-			env.advance(memberRepairTimeout + time.Second)
+			net.Advance(memberRepairTimeout + time.Second)
 			for _, id := range ids {
 				if softs[id] != 1 || repairs[id] != 1 || notices[id] != 1 {
 					t.Errorf("group %v: %d soft notifications to its other link, %d repair requests, %d notices; want 1 each",
@@ -493,7 +494,7 @@ func TestLinkDeathTearsDownEveryGroupOnce(t *testing.T) {
 			if len(ls.sorted) != 0 {
 				t.Errorf("dead link still lists %v", ls.snapshot())
 			}
-			if !timer.stopped && !timer.fired {
+			if timer.Pending() {
 				t.Error("the dead link's deadline is still armed")
 			}
 		})

@@ -18,6 +18,7 @@ import (
 
 	"fuse/internal/overlay"
 	"fuse/internal/transport"
+	"fuse/internal/transport/transporttest"
 )
 
 // refHandleGroupLists is handleGroupLists as first written.
@@ -80,8 +81,8 @@ type reconcileGroup struct {
 // the peer's list: old groups installed, the grace period gone by, young
 // groups installed, and a second gone by, so that a re-armed deadline
 // differs from the one the link has.
-func (c *reconcileCase) build() (*Fuse, *fakeEnv) {
-	f, env := newFakeFuse("d")
+func (c *reconcileCase) build() (*Fuse, *transporttest.Net) {
+	f, net := newFakeFuse("d")
 	install := func(young bool) {
 		for _, g := range c.ours {
 			if g.young != young {
@@ -95,12 +96,12 @@ func (c *reconcileCase) build() (*Fuse, *fakeEnv) {
 		}
 	}
 	install(false)
-	env.advance(gracePeriod + time.Second)
+	net.Advance(gracePeriod + time.Second)
 	install(true)
-	env.advance(time.Second)
-	env.onSend = func(s fakeSend) {
+	net.Advance(time.Second)
+	net.OnSend = func(s transporttest.Send) {
 		var id GroupID
-		switch m := s.msg.(type) {
+		switch m := s.Msg.(type) {
 		case *msgNeedRepair:
 			id = m.ID
 		case *msgSoftNotification:
@@ -110,12 +111,12 @@ func (c *reconcileCase) build() (*Fuse, *fakeEnv) {
 			f.teardown(victim)
 		}
 	}
-	return f, env
+	return f, net
 }
 
 // reconcileOutcome is everything a reconciliation may change or emit.
 type reconcileOutcome struct {
-	sent     []fakeSend                       // every message, in order: teardowns show as repair requests and softs
+	sent     []transporttest.Send             // every message, in order: teardowns show as repair requests and softs
 	links    map[transport.Addr][]GroupID     // the per-link index
 	deadline map[transport.Addr]time.Duration // each link's live CheckTimeout deadline
 	checking map[GroupID][]outcomeLink
@@ -129,9 +130,9 @@ type outcomeLink struct {
 	installedAt time.Duration
 }
 
-func outcomeOf(f *Fuse, env *fakeEnv) reconcileOutcome {
+func outcomeOf(f *Fuse, net *transporttest.Net) reconcileOutcome {
 	o := reconcileOutcome{
-		sent:     env.sent,
+		sent:     net.Sends(),
 		links:    make(map[transport.Addr][]GroupID),
 		deadline: make(map[transport.Addr]time.Duration),
 		checking: make(map[GroupID][]outcomeLink),
@@ -139,8 +140,8 @@ func outcomeOf(f *Fuse, env *fakeEnv) reconcileOutcome {
 	}
 	for addr, ls := range f.links {
 		o.links[addr] = ls.snapshot()
-		if tm := ls.timer.(*fakeTimer); !tm.stopped && !tm.fired {
-			o.deadline[addr] = tm.at
+		if tm := ls.timer.(*transporttest.Timer); tm.Pending() {
+			o.deadline[addr] = tm.At()
 		}
 	}
 	for id, cs := range f.checking {
@@ -243,19 +244,19 @@ func TestReconcileMatchesReference(t *testing.T) {
 			c := randomReconcileCase(rng)
 			sentBefore := slices.Clone(c.msg.Entries)
 
-			f, env := c.build()
-			start := len(env.sent)
+			f, net := c.build()
+			start := len(net.Sends())
 			before := f.links[c.msg.From.Addr]
 			var deadline time.Duration
 			if before != nil {
-				deadline = before.timer.(*fakeTimer).at
+				deadline = before.timer.(*transporttest.Timer).At()
 			}
 			f.handleGroupLists(c.msg)
-			got := outcomeOf(f, env)
+			got := outcomeOf(f, net)
 
-			rf, renv := c.build()
+			rf, rnet := c.build()
 			refHandleGroupLists(rf, c.msg)
-			want := outcomeOf(rf, renv)
+			want := outcomeOf(rf, rnet)
 
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d (-link.seed=%d) trial %d:\nours %+v\ntheirs %+v\nalso dies %v\n got %s\nwant %s",
@@ -265,7 +266,7 @@ func TestReconcileMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d trial %d: the peer's message was reordered in place", seed, trial)
 			}
 			for _, s := range got.sent[start:] {
-				if _, ok := s.msg.(*msgNeedRepair); ok {
+				if _, ok := s.Msg.(*msgNeedRepair); ok {
 					tornDown++
 				}
 			}
@@ -284,31 +285,9 @@ func TestReconcileMatchesReference(t *testing.T) {
 func (o reconcileOutcome) String() string {
 	s := fmt.Sprintf("members=%d links=%v deadlines=%v checking=%v sent:", o.members, o.links, o.deadline, o.checking)
 	for _, m := range o.sent {
-		s += fmt.Sprintf("\n    -> %s %T%+v", m.to, m.msg, m.msg)
+		s += fmt.Sprintf("\n    -> %s %T%+v", m.To, m.Msg, m.Msg)
 	}
 	return s
-}
-
-// quietEnv is fakeEnv for allocation pins: sends are dropped, and the
-// timers it hands out move in place as the simulator's do.
-type quietEnv struct{ *fakeEnv }
-
-func (quietEnv) Send(transport.Addr, transport.Message) {}
-
-func (e quietEnv) After(d time.Duration, fn func()) transport.Timer {
-	return &quietTimer{env: e.fakeEnv, at: e.now + d}
-}
-
-type quietTimer struct {
-	env *fakeEnv
-	at  time.Duration
-}
-
-func (t *quietTimer) Stop() bool { return true }
-
-func (t *quietTimer) Reset(d time.Duration) bool {
-	t.at = t.env.now + d
-	return true
 }
 
 // TestReconcileAgreeingListsAllocatesOnlyTheReply pins the walk: two
@@ -319,24 +298,25 @@ func TestReconcileAgreeingListsAllocatesOnlyTheReply(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc pin runs without -race")
 	}
-	env := quietEnv{newFakeEnv("addr-d")}
-	f := New(env, overlay.New(env, overlay.DefaultConfig(), "d"), 1)
+	f, net := newFakeFuse("d")
 	peer := ref("peer")
 	for i := 0; i < 300; i++ {
 		f.addTreeLink(GroupID{Root: ref(fmt.Sprintf("n%03d.example.org", i%10)), Num: uint64(i)}, 1, peer)
 	}
 	probe := &msgGroupLists{From: peer, Entries: f.linkEntries(peer.Addr)}
 	reply := &msgGroupLists{From: peer, Entries: probe.Entries, IsReply: true}
-	timer := f.links[peer.Addr].timer.(*quietTimer)
+	timer := f.links[peer.Addr].timer.(*transporttest.Timer)
 
-	env.now += time.Second
+	net.Advance(time.Second)
 	if allocs := testing.AllocsPerRun(100, func() { f.handleGroupLists(reply) }); allocs != 0 {
 		t.Errorf("handling an agreeing reply allocates %.1f/op, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { f.handleGroupLists(probe) }); allocs != 2 {
+	// Each reply is lost on its way (the peer is not on the Net), so the
+	// pending sends do not pile up.
+	if allocs := testing.AllocsPerRun(100, func() { f.handleGroupLists(probe); net.Deliver(0) }); allocs != 2 {
 		t.Errorf("answering an agreeing probe allocates %.1f/op, want 2 (the reply and its entries)", allocs)
 	}
-	if want := env.now + checkTimeout; timer.at != want {
-		t.Errorf("agreement left the link's deadline at %v, want %v", timer.at, want)
+	if want := f.env.Elapsed() + checkTimeout; timer.At() != want {
+		t.Errorf("agreement left the link's deadline at %v, want %v", timer.At(), want)
 	}
 }

@@ -1,8 +1,11 @@
 package overlay
 
 // Tests of the one-timer-per-node liveness schedule: a seeded property
-// test against the per-link machine it replaced, and pins for the wake-up an ack leaves behind, the order of links due
-// together, and the link ids pings and acks carry.
+// test against the per-link machine it replaced, and pins for the wake-up
+// an ack leaves behind, the order of links due together, and the link ids
+// pings and acks carry. The node runs alone on a transporttest.Net, whose
+// clock the test runs by hand; its sends reach no one, and a test plays
+// its neighbors by handing it acks and pings directly.
 
 import (
 	"flag"
@@ -13,8 +16,8 @@ import (
 	"testing"
 	"time"
 
-	"fuse/internal/eventsim"
 	"fuse/internal/transport"
+	"fuse/internal/transport/transporttest"
 )
 
 var pingSeed = flag.Int64("ping.seed", 0, "run the ping schedule property test on this one seed")
@@ -31,42 +34,10 @@ func pingSeeds() []int64 {
 	return []int64{base + 1, base + 2, base + 3}
 }
 
-// scriptEnv is a transport.Env over a bare simulator whose network is the
-// test: every send lands in onSend. It is deliberately not a
-// transport.Dialer, so a node built on it reaches its neighbors through
-// transport.Dial's fallback, the path the live transport takes.
-type scriptEnv struct {
-	sim    *eventsim.Sim
-	addr   transport.Addr
-	rng    *rand.Rand
-	wakes  []time.Duration // when each timer callback ran
-	onSend func(to transport.Addr, msg transport.Message)
-}
-
-func (e *scriptEnv) Addr() transport.Addr   { return e.addr }
-func (e *scriptEnv) Rand() *rand.Rand       { return e.rng }
-func (e *scriptEnv) Elapsed() time.Duration { return e.sim.Elapsed() }
-func (e *scriptEnv) run(d time.Duration)    { e.sim.RunFor(d) }
-func (e *scriptEnv) runTo(t time.Duration)  { e.sim.RunFor(t - e.sim.Elapsed()) }
-
-func (e *scriptEnv) After(d time.Duration, fn func()) transport.Timer {
-	return e.sim.After(d, func() {
-		e.wakes = append(e.wakes, e.Elapsed())
-		fn()
-	})
-}
-
-func (e *scriptEnv) Send(to transport.Addr, msg transport.Message) {
-	if e.onSend != nil {
-		e.onSend(to, msg)
-	}
-	transport.ReleaseMessage(msg)
-}
-
-// dialEnv is scriptEnv as a transport.Dialer: sends through a dialed Peer
-// are marked, so a test can tell which way a message left.
+// dialEnv is a transporttest.Env as a transport.Dialer: sends through a
+// dialed Peer are marked, so a test can tell which way a message left.
 type dialEnv struct {
-	*scriptEnv
+	*transporttest.Env
 	viaPeer int
 }
 
@@ -76,10 +47,13 @@ type dialPeer struct {
 }
 
 func (e *dialEnv) Dial(to transport.Addr) transport.Peer { return dialPeer{e, to} }
-func (p dialPeer) Send(msg transport.Message)            { p.e.viaPeer++; p.e.scriptEnv.Send(p.to, msg) }
+func (p dialPeer) Send(msg transport.Message)            { p.e.viaPeer++; p.e.Send(p.to, msg) }
 
-func newScriptEnv(seed int64) *scriptEnv {
-	return &scriptEnv{sim: eventsim.New(seed), addr: "node-000", rng: rand.New(rand.NewSource(seed))}
+// scriptNode puts node 0 alone on a new Net, its random source seeded
+// with seed. Its sends go nowhere until the test acts on them.
+func scriptNode(seed int64) (*transporttest.Net, *transporttest.Env) {
+	net := transporttest.NewNet()
+	return net, net.NewEnv(testRef(0).Addr, seed)
 }
 
 func testRef(i int) NodeRef {
@@ -98,9 +72,9 @@ type stamp struct {
 // table: one two-phase timer per neighbor (send, wait PingTimeout for the
 // ack, sleep out the interval), each re-armed from its own callback. It
 // is the specification TestPingScheduleMatchesReference holds the node to.
+// Its env is a node of its own on the node's Net: one clock for both.
 type refPinger struct {
-	sim     *eventsim.Sim
-	rng     *rand.Rand
+	env     transport.Env
 	cfg     Config
 	links   map[transport.Addr]*refLink
 	stopped bool
@@ -117,8 +91,8 @@ type refLink struct {
 func (r *refPinger) start(ref NodeRef) {
 	ps := &refLink{ref: ref}
 	r.links[ref.Addr] = ps
-	phase := time.Duration(r.rng.Int63n(int64(r.cfg.PingInterval) + 1))
-	r.sim.After(phase, func() { r.tick(ps) })
+	phase := time.Duration(r.env.Rand().Int63n(int64(r.cfg.PingInterval) + 1))
+	r.env.After(phase, func() { r.tick(ps) })
 }
 
 func (r *refPinger) tick(ps *refLink) {
@@ -131,13 +105,13 @@ func (r *refPinger) tick(ps *refLink) {
 			r.dead(ps.ref)
 			return
 		}
-		r.sim.After(r.cfg.PingInterval-r.cfg.PingTimeout, func() { r.tick(ps) })
+		r.env.After(r.cfg.PingInterval-r.cfg.PingTimeout, func() { r.tick(ps) })
 		return
 	}
 	ps.seq++
 	ps.awaiting = true
-	r.log = append(r.log, stamp{r.sim.Elapsed(), "ping", ps.ref.Name})
-	r.sim.After(r.cfg.PingTimeout, func() { r.tick(ps) })
+	r.log = append(r.log, stamp{r.env.Elapsed(), "ping", ps.ref.Name})
+	r.env.After(r.cfg.PingTimeout, func() { r.tick(ps) })
 }
 
 func (r *refPinger) ack(from transport.Addr, seq uint64) {
@@ -150,7 +124,7 @@ func (r *refPinger) dead(ref NodeRef) {
 	if r.links[ref.Addr] == nil {
 		return
 	}
-	r.log = append(r.log, stamp{r.sim.Elapsed(), "dead", ref.Name})
+	r.log = append(r.log, stamp{r.env.Elapsed(), "dead", ref.Name})
 	r.retire(ref.Addr)
 }
 
@@ -194,20 +168,20 @@ func TestPingScheduleMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d (-ping.seed=%d): %s", seed, seed, fmt.Sprintf(format, args...))
 		}
 		cfg := DefaultConfig()
-		env := newScriptEnv(seed)
+		net, env := scriptNode(seed)
 		drive := rand.New(rand.NewSource(seed + 1))
 		var got []stamp
 		nd := New(env, cfg, testRef(0).Name)
 		nd.SetClient(deathLog{env, &got})
-		ref := &refPinger{sim: env.sim, rng: rand.New(rand.NewSource(seed)), cfg: cfg, links: make(map[transport.Addr]*refLink)}
+		ref := &refPinger{env: net.NewEnv("reference", seed), cfg: cfg, links: make(map[transport.Addr]*refLink)}
 
-		env.onSend = func(to transport.Addr, msg transport.Message) {
-			m, ok := msg.(*msgPing)
+		net.OnSend = func(s transporttest.Send) {
+			m, ok := s.Msg.(*msgPing)
 			if !ok {
 				return // repair traffic after a death
 			}
-			from := linkTo(nd, to).ref
-			got = append(got, stamp{env.Elapsed(), "ping", from.Name})
+			from := linkTo(nd, s.To).ref
+			got = append(got, stamp{s.At, "ping", from.Name})
 			var delay time.Duration
 			switch p := drive.Intn(100); {
 			case p < 12:
@@ -224,7 +198,7 @@ func TestPingScheduleMatchesReference(t *testing.T) {
 			case 1:
 				echo = uint32(drive.Intn(60))
 			}
-			env.sim.After(delay, func() {
+			env.After(delay, func() {
 				ackFrom(nd, from, seq, theirs, echo)
 				ref.ack(from.Addr, seq)
 			})
@@ -249,7 +223,7 @@ func TestPingScheduleMatchesReference(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			// The table changes below land on an instant of their own: the
 			// clock stops at a random nanosecond, not on an event.
-			env.run(time.Duration(drive.Int63n(int64(cfg.PingInterval / 4))))
+			net.Advance(time.Duration(drive.Int63n(int64(cfg.PingInterval / 4))))
 			check(step)
 			switch op := drive.Intn(10); {
 			case op < 5:
@@ -287,7 +261,7 @@ func TestPingScheduleMatchesReference(t *testing.T) {
 		if len(got) != stoppedAt {
 			fail("%d pings or deaths after Stop", len(got)-stoppedAt)
 		}
-		if a, b := env.rng.Int63(), ref.rng.Int63(); a != b {
+		if a, b := env.Rand().Int63(), ref.env.Rand().Int63(); a != b {
 			fail("the node and the reference consumed different numbers of rng draws")
 		}
 	}
@@ -295,7 +269,7 @@ func TestPingScheduleMatchesReference(t *testing.T) {
 
 // deathLog is a Client that stamps each neighbor death into a schedule log.
 type deathLog struct {
-	env *scriptEnv
+	env transport.Env
 	log *[]stamp
 }
 
@@ -307,19 +281,25 @@ func (c deathLog) OnNeighborDown(ref NodeRef) {
 	*c.log = append(*c.log, stamp{c.env.Elapsed(), "dead", ref.Name})
 }
 
-// pingLog records the pings a scripted node sends.
-func pingLog(env *scriptEnv) *[]stamp {
+// pingsSent is every ping sent on net, in order, each stamped with its
+// destination.
+func pingsSent(net *transporttest.Net) []stamp {
 	var log []stamp
-	prev := env.onSend
-	env.onSend = func(to transport.Addr, msg transport.Message) {
-		if _, ok := msg.(*msgPing); ok {
-			log = append(log, stamp{env.Elapsed(), "ping", string(to)})
-		}
-		if prev != nil {
-			prev(to, msg)
+	for _, s := range net.Sends() {
+		if _, ok := s.Msg.(*msgPing); ok {
+			log = append(log, stamp{s.At, "ping", string(s.To)})
 		}
 	}
-	return &log
+	return log
+}
+
+// runTo is net.RunTo(t), appending each instant a timer fires at to wakes.
+func runTo(net *transporttest.Net, t time.Duration, wakes *[]time.Duration) {
+	for ts := net.Timers(); len(ts) > 0 && ts[0].At() <= t; ts = net.Timers() {
+		*wakes = append(*wakes, ts[0].At())
+		net.RunTo(ts[0].At())
+	}
+	net.RunTo(t)
 }
 
 // schedule overwrites the phases the rng drew, so a test can place each
@@ -351,7 +331,7 @@ func ackFrom(nd *Node, from NodeRef, seq uint64, link, peerLink uint32) {
 func TestAckLeavesOneIdleWakeUp(t *testing.T) {
 	const s = time.Second
 	cfg := DefaultConfig()
-	env := newScriptEnv(1)
+	net, env := scriptNode(1)
 	rc := &recClient{}
 	nd := New(env, cfg, testRef(0).Name)
 	nd.SetClient(rc)
@@ -359,31 +339,30 @@ func TestAckLeavesOneIdleWakeUp(t *testing.T) {
 	nd.considerLeaf(a)
 	nd.considerLeaf(b)
 	schedule(nd, 10*s, 45*s)
-	pings := pingLog(env)
-	env.wakes = nil
+	var wakes []time.Duration
 
-	env.runTo(11 * s) // a pinged at 10 s; the timer now waits for a's deadline at 30 s
+	runTo(net, 11*s, &wakes) // a pinged at 10 s; the timer now waits for a's deadline at 30 s
 	ackFrom(nd, a, 1, 0, 1)
 	if nd.armed != 30*s || nd.due[0] != 70*s {
 		t.Fatalf("after the ack: timer armed for %v, a due at %v; want 30s (left alone) and 1m10s", nd.armed, nd.due[0])
 	}
-	env.runTo(44 * s)
-	if want := []time.Duration{10 * s, 30 * s}; !slices.Equal(env.wakes, want) || len(*pings) != 1 || len(rc.down) != 0 {
-		t.Fatalf("wake-ups %v (want %v), %d pings (want 1), %d deaths (want 0)", env.wakes, want, len(*pings), len(rc.down))
+	runTo(net, 44*s, &wakes)
+	if want := []time.Duration{10 * s, 30 * s}; !slices.Equal(wakes, want) || len(pingsSent(net)) != 1 || len(rc.down) != 0 {
+		t.Fatalf("wake-ups %v (want %v), %d pings (want 1), %d deaths (want 0)", wakes, want, len(pingsSent(net)), len(rc.down))
 	}
 	if nd.armed != 45*s {
 		t.Fatalf("the idle wake-up re-armed for %v, want b's ping at 45s", nd.armed)
 	}
-	env.runTo(46 * s)
+	runTo(net, 46*s, &wakes)
 	ackFrom(nd, b, 1, 0, 2)
-	env.runTo(71 * s)
+	runTo(net, 71*s, &wakes)
 	wantWakes := []time.Duration{10 * s, 30 * s, 45 * s, 65 * s, 70 * s}
 	wantPings := []stamp{{10 * s, "ping", string(a.Addr)}, {45 * s, "ping", string(b.Addr)}, {70 * s, "ping", string(a.Addr)}}
-	if !slices.Equal(env.wakes, wantWakes) || !slices.Equal(*pings, wantPings) || len(rc.down) != 0 {
-		t.Fatalf("wake-ups %v (want %v), pings %v (want %v), deaths %v", env.wakes, wantWakes, *pings, wantPings, rc.down)
+	if pings := pingsSent(net); !slices.Equal(wakes, wantWakes) || !slices.Equal(pings, wantPings) || len(rc.down) != 0 {
+		t.Fatalf("wake-ups %v (want %v), pings %v (want %v), deaths %v", wakes, wantWakes, pings, wantPings, rc.down)
 	}
 	// Unanswered, a's second ping runs out at 90 s and b's next is 105 s.
-	env.runTo(91 * s)
+	net.RunTo(91 * s)
 	if len(rc.down) != 1 || rc.down[0] != a || nd.armed != 105*s {
 		t.Fatalf("deaths %v, timer armed for %v; want a dead at 90s and b's ping next", rc.down, nd.armed)
 	}
@@ -395,21 +374,20 @@ func TestAckLeavesOneIdleWakeUp(t *testing.T) {
 // lowest first, whatever order they became due in.
 func TestLinksDueTogetherServedInIdOrder(t *testing.T) {
 	const s = time.Second
-	env := newScriptEnv(1)
+	net, env := scriptNode(1)
 	nd := New(env, DefaultConfig(), testRef(0).Name)
 	for i := 1; i <= 4; i++ {
 		nd.considerLeaf(testRef(i))
 	}
-	pings := pingLog(env)
 	// Ids 1..4 belong to testRef(1..4), in the order they were offered.
 	schedule(nd, 20*s, 5*s, 20*s, 20*s)
-	env.runTo(6 * s)
+	net.RunTo(6 * s)
 	ackFrom(nd, testRef(2), 1, 0, 2) // id 2 is next due at 65 s; the others, never acked, die at 40 s
 	nd.due[1] = 20 * s               // ... unless it, too, is due at 20 s, having become so last
-	env.runTo(21 * s)
+	net.RunTo(21 * s)
 	want := []stamp{{5 * s, "ping", "node-002"}, {20 * s, "ping", "node-001"}, {20 * s, "ping", "node-002"}, {20 * s, "ping", "node-003"}, {20 * s, "ping", "node-004"}}
-	if !slices.Equal(*pings, want) {
-		t.Fatalf("pings %v, want %v", *pings, want)
+	if pings := pingsSent(net); !slices.Equal(pings, want) {
+		t.Fatalf("pings %v, want %v", pings, want)
 	}
 }
 
@@ -419,28 +397,26 @@ func TestLinksDueTogetherServedInIdOrder(t *testing.T) {
 func TestLinkIdHygiene(t *testing.T) {
 	const s = time.Second
 	cfg := DefaultConfig()
-	env := &dialEnv{scriptEnv: newScriptEnv(1)}
+	net, base := scriptNode(1)
+	env := &dialEnv{Env: base}
 	rc := &recClient{}
 	nd := New(env, cfg, testRef(0).Name)
 	nd.SetClient(rc)
-	var acks []msgPingAck
-	var ackTo []transport.Addr
-	env.onSend = func(to transport.Addr, msg transport.Message) {
-		if m, ok := msg.(*msgPingAck); ok {
-			acks, ackTo = append(acks, *m), append(ackTo, to)
-		}
-	}
-	pingFrom := func(from NodeRef, link, peerLink uint32) msgPingAck {
+	pingFrom := func(from NodeRef, link, peerLink uint32) *msgPingAck {
 		t.Helper()
 		m := newMsgPing()
 		m.From, m.Seq, m.Link, m.PeerLink = from, 77, link, peerLink
-		sent := len(acks)
+		sent := len(net.Sends())
 		nd.Handle(from.Addr, m)
 		m.Release()
-		if len(acks) != sent+1 || ackTo[sent] != from.Addr || acks[sent].Seq != 77 || acks[sent].PeerLink != link {
-			t.Fatalf("ping from %s (link %d) answered with %+v to %v", from.Name, link, acks[sent:], ackTo[sent:])
+		out := net.Sends()[sent:]
+		if len(out) == 1 && out[0].To == from.Addr {
+			if ack, ok := out[0].Msg.(*msgPingAck); ok && ack.Seq == 77 && ack.PeerLink == link {
+				return ack
+			}
 		}
-		return acks[sent]
+		t.Fatalf("ping from %s (link %d) answered with %+v", from.Name, link, out)
+		return nil
 	}
 
 	a, b, c := testRef(1), testRef(2), testRef(3)
@@ -484,7 +460,7 @@ func TestLinkIdHygiene(t *testing.T) {
 	// pinged with the same seq. a's late ack echoes the slot's id and
 	// the right seq, and must not be credited to c.
 	schedule(nd, 10*s, 50*s)
-	env.runTo(11 * s)
+	net.RunTo(11 * s)
 	nd.removeRef(a.Addr)
 	nd.syncPings()
 	nd.considerLeaf(c)
@@ -492,7 +468,7 @@ func TestLinkIdHygiene(t *testing.T) {
 		t.Fatalf("c did not reuse a's slot: id %d, %+v", nd.pings[c.Addr], ps)
 	}
 	schedule(nd, 12*s, 50*s)
-	env.runTo(13 * s)
+	net.RunTo(13 * s)
 	if ps := linkTo(nd, c.Addr); !ps.awaiting || ps.seq != 1 || rc.sentOn[c.Name] != 1 {
 		t.Fatalf("c not pinged on its link id 1: %+v, client asked on link %d", ps, rc.sentOn[c.Name])
 	}

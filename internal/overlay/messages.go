@@ -6,13 +6,18 @@ import (
 	"fuse/internal/transport"
 )
 
-// Wire messages. Every type embeds the transport marker (via the
-// unexported alias, keeping it off the wire) and registers itself with
-// the transport codec, so the same protocol code runs over the simulated
-// and the TCP transport. Messages travel as pointers through the
+// Wire messages. Every type embeds body and registers itself with the
+// transport codec, so the same protocol code runs over the simulated and
+// the TCP transport. Messages travel as pointers through the
 // transport.Message union; the ping-cycle pair is pool-backed so
 // steady-state liveness checking sends without heap allocation.
-type body = transport.Body
+
+// body is the transport marker, unexported so it stays off the wire. Its
+// method makes a message the overlay's: Handle claims exactly the types
+// that embed it.
+type body struct{ transport.Body }
+
+func (body) overlayMessage() {}
 
 // msgPing is the periodic liveness check between routing-table neighbors,
 // carrying the client's piggyback payload (FUSE's 20-byte group hash).
@@ -187,18 +192,16 @@ func init() {
 
 // Handle dispatches an incoming transport message to the overlay. It
 // returns false when the message is not an overlay message, so a node's
-// top-level handler can try other protocol layers.
+// top-level handler can try other protocol layers. A stopped node still
+// claims every overlay message, and drops it, so none is misrouted to
+// another layer. A running one drops a bare msgJoinLookup: a lookup only
+// ever travels inside a msgRoute.
 func (n *Node) Handle(from transport.Addr, msg transport.Message) bool {
-	if n.stopped {
-		// Still claim overlay messages so they are not misrouted to
-		// other layers.
-		switch msg.(type) {
-		case *msgPing, *msgPingAck, *msgRoute, *msgJoinLookup, *msgJoinReply,
-			*msgLevel0Insert, *msgLeafRequest, *msgLeafReply, *msgRingSearch,
-			*msgRingFound, *msgRingInsert, *msgRingInsertAck, *msgSetRingNeighbor:
-			return true
-		}
+	if _, ok := msg.(interface{ overlayMessage() }); !ok {
 		return false
+	}
+	if n.stopped {
+		return true
 	}
 	switch m := msg.(type) {
 	case *msgPing:
@@ -225,8 +228,6 @@ func (n *Node) Handle(from transport.Addr, msg transport.Message) bool {
 		n.handleRingInsertAck(m)
 	case *msgSetRingNeighbor:
 		n.handleSetRingNeighbor(m)
-	default:
-		return false
 	}
 	return true
 }
