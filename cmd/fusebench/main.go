@@ -9,6 +9,7 @@
 //	fusebench -exp all                  # everything (several minutes)
 //	fusebench -exp fig9 -short          # reduced scale
 //	fusebench -exp svtree -nodes 16000  # the paper's 16k overlay
+//	fusebench -exp paperscale -memprofile heap.prof  # live heap after the steady window
 package main
 
 import (
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"fuse/internal/experiments"
+	"fuse/internal/profile"
 )
 
 func main() {
@@ -29,6 +31,8 @@ func main() {
 		window  = flag.Duration("window", 0, "override steady-state measurement window (0 = default)")
 		short   = flag.Bool("short", false, "reduced-scale run")
 		workers = flag.Int("workers", 0, "event-loop worker goroutines for fig6-9, steady, manygroups, paperscale and churn (at most this many per window; a window with fewer than 32 events queued runs on one); 0 = all nodes on one shard, one goroutine")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile to this file, after two GCs: right after paperscale's steady window (the last one run), else after the last experiment")
 	)
 	flag.Parse()
 
@@ -51,6 +55,23 @@ func main() {
 		Workers: *workers,
 	}
 
+	heapWritten := false
+	writeHeap := func() {
+		if err := profile.WriteHeap(*memProf); err != nil {
+			fmt.Fprintf(os.Stderr, "fusebench: -memprofile: %v\n", err)
+			os.Exit(1)
+		}
+		heapWritten = true
+	}
+	if *memProf != "" {
+		params.AfterSteady = writeHeap
+	}
+	stopCPU, err := profile.StartCPU(*cpuProf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fusebench: -cpuprofile: %v\n", err)
+		os.Exit(1)
+	}
+
 	failed := false
 	for _, name := range names {
 		start := time.Now()
@@ -62,6 +83,13 @@ func main() {
 		}
 		fmt.Print(result.String())
 		fmt.Printf("(%s in %.1fs wall clock)\n\n", name, time.Since(start).Seconds())
+	}
+	if err := stopCPU(); err != nil {
+		fmt.Fprintf(os.Stderr, "fusebench: -cpuprofile: %v\n", err)
+		os.Exit(1)
+	}
+	if *memProf != "" && !heapWritten {
+		writeHeap()
 	}
 	if failed {
 		os.Exit(1)

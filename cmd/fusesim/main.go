@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"fuse/internal/cluster"
+	"fuse/internal/profile"
 	"fuse/internal/scenario"
 	"fuse/internal/telemetry"
 )
@@ -108,6 +109,8 @@ func main() {
 		traceTo = flag.String("trace", "", "write the event stream - protocol events plus the scenario engine's record of the run - as JSON Lines to this file (deterministic: diff two runs directly)")
 		pings   = flag.Bool("trace-pings", false, "with -trace: include per-ping/ack events (verbose; large)")
 		metrics = flag.Bool("metrics", false, "print the end-of-run telemetry snapshot table")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the scenario run (not the set-up) to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile to this file after the run, the deployment still live, after two GCs")
 	)
 	flag.Parse()
 	if *list {
@@ -185,10 +188,25 @@ func main() {
 	c.WarmRoutes(nil)
 	topts := telemetryOpts{traceTo: *traceTo, pings: *pings, metrics: *metrics}
 	topts.arm(c.Telemetry)
+	stopCPU, err := profile.StartCPU(*cpuProf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fusesim: -cpuprofile: %v\n", err)
+		os.Exit(1)
+	}
 	rep, err := scenario.Run(c, s)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fusesim: %v\n", err)
 		os.Exit(1)
+	}
+	if err := stopCPU(); err != nil {
+		fmt.Fprintf(os.Stderr, "fusesim: -cpuprofile: %v\n", err)
+		os.Exit(1)
+	}
+	if *memProf != "" {
+		if err := profile.WriteHeap(*memProf); err != nil {
+			fmt.Fprintf(os.Stderr, "fusesim: -memprofile: %v\n", err)
+			os.Exit(1)
+		}
 	}
 	fmt.Print(rep.Trace)
 	if ft := rep.FaultTable(); ft != "" {

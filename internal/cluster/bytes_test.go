@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"fuse/internal/core"
 	"fuse/internal/overlay"
 	"fuse/internal/transport"
+	"fuse/internal/transport/simnet"
 )
 
 // TestBytesPerNode pins what a simulated node holds on the heap. It
@@ -45,7 +47,7 @@ func TestBytesPerNode(t *testing.T) {
 		bound uint64
 		build func(i int)
 	}{
-		{"simnet node and its random source", 330, func(i int) {
+		{"simnet node and its random source", 280, func(i int) {
 			envs[i] = c.Net.AddNode(AddrOf(i), pts[i])
 		}},
 		{"overlay node", 560, func(i int) {
@@ -70,7 +72,7 @@ func TestBytesPerNode(t *testing.T) {
 
 	c.Assemble()
 	c.Sim.RunFor(2 * time.Minute)
-	check("assembled, 2 minutes with no groups", base, 10700)
+	check("assembled, 2 minutes with no groups", base, 8000)
 
 	made := 0
 	for g := 0; g < groups; g++ {
@@ -89,7 +91,94 @@ func TestBytesPerNode(t *testing.T) {
 	if made != groups {
 		t.Fatalf("%d of %d groups created", made, groups)
 	}
-	check("with 250 groups of 5, 2 minutes more", base, 13700)
+	check("with 250 groups of 5, 2 minutes more", base, 12600)
+	runtime.KeepAlive(c)
+}
+
+// TestChurnHeapStaysFlat pins that a long run under steady churn holds
+// no more memory at its end than it did after warming up: nothing the
+// stack keeps grows with the neighbours, routes or groups a node has ever
+// had. 400 nodes run for 160 virtual minutes. Every 10 virtual seconds a
+// random node of 100-399 crashes if it is up, and with probability 1/3 a
+// down one restarts through a random node of 0-99, so about a third of
+// the churners are up at a time and each restart is a fresh join. Every
+// minute the five oldest groups are signalled and five groups are
+// created, each of three nodes of 0-99 and one up node of 100-399. The
+// live heap at minute 160 may be at most 5% above minute 40's; the pair
+// memo, which keeps every route ever asked for, is most of what still
+// grows.
+func TestChurnHeapStaysFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation changes the heap; memory pins run without -race")
+	}
+	const (
+		nodes, stable = 400, 100
+		step          = 10 * time.Second
+		perMinute     = int(time.Minute / step)
+		minutes, warm = 160, 40
+	)
+	opts := simnet.DefaultOptions()
+	c := New(Options{N: nodes, Seed: 1, SimOptions: &opts})
+	rng := rand.New(rand.NewSource(1))
+	type group struct {
+		root int
+		id   core.GroupID
+	}
+	var groups []group // oldest first
+	made := 0
+	var at40 uint64
+	for s := 1; s <= minutes*perMinute; s++ {
+		c.Sim.RunFor(step)
+		if k := stable + rng.Intn(nodes-stable); !c.Crashed(k) {
+			c.Crash(k)
+		}
+		var up, down []int
+		for i := stable; i < nodes; i++ {
+			if c.Crashed(i) {
+				down = append(down, i)
+			} else {
+				up = append(up, i)
+			}
+		}
+		if rng.Intn(3) == 0 && len(down) > 0 {
+			k := rng.Intn(len(down))
+			c.Restart(down[k], c.Nodes[rng.Intn(stable)].Ref())
+			up = append(up, down[k])
+		}
+		if s%perMinute != 0 {
+			continue
+		}
+		old := min(5, len(groups))
+		for _, g := range groups[:old] {
+			c.Nodes[g.root].Groups.SignalFailure(g.id)
+		}
+		groups = groups[old:]
+		for k := 0; k < 5; k++ {
+			members := rng.Perm(stable)[:3]
+			if len(up) > 0 {
+				members = append(members, up[rng.Intn(len(up))])
+			}
+			root := members[0]
+			c.Nodes[root].Groups.CreateGroup(c.Refs(members...), func(id core.GroupID, err error) {
+				if err == nil {
+					groups = append(groups, group{root, id})
+					made++
+				}
+			})
+		}
+		switch s / perMinute {
+		case warm:
+			at40 = liveHeap()
+		case minutes:
+			at160 := liveHeap()
+			ratio := float64(at160) / float64(at40)
+			t.Logf("live heap %.2f MB at minute %d, %.2f MB at minute %d (%.3fx); %d groups created",
+				float64(at40)/(1<<20), warm, float64(at160)/(1<<20), minutes, ratio, made)
+			if at160*100 > at40*105 {
+				t.Errorf("live heap grew %.3fx from minute %d to %d, bound 1.05x", ratio, warm, minutes)
+			}
+		}
+	}
 	runtime.KeepAlive(c)
 }
 

@@ -50,6 +50,10 @@ type Params struct {
 	// across worker counts >= 1; only wall-clock throughput changes. The
 	// other drivers run on one shard.
 	Workers int
+	// AfterSteady, when set, is called by paperscale (and paperscale100k)
+	// right after its steady-state window, with the deployment live:
+	// fusebench's -memprofile writes its heap profile there.
+	AfterSteady func()
 }
 
 func (p Params) nodes(def int) int {

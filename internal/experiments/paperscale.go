@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"fuse/internal/scenario"
@@ -119,6 +120,10 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	elapsed := time.Since(wall)
 	simSpeed := window.Seconds() / elapsed.Seconds()
 	evRate := float64(metric(c, "eventsim_events_executed_total")-baseExec) / elapsed.Seconds()
+	liveMB := liveHeapMB()
+	if p.AfterSteady != nil {
+		p.AfterSteady()
+	}
 
 	c.Sim.RunFor(settle)
 	pooled := c.Topo.RouteStats()
@@ -132,9 +137,9 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	r := newResult("paperscale", fmt.Sprintf(
 		"§7.3 paper-scale simulation: %d nodes, %d groups of %d, %d crashed (%d shards, %d workers)",
 		n, groups, size, kill, c.ShardCount(), c.Workers()))
-	r.addLine("setup: route warmup %.1fs wall (%d sweeps for %d pairs over %d border routers, %d edges; by the run's end %d more sweeps, %d trees pooled), %d groups created in %.1fs wall, peak RSS %.0f MB",
+	r.addLine("setup: route warmup %.1fs wall (%d sweeps for %d pairs over %d border routers, %d edges; by the run's end %d more sweeps, %d trees pooled), %d groups created in %.1fs wall, live heap %.1f MB after the steady window, peak RSS %.0f MB",
 		warmWall.Seconds(), routes.Sweeps, routes.Pairs, routes.Borders, routes.BorderEdges,
-		pooled.Sweeps-routes.Sweeps, pooled.Trees, groups, createWall.Seconds(), peakRSSMB())
+		pooled.Sweeps-routes.Sweeps, pooled.Trees, groups, createWall.Seconds(), liveMB, peakRSSMB())
 	r.addLine("steady state:  %10.1f msg/s background  (%d monitored pairs, %d shared timers)",
 		rate, pairs, timers)
 	r.addLine("sim throughput: %9.1f virtual s / wall s  (%.0f events/s wall)", simSpeed, evRate)
@@ -182,4 +187,14 @@ func PaperScale100k(p Params) (*Result, error) {
 	}
 	r.Name = "paperscale100k"
 	return r, nil
+}
+
+// liveHeapMB is the live heap in MB after two full collections (the
+// second frees what sync.Pool victim caches held through the first).
+func liveHeapMB() float64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc) / (1 << 20)
 }

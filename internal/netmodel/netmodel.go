@@ -194,14 +194,18 @@ type rawLink struct {
 // over; a Path is rebuilt from its cost on every read, its Loss from a
 // per-hop-count table) and a bounded FIFO pool of single-source trees. A
 // tree is one cost per border router, 8 bytes each: ~157 KB at paper
-// scale, ~12 KB on the default topology. The pool holds at most 256 trees
-// and at most a ~32 MB budget's worth (214 at paper scale). It is small
-// because the pairs a node plans to use arrive together: PathsFrom
-// resolves them with one sweep from the node, so the pool only has to
-// serve the pairs nobody asked for ahead of time. An evicted tree's array becomes the
-// next sweep's, so a cold miss on a full pool allocates nothing that
-// grows with the topology. WarmRoutes bulk-fills the pair memo with
-// parallel sweeps and pools nothing.
+// scale, ~12 KB on the default topology. Only a lone query's cold miss
+// pools the tree it sweeps, for the next miss from either end. A batch
+// (PathsFrom with two or more destinations, as simnet asks for the links
+// a node was assembled with) sweeps into one scratch tree instead: the
+// memo keeps every pair it answers, and a later lone miss from the same
+// source sweeps it again, this time into the pool. That trades a sweep
+// per source a small deployment reuses for the trees a large one never
+// does. WarmRoutes, the batch's eager twin, pools nothing either. The
+// pool holds at most 256 trees and at most a ~32 MB budget's worth (214
+// at paper scale). An evicted tree's array becomes the next sweep's, so a
+// cold miss on a full pool allocates nothing that grows with the
+// topology.
 //
 // Concurrency: Path and PathsFrom serialize the memo and tree pool behind
 // a mutex, so cold route-cache misses from parallel simulation shards are
@@ -240,6 +244,7 @@ type Topology struct {
 	head     int
 	maxTrees int
 	sw       *sweep // the queries' scratch
+	scratch  []cost // a batch's tree; nil until the first batch sweeps
 	sweeps   int
 
 	// warming is set for the duration of WarmRoutes; Path panics while it
@@ -503,17 +508,23 @@ func (t *Topology) Path(from, to RouterID) Path {
 // PathsFrom sets out[i] to Path(src, dsts[i]) for every destination; out
 // must be at least as long as dsts. Each pair is answered from the memo,
 // from a pooled tree of either end, or from src's tree, swept the first
-// time a pair needs it and pooled like any other: one call runs at most
-// one sweep and pools at most one tree, however many destinations it
-// resolves. A caller that knows several of a source's destinations ahead
-// of time asks for them together, so they share that sweep rather than
-// each depending on src's tree staying pooled until it is asked.
+// time a pair needs it: one call runs at most one sweep, however many
+// destinations it resolves. With two or more destinations that sweep
+// fills the topology's scratch tree and pools nothing; with one it pools
+// the tree, as Path does. A caller that knows several of a source's
+// destinations ahead of time asks for them together, so they share one
+// sweep.
 func (t *Topology) PathsFrom(src RouterID, dsts []RouterID, out []Path) {
 	t.notWarming()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	var batch *[]cost
+	var scratch []cost // src's tree, once the batch has swept it
+	if len(dsts) > 1 {
+		batch = &scratch
+	}
 	for i, dst := range dsts {
-		out[i] = t.path(src, dst)
+		out[i] = t.path(src, dst, batch)
 	}
 }
 
@@ -525,8 +536,9 @@ func (t *Topology) notWarming() {
 	}
 }
 
-// path answers one query under mu.
-func (t *Topology) path(from, to RouterID) Path {
+// path answers one query under mu; batch is nil for a lone query (see
+// sweepFrom).
+func (t *Topology) path(from, to RouterID, batch *[]cost) Path {
 	if from == to {
 		return Path{}
 	}
@@ -541,14 +553,33 @@ func (t *Topology) path(from, to RouterID) Path {
 		if tree, ok = t.cache[to]; ok {
 			from, to = to, from
 		} else {
-			tree = t.poolTree(from)
-			t.sw.run(t, from, tree)
-			t.sweeps++
+			tree = t.sweepFrom(from, batch)
 		}
 	}
 	c := t.sw.path(t, tree, from, to)
 	t.pairs[k] = c
 	return t.pathOf(c)
+}
+
+// sweepFrom returns src's tree for a miss no pooled tree answers. A lone
+// query (batch nil) sweeps it into a pooled tree. A batch sweeps it into
+// the scratch tree, once: *batch holds the tree from then on.
+func (t *Topology) sweepFrom(src RouterID, batch *[]cost) []cost {
+	var tree []cost
+	switch {
+	case batch == nil:
+		tree = t.poolTree(src)
+	case *batch != nil:
+		return *batch
+	default:
+		if t.scratch == nil {
+			t.scratch = make([]cost, len(t.borders))
+		}
+		tree, *batch = t.scratch, t.scratch
+	}
+	t.sw.run(t, src, tree)
+	t.sweeps++
+	return tree
 }
 
 // pathOf is the Path a route of cost c describes. Delivery probability
@@ -665,12 +696,12 @@ func (t *Topology) contract(workers int) {
 
 	// Bound the tree pool by a ~32 MB memory budget and by 256 trees.
 	// The pairs of a node's assembled links cost it one batched sweep
-	// (PathsFrom, from simnet), so the pool serves only pairs nobody
-	// dialed ahead: a root's messages to its members, a repair's new
-	// neighbour. 256 trees hold every source a deployment keeps reusing
-	// for those (a churn-150 run sweeps about 145 sources and reuses them
-	// throughout, group-lifecycle 99), and the cap does not bind at
-	// paper scale, where the budget allows 214.
+	// (PathsFrom, from simnet) that pools nothing, so the pool serves
+	// only pairs nobody dialed ahead: a root's messages to its members, a
+	// repair's new neighbour. 256 trees hold every source a deployment
+	// keeps reusing for those (a churn-150 run pools about 85 and reuses
+	// them throughout), and the cap does not bind at paper scale, where
+	// the budget allows 214.
 	const treeBudget, costBytes, treeCap = 32 << 20, 8, 256
 	t.maxTrees = min(max(treeBudget/(costBytes*len(t.borders)+1), 16), treeCap)
 }

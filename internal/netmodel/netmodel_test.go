@@ -638,9 +638,10 @@ func TestColdMissOnFullPoolReusesTree(t *testing.T) {
 }
 
 // TestPathsFromSweepsAtMostOnce: one PathsFrom call, however many
-// destinations it resolves, runs at most one sweep and pools at most one
-// tree - none when the memo or a pooled tree of either end answers every
-// pair - and answers as Path does.
+// destinations it resolves, runs at most one sweep - none when the memo
+// or a pooled tree of either end answers every pair - and answers as Path
+// does. A call with two or more destinations pools no tree; a call with
+// one pools its tree, as Path does.
 func TestPathsFromSweepsAtMostOnce(t *testing.T) {
 	topo, lazy := testTopology(t, 18), testTopology(t, 18)
 	pts := topo.AttachPoints(200, rand.New(rand.NewSource(53)))
@@ -650,8 +651,8 @@ func TestPathsFromSweepsAtMostOnce(t *testing.T) {
 		before := topo.RouteStats()
 		topo.PathsFrom(src, dsts, out)
 		st := topo.RouteStats()
-		if st.Sweeps-before.Sweeps != 1 || st.Trees-before.Trees != 1 {
-			t.Fatalf("PathsFrom to %d new destinations ran %d sweeps and pooled %d trees, want 1 and 1",
+		if st.Sweeps-before.Sweeps != 1 || st.Trees != before.Trees {
+			t.Fatalf("PathsFrom to %d new destinations ran %d sweeps and pooled %d trees, want 1 and 0",
 				len(dsts), st.Sweeps-before.Sweeps, st.Trees-before.Trees)
 		}
 		for j, dst := range dsts {
@@ -668,11 +669,22 @@ func TestPathsFromSweepsAtMostOnce(t *testing.T) {
 			t.Fatalf("answered pairs swept again: %+v -> %+v", st, again)
 		}
 	}
-	// A batch whose pairs a pooled tree of the far end answers sweeps
-	// nothing either: pts[0]'s tree is pooled, and a batch from pts[199],
-	// which nothing has asked about, to it and to itself needs no tree of
-	// its own.
+	// Among answered pairs, one unanswered one sweeps into no pooled
+	// tree; asked for alone, it pools its tree.
 	before := topo.RouteStats()
+	topo.PathsFrom(pts[0], []RouterID{pts[1], pts[197], pts[0]}, out)
+	if st := topo.RouteStats(); st.Sweeps-before.Sweeps != 1 || st.Trees != before.Trees || out[1] != lazy.Path(pts[0], pts[197]) {
+		t.Fatalf("one unanswered pair in a batch: %+v -> %+v, answer %+v", before, st, out[1])
+	}
+	before = topo.RouteStats()
+	topo.PathsFrom(pts[0], pts[198:199], out)
+	if st := topo.RouteStats(); st.Sweeps-before.Sweeps != 1 || st.Trees-before.Trees != 1 || out[0] != lazy.Path(pts[0], pts[198]) {
+		t.Fatalf("one unanswered pair alone: %+v -> %+v, answer %+v", before, st, out[0])
+	}
+	// A batch whose pairs that pooled tree of the far end answers sweeps
+	// nothing either: a batch from pts[199], which nothing has asked
+	// about, to pts[0] and to itself needs no tree of its own.
+	before = topo.RouteStats()
 	topo.PathsFrom(pts[199], []RouterID{pts[0], pts[199], pts[0]}, out)
 	if st := topo.RouteStats(); st.Sweeps != before.Sweeps || out[0] != lazy.Path(pts[0], pts[199]) || out[1] != (Path{}) || out[2] != out[0] {
 		t.Fatalf("batch answered by a pooled tree: %+v -> %+v, answers %+v", before, st, out[:3])

@@ -29,3 +29,45 @@ func TestHandleClaimsEveryOverlayMessage(t *testing.T) {
 		}
 	}
 }
+
+// TestUnaskedJoinReplyIsDropped: a node acts on the first reply to its
+// own join lookup only. An integrated node handed a join reply announces
+// nothing - no level-0 insert, no ring search - and a joining node
+// announces itself once, however many replies its lookup draws.
+func TestUnaskedJoinReplyIsDropped(t *testing.T) {
+	net := transporttest.NewNet()
+	announced := func() (inserts, searches int) {
+		for _, s := range net.Sends() {
+			switch s.Msg.(type) {
+			case *msgLevel0Insert:
+				inserts++
+			case *msgRingSearch:
+				searches++
+			}
+		}
+		return inserts, searches
+	}
+	reply := func(nd *Node) {
+		nd.Handle(testRef(1).Addr, &msgJoinReply{Pred: testRef(1), LeafR: []NodeRef{testRef(2)}})
+	}
+
+	integrated := New(net.NewEnv(testRef(0).Addr, 1), DefaultConfig(), testRef(0).Name)
+	integrated.considerLeaf(testRef(1))
+	reply(integrated)
+	if ins, rs := announced(); ins != 0 || rs != 0 || len(integrated.searches) != 0 {
+		t.Fatalf("unasked reply: %d level-0 inserts, %d ring searches sent, %d searches open; want none",
+			ins, rs, len(integrated.searches))
+	}
+
+	joiner := New(net.NewEnv(testRef(3).Addr, 3), DefaultConfig(), testRef(3).Name)
+	joiner.Join(testRef(1))
+	reply(joiner)
+	ins, rs := announced()
+	if ins == 0 || rs == 0 {
+		t.Fatalf("reply to a join lookup: %d level-0 inserts, %d ring searches; want some of each", ins, rs)
+	}
+	reply(joiner)
+	if again, rsAgain := announced(); again != ins || rsAgain != rs {
+		t.Fatalf("second reply to one lookup announced again: %d -> %d inserts, %d -> %d ring searches", ins, again, rs, rsAgain)
+	}
+}

@@ -28,6 +28,7 @@ func (n *Node) sendJoinLookup(bootstrap NodeRef) {
 	if n.stopped {
 		return
 	}
+	n.joining = true
 	n.env.Send(bootstrap.Addr, &msgRoute{
 		Dest:    n.self.Name,
 		Origin:  n.self,
@@ -44,7 +45,14 @@ func (n *Node) sendJoinLookup(bootstrap NodeRef) {
 	})
 }
 
+// handleJoinReply integrates the node from the first reply to its join
+// lookup. Any other reply - a retried lookup's second one, or one nobody
+// asked for - is dropped, so the announcements go out once per join.
 func (n *Node) handleJoinReply(m *msgJoinReply) {
+	if !n.joining {
+		return
+	}
+	n.joining = false
 	n.considerLeaf(m.Pred)
 	for _, r := range m.LeafR {
 		n.considerLeaf(r)

@@ -204,6 +204,9 @@ type Node struct {
 	// repair does not flood duplicates.
 	searches map[searchKey]bool
 
+	// joining is set while a join lookup awaits its reply: the first
+	// reply clears it, and a reply that finds it clear is dropped.
+	joining bool
 	stopped bool
 
 	tm ovTelemetry

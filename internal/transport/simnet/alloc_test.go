@@ -178,10 +178,12 @@ func TestReleaseRunsOnDropPaths(t *testing.T) {
 	}
 }
 
-// TestUnknownDestinationsLeaveNoCacheEntry pins the cache's admission
-// rule: a link enters a node's route cache when a send resolves it, so
+// TestUnknownDestinationsLeaveNoCacheEntry pins what sends leave behind:
 // sends (and dials) to addresses nobody ever listens on are counted as
-// drops, never as sent, and leave nothing behind.
+// drops, never as sent, and leave no pending link. A node keeps no route
+// cache at all: Env.Send resolves its destination afresh each time, and
+// every Dial hands out a fresh link that resolves at its own first send
+// and is held by nothing but the Peer.
 func TestUnknownDestinationsLeaveNoCacheEntry(t *testing.T) {
 	net, addrs := testNet(t, 2, Options{})
 	a := net.nodes[addrs[0]]
@@ -194,25 +196,30 @@ func TestUnknownDestinationsLeaveNoCacheEntry(t *testing.T) {
 	if net.Dropped() != 200 || net.Sent() != 0 {
 		t.Fatalf("dropped = %d, sent = %d; want 200 and 0", net.Dropped(), net.Sent())
 	}
-	if len(a.routes) != 0 || len(a.pending) != 0 {
-		t.Fatalf("%d cache entries and %d pending links left behind by sends to unknown addresses", len(a.routes), len(a.pending))
+	if len(a.pending) != 0 {
+		t.Fatalf("%d pending links left behind by sends to unknown addresses", len(a.pending))
 	}
-	// A dial alone caches nothing either; the first send that finds the
-	// destination does, and later dials get that entry.
+	// Env.Send to a live node hands no later Dial anything resolved.
+	a.Send(addrs[1], num(0))
 	p := a.Dial(addrs[1])
-	if len(a.routes) != 0 {
-		t.Fatal("Dial cached a link before any send")
+	if l := p.(*link); l.dst != nil || len(a.pending) != 0 {
+		t.Fatalf("Dial after Env.Send: resolved %v, %d pending; want a fresh link", l.dst != nil, len(a.pending))
 	}
-	p.Send(num(0))
-	if a.Dial(addrs[1]) != p || len(a.routes) != 1 {
-		t.Fatalf("resolved link not cached: %d entries", len(a.routes))
+	p.Send(num(1))
+	q := a.Dial(addrs[1])
+	if q == p || q.(*link).dst != nil || p.(*link).dst != net.nodes[addrs[1]] {
+		t.Fatal("a second Dial shared or saw the first link's resolution")
+	}
+	net.sim.Run()
+	if net.Sent() != 2 {
+		t.Fatalf("sent = %d, want 2", net.Sent())
 	}
 }
 
 // TestDialBeforeAddNodeDeliversOnceNodeExists pins late resolution: a
 // Peer dialed for an address with no node yet drops while there is none
 // and delivers once there is, over the topology path looked up at that
-// first successful send.
+// first successful send, which the Peer keeps.
 func TestDialBeforeAddNodeDeliversOnceNodeExists(t *testing.T) {
 	net, addrs := testNet(t, 1, Options{})
 	a := net.nodes[addrs[0]]
@@ -239,54 +246,61 @@ func TestDialBeforeAddNodeDeliversOnceNodeExists(t *testing.T) {
 	if len(got) != 1 || got[0] != "hello" {
 		t.Fatalf("delivered %q, want one hello", got)
 	}
-	if want := net.topo.Path(a.router, router).Latency; at-sentAt != want {
-		t.Fatalf("delivery took %v, want the path latency %v", at-sentAt, want)
+	want := net.topo.Path(a.router, router)
+	if at-sentAt != want.Latency {
+		t.Fatalf("delivery took %v, want the path latency %v", at-sentAt, want.Latency)
 	}
-	if a.Dial("late") != p {
-		t.Fatal("the resolved link did not enter the cache")
+	if l := p.(*link); l.dst != late || l.path != want {
+		t.Fatalf("the Peer kept %+v over %+v, want the late node over %+v", l.dst, l.path, want)
 	}
 }
 
 // TestDialedLinksResolveWithOneSweep: a node that dialed k existing peers
 // resolves all k links at its first send, with one batched topology
-// query - one sweep from its router - and caches every one of them, each
-// holding the path Path answers. A link dialed after that send waits for
-// its own.
+// query - one sweep from its router, into no pooled tree - and each link
+// keeps the path Path answers. A link dialed after that send waits for
+// its own, and the same holds when the first send is an Env.Send.
 func TestDialedLinksResolveWithOneSweep(t *testing.T) {
 	const k = 12
-	net, addrs := testNet(t, k+2, Options{})
-	a := net.nodes[addrs[0]]
-	peers := make([]transport.Peer, k)
-	for i := range peers {
-		peers[i] = a.Dial(addrs[1+i])
-	}
-	if len(a.pending) != k || len(a.routes) != 0 {
-		t.Fatalf("after %d dials: %d pending, %d cached; want %d and 0", k, len(a.pending), len(a.routes), k)
-	}
-	before := net.topo.RouteStats().Sweeps
-	peers[k/2].Send(num(0))
-	net.sim.Run()
-	if sweeps := net.topo.RouteStats().Sweeps - before; sweeps != 1 {
-		t.Fatalf("first send after %d dials ran %d sweeps, want 1", k, sweeps)
-	}
-	if len(a.pending) != 0 || len(a.routes) != k {
-		t.Fatalf("after the first send: %d pending, %d cached; want 0 and %d", len(a.pending), len(a.routes), k)
-	}
-	for i, p := range peers {
-		l := p.(*link)
-		if a.routes[addrs[1+i]] != l {
-			t.Fatalf("link to %s not cached", addrs[1+i])
+	for _, first := range []string{"Peer.Send", "Env.Send"} {
+		net, addrs := testNet(t, k+2, Options{})
+		a := net.nodes[addrs[0]]
+		peers := make([]transport.Peer, k)
+		for i := range peers {
+			peers[i] = a.Dial(addrs[1+i])
 		}
-		if want := net.topo.Path(a.router, net.nodes[addrs[1+i]].router); l.dst != net.nodes[addrs[1+i]] || l.path != want {
-			t.Fatalf("link to %s resolved to %+v, want path %+v", addrs[1+i], l.path, want)
+		if len(a.pending) != k {
+			t.Fatalf("%s: after %d dials: %d pending; want %d", first, k, len(a.pending), k)
 		}
-	}
-	late := a.Dial(addrs[k+1])
-	if len(a.pending) != 0 || len(a.routes) != k {
-		t.Fatalf("dial after the first send: %d pending, %d cached; want 0 and %d", len(a.pending), len(a.routes), k)
-	}
-	late.Send(num(1))
-	if a.routes[addrs[k+1]] != late {
-		t.Fatal("the late link did not resolve at its own send")
+		before := net.topo.RouteStats()
+		if first == "Peer.Send" {
+			peers[k/2].Send(num(0))
+		} else {
+			a.Send(addrs[k+1], num(0))
+		}
+		net.sim.Run()
+		st := net.topo.RouteStats()
+		if st.Sweeps-before.Sweeps != 1 || st.Trees != before.Trees {
+			t.Fatalf("%s: first send after %d dials ran %d sweeps and pooled %d trees, want 1 and 0",
+				first, k, st.Sweeps-before.Sweeps, st.Trees-before.Trees)
+		}
+		if len(a.pending) != 0 {
+			t.Fatalf("%s: after the first send: %d pending; want 0", first, len(a.pending))
+		}
+		for i, p := range peers {
+			l := p.(*link)
+			if want := net.topo.Path(a.router, net.nodes[addrs[1+i]].router); l.dst != net.nodes[addrs[1+i]] || l.path != want {
+				t.Fatalf("%s: link to %s resolved to %+v, want path %+v", first, addrs[1+i], l.path, want)
+			}
+		}
+		late := a.Dial(addrs[k+1])
+		if len(a.pending) != 0 || late.(*link).dst != nil {
+			t.Fatalf("%s: dial after the first send: %d pending, resolved %v; want 0 and false",
+				first, len(a.pending), late.(*link).dst != nil)
+		}
+		late.Send(num(1))
+		if late.(*link).dst != net.nodes[addrs[k+1]] {
+			t.Fatalf("%s: the late link did not resolve at its own send", first)
+		}
 	}
 }

@@ -21,20 +21,19 @@
 // others persist.
 //
 // The send path is engineered for paper-scale overlays (16,000 nodes
-// exchanging hundreds of thousands of pings per virtual minute): every
-// node keeps a per-destination route cache whose entry, a link, holds the
-// resolved endpoint plus the topology path, so steady-state sends do no
-// topology queries. The link is also the transport.Peer that Dial hands
-// out and carries the one send body: Env.Send is a cache lookup followed
-// by link.Send, and a periodic sender that dialed its neighbor once skips
-// the lookup, hashing no address per message. A link resolves (and enters
-// the cache) at the first send that finds a node at its address, so a
-// dial may precede the destination's AddNode and sends to addresses that
-// never exist leave nothing behind. The links a node dials to existing
-// nodes before its first send, the neighbours its overlay was assembled
-// with, wait for that send and resolve with it in one topology call,
-// which costs at most one single-source sweep however many there are.
-// Beyond that,
+// exchanging hundreds of thousands of pings per virtual minute). The
+// transport.Peer that Dial hands out, a link, holds its resolved endpoint
+// plus the topology path, so a periodic sender that dialed its neighbour
+// once does no lookup at all per message. The link belongs to that Peer
+// and nothing else holds it: the node keeps no cache of destinations, so
+// when the overlay drops a neighbour its link goes with it. Env.Send
+// resolves its destination on every call, an address lookup and a hit in
+// the topology's pair memo, and keeps nothing. A link resolves at the
+// first send that finds a node at its address, so a dial may precede the
+// destination's AddNode. The links a node dials to existing nodes before
+// its first send, the neighbours its overlay was assembled with, wait
+// for that send and resolve with it in one topology call, which costs at
+// most one single-source sweep however many there are. Beyond that,
 // deliveries are pooled objects with reused callback closures handed to
 // the simulator's handle-free Schedule path, and the fault-rule table is
 // only consulted when rules exist. Messages are typed records passed by
@@ -218,16 +217,11 @@ type node struct {
 	// nextFree is when the sender-side serialization queue drains.
 	nextFree time.Duration
 
-	// routes caches resolved destinations: the endpoint object and the
-	// topology path to it. Attachment points never move (Restart keeps the
-	// router), so entries stay valid for the life of the network. Only
-	// resolved links are cached (see link.Send).
-	routes map[transport.Addr]*link
 	// pending holds the links Dial handed out, before the node's first
 	// resolved send, to addresses that have a node; that send resolves
-	// them with its own link (see resolve). From then on resolved is set
-	// and a link dialed later resolves at its own first send, so one the
-	// overlay drops before using it costs no route lookup.
+	// them with its own destination (see pathTo). From then on resolved
+	// is set and a link dialed later resolves at its own first send, so
+	// one the overlay drops before using it costs no route lookup.
 	pending  []*link
 	resolved bool
 }
@@ -244,34 +238,25 @@ func (nd *node) TelemetryLane() *telemetry.Lane {
 	return reg.Lane(1 + nd.slot)
 }
 
-// link is one destination of one node: the send cache's entry, and the
-// transport.Peer that Dial hands out so a periodic sender reaches it
-// without the cache lookup. dst and path stay zero until a send finds a
-// node at to: a send on this link, or on another of the node's links
-// while this one is pending.
+// link is the transport.Peer that Dial hands out: one node's route to
+// one address. dst and path stay zero until a send finds a node at to: a
+// send on this link, or any send of the node while this one is pending.
+// Attachment points never move (Restart keeps the router), so a resolved
+// link stays valid for as long as its holder keeps it.
 type link struct {
 	src, dst *node
 	to       transport.Addr
 	path     netmodel.Path
 }
 
-// dial returns the node's link to to: the cached one, or a fresh
-// unresolved one that caches itself when a send resolves it.
-func (nd *node) dial(to transport.Addr) *link {
-	if l := nd.routes[to]; l != nil {
-		return l
-	}
-	return &link{src: nd, to: to}
-}
-
-// Dial implements transport.Dialer. Until the node's first resolved
-// send, a link to an address that has a node is one of the neighbours
-// its overlay was assembled with, so it waits in pending to be resolved
-// with that send; one to an address with no node yet resolves on its own
-// first send that finds one.
+// Dial implements transport.Dialer with a fresh link. Until the node's
+// first resolved send, a link to an address that has a node is one of
+// the neighbours its overlay was assembled with, so it waits in pending
+// to be resolved with that send; one to an address with no node yet
+// resolves on its own first send that finds one.
 func (nd *node) Dial(to transport.Addr) transport.Peer {
-	l := nd.dial(to)
-	if !nd.resolved && l.dst == nil && nd.net.nodes[to] != nil {
+	l := &link{src: nd, to: to}
+	if !nd.resolved && nd.net.nodes[to] != nil {
 		if nd.pending == nil {
 			// One allocation for an assembled node's ~20 neighbours.
 			nd.pending = make([]*link, 0, 32)
@@ -281,26 +266,29 @@ func (nd *node) Dial(to transport.Addr) transport.Peer {
 	return l
 }
 
-// resolve points l and every pending link at their destination nodes and
-// caches them, looking up all their paths with one PathsFrom call: the
-// node's assembled neighbours cost it at most one sweep, not one each
-// while its tree waits in the topology's pool. l's destination must
-// exist; if l was pending it is looked up twice, the second time in the
-// pair memo.
-func (nd *node) resolve(l *link) {
-	batch := append(nd.pending, l)
+// pathTo returns the topology path to dst. The node's first call also
+// resolves every pending link, looking all their paths up with dst's in
+// one PathsFrom call: the node's assembled neighbours cost it at most
+// one sweep, not one each.
+func (nd *node) pathTo(dst *node) netmodel.Path {
+	topo := nd.net.topo
+	if nd.resolved {
+		return topo.Path(nd.router, dst.router)
+	}
+	batch := nd.pending
 	nd.pending, nd.resolved = nil, true
-	dsts := make([]netmodel.RouterID, len(batch))
+	dsts := make([]netmodel.RouterID, len(batch)+1)
 	for i, b := range batch {
 		b.dst = nd.net.nodes[b.to]
 		dsts[i] = b.dst.router
 	}
-	paths := make([]netmodel.Path, len(batch))
-	nd.net.topo.PathsFrom(nd.router, dsts, paths)
+	dsts[len(batch)] = dst.router
+	paths := make([]netmodel.Path, len(dsts))
+	topo.PathsFrom(nd.router, dsts, paths)
 	for i, b := range batch {
 		b.path = paths[i]
-		nd.routes[b.to] = b
 	}
+	return paths[len(batch)]
 }
 
 // delivery is a pooled in-flight message. Its run closure is built once
@@ -373,7 +361,6 @@ func (n *Net) AddNode(addr transport.Addr, router netmodel.RouterID) transport.E
 		shard:    n.shards[slot],
 		slot:     slot,
 		nextFree: n.sim.Elapsed(),
-		routes:   make(map[transport.Addr]*link),
 	}
 	n.nodes[addr] = nd
 	return nd
@@ -621,38 +608,71 @@ func (nd *node) After(d time.Duration, fn func()) transport.Timer {
 	return nd.shard.After(d, wrapped)
 }
 
-func (nd *node) Send(to transport.Addr, msg transport.Message) { nd.dial(to).Send(msg) }
-
-// Send is the one send path: Env.Send is a dial followed by this.
-func (l *link) Send(msg transport.Message) {
-	nd := l.src
-	net := nd.net
-	slot := &net.slots[nd.slot]
-	if nd.crashed {
-		transport.ReleaseMessage(msg)
+// Send resolves to afresh and caches nothing.
+func (nd *node) Send(to transport.Addr, msg transport.Message) {
+	if !nd.canSend(msg) {
 		return
 	}
-	if nd.detached {
-		slot.dropped++
-		transport.ReleaseMessage(msg)
+	dst := nd.net.nodes[to]
+	if dst == nil {
+		nd.drop(msg)
+		return
+	}
+	nd.send(dst, nd.pathTo(dst), msg)
+}
+
+// Send resolves the link at its first send that finds a node at its
+// address, and keeps what it found.
+func (l *link) Send(msg transport.Message) {
+	nd := l.src
+	if !nd.canSend(msg) {
 		return
 	}
 	if l.dst == nil {
-		if net.nodes[l.to] == nil {
-			slot.dropped++
-			transport.ReleaseMessage(msg)
+		dst := nd.net.nodes[l.to]
+		if dst == nil {
+			nd.drop(msg)
 			return
 		}
-		nd.resolve(l)
+		// A pending l is resolved by pathTo with the node's other links,
+		// to the same path pathTo returns.
+		l.path = nd.pathTo(dst)
+		l.dst = dst
 	}
-	slot.sent++
+	nd.send(l.dst, l.path, msg)
+}
 
-	loss := l.path.Loss
+// canSend reports whether the node is plugged in and up; if not, msg is
+// released, and counted as dropped unless the node is crashed.
+func (nd *node) canSend(msg transport.Message) bool {
+	switch {
+	case nd.crashed:
+		transport.ReleaseMessage(msg)
+	case nd.detached:
+		nd.drop(msg)
+	default:
+		return true
+	}
+	return false
+}
+
+// drop counts msg as dropped at the sender and releases it.
+func (nd *node) drop(msg transport.Message) {
+	nd.net.slots[nd.slot].dropped++
+	transport.ReleaseMessage(msg)
+}
+
+// send is the one send body, behind Env.Send and Peer.Send: msg leaves
+// for dst over path.
+func (nd *node) send(dst *node, path netmodel.Path, msg transport.Message) {
+	net := nd.net
+	net.slots[nd.slot].sent++
+
+	loss := path.Loss
 	if len(net.rules) > 0 {
-		r := net.rules[rulePair{nd.addr, l.to}]
+		r := net.rules[rulePair{nd.addr, dst.addr}]
 		if r.block {
-			slot.dropped++
-			transport.ReleaseMessage(msg)
+			nd.drop(msg)
 			return
 		}
 		if r.hasLoss {
@@ -686,20 +706,19 @@ func (l *link) Send(msg transport.Message) {
 		rto *= 2
 	}
 	if !delivered {
-		slot.dropped++
-		transport.ReleaseMessage(msg)
+		nd.drop(msg)
 		return
 	}
 
 	dl := net.newDelivery(nd.slot)
-	dl.from, dl.dst, dl.msg, dl.epoch = nd.addr, l.dst, msg, l.dst.epoch
+	dl.from, dl.dst, dl.msg, dl.epoch = nd.addr, dst, msg, dst.epoch
 	// The total delay is at least SendOverhead + path latency +
 	// DeliverOverhead; a cross-shard destination is in a different AS
 	// (shardOf keys shards on ASes), so its path crosses at least one
 	// inter-AS link and the delay clears MinDeliveryDelay - the lookahead
 	// bound the barrier merge enforces.
-	delay := depart - now + l.path.Latency + retryDelay + net.opts.DeliverOverhead
-	nd.shard.Post(l.dst.shard, delay, dl.run)
+	delay := depart - now + path.Latency + retryDelay + net.opts.DeliverOverhead
+	nd.shard.Post(dst.shard, delay, dl.run)
 }
 
 var (

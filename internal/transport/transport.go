@@ -132,8 +132,8 @@ type Peer interface {
 	Send(msg Message)
 }
 
-// Dialer is optionally implemented by Envs that keep per-destination send
-// state (the simulated transport's route cache entry) and can hand it out.
+// Dialer is optionally implemented by Envs that can resolve a destination
+// once into send state the Peer keeps (the simulated transport's route).
 // Like Resetter it is an optimization protocol code reaches through a
 // helper, Dial, and never depends on.
 type Dialer interface {
