@@ -18,26 +18,22 @@ func (f *Fuse) addTreeLink(id GroupID, seq uint64, neighbor overlay.NodeRef) {
 	if neighbor.IsZero() || neighbor.Addr == f.self.Addr {
 		return
 	}
-	cs := f.checking[id]
-	if cs == nil {
-		cs = &checkState{id: id}
-		f.checking[id] = cs
-	}
-	if seq > cs.seq {
-		cs.seq = seq
+	g := f.record(id)
+	if seq > g.seq {
+		g.seq = seq
 	}
 	ls := f.linkFor(neighbor)
-	if l := cs.link(neighbor.Addr); l != nil {
+	if l := g.link(neighbor.Addr); l != nil {
 		l.installedAt = f.env.Elapsed()
 		f.ensureLinkTimer(ls)
 		return
 	}
 	i := 0
-	for i < len(cs.links) && cs.links[i].ls.neighbor.Addr < neighbor.Addr {
+	for i < len(g.links) && g.links[i].ls.neighbor.Addr < neighbor.Addr {
 		i++
 	}
-	cs.links = slices.Insert(cs.links, i, treeLink{ls: ls, installedAt: f.env.Elapsed()})
-	ls.attach(cs)
+	g.links = slices.Insert(g.links, i, treeLink{ls: ls, installedAt: f.env.Elapsed()})
+	ls.attach(g)
 	f.ensureLinkTimer(ls)
 }
 
@@ -49,10 +45,9 @@ func (f *Fuse) addTreeLink(id GroupID, seq uint64, neighbor overlay.NodeRef) {
 // observation that triggered this (0 when untraced); the soft spread
 // carries it so downstream deliveries can name their cause.
 func (f *Fuse) linkFailed(id GroupID, from overlay.NodeRef, span uint64) {
-	cs, ok := f.checking[id]
-	if ok {
-		seq := cs.seq
-		for _, l := range cs.links {
+	if g := f.groups[id]; g != nil && len(g.links) > 0 {
+		seq := g.seq
+		for _, l := range g.links {
 			if l.ls.neighbor.Addr == from.Addr {
 				continue
 			}
@@ -69,18 +64,19 @@ func (f *Fuse) linkFailed(id GroupID, from overlay.NodeRef, span uint64) {
 // reach a role's state sticks as its cause, so a later failure
 // conclusion is attributed to the observation that started it.
 func (f *Fuse) reactToTreeFailure(id GroupID, span uint64) {
-	if rs, ok := f.roots[id]; ok {
-		if rs.cause == 0 {
-			rs.cause = span
+	g := f.groups[id]
+	r := g.roles()
+	switch {
+	case r.root != nil:
+		if r.root.cause == 0 {
+			r.root.cause = span
 		}
-		f.scheduleRepair(rs)
-		return
-	}
-	if ms, ok := f.members[id]; ok {
-		if ms.cause == 0 {
-			ms.cause = span
+		f.scheduleRepair(g)
+	case r.member != nil:
+		if r.member.cause == 0 {
+			r.member.cause = span
 		}
-		f.memberNeedsRepair(ms)
+		f.memberNeedsRepair(g)
 	}
 }
 
@@ -90,12 +86,11 @@ func (f *Fuse) reactToTreeFailure(id GroupID, span uint64) {
 func (f *Fuse) handleSoft(m *msgSoftNotification) {
 	f.tm.softs.Inc(f.tm.lane)
 	f.trace("soft", m.ID, m.Trace, 0, m.From.Name)
-	cs, ok := f.checking[m.ID]
-	if ok {
-		if m.Seq < cs.seq {
+	if g := f.groups[m.ID]; g != nil && len(g.links) > 0 {
+		if m.Seq < g.seq {
 			return // stale generation: a repair already superseded it
 		}
-		for _, l := range cs.links {
+		for _, l := range g.links {
 			if l.ls.neighbor.Addr == m.From.Addr {
 				continue
 			}
@@ -144,7 +139,8 @@ func (f *Fuse) OnRouteMessage(msg transport.Message, info overlay.RouteInfo) {
 // installArrivedAtRoot credits a member's InstallChecking and monitors the
 // last link of its path.
 func (f *Fuse) installArrivedAtRoot(ic *msgInstallChecking, prev overlay.NodeRef) {
-	if rs, ok := f.roots[ic.ID]; ok {
+	r := f.groups[ic.ID].roles()
+	if rs := r.root; rs != nil {
 		if ic.Seq < rs.seq {
 			return // stale generation
 		}
@@ -161,9 +157,9 @@ func (f *Fuse) installArrivedAtRoot(ic *msgInstallChecking, prev overlay.NodeRef
 		}
 		return
 	}
-	if c, ok := f.creating[ic.ID]; ok {
+	if r.creating != nil {
 		// Install raced ahead of the create replies; remember it.
-		c.installArrived[ic.Member.Name] = prev
+		r.creating.installArrived[ic.Member.Name] = prev
 		return
 	}
 	// Group is gone at the root: tear the fresh path back down.
@@ -252,7 +248,7 @@ func (f *Fuse) OnNeighborDown(neighbor overlay.NodeRef) {
 		return
 	}
 	for _, id := range ls.snapshot() {
-		if cs, ok := f.checking[id]; ok && cs.link(neighbor.Addr) != nil {
+		if g := f.groups[id]; g != nil && g.link(neighbor.Addr) != nil {
 			span := f.tm.lane.NewSpan()
 			if span != 0 {
 				f.trace("trigger", id, span, 0, "neighbor-down "+neighbor.Name)
@@ -273,8 +269,8 @@ func (f *Fuse) linkEntries(addr transport.Addr) []listEntry {
 		return nil
 	}
 	entries := make([]listEntry, len(ls.sorted))
-	for i, cs := range ls.sorted {
-		entries[i] = listEntry{ID: cs.id, Seq: cs.seq}
+	for i, g := range ls.sorted {
+		entries[i] = listEntry{ID: g.id, Seq: g.seq}
 	}
 	return entries
 }
@@ -298,8 +294,8 @@ func (f *Fuse) handleGroupLists(m *msgGroupLists) {
 	agreed := false
 	ls := f.links[m.From.Addr]
 	for i := 0; ls != nil && i < len(ls.sorted); {
-		cs := ls.sorted[i]
-		id := cs.id
+		g := ls.sorted[i]
+		id := g.id
 		for len(theirs) > 0 && compareIDs(theirs[0].ID, id) < 0 {
 			theirs = theirs[1:]
 		}
@@ -308,7 +304,7 @@ func (f *Fuse) handleGroupLists(m *msgGroupLists) {
 			i++
 			continue
 		}
-		if now-cs.link(m.From.Addr).installedAt < f.scaled(gracePeriod) {
+		if now-g.link(m.From.Addr).installedAt < f.scaled(gracePeriod) {
 			i++ // too young to judge: the neighbor may not have installed yet
 			continue
 		}

@@ -39,13 +39,12 @@ func (f *Fuse) CreateGroup(members []overlay.NodeRef, done func(GroupID, error))
 
 	if len(others) == 0 {
 		// A singleton group: trivially created, nothing to monitor.
-		f.roots[id] = &rootState{id: id}
+		f.withRole(id).role.root = new(rootState)
 		f.env.After(0, func() { done(id, nil) })
 		return
 	}
 
 	c := &creating{
-		id:             id,
 		members:        others,
 		pending:        make(map[string]bool, len(others)),
 		installArrived: make(map[string]overlay.NodeRef),
@@ -54,27 +53,27 @@ func (f *Fuse) CreateGroup(members []overlay.NodeRef, done func(GroupID, error))
 	for _, m := range others {
 		c.pending[m.Name] = true
 	}
-	f.creating[id] = c
+	f.withRole(id).role.creating = c
 
 	for _, m := range others {
 		f.env.Send(m.Addr, &msgGroupCreateRequest{ID: id, Members: members})
 	}
 	f.trace("create", id, 0, 0, "")
-	c.timer = f.env.After(f.scaled(createTimeout), func() { f.createTimedOut(c) })
+	c.timer = f.env.After(f.scaled(createTimeout), func() { f.createTimedOut(id) })
 }
 
 // handleCreateRequest installs member state and replies (§6.2): reply
 // directly to the root and concurrently route an InstallChecking message
 // toward it.
 func (f *Fuse) handleCreateRequest(m *msgGroupCreateRequest) {
-	if _, ok := f.members[m.ID]; ok {
+	if f.groups[m.ID].roles().member != nil {
 		// Duplicate (e.g. root retransmission): just re-reply.
 		f.env.Send(m.ID.Root.Addr, &msgGroupCreateReply{ID: m.ID, Member: f.self})
 		return
 	}
-	ms := &memberState{id: m.ID}
-	f.members[m.ID] = ms
-	f.saveMember(ms)
+	g := f.withRole(m.ID)
+	g.role.member = new(memberState)
+	f.saveMember(g)
 	f.env.Send(m.ID.Root.Addr, &msgGroupCreateReply{ID: m.ID, Member: f.self})
 	f.sendInstallChecking(m.ID, 0)
 }
@@ -95,8 +94,9 @@ func (f *Fuse) sendInstallChecking(id GroupID, seq uint64) {
 
 // handleCreateReply collects member acknowledgments at the root.
 func (f *Fuse) handleCreateReply(m *msgGroupCreateReply) {
-	c, ok := f.creating[m.ID]
-	if !ok {
+	g := f.groups[m.ID]
+	c := g.roles().creating
+	if c == nil {
 		// Late reply after the creation timed out: the paper's rule is
 		// that removing the entry prevents late replies from installing
 		// state. The member will be cleaned by the HardNotification the
@@ -109,9 +109,7 @@ func (f *Fuse) handleCreateReply(m *msgGroupCreateReply) {
 	}
 	// Everyone replied: promote to live root state.
 	stopTimer(c.timer)
-	delete(f.creating, m.ID)
 	rs := &rootState{
-		id:             c.id,
 		members:        c.members,
 		installPending: make(map[string]bool, len(c.members)),
 		backoff:        f.scaled(backoffInitial),
@@ -119,22 +117,23 @@ func (f *Fuse) handleCreateReply(m *msgGroupCreateReply) {
 	for _, mem := range c.members {
 		rs.installPending[mem.Name] = true
 	}
+	g.role.creating, g.role.root = nil, rs
 	// Credit InstallChecking messages that raced ahead of the replies.
 	for name, prev := range c.installArrived {
 		delete(rs.installPending, name)
 		if !prev.IsZero() {
-			f.addTreeLink(c.id, 0, prev)
+			f.addTreeLink(g.id, 0, prev)
 		}
 	}
-	f.roots[c.id] = rs
-	f.saveRoot(rs)
-	f.armInstallTimer(rs)
+	f.saveRoot(g)
+	f.armInstallTimer(g)
 	f.tm.created.Inc(f.tm.lane)
-	f.trace("create-ok", c.id, 0, 0, "")
-	c.done(c.id, nil)
+	f.trace("create-ok", g.id, 0, 0, "")
+	c.done(g.id, nil)
 }
 
-func (f *Fuse) armInstallTimer(rs *rootState) {
+func (f *Fuse) armInstallTimer(g *groupState) {
+	rs := g.role.root
 	stopTimer(rs.installTimer)
 	if len(rs.installPending) == 0 {
 		rs.installPending = nil // every install already credited
@@ -143,29 +142,29 @@ func (f *Fuse) armInstallTimer(rs *rootState) {
 	}
 	rs.installTimer = f.env.After(f.scaled(installTimeout), func() {
 		if len(rs.installPending) > 0 {
-			f.scheduleRepair(rs)
+			f.scheduleRepair(g)
 		}
 	})
 }
 
-// createTimedOut fails a creation attempt: every member that might have
+// createTimedOut fails the creation of id: every member that might have
 // installed state gets a HardNotification, and the caller learns the
 // group never existed.
-func (f *Fuse) createTimedOut(c *creating) {
-	if _, still := f.creating[c.id]; !still {
+func (f *Fuse) createTimedOut(id GroupID) {
+	c := f.groups[id].roles().creating
+	if c == nil {
 		return
 	}
-	delete(f.creating, c.id)
 	f.tm.createFailed.Inc(f.tm.lane)
 	span := f.tm.lane.NewSpan()
-	f.trace("create-fail", c.id, span, 0, "")
+	f.trace("create-fail", id, span, 0, "")
 	missing := 0
 	for _, m := range c.members {
-		f.env.Send(m.Addr, &msgHardNotification{ID: c.id, From: f.self, Trace: span})
+		f.env.Send(m.Addr, &msgHardNotification{ID: id, From: f.self, Trace: span})
 		if c.pending[m.Name] {
 			missing++
 		}
 	}
-	f.dropChecking(c.id)
+	f.teardown(id)
 	c.done(GroupID{}, fmt.Errorf("%w: %d of %d members unreachable", ErrCreateTimeout, missing, len(c.members)))
 }

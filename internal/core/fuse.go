@@ -58,6 +58,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -186,11 +187,10 @@ type Fuse struct {
 
 	self overlay.NodeRef
 
-	creating map[GroupID]*creating
-	roots    map[GroupID]*rootState
-	members  map[GroupID]*memberState
-	checking map[GroupID]*checkState
-	handlers map[GroupID][]Handler
+	// groups holds one record for every group the node has any state
+	// for: as its creator, root or member, or as a delegate on its
+	// checking tree.
+	groups map[GroupID]*groupState
 
 	// links is the per-link checking index: for each overlay link, the
 	// groups monitored across it, their running piggyback hash, and the
@@ -240,9 +240,65 @@ type fuseTelemetry struct {
 	notices      telemetry.Counter
 }
 
+// groupState is everything a node holds for one group, in one record:
+// the group's checking tree links (the liveness-checking state that
+// roots, members and delegates alike hold while on the tree) and, behind
+// role, the node's part in the group beyond the tree. Each link's index
+// entry lists this very record (linkState.sorted), not a copy of its ID,
+// so a walk over a link reads the group's ID, generation and install
+// times without a map probe. The record lives as long as it has a tree
+// link or a role: a delegate's ends with its last link, anyone else's
+// with teardown. The role sits behind one pointer, nil on a delegate, so
+// a delegate's record stays in the 80-byte size class
+// (TestCheckingStateBytes).
+type groupState struct {
+	id GroupID
+
+	// seq is the checking tree's generation, 0 while the record has no
+	// tree links.
+	seq uint64
+
+	// links is sorted by neighbor address - the order soft notifications
+	// go out in, so identically seeded simulations emit identical event
+	// sequences. A node sits on one to three of a group's tree links;
+	// "has checking state" is "has a tree link".
+	links []treeLink
+
+	role *roleState // nil on a delegate
+}
+
+// roleState is a node's part in a group beyond its checking tree: the
+// group's creator, root or member, and the application's failure
+// handlers, which only such a node keeps.
+type roleState struct {
+	creating *creating
+	root     *rootState
+	member   *memberState
+	handlers []Handler
+}
+
+// roles returns the record's role, the zero one for a delegate's record
+// or a missing one (g nil): a copy to read the pieces from.
+func (g *groupState) roles() roleState {
+	if g == nil || g.role == nil {
+		return roleState{}
+	}
+	return *g.role
+}
+
+// link returns the group's tree link to addr, or nil. The pointer is
+// into links: good until the next addTreeLink.
+func (g *groupState) link(addr transport.Addr) *treeLink {
+	for i := range g.links {
+		if g.links[i].ls.neighbor.Addr == addr {
+			return &g.links[i]
+		}
+	}
+	return nil
+}
+
 // creating tracks a CreateGroup in progress at the root.
 type creating struct {
-	id      GroupID
 	members []overlay.NodeRef // excluding the root itself
 	pending map[string]bool   // member names yet to reply
 	// installArrived buffers InstallChecking arrivals that beat the last
@@ -254,7 +310,6 @@ type creating struct {
 
 // rootState is the root's view of a live group.
 type rootState struct {
-	id      GroupID
 	seq     uint64
 	members []overlay.NodeRef // excluding the root
 
@@ -280,9 +335,8 @@ type rootState struct {
 }
 
 // memberState is a non-root member's view of a live group. The root it
-// asks for repair and tells of failures is id.Root.
+// asks for repair and tells of failures is the group ID's Root.
 type memberState struct {
-	id  GroupID
 	seq uint64
 
 	// repairTimer is armed while waiting for the root to react to our
@@ -291,33 +345,6 @@ type memberState struct {
 
 	// cause mirrors rootState.cause for the member-side conclusion.
 	cause uint64
-}
-
-// checkState holds a node's liveness-checking tree links for one group.
-// Roots, members and delegates all hold one when they are part of the
-// tree. It is the group's one record on the node: each link's index
-// entry lists this very record (linkState.sorted), not a copy of its ID,
-// so a walk over a link reads the group's ID, generation and install
-// times without probing f.checking.
-type checkState struct {
-	id  GroupID
-	seq uint64
-
-	// links is sorted by neighbor address - the order soft notifications
-	// go out in, so identically seeded simulations emit identical event
-	// sequences. A node sits on one to three of a group's tree links.
-	links []treeLink
-}
-
-// link returns the group's tree link to addr, or nil. The pointer is
-// into links: good until the next addTreeLink.
-func (cs *checkState) link(addr transport.Addr) *treeLink {
-	for i := range cs.links {
-		if cs.links[i].ls.neighbor.Addr == addr {
-			return &cs.links[i]
-		}
-	}
-	return nil
 }
 
 // treeLink is one monitored (group, neighbor) pair, in 16 bytes. ls is
@@ -339,11 +366,7 @@ func New(env transport.Env, ov *overlay.Node, scale float64) *Fuse {
 		ov:       ov,
 		scale:    scale,
 		self:     ov.Self(),
-		creating: make(map[GroupID]*creating),
-		roots:    make(map[GroupID]*rootState),
-		members:  make(map[GroupID]*memberState),
-		checking: make(map[GroupID]*checkState),
-		handlers: make(map[GroupID][]Handler),
+		groups:   make(map[GroupID]*groupState),
 		links:    make(map[transport.Addr]*linkState),
 		linksGen: 1, // a zero slot is never valid
 	}
@@ -373,35 +396,26 @@ func (f *Fuse) scaled(d time.Duration) time.Duration {
 }
 
 // LiveGroups returns the IDs of all groups this node currently holds any
-// state for (root, member, or delegate), ordered by root name, counter
-// and root address.
+// state for (creator, root, member, or delegate: one record each),
+// ordered by root name, counter and root address.
 func (f *Fuse) LiveGroups() []GroupID {
-	var out []GroupID
-	for id := range f.roots {
-		out = append(out, id)
-	}
-	for id := range f.members {
-		out = append(out, id)
-	}
-	for id := range f.checking {
-		out = append(out, id)
-	}
-	slices.SortFunc(out, func(a, b GroupID) int {
+	return slices.SortedFunc(maps.Keys(f.groups), func(a, b GroupID) int {
 		if c := compareIDs(a, b); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.Root.Addr, b.Root.Addr)
 	})
-	return slices.Compact(out) // a root or member usually has checking state too
 }
 
 // CheckingStats sizes the liveness-checking state for experiments:
 // groups with checking state here, distinct (group, link) monitored
 // pairs, and live check timers backing them.
 func (f *Fuse) CheckingStats() (groups, pairs, timers int) {
-	groups = len(f.checking)
-	for _, cs := range f.checking {
-		pairs += len(cs.links)
+	for _, g := range f.groups {
+		if len(g.links) > 0 {
+			groups++
+			pairs += len(g.links)
+		}
 	}
 	timers = len(f.links) // one shared deadline per monitored link
 	return groups, pairs, timers
@@ -409,17 +423,29 @@ func (f *Fuse) CheckingStats() (groups, pairs, timers int) {
 
 // HasState reports whether the node holds any state for id.
 func (f *Fuse) HasState(id GroupID) bool {
-	if _, ok := f.roots[id]; ok {
-		return true
-	}
-	if _, ok := f.members[id]; ok {
-		return true
-	}
-	if _, ok := f.checking[id]; ok {
-		return true
-	}
-	_, ok := f.creating[id]
+	_, ok := f.groups[id]
 	return ok
+}
+
+// record returns id's record, making an empty one if there is none; the
+// caller gives it a tree link or a role before the event ends.
+func (f *Fuse) record(id GroupID) *groupState {
+	g := f.groups[id]
+	if g == nil {
+		g = &groupState{id: id}
+		f.groups[id] = g
+	}
+	return g
+}
+
+// withRole returns id's record with a role, making either as needed; the
+// caller fills the role in.
+func (f *Fuse) withRole(id GroupID) *groupState {
+	g := f.record(id)
+	if g.role == nil {
+		g.role = new(roleState)
+	}
+	return g
 }
 
 // RegisterFailureHandler registers a callback for failure notifications on
@@ -429,35 +455,32 @@ func (f *Fuse) RegisterFailureHandler(h Handler, id GroupID) {
 	if h == nil {
 		return
 	}
-	if _, isRoot := f.roots[id]; !isRoot {
-		if _, isMember := f.members[id]; !isMember {
-			if _, inCreate := f.creating[id]; !inCreate {
-				f.env.After(0, func() { f.deliverNotice(h, Notice{ID: id, Reason: ReasonNotified}, 0) })
-				return
-			}
-		}
+	g := f.groups[id]
+	if g == nil || g.role == nil { // unknown, or known only as a delegate
+		f.env.After(0, func() { f.deliverNotice(h, Notice{ID: id, Reason: ReasonNotified}, 0) })
+		return
 	}
-	f.handlers[id] = append(f.handlers[id], h)
+	g.role.handlers = append(g.role.handlers, h)
 }
 
 // SignalFailure explicitly triggers a failure notification for id
 // (Figure 1). The local handler fires, the root is informed with a
 // HardNotification, and the root fans the notification to all members.
 func (f *Fuse) SignalFailure(id GroupID) {
-	if rs, ok := f.roots[id]; ok {
-		f.rootFail(rs, ReasonSignaled)
-		return
-	}
-	if _, ok := f.members[id]; ok {
+	g := f.groups[id]
+	r := g.roles()
+	switch {
+	case r.root != nil:
+		f.rootFail(g, ReasonSignaled)
+	case r.member != nil:
 		span := f.tm.lane.NewSpan()
 		f.trace("trigger", id, span, 0, "signaled")
 		f.env.Send(id.Root.Addr, &msgHardNotification{ID: id, From: f.self, Trace: span})
 		f.notifyLocal(id, ReasonSignaled, span)
 		f.teardown(id)
-		return
 	}
-	// Unknown group: nothing to do; a registration after this will fire
-	// immediately since no state exists.
+	// Otherwise the group is unknown here: nothing to do; a registration
+	// after this will fire immediately since no state exists.
 }
 
 // tracing gates protocol-event emission; call before building any event
@@ -481,11 +504,12 @@ func (f *Fuse) trace(kind string, id GroupID, span, parent uint64, detail string
 // span is the causal trigger's trace span (0 when untraced or unknown);
 // each delivery event records it as Parent.
 func (f *Fuse) notifyLocal(id GroupID, reason Reason, span uint64) {
-	hs := f.handlers[id]
-	delete(f.handlers, id)
-	if len(hs) == 0 {
+	g := f.groups[id]
+	if g == nil || g.role == nil {
 		return
 	}
+	hs := g.role.handlers
+	g.role.handlers = nil
 	n := Notice{ID: id, Reason: reason}
 	for _, h := range hs {
 		f.deliverNotice(h, n, span)
@@ -498,37 +522,48 @@ func (f *Fuse) deliverNotice(h Handler, n Notice, span uint64) {
 	h(n)
 }
 
-// teardown removes every piece of state for id and stops its timers.
+// teardown removes every piece of state for id - the record, with its
+// role, handlers and tree links - and stops its timers.
 func (f *Fuse) teardown(id GroupID) {
-	if c, ok := f.creating[id]; ok {
-		stopTimer(c.timer)
-		delete(f.creating, id)
+	if g, ok := f.groups[id]; ok {
+		r := g.roles()
+		if r.creating != nil {
+			stopTimer(r.creating.timer)
+		}
+		if rs := r.root; rs != nil {
+			stopTimer(rs.installTimer)
+			stopTimer(rs.repairTimer)
+			stopTimer(rs.backoffTimer)
+		}
+		if ms := r.member; ms != nil {
+			stopTimer(ms.repairTimer)
+		}
+		f.detachLinks(g)
+		delete(f.groups, id)
 	}
-	if rs, ok := f.roots[id]; ok {
-		stopTimer(rs.installTimer)
-		stopTimer(rs.repairTimer)
-		stopTimer(rs.backoffTimer)
-		delete(f.roots, id)
-	}
-	if ms, ok := f.members[id]; ok {
-		stopTimer(ms.repairTimer)
-		delete(f.members, id)
-	}
-	f.dropChecking(id)
 	f.forget(id)
 }
 
 // dropChecking removes only the liveness-checking tree state for id,
-// detaching it from every per-link index entry it rides on.
+// detaching it from every per-link index entry it rides on. The record
+// stays if the node has a role in the group.
 func (f *Fuse) dropChecking(id GroupID) {
-	cs, ok := f.checking[id]
+	g, ok := f.groups[id]
 	if !ok {
 		return
 	}
-	for _, l := range cs.links {
-		f.detachFromLink(id, l.ls)
+	f.detachLinks(g)
+	if g.role == nil {
+		delete(f.groups, id)
 	}
-	delete(f.checking, id)
+}
+
+// detachLinks takes g off every link it rides and empties its tree.
+func (f *Fuse) detachLinks(g *groupState) {
+	for _, l := range g.links {
+		f.detachFromLink(g.id, l.ls)
+	}
+	g.links, g.seq = nil, 0
 }
 
 func stopTimer(t transport.Timer) {

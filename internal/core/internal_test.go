@@ -46,7 +46,7 @@ func ref(name string) overlay.NodeRef {
 func hashOf(ids ...GroupID) string {
 	ls := &linkState{}
 	for _, id := range ids {
-		ls.attach(&checkState{id: id})
+		ls.attach(&groupState{id: id})
 	}
 	return string(ls.linkHash())
 }
@@ -94,27 +94,61 @@ func TestHashGroupIDsProperty(t *testing.T) {
 	}
 }
 
+// checking is id's record if the node has checking state for it (a tree
+// link), else nil.
+func checking(f *Fuse, id GroupID) *groupState {
+	if g := f.groups[id]; g != nil && len(g.links) > 0 {
+		return g
+	}
+	return nil
+}
+
+// asMember gives f a member's role in id, as a create request does.
+func asMember(f *Fuse, id GroupID) *groupState {
+	g := f.withRole(id)
+	g.role.member = new(memberState)
+	return g
+}
+
+// asRoot gives f the root's role rs in id.
+func asRoot(f *Fuse, id GroupID, rs *rootState) *groupState {
+	g := f.withRole(id)
+	g.role.root = rs
+	return g
+}
+
 // indexPointsAtRecords checks the pointers between the per-link index and
-// the groups' checking records: every record a link's list holds is the
-// very f.checking entry for its ID and has a tree link on that list's
-// entry, and every tree link's entry is the one f.links holds for the
-// entry's neighbor and lists the record.
+// the groups' records: every record a link's list holds is the very
+// f.groups entry for its ID and has a tree link on that list's entry,
+// and every tree link's entry is the one f.links holds for the entry's
+// neighbor and lists the record. It also checks the records themselves:
+// each is filed under its own ID, none is empty (no role, no creation
+// and no tree link), and one without tree links has generation 0.
 func indexPointsAtRecords(f *Fuse) error {
 	for addr, ls := range f.links {
 		if ls.neighbor.Addr != addr {
 			return fmt.Errorf("f.links[%s] is the entry for %s", addr, ls.neighbor.Addr)
 		}
-		for _, cs := range ls.sorted {
-			if f.checking[cs.id] != cs {
-				return fmt.Errorf("link %s lists a record for %v that is not f.checking's", addr, cs.id)
+		for _, g := range ls.sorted {
+			if f.groups[g.id] != g {
+				return fmt.Errorf("link %s lists a record for %v that is not f.groups'", addr, g.id)
 			}
-			if !slices.ContainsFunc(cs.links, func(l treeLink) bool { return l.ls == ls }) {
-				return fmt.Errorf("link %s lists %v, whose tree links do not include it", addr, cs.id)
+			if !slices.ContainsFunc(g.links, func(l treeLink) bool { return l.ls == ls }) {
+				return fmt.Errorf("link %s lists %v, whose tree links do not include it", addr, g.id)
 			}
 		}
 	}
-	for id, cs := range f.checking {
-		for _, l := range cs.links {
+	for id, g := range f.groups {
+		if g.id != id {
+			return fmt.Errorf("f.groups[%v] is the record for %v", id, g.id)
+		}
+		if r := g.roles(); r.creating == nil && r.root == nil && r.member == nil && len(g.links) == 0 {
+			return fmt.Errorf("%v's record is empty: no role, no creation, no tree link", id)
+		}
+		if len(g.links) == 0 && g.seq != 0 {
+			return fmt.Errorf("%v's record has no tree link but generation %d", id, g.seq)
+		}
+		for _, l := range g.links {
 			if addr := l.ls.neighbor.Addr; f.links[addr] != l.ls {
 				return fmt.Errorf("%v's tree link to %s points at an entry f.links does not hold", id, addr)
 			}
@@ -143,8 +177,8 @@ func TestLinkHashCacheCoherence(t *testing.T) {
 
 	naiveHash := func(addr transport.Addr) []byte {
 		var on []GroupID
-		for id, cs := range f.checking {
-			if cs.link(addr) != nil {
+		for id, g := range f.groups {
+			if g.link(addr) != nil {
 				on = append(on, id)
 			}
 		}
@@ -159,8 +193,8 @@ func TestLinkHashCacheCoherence(t *testing.T) {
 		case 2:
 			f.dropChecking(id)
 		case 3: // seq bump on an existing group: must not disturb the hash
-			if cs, ok := f.checking[id]; ok {
-				cs.seq++
+			if g := checking(f, id); g != nil {
+				g.seq++
 			}
 		}
 		if err := indexPointsAtRecords(f); err != nil {
@@ -178,8 +212,8 @@ func TestLinkHashCacheCoherence(t *testing.T) {
 	// Index bookkeeping: every linkState entry must be non-empty and
 	// mirror the per-group view exactly.
 	pairs := 0
-	for _, cs := range f.checking {
-		pairs += len(cs.links)
+	for _, g := range f.groups {
+		pairs += len(g.links)
 	}
 	indexed := 0
 	for addr, ls := range f.links {
@@ -189,7 +223,7 @@ func TestLinkHashCacheCoherence(t *testing.T) {
 		indexed += len(ls.sorted)
 	}
 	if indexed != pairs {
-		t.Fatalf("index holds %d pairs, checking map holds %d", indexed, pairs)
+		t.Fatalf("index holds %d pairs, the records hold %d", indexed, pairs)
 	}
 }
 
@@ -209,7 +243,7 @@ func TestInstallsDoNotPostponeLinkFailure(t *testing.T) {
 		net.Advance(checkTimeout / 4)
 		f.addTreeLink(GroupID{Root: ref("r"), Num: uint64(i + 2)}, 0, peer)
 	}
-	if _, ok := f.checking[first]; ok {
+	if checking(f, first) != nil {
 		t.Fatal("sustained installs postponed link-failure detection for an existing group")
 	}
 }
@@ -232,7 +266,7 @@ func TestAggregatedDeadlineFairnessBound(t *testing.T) {
 	net.Advance(2 * checkTimeout / 3)
 	f.addTreeLink(late, 0, peer)
 	net.Advance(checkTimeout/3 + time.Second)
-	if _, ok := f.checking[late]; ok {
+	if checking(f, late) != nil {
 		t.Fatal("late group outlived the shared deadline: waited more than a full CheckTimeout past its install")
 	}
 
@@ -246,14 +280,14 @@ func TestAggregatedDeadlineFairnessBound(t *testing.T) {
 	net.Advance(time.Second)
 	f.addTreeLink(late, 0, peer) // then the link goes quiet
 	net.Advance(checkTimeout - 2*time.Second)
-	if _, ok := f.checking[late]; !ok {
+	if checking(f, late) == nil {
 		t.Fatal("late group torn down before the shared deadline it inherited")
 	}
 	net.Advance(2 * time.Second)
-	if _, ok := f.checking[late]; ok {
+	if checking(f, late) != nil {
 		t.Fatal("quiet link left the late group past install + CheckTimeout")
 	}
-	if _, ok := f.checking[first]; ok {
+	if checking(f, first) != nil {
 		t.Fatal("quiet link left the first group checking")
 	}
 }
@@ -275,13 +309,13 @@ func TestSharedLinkTimerCoversAllGroups(t *testing.T) {
 	net.Advance(checkTimeout / 2)
 	f.OnPingPayload(peer, f.PingPayload(peer))
 	net.Advance(checkTimeout/2 + time.Second)
-	if len(f.checking) != n {
-		t.Fatalf("refresh did not cover all groups: %d of %d survive", len(f.checking), n)
+	if len(f.groups) != n {
+		t.Fatalf("refresh did not cover all groups: %d of %d survive", len(f.groups), n)
 	}
 	// Expiry fails every group riding the link.
 	net.Advance(checkTimeout)
-	if len(f.checking) != 0 {
-		t.Fatalf("%d groups survived link timeout", len(f.checking))
+	if len(f.groups) != 0 {
+		t.Fatalf("%d groups survived link timeout", len(f.groups))
 	}
 	if len(f.links) != 0 {
 		t.Fatal("link index entry survived timeout")
@@ -291,15 +325,14 @@ func TestSharedLinkTimerCoversAllGroups(t *testing.T) {
 func TestRepairBackoffDoublesAndCaps(t *testing.T) {
 	f, net := newFakeFuse("root")
 	rs := &rootState{
-		id:      GroupID{Root: f.self, Num: 1},
 		members: []overlay.NodeRef{ref("m1")},
 		backoff: backoffInitial,
 	}
-	f.roots[rs.id] = rs
+	g := asRoot(f, GroupID{Root: f.self, Num: 1}, rs)
 
 	want := backoffInitial
 	for i := 0; i < 8; i++ {
-		f.startRepair(rs)
+		f.startRepair(g)
 		want *= 2
 		if want > backoffCap {
 			want = backoffCap
@@ -320,19 +353,18 @@ func TestRepairBackoffDoublesAndCaps(t *testing.T) {
 func TestScheduleRepairHonorsBackoffWindow(t *testing.T) {
 	f, net := newFakeFuse("root")
 	rs := &rootState{
-		id:      GroupID{Root: f.self, Num: 2},
 		members: []overlay.NodeRef{ref("m1")},
 		backoff: backoffInitial,
 	}
-	f.roots[rs.id] = rs
-	f.startRepair(rs)
+	g := asRoot(f, GroupID{Root: f.self, Num: 2}, rs)
+	f.startRepair(g)
 	first := len(sentTo(net, ref("m1").Addr))
 	if first == 0 {
 		t.Fatal("no repair request sent")
 	}
 	rs.repairPending = nil
 	// Immediately re-scheduling must defer: the backoff window is open.
-	f.scheduleRepair(rs)
+	f.scheduleRepair(g)
 	if got := len(sentTo(net, ref("m1").Addr)); got != first {
 		t.Fatalf("repair ran inside the backoff window (%d -> %d sends)", first, got)
 	}
@@ -352,12 +384,12 @@ func TestStaleSoftNotificationDiscarded(t *testing.T) {
 	f.addTreeLink(id, 5, ref("n2"))
 	// A soft from a previous generation must not tear the tree down.
 	f.handleSoft(&msgSoftNotification{ID: id, Seq: 4, From: ref("n1")})
-	if _, ok := f.checking[id]; !ok {
+	if checking(f, id) == nil {
 		t.Fatal("stale soft notification tore down current-generation state")
 	}
 	// A current-generation soft does.
 	f.handleSoft(&msgSoftNotification{ID: id, Seq: 5, From: ref("n1")})
-	if _, ok := f.checking[id]; ok {
+	if checking(f, id) != nil {
 		t.Fatal("current soft notification ignored")
 	}
 }
@@ -387,13 +419,13 @@ func TestReconciliationGracePeriodProtectsFreshLinks(t *testing.T) {
 	// The peer's list does not mention the group, but the link is
 	// younger than the grace period: state must survive.
 	f.handleGroupLists(&msgGroupLists{From: ref("peer"), IsReply: true})
-	if _, ok := f.checking[id]; !ok {
+	if checking(f, id) == nil {
 		t.Fatal("grace period did not protect a fresh link")
 	}
 	// Past the grace period the same disagreement kills the link.
 	net.Advance(gracePeriod + time.Second)
 	f.handleGroupLists(&msgGroupLists{From: ref("peer"), IsReply: true})
-	if _, ok := f.checking[id]; ok {
+	if checking(f, id) != nil {
 		t.Fatal("reconciliation did not fail a disagreed link after grace")
 	}
 }
@@ -416,25 +448,25 @@ func TestGracePeriodSurvivesSharedLinkTimer(t *testing.T) {
 
 	lists := &msgGroupLists{From: peer, Entries: []listEntry{{ID: agreedID, Seq: 1}}, IsReply: true}
 	f.handleGroupLists(lists)
-	if _, ok := f.checking[freshID]; !ok {
+	if checking(f, freshID) == nil {
 		t.Fatal("grace period did not protect the fresh group on a shared link")
 	}
-	if _, ok := f.checking[agreedID]; !ok {
+	if checking(f, agreedID) == nil {
 		t.Fatal("agreed group was dropped")
 	}
 	// Agreement re-armed the shared deadline: nothing may expire before
 	// another full CheckTimeout.
 	net.Advance(checkTimeout - time.Second)
-	if _, ok := f.checking[agreedID]; !ok {
+	if checking(f, agreedID) == nil {
 		t.Fatal("shared deadline was not refreshed by reconciliation agreement")
 	}
 	// Past the grace period, the same disagreement kills only the fresh
 	// group; the agreed one keeps riding the link.
 	f.handleGroupLists(lists)
-	if _, ok := f.checking[freshID]; ok {
+	if checking(f, freshID) != nil {
 		t.Fatal("reconciliation did not fail the disagreed group after grace")
 	}
-	if _, ok := f.checking[agreedID]; !ok {
+	if checking(f, agreedID) == nil {
 		t.Fatal("failing the disagreed group tore down the agreed one")
 	}
 	if ls := f.links[peer.Addr]; ls == nil || len(ls.sorted) != 1 {
@@ -452,7 +484,7 @@ func TestReconciliationAgreementResetsTimers(t *testing.T) {
 		Entries: []listEntry{{ID: id, Seq: 2}},
 		IsReply: true,
 	})
-	if _, ok := f.checking[id]; !ok {
+	if checking(f, id) == nil {
 		t.Fatal("agreed link was dropped")
 	}
 	// And a non-reply triggers exactly one reply back.
@@ -475,10 +507,10 @@ func TestReconciliationAgreementResetsTimers(t *testing.T) {
 func TestTeardownStopsEveryTimer(t *testing.T) {
 	f, net := newFakeFuse("n")
 	id := GroupID{Root: ref("r"), Num: 7}
-	f.members[id] = &memberState{id: id}
+	g := asMember(f, id)
 	f.addTreeLink(id, 0, ref("a"))
 	f.addTreeLink(id, 0, ref("b"))
-	f.memberNeedsRepair(f.members[id])
+	f.memberNeedsRepair(g)
 	f.teardown(id)
 	if f.HasState(id) {
 		t.Fatal("state survives teardown")
@@ -491,7 +523,7 @@ func TestTeardownStopsEveryTimer(t *testing.T) {
 func TestLiveGroupsDeduplicatesRoles(t *testing.T) {
 	f, _ := newFakeFuse("n")
 	id := GroupID{Root: f.self, Num: 8}
-	f.roots[id] = &rootState{id: id}
+	asRoot(f, id, new(rootState))
 	f.addTreeLink(id, 0, ref("a"))
 	if got := f.LiveGroups(); len(got) != 1 {
 		t.Fatalf("LiveGroups = %v, want one entry", got)
@@ -509,14 +541,14 @@ func TestSignalFailureOnUnknownGroupIsNoop(t *testing.T) {
 func TestMemberRepairTimerNotExtendedByRepeatedFailures(t *testing.T) {
 	f, net := newFakeFuse("m")
 	id := GroupID{Root: ref("r"), Num: 10}
-	ms := &memberState{id: id}
-	f.members[id] = ms
+	g := asMember(f, id)
+	ms := g.role.member
 	var notices []Notice
 	f.RegisterFailureHandler(func(n Notice) { notices = append(notices, n) }, id)
-	f.memberNeedsRepair(ms)
+	f.memberNeedsRepair(g)
 	first := ms.repairTimer
 	net.Advance(memberRepairTimeout / 2)
-	f.memberNeedsRepair(ms) // second local failure: must not re-arm
+	f.memberNeedsRepair(g) // second local failure: must not re-arm
 	if ms.repairTimer != first {
 		t.Fatal("repeated failure extended the member's deadline")
 	}
@@ -551,12 +583,11 @@ func TestGroupIDStringAndZero(t *testing.T) {
 func TestConfigScale(t *testing.T) {
 	env := transporttest.NewNet().NewEnv("addr-r", 1)
 	f := New(env, overlay.New(env, overlay.DefaultConfig(), "r"), 0.5)
-	ms := &memberState{id: GroupID{Root: ref("s"), Num: 1}}
-	f.members[ms.id] = ms
-	f.memberNeedsRepair(ms)
-	rs := &rootState{id: GroupID{Root: f.self, Num: 2}, members: []overlay.NodeRef{ref("m")}}
-	f.roots[rs.id] = rs
-	f.startRepair(rs)
+	mg := asMember(f, GroupID{Root: ref("s"), Num: 1})
+	ms := mg.role.member
+	f.memberNeedsRepair(mg)
+	rs := &rootState{members: []overlay.NodeRef{ref("m")}}
+	f.startRepair(asRoot(f, GroupID{Root: f.self, Num: 2}, rs))
 	for name, c := range map[string]struct{ got, want time.Duration }{
 		"member repair timer": {ms.repairTimer.(*transporttest.Timer).At() - env.Elapsed(), 30 * time.Second},
 		"root repair timer":   {rs.repairTimer.(*transporttest.Timer).At() - env.Elapsed(), time.Minute},

@@ -31,14 +31,14 @@ import (
 // until the next change: only the sum's 20-byte wire form.
 //
 // The index and the groups' records point at each other, and neither
-// copies the other: the list holds each group's own *checkState (8 bytes
+// copies the other: the list holds each group's own *groupState (8 bytes
 // an entry), and each of the group's treeLinks holds the *linkState it
 // rides (its neighbor is the entry's). So a walk over a link reads every
 // group's ID, generation and per-pair installedAt - the one thing the
 // reconciliation grace period reads - straight from the record. The
-// invariant: every record a list holds is the f.checking entry for its
-// ID and has a treeLink on that list's entry, and every treeLink's entry
-// is the one f.links holds for its neighbor's address.
+// invariant: every record a list holds is the node's record for its ID
+// (f.groups') and has a treeLink on that list's entry, and every
+// treeLink's entry is the one f.links holds for its neighbor's address.
 //
 // The piggyback is a hash of the *set*: each ID's SHA-1 (over its root
 // name, a zero byte and its little-endian counter) is read as five
@@ -59,13 +59,13 @@ import (
 type linkState struct {
 	neighbor overlay.NodeRef
 
-	// sorted is the link's membership: the checking records of the
-	// groups monitored across it - each the f.checking entry itself -
+	// sorted is the link's membership: the records of the groups
+	// monitored across it - each the f.groups entry itself -
 	// ordered by their IDs' (Root.Name, Num), the order reconciliation
 	// lists and walks them in. attach and detach edit it in place, so a
 	// caller that tears groups down while walking the link iterates a
 	// snapshot of the IDs or finds its place again after each teardown.
-	sorted []*checkState
+	sorted []*groupState
 
 	// sum is the piggyback: the lane-wise sum of digestID over sorted.
 	sum [5]uint32
@@ -137,7 +137,7 @@ func compareIDs(a, b GroupID) int {
 
 // compareRecord is compareIDs between a listed record's ID and id: the
 // comparison a binary search over sorted takes.
-func compareRecord(cs *checkState, id GroupID) int { return compareIDs(cs.id, id) }
+func compareRecord(g *groupState, id GroupID) int { return compareIDs(g.id, id) }
 
 // find locates id in sorted: its index if present, else where it belongs.
 // The binary search lands on the first ID equal in name and counter; the
@@ -167,12 +167,12 @@ func digestID(id GroupID) (d [5]uint32) {
 	return d
 }
 
-// attach adds the group cs records to the link's membership (a no-op if
+// attach adds the group g records to the link's membership (a no-op if
 // its ID is already there).
-func (ls *linkState) attach(cs *checkState) {
-	if i, ok := ls.find(cs.id); !ok {
-		ls.sorted = slices.Insert(ls.sorted, i, cs)
-		for k, lane := range digestID(cs.id) {
+func (ls *linkState) attach(g *groupState) {
+	if i, ok := ls.find(g.id); !ok {
+		ls.sorted = slices.Insert(ls.sorted, i, g)
+		for k, lane := range digestID(g.id) {
 			ls.sum[k] += lane
 		}
 		ls.hash = nil
@@ -197,8 +197,8 @@ func (ls *linkState) detach(id GroupID) {
 // looks each ID up again before acting on it.
 func (ls *linkState) snapshot() []GroupID {
 	ids := make([]GroupID, len(ls.sorted))
-	for i, cs := range ls.sorted {
-		ids[i] = cs.id
+	for i, g := range ls.sorted {
+		ids[i] = g.id
 	}
 	return ids
 }
@@ -270,7 +270,7 @@ func (f *Fuse) linkTimedOut(ls *linkState) {
 	}
 	f.tm.linkTimeouts.Inc(f.tm.lane)
 	for _, id := range ls.snapshot() {
-		if cs, ok := f.checking[id]; ok && cs.link(ls.neighbor.Addr) != nil {
+		if g := f.groups[id]; g != nil && g.link(ls.neighbor.Addr) != nil {
 			span := f.tm.lane.NewSpan()
 			if span != 0 {
 				f.trace("trigger", id, span, 0, "link-timeout "+ls.neighbor.Name)

@@ -108,7 +108,7 @@ func TestRunningSumMatchesFromScratchFold(t *testing.T) {
 			name := make([]byte, rng.Intn(40))
 			rng.Read(name)
 			ids[i] = GroupID{Root: ref(string(name)), Num: rng.Uint64()}
-			ls.attach(&checkState{id: ids[i]})
+			ls.attach(&groupState{id: ids[i]})
 			if n > 400 && (i+1)%250 != 0 {
 				continue
 			}
@@ -197,7 +197,7 @@ func TestLinkDrainAndRefill(t *testing.T) {
 	for step := 0; step < 100000; step++ {
 		id := GroupID{Root: overlay.NodeRef{Name: fmt.Sprintf("n%d", rng.Intn(5)), Addr: transport.Addr(rune('x' + rng.Intn(2)))}, Num: uint64(rng.Intn(20))}
 		if rng.Intn(2) == 0 {
-			ls.attach(&checkState{id: id})
+			ls.attach(&groupState{id: id})
 			set[id] = true
 		} else {
 			ls.detach(id)
@@ -256,16 +256,16 @@ func TestLinkIndexMatchesReference(t *testing.T) {
 			}
 			id := universe[rng.Intn(len(universe))]
 			if (rng.Intn(4) != 0) == filling {
-				cs := f.checking[id]
-				if cs == nil {
-					cs = &checkState{id: id, links: []treeLink{{ls: ls}}}
-					f.checking[id] = cs
+				g := f.groups[id]
+				if g == nil {
+					g = &groupState{id: id, links: []treeLink{{ls: ls}}}
+					f.groups[id] = g
 				}
-				ls.attach(cs)
+				ls.attach(g)
 				set[id] = true
 			} else {
 				ls.detach(id)
-				delete(f.checking, id)
+				delete(f.groups, id)
 				delete(set, id)
 			}
 
@@ -402,9 +402,9 @@ func TestLinkIndexChangeAllocatesOnlyTheDigest(t *testing.T) {
 func changeAllocatesOnlyTheDigest(t *testing.T, n int) {
 	ls := &linkState{}
 	for i := 0; i < n; i++ {
-		ls.attach(&checkState{id: GroupID{Root: ref(fmt.Sprintf("n%03d.example.org", i%10)), Num: uint64(i)}})
+		ls.attach(&groupState{id: GroupID{Root: ref(fmt.Sprintf("n%03d.example.org", i%10)), Num: uint64(i)}})
 	}
-	extra := &checkState{id: GroupID{Root: ref("n005.example.org"), Num: 1 << 40}}
+	extra := &groupState{id: GroupID{Root: ref("n005.example.org"), Num: 1 << 40}}
 	ls.attach(extra) // grow the list once, outside the measurement
 	ls.detach(extra.id)
 	settled := append([]byte(nil), ls.linkHash()...)
@@ -457,7 +457,7 @@ func TestLinkDeathTearsDownEveryGroupOnce(t *testing.T) {
 			}
 			notices := make(map[GroupID]int)
 			for _, id := range ids {
-				f.members[id] = &memberState{id: id}
+				asMember(f, id)
 				f.RegisterFailureHandler(func(n Notice) { notices[n.ID]++ }, id)
 				f.addTreeLink(id, 0, peer)
 				f.addTreeLink(id, 0, other)
@@ -484,7 +484,7 @@ func TestLinkDeathTearsDownEveryGroupOnce(t *testing.T) {
 					t.Errorf("group %v: %d soft notifications to its other link, %d repair requests, %d notices; want 1 each",
 						id, softs[id], repairs[id], notices[id])
 				}
-				if _, ok := f.checking[id]; ok {
+				if checking(f, id) != nil {
 					t.Errorf("group %v still has checking state", id)
 				}
 			}
@@ -502,7 +502,7 @@ func TestLinkDeathTearsDownEveryGroupOnce(t *testing.T) {
 }
 
 // TestCheckingStateBytes pins what a group's checking state costs one
-// node: its checkState and tree links, its f.checking entry, and its
+// node: its record and tree links, its f.groups entry, and its
 // share of the lists of the links it rides. 20,000 groups are installed
 // over 16 links, once as members with one tree link each and once as
 // delegates with two, and the live heap is read, after a collection,
@@ -533,8 +533,8 @@ func TestCheckingStateBytes(t *testing.T) {
 			}
 		}
 		after := liveHeap()
-		if len(f.checking) != groups || len(f.links) != len(peers) {
-			t.Fatalf("%d groups on %d links, want %d on %d", len(f.checking), len(f.links), groups, len(peers))
+		if len(f.groups) != groups || len(f.links) != len(peers) {
+			t.Fatalf("%d groups on %d links, want %d on %d", len(f.groups), len(f.links), groups, len(peers))
 		}
 		runtime.KeepAlive(ids)
 		per := (after - before) / groups

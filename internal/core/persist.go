@@ -55,22 +55,16 @@ func (f *Fuse) Recover() {
 		return
 	}
 	for _, rec := range f.persist.LoadGroups() {
+		g := f.withRole(rec.ID)
 		if rec.IsRoot {
-			rs := &rootState{
-				id:      rec.ID,
-				seq:     rec.Seq,
-				members: rec.Members,
-				backoff: f.scaled(backoffInitial),
-			}
-			f.roots[rec.ID] = rs
-			if len(rs.members) > 0 {
-				f.scheduleRepair(rs)
+			g.role.root = &rootState{seq: rec.Seq, members: rec.Members, backoff: f.scaled(backoffInitial)}
+			if len(rec.Members) > 0 {
+				f.scheduleRepair(g)
 			}
 			continue
 		}
-		ms := &memberState{id: rec.ID, seq: rec.Seq}
-		f.members[rec.ID] = ms
-		f.memberNeedsRepair(ms)
+		g.role.member = &memberState{seq: rec.Seq}
+		f.memberNeedsRepair(g)
 	}
 	f.recoverUntil = f.env.Elapsed() + f.scaled(checkTimeout)
 	for _, nb := range f.ov.Neighbors() {
@@ -78,17 +72,19 @@ func (f *Fuse) Recover() {
 	}
 }
 
-// saveMember records a member-role membership if persistence is attached.
-func (f *Fuse) saveMember(ms *memberState) {
+// saveMember records g's member-role membership if persistence is
+// attached.
+func (f *Fuse) saveMember(g *groupState) {
 	if f.persist != nil {
-		f.persist.SaveGroup(GroupRecord{ID: ms.id, Seq: ms.seq})
+		f.persist.SaveGroup(GroupRecord{ID: g.id, Seq: g.role.member.seq})
 	}
 }
 
-// saveRoot records a root-role membership if persistence is attached.
-func (f *Fuse) saveRoot(rs *rootState) {
+// saveRoot records g's root-role membership if persistence is attached.
+func (f *Fuse) saveRoot(g *groupState) {
 	if f.persist != nil {
-		f.persist.SaveGroup(GroupRecord{ID: rs.id, Seq: rs.seq, IsRoot: true, Members: rs.members})
+		rs := g.role.root
+		f.persist.SaveGroup(GroupRecord{ID: g.id, Seq: rs.seq, IsRoot: true, Members: rs.members})
 	}
 }
 

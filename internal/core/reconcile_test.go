@@ -4,7 +4,7 @@ package core
 // link's sorted list of records against the neighbour's ID list, in
 // place; the reference below is the way it used to be done - the
 // neighbour's list into a map, our own IDs copied before the first
-// teardown, each looked up again in f.checking - and the two must leave
+// teardown, each looked up again in f.groups - and the two must leave
 // the node in the same state having sent the same messages in the same
 // order.
 
@@ -35,15 +35,15 @@ func refHandleGroupLists(f *Fuse, m *msgGroupLists) {
 		ours = ls.snapshot()
 	}
 	for _, id := range ours {
-		cs, ok := f.checking[id]
-		if !ok || cs.link(m.From.Addr) == nil {
+		g := f.groups[id]
+		if g == nil || g.link(m.From.Addr) == nil {
 			continue // torn down earlier in this same pass
 		}
 		if theirs[id] {
 			agreed = true
 			continue
 		}
-		if now-cs.link(m.From.Addr).installedAt < gracePeriod {
+		if now-g.link(m.From.Addr).installedAt < gracePeriod {
 			continue
 		}
 		f.linkFailed(id, overlay.NodeRef{}, f.tm.lane.NewSpan())
@@ -88,7 +88,7 @@ func (c *reconcileCase) build() (*Fuse, *transporttest.Net) {
 			if g.young != young {
 				continue
 			}
-			f.members[g.id] = &memberState{id: g.id}
+			asMember(f, g.id)
 			f.addTreeLink(g.id, g.seq, ref("peer"))
 			if g.otherLink {
 				f.addTreeLink(g.id, g.seq, ref("other"))
@@ -130,13 +130,24 @@ type outcomeLink struct {
 	installedAt time.Duration
 }
 
+// memberCount is the number of groups f is a member of.
+func memberCount(f *Fuse) int {
+	n := 0
+	for _, g := range f.groups {
+		if g.roles().member != nil {
+			n++
+		}
+	}
+	return n
+}
+
 func outcomeOf(f *Fuse, net *transporttest.Net) reconcileOutcome {
 	o := reconcileOutcome{
 		sent:     net.Sends(),
 		links:    make(map[transport.Addr][]GroupID),
 		deadline: make(map[transport.Addr]time.Duration),
 		checking: make(map[GroupID][]outcomeLink),
-		members:  len(f.members),
+		members:  memberCount(f),
 	}
 	for addr, ls := range f.links {
 		o.links[addr] = ls.snapshot()
@@ -144,8 +155,8 @@ func outcomeOf(f *Fuse, net *transporttest.Net) reconcileOutcome {
 			o.deadline[addr] = tm.At()
 		}
 	}
-	for id, cs := range f.checking {
-		for _, l := range cs.links {
+	for id, g := range f.groups {
+		for _, l := range g.links {
 			o.checking[id] = append(o.checking[id], outcomeLink{l.ls.neighbor.Addr, l.installedAt})
 		}
 	}

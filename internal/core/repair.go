@@ -11,54 +11,57 @@ import "time"
 // failure timer. If a repair is already pending, the existing timer keeps
 // counting: the member's deadline must not be extended by repeated local
 // failures, or notification latency would be unbounded.
-func (f *Fuse) memberNeedsRepair(ms *memberState) {
+func (f *Fuse) memberNeedsRepair(g *groupState) {
+	ms, id := g.role.member, g.id
 	if ms.repairTimer != nil {
 		return
 	}
-	f.env.Send(ms.id.Root.Addr, &msgNeedRepair{ID: ms.id, Seq: ms.seq, Member: f.self})
+	f.env.Send(id.Root.Addr, &msgNeedRepair{ID: id, Seq: ms.seq, Member: f.self})
 	ms.repairTimer = f.env.After(f.scaled(memberRepairTimeout), func() {
 		// The root never responded: conclude the group has failed
 		// (member-side guarantee). Tell the root anyway - if it is
 		// alive behind an asymmetric failure, it will fan out the
 		// notification.
 		span := ms.cause
-		f.trace("member-timeout", ms.id, span, 0, "")
-		f.env.Send(ms.id.Root.Addr, &msgHardNotification{ID: ms.id, From: f.self, Trace: span})
-		f.notifyLocal(ms.id, ReasonRepairTimeout, span)
-		f.teardown(ms.id)
+		f.trace("member-timeout", id, span, 0, "")
+		f.env.Send(id.Root.Addr, &msgHardNotification{ID: id, From: f.self, Trace: span})
+		f.notifyLocal(id, ReasonRepairTimeout, span)
+		f.teardown(id)
 	})
 }
 
 // handleNeedRepair lets a member prod the root into repairing.
 func (f *Fuse) handleNeedRepair(m *msgNeedRepair) {
-	rs, ok := f.roots[m.ID]
-	if !ok {
+	g := f.groups[m.ID]
+	if g.roles().root == nil {
 		// The group no longer exists here; the member must hear that as
 		// a failure.
 		f.env.Send(m.Member.Addr, &msgHardNotification{ID: m.ID, From: f.self})
 		return
 	}
-	f.scheduleRepair(rs)
+	f.scheduleRepair(g)
 }
 
 // scheduleRepair starts a repair attempt, deferring it while the per-group
 // backoff window is open and collapsing duplicate triggers.
-func (f *Fuse) scheduleRepair(rs *rootState) {
+func (f *Fuse) scheduleRepair(g *groupState) {
+	rs := g.role.root
 	if rs.repairPending != nil || rs.backoffTimer != nil {
 		return // already repairing or already scheduled
 	}
 	if now := f.env.Elapsed(); now < rs.backoffUntil {
 		rs.backoffTimer = f.env.After(rs.backoffUntil-now, func() {
 			rs.backoffTimer = nil
-			f.startRepair(rs)
+			f.startRepair(g)
 		})
 		return
 	}
-	f.startRepair(rs)
+	f.startRepair(g)
 }
 
-func (f *Fuse) startRepair(rs *rootState) {
-	if _, live := f.roots[rs.id]; !live || rs.repairPending != nil {
+func (f *Fuse) startRepair(g *groupState) {
+	rs := g.role.root
+	if f.groups[g.id].roles().root == nil || rs.repairPending != nil {
 		return
 	}
 	if len(rs.members) == 0 {
@@ -67,9 +70,9 @@ func (f *Fuse) startRepair(rs *rootState) {
 	// Advance the generation: stale soft notifications and installs from
 	// the previous tree no longer count.
 	rs.seq++
-	f.saveRoot(rs)
+	f.saveRoot(g)
 	f.tm.repairs.Inc(f.tm.lane)
-	f.trace("repair", rs.id, rs.cause, 0, "")
+	f.trace("repair", g.id, rs.cause, 0, "")
 
 	// Update the backoff window for the *next* attempt.
 	rs.backoff = max(rs.backoff, f.scaled(backoffInitial))
@@ -81,14 +84,14 @@ func (f *Fuse) startRepair(rs *rootState) {
 	for _, m := range rs.members {
 		rs.repairPending[m.Name] = true
 		rs.installPending[m.Name] = true
-		f.env.Send(m.Addr, &msgGroupRepairRequest{ID: rs.id, Seq: rs.seq})
+		f.env.Send(m.Addr, &msgGroupRepairRequest{ID: g.id, Seq: rs.seq})
 	}
 	stopTimer(rs.repairTimer)
 	rs.repairTimer = f.env.After(f.scaled(rootRepairTimeout), func() {
 		if len(rs.repairPending) > 0 {
 			// Some member never answered a direct request: the group
 			// has failed (root-side guarantee).
-			f.rootFail(rs, ReasonRepairFailed)
+			f.rootFail(g, ReasonRepairFailed)
 		}
 	})
 }
@@ -96,8 +99,9 @@ func (f *Fuse) startRepair(rs *rootState) {
 // handleRepairRequest is the member side of repair: adopt the new
 // sequence number, answer directly, and re-route InstallChecking.
 func (f *Fuse) handleRepairRequest(m *msgGroupRepairRequest) {
-	ms, ok := f.members[m.ID]
-	if !ok {
+	g := f.groups[m.ID]
+	ms := g.roles().member
+	if ms == nil {
 		// "If a repair message ever encounters a member that no longer
 		// has knowledge of the group, it fails and signals a
 		// HardNotification" - this guarantees repair cannot suppress a
@@ -109,7 +113,7 @@ func (f *Fuse) handleRepairRequest(m *msgGroupRepairRequest) {
 		return // stale repair generation
 	}
 	ms.seq = m.Seq
-	f.saveMember(ms)
+	f.saveMember(g)
 	// The root is alive and repairing: stand down the member-side
 	// failure timer (and the failure attribution it carried).
 	stopTimer(ms.repairTimer)
@@ -124,8 +128,9 @@ func (f *Fuse) handleRepairRequest(m *msgGroupRepairRequest) {
 
 // handleRepairReply collects members' repair acknowledgments at the root.
 func (f *Fuse) handleRepairReply(m *msgGroupRepairReply) {
-	rs, ok := f.roots[m.ID]
-	if !ok || rs.repairPending == nil || m.Seq != rs.seq {
+	g := f.groups[m.ID]
+	rs := g.roles().root
+	if rs == nil || rs.repairPending == nil || m.Seq != rs.seq {
 		return
 	}
 	delete(rs.repairPending, m.Member.Name)
@@ -136,7 +141,7 @@ func (f *Fuse) handleRepairReply(m *msgGroupRepairReply) {
 	rs.repairPending = nil
 	stopTimer(rs.repairTimer)
 	rs.repairTimer = nil
-	f.armInstallTimer(rs)
+	f.armInstallTimer(g)
 }
 
 // rootFail is the root-side failure fan-out: notify the application here,
@@ -145,31 +150,28 @@ func (f *Fuse) handleRepairReply(m *msgGroupRepairReply) {
 // fan-out inherits the span of the observation that drove the root here
 // (or allocates one for a direct trigger like SignalFailure), so every
 // member's delivery chains back to the same trigger event.
-func (f *Fuse) rootFail(rs *rootState, reason Reason) {
+func (f *Fuse) rootFail(g *groupState, reason Reason) {
+	rs, id := g.role.root, g.id
 	span := rs.cause
 	if span == 0 {
 		span = f.tm.lane.NewSpan()
-		f.trace("trigger", rs.id, span, 0, string(reason))
+		f.trace("trigger", id, span, 0, string(reason))
 	}
-	f.trace("hard-fanout", rs.id, span, 0, string(reason))
+	f.trace("hard-fanout", id, span, 0, string(reason))
 	for _, m := range rs.members {
-		f.env.Send(m.Addr, &msgHardNotification{ID: rs.id, From: f.self, Trace: span})
+		f.env.Send(m.Addr, &msgHardNotification{ID: id, From: f.self, Trace: span})
 	}
-	f.softSweep(rs.id, span)
-	f.notifyLocal(rs.id, reason, span)
-	f.teardown(rs.id)
+	f.softSweep(g, span)
+	f.notifyLocal(id, reason, span)
+	f.teardown(id)
 }
 
-// softSweep sends SoftNotifications along all current tree links to clean
+// softSweep sends SoftNotifications along all of g's tree links to clean
 // delegate state proactively.
-func (f *Fuse) softSweep(id GroupID, span uint64) {
-	cs, ok := f.checking[id]
-	if !ok {
-		return
-	}
-	seq := cs.seq + 1 // strictly newer than any installed generation
-	for _, l := range cs.links {
-		f.env.Send(l.ls.neighbor.Addr, &msgSoftNotification{ID: id, Seq: seq, From: f.self, Trace: span})
+func (f *Fuse) softSweep(g *groupState, span uint64) {
+	seq := g.seq + 1 // strictly newer than any installed generation
+	for _, l := range g.links {
+		f.env.Send(l.ls.neighbor.Addr, &msgSoftNotification{ID: g.id, Seq: seq, From: f.self, Trace: span})
 	}
 }
 
@@ -178,38 +180,33 @@ func (f *Fuse) softSweep(id GroupID, span uint64) {
 // once and tears down group state.
 func (f *Fuse) handleHard(m *msgHardNotification) {
 	f.tm.hards.Inc(f.tm.lane)
-	if rs, ok := f.roots[m.ID]; ok {
+	g := f.groups[m.ID]
+	switch r := g.roles(); {
+	case r.root != nil:
 		f.trace("hard-fanout", m.ID, m.Trace, 0, m.From.Name)
-		for _, mem := range rs.members {
+		for _, mem := range r.root.members {
 			if mem.Addr == m.From.Addr {
 				continue // the signaller already knows
 			}
 			f.env.Send(mem.Addr, &msgHardNotification{ID: m.ID, From: f.self, Trace: m.Trace})
 		}
-		f.softSweep(m.ID, m.Trace)
+		f.softSweep(g, m.Trace)
 		f.notifyLocal(m.ID, ReasonNotified, m.Trace)
 		f.teardown(m.ID)
-		return
-	}
-	if _, ok := f.members[m.ID]; ok {
+	case r.member != nil:
 		f.notifyLocal(m.ID, ReasonNotified, m.Trace)
 		f.teardown(m.ID)
-		return
-	}
-	if c, ok := f.creating[m.ID]; ok {
+	case r.creating != nil:
 		// A member signalled failure while we were still creating.
-		stopTimer(c.timer)
-		delete(f.creating, m.ID)
-		for _, mem := range c.members {
+		for _, mem := range r.creating.members {
 			if mem.Addr != m.From.Addr {
 				f.env.Send(mem.Addr, &msgHardNotification{ID: m.ID, From: f.self, Trace: m.Trace})
 			}
 		}
-		f.dropChecking(m.ID)
-		c.done(GroupID{}, ErrGroupFailed)
-		return
+		f.teardown(m.ID)
+		r.creating.done(GroupID{}, ErrGroupFailed)
 	}
-	// Unknown group (already notified): drop.
+	// Otherwise the group is unknown (already notified): drop.
 }
 
 // ErrGroupFailed reports a creation aborted by a failure notification.

@@ -28,6 +28,17 @@ func metric(c *cluster.Cluster, name string) int64 {
 	return v
 }
 
+// checkingTotals sums every node's checking state in c: the monitored
+// (group, link) pairs and the shared check timers behind them.
+func checkingTotals(c *cluster.Cluster) (pairs, timers int) {
+	for _, nd := range c.Nodes {
+		_, np, nt := nd.Fuse.CheckingStats()
+		pairs += np
+		timers += nt
+	}
+	return pairs, timers
+}
+
 // SteadyStateLoad reproduces the §7.5 steady-state measurement: the
 // background message rate of the overlay alone versus the overlay with
 // 400 idle FUSE groups of 10 members. The paper measured 337 vs 338

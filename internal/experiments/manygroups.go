@@ -36,12 +36,7 @@ func ManyGroupsSteadyState(p Params) (*Result, error) {
 	}
 	c.Sim.RunFor(2 * time.Minute) // drain creation and install traffic
 
-	var pairs, timers int
-	for _, nd := range c.Nodes {
-		_, np, nt := nd.Fuse.CheckingStats()
-		pairs += np
-		timers += nt
-	}
+	pairs, timers := checkingTotals(c)
 
 	wall := time.Now()
 	rate := msgRate(c, 0, window)

@@ -106,12 +106,7 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	createWall := time.Since(createStart)
 
 	c.Sim.RunFor(drain)
-	var pairs, timers int
-	for _, nd := range c.Nodes {
-		_, np, nt := nd.Fuse.CheckingStats()
-		pairs += np
-		timers += nt
-	}
+	pairs, timers := checkingTotals(c)
 
 	// Steady-state measurement window.
 	baseExec := metric(c, "eventsim_events_executed_total")
