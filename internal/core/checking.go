@@ -23,17 +23,15 @@ func (f *Fuse) addTreeLink(id GroupID, seq uint64, neighbor overlay.NodeRef) {
 		g.seq = seq
 	}
 	ls := f.linkFor(neighbor)
-	if l := g.link(neighbor.Addr); l != nil {
-		l.installedAt = f.env.Elapsed()
-		f.ensureLinkTimer(ls)
-		return
-	}
 	i := 0
 	for i < len(g.links) && g.links[i].ls.neighbor.Addr < neighbor.Addr {
 		i++
 	}
-	g.links = slices.Insert(g.links, i, treeLink{ls: ls, installedAt: f.env.Elapsed()})
-	ls.attach(g)
+	if i == len(g.links) || g.links[i].ls != ls {
+		g.links = slices.Insert(g.links, i, treeLink{ls: ls})
+		ls.attach(g)
+	}
+	g.links[i].installedAt = f.env.Elapsed()
 	f.ensureLinkTimer(ls)
 }
 
@@ -172,12 +170,12 @@ func (f *Fuse) installArrivedAtRoot(ic *msgInstallChecking, prev overlay.NodeRef
 // neighbor over the overlay's link id link: the sum of the SHA-1 digests
 // of the IDs of all groups whose checking tree includes the link to that
 // neighbor (20 bytes, exactly the paper's overhead; see linkindex.go).
-// The hash comes straight from the per-link index, found by link id: O(1)
-// per ping, not a scan over every group on the node. The caller may hold
-// the slice while the ping is in flight: a membership change makes a
-// fresh one and leaves these bytes as they were.
+// The hash comes straight from the per-link index, its slot indexed by
+// link id: O(1) per ping, not a scan over every group on the node. The
+// caller may hold the slice while the ping is in flight: a membership
+// change makes a fresh one and leaves these bytes as they were.
 func (f *Fuse) LinkPayload(link uint32, neighbor overlay.NodeRef) []byte {
-	ls := f.linkByID(link, neighbor.Addr)
+	ls := f.linkAt(link, neighbor.Addr)
 	if ls == nil {
 		return nil
 	}
@@ -192,7 +190,7 @@ func (f *Fuse) PingPayload(neighbor overlay.NodeRef) []byte { return f.LinkPaylo
 // single shared deadline, refreshing every group on the link at once; a
 // mismatch starts an explicit list exchange.
 func (f *Fuse) OnLinkPayload(link uint32, neighbor overlay.NodeRef, payload []byte) {
-	ls := f.linkByID(link, neighbor.Addr)
+	ls := f.linkAt(link, neighbor.Addr)
 	if ls == nil {
 		if len(payload) == 0 {
 			return // neither side monitors anything across this link
@@ -218,20 +216,37 @@ func (f *Fuse) OnPingPayload(neighbor overlay.NodeRef, payload []byte) {
 	f.OnLinkPayload(0, neighbor, payload)
 }
 
-// OnNeighborUp reconciles eagerly with a neighbor that just entered the
-// routing table, but only inside the post-Recover probe window (§3.6
-// rejoin): a restarted node's neighbors still monitor groups across links
-// the restart wiped, and without a probe they would only find out at the
-// next ping exchange (or, if the restarted node never re-pings them, a
-// full CheckTimeout later). The probe is an unsolicited GroupLists with
-// our — empty — view of the link; the neighbor tears its stale entries
-// down as link failures, which drives members to the root for the repair
-// that rebuilds this node's per-link checking registry.
-func (f *Fuse) OnNeighborUp(neighbor overlay.NodeRef) {
+// OnNeighborUp moves a stranger's entry for neighbor, if there is one,
+// into the slot of its new link id, membership and deadline as they were.
+//
+// Then it reconciles eagerly with the neighbor, but only inside the
+// post-Recover probe window (§3.6 rejoin): a restarted node's neighbors
+// still monitor groups across links the restart wiped, and without a
+// probe they would only find out at the next ping exchange (or, if the
+// restarted node never re-pings them, a full CheckTimeout later). The
+// probe is an unsolicited GroupLists with our — empty — view of the
+// link; the neighbor tears its stale entries down as link failures,
+// which drives members to the root for the repair that rebuilds this
+// node's per-link checking registry.
+func (f *Fuse) OnNeighborUp(link uint32, neighbor overlay.NodeRef) {
+	if ls := f.strangers[neighbor.Addr]; ls != nil {
+		delete(f.strangers, neighbor.Addr)
+		f.place(ls, link)
+	}
 	if f.env.Elapsed() >= f.recoverUntil {
 		return
 	}
 	f.sendReconcileProbe(neighbor)
+}
+
+// OnLinkClosed moves the entry in link's slot, if any, to strangers: the
+// groups riding the link stay on it, refreshed by whatever pings the
+// neighbor still sends, until a check fails or they leave.
+func (f *Fuse) OnLinkClosed(link uint32, neighbor overlay.NodeRef) {
+	if ls := f.linkAt(link, neighbor.Addr); ls != nil {
+		f.slots[link-1] = nil
+		f.place(ls, 0)
+	}
 }
 
 // sendReconcileProbe sends our current (possibly empty) group list for
@@ -243,18 +258,8 @@ func (f *Fuse) sendReconcileProbe(neighbor overlay.NodeRef) {
 // OnNeighborDown converts an overlay-level link death into FUSE link
 // failures for every group monitored across that link.
 func (f *Fuse) OnNeighborDown(neighbor overlay.NodeRef) {
-	ls, ok := f.links[neighbor.Addr]
-	if !ok {
-		return
-	}
-	for _, id := range ls.snapshot() {
-		if g := f.groups[id]; g != nil && g.link(neighbor.Addr) != nil {
-			span := f.tm.lane.NewSpan()
-			if span != 0 {
-				f.trace("trigger", id, span, 0, "neighbor-down "+neighbor.Name)
-			}
-			f.linkFailed(id, overlay.NodeRef{}, span) // not triggered by a peer's soft: notify all links
-		}
+	if ls := f.linkAt(0, neighbor.Addr); ls != nil {
+		f.failLink(ls, "neighbor-down ", overlay.NodeRef{}) // not triggered by a peer's soft: notify all links
 	}
 }
 
@@ -264,8 +269,8 @@ func (f *Fuse) OnNeighborDown(neighbor overlay.NodeRef) {
 // lists. Cold-path helper for reconciliation; the ping paths use the hash
 // directly.
 func (f *Fuse) linkEntries(addr transport.Addr) []listEntry {
-	ls, ok := f.links[addr]
-	if !ok {
+	ls := f.linkAt(0, addr)
+	if ls == nil {
 		return nil
 	}
 	entries := make([]listEntry, len(ls.sorted))
@@ -292,7 +297,7 @@ func (f *Fuse) handleGroupLists(m *msgGroupLists) {
 	}
 	now := f.env.Elapsed()
 	agreed := false
-	ls := f.links[m.From.Addr]
+	ls := f.linkAt(0, m.From.Addr)
 	for i := 0; ls != nil && i < len(ls.sorted); {
 		g := ls.sorted[i]
 		id := g.id
@@ -319,10 +324,8 @@ func (f *Fuse) handleGroupLists(m *msgGroupLists) {
 		// again, the same way.
 		i, _ = slices.BinarySearchFunc(ls.sorted, id, compareRecord)
 	}
-	if agreed {
-		if ls, ok := f.links[m.From.Addr]; ok {
-			f.resetLinkTimer(ls)
-		}
+	if agreed && len(ls.sorted) > 0 { // not emptied by a teardown, so still indexed
+		f.resetLinkTimer(ls)
 	}
 	if !m.IsReply {
 		f.env.Send(m.From.Addr, &msgGroupLists{From: f.self, Entries: f.linkEntries(m.From.Addr), IsReply: true})

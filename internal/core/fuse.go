@@ -192,18 +192,18 @@ type Fuse struct {
 	// checking tree.
 	groups map[GroupID]*groupState
 
-	// links is the per-link checking index: for each overlay link, the
-	// groups monitored across it, their running piggyback hash, and the
-	// single shared CheckTimeout deadline (see linkindex.go).
-	links map[transport.Addr]*linkState
+	// slots is the per-link checking index, by the overlay's link id
+	// (slot id-1): for each link some group rides, the groups monitored
+	// across it, their running piggyback hash, and the single shared
+	// CheckTimeout deadline; nil for a link no group rides (see
+	// linkindex.go). It is as long as the highest id that ever held an
+	// entry.
+	slots []*linkState
 
-	// byID caches links by the overlay's link id (slot id-1), so the ping
-	// paths probe the map only on a miss (linkByID). A slot answers for
-	// the address it was filled for, and only under the linksGen it was
-	// filled under: linksGen moves whenever links gains or loses an
-	// entry, which invalidates every slot at once.
-	byID     []linkSlot
-	linksGen uint64
+	// strangers holds, by address, the entries for links the overlay has
+	// no id for: neighbors that left its tables, or never entered them,
+	// while groups ride the link. Nil until the first one.
+	strangers map[transport.Addr]*linkState
 
 	// persist, when non-nil, records group memberships durably (§3.6
 	// stable-storage variant).
@@ -348,9 +348,10 @@ type memberState struct {
 }
 
 // treeLink is one monitored (group, neighbor) pair, in 16 bytes. ls is
-// the link's index entry - f.links[ls.neighbor.Addr] for as long as the
-// pair exists - which holds the neighbor's reference and the freshness
-// clock shared by every group on the link. installedAt, on the Env's
+// the link's index entry - the one the index holds for ls.neighbor, in
+// its slot or among strangers, for as long as the pair exists - which
+// holds the neighbor's reference and the freshness clock shared by every
+// group on the link. installedAt, on the Env's
 // Elapsed clock, stays per pair for the reconciliation grace period.
 type treeLink struct {
 	ls          *linkState
@@ -362,13 +363,11 @@ type treeLink struct {
 // constant: 1 is the paper's timing.
 func New(env transport.Env, ov *overlay.Node, scale float64) *Fuse {
 	f := &Fuse{
-		env:      env,
-		ov:       ov,
-		scale:    scale,
-		self:     ov.Self(),
-		groups:   make(map[GroupID]*groupState),
-		links:    make(map[transport.Addr]*linkState),
-		linksGen: 1, // a zero slot is never valid
+		env:    env,
+		ov:     ov,
+		scale:  scale,
+		self:   ov.Self(),
+		groups: make(map[GroupID]*groupState),
 	}
 	if lane := telemetry.FromEnv(env); lane != nil {
 		reg := lane.Registry()
@@ -417,8 +416,13 @@ func (f *Fuse) CheckingStats() (groups, pairs, timers int) {
 			pairs += len(g.links)
 		}
 	}
-	timers = len(f.links) // one shared deadline per monitored link
-	return groups, pairs, timers
+	// One shared deadline per monitored link.
+	for _, ls := range f.slots {
+		if ls != nil {
+			timers++
+		}
+	}
+	return groups, pairs, timers + len(f.strangers)
 }
 
 // HasState reports whether the node holds any state for id.
@@ -556,14 +560,6 @@ func (f *Fuse) dropChecking(id GroupID) {
 	if g.role == nil {
 		delete(f.groups, id)
 	}
-}
-
-// detachLinks takes g off every link it rides and empties its tree.
-func (f *Fuse) detachLinks(g *groupState) {
-	for _, l := range g.links {
-		f.detachFromLink(g.id, l.ls)
-	}
-	g.links, g.seq = nil, 0
 }
 
 func stopTimer(t transport.Timer) {

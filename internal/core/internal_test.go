@@ -117,18 +117,50 @@ func asRoot(f *Fuse, id GroupID, rs *rootState) *groupState {
 	return g
 }
 
+// indexEntries is every entry of the per-link index: the slots', in id
+// order, then the strangers'.
+func indexEntries(f *Fuse) []*linkState {
+	var out []*linkState
+	for _, ls := range f.slots {
+		if ls != nil {
+			out = append(out, ls)
+		}
+	}
+	for _, ls := range f.strangers {
+		out = append(out, ls)
+	}
+	return out
+}
+
 // indexPointsAtRecords checks the pointers between the per-link index and
 // the groups' records: every record a link's list holds is the very
 // f.groups entry for its ID and has a tree link on that list's entry,
-// and every tree link's entry is the one f.links holds for the entry's
-// neighbor and lists the record. It also checks the records themselves:
-// each is filed under its own ID, none is empty (no role, no creation
-// and no tree link), and one without tree links has generation 0.
+// and every tree link's entry is the one the index holds for the entry's
+// neighbor and lists the record. It checks where each entry sits: in
+// the slot of the id the overlay has open for its neighbor, among
+// strangers under its neighbor's address if the overlay has none. It
+// also checks the records themselves: each is filed under its own ID,
+// none is empty (no role, no creation and no tree link), and one without
+// tree links has generation 0.
 func indexPointsAtRecords(f *Fuse) error {
-	for addr, ls := range f.links {
-		if ls.neighbor.Addr != addr {
-			return fmt.Errorf("f.links[%s] is the entry for %s", addr, ls.neighbor.Addr)
+	for i, ls := range f.slots {
+		if ls == nil {
+			continue
 		}
+		if id := f.ov.LinkID(ls.neighbor.Addr); ls.slot != uint32(i+1) || id != ls.slot {
+			return fmt.Errorf("slot %d holds the entry for %s, which says slot %d; the overlay's id is %d", i+1, ls.neighbor.Addr, ls.slot, id)
+		}
+	}
+	for addr, ls := range f.strangers {
+		if ls.neighbor.Addr != addr || ls.slot != 0 {
+			return fmt.Errorf("strangers[%s] is the entry for %s in slot %d", addr, ls.neighbor.Addr, ls.slot)
+		}
+		if id := f.ov.LinkID(addr); id != 0 {
+			return fmt.Errorf("%s's entry is among strangers, but the overlay has link %d to it", addr, id)
+		}
+	}
+	for _, ls := range indexEntries(f) {
+		addr := ls.neighbor.Addr
 		for _, g := range ls.sorted {
 			if f.groups[g.id] != g {
 				return fmt.Errorf("link %s lists a record for %v that is not f.groups'", addr, g.id)
@@ -149,8 +181,8 @@ func indexPointsAtRecords(f *Fuse) error {
 			return fmt.Errorf("%v's record has no tree link but generation %d", id, g.seq)
 		}
 		for _, l := range g.links {
-			if addr := l.ls.neighbor.Addr; f.links[addr] != l.ls {
-				return fmt.Errorf("%v's tree link to %s points at an entry f.links does not hold", id, addr)
+			if addr := l.ls.neighbor.Addr; f.linkAt(0, addr) != l.ls {
+				return fmt.Errorf("%v's tree link to %s points at an entry the index does not hold", id, addr)
 			}
 			if _, ok := l.ls.find(id); !ok {
 				return fmt.Errorf("%v's tree link to %s is not on its entry's list", id, l.ls.neighbor.Addr)
@@ -216,9 +248,9 @@ func TestLinkHashCacheCoherence(t *testing.T) {
 		pairs += len(g.links)
 	}
 	indexed := 0
-	for addr, ls := range f.links {
+	for _, ls := range indexEntries(f) {
 		if len(ls.sorted) == 0 {
-			t.Fatalf("empty linkState for %s survived", addr)
+			t.Fatalf("empty linkState for %s survived", ls.neighbor.Addr)
 		}
 		indexed += len(ls.sorted)
 	}
@@ -317,7 +349,7 @@ func TestSharedLinkTimerCoversAllGroups(t *testing.T) {
 	if len(f.groups) != 0 {
 		t.Fatalf("%d groups survived link timeout", len(f.groups))
 	}
-	if len(f.links) != 0 {
+	if len(indexEntries(f)) != 0 {
 		t.Fatal("link index entry survived timeout")
 	}
 }
@@ -469,8 +501,8 @@ func TestGracePeriodSurvivesSharedLinkTimer(t *testing.T) {
 	if checking(f, agreedID) == nil {
 		t.Fatal("failing the disagreed group tore down the agreed one")
 	}
-	if ls := f.links[peer.Addr]; ls == nil || len(ls.sorted) != 1 {
-		t.Fatalf("link index out of sync after partial teardown: %+v", f.links[peer.Addr])
+	if ls := f.linkAt(0, peer.Addr); ls == nil || len(ls.sorted) != 1 {
+		t.Fatalf("link index out of sync after partial teardown: %+v", ls)
 	}
 }
 
@@ -607,14 +639,14 @@ func TestRecoverWindowProbesNewNeighbours(t *testing.T) {
 	f, net := newFakeFuse("r")
 	f.SetPersistence(NewMemStore())
 	net.Advance(time.Minute)
-	f.OnNeighborUp(ref("before"))
+	f.OnNeighborUp(1, ref("before"))
 	if got := sentTo(net, "addr-before"); len(got) != 0 {
 		t.Fatalf("a neighbour up before any Recover was sent %v", got)
 	}
 
 	f.Recover()
 	net.Advance(checkTimeout - time.Nanosecond)
-	f.OnNeighborUp(ref("inside"))
+	f.OnNeighborUp(2, ref("inside"))
 	got := sentTo(net, "addr-inside")
 	if len(got) != 1 {
 		t.Fatalf("a neighbour up 1ns before the window closes was sent %v, want one probe", got)
@@ -624,7 +656,7 @@ func TestRecoverWindowProbesNewNeighbours(t *testing.T) {
 	}
 
 	net.Advance(time.Nanosecond)
-	f.OnNeighborUp(ref("after"))
+	f.OnNeighborUp(3, ref("after"))
 	if got := sentTo(net, "addr-after"); len(got) != 0 {
 		t.Fatalf("a neighbour up as the window closes was sent %v", got)
 	}

@@ -38,7 +38,7 @@ import (
 // reconciliation grace period reads - straight from the record. The
 // invariant: every record a list holds is the node's record for its ID
 // (f.groups') and has a treeLink on that list's entry, and every
-// treeLink's entry is the one f.links holds for its neighbor's address.
+// treeLink's entry is the one the index holds for its neighbor's address.
 //
 // The piggyback is a hash of the *set*: each ID's SHA-1 (over its root
 // name, a zero byte and its little-endian counter) is read as five
@@ -50,10 +50,20 @@ import (
 // different addresses digest alike, and under XOR such a pair would
 // cancel - any two pairs would agree - where a sum counts it twice.
 //
-// The two ping paths find a link's entry by the overlay's id for the link
-// (linkByID): a slot per id caches what the address map held, so the map
-// is probed only when the slot was filled for another neighbor or before
-// the map last gained or lost an entry.
+// Where an entry lives: by the overlay's link id. Fuse.slots[id-1] holds
+// the entry for the neighbor the overlay's link id names (nil when no
+// group rides that link), and the overlay tells the node when an id is
+// opened and closed, so the ping paths, which carry the id, index the
+// slot and never compare an address. A link to a node outside the
+// overlay's tables - one that left them while groups still rode it, or a
+// delegate hop the tables never held - keeps its entry in Fuse.strangers,
+// by address. An entry moves with its link: to strangers when the
+// overlay closes the id, into the new slot when the overlay opens one for
+// that address again, with its membership, sum and deadline. Paths that
+// start from an address (installs, reconciliation, neighbor death) find
+// the slot with the overlay's scan of its table, then try strangers. The
+// invariant: an entry sits in the slot of the id the overlay has open for
+// its neighbor, in strangers if it has none, and nowhere else.
 
 // linkState aggregates the checking state crossing one overlay link.
 type linkState struct {
@@ -70,6 +80,10 @@ type linkState struct {
 	// sum is the piggyback: the lane-wise sum of digestID over sorted.
 	sum [5]uint32
 
+	// slot is where the entry sits: the overlay's link id for neighbor
+	// (its index in Fuse.slots plus one), 0 in Fuse.strangers.
+	slot uint32
+
 	// hash is sum in wire form, nil until the first ping after a
 	// membership change asks for it (and always nil for an empty link,
 	// which carries no payload). A ping in flight aliases it, so a change
@@ -85,44 +99,47 @@ type linkState struct {
 // neighbor, refreshing the stored reference in case the neighbor's
 // identity behind the address changed across a restart.
 func (f *Fuse) linkFor(neighbor overlay.NodeRef) *linkState {
-	ls, ok := f.links[neighbor.Addr]
-	if !ok {
+	ls := f.linkAt(0, neighbor.Addr)
+	if ls == nil {
 		ls = &linkState{neighbor: neighbor}
-		f.links[neighbor.Addr] = ls
-		f.linksGen++
+		f.place(ls, f.ov.LinkID(neighbor.Addr))
 	}
 	ls.neighbor = neighbor
 	return ls
 }
 
-// linkSlot is one entry of Fuse.byID: what links held for addr (nil for
-// nothing) when links was at generation gen.
-type linkSlot struct {
-	addr transport.Addr
-	ls   *linkState
-	gen  uint64
+// linkAt returns the index entry for the link the overlay calls id to the
+// neighbor at addr, or nil. An id is trusted: from open to close it names
+// one neighbor. 0, no id, is resolved by the overlay's scan of its table,
+// and failing that among strangers.
+func (f *Fuse) linkAt(id uint32, addr transport.Addr) *linkState {
+	if id == 0 {
+		if id = f.ov.LinkID(addr); id == 0 {
+			return f.strangers[addr]
+		}
+	}
+	if int(id) <= len(f.slots) {
+		return f.slots[id-1]
+	}
+	return nil
 }
 
-// linkByID returns links[addr], the index entry for the link the overlay
-// calls id (0: no id). The map is probed only when id's slot was filled
-// for another address or under an older generation, and the answer -
-// nothing included - refills the slot.
-func (f *Fuse) linkByID(id uint32, addr transport.Addr) *linkState {
-	if i := int(id) - 1; i >= 0 && i < len(f.byID) {
-		if s := &f.byID[i]; s.gen == f.linksGen && s.addr == addr {
-			return s.ls
+// place puts ls in the slot of link id, or among strangers for id 0.
+func (f *Fuse) place(ls *linkState, id uint32) {
+	ls.slot = id
+	if id == 0 {
+		if f.strangers == nil {
+			f.strangers = make(map[transport.Addr]*linkState)
 		}
+		f.strangers[ls.neighbor.Addr] = ls
+		return
 	}
-	ls := f.links[addr]
-	if id != 0 {
-		if int(id) > len(f.byID) {
-			// To the id and no further: the overlay hands out its lowest
-			// free ids, so the table ends up one slot per link.
-			f.byID = append(make([]linkSlot, 0, id), f.byID...)[:id]
-		}
-		f.byID[id-1] = linkSlot{addr: addr, ls: ls, gen: f.linksGen}
+	if int(id) > len(f.slots) {
+		// To the id and no further: the overlay hands out its lowest
+		// free ids, so the table ends up one slot per link.
+		f.slots = append(make([]*linkState, 0, id), f.slots...)[:id]
 	}
-	return ls
+	f.slots[id-1] = ls
 }
 
 // compareIDs is the index order: root name, then counter - the fields an
@@ -214,15 +231,22 @@ func (ls *linkState) linkHash() []byte {
 	return ls.hash
 }
 
-// detachFromLink removes group id from ls, a tree link's index entry,
-// dropping the entry (and its timer) when the last group leaves.
-func (f *Fuse) detachFromLink(id GroupID, ls *linkState) {
-	ls.detach(id)
-	if len(ls.sorted) == 0 {
-		stopTimer(ls.timer) // order-independent: no sends, no rng
-		delete(f.links, ls.neighbor.Addr)
-		f.linksGen++
+// detachLinks takes g off every link it rides and empties its tree. An
+// entry its last group leaves is dropped from the index, and its timer
+// with it.
+func (f *Fuse) detachLinks(g *groupState) {
+	for _, l := range g.links {
+		ls := l.ls
+		if ls.detach(g.id); len(ls.sorted) == 0 {
+			stopTimer(ls.timer) // order-independent: no sends, no rng
+			if ls.slot == 0 {
+				delete(f.strangers, ls.neighbor.Addr)
+			} else {
+				f.slots[ls.slot-1] = nil
+			}
+		}
 	}
+	g.links, g.seq = nil, 0
 }
 
 // resetLinkTimer re-arms the link's shared CheckTimeout deadline. Only
@@ -265,17 +289,23 @@ func (f *Fuse) ensureLinkTimer(ls *linkState) {
 // within CheckTimeout: every group monitored across it has observed a
 // link failure.
 func (f *Fuse) linkTimedOut(ls *linkState) {
-	if f.links[ls.neighbor.Addr] != ls {
-		return // emptied or replaced while the callback was in flight
+	if len(ls.sorted) == 0 {
+		return // emptied, and so dropped, while the callback was in flight
 	}
 	f.tm.linkTimeouts.Inc(f.tm.lane)
+	f.failLink(ls, "link-timeout ", ls.neighbor)
+}
+
+// failLink fails every group riding ls, each a trigger of its own traced
+// as cause and the neighbor's name; from is as for linkFailed.
+func (f *Fuse) failLink(ls *linkState, cause string, from overlay.NodeRef) {
 	for _, id := range ls.snapshot() {
 		if g := f.groups[id]; g != nil && g.link(ls.neighbor.Addr) != nil {
 			span := f.tm.lane.NewSpan()
 			if span != 0 {
-				f.trace("trigger", id, span, 0, "link-timeout "+ls.neighbor.Name)
+				f.trace("trigger", id, span, 0, cause+ls.neighbor.Name)
 			}
-			f.linkFailed(id, ls.neighbor, span)
+			f.linkFailed(id, from, span)
 		}
 	}
 }

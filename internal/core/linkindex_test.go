@@ -177,7 +177,7 @@ func TestLinkDrainAndRefill(t *testing.T) {
 	for _, id := range ids {
 		f.dropChecking(id)
 	}
-	if _, ok := f.links[peer.Addr]; ok {
+	if f.linkAt(0, peer.Addr) != nil || len(indexEntries(f)) != 0 {
 		t.Fatal("drained link keeps its index entry")
 	}
 	if p := f.PingPayload(peer); p != nil {
@@ -294,27 +294,78 @@ func TestLinkIndexMatchesReference(t *testing.T) {
 	}
 }
 
-// TestLinkByIDMatchesAddress holds the ping paths' lookup by link id to
-// the address map it caches. The test plays the overlay: a link table
-// whose slots are freed as neighbors leave and reused, lowest first, for
-// other addresses, as syncPings does. Underneath, groups are attached to
-// and detached from links until a link's index entry empties and is made
-// again, and now and then the node crashes: a fresh Fuse recovers its
-// groups from the store while the link table keeps its ids. After every
-// step, every slot's id with its own address, and ids paired with some
-// other address, 0 and out of range, must find exactly what f.links
-// finds - none included - on both ping paths.
-func TestLinkByIDMatchesAddress(t *testing.T) {
+// leafOnlyPeers returns n refs (n at most 16) whose names' first
+// numeric-ID digit differs from self's, so AssembleStatic over self's
+// node and any of their nodes wires them all into its leaf sets (8 a
+// side) and none into its rings, which it leaves as they were: self's
+// tables then hold exactly the peers last assembled with it.
+func leafOnlyPeers(self string, n int) []overlay.NodeRef {
+	first := func(name string) byte { return overlay.DigitsOf(name, 8, 1)[0] }
+	var out []overlay.NodeRef
+	for i := 0; len(out) < n; i++ {
+		if name := fmt.Sprintf("p%d", i); first(name) != first(self) {
+			out = append(out, ref(name))
+		}
+	}
+	return out
+}
+
+// assembleWith rewires d's overlay tables to hold exactly the nodes of
+// ovs, leafOnlyPeers' peers, whose in is set, and checks that they do.
+func assembleWith(t *testing.T, d *overlay.Node, ovs []*overlay.Node, in []bool) {
+	t.Helper()
+	nodes := []*overlay.Node{d}
+	want := 0
+	for i, ov := range ovs {
+		if in[i] {
+			nodes = append(nodes, ov)
+			want++
+		}
+	}
+	overlay.AssembleStatic(nodes)
+	got := d.Neighbors()
+	for i, ov := range ovs {
+		if held := d.LinkID(ov.Self().Addr) != 0; held != in[i] {
+			t.Fatalf("%s in d's link table: %v, want %v", ov.Self().Name, held, in[i])
+		}
+	}
+	if len(got) != want {
+		t.Fatalf("d's tables hold %v, want %d peers", got, want)
+	}
+}
+
+// TestLinkSlotsMatchAddressMap holds the per-link index - entries in
+// slots by the overlay's link id, a strangers map beside them - to the
+// address map it replaced. A real overlay node plays the link table:
+// each step may bring a peer into its tables or take one out, so ids
+// are opened, closed and reused, lowest first, for other addresses.
+// Groups' checking trees cross links and leave them, and now and then the
+// node crashes: a fresh Fuse on the same overlay node recovers its
+// groups from the store while the link table keeps its ids. The test's
+// reference is a map by address: the groups riding each link, and the
+// entry made when the first of them arrived. After every step, for
+// every peer, the entry found by address (the overlay's scan, then
+// strangers) and by the overlay's id for the link must be the
+// reference's - none included - with the reference's groups and hash on
+// both payload paths, in the slot of that id or, with no id, among
+// strangers, and the index must hold nothing else.
+func TestLinkSlotsMatchAddressMap(t *testing.T) {
 	for _, seed := range linkSeeds() {
 		rng := rand.New(rand.NewSource(seed))
 		fail := func(step int, format string, args ...any) {
 			t.Helper()
 			t.Fatalf("seed %d (-link.seed=%d) step %d: %s", seed, seed, step, fmt.Sprintf(format, args...))
 		}
-		var peers []overlay.NodeRef
-		for i := 0; i < 10; i++ {
-			peers = append(peers, ref(fmt.Sprintf("p%d", i)))
+		net := transporttest.NewNet()
+		env := net.NewEnv("addr-d", 1)
+		d := overlay.New(env, overlay.DefaultConfig(), "d")
+		f := New(env, d, 1)
+		peers := leafOnlyPeers("d", 10)
+		ovs := make([]*overlay.Node, len(peers))
+		for i, p := range peers {
+			ovs[i] = overlay.New(net.NewEnv(p.Addr, int64(i+2)), overlay.DefaultConfig(), p.Name)
 		}
+		in := make([]bool, len(peers))
 		var groups []GroupID
 		for i := 0; i < 6; i++ {
 			groups = append(groups, GroupID{Root: peers[i%3], Num: uint64(i)})
@@ -323,65 +374,193 @@ func TestLinkByIDMatchesAddress(t *testing.T) {
 		for _, id := range groups[:2] {
 			store.SaveGroup(GroupRecord{ID: id, Seq: 1})
 		}
-		f, _ := newFakeFuse("d")
-		slots := []overlay.NodeRef{} // the link table: id i+1 in slot i, zero when free
-		held := func(addr transport.Addr) bool {
-			return slices.ContainsFunc(slots, func(r overlay.NodeRef) bool { return r.Addr == addr })
-		}
-		made, crashes := 0, 0
+		riding := make(map[transport.Addr]map[GroupID]bool) // the reference: groups on each link
+		entry := make(map[transport.Addr]*linkState)        // and the entry they share
+		var closedFull, reopened, reused, crashes int
+		lastHolder := make(map[uint32]transport.Addr)
 		for step := 0; step < 3000; step++ {
 			switch op := rng.Intn(20); {
-			case op < 4: // a neighbor leaves the tables, freeing its slot
-				if i := rng.Intn(len(slots) + 1); i < len(slots) {
-					slots[i] = overlay.NodeRef{}
+			case op < 6: // a peer enters d's tables, or leaves them
+				i := rng.Intn(len(peers))
+				addr := peers[i].Addr
+				before := d.LinkID(addr)
+				in[i] = !in[i]
+				assembleWith(t, d, ovs, in)
+				switch id := d.LinkID(addr); {
+				case before != 0 && entry[addr] != nil:
+					closedFull++
+				case id != 0 && entry[addr] != nil:
+					reopened++
 				}
-			case op < 8: // a neighbor enters, in the lowest free slot
-				nb := peers[rng.Intn(len(peers))]
-				if held(nb.Addr) {
-					break
+				if id := d.LinkID(addr); id != 0 {
+					if last, ok := lastHolder[id]; ok && last != addr {
+						reused++
+					}
+					lastHolder[id] = addr
 				}
-				if i := slices.Index(slots, overlay.NodeRef{}); i >= 0 {
-					slots[i] = nb
-				} else {
-					slots = append(slots, nb)
+			case op < 12: // a group's checking tree crosses a link
+				id, nb := groups[rng.Intn(len(groups))], peers[rng.Intn(len(peers))]
+				f.addTreeLink(id, 1, nb)
+				if riding[nb.Addr] == nil {
+					riding[nb.Addr] = make(map[GroupID]bool)
+					entry[nb.Addr] = f.linkAt(0, nb.Addr)
 				}
-			case op < 14: // a group's checking tree crosses a link
-				nb := peers[rng.Intn(len(peers))]
-				if f.links[nb.Addr] == nil {
-					made++
-				}
-				f.addTreeLink(groups[rng.Intn(len(groups))], 1, nb)
+				riding[nb.Addr][id] = true
 			case op < 19: // a group's checking state goes, from every link
-				f.dropChecking(groups[rng.Intn(len(groups))])
+				id := groups[rng.Intn(len(groups))]
+				f.dropChecking(id)
+				for addr, set := range riding {
+					if delete(set, id); len(set) == 0 {
+						delete(riding, addr)
+						delete(entry, addr)
+					}
+				}
 			default: // crash and recover, the link table left as it was
-				f, _ = newFakeFuse("d")
+				f = New(env, d, 1)
 				f.SetPersistence(store)
 				f.Recover()
+				clear(riding)
+				clear(entry)
 				crashes++
 			}
 
-			check := func(id uint32, nb overlay.NodeRef) {
-				t.Helper()
-				want := f.links[nb.Addr]
-				if got := f.linkByID(id, nb.Addr); got != want {
-					fail(step, "link %d to %s: by id %p, by address %p", id, nb.Name, got, want)
-				}
-				if got, want := f.LinkPayload(id, nb), f.PingPayload(nb); !bytes.Equal(got, want) {
-					fail(step, "link %d to %s: payload by id %x, by address %x", id, nb.Name, got, want)
-				}
+			if err := indexPointsAtRecords(f); err != nil {
+				fail(step, "%v", err)
 			}
-			for i, nb := range slots {
-				if !nb.IsZero() {
-					check(uint32(i+1), nb)
-				}
+			if n := len(indexEntries(f)); n != len(entry) {
+				fail(step, "the index holds %d entries, the reference %d", n, len(entry))
 			}
-			for k := 0; k < 3; k++ {
-				check(uint32(rng.Intn(len(slots)+3)), peers[rng.Intn(len(peers))])
+			for _, nb := range peers {
+				want, id := entry[nb.Addr], d.LinkID(nb.Addr)
+				if got := f.linkAt(0, nb.Addr); got != want {
+					fail(step, "link to %s: by address %p, reference %p", nb.Name, got, want)
+				}
+				if id != 0 {
+					if got := f.linkAt(id, nb.Addr); got != want {
+						fail(step, "link %d to %s: by id %p, reference %p", id, nb.Name, got, want)
+					}
+				}
+				if got := f.strangers[nb.Addr]; id == 0 && got != want || id != 0 && got != nil {
+					fail(step, "link to %s: overlay id %d, stranger entry %p, reference %p", nb.Name, id, got, want)
+				}
+				ids := refLinkIDs(riding[nb.Addr])
+				if want != nil && !slices.Equal(want.snapshot(), ids) {
+					fail(step, "link to %s lists %v, reference %v", nb.Name, want.snapshot(), ids)
+				}
+				hash := refHashGroupIDs(ids)
+				for _, link := range []uint32{id, 0} {
+					if got := f.LinkPayload(link, nb); !bytes.Equal(got, hash) {
+						fail(step, "link %d to %s: payload %x, reference %x", link, nb.Name, got, hash)
+					}
+				}
 			}
 		}
-		if made < 100 || crashes < 50 {
-			fail(3000, "only %d index entries made and %d crashes; the sequence exercised too little", made, crashes)
+		if closedFull < 50 || reopened < 50 || reused < 50 || crashes < 50 {
+			fail(3000, "only %d closes of a link groups rode, %d reopenings, %d ids reused and %d crashes; the sequence exercised too little",
+				closedFull, reopened, reused, crashes)
 		}
+	}
+}
+
+// hashPinger is the overlay client of a peer that monitors one link's
+// groups the way d does but never judges them: every ping it sends
+// carries hash, and nothing it hears moves it.
+type hashPinger struct{ hash []byte }
+
+func (hashPinger) OnRouteMessage(transport.Message, overlay.RouteInfo) {}
+func (c hashPinger) LinkPayload(uint32, overlay.NodeRef) []byte        { return c.hash }
+func (hashPinger) OnLinkPayload(uint32, overlay.NodeRef, []byte)       {}
+func (hashPinger) OnNeighborDown(overlay.NodeRef)                      {}
+func (hashPinger) OnNeighborUp(uint32, overlay.NodeRef)                {}
+func (hashPinger) OnLinkClosed(uint32, overlay.NodeRef)                {}
+
+// TestStrangerKeepsItsEntryAcrossSlots plays a link's life outside the
+// overlay's tables on transporttest, every message delivered the instant
+// it leaves. d monitors a group across its link to p, and p's pings carry
+// the group's hash. Then p leaves d's tables - d stops pinging it and
+// closes its link id - while p, whose tables still hold d, keeps pinging.
+// Those pings reach d with no id, and must keep refreshing the link's
+// shared deadline: the group outlives four CheckTimeouts with no
+// link-timeout and no reconciliation. When p enters d's tables again, in
+// a slot other than its first, the entry that carried the group must sit
+// in that slot, deadline and all, and serve the ping paths by id.
+func TestStrangerKeepsItsEntryAcrossSlots(t *testing.T) {
+	net := transporttest.NewNet()
+	d := addNode(net, "d", 1)
+	peers := leafOnlyPeers("d", 3)
+	id := GroupID{Root: d.self, Num: 1}
+	var ovs []*overlay.Node
+	for i, nb := range peers {
+		env := net.NewEnv(nb.Addr, int64(i+2))
+		ov := overlay.New(env, overlay.DefaultConfig(), nb.Name)
+		env.Handler = func(from transport.Addr, msg transport.Message) { ov.Handle(from, msg) }
+		ovs = append(ovs, ov)
+	}
+	p := peers[0]
+	ovs[0].SetClient(hashPinger{[]byte(hashOf(id))})
+	var softs, lists int
+	net.OnSend = func(s transporttest.Send) {
+		switch s.Msg.(type) {
+		case *msgSoftNotification:
+			softs++
+		case *msgGroupLists:
+			lists++
+		}
+	}
+	// run fires every timer at its own instant for span of virtual time.
+	run := func(span time.Duration) {
+		end := d.env.Elapsed() + span
+		for {
+			deliverAll(net)
+			ts := net.Timers()
+			if len(ts) == 0 || ts[0].At() > end {
+				net.RunTo(end)
+				return
+			}
+			net.RunTo(ts[0].At())
+		}
+	}
+
+	assembleWith(t, d.ov, ovs, []bool{true, false, false})
+	d.addTreeLink(id, 1, p)
+	first := d.ov.LinkID(p.Addr)
+	ls := d.linkAt(first, p.Addr)
+	if ls == nil || ls.slot != first || d.linkAt(0, p.Addr) != ls {
+		t.Fatalf("p's entry is not in the slot of link %d: %+v", first, ls)
+	}
+	run(checkTimeout)
+
+	// p leaves d's tables; another peer enters them first, so p's id is
+	// not simply handed back when it returns.
+	assembleWith(t, d.ov, ovs, []bool{false, true, false})
+	if d.strangers[p.Addr] != ls || ls.slot != 0 || d.linkAt(first, p.Addr) == ls {
+		t.Fatalf("closing p's link did not move its entry to strangers: %v", d.strangers)
+	}
+	timer := ls.timer.(*transporttest.Timer)
+	deadline := timer.At()
+	run(4 * checkTimeout)
+	if !timer.Pending() || timer.At() < deadline+3*checkTimeout {
+		t.Fatalf("p's pings did not keep the shared deadline moving: %v, was %v", timer.At(), deadline)
+	}
+	if checking(d, id) == nil || d.strangers[p.Addr] != ls {
+		t.Fatalf("the group did not outlive p's absence from d's tables: %v, strangers %v", d.LiveGroups(), d.strangers)
+	}
+
+	assembleWith(t, d.ov, ovs, []bool{false, true, true})
+	assembleWith(t, d.ov, ovs, []bool{true, true, true})
+	again := d.ov.LinkID(p.Addr)
+	if again == first {
+		t.Fatalf("p came back in its old slot %d; the test needs another", first)
+	}
+	if d.linkAt(again, p.Addr) != ls || ls.slot != again || len(d.strangers) != 0 || ls.timer != timer {
+		t.Fatalf("p's entry did not move into the slot of link %d: slot %d, strangers %v", again, ls.slot, d.strangers)
+	}
+	run(4 * checkTimeout)
+	if checking(d, id) == nil || d.linkAt(again, p.Addr) != ls || !timer.Pending() {
+		t.Fatalf("the group did not survive p's return: %v", d.LiveGroups())
+	}
+	if softs != 0 || lists != 0 {
+		t.Fatalf("%d soft notifications and %d group lists went out, want none", softs, lists)
 	}
 }
 
@@ -462,7 +641,7 @@ func TestLinkDeathTearsDownEveryGroupOnce(t *testing.T) {
 				f.addTreeLink(id, 0, peer)
 				f.addTreeLink(id, 0, other)
 			}
-			ls := f.links[peer.Addr]
+			ls := f.linkAt(0, peer.Addr)
 			timer := ls.timer.(*transporttest.Timer)
 
 			kill(f, net, peer)
@@ -488,8 +667,8 @@ func TestLinkDeathTearsDownEveryGroupOnce(t *testing.T) {
 					t.Errorf("group %v still has checking state", id)
 				}
 			}
-			if len(f.links) != 0 {
-				t.Errorf("%d link index entries survive, want 0", len(f.links))
+			if n := len(indexEntries(f)); n != 0 {
+				t.Errorf("%d link index entries survive, want 0", n)
 			}
 			if len(ls.sorted) != 0 {
 				t.Errorf("dead link still lists %v", ls.snapshot())
@@ -533,8 +712,8 @@ func TestCheckingStateBytes(t *testing.T) {
 			}
 		}
 		after := liveHeap()
-		if len(f.groups) != groups || len(f.links) != len(peers) {
-			t.Fatalf("%d groups on %d links, want %d on %d", len(f.groups), len(f.links), groups, len(peers))
+		if n := len(indexEntries(f)); len(f.groups) != groups || n != len(peers) {
+			t.Fatalf("%d groups on %d links, want %d on %d", len(f.groups), n, groups, len(peers))
 		}
 		runtime.KeepAlive(ids)
 		per := (after - before) / groups

@@ -16,7 +16,7 @@ package core
 // neither saving nor recovery has an error path.
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"fuse/internal/overlay"
@@ -131,11 +131,6 @@ func (s *MemStore) LoadGroups() []GroupRecord {
 	for _, rec := range s.recs {
 		out = append(out, rec)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID.Root.Name != out[j].ID.Root.Name {
-			return out[i].ID.Root.Name < out[j].ID.Root.Name
-		}
-		return out[i].ID.Num < out[j].ID.Num
-	})
+	slices.SortFunc(out, func(a, b GroupRecord) int { return compareIDs(a.ID, b.ID) })
 	return out
 }

@@ -31,7 +31,7 @@ func refHandleGroupLists(f *Fuse, m *msgGroupLists) {
 	now := f.env.Elapsed()
 	agreed := false
 	var ours []GroupID
-	if ls, ok := f.links[m.From.Addr]; ok {
+	if ls := f.linkAt(0, m.From.Addr); ls != nil {
 		ours = ls.snapshot()
 	}
 	for _, id := range ours {
@@ -48,10 +48,8 @@ func refHandleGroupLists(f *Fuse, m *msgGroupLists) {
 		}
 		f.linkFailed(id, overlay.NodeRef{}, f.tm.lane.NewSpan())
 	}
-	if agreed {
-		if ls, ok := f.links[m.From.Addr]; ok {
-			f.resetLinkTimer(ls)
-		}
+	if ls := f.linkAt(0, m.From.Addr); agreed && ls != nil {
+		f.resetLinkTimer(ls)
 	}
 	if !m.IsReply {
 		f.env.Send(m.From.Addr, &msgGroupLists{From: f.self, Entries: f.linkEntries(m.From.Addr), IsReply: true})
@@ -149,7 +147,8 @@ func outcomeOf(f *Fuse, net *transporttest.Net) reconcileOutcome {
 		checking: make(map[GroupID][]outcomeLink),
 		members:  memberCount(f),
 	}
-	for addr, ls := range f.links {
+	for _, ls := range indexEntries(f) {
+		addr := ls.neighbor.Addr
 		o.links[addr] = ls.snapshot()
 		if tm := ls.timer.(*transporttest.Timer); tm.Pending() {
 			o.deadline[addr] = tm.At()
@@ -257,7 +256,7 @@ func TestReconcileMatchesReference(t *testing.T) {
 
 			f, net := c.build()
 			start := len(net.Sends())
-			before := f.links[c.msg.From.Addr]
+			before := f.linkAt(0, c.msg.From.Addr)
 			var deadline time.Duration
 			if before != nil {
 				deadline = before.timer.(*transporttest.Timer).At()
@@ -316,7 +315,7 @@ func TestReconcileAgreeingListsAllocatesOnlyTheReply(t *testing.T) {
 	}
 	probe := &msgGroupLists{From: peer, Entries: f.linkEntries(peer.Addr)}
 	reply := &msgGroupLists{From: peer, Entries: probe.Entries, IsReply: true}
-	timer := f.links[peer.Addr].timer.(*transporttest.Timer)
+	timer := f.linkAt(0, peer.Addr).timer.(*transporttest.Timer)
 
 	net.Advance(time.Second)
 	if allocs := testing.AllocsPerRun(100, func() { f.handleGroupLists(reply) }); allocs != 0 {

@@ -1,7 +1,5 @@
 package core
 
-import "time"
-
 // Group repair (§6.5): the root rebuilds the liveness-checking tree with
 // direct GroupRepairRequest messages; members answer directly and re-route
 // InstallChecking messages. Per-group exponential backoff (capped, per the
@@ -215,6 +213,3 @@ var ErrGroupFailed = errGroupFailed{}
 type errGroupFailed struct{}
 
 func (errGroupFailed) Error() string { return "fuse: group failed during creation" }
-
-// backoffFloor exposes the current backoff for tests.
-func (rs *rootState) backoffFloor() time.Duration { return rs.backoff }

@@ -140,7 +140,7 @@ func TestPingTimerResetsInPlace(t *testing.T) {
 	cl.assemble()
 	links := 0
 	for _, nd := range cl.nodes {
-		links += len(nd.pings)
+		links += linkCount(nd)
 	}
 	if links < 3*len(cl.nodes) {
 		t.Fatalf("only %d links over %d nodes; the count below would prove little", links, len(cl.nodes))
@@ -169,15 +169,15 @@ func TestSyncPingsUnchangedZeroAlloc(t *testing.T) {
 	cl := newCluster(t, 40, 7, DefaultConfig())
 	cl.assemble()
 	nd := cl.nodes[0]
-	pinged := len(nd.pings)
+	pinged := linkCount(nd)
 	if pinged == 0 || pinged != len(nd.Neighbors()) {
 		t.Fatalf("assembled node pings %d of %d neighbors", pinged, len(nd.Neighbors()))
 	}
 	if allocs := testing.AllocsPerRun(100, nd.syncPings); allocs != 0 {
 		t.Fatalf("syncPings with nothing to change allocates %.1f/op, want 0", allocs)
 	}
-	if len(nd.pings) != pinged || len(cl.clients[0].up) != pinged {
+	if linkCount(nd) != pinged || len(cl.clients[0].up) != pinged {
 		t.Fatalf("idle syncPings changed the schedule: %d cycles, %d OnNeighborUp calls, want %d of each",
-			len(nd.pings), len(cl.clients[0].up), pinged)
+			linkCount(nd), len(cl.clients[0].up), pinged)
 	}
 }

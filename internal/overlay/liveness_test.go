@@ -212,8 +212,8 @@ func TestPingScheduleMatchesReference(t *testing.T) {
 						step, verified, got[min(verified, len(got)):], ref.log[min(verified, len(ref.log)):])
 				}
 			}
-			if len(nd.pings) != len(ref.links) {
-				fail("step %d: node pings %d neighbors, reference %d", step, len(nd.pings), len(ref.links))
+			if linkCount(nd) != len(ref.links) {
+				fail("step %d: node pings %d neighbors, reference %d", step, linkCount(nd), len(ref.links))
 			}
 		}
 
@@ -276,7 +276,8 @@ type deathLog struct {
 func (deathLog) OnRouteMessage(transport.Message, RouteInfo) {}
 func (deathLog) LinkPayload(uint32, NodeRef) []byte          { return nil }
 func (deathLog) OnLinkPayload(uint32, NodeRef, []byte)       {}
-func (deathLog) OnNeighborUp(NodeRef)                        {}
+func (deathLog) OnNeighborUp(uint32, NodeRef)                {}
+func (deathLog) OnLinkClosed(uint32, NodeRef)                {}
 func (c deathLog) OnNeighborDown(ref NodeRef) {
 	*c.log = append(*c.log, stamp{c.env.Elapsed(), "dead", ref.Name})
 }
@@ -311,10 +312,21 @@ func schedule(nd *Node, at ...time.Duration) {
 
 // linkTo is the link-table record of the neighbor at addr, or nil.
 func linkTo(nd *Node, addr transport.Addr) *pingState {
-	if id, ok := nd.pings[addr]; ok {
-		return &nd.links[id-1]
+	if i := nd.slotOf(addr); i >= 0 {
+		return &nd.links[i]
 	}
 	return nil
+}
+
+// linkCount is how many links the node's table holds open.
+func linkCount(nd *Node) int {
+	n := 0
+	for _, ps := range nd.links {
+		if ps.peer != nil {
+			n++
+		}
+	}
+	return n
 }
 
 func ackFrom(nd *Node, from NodeRef, seq uint64, link, peerLink uint32) {
@@ -422,8 +434,8 @@ func TestLinkIdHygiene(t *testing.T) {
 	a, b, c := testRef(1), testRef(2), testRef(3)
 	nd.considerLeaf(a)
 	nd.considerLeaf(b)
-	if nd.pings[a.Addr] != 1 || nd.pings[b.Addr] != 2 {
-		t.Fatalf("ids %d, %d; want 1, 2", nd.pings[a.Addr], nd.pings[b.Addr])
+	if nd.LinkID(a.Addr) != 1 || nd.LinkID(b.Addr) != 2 {
+		t.Fatalf("ids %d, %d; want 1, 2", nd.LinkID(a.Addr), nd.LinkID(b.Addr))
 	}
 
 	// A neighbor's ping is answered through its link, with our id for it,
@@ -464,8 +476,8 @@ func TestLinkIdHygiene(t *testing.T) {
 	nd.removeRef(a.Addr)
 	nd.syncPings()
 	nd.considerLeaf(c)
-	if ps := linkTo(nd, c.Addr); nd.pings[c.Addr] != 1 || ps.ref != c {
-		t.Fatalf("c did not reuse a's slot: id %d, %+v", nd.pings[c.Addr], ps)
+	if ps := linkTo(nd, c.Addr); nd.LinkID(c.Addr) != 1 || ps.ref != c {
+		t.Fatalf("c did not reuse a's slot: id %d, %+v", nd.LinkID(c.Addr), ps)
 	}
 	schedule(nd, 12*s, 50*s)
 	net.RunTo(13 * s)
@@ -513,7 +525,7 @@ func TestLinkIdsLearnedInOneExchange(t *testing.T) {
 		t.Fatal("no ping was ever acked")
 	}
 	acker := cl.byName[ps.ref.Name]
-	id, backID := pinger.pings[ps.ref.Addr], acker.pings[pinger.self.Addr]
+	id, backID := pinger.LinkID(ps.ref.Addr), acker.LinkID(pinger.self.Addr)
 	back := linkTo(acker, pinger.self.Addr)
 	if ps.peerLink != backID || back.peerLink != id {
 		t.Fatalf("after one exchange %s holds id %d and echoes %d, %s holds id %d and echoes %d",

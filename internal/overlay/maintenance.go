@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"hash/maphash"
 	"math"
 	"slices"
 	"time"
@@ -111,7 +112,8 @@ type pingState struct {
 	ref      NodeRef
 	peer     transport.Peer // ref.Addr, dialed once
 	seq      uint64         // seq of the last ping sent
-	gen      uint64         // Node.pingGen of the last syncPings that found ref in the tables
+	gen      uint32         // Node.pingGen of the last syncPings that found ref in the tables
+	key      uint32         // addrKey(ref.Addr), which a scan compares before the address
 	peerLink uint32         // the neighbor's id for us as last heard, echoed to it as PeerLink
 	awaiting bool           // between a send and its ack or ack deadline
 }
@@ -135,26 +137,55 @@ func (n *Node) syncPings() {
 	}
 	n.pingGen++
 	n.eachTableRef(func(ref NodeRef) {
-		id, ok := n.pings[ref.Addr]
-		if !ok {
-			id = n.startPinging(ref)
+		i := n.slotOf(ref.Addr)
+		if i < 0 {
+			i = n.startPinging(ref)
 		}
-		n.links[id-1].gen = n.pingGen
+		n.links[i].gen = n.pingGen
 	})
 	for i := range n.links {
 		if ps := &n.links[i]; ps.peer != nil && ps.gen != n.pingGen {
-			// Free the slot; the timer, if it was armed for this link,
-			// fires, finds nothing due and re-arms.
-			delete(n.pings, ps.ref.Addr)
-			n.links[i], n.due[i] = pingState{}, never
+			n.closeLink(i)
 		}
 	}
 }
 
+// closeLink frees slot i and tells the client its link is closed. The
+// timer, if it was armed for this link, fires, finds nothing due and
+// re-arms.
+func (n *Node) closeLink(i int) {
+	ref := n.links[i].ref
+	n.links[i], n.due[i] = pingState{}, never
+	n.client.OnLinkClosed(uint32(i+1), ref)
+}
+
+// slotOf is the slot of the link to addr, or -1: a scan of the table
+// that compares the addresses' keys, and an address only where they agree.
+func (n *Node) slotOf(addr transport.Addr) int {
+	key := addrKey(addr)
+	for i := range n.links {
+		if ps := &n.links[i]; ps.key == key && ps.peer != nil && ps.ref.Addr == addr {
+			return i
+		}
+	}
+	return -1
+}
+
+// keySeed seeds addrKey. Keys only ever meet keys of the same process.
+var keySeed = maphash.MakeSeed()
+
+// addrKey is a 32-bit hash of addr: equal keys say only that the
+// addresses may be equal.
+func addrKey(addr transport.Addr) uint32 { return uint32(maphash.String(keySeed, string(addr))) }
+
+// LinkID returns this node's id for its link to addr, 0 if addr is not a
+// routing-table neighbor.
+func (n *Node) LinkID(addr transport.Addr) uint32 { return uint32(n.slotOf(addr) + 1) }
+
 // startPinging begins the ping cycle of a neighbor that just entered the
 // tables, in the lowest free slot of the link table, tells the client,
-// and returns the link's id.
-func (n *Node) startPinging(ref NodeRef) uint32 {
+// and returns the slot.
+func (n *Node) startPinging(ref NodeRef) int {
 	i := slices.IndexFunc(n.links, func(ps pingState) bool { return ps.peer == nil })
 	if i < 0 {
 		i = len(n.links)
@@ -165,9 +196,7 @@ func (n *Node) startPinging(ref NodeRef) uint32 {
 		}
 		n.links, n.due = append(n.links, pingState{}), append(n.due, never)
 	}
-	id := uint32(i + 1)
-	n.links[i] = pingState{ref: ref, peer: transport.Dial(n.env, ref.Addr)}
-	n.pings[ref.Addr] = id
+	n.links[i] = pingState{ref: ref, peer: transport.Dial(n.env, ref.Addr), key: addrKey(ref.Addr)}
 	// Stagger first pings uniformly over the interval so a large
 	// overlay's background load is smooth, as a deployed system's
 	// would be.
@@ -177,8 +206,8 @@ func (n *Node) startPinging(ref NodeRef) uint32 {
 	if n.due[i] < n.armed {
 		n.arm(n.due[i], now)
 	}
-	n.client.OnNeighborUp(ref)
-	return id
+	n.client.OnNeighborUp(uint32(i+1), ref)
+	return i
 }
 
 // arm sets the node's timer to fire at at, now being the current reading
@@ -248,15 +277,13 @@ func (n *Node) pingTick() {
 
 // linkOf finds the slot of the neighbor at addr in the link table: the
 // one the link id it echoed names when that slot holds addr, else the one
-// the address index names, else -1.
+// a scan finds, else -1. The echo comes off the wire, so it may be stale:
+// the id the neighbor last heard may have been closed and reused since.
 func (n *Node) linkOf(id uint32, addr transport.Addr) int {
 	if i := int(id) - 1; i >= 0 && i < len(n.links) && n.links[i].peer != nil && n.links[i].ref.Addr == addr {
 		return i
 	}
-	if id, ok := n.pings[addr]; ok {
-		return int(id) - 1
-	}
-	return -1
+	return n.slotOf(addr)
 }
 
 func (n *Node) handlePing(m *msgPing) {
@@ -306,7 +333,7 @@ func (n *Node) neighborDead(ref NodeRef) {
 	if n.stopped {
 		return
 	}
-	if _, ok := n.pings[ref.Addr]; !ok {
+	if n.slotOf(ref.Addr) < 0 {
 		return
 	}
 	n.tm.neighborsDead.Inc(n.tm.lane)

@@ -39,9 +39,16 @@
 // slot number for the link, so both handlers find their record by index
 // instead of hashing the sender's address, and each record holds its
 // neighbor as a destination the transport resolved once (transport.Dial).
-// The client is handed the same link id with every payload it supplies or
-// receives (Client.LinkPayload), so it can keep its own per-link state by
-// index too.
+// The link table is the only index of a node's links: the cold paths
+// that start from an address (table reconciliation, a ping whose echoed
+// id is stale) scan its few dozen contiguous records.
+//
+// A link's id is its client's key too. The client hears when a slot is
+// opened (Client.OnNeighborUp) and closed (Client.OnLinkClosed), and gets
+// the id with every payload it supplies or receives (Client.LinkPayload),
+// so it can keep its own per-link state by index: between the open and
+// the close an id names one neighbor, and nothing needs to check an
+// address against it.
 //
 // The structure (base, leaf set, levels, hop budgets) is fixed by
 // constants; Config holds only the ping interval and timeout, which a
@@ -126,10 +133,11 @@ type Client interface {
 	// about to be sent to neighbor. A nil return piggybacks nothing.
 	//
 	// link is this node's id for the link to neighbor: its slot in the
-	// link table plus one. An id names one neighbor for as long as that
-	// neighbor stays in the routing table, and is reused for another
-	// once it leaves, so a client may index per-link state by it as
-	// long as it checks the neighbor's address. 0 means no id.
+	// link table plus one. An id is valid from the OnNeighborUp that
+	// opens it to the OnLinkClosed that closes it, and names one
+	// neighbor all that time, so a client may index per-link state by
+	// it without checking the neighbor's address. A closed id is reused
+	// for the next neighbor to enter, lowest first.
 	LinkPayload(link uint32, neighbor NodeRef) []byte
 
 	// OnLinkPayload examines the piggyback content of a ping received
@@ -138,17 +146,23 @@ type Client interface {
 	OnLinkPayload(link uint32, neighbor NodeRef, payload []byte)
 
 	// OnNeighborDown reports that a routing-table neighbor failed its
-	// liveness check and has been removed from the table. It fires
-	// before the overlay attempts to repair the table entry.
+	// liveness check and is being removed from the table. It fires
+	// before the overlay closes the link and attempts to repair the
+	// table entry.
 	OnNeighborDown(neighbor NodeRef)
 
 	// OnNeighborUp reports that a node entered the routing table and is
-	// now monitored with liveness pings. It fires for every neighbor:
-	// during assembly, on join, and as churn repairs the table. FUSE uses
-	// it after a crash recovery to reconcile checking state with each
-	// neighbor as soon as the link exists instead of waiting for the
-	// first ping exchange.
-	OnNeighborUp(neighbor NodeRef)
+	// now monitored with liveness pings over the link id link. It fires
+	// for every neighbor: during assembly, on join, and as churn repairs
+	// the table. FUSE uses it after a crash recovery to reconcile
+	// checking state with each neighbor as soon as the link exists
+	// instead of waiting for the first ping exchange.
+	OnNeighborUp(link uint32, neighbor NodeRef)
+
+	// OnLinkClosed reports that neighbor left the routing table (after
+	// OnNeighborDown, if it died) or the node stopped, so link no
+	// longer names it.
+	OnLinkClosed(link uint32, neighbor NodeRef)
 }
 
 // nopClient lets a Node run without an attached client.
@@ -158,7 +172,8 @@ func (nopClient) OnRouteMessage(transport.Message, RouteInfo) {}
 func (nopClient) LinkPayload(uint32, NodeRef) []byte          { return nil }
 func (nopClient) OnLinkPayload(uint32, NodeRef, []byte)       {}
 func (nopClient) OnNeighborDown(NodeRef)                      {}
-func (nopClient) OnNeighborUp(NodeRef)                        {}
+func (nopClient) OnNeighborUp(uint32, NodeRef)                {}
+func (nopClient) OnLinkClosed(uint32, NodeRef)                {}
 
 // Node is one overlay participant. It must only be touched from its Env's
 // event loop (message handler and timer callbacks).
@@ -189,16 +204,18 @@ type Node struct {
 	// pingState) and due, parallel to it, is when each link's current
 	// phase ends on the env's Elapsed clock (never for a free slot). One
 	// timer serves them all: it is armed for armed, which is at or before
-	// the earliest due entry, and tick is pingTick bound once. pings maps
-	// each neighbor's address to its link id for the cold paths: table
-	// reconciliation, and a message carrying no usable id.
-	links   []pingState
-	due     []time.Duration
-	timer   transport.Timer
-	armed   time.Duration
-	tick    func()
-	pings   map[transport.Addr]uint32
-	pingGen uint64 // bumped by every syncPings; stamps the refs it found
+	// the earliest due entry, and tick is pingTick bound once. The cold
+	// paths that hold only an address find its slot by a scan (slotOf).
+	links []pingState
+	due   []time.Duration
+	timer transport.Timer
+	armed time.Duration
+	tick  func()
+
+	// pingGen is bumped by every syncPings and stamps the refs it found.
+	// Every slot a pass keeps carries that pass's stamp, so a wrap is
+	// harmless.
+	pingGen uint32
 
 	// searches tracks in-flight ring-neighbor searches by level so
 	// repair does not flood duplicates.
@@ -242,7 +259,6 @@ func New(env transport.Env, cfg Config, name string) *Node {
 		digits:   DigitsOf(name, digitBase, maxLevels),
 		client:   nopClient{},
 		armed:    never,
-		pings:    make(map[transport.Addr]uint32),
 		searches: make(map[searchKey]bool),
 	}
 	n.tick = n.pingTick
@@ -272,13 +288,19 @@ func (n *Node) SetClient(c Client) {
 	n.client = c
 }
 
-// Stop halts liveness checking. Pending pings are abandoned.
+// Stop halts liveness checking. Pending pings are abandoned, and every
+// link is closed.
 func (n *Node) Stop() {
 	n.stopped = true
 	if n.timer != nil {
 		n.timer.Stop()
 	}
-	n.links, n.due, n.pings = nil, nil, map[transport.Addr]uint32{}
+	for i := range n.links {
+		if n.links[i].peer != nil {
+			n.closeLink(i)
+		}
+	}
+	n.links, n.due = nil, nil
 }
 
 // DigitsOf derives a node's numeric ID: the SHA-1 of its name split into

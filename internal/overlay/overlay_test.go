@@ -43,6 +43,8 @@ type recClient struct {
 	heardOn   map[string]uint32 // link id of the last ping received, per pinger name
 	down      []NodeRef
 	up        []NodeRef
+	closed    []closedLink
+	events    []string // "up", "down" and "closed", in the order they came
 	provide   func(neighbor NodeRef) []byte
 	onMessage func(msg transport.Message, info RouteInfo)
 }
@@ -75,10 +77,23 @@ func (c *recClient) OnLinkPayload(link uint32, neighbor NodeRef, payload []byte)
 
 func (c *recClient) OnNeighborDown(neighbor NodeRef) {
 	c.down = append(c.down, neighbor)
+	c.events = append(c.events, "down "+neighbor.Name)
 }
 
-func (c *recClient) OnNeighborUp(neighbor NodeRef) {
+func (c *recClient) OnNeighborUp(link uint32, neighbor NodeRef) {
 	c.up = append(c.up, neighbor)
+	c.events = append(c.events, "up "+neighbor.Name)
+}
+
+// closedLink is one OnLinkClosed upcall.
+type closedLink struct {
+	link     uint32
+	neighbor NodeRef
+}
+
+func (c *recClient) OnLinkClosed(link uint32, neighbor NodeRef) {
+	c.closed = append(c.closed, closedLink{link, neighbor})
+	c.events = append(c.events, "closed "+neighbor.Name)
 }
 
 func newCluster(t testing.TB, n int, seed int64, cfg Config) *cluster {
@@ -627,8 +642,12 @@ func TestStopHaltsPinging(t *testing.T) {
 	cl := newCluster(t, 8, 13, cfg)
 	cl.assemble()
 	cl.sim.RunFor(cfg.PingInterval)
-	for _, nd := range cl.nodes {
+	for i, nd := range cl.nodes {
 		nd.Stop()
+		// Stop closes every link it had opened, so no id outlives it.
+		if rc := cl.clients[i]; len(rc.closed) != len(rc.up) || len(rc.up) == 0 {
+			t.Fatalf("%s opened %d links and closed %d", nd.Self().Name, len(rc.up), len(rc.closed))
+		}
 	}
 	base := cl.net.Sent()
 	cl.sim.RunFor(10 * cfg.PingInterval)

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -37,9 +38,11 @@ func refNeighbors(n *Node) []NodeRef {
 // mix of every mutation that ends in syncPings - leaf offers, ring
 // adoptions, removals, and whole neighbor deaths with their repair - and
 // checks after each step that the node pings exactly its neighbors: one
-// live cycle per Neighbors() entry, none for anyone else, and one
-// OnNeighborUp per cycle ever started. Nothing is delivered (the
-// simulator never runs), so every change is the step's own.
+// live cycle per Neighbors() entry, none for anyone else, one
+// OnNeighborUp per cycle ever started, and one OnLinkClosed, with the
+// cycle's id, per cycle stopped - after OnNeighborDown for a death.
+// Nothing is delivered (the simulator never runs), so every change is
+// the step's own.
 func TestPingScheduleTracksTables(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		cl := newCluster(t, 48, seed, DefaultConfig())
@@ -52,10 +55,15 @@ func TestPingScheduleTracksTables(t *testing.T) {
 			due time.Duration
 		}
 		for step := 0; step < 3000; step++ {
-			before := make(map[transport.Addr]cycle, len(nd.pings))
-			for addr, id := range nd.pings {
-				before[addr] = cycle{id, nd.due[id-1]}
+			before := make(map[transport.Addr]cycle, linkCount(nd))
+			refs := make(map[transport.Addr]NodeRef, linkCount(nd))
+			for i, ps := range nd.links {
+				if ps.peer != nil {
+					before[ps.ref.Addr] = cycle{uint32(i + 1), nd.due[i]}
+					refs[ps.ref.Addr] = ps.ref
+				}
 			}
+			closed, events := len(rc.closed), len(rc.events)
 			switch rng.Intn(6) {
 			case 0, 1:
 				nd.considerLeaf(other())
@@ -66,7 +74,12 @@ func TestPingScheduleTracksTables(t *testing.T) {
 					nd.syncPings()
 				}
 			case 4:
-				nd.neighborDead(other())
+				dead := other()
+				_, held := before[dead.Addr]
+				nd.neighborDead(dead)
+				if got := rc.events[events:]; held && (len(got) < 2 || got[0] != "down "+dead.Name || !slices.Contains(got[1:], "closed "+dead.Name)) {
+					t.Fatalf("seed %d step %d: %s died with upcalls %v, want down then closed", seed, step, dead.Name, got)
+				}
 			case 5:
 				nd.syncPings() // nothing changed since the last one
 			}
@@ -81,43 +94,51 @@ func TestPingScheduleTracksTables(t *testing.T) {
 					}
 				}
 			}
-			if len(nd.pings) != len(want) {
-				t.Fatalf("seed %d step %d: %d ping cycles for %d neighbors", seed, step, len(nd.pings), len(want))
+			if linkCount(nd) != len(want) {
+				t.Fatalf("seed %d step %d: %d ping cycles for %d neighbors", seed, step, linkCount(nd), len(want))
 			}
-			// The table and the address index describe the same cycles:
-			// every occupied slot is indexed under its neighbor's address
-			// with its own id, and a free slot is the zero record, never
-			// due.
-			occupied := 0
+			// Every occupied slot holds a neighbor no other slot holds, so
+			// the scan by address finds it under its own id, and a free
+			// slot is the zero record, never due.
 			for i, ps := range nd.links {
 				switch {
 				case ps.peer == nil && (ps != pingState{} || nd.due[i] != never):
 					t.Fatalf("seed %d step %d: free slot %d holds %+v, due %v", seed, step, i, ps, nd.due[i])
-				case ps.peer != nil && nd.pings[ps.ref.Addr] != uint32(i+1):
-					t.Fatalf("seed %d step %d: slot %d indexed as id %d", seed, step, i, nd.pings[ps.ref.Addr])
-				case ps.peer != nil:
-					occupied++
+				case ps.peer != nil && nd.LinkID(ps.ref.Addr) != uint32(i+1):
+					t.Fatalf("seed %d step %d: slot %d found as id %d", seed, step, i, nd.LinkID(ps.ref.Addr))
 				}
 			}
-			if occupied != len(nd.pings) || len(nd.due) != len(nd.links) {
-				t.Fatalf("seed %d step %d: %d occupied slots, %d indexed, %d due entries for %d slots",
-					seed, step, occupied, len(nd.pings), len(nd.due), len(nd.links))
+			if len(nd.due) != len(nd.links) {
+				t.Fatalf("seed %d step %d: %d due entries for %d slots", seed, step, len(nd.due), len(nd.links))
 			}
 			for _, r := range want {
 				ps := linkTo(nd, r.Addr)
 				if ps == nil || ps.ref.Addr != r.Addr {
 					t.Fatalf("seed %d step %d: neighbor %s has no live ping cycle (%+v)", seed, step, r.Name, ps)
 				}
-				id := nd.pings[r.Addr]
+				id := nd.LinkID(r.Addr)
 				if old, ok := before[r.Addr]; ok && old != (cycle{id, nd.due[id-1]}) {
 					t.Fatalf("seed %d step %d: neighbor %s stayed in the tables but its ping cycle was replaced", seed, step, r.Name)
 				} else if !ok {
 					started++
 				}
 			}
+			stopped := make(map[closedLink]bool)
 			for addr, old := range before {
-				if _, ok := nd.pings[addr]; !ok && nd.links[old.id-1].ref.Addr == addr {
-					t.Fatalf("seed %d step %d: %s left the tables but its ping cycle still runs", seed, step, addr)
+				if nd.LinkID(addr) == 0 {
+					if nd.links[old.id-1].ref.Addr == addr {
+						t.Fatalf("seed %d step %d: %s left the tables but its ping cycle still runs", seed, step, addr)
+					}
+					stopped[closedLink{old.id, refs[addr]}] = true
+				}
+			}
+			if got := rc.closed[closed:]; len(got) != len(stopped) {
+				t.Fatalf("seed %d step %d: %d OnLinkClosed calls for %d ping cycles stopped", seed, step, len(got), len(stopped))
+			} else {
+				for _, c := range got {
+					if !stopped[c] {
+						t.Fatalf("seed %d step %d: OnLinkClosed(%d, %s) names no cycle that stopped", seed, step, c.link, c.neighbor.Name)
+					}
 				}
 			}
 			if len(rc.up) != started {
