@@ -19,10 +19,10 @@ import (
 // FUSE layer. Then it assembles the overlay and runs 2 virtual minutes
 // with no groups, creates 250 groups of 5 and runs 2 more, reading the
 // whole deployment per node after each. Every reading has a bound just
-// above what it is, so any growth fails. It also logs what assembling
-// the overlay costs per live link: the idle deployment's growth over the
-// fresh stacks - routing tables, link tables, dialed routes - over the
-// links the nodes' tables hold.
+// above what it is, so any growth fails. It also logs and bounds what
+// assembling the overlay costs per live link: the idle deployment's
+// growth over the fresh stacks - routing tables, link slots with their
+// routes, memoized paths - over the links the nodes' tables hold.
 func TestBytesPerNode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation changes the heap; memory pins run without -race")
@@ -75,12 +75,16 @@ func TestBytesPerNode(t *testing.T) {
 
 	c.Assemble()
 	c.Sim.RunFor(2 * time.Minute)
-	idle := check("assembled, 2 minutes with no groups", base, 5950)
+	idle := check("assembled, 2 minutes with no groups", base, 4880)
 	links := 0
 	for _, ov := range ovs {
 		links += len(ov.Neighbors())
 	}
-	t.Logf("assembled: %.1f live links per node, %d B per link", float64(links)/nodes, (idle-at)/uint64(links))
+	perLink := (idle - at) / uint64(links)
+	t.Logf("assembled: %.1f live links per node, %d B per link", float64(links)/nodes, perLink)
+	if perLink > 185 {
+		t.Errorf("assembly costs %d B per live link, bound 185", perLink)
+	}
 
 	made := 0
 	for g := 0; g < groups; g++ {
@@ -99,43 +103,25 @@ func TestBytesPerNode(t *testing.T) {
 	if made != groups {
 		t.Fatalf("%d of %d groups created", made, groups)
 	}
-	check("with 250 groups of 5, 2 minutes more", base, 10150)
+	check("with 250 groups of 5, 2 minutes more", base, 9070)
 	runtime.KeepAlive(c)
 }
 
 // TestChurnHeapStaysFlat pins that a long run under steady churn holds
 // no more memory at its end than it did after warming up: nothing the
 // stack keeps grows with the neighbours, routes or groups a node has ever
-// had. 400 nodes run for 160 virtual minutes. Every 10 virtual seconds a
-// random node of 100-399 crashes if it is up, and with probability 1/3 a
-// down one restarts through a random node of 0-99, so about a third of
-// the churners are up at a time and each restart is a fresh join. Every
-// minute the five oldest groups are signalled and five groups are
-// created, each of three nodes of 0-99 and one up node of 100-399. The
-// live heap at minute 160 may be at most 5% above minute 40's; the pair
-// memo, which keeps every route ever asked for, is most of what still
-// grows, and the test logs its size at both minutes. The group records
-// the up nodes' FUSE layers hold, which the steady create-and-signal
-// rate keeps level, may be at most 1.5x minute 40's count.
+// had. It runs runChurnShape for 160 virtual minutes. The live heap at
+// minute 160 may be at most 5% above minute 40's; the pair memo, which
+// keeps every route ever asked for, is most of what still grows, and the
+// test logs its size at both minutes. The group records the up nodes'
+// FUSE layers hold, which the steady create-and-signal rate keeps level,
+// may be at most 1.5x minute 40's count.
 func TestChurnHeapStaysFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation changes the heap; memory pins run without -race")
 	}
-	const (
-		nodes, stable = 400, 100
-		step          = 10 * time.Second
-		perMinute     = int(time.Minute / step)
-		minutes, warm = 160, 40
-	)
-	opts := simnet.DefaultOptions()
-	c := New(Options{N: nodes, Seed: 1, SimOptions: &opts})
-	rng := rand.New(rand.NewSource(1))
-	type group struct {
-		root int
-		id   core.GroupID
-	}
-	var groups []group // oldest first
-	made := 0
+	const minutes, warm = 160, 40
+	c := newChurnShape()
 	var at40 uint64
 	var pairs40, records40 int
 	records := func() int {
@@ -147,6 +133,61 @@ func TestChurnHeapStaysFlat(t *testing.T) {
 		}
 		return n
 	}
+	runChurnShape(c, minutes, func(m, made int) {
+		switch m {
+		case warm:
+			at40 = liveHeap()
+			pairs40, records40 = c.Topo.RouteStats().Pairs, records()
+		case minutes:
+			at160 := liveHeap()
+			ratio := float64(at160) / float64(at40)
+			t.Logf("live heap %.2f MB at minute %d, %.2f MB at minute %d (%.3fx); %d groups created",
+				float64(at40)/(1<<20), warm, float64(at160)/(1<<20), minutes, ratio, made)
+			if at160*100 > at40*105 {
+				t.Errorf("live heap grew %.3fx from minute %d to %d, bound 1.05x", ratio, warm, minutes)
+			}
+			pairs160, records160 := c.Topo.RouteStats().Pairs, records()
+			t.Logf("memoized route pairs %d at minute %d, %d at minute %d; group records %d, then %d",
+				pairs40, warm, pairs160, minutes, records40, records160)
+			if records160*2 > records40*3 {
+				t.Errorf("group records grew from %d at minute %d to %d at minute %d, bound 1.5x",
+					records40, warm, records160, minutes)
+			}
+		}
+	})
+	runtime.KeepAlive(c)
+}
+
+// newChurnShape builds runChurnShape's deployment: 400 nodes with the
+// paper's messaging overheads.
+func newChurnShape() *Cluster {
+	opts := simnet.DefaultOptions()
+	return New(Options{N: 400, Seed: 1, SimOptions: &opts})
+}
+
+// runChurnShape runs steady churn on a newChurnShape deployment for the
+// given virtual minutes. Every 10 virtual seconds a random node of
+// 100-399 crashes if it is up, and with probability 1/3 a down one
+// restarts through a random node of 0-99, so about a third of the
+// churners are up at a time and each restart is a fresh join. Every
+// minute the five oldest groups are signalled and five groups are
+// created, each of three nodes of 0-99 and one up node of 100-399; then
+// minute(m, made) is called with the minute's number and the groups
+// created so far.
+func runChurnShape(c *Cluster, minutes int, minute func(m, made int)) {
+	const (
+		stable    = 100
+		step      = 10 * time.Second
+		perMinute = int(time.Minute / step)
+	)
+	nodes := len(c.Nodes)
+	rng := rand.New(rand.NewSource(1))
+	type group struct {
+		root int
+		id   core.GroupID
+	}
+	var groups []group // oldest first
+	made := 0
 	for s := 1; s <= minutes*perMinute; s++ {
 		c.Sim.RunFor(step)
 		if k := stable + rng.Intn(nodes-stable); !c.Crashed(k) {
@@ -186,28 +227,8 @@ func TestChurnHeapStaysFlat(t *testing.T) {
 				}
 			})
 		}
-		switch s / perMinute {
-		case warm:
-			at40 = liveHeap()
-			pairs40, records40 = c.Topo.RouteStats().Pairs, records()
-		case minutes:
-			at160 := liveHeap()
-			ratio := float64(at160) / float64(at40)
-			t.Logf("live heap %.2f MB at minute %d, %.2f MB at minute %d (%.3fx); %d groups created",
-				float64(at40)/(1<<20), warm, float64(at160)/(1<<20), minutes, ratio, made)
-			if at160*100 > at40*105 {
-				t.Errorf("live heap grew %.3fx from minute %d to %d, bound 1.05x", ratio, warm, minutes)
-			}
-			pairs160, records160 := c.Topo.RouteStats().Pairs, records()
-			t.Logf("memoized route pairs %d at minute %d, %d at minute %d; group records %d, then %d",
-				pairs40, warm, pairs160, minutes, records40, records160)
-			if records160*2 > records40*3 {
-				t.Errorf("group records grew from %d at minute %d to %d at minute %d, bound 1.5x",
-					records40, warm, records160, minutes)
-			}
-		}
+		minute(s/perMinute, made)
 	}
-	runtime.KeepAlive(c)
 }
 
 // liveHeap is the bytes of live heap objects after two full collections

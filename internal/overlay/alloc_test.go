@@ -11,6 +11,8 @@ package overlay
 import (
 	"fmt"
 	"testing"
+	"time"
+	"unsafe"
 
 	"fuse/internal/eventsim"
 	"fuse/internal/netmodel"
@@ -179,5 +181,54 @@ func TestSyncPingsUnchangedZeroAlloc(t *testing.T) {
 	if linkCount(nd) != pinged || len(cl.clients[0].up) != pinged {
 		t.Fatalf("idle syncPings changed the schedule: %d cycles, %d OnNeighborUp calls, want %d of each",
 			linkCount(nd), len(cl.clients[0].up), pinged)
+	}
+}
+
+// TestOpenLinkAndFirstPingZeroAlloc pins that a link is one record of at
+// most 80 B: on a link table with spare capacity, opening a link to a new
+// neighbor and sending its first ping allocate nothing, because the slot
+// holds the transport's route by value and the route resolves in place.
+// The link is closed again and the ping and its ack delivered in each
+// run, so every run opens the same slot afresh.
+func TestOpenLinkAndFirstPingZeroAlloc(t *testing.T) {
+	if size := unsafe.Sizeof(pingState{}); size > 80 {
+		t.Fatalf("a link slot is %d B, want at most 80", size)
+	}
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; alloc pin runs without -race")
+	}
+	cfg := DefaultConfig()
+	cl := newCluster(t, 40, 7, cfg)
+	cl.assemble()
+	cl.sim.RunFor(2 * cfg.PingInterval)
+	nd := cl.nodes[0]
+	nd.SetClient(nil) // the recording client's logs would allocate
+	var stranger NodeRef
+	for _, other := range cl.nodes[1:] {
+		if nd.LinkID(other.Self().Addr) == 0 {
+			stranger = other.Self()
+			break
+		}
+	}
+	if stranger.IsZero() {
+		t.Fatal("every node is node 0's neighbor; no link left to open")
+	}
+	open := func() {
+		i := nd.startPinging(stranger)
+		nd.due[i] = nd.env.Elapsed()
+		nd.pingTick()
+		if !nd.links[i].awaiting {
+			t.Fatal("the new link's first ping was not sent")
+		}
+		nd.closeLink(i)
+		cl.sim.RunFor(time.Second)
+	}
+	open() // the first open may grow the table; later ones reuse its slot
+	sent := cl.net.Sent()
+	if allocs := testing.AllocsPerRun(50, open); allocs != 0 {
+		t.Fatalf("opening a link and sending its first ping allocates %.1f/op, want 0", allocs)
+	}
+	if cl.net.Sent() < sent+2*50 {
+		t.Fatalf("%d messages sent over 50 opens, want at least a ping and an ack each", cl.net.Sent()-sent)
 	}
 }

@@ -35,19 +35,17 @@ func pingSeeds() []int64 {
 }
 
 // dialEnv is a transporttest.Env as a transport.Dialer: sends through a
-// dialed Peer are marked, so a test can tell which way a message left.
+// dialed Route are marked, so a test can tell which way a message left.
 type dialEnv struct {
 	*transporttest.Env
-	viaPeer int
+	viaRoute int
 }
 
-type dialPeer struct {
-	e  *dialEnv
-	to transport.Addr
+func (e *dialEnv) Dial(to transport.Addr) transport.Route { return transport.Route{Addr: to} }
+func (e *dialEnv) SendRoute(r *transport.Route, msg transport.Message) {
+	e.viaRoute++
+	e.Send(r.Addr, msg)
 }
-
-func (e *dialEnv) Dial(to transport.Addr) transport.Peer { return dialPeer{e, to} }
-func (p dialPeer) Send(msg transport.Message)            { p.e.viaPeer++; p.e.Send(p.to, msg) }
 
 // scriptNode puts node 0 alone on a new Net, its random source seeded
 // with seed. Its sends go nowhere until the test acts on them.
@@ -180,7 +178,7 @@ func TestPingScheduleMatchesReference(t *testing.T) {
 			if !ok {
 				return // repair traffic after a death
 			}
-			from := linkTo(nd, s.To).ref
+			from := linkTo(nd, s.To).ref()
 			got = append(got, stamp{s.At, "ping", from.Name})
 			var delay time.Duration
 			switch p := drive.Intn(100); {
@@ -322,7 +320,7 @@ func linkTo(nd *Node, addr transport.Addr) *pingState {
 func linkCount(nd *Node) int {
 	n := 0
 	for _, ps := range nd.links {
-		if ps.peer != nil {
+		if ps.open() {
 			n++
 		}
 	}
@@ -442,11 +440,11 @@ func TestLinkIdHygiene(t *testing.T) {
 	// and teaches us its id - whether the id it echoes is right, unknown,
 	// another link's, or out of range.
 	for i, echo := range []uint32{2, 0, 1, 99} {
-		before := env.viaPeer
+		before := env.viaRoute
 		ack := pingFrom(b, 30+uint32(i), echo)
-		if ack.Link != 2 || env.viaPeer != before+1 || linkTo(nd, b.Addr).peerLink != 30+uint32(i) {
-			t.Fatalf("ping from b echoing id %d: acked with Link %d (want 2), via peer %v, learned %d (want %d)",
-				echo, ack.Link, env.viaPeer != before, linkTo(nd, b.Addr).peerLink, 30+i)
+		if ack.Link != 2 || env.viaRoute != before+1 || linkTo(nd, b.Addr).peerLink != 30+uint32(i) {
+			t.Fatalf("ping from b echoing id %d: acked with Link %d (want 2), via route %v, learned %d (want %d)",
+				echo, ack.Link, env.viaRoute != before, linkTo(nd, b.Addr).peerLink, 30+i)
 		}
 		// The client hears the payload on our id for the link, whatever
 		// the ping echoed.
@@ -460,9 +458,9 @@ func TestLinkIdHygiene(t *testing.T) {
 
 	// A stranger is acked through the env with no id of ours, even when it
 	// echoes an id that is in use, and is not adopted.
-	before := env.viaPeer
-	if ack := pingFrom(c, 5, 1); ack.Link != 0 || env.viaPeer != before || linkTo(nd, c.Addr) != nil {
-		t.Fatalf("stranger's ping acked with Link %d via peer %v", ack.Link, env.viaPeer != before)
+	before := env.viaRoute
+	if ack := pingFrom(c, 5, 1); ack.Link != 0 || env.viaRoute != before || linkTo(nd, c.Addr) != nil {
+		t.Fatalf("stranger's ping acked with Link %d via route %v", ack.Link, env.viaRoute != before)
 	}
 	if link, ok := rc.heardOn[c.Name]; !ok || link != 0 {
 		t.Fatalf("stranger's ping handed to the client on link %d (heard: %v), want 0", link, ok)
@@ -476,7 +474,7 @@ func TestLinkIdHygiene(t *testing.T) {
 	nd.removeRef(a.Addr)
 	nd.syncPings()
 	nd.considerLeaf(c)
-	if ps := linkTo(nd, c.Addr); nd.LinkID(c.Addr) != 1 || ps.ref != c {
+	if ps := linkTo(nd, c.Addr); nd.LinkID(c.Addr) != 1 || ps.ref() != c {
 		t.Fatalf("c did not reuse a's slot: id %d, %+v", nd.LinkID(c.Addr), ps)
 	}
 	schedule(nd, 12*s, 50*s)
@@ -524,11 +522,11 @@ func TestLinkIdsLearnedInOneExchange(t *testing.T) {
 	if pinger == nil {
 		t.Fatal("no ping was ever acked")
 	}
-	acker := cl.byName[ps.ref.Name]
-	id, backID := pinger.LinkID(ps.ref.Addr), acker.LinkID(pinger.self.Addr)
+	acker := cl.byName[ps.name]
+	id, backID := pinger.LinkID(ps.route.Addr), acker.LinkID(pinger.self.Addr)
 	back := linkTo(acker, pinger.self.Addr)
 	if ps.peerLink != backID || back.peerLink != id {
 		t.Fatalf("after one exchange %s holds id %d and echoes %d, %s holds id %d and echoes %d",
-			pinger.self.Name, id, ps.peerLink, ps.ref.Name, backID, back.peerLink)
+			pinger.self.Name, id, ps.peerLink, ps.name, backID, back.peerLink)
 	}
 }

@@ -106,17 +106,28 @@ func (n *Node) removeRef(addr transport.Addr) bool {
 // It owns no timer: when the current phase ends is Node.due[id-1], and
 // the node's one timer serves whichever link's entry comes first. The
 // link's id is its slot's index plus one, sent as Link in every ping and
-// ack so the neighbor can echo it back. A free slot is the zero record,
-// its peer nil.
+// ack so the neighbor can echo it back. The slot is the only record of
+// the neighbor on the node, the transport's included: route holds its
+// address and, once the first send has resolved it, what the transport
+// resolved it to. A free slot is the zero record. A slot is 80 B
+// (TestOpenLinkAndFirstPingZeroAlloc holds it there): hence seq's 32 bits
+// and gen's 16, which wrap harmlessly.
 type pingState struct {
-	ref      NodeRef
-	peer     transport.Peer // ref.Addr, dialed once
-	seq      uint64         // seq of the last ping sent
-	gen      uint32         // Node.pingGen of the last syncPings that found ref in the tables
-	key      uint32         // addrKey(ref.Addr), which a scan compares before the address
-	peerLink uint32         // the neighbor's id for us as last heard, echoed to it as PeerLink
-	awaiting bool           // between a send and its ack or ack deadline
+	name     string          // the neighbor's name; ref() adds route.Addr
+	route    transport.Route // the neighbor's address, resolved in place by its first send
+	seq      uint32          // seq of the last ping sent
+	key      uint32          // addrKey(route.Addr), which a scan compares before the address
+	peerLink uint32          // the neighbor's id for us as last heard, echoed to it as PeerLink
+	gen      uint16          // Node.pingGen of the last syncPings that found the neighbor in the tables
+	awaiting bool            // between a send and its ack or ack deadline
 }
+
+// ref is the neighbor the slot holds.
+func (ps *pingState) ref() NodeRef { return NodeRef{Name: ps.name, Addr: ps.route.Addr} }
+
+// open reports whether the slot holds a link: eachTableRef hands out no
+// zero NodeRef, so an open slot is never the zero record.
+func (ps *pingState) open() bool { return ps.name != "" || ps.route.Addr != "" }
 
 // linkSlab is how many slots the link table grows by when it is full.
 const linkSlab = 8
@@ -144,7 +155,7 @@ func (n *Node) syncPings() {
 		n.links[i].gen = n.pingGen
 	})
 	for i := range n.links {
-		if ps := &n.links[i]; ps.peer != nil && ps.gen != n.pingGen {
+		if ps := &n.links[i]; ps.open() && ps.gen != n.pingGen {
 			n.closeLink(i)
 		}
 	}
@@ -154,7 +165,7 @@ func (n *Node) syncPings() {
 // timer, if it was armed for this link, fires, finds nothing due and
 // re-arms.
 func (n *Node) closeLink(i int) {
-	ref := n.links[i].ref
+	ref := n.links[i].ref()
 	n.links[i], n.due[i] = pingState{}, never
 	n.client.OnLinkClosed(uint32(i+1), ref)
 }
@@ -164,7 +175,7 @@ func (n *Node) closeLink(i int) {
 func (n *Node) slotOf(addr transport.Addr) int {
 	key := addrKey(addr)
 	for i := range n.links {
-		if ps := &n.links[i]; ps.key == key && ps.peer != nil && ps.ref.Addr == addr {
+		if ps := &n.links[i]; ps.key == key && ps.route.Addr == addr && ps.open() {
 			return i
 		}
 	}
@@ -186,7 +197,7 @@ func (n *Node) LinkID(addr transport.Addr) uint32 { return uint32(n.slotOf(addr)
 // tables, in the lowest free slot of the link table, tells the client,
 // and returns the slot.
 func (n *Node) startPinging(ref NodeRef) int {
-	i := slices.IndexFunc(n.links, func(ps pingState) bool { return ps.peer == nil })
+	i := slices.IndexFunc(n.links, func(ps pingState) bool { return !ps.open() })
 	if i < 0 {
 		i = len(n.links)
 		if i == cap(n.links) {
@@ -196,7 +207,7 @@ func (n *Node) startPinging(ref NodeRef) int {
 		}
 		n.links, n.due = append(n.links, pingState{}), append(n.due, never)
 	}
-	n.links[i] = pingState{ref: ref, peer: transport.Dial(n.env, ref.Addr), key: addrKey(ref.Addr)}
+	n.links[i] = pingState{name: ref.Name, route: transport.NewRoute(n.env, ref.Addr), key: addrKey(ref.Addr)}
 	// Stagger first pings uniformly over the interval so a large
 	// overlay's background load is smooth, as a deployed system's
 	// would be.
@@ -243,7 +254,7 @@ func (n *Node) pingTick() {
 		}
 		ps := &n.links[i]
 		if ps.awaiting {
-			n.neighborDead(ps.ref)
+			n.neighborDead(ps.ref())
 			edited = true
 			continue
 		}
@@ -256,12 +267,12 @@ func (n *Node) pingTick() {
 		// delivery, so the steady-state send allocates nothing.
 		id := uint32(i + 1)
 		m := newMsgPing()
-		m.From, m.Seq, m.Payload = n.self, ps.seq, n.client.LinkPayload(id, ps.ref)
+		m.From, m.Seq, m.Payload = n.self, uint64(ps.seq), n.client.LinkPayload(id, ps.ref())
 		m.Link, m.PeerLink = id, ps.peerLink
-		ps.peer.Send(m)
+		transport.SendRoute(n.env, &ps.route, m)
 		n.tm.pingsSent.Inc(n.tm.lane)
 		if n.tm.lane.Tracing(telemetry.TraceVerbose) {
-			n.tm.lane.Record(n.env.Elapsed(), "ping", n.self.Name, "", 0, 0, ps.ref.Name)
+			n.tm.lane.Record(n.env.Elapsed(), "ping", n.self.Name, "", 0, 0, ps.name)
 		}
 	}
 	if edited {
@@ -280,7 +291,7 @@ func (n *Node) pingTick() {
 // a scan finds, else -1. The echo comes off the wire, so it may be stale:
 // the id the neighbor last heard may have been closed and reused since.
 func (n *Node) linkOf(id uint32, addr transport.Addr) int {
-	if i := int(id) - 1; i >= 0 && i < len(n.links) && n.links[i].peer != nil && n.links[i].ref.Addr == addr {
+	if i := int(id) - 1; i >= 0 && i < len(n.links) && n.links[i].route.Addr == addr && n.links[i].open() {
 		return i
 	}
 	return n.slotOf(addr)
@@ -300,7 +311,7 @@ func (n *Node) handlePing(m *msgPing) {
 	ps := &n.links[i]
 	ps.peerLink = m.Link
 	ack.Link = uint32(i + 1)
-	ps.peer.Send(ack)
+	transport.SendRoute(n.env, &ps.route, ack)
 }
 
 // handlePingAck credits an ack that arrives inside its ping's deadline:
@@ -313,7 +324,7 @@ func (n *Node) handlePingAck(m *msgPingAck) {
 		return
 	}
 	ps := &n.links[i]
-	if !ps.awaiting || m.Seq != ps.seq {
+	if !ps.awaiting || m.Seq != uint64(ps.seq) {
 		return
 	}
 	ps.peerLink = m.Link
@@ -323,7 +334,7 @@ func (n *Node) handlePingAck(m *msgPingAck) {
 	n.tm.acksRecv.Inc(n.tm.lane)
 	n.tm.rtt.Observe(n.tm.lane, n.env.Elapsed()-sentAt)
 	if n.tm.lane.Tracing(telemetry.TraceVerbose) {
-		n.tm.lane.Record(n.env.Elapsed(), "ack", n.self.Name, "", 0, 0, ps.ref.Name)
+		n.tm.lane.Record(n.env.Elapsed(), "ack", n.self.Name, "", 0, 0, ps.name)
 	}
 }
 

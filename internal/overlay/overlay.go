@@ -38,7 +38,9 @@
 // background load smooth at any scale. Pings and acks carry each end's
 // slot number for the link, so both handlers find their record by index
 // instead of hashing the sender's address, and each record holds its
-// neighbor as a destination the transport resolved once (transport.Dial).
+// neighbor's transport.Route by value: the address, and what the
+// transport resolved it to at its first send, so a ping touches no other
+// per-neighbor record on the way out.
 // The link table is the only index of a node's links: the cold paths
 // that start from an address (table reconciliation, a ping whose echoed
 // id is stale) scan its few dozen contiguous records.
@@ -215,7 +217,7 @@ type Node struct {
 	// pingGen is bumped by every syncPings and stamps the refs it found.
 	// Every slot a pass keeps carries that pass's stamp, so a wrap is
 	// harmless.
-	pingGen uint32
+	pingGen uint16
 
 	// searches tracks in-flight ring-neighbor searches by level so
 	// repair does not flood duplicates.
@@ -296,7 +298,7 @@ func (n *Node) Stop() {
 		n.timer.Stop()
 	}
 	for i := range n.links {
-		if n.links[i].peer != nil {
+		if n.links[i].open() {
 			n.closeLink(i)
 		}
 	}

@@ -58,9 +58,9 @@ func TestPingScheduleTracksTables(t *testing.T) {
 			before := make(map[transport.Addr]cycle, linkCount(nd))
 			refs := make(map[transport.Addr]NodeRef, linkCount(nd))
 			for i, ps := range nd.links {
-				if ps.peer != nil {
-					before[ps.ref.Addr] = cycle{uint32(i + 1), nd.due[i]}
-					refs[ps.ref.Addr] = ps.ref
+				if ps.open() {
+					before[ps.route.Addr] = cycle{uint32(i + 1), nd.due[i]}
+					refs[ps.route.Addr] = ps.ref()
 				}
 			}
 			closed, events := len(rc.closed), len(rc.events)
@@ -102,10 +102,10 @@ func TestPingScheduleTracksTables(t *testing.T) {
 			// slot is the zero record, never due.
 			for i, ps := range nd.links {
 				switch {
-				case ps.peer == nil && (ps != pingState{} || nd.due[i] != never):
+				case !ps.open() && (ps != pingState{} || nd.due[i] != never):
 					t.Fatalf("seed %d step %d: free slot %d holds %+v, due %v", seed, step, i, ps, nd.due[i])
-				case ps.peer != nil && nd.LinkID(ps.ref.Addr) != uint32(i+1):
-					t.Fatalf("seed %d step %d: slot %d found as id %d", seed, step, i, nd.LinkID(ps.ref.Addr))
+				case ps.open() && nd.LinkID(ps.route.Addr) != uint32(i+1):
+					t.Fatalf("seed %d step %d: slot %d found as id %d", seed, step, i, nd.LinkID(ps.route.Addr))
 				}
 			}
 			if len(nd.due) != len(nd.links) {
@@ -113,7 +113,7 @@ func TestPingScheduleTracksTables(t *testing.T) {
 			}
 			for _, r := range want {
 				ps := linkTo(nd, r.Addr)
-				if ps == nil || ps.ref.Addr != r.Addr {
+				if ps == nil || ps.route.Addr != r.Addr {
 					t.Fatalf("seed %d step %d: neighbor %s has no live ping cycle (%+v)", seed, step, r.Name, ps)
 				}
 				id := nd.LinkID(r.Addr)
@@ -126,7 +126,7 @@ func TestPingScheduleTracksTables(t *testing.T) {
 			stopped := make(map[closedLink]bool)
 			for addr, old := range before {
 				if nd.LinkID(addr) == 0 {
-					if nd.links[old.id-1].ref.Addr == addr {
+					if nd.links[old.id-1].route.Addr == addr {
 						t.Fatalf("seed %d step %d: %s left the tables but its ping cycle still runs", seed, step, addr)
 					}
 					stopped[closedLink{old.id, refs[addr]}] = true

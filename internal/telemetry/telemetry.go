@@ -38,9 +38,13 @@ import (
 )
 
 // maxSlots bounds a lane's slot slab. Slabs are allocated eagerly so a
-// slot's address never changes; ~50 metric names (histograms take
-// numBuckets+2 slots each) use a fraction of this.
-const maxSlots = 4096
+// slot's address never changes, and a simulation holds one per shard, so
+// the slab is sized to use: the largest registry in the repository (the
+// churn preset's: the overlay's and core's metrics plus the scenario
+// engine's histogram; histograms take numBuckets+2 slots each) takes 74
+// slots, and TestSlabFitsTheLargestRegistries fails if one takes over a
+// quarter of the slab.
+const maxSlots = 512
 
 // numBuckets is the histogram bucket count: bucket i holds observations
 // whose truncated-millisecond value has bit length i (upper bound 2^i

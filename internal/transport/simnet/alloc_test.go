@@ -122,14 +122,14 @@ func TestPooledRecordClearedBeforeReuse(t *testing.T) {
 // broken sockets) are still recycled: the Pooled contract is
 // release-exactly-once on every path, not just successful delivery. Every
 // path is entered both ways a message reaches the one send body: through
-// Env.Send and through a dialed Peer.
+// Env.Send and through a dialed Route.
 func TestReleaseRunsOnDropPaths(t *testing.T) {
 	entries := []struct {
 		name string
 		send func(a *node, to transport.Addr, m transport.Message)
 	}{
 		{"Env.Send", func(a *node, to transport.Addr, m transport.Message) { a.Send(to, m) }},
-		{"Peer.Send", func(a *node, to transport.Addr, m transport.Message) { a.Dial(to).Send(m) }},
+		{"SendRoute", func(a *node, to transport.Addr, m transport.Message) { r := a.Dial(to); a.SendRoute(&r, m) }},
 	}
 	for _, via := range entries {
 		net, addrs := testNet(t, 2, Options{RetriesBeforeBreak: 3, RetryRTO: time.Second})
@@ -180,35 +180,39 @@ func TestReleaseRunsOnDropPaths(t *testing.T) {
 
 // TestUnknownDestinationsLeaveNoCacheEntry pins what sends leave behind:
 // sends (and dials) to addresses nobody ever listens on are counted as
-// drops, never as sent, and leave no pending link. A node keeps no route
-// cache at all: Env.Send resolves its destination afresh each time, and
-// every Dial hands out a fresh link that resolves at its own first send
-// and is held by nothing but the Peer.
+// drops, never as sent, leave no pending router and resolve no route. A
+// node keeps no route cache at all: Env.Send resolves its destination
+// afresh each time, and every Dial hands out an unresolved route that
+// resolves at its own first send and is held by nothing but its caller.
 func TestUnknownDestinationsLeaveNoCacheEntry(t *testing.T) {
 	net, addrs := testNet(t, 2, Options{})
 	a := net.nodes[addrs[0]]
 	for i := 0; i < 100; i++ {
 		garbage := transport.Addr(fmt.Sprintf("garbage-%d", i))
 		a.Send(garbage, num(i))
-		a.Dial(garbage).Send(num(i))
+		r := a.Dial(garbage)
+		a.SendRoute(&r, num(i))
+		if r != (transport.Route{Addr: garbage}) {
+			t.Fatalf("a send to %s resolved its route to %+v", garbage, r)
+		}
 	}
 	net.sim.Run()
 	if net.Dropped() != 200 || net.Sent() != 0 {
 		t.Fatalf("dropped = %d, sent = %d; want 200 and 0", net.Dropped(), net.Sent())
 	}
 	if len(a.pending) != 0 {
-		t.Fatalf("%d pending links left behind by sends to unknown addresses", len(a.pending))
+		t.Fatalf("%d pending routers left behind by sends to unknown addresses", len(a.pending))
 	}
 	// Env.Send to a live node hands no later Dial anything resolved.
 	a.Send(addrs[1], num(0))
 	p := a.Dial(addrs[1])
-	if l := p.(*link); l.dst != nil || len(a.pending) != 0 {
-		t.Fatalf("Dial after Env.Send: resolved %v, %d pending; want a fresh link", l.dst != nil, len(a.pending))
+	if p != (transport.Route{Addr: addrs[1]}) || len(a.pending) != 0 {
+		t.Fatalf("Dial after Env.Send: route %+v, %d pending; want a bare address", p, len(a.pending))
 	}
-	p.Send(num(1))
+	a.SendRoute(&p, num(1))
 	q := a.Dial(addrs[1])
-	if q == p || q.(*link).dst != nil || p.(*link).dst != net.nodes[addrs[1]] {
-		t.Fatal("a second Dial shared or saw the first link's resolution")
+	if q != (transport.Route{Addr: addrs[1]}) || p.Dst != net.nodes[addrs[1]] {
+		t.Fatal("a second Dial saw the first route's resolution")
 	}
 	net.sim.Run()
 	if net.Sent() != 2 {
@@ -217,14 +221,14 @@ func TestUnknownDestinationsLeaveNoCacheEntry(t *testing.T) {
 }
 
 // TestDialBeforeAddNodeDeliversOnceNodeExists pins late resolution: a
-// Peer dialed for an address with no node yet drops while there is none
+// route dialed for an address with no node yet drops while there is none
 // and delivers once there is, over the topology path looked up at that
-// first successful send, which the Peer keeps.
+// first successful send, which the route keeps.
 func TestDialBeforeAddNodeDeliversOnceNodeExists(t *testing.T) {
 	net, addrs := testNet(t, 1, Options{})
 	a := net.nodes[addrs[0]]
 	p := a.Dial("late")
-	p.Send(str("too early"))
+	a.SendRoute(&p, str("too early"))
 	net.sim.Run()
 	if net.Dropped() != 1 || net.Sent() != 0 {
 		t.Fatalf("send before AddNode: dropped = %d, sent = %d; want 1 and 0", net.Dropped(), net.Sent())
@@ -241,7 +245,7 @@ func TestDialBeforeAddNodeDeliversOnceNodeExists(t *testing.T) {
 		got, at = append(got, msg.(*tmsg).V), late.Elapsed()
 	})
 	sentAt := net.sim.Elapsed()
-	p.Send(str("hello"))
+	a.SendRoute(&p, str("hello"))
 	net.sim.Run()
 	if len(got) != 1 || got[0] != "hello" {
 		t.Fatalf("delivered %q, want one hello", got)
@@ -250,31 +254,32 @@ func TestDialBeforeAddNodeDeliversOnceNodeExists(t *testing.T) {
 	if at-sentAt != want.Latency {
 		t.Fatalf("delivery took %v, want the path latency %v", at-sentAt, want.Latency)
 	}
-	if l := p.(*link); l.dst != late || l.path != want {
-		t.Fatalf("the Peer kept %+v over %+v, want the late node over %+v", l.dst, l.path, want)
+	if p.Dst != late || p.Latency != want.Latency || p.Loss != want.Loss {
+		t.Fatalf("the route kept %+v, want the late node over %+v", p, want)
 	}
 }
 
-// TestDialedLinksResolveWithOneSweep: a node that dialed k existing peers
-// resolves all k links at its first send, with one batched topology
-// query - one sweep from its router, into no pooled tree - and each link
-// keeps the path Path answers. A link dialed after that send waits for
+// TestDialedLinksResolveWithOneSweep: a node that dialed routes to k
+// existing peers looks all k paths up at its first send, with one
+// batched topology query - one sweep from its router, into no pooled
+// tree - and each route then resolves at its own first send, on a memo
+// hit, to the path Path answers. A route dialed after that send waits for
 // its own, and the same holds when the first send is an Env.Send.
 func TestDialedLinksResolveWithOneSweep(t *testing.T) {
 	const k = 12
-	for _, first := range []string{"Peer.Send", "Env.Send"} {
+	for _, first := range []string{"SendRoute", "Env.Send"} {
 		net, addrs := testNet(t, k+2, Options{})
 		a := net.nodes[addrs[0]]
-		peers := make([]transport.Peer, k)
-		for i := range peers {
-			peers[i] = a.Dial(addrs[1+i])
+		routes := make([]transport.Route, k)
+		for i := range routes {
+			routes[i] = a.Dial(addrs[1+i])
 		}
 		if len(a.pending) != k {
 			t.Fatalf("%s: after %d dials: %d pending; want %d", first, k, len(a.pending), k)
 		}
 		before := net.topo.RouteStats()
-		if first == "Peer.Send" {
-			peers[k/2].Send(num(0))
+		if first == "SendRoute" {
+			a.SendRoute(&routes[k/2], num(0))
 		} else {
 			a.Send(addrs[k+1], num(0))
 		}
@@ -287,20 +292,26 @@ func TestDialedLinksResolveWithOneSweep(t *testing.T) {
 		if len(a.pending) != 0 {
 			t.Fatalf("%s: after the first send: %d pending; want 0", first, len(a.pending))
 		}
-		for i, p := range peers {
-			l := p.(*link)
-			if want := net.topo.Path(a.router, net.nodes[addrs[1+i]].router); l.dst != net.nodes[addrs[1+i]] || l.path != want {
-				t.Fatalf("%s: link to %s resolved to %+v, want path %+v", first, addrs[1+i], l.path, want)
+		for i := range routes {
+			r := &routes[i]
+			a.SendRoute(r, num(1))
+			dst := net.nodes[addrs[1+i]]
+			if want := net.topo.Path(a.router, dst.router); r.Dst != dst || r.Latency != want.Latency || r.Loss != want.Loss {
+				t.Fatalf("%s: route to %s resolved to %+v, want path %+v", first, addrs[1+i], r, want)
 			}
 		}
-		late := a.Dial(addrs[k+1])
-		if len(a.pending) != 0 || late.(*link).dst != nil {
-			t.Fatalf("%s: dial after the first send: %d pending, resolved %v; want 0 and false",
-				first, len(a.pending), late.(*link).dst != nil)
+		if st := net.topo.RouteStats(); st.Sweeps-before.Sweeps != 1 || st.Trees != before.Trees {
+			t.Fatalf("%s: the routes' own first sends ran %d more sweeps and pooled %d trees, want 0 and 0",
+				first, st.Sweeps-before.Sweeps-1, st.Trees-before.Trees)
 		}
-		late.Send(num(1))
-		if late.(*link).dst != net.nodes[addrs[k+1]] {
-			t.Fatalf("%s: the late link did not resolve at its own send", first)
+		late := a.Dial(addrs[k+1])
+		if len(a.pending) != 0 || late.Dst != nil {
+			t.Fatalf("%s: dial after the first send: %d pending, resolved %v; want 0 and false",
+				first, len(a.pending), late.Dst != nil)
+		}
+		a.SendRoute(&late, num(1))
+		if late.Dst != net.nodes[addrs[k+1]] {
+			t.Fatalf("%s: the late route did not resolve at its own send", first)
 		}
 	}
 }

@@ -21,19 +21,23 @@
 // others persist.
 //
 // The send path is engineered for paper-scale overlays (16,000 nodes
-// exchanging hundreds of thousands of pings per virtual minute). The
-// transport.Peer that Dial hands out, a link, holds its resolved endpoint
-// plus the topology path, so a periodic sender that dialed its neighbour
-// once does no lookup at all per message. The link belongs to that Peer
-// and nothing else holds it: the node keeps no cache of destinations, so
-// when the overlay drops a neighbour its link goes with it. Env.Send
-// resolves its destination on every call, an address lookup and a hit in
-// the topology's pair memo, and keeps nothing. A link resolves at the
-// first send that finds a node at its address, so a dial may precede the
-// destination's AddNode. The links a node dials to existing nodes before
-// its first send, the neighbours its overlay was assembled with, wait
-// for that send and resolve with it in one topology call, which costs at
-// most one single-source sweep however many there are. Beyond that,
+// exchanging hundreds of thousands of pings per virtual minute). A node
+// is a transport.Dialer: SendRoute fills the caller's transport.Route in
+// place with the destination node and the topology path's latency and
+// loss, so a periodic sender that keeps its neighbour's route does no
+// lookup at all per message, and the route is the only record of it:
+// simnet holds nothing per route, and the node keeps no cache of
+// destinations, so when the overlay drops a neighbour its route goes
+// with the slot. Env.Send resolves its destination on every call, an
+// address lookup and a hit in the topology's pair memo, and keeps
+// nothing. A route resolves at its first send that finds a node at its
+// address, so a dial may precede the destination's AddNode. The routes a
+// node dials to existing nodes before its first send, the neighbours its
+// overlay was assembled with, leave their routers in the node's pending
+// set; that send looks their paths up together with its own in one
+// topology call, which costs at most one single-source sweep however
+// many there are and memoizes every pair, and each of those routes then
+// resolves at its own first send on a memo hit. Beyond that,
 // deliveries are pooled objects with reused callback closures handed to
 // the simulator's handle-free Schedule path, and the fault-rule table is
 // only consulted when rules exist. Messages are typed records passed by
@@ -217,12 +221,12 @@ type node struct {
 	// nextFree is when the sender-side serialization queue drains.
 	nextFree time.Duration
 
-	// pending holds the links Dial handed out, before the node's first
-	// resolved send, to addresses that have a node; that send resolves
-	// them with its own destination (see pathTo). From then on resolved
-	// is set and a link dialed later resolves at its own first send, so
-	// one the overlay drops before using it costs no route lookup.
-	pending  []*link
+	// pending holds the routers of the nodes Dial was asked for before
+	// the node's first resolved send; that send looks their paths up with
+	// its own destination's (see pathTo). From then on resolved is set and
+	// a route dialed later costs nothing until its own first send, so one
+	// the overlay drops before using it costs no route lookup.
+	pending  []netmodel.RouterID
 	resolved bool
 }
 
@@ -238,57 +242,37 @@ func (nd *node) TelemetryLane() *telemetry.Lane {
 	return reg.Lane(1 + nd.slot)
 }
 
-// link is the transport.Peer that Dial hands out: one node's route to
-// one address. dst and path stay zero until a send finds a node at to: a
-// send on this link, or any send of the node while this one is pending.
-// Attachment points never move (Restart keeps the router), so a resolved
-// link stays valid for as long as its holder keeps it.
-type link struct {
-	src, dst *node
-	to       transport.Addr
-	path     netmodel.Path
-}
-
-// Dial implements transport.Dialer with a fresh link. Until the node's
-// first resolved send, a link to an address that has a node is one of
-// the neighbours its overlay was assembled with, so it waits in pending
-// to be resolved with that send; one to an address with no node yet
-// resolves on its own first send that finds one.
-func (nd *node) Dial(to transport.Addr) transport.Peer {
-	l := &link{src: nd, to: to}
-	if !nd.resolved && nd.net.nodes[to] != nil {
-		if nd.pending == nil {
-			// One allocation for an assembled node's ~20 neighbours.
-			nd.pending = make([]*link, 0, 32)
+// Dial implements transport.Dialer with an unresolved route. Until the
+// node's first resolved send, a route to an address that has a node is
+// to one of the neighbours its overlay was assembled with, so its router
+// joins pending, to be looked up with that send.
+func (nd *node) Dial(to transport.Addr) transport.Route {
+	if !nd.resolved {
+		if dst := nd.net.nodes[to]; dst != nil {
+			if nd.pending == nil {
+				// One allocation for an assembled node's ~20 neighbours.
+				nd.pending = make([]netmodel.RouterID, 0, 32)
+			}
+			nd.pending = append(nd.pending, dst.router)
 		}
-		nd.pending = append(nd.pending, l)
 	}
-	return l
+	return transport.Route{Addr: to}
 }
 
-// pathTo returns the topology path to dst. The node's first call also
-// resolves every pending link, looking all their paths up with dst's in
-// one PathsFrom call: the node's assembled neighbours cost it at most
-// one sweep, not one each.
+// pathTo returns the topology path to dst. The node's first call looks
+// the pending routers' paths up with dst's in one PathsFrom call, which
+// memoizes them: the node's assembled neighbours cost it at most one
+// sweep, not one each, and their routes resolve on memo hits.
 func (nd *node) pathTo(dst *node) netmodel.Path {
 	topo := nd.net.topo
 	if nd.resolved {
 		return topo.Path(nd.router, dst.router)
 	}
-	batch := nd.pending
+	dsts := append(nd.pending, dst.router)
 	nd.pending, nd.resolved = nil, true
-	dsts := make([]netmodel.RouterID, len(batch)+1)
-	for i, b := range batch {
-		b.dst = nd.net.nodes[b.to]
-		dsts[i] = b.dst.router
-	}
-	dsts[len(batch)] = dst.router
 	paths := make([]netmodel.Path, len(dsts))
 	topo.PathsFrom(nd.router, dsts, paths)
-	for i, b := range batch {
-		b.path = paths[i]
-	}
-	return paths[len(batch)]
+	return paths[len(dsts)-1]
 }
 
 // delivery is a pooled in-flight message. Its run closure is built once
@@ -618,28 +602,26 @@ func (nd *node) Send(to transport.Addr, msg transport.Message) {
 		nd.drop(msg)
 		return
 	}
-	nd.send(dst, nd.pathTo(dst), msg)
+	path := nd.pathTo(dst)
+	nd.send(dst, path.Latency, path.Loss, msg)
 }
 
-// Send resolves the link at its first send that finds a node at its
-// address, and keeps what it found.
-func (l *link) Send(msg transport.Message) {
-	nd := l.src
+// SendRoute implements transport.Dialer: it resolves r at its first send
+// that finds a node at r.Addr, and keeps what it found in r.
+func (nd *node) SendRoute(r *transport.Route, msg transport.Message) {
 	if !nd.canSend(msg) {
 		return
 	}
-	if l.dst == nil {
-		dst := nd.net.nodes[l.to]
-		if dst == nil {
+	dst, _ := r.Dst.(*node)
+	if dst == nil {
+		if dst = nd.net.nodes[r.Addr]; dst == nil {
 			nd.drop(msg)
 			return
 		}
-		// A pending l is resolved by pathTo with the node's other links,
-		// to the same path pathTo returns.
-		l.path = nd.pathTo(dst)
-		l.dst = dst
+		path := nd.pathTo(dst)
+		r.Dst, r.Latency, r.Loss = dst, path.Latency, path.Loss
 	}
-	nd.send(l.dst, l.path, msg)
+	nd.send(dst, r.Latency, r.Loss, msg)
 }
 
 // canSend reports whether the node is plugged in and up; if not, msg is
@@ -662,13 +644,12 @@ func (nd *node) drop(msg transport.Message) {
 	transport.ReleaseMessage(msg)
 }
 
-// send is the one send body, behind Env.Send and Peer.Send: msg leaves
-// for dst over path.
-func (nd *node) send(dst *node, path netmodel.Path, msg transport.Message) {
+// send is the one send body, behind Env.Send and SendRoute: msg leaves
+// for dst over a path of the given latency and loss.
+func (nd *node) send(dst *node, latency time.Duration, loss float64, msg transport.Message) {
 	net := nd.net
 	net.slots[nd.slot].sent++
 
-	loss := path.Loss
 	if len(net.rules) > 0 {
 		r := net.rules[rulePair{nd.addr, dst.addr}]
 		if r.block {
@@ -717,7 +698,7 @@ func (nd *node) send(dst *node, path netmodel.Path, msg transport.Message) {
 	// (shardOf keys shards on ASes), so its path crosses at least one
 	// inter-AS link and the delay clears MinDeliveryDelay - the lookahead
 	// bound the barrier merge enforces.
-	delay := depart - now + path.Latency + retryDelay + net.opts.DeliverOverhead
+	delay := depart - now + latency + retryDelay + net.opts.DeliverOverhead
 	nd.shard.Post(dst.shard, delay, dl.run)
 }
 

@@ -122,42 +122,61 @@ func ResetTimer(t Timer, d time.Duration) bool {
 	return false
 }
 
-// Peer is a destination resolved once and sent to many times. Protocol
-// code that talks to the same neighbor every period (the overlay's ping
-// cycle) holds one per neighbor, so the periodic send does not look the
-// address up again.
-type Peer interface {
-	// Send is Env.Send to the destination the Peer was dialed for, with
-	// the same delivery and ownership rules.
-	Send(msg Message)
+// Route is a destination a sender keeps and sends to many times: the
+// address, plus what a Dialer resolved it to at the route's first send
+// that found a node there. The caller holds it by value (the overlay
+// keeps one in each link slot, so a periodic send touches no other
+// record) and sends through it with SendRoute, which a Dialer fills in
+// place. Dst, Latency and Loss belong to the Dialer that filled them;
+// they stay zero on every other Env.
+type Route struct {
+	Addr Addr
+	// Dst is the endpoint Addr resolved to (simnet: the destination
+	// node), nil until then. Latency and Loss are the one-way latency and
+	// per-transmission loss of the path to it.
+	Dst     any
+	Latency time.Duration
+	Loss    float64
 }
 
-// Dialer is optionally implemented by Envs that can resolve a destination
-// once into send state the Peer keeps (the simulated transport's route).
-// Like Resetter it is an optimization protocol code reaches through a
-// helper, Dial, and never depends on.
+// Dialer is optionally implemented by Envs that resolve a destination
+// once into send state the caller's Route keeps (the simulated
+// transport's node and topology path). Like Resetter it is an
+// optimization protocol code reaches through helpers, NewRoute and
+// SendRoute, and never depends on.
 type Dialer interface {
-	// Dial returns the Peer for to. It never fails: an address nobody
-	// listens on yet resolves, or drops, at each Send, as Env.Send would.
-	Dial(to Addr) Peer
+	// Dial returns an unresolved Route to to, noting it for an Env that
+	// resolves several of a sender's routes together. It never fails:
+	// an address nobody listens on yet resolves, or drops, at each send,
+	// as Env.Send would.
+	Dial(to Addr) Route
+
+	// SendRoute is Env.Send to r.Addr, with the same delivery and
+	// ownership rules. The first send that finds a node at r.Addr
+	// resolves r in place, and later sends use what it found.
+	SendRoute(r *Route, msg Message)
 }
 
-// Dial resolves to through env when env is a Dialer and otherwise returns
-// a Peer that calls env.Send(to, msg); protocol code is written once and
-// skips the per-send lookup on transports that implement Dialer.
-func Dial(env Env, to Addr) Peer {
+// NewRoute returns a Route to to, dialed through env when env is a
+// Dialer.
+func NewRoute(env Env, to Addr) Route {
 	if d, ok := env.(Dialer); ok {
 		return d.Dial(to)
 	}
-	return &envPeer{env, to}
+	return Route{Addr: to}
 }
 
-type envPeer struct {
-	env Env
-	to  Addr
+// SendRoute sends msg over r: through env's SendRoute when env is a
+// Dialer, else as env.Send(r.Addr, msg). Protocol code is written once,
+// allocates nothing per route on any Env, and skips the per-send lookup
+// on transports that implement Dialer.
+func SendRoute(env Env, r *Route, msg Message) {
+	if d, ok := env.(Dialer); ok {
+		d.SendRoute(r, msg)
+		return
+	}
+	env.Send(r.Addr, msg)
 }
-
-func (p *envPeer) Send(msg Message) { p.env.Send(p.to, msg) }
 
 // Env is the execution environment handed to a protocol stack: an address,
 // a clock, timers, sends and a random source, and nothing else (what a

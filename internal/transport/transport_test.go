@@ -186,7 +186,7 @@ func TestResetTimerContract(t *testing.T) {
 	}
 }
 
-// fakeEnv records sends; fakeDialer also hands out its own Peers.
+// fakeEnv records sends; fakeDialer also resolves its own Routes.
 type fakeEnv struct {
 	Env  // unused methods panic on the nil embedded interface
 	sent []Addr
@@ -199,35 +199,38 @@ type fakeDialer struct {
 	dialed []Addr
 }
 
-type fakePeer struct {
-	d  *fakeDialer
-	to Addr
+func (d *fakeDialer) Dial(to Addr) Route { d.dialed = append(d.dialed, to); return Route{Addr: to} }
+
+// SendRoute resolves r at its first send, marking it, and sends every
+// message to the mark.
+func (d *fakeDialer) SendRoute(r *Route, msg Message) {
+	if r.Dst == nil {
+		r.Dst = "via-route:" + r.Addr
+	}
+	d.Send(r.Dst.(Addr), msg)
 }
 
-func (p fakePeer) Send(msg Message)     { p.d.Send("via-peer:"+p.to, msg) }
-func (d *fakeDialer) Dial(to Addr) Peer { d.dialed = append(d.dialed, to); return fakePeer{d, to} }
-
-// TestDialContract pins the optional-interface idiom Dial shares with
-// ResetTimer: an Env that is a Dialer resolves the destination itself,
-// once, and any other Env gets a Peer whose Send is Env.Send to the
-// dialed address.
+// TestDialContract pins the optional-interface idiom NewRoute and
+// SendRoute share with ResetTimer: an Env that is a Dialer dials the
+// destination and resolves the Route itself, once, and any other Env
+// gets a bare address that SendRoute sends to with Env.Send.
 func TestDialContract(t *testing.T) {
 	plain := &fakeEnv{}
-	p := Dial(plain, "b")
-	p.Send(&regMsg{})
-	p.Send(&regMsg{})
-	if len(plain.sent) != 2 || plain.sent[0] != "b" || plain.sent[1] != "b" {
-		t.Fatalf("fallback Peer sent to %v, want [b b]", plain.sent)
+	r := NewRoute(plain, "b")
+	SendRoute(plain, &r, &regMsg{})
+	SendRoute(plain, &r, &regMsg{})
+	if len(plain.sent) != 2 || plain.sent[0] != "b" || plain.sent[1] != "b" || r != (Route{Addr: "b"}) {
+		t.Fatalf("fallback sent to %v, route %+v; want [b b] over a bare address", plain.sent, r)
 	}
 
 	d := &fakeDialer{}
-	p = Dial(d, "c")
-	p.Send(&regMsg{})
-	p.Send(&regMsg{})
+	r = NewRoute(d, "c")
+	SendRoute(d, &r, &regMsg{})
+	SendRoute(d, &r, &regMsg{})
 	if len(d.dialed) != 1 || d.dialed[0] != "c" {
 		t.Fatalf("Dial calls = %v, want one for c", d.dialed)
 	}
-	if len(d.sent) != 2 || d.sent[0] != "via-peer:c" {
-		t.Fatalf("Dialer's Peer bypassed: sends = %v", d.sent)
+	if len(d.sent) != 2 || d.sent[0] != "via-route:c" || r.Dst != Addr("via-route:c") {
+		t.Fatalf("Dialer's SendRoute bypassed: sends = %v, route %+v", d.sent, r)
 	}
 }
