@@ -56,7 +56,7 @@ func TestBytesPerNode(t *testing.T) {
 		{"overlay node", 480, func(i int) {
 			ovs[i] = overlay.New(envs[i], overlay.DefaultConfig(), NameOf(i))
 		}},
-		{"core", 395, func(i int) {
+		{"core", 365, func(i int) {
 			ov, fu := ovs[i], core.New(envs[i], ovs[i], 1)
 			c.Nodes = append(c.Nodes, &Node{Index: i, Addr: AddrOf(i), Router: pts[i], Env: envs[i], Overlay: ov, Fuse: fu, Groups: fu})
 			c.Net.SetHandler(AddrOf(i), func(from transport.Addr, msg transport.Message) {
@@ -75,7 +75,7 @@ func TestBytesPerNode(t *testing.T) {
 
 	c.Assemble()
 	c.Sim.RunFor(2 * time.Minute)
-	idle := check("assembled, 2 minutes with no groups", base, 4880)
+	idle := check("assembled, 2 minutes with no groups", base, 4850)
 	links := 0
 	for _, ov := range ovs {
 		links += len(ov.Neighbors())
@@ -103,7 +103,7 @@ func TestBytesPerNode(t *testing.T) {
 	if made != groups {
 		t.Fatalf("%d of %d groups created", made, groups)
 	}
-	check("with 250 groups of 5, 2 minutes more", base, 9070)
+	check("with 250 groups of 5, 2 minutes more", base, 8790)
 	runtime.KeepAlive(c)
 }
 

@@ -43,7 +43,7 @@ func (f *Fuse) addTreeLink(id GroupID, seq uint64, neighbor overlay.NodeRef) {
 // observation that triggered this (0 when untraced); the soft spread
 // carries it so downstream deliveries can name their cause.
 func (f *Fuse) linkFailed(id GroupID, from overlay.NodeRef, span uint64) {
-	if g := f.groups[id]; g != nil && len(g.links) > 0 {
+	if g := f.lookup(id); g != nil && len(g.links) > 0 {
 		seq := g.seq
 		for _, l := range g.links {
 			if l.ls.neighbor.Addr == from.Addr {
@@ -62,7 +62,7 @@ func (f *Fuse) linkFailed(id GroupID, from overlay.NodeRef, span uint64) {
 // reach a role's state sticks as its cause, so a later failure
 // conclusion is attributed to the observation that started it.
 func (f *Fuse) reactToTreeFailure(id GroupID, span uint64) {
-	g := f.groups[id]
+	g := f.lookup(id)
 	r := g.roles()
 	switch {
 	case r.root != nil:
@@ -84,7 +84,7 @@ func (f *Fuse) reactToTreeFailure(id GroupID, span uint64) {
 func (f *Fuse) handleSoft(m *msgSoftNotification) {
 	f.tm.softs.Inc(f.tm.lane)
 	f.trace("soft", m.ID, m.Trace, 0, m.From.Name)
-	if g := f.groups[m.ID]; g != nil && len(g.links) > 0 {
+	if g := f.lookup(m.ID); g != nil && len(g.links) > 0 {
 		if m.Seq < g.seq {
 			return // stale generation: a repair already superseded it
 		}
@@ -137,7 +137,7 @@ func (f *Fuse) OnRouteMessage(msg transport.Message, info overlay.RouteInfo) {
 // installArrivedAtRoot credits a member's InstallChecking and monitors the
 // last link of its path.
 func (f *Fuse) installArrivedAtRoot(ic *msgInstallChecking, prev overlay.NodeRef) {
-	r := f.groups[ic.ID].roles()
+	r := f.lookup(ic.ID).roles()
 	if rs := r.root; rs != nil {
 		if ic.Seq < rs.seq {
 			return // stale generation

@@ -66,7 +66,7 @@ func (f *Fuse) CreateGroup(members []overlay.NodeRef, done func(GroupID, error))
 // directly to the root and concurrently route an InstallChecking message
 // toward it.
 func (f *Fuse) handleCreateRequest(m *msgGroupCreateRequest) {
-	if f.groups[m.ID].roles().member != nil {
+	if f.lookup(m.ID).roles().member != nil {
 		// Duplicate (e.g. root retransmission): just re-reply.
 		f.env.Send(m.ID.Root.Addr, &msgGroupCreateReply{ID: m.ID, Member: f.self})
 		return
@@ -94,7 +94,7 @@ func (f *Fuse) sendInstallChecking(id GroupID, seq uint64) {
 
 // handleCreateReply collects member acknowledgments at the root.
 func (f *Fuse) handleCreateReply(m *msgGroupCreateReply) {
-	g := f.groups[m.ID]
+	g := f.lookup(m.ID)
 	c := g.roles().creating
 	if c == nil {
 		// Late reply after the creation timed out: the paper's rule is
@@ -151,7 +151,7 @@ func (f *Fuse) armInstallTimer(g *groupState) {
 // installed state gets a HardNotification, and the caller learns the
 // group never existed.
 func (f *Fuse) createTimedOut(id GroupID) {
-	c := f.groups[id].roles().creating
+	c := f.lookup(id).roles().creating
 	if c == nil {
 		return
 	}

@@ -44,11 +44,12 @@
 // in place through the transport's timer reschedule support - properties
 // the manygroups (2,000 groups on 100 nodes) and paperscale (16,000-node
 // overlay) experiments measure. A group's checking state costs each node
-// it crosses about 200 bytes: one record, 16 bytes per tree link (a
+// it crosses about 150 bytes: one record, its 16-byte index slot (the
+// record's pointer by the ID's random counter), 16 bytes per tree link (a
 // pointer to the link's index entry and an install time), and an 8-byte
 // pointer to the record in each link's list, never a copy of its 40-byte
-// ID. TestCheckingStateBytes reads 195 B with one tree link and 223 B
-// with two, the record's map entry included, and holds both within 15%.
+// ID. TestCheckingStateBytes reads 133 B with one tree link and 161 B
+// with two, the record's index slot included, and holds both within 15%.
 //
 // Timing: the paper's parameters are constants (fuse.go), not
 // configuration. A node's one timing knob is the time scale New takes,
@@ -58,7 +59,7 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"maps"
+	"iter"
 	"slices"
 	"time"
 
@@ -188,9 +189,15 @@ type Fuse struct {
 	self overlay.NodeRef
 
 	// groups holds one record for every group the node has any state
-	// for: as its creator, root or member, or as a delegate on its
-	// checking tree.
-	groups map[GroupID]*groupState
+	// for - as its creator, root or member, or as a delegate on its
+	// checking tree - by the counter the group's root drew at random
+	// (GroupID.Num): a 16-byte slot that repeats none of the 40-byte ID
+	// the record holds. A record whose counter another record already
+	// holds goes to clashes instead, by its full ID. Every record sits in
+	// exactly one of the two, and lookup tries groups, then clashes.
+	// Each is nil until its first record.
+	groups  map[uint64]*groupState
+	clashes map[GroupID]*groupState
 
 	// slots is the per-link checking index, by the overlay's link id
 	// (slot id-1): for each link some group rides, the groups monitored
@@ -246,7 +253,9 @@ type fuseTelemetry struct {
 // role, the node's part in the group beyond the tree. Each link's index
 // entry lists this very record (linkState.sorted), not a copy of its ID,
 // so a walk over a link reads the group's ID, generation and install
-// times without a map probe. The record lives as long as it has a tree
+// times without a map probe. The node finds it by ID through lookup: in
+// Fuse.groups by the ID's counter, or, when another record holds that
+// counter, in Fuse.clashes. The record lives as long as it has a tree
 // link or a role: a delegate's ends with its last link, anyone else's
 // with teardown. The role sits behind one pointer, nil on a delegate, so
 // a delegate's record stays in the 80-byte size class
@@ -363,11 +372,10 @@ type treeLink struct {
 // constant: 1 is the paper's timing.
 func New(env transport.Env, ov *overlay.Node, scale float64) *Fuse {
 	f := &Fuse{
-		env:    env,
-		ov:     ov,
-		scale:  scale,
-		self:   ov.Self(),
-		groups: make(map[GroupID]*groupState),
+		env:   env,
+		ov:    ov,
+		scale: scale,
+		self:  ov.Self(),
 	}
 	if lane := telemetry.FromEnv(env); lane != nil {
 		reg := lane.Registry()
@@ -398,19 +406,24 @@ func (f *Fuse) scaled(d time.Duration) time.Duration {
 // state for (creator, root, member, or delegate: one record each),
 // ordered by root name, counter and root address.
 func (f *Fuse) LiveGroups() []GroupID {
-	return slices.SortedFunc(maps.Keys(f.groups), func(a, b GroupID) int {
+	ids := make([]GroupID, 0, len(f.groups)+len(f.clashes))
+	for g := range f.records() {
+		ids = append(ids, g.id)
+	}
+	slices.SortFunc(ids, func(a, b GroupID) int {
 		if c := compareIDs(a, b); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.Root.Addr, b.Root.Addr)
 	})
+	return ids
 }
 
 // CheckingStats sizes the liveness-checking state for experiments:
 // groups with checking state here, distinct (group, link) monitored
 // pairs, and live check timers backing them.
 func (f *Fuse) CheckingStats() (groups, pairs, timers int) {
-	for _, g := range f.groups {
+	for g := range f.records() {
 		if len(g.links) > 0 {
 			groups++
 			pairs += len(g.links)
@@ -426,20 +439,61 @@ func (f *Fuse) CheckingStats() (groups, pairs, timers int) {
 }
 
 // HasState reports whether the node holds any state for id.
-func (f *Fuse) HasState(id GroupID) bool {
-	_, ok := f.groups[id]
-	return ok
+func (f *Fuse) HasState(id GroupID) bool { return f.lookup(id) != nil }
+
+// lookup returns id's record, or nil.
+func (f *Fuse) lookup(id GroupID) *groupState {
+	if g := f.groups[id.Num]; g != nil && g.id == id {
+		return g
+	}
+	return f.clashes[id]
+}
+
+// records yields every record the node holds, in no particular order.
+func (f *Fuse) records() iter.Seq[*groupState] {
+	return func(yield func(*groupState) bool) {
+		for _, g := range f.groups {
+			if !yield(g) {
+				return
+			}
+		}
+		for _, g := range f.clashes {
+			if !yield(g) {
+				return
+			}
+		}
+	}
 }
 
 // record returns id's record, making an empty one if there is none; the
 // caller gives it a tree link or a role before the event ends.
 func (f *Fuse) record(id GroupID) *groupState {
-	g := f.groups[id]
-	if g == nil {
-		g = &groupState{id: id}
-		f.groups[id] = g
+	if g := f.lookup(id); g != nil {
+		return g
 	}
+	g := &groupState{id: id}
+	if f.groups == nil {
+		f.groups = make(map[uint64]*groupState)
+	}
+	if f.groups[id.Num] == nil {
+		f.groups[id.Num] = g
+		return g
+	}
+	if f.clashes == nil {
+		f.clashes = make(map[GroupID]*groupState)
+	}
+	f.clashes[id] = g
 	return g
+}
+
+// remove drops g, the record lookup returns for its ID, from the map that
+// holds it.
+func (f *Fuse) remove(g *groupState) {
+	if f.groups[g.id.Num] == g {
+		delete(f.groups, g.id.Num)
+	} else {
+		delete(f.clashes, g.id)
+	}
 }
 
 // withRole returns id's record with a role, making either as needed; the
@@ -459,7 +513,7 @@ func (f *Fuse) RegisterFailureHandler(h Handler, id GroupID) {
 	if h == nil {
 		return
 	}
-	g := f.groups[id]
+	g := f.lookup(id)
 	if g == nil || g.role == nil { // unknown, or known only as a delegate
 		f.env.After(0, func() { f.deliverNotice(h, Notice{ID: id, Reason: ReasonNotified}, 0) })
 		return
@@ -471,7 +525,7 @@ func (f *Fuse) RegisterFailureHandler(h Handler, id GroupID) {
 // (Figure 1). The local handler fires, the root is informed with a
 // HardNotification, and the root fans the notification to all members.
 func (f *Fuse) SignalFailure(id GroupID) {
-	g := f.groups[id]
+	g := f.lookup(id)
 	r := g.roles()
 	switch {
 	case r.root != nil:
@@ -508,7 +562,7 @@ func (f *Fuse) trace(kind string, id GroupID, span, parent uint64, detail string
 // span is the causal trigger's trace span (0 when untraced or unknown);
 // each delivery event records it as Parent.
 func (f *Fuse) notifyLocal(id GroupID, reason Reason, span uint64) {
-	g := f.groups[id]
+	g := f.lookup(id)
 	if g == nil || g.role == nil {
 		return
 	}
@@ -529,7 +583,7 @@ func (f *Fuse) deliverNotice(h Handler, n Notice, span uint64) {
 // teardown removes every piece of state for id - the record, with its
 // role, handlers and tree links - and stops its timers.
 func (f *Fuse) teardown(id GroupID) {
-	if g, ok := f.groups[id]; ok {
+	if g := f.lookup(id); g != nil {
 		r := g.roles()
 		if r.creating != nil {
 			stopTimer(r.creating.timer)
@@ -543,7 +597,7 @@ func (f *Fuse) teardown(id GroupID) {
 			stopTimer(ms.repairTimer)
 		}
 		f.detachLinks(g)
-		delete(f.groups, id)
+		f.remove(g)
 	}
 	f.forget(id)
 }
@@ -552,13 +606,13 @@ func (f *Fuse) teardown(id GroupID) {
 // detaching it from every per-link index entry it rides on. The record
 // stays if the node has a role in the group.
 func (f *Fuse) dropChecking(id GroupID) {
-	g, ok := f.groups[id]
-	if !ok {
+	g := f.lookup(id)
+	if g == nil {
 		return
 	}
 	f.detachLinks(g)
 	if g.role == nil {
-		delete(f.groups, id)
+		f.remove(g)
 	}
 }
 

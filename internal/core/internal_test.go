@@ -97,7 +97,7 @@ func TestHashGroupIDsProperty(t *testing.T) {
 // checking is id's record if the node has checking state for it (a tree
 // link), else nil.
 func checking(f *Fuse, id GroupID) *groupState {
-	if g := f.groups[id]; g != nil && len(g.links) > 0 {
+	if g := f.lookup(id); g != nil && len(g.links) > 0 {
 		return g
 	}
 	return nil
@@ -132,16 +132,20 @@ func indexEntries(f *Fuse) []*linkState {
 	return out
 }
 
+// numRecords is the number of records f holds.
+func numRecords(f *Fuse) int { return len(f.groups) + len(f.clashes) }
+
 // indexPointsAtRecords checks the pointers between the per-link index and
 // the groups' records: every record a link's list holds is the very
-// f.groups entry for its ID and has a tree link on that list's entry,
-// and every tree link's entry is the one the index holds for the entry's
-// neighbor and lists the record. It checks where each entry sits: in
-// the slot of the id the overlay has open for its neighbor, among
-// strangers under its neighbor's address if the overlay has none. It
-// also checks the records themselves: each is filed under its own ID,
-// none is empty (no role, no creation and no tree link), and one without
-// tree links has generation 0.
+// record lookup returns for its ID and has a tree link on that list's
+// entry, and every tree link's entry is the one the index holds for the
+// entry's neighbor and lists the record. It checks where each entry
+// sits: in the slot of the id the overlay has open for its neighbor,
+// among strangers under its neighbor's address if the overlay has none.
+// It also checks the records themselves: each sits in exactly one of
+// groups and clashes, filed under its own counter or ID, lookup returns
+// it for its ID, none is empty (no role, no creation and no tree link),
+// and one without tree links has generation 0.
 func indexPointsAtRecords(f *Fuse) error {
 	for i, ls := range f.slots {
 		if ls == nil {
@@ -162,17 +166,31 @@ func indexPointsAtRecords(f *Fuse) error {
 	for _, ls := range indexEntries(f) {
 		addr := ls.neighbor.Addr
 		for _, g := range ls.sorted {
-			if f.groups[g.id] != g {
-				return fmt.Errorf("link %s lists a record for %v that is not f.groups'", addr, g.id)
+			if f.lookup(g.id) != g {
+				return fmt.Errorf("link %s lists a record for %v that is not the one lookup returns", addr, g.id)
 			}
 			if !slices.ContainsFunc(g.links, func(l treeLink) bool { return l.ls == ls }) {
 				return fmt.Errorf("link %s lists %v, whose tree links do not include it", addr, g.id)
 			}
 		}
 	}
-	for id, g := range f.groups {
+	for k, g := range f.groups {
+		if g.id.Num != k {
+			return fmt.Errorf("groups[%x] is the record for %v", k, g.id)
+		}
+		if _, ok := f.clashes[g.id]; ok {
+			return fmt.Errorf("%v has a record in groups and one in clashes", g.id)
+		}
+	}
+	for id, g := range f.clashes {
 		if g.id != id {
-			return fmt.Errorf("f.groups[%v] is the record for %v", id, g.id)
+			return fmt.Errorf("clashes[%v] is the record for %v", id, g.id)
+		}
+	}
+	for g := range f.records() {
+		id := g.id
+		if f.lookup(id) != g {
+			return fmt.Errorf("lookup(%v) does not return the record filed for it", id)
 		}
 		if r := g.roles(); r.creating == nil && r.root == nil && r.member == nil && len(g.links) == 0 {
 			return fmt.Errorf("%v's record is empty: no role, no creation, no tree link", id)
@@ -209,9 +227,9 @@ func TestLinkHashCacheCoherence(t *testing.T) {
 
 	naiveHash := func(addr transport.Addr) []byte {
 		var on []GroupID
-		for id, g := range f.groups {
+		for g := range f.records() {
 			if g.link(addr) != nil {
-				on = append(on, id)
+				on = append(on, g.id)
 			}
 		}
 		return refHashGroupIDs(on)
@@ -244,7 +262,7 @@ func TestLinkHashCacheCoherence(t *testing.T) {
 	// Index bookkeeping: every linkState entry must be non-empty and
 	// mirror the per-group view exactly.
 	pairs := 0
-	for _, g := range f.groups {
+	for g := range f.records() {
 		pairs += len(g.links)
 	}
 	indexed := 0
@@ -341,13 +359,13 @@ func TestSharedLinkTimerCoversAllGroups(t *testing.T) {
 	net.Advance(checkTimeout / 2)
 	f.OnPingPayload(peer, f.PingPayload(peer))
 	net.Advance(checkTimeout/2 + time.Second)
-	if len(f.groups) != n {
-		t.Fatalf("refresh did not cover all groups: %d of %d survive", len(f.groups), n)
+	if numRecords(f) != n {
+		t.Fatalf("refresh did not cover all groups: %d of %d survive", numRecords(f), n)
 	}
 	// Expiry fails every group riding the link.
 	net.Advance(checkTimeout)
-	if len(f.groups) != 0 {
-		t.Fatalf("%d groups survived link timeout", len(f.groups))
+	if numRecords(f) != 0 {
+		t.Fatalf("%d groups survived link timeout", numRecords(f))
 	}
 	if len(indexEntries(f)) != 0 {
 		t.Fatal("link index entry survived timeout")

@@ -37,8 +37,9 @@ import (
 // group's ID, generation and per-pair installedAt - the one thing the
 // reconciliation grace period reads - straight from the record. The
 // invariant: every record a list holds is the node's record for its ID
-// (f.groups') and has a treeLink on that list's entry, and every
-// treeLink's entry is the one the index holds for its neighbor's address.
+// (the one Fuse.lookup returns, from groups or clashes) and has a
+// treeLink on that list's entry, and every treeLink's entry is the one
+// the index holds for its neighbor's address.
 //
 // The piggyback is a hash of the *set*: each ID's SHA-1 (over its root
 // name, a zero byte and its little-endian counter) is read as five
@@ -70,7 +71,7 @@ type linkState struct {
 	neighbor overlay.NodeRef
 
 	// sorted is the link's membership: the records of the groups
-	// monitored across it - each the f.groups entry itself -
+	// monitored across it - each the node's record itself -
 	// ordered by their IDs' (Root.Name, Num), the order reconciliation
 	// lists and walks them in. attach and detach edit it in place, so a
 	// caller that tears groups down while walking the link iterates a
@@ -300,7 +301,7 @@ func (f *Fuse) linkTimedOut(ls *linkState) {
 // as cause and the neighbor's name; from is as for linkFailed.
 func (f *Fuse) failLink(ls *linkState, cause string, from overlay.NodeRef) {
 	for _, id := range ls.snapshot() {
-		if g := f.groups[id]; g != nil && g.link(ls.neighbor.Addr) != nil {
+		if g := f.lookup(id); g != nil && g.link(ls.neighbor.Addr) != nil {
 			span := f.tm.lane.NewSpan()
 			if span != 0 {
 				f.trace("trigger", id, span, 0, cause+ls.neighbor.Name)

@@ -4,9 +4,8 @@ package core
 // link's sorted list of records against the neighbour's ID list, in
 // place; the reference below is the way it used to be done - the
 // neighbour's list into a map, our own IDs copied before the first
-// teardown, each looked up again in f.groups - and the two must leave
-// the node in the same state having sent the same messages in the same
-// order.
+// teardown, each looked up again - and the two must leave the node in the
+// same state having sent the same messages in the same order.
 
 import (
 	"fmt"
@@ -35,7 +34,7 @@ func refHandleGroupLists(f *Fuse, m *msgGroupLists) {
 		ours = ls.snapshot()
 	}
 	for _, id := range ours {
-		g := f.groups[id]
+		g := f.lookup(id)
 		if g == nil || g.link(m.From.Addr) == nil {
 			continue // torn down earlier in this same pass
 		}
@@ -131,7 +130,7 @@ type outcomeLink struct {
 // memberCount is the number of groups f is a member of.
 func memberCount(f *Fuse) int {
 	n := 0
-	for _, g := range f.groups {
+	for g := range f.records() {
 		if g.roles().member != nil {
 			n++
 		}
@@ -154,9 +153,9 @@ func outcomeOf(f *Fuse, net *transporttest.Net) reconcileOutcome {
 			o.deadline[addr] = tm.At()
 		}
 	}
-	for id, g := range f.groups {
+	for g := range f.records() {
 		for _, l := range g.links {
-			o.checking[id] = append(o.checking[id], outcomeLink{l.ls.neighbor.Addr, l.installedAt})
+			o.checking[g.id] = append(o.checking[g.id], outcomeLink{l.ls.neighbor.Addr, l.installedAt})
 		}
 	}
 	return o

@@ -30,7 +30,7 @@ func (f *Fuse) memberNeedsRepair(g *groupState) {
 
 // handleNeedRepair lets a member prod the root into repairing.
 func (f *Fuse) handleNeedRepair(m *msgNeedRepair) {
-	g := f.groups[m.ID]
+	g := f.lookup(m.ID)
 	if g.roles().root == nil {
 		// The group no longer exists here; the member must hear that as
 		// a failure.
@@ -59,7 +59,7 @@ func (f *Fuse) scheduleRepair(g *groupState) {
 
 func (f *Fuse) startRepair(g *groupState) {
 	rs := g.role.root
-	if f.groups[g.id].roles().root == nil || rs.repairPending != nil {
+	if f.lookup(g.id).roles().root == nil || rs.repairPending != nil {
 		return
 	}
 	if len(rs.members) == 0 {
@@ -97,7 +97,7 @@ func (f *Fuse) startRepair(g *groupState) {
 // handleRepairRequest is the member side of repair: adopt the new
 // sequence number, answer directly, and re-route InstallChecking.
 func (f *Fuse) handleRepairRequest(m *msgGroupRepairRequest) {
-	g := f.groups[m.ID]
+	g := f.lookup(m.ID)
 	ms := g.roles().member
 	if ms == nil {
 		// "If a repair message ever encounters a member that no longer
@@ -126,7 +126,7 @@ func (f *Fuse) handleRepairRequest(m *msgGroupRepairRequest) {
 
 // handleRepairReply collects members' repair acknowledgments at the root.
 func (f *Fuse) handleRepairReply(m *msgGroupRepairReply) {
-	g := f.groups[m.ID]
+	g := f.lookup(m.ID)
 	rs := g.roles().root
 	if rs == nil || rs.repairPending == nil || m.Seq != rs.seq {
 		return
@@ -178,7 +178,7 @@ func (f *Fuse) softSweep(g *groupState, span uint64) {
 // once and tears down group state.
 func (f *Fuse) handleHard(m *msgHardNotification) {
 	f.tm.hards.Inc(f.tm.lane)
-	g := f.groups[m.ID]
+	g := f.lookup(m.ID)
 	switch r := g.roles(); {
 	case r.root != nil:
 		f.trace("hard-fanout", m.ID, m.Trace, 0, m.From.Name)

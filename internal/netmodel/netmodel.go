@@ -246,6 +246,8 @@ type Topology struct {
 	sw       *sweep // the queries' scratch
 	scratch  []cost // a batch's tree; nil until the first batch sweeps
 	sweeps   int
+	poolHits int // memo misses a pooled tree answered
+	evicted  int // pooled trees handed to a newer source
 
 	// warming is set for the duration of WarmRoutes; Path panics while it
 	// is up. onWarmStart is a test hook invoked (on the caller goroutine)
@@ -556,6 +558,9 @@ func (t *Topology) path(from, to RouterID, batch *[]cost) Path {
 			tree = t.sweepFrom(from, batch)
 		}
 	}
+	if ok {
+		t.poolHits++
+	}
 	c := t.sw.path(t, tree, from, to)
 	t.pairs[k] = c
 	return t.pathOf(c)
@@ -606,6 +611,7 @@ func (t *Topology) poolTree(src RouterID) []cost {
 		old := t.order[t.head]
 		tree = t.cache[old]
 		delete(t.cache, old)
+		t.evicted++
 		t.order[t.head] = src
 		t.head = (t.head + 1) % len(t.order)
 	}
@@ -620,6 +626,8 @@ type RouteStats struct {
 	Trees       int // source trees in the pool
 	Borders     int // border-graph vertices; 0 until the first sweep
 	BorderEdges int // border-graph adjacency entries (two per link)
+	PoolHits    int // memo misses a pooled tree answered, each a sweep spared
+	Evicted     int // pooled trees evicted to pool a newer source's
 }
 
 // RouteStats reports the counters; like Path, not during WarmRoutes.
@@ -627,7 +635,7 @@ func (t *Topology) RouteStats() RouteStats {
 	t.notWarming()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return RouteStats{t.sweeps, len(t.pairs), len(t.cache), len(t.borders), len(t.borderTo)}
+	return RouteStats{t.sweeps, len(t.pairs), len(t.cache), len(t.borders), len(t.borderTo), t.poolHits, t.evicted}
 }
 
 // contract builds the border graph if it is not built yet, computing the

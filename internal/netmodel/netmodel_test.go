@@ -637,6 +637,36 @@ func TestColdMissOnFullPoolReusesTree(t *testing.T) {
 	}
 }
 
+// TestTreePoolCounts pins RouteStats' count of the pool's work: a memo
+// miss that a pooled tree of either end answers, alone or in a batch, is
+// a pool hit and sweeps nothing; a memo hit is no pool hit; and a cold
+// lone miss on a full pool evicts the oldest tree.
+func TestTreePoolCounts(t *testing.T) {
+	topo := testTopology(t, 19)
+	topo.Path(0, 1) // builds the border graph, which sizes the pool
+	topo.maxTrees = 3
+	want := RouteStats{Sweeps: 1, Trees: 1}
+	step := func(what string, query func(), sweeps, trees, hits, evicted int) {
+		t.Helper()
+		query()
+		want.Sweeps += sweeps
+		want.Trees = trees
+		want.PoolHits += hits
+		want.Evicted += evicted
+		st := topo.RouteStats()
+		if st.Sweeps != want.Sweeps || st.Trees != want.Trees || st.PoolHits != want.PoolHits || st.Evicted != want.Evicted {
+			t.Fatalf("%s: %+v, want sweeps %d, trees %d, pool hits %d, evicted %d", what, st, want.Sweeps, want.Trees, want.PoolHits, want.Evicted)
+		}
+	}
+	step("two cold misses fill the pool", func() { topo.Path(2, 3); topo.Path(4, 5) }, 2, 3, 0, 0)
+	step("a miss from a pooled source", func() { topo.Path(0, 6) }, 0, 3, 1, 0)
+	step("a miss to a pooled source", func() { topo.Path(7, 2) }, 0, 3, 1, 0)
+	step("a memo hit", func() { topo.Path(6, 0) }, 0, 3, 0, 0)
+	step("two cold misses on a full pool", func() { topo.Path(8, 9); topo.Path(10, 11) }, 2, 3, 0, 2)
+	step("a miss from an evicted source", func() { topo.Path(0, 12) }, 1, 3, 0, 1)
+	step("a batch from a pooled source", func() { topo.PathsFrom(8, []RouterID{13, 14, 15}, make([]Path, 3)) }, 0, 3, 3, 0)
+}
+
 // TestPathsFromSweepsAtMostOnce: one PathsFrom call, however many
 // destinations it resolves, runs at most one sweep - none when the memo
 // or a pooled tree of either end answers every pair - and answers as Path
