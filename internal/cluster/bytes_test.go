@@ -53,7 +53,7 @@ func TestBytesPerNode(t *testing.T) {
 		{"simnet node and its random source", 280, func(i int) {
 			envs[i] = c.Net.AddNode(AddrOf(i), pts[i])
 		}},
-		{"overlay node", 480, func(i int) {
+		{"overlay node", 420, func(i int) {
 			ovs[i] = overlay.New(envs[i], overlay.DefaultConfig(), NameOf(i))
 		}},
 		{"core", 365, func(i int) {
@@ -75,7 +75,7 @@ func TestBytesPerNode(t *testing.T) {
 
 	c.Assemble()
 	c.Sim.RunFor(2 * time.Minute)
-	idle := check("assembled, 2 minutes with no groups", base, 4850)
+	idle := check("assembled, 2 minutes with no groups", base, 4700)
 	links := 0
 	for _, ov := range ovs {
 		links += len(ov.Neighbors())

@@ -214,13 +214,14 @@ func (c *Cluster) Assemble() {
 }
 
 // WarmRoutes precomputes the topology paths for every current overlay
-// link plus the given extra node-index pairs, using all CPUs. Large
-// deployments (the 16,000-node paper-scale runs) call this after
-// Assemble: the sweeps, one per source, run in parallel up front instead
-// of one at a time as the simulation runs. Small deployments may skip
-// it; then each node's first send resolves all its assembled overlay
-// links with one sweep, and any other pair (a root's members, a new
-// neighbour) resolves at its own first send.
+// link plus the given extra node-index pairs in one netmodel WarmRoutes
+// batch on all CPUs. Large deployments (the 16,000-node paper-scale runs)
+// call this after Assemble: the sweeps, one per source, run in parallel
+// up front instead of one at a time as the simulation runs. Small
+// deployments may skip it; then each node's first send resolves all its
+// assembled overlay links in a one-worker batch of its own (one sweep),
+// and any other pair (a root's members, a new neighbour) resolves at its
+// own first send through Path.
 func (c *Cluster) WarmRoutes(extra [][2]int) {
 	var pairs [][2]netmodel.RouterID
 	for _, n := range c.Nodes {

@@ -44,16 +44,22 @@ func (f *Fuse) addTreeLink(id GroupID, seq uint64, neighbor overlay.NodeRef) {
 // carries it so downstream deliveries can name their cause.
 func (f *Fuse) linkFailed(id GroupID, from overlay.NodeRef, span uint64) {
 	if g := f.lookup(id); g != nil && len(g.links) > 0 {
-		seq := g.seq
-		for _, l := range g.links {
-			if l.ls.neighbor.Addr == from.Addr {
-				continue
-			}
-			f.env.Send(l.ls.neighbor.Addr, &msgSoftNotification{ID: id, Seq: seq, From: f.self, Trace: span})
-		}
-		f.dropChecking(id)
+		f.spreadSoft(g, g.seq, from.Addr, span)
 	}
 	f.reactToTreeFailure(id, span)
+}
+
+// spreadSoft sends a SoftNotification of generation seq to every tree
+// neighbour of g but from, the link the failure came in on, and then
+// drops g's checking state.
+func (f *Fuse) spreadSoft(g *groupState, seq uint64, from transport.Addr, span uint64) {
+	for _, l := range g.links {
+		if l.ls.neighbor.Addr == from {
+			continue
+		}
+		f.env.Send(l.ls.neighbor.Addr, &msgSoftNotification{ID: g.id, Seq: seq, From: f.self, Trace: span})
+	}
+	f.dropChecking(g.id)
 }
 
 // reactToTreeFailure triggers the role-specific response to a broken
@@ -88,13 +94,7 @@ func (f *Fuse) handleSoft(m *msgSoftNotification) {
 		if m.Seq < g.seq {
 			return // stale generation: a repair already superseded it
 		}
-		for _, l := range g.links {
-			if l.ls.neighbor.Addr == m.From.Addr {
-				continue
-			}
-			f.env.Send(l.ls.neighbor.Addr, &msgSoftNotification{ID: m.ID, Seq: m.Seq, From: f.self, Trace: m.Trace})
-		}
-		f.dropChecking(m.ID)
+		f.spreadSoft(g, m.Seq, m.From.Addr, m.Trace)
 	}
 	// With or without checking state (a member's or root's tree may
 	// already be torn down), the role reacts; a delegate does nothing.

@@ -1,8 +1,9 @@
 package netmodel
 
 import (
+	"fmt"
 	"math/rand"
-	"strings"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -107,63 +108,187 @@ func TestConcurrentPathQueriesAreSafeAndExact(t *testing.T) {
 	}
 }
 
-// TestPathDuringWarmRoutesPanics proves the warming guard: a Path query
-// while WarmRoutes is in progress must panic loudly instead of silently
-// corrupting the pair memo. The onWarmStart hook runs on this goroutine
-// right after the flag rises, so the trip is deterministic even under
-// -race.
+// TestWarmRoutesPathAndRouteStatsShareOneLock runs parallel WarmRoutes
+// batches beside Path queries and RouteStats reads on one topology, from
+// several goroutines at once. Every call takes the one mutex, so under
+// -race this proves the batch path's locking, and every answer must be
+// what a fresh topology's Path says.
+func TestWarmRoutesPathAndRouteStatsShareOneLock(t *testing.T) {
+	topo, fresh := testTopology(t, 13), testTopology(t, 13)
+	pts := topo.AttachPoints(120, rand.New(rand.NewSource(59)))
+	pairs := make([][2]RouterID, 0, 5*len(pts))
+	for i := range pts {
+		for j := 1; j <= 5; j++ {
+			pairs = append(pairs, [2]RouterID{pts[i], pts[(i+j*11)%len(pts)]})
+		}
+	}
+	want := make([]Path, len(pairs))
+	distinct := make(map[pairKey]bool)
+	for i, pr := range pairs {
+		want[i] = fresh.Path(pr[0], pr[1])
+		distinct[mkPair(pr[0], pr[1])] = true
+	}
+
+	const goroutines = 6
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(pairs); i += goroutines {
+				switch i % 3 {
+				case 0: // a batch of the pairs around i, parallel
+					topo.WarmRoutes(pairs[i:min(i+8, len(pairs))], 2)
+				case 1:
+					topo.RouteStats()
+				}
+				if got := topo.Path(pairs[i][1], pairs[i][0]); got != want[i] {
+					errs <- fmt.Sprintf("Path(%d, %d) = %+v beside batches, fresh topology says %+v", pairs[i][1], pairs[i][0], got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
+	}
+	if st := topo.RouteStats(); st.Pairs != len(distinct) {
+		t.Fatalf("%d distinct pairs asked for, %d memoized", len(distinct), st.Pairs)
+	}
+}
+
+// warmFixture is a topology, a batch of pairs over 120 attach points, and
+// what a fresh topology's Path says for each pair.
+func warmFixture(t *testing.T) (topo *Topology, pairs [][2]RouterID, want []Path) {
+	topo, fresh := testTopology(t, 13), testTopology(t, 13)
+	pts := topo.AttachPoints(120, rand.New(rand.NewSource(61)))
+	for i := range pts {
+		for j := 1; j <= 3; j++ {
+			pairs = append(pairs, [2]RouterID{pts[i], pts[(i+j*7)%len(pts)]})
+		}
+	}
+	for _, pr := range pairs {
+		want = append(want, fresh.Path(pr[0], pr[1]))
+	}
+	return topo, pairs, want
+}
+
+// whileWarming starts WarmRoutes(pairs, 2) on another goroutine, waits
+// until the batch holds the topology's mutex (or has already returned),
+// runs during on this goroutine, and waits for the batch. A panic in
+// either fails the test. The batch takes the mutex once and keeps it to
+// the end, so whatever during asks the topology is answered after the
+// whole batch, never from half of it.
+func whileWarming(t *testing.T, topo *Topology, pairs [][2]RouterID, during func()) {
+	t.Helper()
+	done := make(chan any)
+	go func() {
+		defer func() { done <- recover() }()
+		topo.WarmRoutes(pairs, 2)
+	}()
+	var batchDone bool
+	var r any
+	for !batchDone && topo.mu.TryLock() {
+		topo.mu.Unlock()
+		select {
+		case r = <-done:
+			batchDone = true
+		default:
+			runtime.Gosched()
+		}
+	}
+	func() {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Fatalf("call beside WarmRoutes panicked: %v", p)
+			}
+		}()
+		during()
+	}()
+	if !batchDone {
+		r = <-done
+	}
+	if r != nil {
+		t.Fatalf("WarmRoutes panicked: %v", r)
+	}
+}
+
+// TestPathDuringWarmRoutesPanics: a Path query while WarmRoutes runs does
+// not panic. It waits on the one mutex and gets the answer a fresh
+// topology gives, for a pair in the batch and for one outside it.
 func TestPathDuringWarmRoutesPanics(t *testing.T) {
-	topo := testTopology(t, 13)
-	topo.onWarmStart = func() { topo.Path(0, 5) }
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Path during WarmRoutes did not panic")
+	topo, pairs, want := warmFixture(t)
+	var in, out Path
+	whileWarming(t, topo, pairs[1:], func() {
+		in, out = topo.Path(pairs[1][1], pairs[1][0]), topo.Path(pairs[0][0], pairs[0][1])
+	})
+	if in != want[1] || out != want[0] {
+		t.Fatalf("Path beside WarmRoutes = %+v and %+v, fresh topology says %+v and %+v", in, out, want[1], want[0])
+	}
+	for i, pr := range pairs {
+		if got := topo.Path(pr[0], pr[1]); got != want[i] {
+			t.Fatalf("Path(%d, %d) = %+v after the batch, fresh topology says %+v", pr[0], pr[1], got, want[i])
 		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "concurrently with WarmRoutes") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	topo.WarmRoutes([][2]RouterID{{0, 1}}, 2)
+	}
 }
 
-// TestRouteStatsDuringWarmRoutesPanics: WarmRoutes writes the counters
-// RouteStats reads under its warming flag, not under the mutex, so
-// RouteStats takes Path's guard and panics rather than race.
+// TestRouteStatsDuringWarmRoutesPanics: RouteStats while WarmRoutes runs
+// does not panic, and it never reads a batch half done: it counts every
+// pair the batch memoizes and every sweep it ran.
 func TestRouteStatsDuringWarmRoutesPanics(t *testing.T) {
-	topo := testTopology(t, 13)
-	topo.onWarmStart = func() { topo.RouteStats() }
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("RouteStats during WarmRoutes did not panic")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "concurrently with WarmRoutes") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	topo.WarmRoutes([][2]RouterID{{0, 1}}, 2)
+	topo, pairs, _ := warmFixture(t)
+	var st RouteStats
+	whileWarming(t, topo, pairs, func() { st = topo.RouteStats() })
+	if after := topo.RouteStats(); st != after {
+		t.Fatalf("RouteStats beside WarmRoutes = %+v, after it %+v", st, after)
+	}
+	distinct := make(map[pairKey]bool)
+	for _, pr := range pairs {
+		distinct[mkPair(pr[0], pr[1])] = true
+	}
+	if st.Pairs != len(distinct) || st.Sweeps == 0 {
+		t.Fatalf("RouteStats beside WarmRoutes = %+v, want all %d distinct pairs and their sweeps", st, len(distinct))
+	}
 }
 
+// TestOverlappingWarmRoutesPanics: two overlapping WarmRoutes calls do
+// not panic. They serialize on the mutex, so they leave the memo and the
+// sweep count two batches run one after the other leave, and every
+// answer is a fresh topology's.
 func TestOverlappingWarmRoutesPanics(t *testing.T) {
-	topo := testTopology(t, 13)
-	topo.onWarmStart = func() { topo.WarmRoutes([][2]RouterID{{2, 3}}, 1) }
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("overlapping WarmRoutes did not panic")
+	topo, pairs, want := warmFixture(t)
+	first, second := pairs[:240], pairs[120:]
+	whileWarming(t, topo, first, func() { topo.WarmRoutes(second, 1) })
+
+	serial, _, _ := warmFixture(t)
+	serial.WarmRoutes(first, 2)
+	serial.WarmRoutes(second, 1)
+	if got, ref := topo.RouteStats(), serial.RouteStats(); got != ref {
+		t.Fatalf("overlapping batches leave %+v, the same batches one after the other %+v", got, ref)
+	}
+	for i, pr := range pairs {
+		if got := topo.Path(pr[0], pr[1]); got != want[i] {
+			t.Fatalf("Path(%d, %d) = %+v after overlapping batches, fresh topology says %+v", pr[0], pr[1], got, want[i])
 		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "overlapping WarmRoutes") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	topo.WarmRoutes([][2]RouterID{{0, 1}}, 1)
+	}
 }
 
+// TestWarmRoutesGuardClearsAfterReturn: WarmRoutes lets go of the mutex
+// when it returns, so Path and RouteStats answer at once after it.
 func TestWarmRoutesGuardClearsAfterReturn(t *testing.T) {
 	topo := testTopology(t, 13)
 	topo.WarmRoutes([][2]RouterID{{0, 1}}, 2)
+	if !topo.mu.TryLock() {
+		t.Fatal("WarmRoutes returned holding the topology's mutex")
+	}
+	topo.mu.Unlock()
 	if got, want := topo.Path(0, 1), topo.Path(1, 0); got != want {
 		t.Fatalf("post-warmup Path answers diverge: %+v vs %+v", got, want)
+	}
+	if st := topo.RouteStats(); st.Pairs != 1 || st.Sweeps != 1 {
+		t.Fatalf("RouteStats after one one-pair batch = %+v, want 1 pair and 1 sweep", st)
 	}
 }

@@ -40,13 +40,17 @@
 // cost), 8 bytes wherever it is stored: in the adjacencies beside the
 // vertex an entry leads to, in a sweep's labels and pooled trees, and in
 // the pair memo, which rebuilds a Path from it on every read.
+//
+// Path answers one pair and WarmRoutes a batch; both fill the one memo
+// under one mutex (see Topology).
 package netmodel
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -194,26 +198,22 @@ type rawLink struct {
 // over; a Path is rebuilt from its cost on every read, its Loss from a
 // per-hop-count table) and a bounded FIFO pool of single-source trees. A
 // tree is one cost per border router, 8 bytes each: ~157 KB at paper
-// scale, ~12 KB on the default topology. Only a lone query's cold miss
-// pools the tree it sweeps, for the next miss from either end. A batch
-// (PathsFrom with two or more destinations, as simnet asks for the links
-// a node was assembled with) sweeps into one scratch tree instead: the
-// memo keeps every pair it answers, and a later lone miss from the same
-// source sweeps it again, this time into the pool. That trades a sweep
-// per source a small deployment reuses for the trees a large one never
-// does. WarmRoutes, the batch's eager twin, pools nothing either. The
-// pool holds at most 256 trees and at most a ~32 MB budget's worth (214
-// at paper scale). An evicted tree's array becomes the next sweep's, so a
-// cold miss on a full pool allocates nothing that grows with the
-// topology.
+// scale, ~12 KB on the default topology. Only Path's cold miss pools the
+// tree it sweeps, for the next miss from either end. A WarmRoutes batch
+// (simnet's batch of the links a node was assembled with, or a large
+// deployment's warm-up) pools nothing: the memo keeps every pair it
+// answers, and a later miss from the same source sweeps again, this time
+// into the pool. That trades a sweep per source a small deployment reuses
+// for the trees a large one never does. The pool holds at most 256 trees
+// and at most a ~32 MB budget's worth (214 at paper scale). An evicted
+// tree's array becomes the next sweep's, so a cold miss on a full pool
+// allocates nothing that grows with the topology.
 //
-// Concurrency: Path and PathsFrom serialize the memo and tree pool behind
-// a mutex, so cold route-cache misses from parallel simulation shards are
-// safe (and still exact - the caches only memoize, they never change
-// answers). WarmRoutes must not run concurrently with a query or with
-// RouteStats: the bulk fill assumes sole ownership of the pair memo, and
-// an atomic in-progress flag turns any violation into a panic instead of
-// silent memo corruption.
+// Concurrency: Path, WarmRoutes and RouteStats each hold one mutex for
+// their whole run, so cold misses from parallel simulation shards and a
+// warm-up on another goroutine are safe (and still exact - the caches
+// only memoize, they never change answers). WarmRoutes's own sweeps run
+// in parallel while it holds the mutex.
 type Topology struct {
 	cfg      Config
 	numLinks int
@@ -243,18 +243,10 @@ type Topology struct {
 	order    []RouterID          // ring of pooled sources, oldest at head
 	head     int
 	maxTrees int
-	sw       *sweep // the queries' scratch
-	scratch  []cost // a batch's tree; nil until the first batch sweeps
+	sw       *sweep // the queries' scratch, and a one-worker batch's
 	sweeps   int
 	poolHits int // memo misses a pooled tree answered
 	evicted  int // pooled trees handed to a newer source
-
-	// warming is set for the duration of WarmRoutes; Path panics while it
-	// is up. onWarmStart is a test hook invoked (on the caller goroutine)
-	// right after the flag rises, so tests can trip the guard
-	// deterministically.
-	warming     atomic.Bool
-	onWarmStart func()
 }
 
 // pairKey is an unordered router pair (the graph is undirected, so paths
@@ -492,58 +484,17 @@ func (t *Topology) AttachPoints(n int, rng *rand.Rand) []RouterID {
 // Path returns the best route between two routers: the lowest latency,
 // and among routes of equal latency the fewest hops. That order is total
 // over what Path reports (Loss follows from Hops), so an answer depends on
-// the graph alone - not on which end was swept, on whether WarmRoutes,
-// PathsFrom or Path computed it, or on the order links were generated in -
-// and Path(a, b) == Path(b, a). Path is PathsFrom with one destination:
-// answered pairs are memoized exactly, and a miss sweeps from the source
-// unless a pooled tree of either end answers it. Path(a, a) is the zero
-// Path.
+// the graph alone - not on which end was swept, on whether WarmRoutes or
+// Path computed it, or on the order links were generated in - and
+// Path(a, b) == Path(b, a). An answered pair is memoized exactly; a miss
+// reads a pooled tree of either end, or else sweeps from the source into
+// a pooled tree. Path(a, a) is the zero Path.
 func (t *Topology) Path(from, to RouterID) Path {
 	if from == to {
 		return Path{}
 	}
-	var out [1]Path
-	t.PathsFrom(from, []RouterID{to}, out[:])
-	return out[0]
-}
-
-// PathsFrom sets out[i] to Path(src, dsts[i]) for every destination; out
-// must be at least as long as dsts. Each pair is answered from the memo,
-// from a pooled tree of either end, or from src's tree, swept the first
-// time a pair needs it: one call runs at most one sweep, however many
-// destinations it resolves. With two or more destinations that sweep
-// fills the topology's scratch tree and pools nothing; with one it pools
-// the tree, as Path does. A caller that knows several of a source's
-// destinations ahead of time asks for them together, so they share one
-// sweep.
-func (t *Topology) PathsFrom(src RouterID, dsts []RouterID, out []Path) {
-	t.notWarming()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var batch *[]cost
-	var scratch []cost // src's tree, once the batch has swept it
-	if len(dsts) > 1 {
-		batch = &scratch
-	}
-	for i, dst := range dsts {
-		out[i] = t.path(src, dst, batch)
-	}
-}
-
-// notWarming panics if WarmRoutes is running: it writes the pair memo,
-// the sweep count and the border graph under its flag, not under mu.
-func (t *Topology) notWarming() {
-	if t.warming.Load() {
-		panic("netmodel: route query or RouteStats called concurrently with WarmRoutes; finish the warmup first (the pair memo would corrupt)")
-	}
-}
-
-// path answers one query under mu; batch is nil for a lone query (see
-// sweepFrom).
-func (t *Topology) path(from, to RouterID, batch *[]cost) Path {
-	if from == to {
-		return Path{}
-	}
 	k := mkPair(from, to)
 	if c, ok := t.pairs[k]; ok {
 		return t.pathOf(c)
@@ -554,37 +505,18 @@ func (t *Topology) path(from, to RouterID, batch *[]cost) Path {
 		// A pooled tree from the destination answers the same query.
 		if tree, ok = t.cache[to]; ok {
 			from, to = to, from
-		} else {
-			tree = t.sweepFrom(from, batch)
 		}
 	}
 	if ok {
 		t.poolHits++
+	} else {
+		tree = t.poolTree(from)
+		t.sw.run(t, from, tree)
+		t.sweeps++
 	}
 	c := t.sw.path(t, tree, from, to)
 	t.pairs[k] = c
 	return t.pathOf(c)
-}
-
-// sweepFrom returns src's tree for a miss no pooled tree answers. A lone
-// query (batch nil) sweeps it into a pooled tree. A batch sweeps it into
-// the scratch tree, once: *batch holds the tree from then on.
-func (t *Topology) sweepFrom(src RouterID, batch *[]cost) []cost {
-	var tree []cost
-	switch {
-	case batch == nil:
-		tree = t.poolTree(src)
-	case *batch != nil:
-		return *batch
-	default:
-		if t.scratch == nil {
-			t.scratch = make([]cost, len(t.borders))
-		}
-		tree, *batch = t.scratch, t.scratch
-	}
-	t.sw.run(t, src, tree)
-	t.sweeps++
-	return tree
 }
 
 // pathOf is the Path a route of cost c describes. Delivery probability
@@ -621,7 +553,7 @@ func (t *Topology) poolTree(src RouterID) []cost {
 
 // RouteStats counts the routing work a topology has done.
 type RouteStats struct {
-	Sweeps      int // single-source sweeps: WarmRoutes sources plus cold Path and PathsFrom misses
+	Sweeps      int // single-source sweeps: WarmRoutes sources plus cold Path misses
 	Pairs       int // memoized (src, dst) answers
 	Trees       int // source trees in the pool
 	Borders     int // border-graph vertices; 0 until the first sweep
@@ -630,9 +562,8 @@ type RouteStats struct {
 	Evicted     int // pooled trees evicted to pool a newer source's
 }
 
-// RouteStats reports the counters; like Path, not during WarmRoutes.
+// RouteStats reports the counters.
 func (t *Topology) RouteStats() RouteStats {
-	t.notWarming()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return RouteStats{t.sweeps, len(t.pairs), len(t.cache), len(t.borders), len(t.borderTo), t.poolHits, t.evicted}
@@ -640,7 +571,7 @@ func (t *Topology) RouteStats() RouteStats {
 
 // contract builds the border graph if it is not built yet, computing the
 // intra-AS border-to-border routes with the given number of goroutines.
-// The caller holds mu or, in WarmRoutes, the warming flag.
+// The caller holds mu.
 func (t *Topology) contract(workers int) {
 	if t.borderStart != nil {
 		return
@@ -677,34 +608,25 @@ func (t *Topology) contract(workers int) {
 		split[v] += start[v]
 	}
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sw := t.newSweep()
-			for as := w; as < t.cfg.ASes; as += workers {
-				lo, hi := t.asBorders[as], t.asBorders[as+1]
-				for v := lo; v < hi; v++ {
-					sw.within(t, t.borders[v])
-					k := start[v]
-					for o := lo; o < hi; o++ {
-						if o != v {
-							costs[k], to[k] = sw.toBorder(t, o), o
-							k++
-						}
-					}
+	t.sw = t.newSweep()
+	t.fanOut(workers, t.cfg.ASes, func(sw *sweep, as int) {
+		lo, hi := t.asBorders[as], t.asBorders[as+1]
+		for v := lo; v < hi; v++ {
+			sw.within(t, t.borders[v])
+			k := start[v]
+			for o := lo; o < hi; o++ {
+				if o != v {
+					costs[k], to[k] = sw.toBorder(t, o), o
+					k++
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+	})
 	t.borderStart, t.borderSplit, t.borderCost, t.borderTo = start, split, costs, to
-	t.sw = t.newSweep()
 
 	// Bound the tree pool by a ~32 MB memory budget and by 256 trees.
 	// The pairs of a node's assembled links cost it one batched sweep
-	// (PathsFrom, from simnet) that pools nothing, so the pool serves
+	// (WarmRoutes, from simnet) that pools nothing, so the pool serves
 	// only pairs nobody dialed ahead: a root's messages to its members, a
 	// repair's new neighbour. 256 trees hold every source a deployment
 	// keeps reusing for those (a churn-150 run pools about 85 and reuses
@@ -717,114 +639,102 @@ func (t *Topology) contract(workers int) {
 // WarmRoutes computes and memoizes the paths for the given router pairs,
 // running up to workers single-source sweeps concurrently (the graph is
 // immutable; each sweep has private state), after building the border
-// graph with the same workers if this is its first use. Large simulations
-// call this once with every pair their overlay links will use: one sweep
-// per distinct source resolves all of that source's pairs, in parallel,
-// where resolving them lazily costs a serial sweep per source at its
-// first send. Results are identical to Path's, and the memo insert
-// order is deterministic. WarmRoutes must not run concurrently with Path
-// (or itself); violations panic via the warming flag rather than
-// corrupting the memo silently.
+// graph with the same workers if this is its first use. Each unanswered
+// pair is swept from whichever end has more unanswered pairs in the
+// batch, the lower router on a tie, so one sweep per source resolves all
+// of that source's pairs. Large simulations call this once with every
+// pair their overlay links will use, and simnet calls it with one worker
+// for a node's assembled links at its first send. A batch pools no tree:
+// one worker sweeps into the query sweep's own tree, more into trees
+// that go when the call returns. Results are identical to Path's.
 func (t *Topology) WarmRoutes(routePairs [][2]RouterID, workers int) {
-	if !t.warming.CompareAndSwap(false, true) {
-		panic("netmodel: overlapping WarmRoutes calls")
-	}
-	defer t.warming.Store(false)
-	if t.onWarmStart != nil {
-		t.onWarmStart()
-	}
-	// Group unresolved pairs by endpoint, then greedily sweep sources
-	// with the most unresolved pairs first so most pairs are answered by
-	// one of their two endpoints' single sweep.
-	need := make(map[pairKey]bool)
-	for _, rp := range routePairs {
-		if rp[0] == rp[1] {
-			continue
-		}
-		k := mkPair(rp[0], rp[1])
-		if _, done := t.pairs[k]; !done {
-			need[k] = true
-		}
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	need, tasks := t.plan(routePairs)
 	if len(need) == 0 {
 		return
 	}
-	bySrc := make(map[RouterID][]RouterID)
-	for k := range need {
-		bySrc[k.a] = append(bySrc[k.a], k.b)
-		bySrc[k.b] = append(bySrc[k.b], k.a)
-	}
-	srcs := make([]RouterID, 0, len(bySrc))
-	for src := range bySrc {
-		srcs = append(srcs, src)
-	}
-	sort.Slice(srcs, func(i, j int) bool {
-		if len(bySrc[srcs[i]]) != len(bySrc[srcs[j]]) {
-			return len(bySrc[srcs[i]]) > len(bySrc[srcs[j]])
+	t.contract(workers)
+	t.sweeps += len(tasks) - 1
+	costs := make([]cost, len(need))
+	t.fanOut(workers, len(tasks)-1, func(sw *sweep, i int) {
+		if sw.tree == nil {
+			sw.tree = make([]cost, len(t.borders))
 		}
-		return srcs[i] < srcs[j]
+		src := need[tasks[i]].a
+		sw.run(t, src, sw.tree)
+		for j := tasks[i]; j < tasks[i+1]; j++ {
+			costs[j] = sw.path(t, sw.tree, src, need[j].b)
+		}
 	})
-
-	type task struct {
-		src  RouterID
-		dsts []RouterID
+	for j, k := range need {
+		t.pairs[mkPair(k.a, k.b)] = costs[j]
 	}
-	var tasks []task
-	for _, src := range srcs {
-		var dsts []RouterID
-		for _, dst := range bySrc[src] {
-			if need[mkPair(src, dst)] {
-				dsts = append(dsts, dst)
-				delete(need, mkPair(src, dst))
+}
+
+// plan lists the unanswered pairs among routePairs once each, as (the end
+// to sweep from, the other end), sorted by that source: the end with more
+// unanswered pairs in the batch, the lower router on a tie. Task i is
+// need[tasks[i]:tasks[i+1]], one source's pairs. The caller holds mu.
+func (t *Topology) plan(routePairs [][2]RouterID) (need []pairKey, tasks []int) {
+	need = make([]pairKey, 0, len(routePairs))
+	for _, rp := range routePairs {
+		if k := mkPair(rp[0], rp[1]); k.a != k.b {
+			if _, done := t.pairs[k]; !done {
+				need = append(need, k)
 			}
 		}
-		if len(dsts) > 0 {
-			sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-			tasks = append(tasks, task{src: src, dsts: dsts})
+	}
+	if len(need) == 0 {
+		return nil, nil
+	}
+	byPair := func(x, y pairKey) int { return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b)) }
+	slices.SortFunc(need, byPair)
+	need = slices.Compact(need)
+	count := make(map[RouterID]int, len(need))
+	for _, k := range need {
+		count[k.a]++
+		count[k.b]++
+	}
+	for i, k := range need {
+		if count[k.b] > count[k.a] {
+			need[i] = pairKey{k.b, k.a}
 		}
 	}
+	slices.SortFunc(need, byPair)
+	tasks = []int{0}
+	for i := 1; i < len(need); i++ {
+		if need[i].a != need[i-1].a {
+			tasks = append(tasks, i)
+		}
+	}
+	return need, append(tasks, len(need))
+}
 
-	if workers < 1 {
-		workers = 1
+// fanOut calls do(sw, i) for every i in [0, n) on up to workers
+// goroutines, each with a sweep of its own. One worker runs them on the
+// caller's goroutine with the query sweep; more get fresh sweeps, which
+// go when fanOut returns. The caller holds mu.
+func (t *Topology) fanOut(workers, n int, do func(sw *sweep, i int)) {
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n; i++ {
+			do(t.sw, i)
+		}
+		return
 	}
-	t.contract(workers)
-	t.sweeps += len(tasks)
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	type answer struct {
-		k pairKey
-		c cost
-	}
-	answers := make([][]answer, len(tasks))
-	next := make(chan int)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sw, tree := t.newSweep(), make([]cost, len(t.borders))
-			for i := range next {
-				tk := tasks[i]
-				sw.run(t, tk.src, tree)
-				out := make([]answer, len(tk.dsts))
-				for j, dst := range tk.dsts {
-					out[j] = answer{k: mkPair(tk.src, dst), c: sw.path(t, tree, tk.src, dst)}
-				}
-				answers[i] = out
+			sw := t.newSweep()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				do(sw, i)
 			}
 		}()
 	}
-	for i := range tasks {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
-	for _, out := range answers {
-		for _, a := range out {
-			t.pairs[a.k] = a.c
-		}
-	}
 }
 
 // maxBuckets caps a sweep's ring, and with it the spread of link
@@ -872,6 +782,8 @@ type sweep struct {
 
 	intra []cost   // set by within; indexed by router minus base
 	base  RouterID // first router of the AS within last covered
+
+	tree []cost // a WarmRoutes batch's tree; nil until the first batch
 }
 
 func (t *Topology) newSweep() *sweep {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -267,8 +268,9 @@ func TestPathBoundsProperty(t *testing.T) {
 	}
 }
 
-// TestWarmRoutesMatchesPath checks that the bulk parallel warmup
-// memoizes exactly what lazy Path queries would answer.
+// TestWarmRoutesMatchesPath checks that the bulk parallel warmup leaves
+// no tree behind and memoizes exactly what lazy Path queries would
+// answer.
 func TestWarmRoutesMatchesPath(t *testing.T) {
 	warm := testTopology(t, 14)
 	lazy := testTopology(t, 14)
@@ -282,6 +284,9 @@ func TestWarmRoutesMatchesPath(t *testing.T) {
 	}
 	pairs = append(pairs, [2]RouterID{pts[0], pts[0]}) // self pair is a no-op
 	warm.WarmRoutes(pairs, 4)
+	if warm.sw.tree != nil {
+		t.Fatal("a parallel batch left a tree on the query sweep")
+	}
 	for _, pr := range pairs {
 		if got, want := warm.Path(pr[0], pr[1]), lazy.Path(pr[0], pr[1]); got != want {
 			t.Fatalf("warmed path %v->%v = %+v, lazy = %+v", pr[0], pr[1], got, want)
@@ -442,9 +447,10 @@ func tiedConfig(seed int64) Config {
 }
 
 // TestRoutesMatchReference holds Path to the full-graph sweep for every
-// destination of many sources, and PathsFrom over each source's
-// destinations in a shuffled order on a second copy of the topology (so
-// a batch meets a memo filled by earlier batches, never by Path), over
+// destination of many sources, and a one-worker WarmRoutes batch of each
+// source's destinations in a shuffled order on a second copy of the
+// topology (so a batch meets a memo filled by earlier batches, never by
+// Path), over
 // the shapes the contraction has to
 // get right: lossy links, tiny and chordless ASes, ASes with a single
 // border router, ASes whose only inter-AS links are T3, sources that are
@@ -534,15 +540,14 @@ func TestRoutesMatchReference(t *testing.T) {
 			topo.pairs = nil
 			batched := Generate(tc.cfg)
 			for i, src := range srcs {
-				dsts := make([]RouterID, len(wants[i]))
-				for j, dst := range rng.Perm(len(dsts)) {
-					dsts[j] = RouterID(dst)
+				pairs := make([][2]RouterID, len(wants[i]))
+				for j, dst := range rng.Perm(len(pairs)) {
+					pairs[j] = [2]RouterID{src, RouterID(dst)}
 				}
-				got := make([]Path, len(dsts))
-				batched.PathsFrom(src, dsts, got)
-				for j, dst := range dsts {
-					if got[j] != wants[i][dst] {
-						t.Fatalf("PathsFrom(%d, ...) to %d = %+v, full-graph sweep says %+v", src, dst, got[j], wants[i][dst])
+				batched.WarmRoutes(pairs, 1)
+				for _, pr := range pairs {
+					if got, want := batched.pathOf(batched.pairs[mkPair(pr[0], pr[1])]), wants[i][pr[1]]; pr[0] != pr[1] && got != want {
+						t.Fatalf("WarmRoutes(%d, ...) to %d = %+v, full-graph sweep says %+v", src, pr[1], got, want)
 					}
 				}
 			}
@@ -638,9 +643,9 @@ func TestColdMissOnFullPoolReusesTree(t *testing.T) {
 }
 
 // TestTreePoolCounts pins RouteStats' count of the pool's work: a memo
-// miss that a pooled tree of either end answers, alone or in a batch, is
-// a pool hit and sweeps nothing; a memo hit is no pool hit; and a cold
-// lone miss on a full pool evicts the oldest tree.
+// miss that a pooled tree of either end answers is a pool hit and sweeps
+// nothing; a memo hit is no pool hit; and a cold miss on a full pool
+// evicts the oldest tree.
 func TestTreePoolCounts(t *testing.T) {
 	topo := testTopology(t, 19)
 	topo.Path(0, 1) // builds the border graph, which sizes the pool
@@ -664,60 +669,131 @@ func TestTreePoolCounts(t *testing.T) {
 	step("a memo hit", func() { topo.Path(6, 0) }, 0, 3, 0, 0)
 	step("two cold misses on a full pool", func() { topo.Path(8, 9); topo.Path(10, 11) }, 2, 3, 0, 2)
 	step("a miss from an evicted source", func() { topo.Path(0, 12) }, 1, 3, 0, 1)
-	step("a batch from a pooled source", func() { topo.PathsFrom(8, []RouterID{13, 14, 15}, make([]Path, 3)) }, 0, 3, 3, 0)
 }
 
-// TestPathsFromSweepsAtMostOnce: one PathsFrom call, however many
-// destinations it resolves, runs at most one sweep - none when the memo
-// or a pooled tree of either end answers every pair - and answers as Path
-// does. A call with two or more destinations pools no tree; a call with
-// one pools its tree, as Path does.
-func TestPathsFromSweepsAtMostOnce(t *testing.T) {
+// TestWarmRoutesSingleSourceSweepsOnce: a batch of one source's pairs,
+// however many destinations it resolves, runs one sweep, pools no tree
+// and answers as Path does; pairs it has memoized sweep nothing again,
+// asked in a batch or alone, from either end.
+func TestWarmRoutesSingleSourceSweepsOnce(t *testing.T) {
 	topo, lazy := testTopology(t, 18), testTopology(t, 18)
 	pts := topo.AttachPoints(200, rand.New(rand.NewSource(53)))
-	out := make([]Path, 40)
+	pairsFrom := func(src RouterID, dsts []RouterID) [][2]RouterID {
+		out := make([][2]RouterID, len(dsts))
+		for j, dst := range dsts {
+			out[j] = [2]RouterID{src, dst}
+		}
+		return out
+	}
 	for i := 0; i+41 <= len(pts); i += 41 {
 		src, dsts := pts[i], pts[i+1:i+41]
 		before := topo.RouteStats()
-		topo.PathsFrom(src, dsts, out)
+		topo.WarmRoutes(pairsFrom(src, dsts), 1)
 		st := topo.RouteStats()
 		if st.Sweeps-before.Sweeps != 1 || st.Trees != before.Trees {
-			t.Fatalf("PathsFrom to %d new destinations ran %d sweeps and pooled %d trees, want 1 and 0",
+			t.Fatalf("a batch to %d new destinations ran %d sweeps and pooled %d trees, want 1 and 0",
 				len(dsts), st.Sweeps-before.Sweeps, st.Trees-before.Trees)
 		}
-		for j, dst := range dsts {
-			if want := lazy.Path(src, dst); out[j] != want {
-				t.Fatalf("PathsFrom(%d, ...) to %d = %+v, Path says %+v", src, dst, out[j], want)
+		for _, dst := range dsts {
+			if got, want := topo.Path(src, dst), lazy.Path(src, dst); got != want {
+				t.Fatalf("after a batch from %d, Path to %d = %+v, an unbatched topology says %+v", src, dst, got, want)
 			}
 		}
 		// Asked again, in reverse and from the far ends, nothing sweeps.
-		topo.PathsFrom(src, dsts[:1], out)
+		topo.WarmRoutes(pairsFrom(src, dsts[:1]), 1)
 		for _, dst := range dsts {
-			topo.PathsFrom(dst, []RouterID{src, dst}, out)
+			topo.WarmRoutes(pairsFrom(dst, []RouterID{src, dst}), 2)
+			topo.Path(dst, src)
 		}
-		if again := topo.RouteStats(); again.Sweeps != st.Sweeps || again.Trees != st.Trees {
+		if again := topo.RouteStats(); again.Sweeps != st.Sweeps || again.Trees != st.Trees || again.PoolHits != st.PoolHits {
 			t.Fatalf("answered pairs swept again: %+v -> %+v", st, again)
 		}
 	}
 	// Among answered pairs, one unanswered one sweeps into no pooled
-	// tree; asked for alone, it pools its tree.
+	// tree; asked for alone through Path, another pools its tree.
 	before := topo.RouteStats()
-	topo.PathsFrom(pts[0], []RouterID{pts[1], pts[197], pts[0]}, out)
-	if st := topo.RouteStats(); st.Sweeps-before.Sweeps != 1 || st.Trees != before.Trees || out[1] != lazy.Path(pts[0], pts[197]) {
-		t.Fatalf("one unanswered pair in a batch: %+v -> %+v, answer %+v", before, st, out[1])
+	topo.WarmRoutes(pairsFrom(pts[0], []RouterID{pts[1], pts[197], pts[0]}), 1)
+	if st := topo.RouteStats(); st.Sweeps-before.Sweeps != 1 || st.Trees != before.Trees || st.Pairs-before.Pairs != 1 {
+		t.Fatalf("one unanswered pair in a batch: %+v -> %+v", before, st)
+	}
+	if got, want := topo.Path(pts[0], pts[197]), lazy.Path(pts[0], pts[197]); got != want {
+		t.Fatalf("the batch's one new pair reads %+v, Path says %+v", got, want)
 	}
 	before = topo.RouteStats()
-	topo.PathsFrom(pts[0], pts[198:199], out)
-	if st := topo.RouteStats(); st.Sweeps-before.Sweeps != 1 || st.Trees-before.Trees != 1 || out[0] != lazy.Path(pts[0], pts[198]) {
-		t.Fatalf("one unanswered pair alone: %+v -> %+v, answer %+v", before, st, out[0])
+	if got, want := topo.Path(pts[0], pts[198]), lazy.Path(pts[0], pts[198]); got != want {
+		t.Fatalf("Path(%d, %d) = %+v, want %+v", pts[0], pts[198], got, want)
 	}
-	// A batch whose pairs that pooled tree of the far end answers sweeps
-	// nothing either: a batch from pts[199], which nothing has asked
-	// about, to pts[0] and to itself needs no tree of its own.
-	before = topo.RouteStats()
-	topo.PathsFrom(pts[199], []RouterID{pts[0], pts[199], pts[0]}, out)
-	if st := topo.RouteStats(); st.Sweeps != before.Sweeps || out[0] != lazy.Path(pts[0], pts[199]) || out[1] != (Path{}) || out[2] != out[0] {
-		t.Fatalf("batch answered by a pooled tree: %+v -> %+v, answers %+v", before, st, out[:3])
+	if st := topo.RouteStats(); st.Sweeps-before.Sweeps != 1 || st.Trees-before.Trees != 1 {
+		t.Fatalf("one unanswered pair alone: %+v -> %+v", before, st)
+	}
+}
+
+// TestWarmRoutesSweepsTheGreedySources: a batch sweeps from exactly the
+// sources a greedy reference picks - take sources by their count of
+// unanswered pairs, most first, the lower router on a tie, and give each
+// every pair no earlier source took - over a fixed pair set with ties,
+// shared endpoints, duplicates, reversed pairs, self pairs and a
+// memoized pair.
+func TestWarmRoutesSweepsTheGreedySources(t *testing.T) {
+	pairs := [][2]RouterID{
+		{10, 20}, {10, 30}, {10, 40}, {20, 30}, {20, 40}, // 10 and 20 tie at 3
+		{50, 60}, {60, 50}, {70, 70}, // a duplicate in reverse; a self pair
+		{80, 90}, {90, 100}, {100, 80}, // a three-way tie
+		{110, 120}, {120, 130}, {130, 140}, {140, 110}, {110, 130},
+		{5, 10}, // answered ahead of the batch
+	}
+	ref := func(memo map[pairKey]bool) map[RouterID][]RouterID {
+		need := make(map[pairKey]bool)
+		for _, p := range pairs {
+			if k := mkPair(p[0], p[1]); k.a != k.b && !memo[k] {
+				need[k] = true
+			}
+		}
+		count := make(map[RouterID]int)
+		for k := range need {
+			count[k.a]++
+			count[k.b]++
+		}
+		var srcs []RouterID
+		for r := range count {
+			srcs = append(srcs, r)
+		}
+		sort.Slice(srcs, func(i, j int) bool {
+			if count[srcs[i]] != count[srcs[j]] {
+				return count[srcs[i]] > count[srcs[j]]
+			}
+			return srcs[i] < srcs[j]
+		})
+		out := make(map[RouterID][]RouterID)
+		for _, src := range srcs {
+			for k := range need {
+				if k.a == src || k.b == src {
+					out[src] = append(out[src], k.a+k.b-src)
+					delete(need, k)
+				}
+			}
+			sort.Slice(out[src], func(i, j int) bool { return out[src][i] < out[src][j] })
+		}
+		return out
+	}
+
+	topo := testTopology(t, 23)
+	topo.Path(5, 10)
+	want := ref(map[pairKey]bool{mkPair(5, 10): true})
+	need, tasks := topo.plan(pairs)
+	got := make(map[RouterID][]RouterID)
+	for i := 0; i+1 < len(tasks); i++ {
+		for _, k := range need[tasks[i]:tasks[i+1]] {
+			got[k.a] = append(got[k.a], k.b)
+		}
+	}
+	if !reflect.DeepEqual(got, want) || len(got) != len(tasks)-1 {
+		t.Fatalf("batch sweeps %v in %d tasks, the greedy reference %v", got, len(tasks)-1, want)
+	}
+	before := topo.RouteStats()
+	topo.WarmRoutes(pairs, 1)
+	if st := topo.RouteStats(); st.Sweeps-before.Sweeps != len(want) || st.Pairs-before.Pairs != len(need) {
+		t.Fatalf("batch: %+v -> %+v, want %d sweeps and %d pairs", before, st, len(want), len(need))
 	}
 }
 

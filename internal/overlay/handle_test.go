@@ -54,9 +54,9 @@ func TestUnaskedJoinReplyIsDropped(t *testing.T) {
 	integrated := New(net.NewEnv(testRef(0).Addr, 1), DefaultConfig(), testRef(0).Name)
 	integrated.considerLeaf(testRef(1))
 	reply(integrated)
-	if ins, rs := announced(); ins != 0 || rs != 0 || len(integrated.searches) != 0 {
-		t.Fatalf("unasked reply: %d level-0 inserts, %d ring searches sent, %d searches open; want none",
-			ins, rs, len(integrated.searches))
+	if ins, rs := announced(); ins != 0 || rs != 0 || integrated.searches != 0 {
+		t.Fatalf("unasked reply: %d level-0 inserts, %d ring searches sent, searches open %#x; want none",
+			ins, rs, integrated.searches)
 	}
 
 	joiner := New(net.NewEnv(testRef(3).Addr, 3), DefaultConfig(), testRef(3).Name)

@@ -441,17 +441,17 @@ func (n *Node) startRingSearch(level int, right bool) {
 	if level < 1 || level > maxLevels {
 		return
 	}
-	key := searchKey{level: level, right: right}
-	if n.searches[key] {
+	bit := searchBit(level, right)
+	if n.searches&bit != 0 {
 		return
 	}
 	start := n.walkNeighbor(level-1, right)
 	if start.IsZero() {
 		return
 	}
-	n.searches[key] = true
+	n.searches |= bit
 	// Allow a retry eventually even if the search dies silently.
-	n.env.After(n.cfg.PingInterval, func() { delete(n.searches, key) })
+	n.env.After(n.cfg.PingInterval, func() { n.searches &^= bit })
 	n.env.Send(start.Addr, &msgRingSearch{
 		Origin:   n.self,
 		MatchLen: level,
@@ -503,7 +503,7 @@ func (n *Node) handleRingFound(m *msgRingFound) {
 	if level < 1 || level > maxLevels {
 		return
 	}
-	delete(n.searches, searchKey{level: level, right: !m.WalkLeft})
+	n.searches &^= searchBit(level, !m.WalkLeft)
 	cand := m.Node
 	if cand.Name == n.self.Name {
 		return

@@ -219,9 +219,9 @@ type Node struct {
 	// harmless.
 	pingGen uint16
 
-	// searches tracks in-flight ring-neighbor searches by level so
-	// repair does not flood duplicates.
-	searches map[searchKey]bool
+	// searches has a bit set for each in-flight ring-neighbour search
+	// (see searchBit) so repair does not flood duplicates.
+	searches uint32
 
 	// joining is set while a join lookup awaits its reply: the first
 	// reply clears it, and a reply that finds it clear is dropped.
@@ -243,9 +243,14 @@ type ovTelemetry struct {
 	rtt           telemetry.Histogram
 }
 
-type searchKey struct {
-	level int
-	right bool
+// searchBit is the bit of Node.searches that stands for a ring search at
+// level (1 to maxLevels) in one direction.
+func searchBit(level int, right bool) uint32 {
+	bit := uint32(1) << (2 * (level - 1))
+	if right {
+		bit <<= 1
+	}
+	return bit
 }
 
 // New creates a detached overlay node for env. Call SetClient, then either
@@ -255,13 +260,12 @@ func New(env transport.Env, cfg Config, name string) *Node {
 		panic("overlay: empty node name")
 	}
 	n := &Node{
-		env:      env,
-		cfg:      cfg,
-		self:     NodeRef{Name: name, Addr: env.Addr()},
-		digits:   DigitsOf(name, digitBase, maxLevels),
-		client:   nopClient{},
-		armed:    never,
-		searches: make(map[searchKey]bool),
+		env:    env,
+		cfg:    cfg,
+		self:   NodeRef{Name: name, Addr: env.Addr()},
+		digits: DigitsOf(name, digitBase, maxLevels),
+		client: nopClient{},
+		armed:  never,
 	}
 	n.tick = n.pingTick
 	if lane := telemetry.FromEnv(env); lane != nil {

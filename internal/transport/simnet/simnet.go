@@ -245,7 +245,7 @@ func (nd *node) TelemetryLane() *telemetry.Lane {
 // Dial implements transport.Dialer with an unresolved route. Until the
 // node's first resolved send, a route to an address that has a node is
 // to one of the neighbours its overlay was assembled with, so its router
-// joins pending, to be looked up with that send.
+// joins pending, to be looked up in that send's WarmRoutes batch.
 func (nd *node) Dial(to transport.Addr) transport.Route {
 	if !nd.resolved {
 		if dst := nd.net.nodes[to]; dst != nil {
@@ -259,20 +259,24 @@ func (nd *node) Dial(to transport.Addr) transport.Route {
 	return transport.Route{Addr: to}
 }
 
-// pathTo returns the topology path to dst. The node's first call looks
-// the pending routers' paths up with dst's in one PathsFrom call, which
-// memoizes them: the node's assembled neighbours cost it at most one
-// sweep, not one each, and their routes resolve on memo hits.
+// pathTo returns the topology path to dst. The node's first call asks
+// for the pending routers' paths with dst's in one WarmRoutes batch
+// (one worker, no tree pooled), which memoizes them: the node's assembled
+// neighbours cost it at most one sweep, not one each, and their routes,
+// dst's included, resolve on memo hits.
 func (nd *node) pathTo(dst *node) netmodel.Path {
 	topo := nd.net.topo
-	if nd.resolved {
-		return topo.Path(nd.router, dst.router)
+	if !nd.resolved {
+		if len(nd.pending) > 0 {
+			pairs := make([][2]netmodel.RouterID, 0, len(nd.pending)+1)
+			for _, r := range append(nd.pending, dst.router) {
+				pairs = append(pairs, [2]netmodel.RouterID{nd.router, r})
+			}
+			topo.WarmRoutes(pairs, 1)
+		}
+		nd.pending, nd.resolved = nil, true
 	}
-	dsts := append(nd.pending, dst.router)
-	nd.pending, nd.resolved = nil, true
-	paths := make([]netmodel.Path, len(dsts))
-	topo.PathsFrom(nd.router, dsts, paths)
-	return paths[len(dsts)-1]
+	return topo.Path(nd.router, dst.router)
 }
 
 // delivery is a pooled in-flight message. Its run closure is built once
