@@ -8,6 +8,7 @@ import (
 	"fuse/internal/cluster"
 	"fuse/internal/core"
 	"fuse/internal/netmodel"
+	"fuse/internal/scenario"
 	"fuse/internal/transport/simnet"
 )
 
@@ -153,10 +154,12 @@ func TestSkipAssembleLeavesTablesEmpty(t *testing.T) {
 // asks of the topology's route caches. Each node's first send resolves
 // every link its overlay was assembled with in one batched query, so the
 // build, 125 groups of 5 and two virtual minutes cost about one sweep per
-// node, and the tree pool stays within its 256-tree cap. Resolving each
-// link on its own first send would need every source's tree pooled
-// across the first minute, as the links first send at random phases:
-// with a cap of 256 that thrashes into several sweeps per node.
+// node. The tree pool, which starts at 16 trees and grows only on a
+// sweep an evicted tree would have spared, grows to 36 for the pairs
+// nobody dialed ahead. Resolving each link on its own first send
+// would need every source's tree pooled across the first minute, as the
+// links first send at random phases: with a 256-tree ceiling that
+// thrashes into several sweeps per node.
 func TestDialedRoutesCostOneSweepPerNode(t *testing.T) {
 	const nodes, groups, size = 1000, 125, 5
 	opts := simnet.DefaultOptions()
@@ -174,7 +177,35 @@ func TestDialedRoutesCostOneSweepPerNode(t *testing.T) {
 	if limit := nodes * 115 / 100; st.Sweeps > limit {
 		t.Errorf("%d sweeps for %d nodes, want at most %d (1.15 per node)", st.Sweeps, nodes, limit)
 	}
-	if st.Trees > 256 {
-		t.Errorf("%d trees pooled, want at most 256", st.Trees)
+	if st.Trees > 40 {
+		t.Errorf("%d trees pooled, want at most 40", st.Trees)
+	}
+}
+
+// TestChurnPresetRouteSweeps pins the route work of the churn preset's
+// shape (150 nodes, 20 groups, a 12-minute window), where repairs and
+// restarts keep asking new pairs from sources seen before: the adaptive
+// tree pool must grow enough that two runs sweep at most 261 times each
+// (~250 read), 15% over a pool that never evicts (~228).
+func TestChurnPresetRouteSweeps(t *testing.T) {
+	for _, seed := range []int64{1001, 1002} {
+		c, script, err := scenario.BuildPreset("churn", scenario.Params{
+			Nodes: 150, Groups: 20, Window: 12 * time.Minute, MeanDwell: 4 * time.Minute, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := scenario.Run(c, script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() {
+			t.Fatalf("seed %d failed its audit: %s", seed, rep.Stats())
+		}
+		st := c.Topo.RouteStats()
+		t.Logf("seed %d route stats: %+v", seed, st)
+		if st.Sweeps > 261 {
+			t.Errorf("seed %d: %d sweeps in one churn run, want at most 261", seed, st.Sweeps)
+		}
 	}
 }

@@ -66,6 +66,7 @@ func TestTopologyBytes(t *testing.T) {
 	}
 	topo := testTopology(t, 19)
 	topo.contract(1)
+	topo.capTrees = topo.maxTrees // a pool grown to its ceiling
 	pts := topo.AttachPoints(topo.maxTrees+200, rand.New(rand.NewSource(59)))
 
 	before := liveHeap()

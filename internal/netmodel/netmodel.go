@@ -196,18 +196,25 @@ type rawLink struct {
 // The caches: a memo of answered (src, dst) queries (exact, never evicted
 // - the working set of a simulation is the pairs its nodes actually talk
 // over; a Path is rebuilt from its cost on every read, its Loss from a
-// per-hop-count table) and a bounded FIFO pool of single-source trees. A
-// tree is one cost per border router, 8 bytes each: ~157 KB at paper
-// scale, ~12 KB on the default topology. Only Path's cold miss pools the
-// tree it sweeps, for the next miss from either end. A WarmRoutes batch
-// (simnet's batch of the links a node was assembled with, or a large
-// deployment's warm-up) pools nothing: the memo keeps every pair it
-// answers, and a later miss from the same source sweeps again, this time
-// into the pool. That trades a sweep per source a small deployment reuses
-// for the trees a large one never does. The pool holds at most 256 trees
-// and at most a ~32 MB budget's worth (214 at paper scale). An evicted
-// tree's array becomes the next sweep's, so a cold miss on a full pool
-// allocates nothing that grows with the topology.
+// per-hop-count table) and a FIFO pool of single-source trees that sizes
+// itself. A tree is one cost per border router, 8 bytes each: ~157 KB at
+// paper scale, ~12 KB on the default topology. Only Path's cold miss
+// pools the tree it sweeps, for the next miss from either end. A
+// WarmRoutes batch (simnet's batch of the links a node was assembled
+// with, or a large deployment's warm-up) pools nothing: the memo keeps
+// every pair it answers, and a later miss from the same source sweeps
+// again, this time into the pool. That trades a sweep per source a small
+// deployment reuses for the trees a large one never does.
+//
+// The pool starts at 16 trees and grows only when it runs short: eviction
+// remembers the evicted source in a list of ghosts (ARC's ghost list,
+// reduced to router ids), and a cold miss that sweeps with either end a
+// ghost is a regret - a sweep a larger pool would have saved - which drops
+// that ghost and adds regretGrowth trees. The ceiling is 256 trees, or a
+// ~32 MB budget's worth (214 at paper scale), and the ghost list is at
+// most that long. A pool that is not growing hands its oldest tree's
+// array to the next sweep, so a cold miss on a full pool allocates
+// nothing that grows with the topology.
 //
 // Concurrency: Path, WarmRoutes and RouteStats each hold one mutex for
 // their whole run, so cold misses from parallel simulation shards and a
@@ -242,11 +249,14 @@ type Topology struct {
 	cache    map[RouterID][]cost // pooled trees by source
 	order    []RouterID          // ring of pooled sources, oldest at head
 	head     int
-	maxTrees int
-	sw       *sweep // the queries' scratch, and a one-worker batch's
+	capTrees int        // the pool's size: 16 at first, grown on regrets
+	maxTrees int        // the pool's ceiling
+	ghosts   []RouterID // evicted sources, oldest first; at most maxTrees
+	sw       *sweep     // the queries' scratch, and a one-worker batch's
 	sweeps   int
 	poolHits int // memo misses a pooled tree answered
 	evicted  int // pooled trees handed to a newer source
+	regrets  int // sweeps with a ghost at either end
 }
 
 // pairKey is an unordered router pair (the graph is undirected, so paths
@@ -510,6 +520,7 @@ func (t *Topology) Path(from, to RouterID) Path {
 	if ok {
 		t.poolHits++
 	} else {
+		t.regret(from, to)
 		tree = t.poolTree(from)
 		t.sw.run(t, from, tree)
 		t.sweeps++
@@ -531,19 +542,26 @@ func (t *Topology) pathOf(c cost) Path {
 	return Path{Latency: c.lat(), Hops: h, Loss: 1 - t.deliver[h]}
 }
 
-// poolTree returns the array for src's tree and pools it, taking over the
-// oldest pooled tree's array once the pool is full. Evictions lose nothing
+// poolTree returns the array for src's tree and pools it as the newest,
+// taking over the oldest pooled tree's array once the pool is full and
+// remembering the evicted source as a ghost. Evictions lose nothing
 // exact: every answered query stays in the pair memo.
 func (t *Topology) poolTree(src RouterID) []cost {
 	var tree []cost
-	if len(t.order) < t.maxTrees {
+	if len(t.order) < t.capTrees {
+		// The newest slot of the ring is the one before its head.
 		tree = make([]cost, len(t.borders))
-		t.order = append(t.order, src)
+		t.order = slices.Insert(t.order, t.head, src)
+		t.head = (t.head + 1) % len(t.order)
 	} else {
 		old := t.order[t.head]
 		tree = t.cache[old]
 		delete(t.cache, old)
 		t.evicted++
+		if len(t.ghosts) == t.maxTrees {
+			t.ghosts = slices.Delete(t.ghosts, 0, 1)
+		}
+		t.ghosts = append(t.ghosts, old)
 		t.order[t.head] = src
 		t.head = (t.head + 1) % len(t.order)
 	}
@@ -551,22 +569,49 @@ func (t *Topology) poolTree(src RouterID) []cost {
 	return tree
 }
 
+// regretGrowth is the trees a regret adds to the pool. Growing by one
+// holds the least heap, but a deployment that reuses ~100 sources then
+// sweeps ~40% more than a pool that never evicts; growing by two pools
+// ~10 more trees on a 1,000-node deployment and halves that.
+const regretGrowth = 2
+
+// regret is called before a cold miss between a and b sweeps. If either
+// end is a ghost, a larger pool would have spared the sweep: the ghost
+// goes and the pool grows by regretGrowth trees, up to its ceiling.
+func (t *Topology) regret(a, b RouterID) {
+	i := slices.Index(t.ghosts, a)
+	if i < 0 {
+		if i = slices.Index(t.ghosts, b); i < 0 {
+			return
+		}
+	}
+	t.ghosts = slices.Delete(t.ghosts, i, i+1)
+	t.regrets++
+	t.capTrees = min(t.capTrees+regretGrowth, t.maxTrees)
+}
+
 // RouteStats counts the routing work a topology has done.
 type RouteStats struct {
 	Sweeps      int // single-source sweeps: WarmRoutes sources plus cold Path misses
 	Pairs       int // memoized (src, dst) answers
 	Trees       int // source trees in the pool
+	Cap         int // trees the pool holds before it evicts; grows on regrets
 	Borders     int // border-graph vertices; 0 until the first sweep
 	BorderEdges int // border-graph adjacency entries (two per link)
 	PoolHits    int // memo misses a pooled tree answered, each a sweep spared
 	Evicted     int // pooled trees evicted to pool a newer source's
+	Regrets     int // sweeps whose source's or destination's tree had been evicted
 }
 
 // RouteStats reports the counters.
 func (t *Topology) RouteStats() RouteStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return RouteStats{t.sweeps, len(t.pairs), len(t.cache), len(t.borders), len(t.borderTo), t.poolHits, t.evicted}
+	return RouteStats{
+		Sweeps: t.sweeps, Pairs: len(t.pairs), Trees: len(t.cache), Cap: t.capTrees,
+		Borders: len(t.borders), BorderEdges: len(t.borderTo),
+		PoolHits: t.poolHits, Evicted: t.evicted, Regrets: t.regrets,
+	}
 }
 
 // contract builds the border graph if it is not built yet, computing the
@@ -624,16 +669,20 @@ func (t *Topology) contract(workers int) {
 	})
 	t.borderStart, t.borderSplit, t.borderCost, t.borderTo = start, split, costs, to
 
-	// Bound the tree pool by a ~32 MB memory budget and by 256 trees.
-	// The pairs of a node's assembled links cost it one batched sweep
-	// (WarmRoutes, from simnet) that pools nothing, so the pool serves
-	// only pairs nobody dialed ahead: a root's messages to its members, a
-	// repair's new neighbour. 256 trees hold every source a deployment
-	// keeps reusing for those (a churn-150 run pools about 85 and reuses
-	// them throughout), and the cap does not bind at paper scale, where
-	// the budget allows 214.
-	const treeBudget, costBytes, treeCap = 32 << 20, 8, 256
-	t.maxTrees = min(max(treeBudget/(costBytes*len(t.borders)+1), 16), treeCap)
+	// The tree pool starts at minTrees and grows on regrets up to a
+	// ceiling: a ~32 MB memory budget, and 256 trees. The pairs of a
+	// node's assembled links cost it one batched sweep (WarmRoutes, from
+	// simnet) that pools nothing, so the pool serves only pairs nobody
+	// dialed ahead: a root's messages to its members, a repair's new
+	// neighbour. How many sources a deployment keeps reusing for those
+	// varies by workload - a 1,000-node steady run grows the pool to 36
+	// trees, a 150-node churn run to ~70, 5,000 standing groups on 100
+	// nodes to ~100 - so no fixed size fits. The ceiling does not bind at paper
+	// scale, where the budget allows 214.
+	const treeBudget, costBytes, treeCap, minTrees = 32 << 20, 8, 256, 16
+	t.maxTrees = min(max(treeBudget/(costBytes*len(t.borders)+1), minTrees), treeCap)
+	t.capTrees = minTrees
+	t.ghosts = make([]RouterID, 0, t.maxTrees)
 }
 
 // WarmRoutes computes and memoizes the paths for the given router pairs,

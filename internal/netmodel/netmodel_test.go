@@ -21,6 +21,11 @@ func testTopology(t *testing.T, seed int64) *Topology {
 	return Generate(DefaultConfig(seed))
 }
 
+// fixPool sets a contracted topology's tree pool to n trees with a
+// ceiling of n, so no regret grows it: a pool of a fixed size, as a test
+// that sizes the pool by hand means.
+func fixPool(topo *Topology, n int) { topo.capTrees, topo.maxTrees = n, n }
+
 func TestGenerateDeterministic(t *testing.T) {
 	a := testTopology(t, 7)
 	b := testTopology(t, 7)
@@ -303,7 +308,8 @@ func TestWarmRoutesMatchesPath(t *testing.T) {
 	if st.Sweeps < 1 || st.Sweeps > len(pts) || st.Trees != 0 || st.Pairs != len(pairs)-1 {
 		t.Fatalf("stats after warmup of %d pairs from %d sources: %+v", len(pairs)-1, len(pts), st)
 	}
-	if lst := lazy.RouteStats(); lst.Trees != lst.Sweeps || lst.Borders != st.Borders || lst.BorderEdges != st.BorderEdges {
+	// Every lazy sweep pooled its tree, kept or since evicted.
+	if lst := lazy.RouteStats(); lst.Trees+lst.Evicted != lst.Sweeps || lst.Borders != st.Borders || lst.BorderEdges != st.BorderEdges {
 		t.Fatalf("lazy stats %+v, warmed %+v", lst, st)
 	}
 }
@@ -313,8 +319,8 @@ func TestWarmRoutesMatchesPath(t *testing.T) {
 // eviction may cost recomputation but never correctness.
 func TestBoundedTreeCacheStaysExact(t *testing.T) {
 	a := testTopology(t, 15)
-	a.Path(0, 1)   // first use sizes the pool
-	a.maxTrees = 4 // force heavy eviction
+	a.Path(0, 1)  // first use sizes the pool
+	fixPool(a, 4) // force heavy eviction
 	b := testTopology(t, 15)
 	rng := rand.New(rand.NewSource(37))
 	pts := a.AttachPoints(40, rng)
@@ -329,8 +335,8 @@ func TestBoundedTreeCacheStaysExact(t *testing.T) {
 			}
 		}
 	}
-	if len(a.cache) > a.maxTrees {
-		t.Fatalf("tree cache grew to %d, bound %d", len(a.cache), a.maxTrees)
+	if len(a.cache) > 4 {
+		t.Fatalf("tree cache grew to %d, bound 4", len(a.cache))
 	}
 }
 
@@ -486,7 +492,9 @@ func TestRoutesMatchReference(t *testing.T) {
 		{"ties", tiedConfig(4), 50},
 		{"wide-spread", with(func(c *Config) { c.IntraASLatencyMin = 100 * time.Microsecond }), 50},
 	}
-	if !testing.Short() {
+	// Paper scale runs without -race only: it is most of the package's
+	// time under the detector, and the oracle it checks is single-threaded.
+	if !testing.Short() && !raceEnabled {
 		cases = append(cases, oracleCase{"paper-scale", PaperScaleConfig(1), 10})
 	}
 	singleBorder := false
@@ -622,7 +630,7 @@ func TestWarmRoutesWorkerCountDoesNotChangeMemo(t *testing.T) {
 func TestColdMissOnFullPoolReusesTree(t *testing.T) {
 	topo := testTopology(t, 17)
 	topo.Path(0, 1)
-	topo.maxTrees = 8
+	fixPool(topo, 8)
 	pts := topo.AttachPoints(600, rand.New(rand.NewSource(47)))
 	next := 0
 	miss := func() {
@@ -644,31 +652,125 @@ func TestColdMissOnFullPoolReusesTree(t *testing.T) {
 
 // TestTreePoolCounts pins RouteStats' count of the pool's work: a memo
 // miss that a pooled tree of either end answers is a pool hit and sweeps
-// nothing; a memo hit is no pool hit; and a cold miss on a full pool
-// evicts the oldest tree.
+// nothing, whatever the other end; a memo hit is no pool hit; a cold miss
+// on a full pool evicts the oldest tree; a cold miss with an evicted
+// source at either end is a regret, which grows the pool by two trees up
+// to its ceiling; and one with none grows nothing.
 func TestTreePoolCounts(t *testing.T) {
 	topo := testTopology(t, 19)
 	topo.Path(0, 1) // builds the border graph, which sizes the pool
-	topo.maxTrees = 3
-	want := RouteStats{Sweeps: 1, Trees: 1}
-	step := func(what string, query func(), sweeps, trees, hits, evicted int) {
+	fixPool(topo, 3)
+	want := RouteStats{Sweeps: 1, Trees: 1, Cap: 3}
+	// step runs query and adds d's sweeps, pool hits, evictions and
+	// regrets to the running counts; d's Trees and Cap are the pool's
+	// size after it.
+	step := func(what string, query func(), d RouteStats) {
 		t.Helper()
 		query()
-		want.Sweeps += sweeps
-		want.Trees = trees
-		want.PoolHits += hits
-		want.Evicted += evicted
+		want.Sweeps += d.Sweeps
+		want.Trees, want.Cap = d.Trees, d.Cap
+		want.PoolHits += d.PoolHits
+		want.Evicted += d.Evicted
+		want.Regrets += d.Regrets
 		st := topo.RouteStats()
-		if st.Sweeps != want.Sweeps || st.Trees != want.Trees || st.PoolHits != want.PoolHits || st.Evicted != want.Evicted {
-			t.Fatalf("%s: %+v, want sweeps %d, trees %d, pool hits %d, evicted %d", what, st, want.Sweeps, want.Trees, want.PoolHits, want.Evicted)
+		st.Pairs, st.Borders, st.BorderEdges = 0, 0, 0
+		if st != want {
+			t.Fatalf("%s: %+v, want %+v", what, st, want)
 		}
 	}
-	step("two cold misses fill the pool", func() { topo.Path(2, 3); topo.Path(4, 5) }, 2, 3, 0, 0)
-	step("a miss from a pooled source", func() { topo.Path(0, 6) }, 0, 3, 1, 0)
-	step("a miss to a pooled source", func() { topo.Path(7, 2) }, 0, 3, 1, 0)
-	step("a memo hit", func() { topo.Path(6, 0) }, 0, 3, 0, 0)
-	step("two cold misses on a full pool", func() { topo.Path(8, 9); topo.Path(10, 11) }, 2, 3, 0, 2)
-	step("a miss from an evicted source", func() { topo.Path(0, 12) }, 1, 3, 0, 1)
+	step("two cold misses fill the pool", func() { topo.Path(2, 3); topo.Path(4, 5) }, RouteStats{Sweeps: 2, Trees: 3, Cap: 3})
+	step("a miss from a pooled source", func() { topo.Path(0, 6) }, RouteStats{Trees: 3, Cap: 3, PoolHits: 1})
+	step("a miss to a pooled source", func() { topo.Path(7, 2) }, RouteStats{Trees: 3, Cap: 3, PoolHits: 1})
+	step("a memo hit", func() { topo.Path(6, 0) }, RouteStats{Trees: 3, Cap: 3})
+	step("two cold misses on a full pool", func() { topo.Path(8, 9); topo.Path(10, 11) }, RouteStats{Sweeps: 2, Trees: 3, Cap: 3, Evicted: 2})
+	// 0 and 2 are ghosts now; 4, 8 and 10 are pooled, 4 the oldest.
+	step("a miss from an evicted source, at the ceiling", func() { topo.Path(0, 12) }, RouteStats{Sweeps: 1, Trees: 3, Cap: 3, Evicted: 1, Regrets: 1})
+	step("a miss to an evicted source, at the ceiling", func() { topo.Path(13, 2) }, RouteStats{Sweeps: 1, Trees: 3, Cap: 3, Evicted: 1, Regrets: 1})
+	// 4 and 8 are ghosts now; 10, 0 and 13 are pooled.
+	step("a pool hit with a ghost at the other end", func() { topo.Path(8, 0) }, RouteStats{Trees: 3, Cap: 3, PoolHits: 1})
+	topo.maxTrees = 5
+	step("a regret below the ceiling grows the pool", func() { topo.Path(4, 14) }, RouteStats{Sweeps: 1, Trees: 4, Cap: 5, Regrets: 1})
+	step("a miss with no ghost fills it", func() { topo.Path(15, 16) }, RouteStats{Sweeps: 1, Trees: 5, Cap: 5})
+	step("a miss with no ghost on a full pool evicts", func() { topo.Path(17, 18) }, RouteStats{Sweeps: 1, Trees: 5, Cap: 5, Evicted: 1})
+	step("a regret that reaches the ceiling", func() { topo.Path(19, 8) }, RouteStats{Sweeps: 1, Trees: 5, Cap: 5, Evicted: 1, Regrets: 1})
+}
+
+// TestTreePoolGrowsOnRegret pins the pool's growth rule on the default
+// topology: the pool starts at 16 trees; cold misses that never come
+// back to an evicted source leave it there, each sweeping into the
+// evicted tree's array; a miss from an evicted source grows it by two;
+// sources cycling past the ceiling grow it to the ceiling and never
+// past, and a full pool at the ceiling still allocates no tree. Every
+// answer is the one a topology with no history gives.
+func TestTreePoolGrowsOnRegret(t *testing.T) {
+	topo, fresh := testTopology(t, 29), testTopology(t, 29)
+	pts := topo.AttachPoints(1500, rand.New(rand.NewSource(61)))
+	srcs, dsts := pts[:270], pts[270:]
+	asked := make([][2]RouterID, 0, len(pts)) // sized up front: ask allocates nothing
+	ask := func(a, b RouterID) {
+		topo.Path(a, b)
+		asked = append(asked, [2]RouterID{a, b})
+	}
+	// newDst hands out destinations no query has used; none is ever
+	// swept from, since each query's source is not pooled either.
+	newDst := func() RouterID {
+		d := dsts[0]
+		dsts = dsts[1:]
+		return d
+	}
+	stats := func() RouteStats { return topo.RouteStats() }
+
+	for _, src := range srcs[:100] {
+		ask(src, newDst())
+	}
+	if st := stats(); st.Cap != 16 || st.Trees != 16 || st.Sweeps != 100 || st.Evicted != 84 || st.Regrets != 0 {
+		t.Fatalf("100 cold misses from new sources: %+v, want a pool of 16 that never grew", st)
+	}
+	fresher := srcs[100:]
+	if avg := testing.AllocsPerRun(50, func() {
+		ask(fresher[0], newDst())
+		fresher = fresher[1:]
+	}); avg >= 1 {
+		t.Fatalf("%.2f allocations a cold miss on a full pool of 16, want < 1", avg)
+	}
+	before := stats()
+	ask(srcs[0], newDst()) // evicted first, and still a ghost
+	if st := stats(); st.Regrets != 1 || st.Cap != 18 || st.Trees != 17 || st.Evicted != before.Evicted {
+		t.Fatalf("a miss from an evicted source: %+v -> %+v, want one regret and a pool of 18", before, st)
+	}
+
+	// 270 sources in turn, each to a new destination: more than the
+	// 256-tree ceiling holds, so some come back evicted every round.
+	ceiling := topo.maxTrees
+	for round := 0; round < 3; round++ {
+		for _, src := range srcs {
+			prev := stats()
+			ask(src, newDst())
+			st := stats()
+			grown := min(prev.Cap+2*(st.Regrets-prev.Regrets), ceiling)
+			if st.Cap != grown || st.Trees > st.Cap {
+				t.Fatalf("round %d, source %d: %+v -> %+v, want a pool of %d", round, src, prev, st, grown)
+			}
+		}
+	}
+	if st := stats(); st.Cap != ceiling || st.Trees != ceiling || ceiling != 256 {
+		t.Fatalf("after three rounds of 270 sources: %+v, want a full pool at the ceiling of 256 (have %d)", st, ceiling)
+	}
+	before, next := stats(), 0
+	if avg := testing.AllocsPerRun(50, func() {
+		ask(topo.ghosts[0], newDst())
+		next++
+	}); avg >= 1 {
+		t.Fatalf("%.2f allocations a regret at the ceiling, want < 1", avg)
+	}
+	if st := stats(); st.Cap != ceiling || st.Regrets-before.Regrets != next {
+		t.Fatalf("%d misses from evicted sources at the ceiling: %+v -> %+v, want as many regrets and no growth", next, before, st)
+	}
+	for _, q := range asked {
+		if got, want := topo.Path(q[0], q[1]), fresh.Path(q[0], q[1]); got != want {
+			t.Fatalf("Path(%d, %d) = %+v through a growing pool, a fresh topology says %+v", q[0], q[1], got, want)
+		}
+	}
 }
 
 // TestWarmRoutesSingleSourceSweepsOnce: a batch of one source's pairs,
@@ -797,9 +899,10 @@ func TestWarmRoutesSweepsTheGreedySources(t *testing.T) {
 	}
 }
 
-// TestTreePoolCap pins the pool's size on both shipped topologies: 256
-// trees on the default one, where the 32 MB budget alone would allow
-// ~3,000, and the budget's 214 at paper scale.
+// TestTreePoolCap pins the pool's starting size, 16 trees, and its
+// ceiling on both shipped topologies: 256 trees on the default one,
+// where the 32 MB budget alone would allow ~3,000, and the budget's 214
+// at paper scale.
 func TestTreePoolCap(t *testing.T) {
 	cases := []struct {
 		name string
@@ -812,8 +915,8 @@ func TestTreePoolCap(t *testing.T) {
 	for _, tc := range cases {
 		topo := Generate(tc.cfg)
 		topo.contract(1)
-		if topo.maxTrees != tc.want {
-			t.Errorf("%s: pool holds %d trees, want %d", tc.name, topo.maxTrees, tc.want)
+		if topo.capTrees != 16 || topo.maxTrees != tc.want {
+			t.Errorf("%s: pool starts at %d trees with a ceiling of %d, want 16 and %d", tc.name, topo.capTrees, topo.maxTrees, tc.want)
 		}
 	}
 }
