@@ -248,9 +248,6 @@ func (c *Cluster) Workers() int { return c.Sim.Workers() }
 // ShardCount returns the number of event shards (at least 1).
 func (c *Cluster) ShardCount() int { return c.Sim.NumShards() }
 
-// ShardOf returns node i's shard index.
-func (c *Cluster) ShardOf(i int) int { return c.Net.ShardIndex(c.Nodes[i].Addr) }
-
 // Crash fail-stops node i.
 func (c *Cluster) Crash(i int) { c.Net.Crash(c.Nodes[i].Addr) }
 

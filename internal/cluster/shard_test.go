@@ -6,6 +6,7 @@ import (
 
 	"fuse/internal/core"
 	"fuse/internal/netmodel"
+	"fuse/internal/telemetry"
 )
 
 // TestShardedClusterNotifies smokes the full stack under the sharded
@@ -29,8 +30,8 @@ func TestShardedClusterNotifies(t *testing.T) {
 	if !notified {
 		t.Fatal("root never notified after member crash")
 	}
-	if c.ShardOf(0) < 0 || c.ShardOf(0) >= c.ShardCount() {
-		t.Fatalf("ShardOf(0) = %d out of range (shards=%d)", c.ShardOf(0), c.ShardCount())
+	if lane := laneOf(c, 0); lane < 1 || lane > c.ShardCount() {
+		t.Fatalf("node 0 writes lane %d, want a shard's lane in [1, %d]", lane, c.ShardCount())
 	}
 	if c.Workers() != 4 {
 		t.Fatalf("Workers() = %d, want 4", c.Workers())
@@ -38,7 +39,8 @@ func TestShardedClusterNotifies(t *testing.T) {
 }
 
 // TestShardsKeyOnAS pins the shard key and the horizon it buys: every
-// node sits on the shard of its router's AS, so the lookahead only has to
+// node sits on the shard of its router's AS - its transport hands it that
+// shard's telemetry lane, 1 + AS mod 8 - so the lookahead only has to
 // clear the cheapest inter-AS link.
 func TestShardsKeyOnAS(t *testing.T) {
 	const seed = 1
@@ -47,13 +49,25 @@ func TestShardsKeyOnAS(t *testing.T) {
 		t.Fatalf("ShardCount() = %d, want 8", c.ShardCount())
 	}
 	for i, n := range c.Nodes {
-		if got, want := c.ShardOf(i), c.Topo.ASOf(n.Router)%8; got != want {
-			t.Fatalf("node %d (router %d): shard %d, want AS %d %% 8 = %d", i, n.Router, got, c.Topo.ASOf(n.Router), want)
+		if got, want := laneOf(c, i), 1+c.Topo.ASOf(n.Router)%8; got != want {
+			t.Fatalf("node %d (router %d): lane %d, want 1 + AS %d %% 8 = %d", i, n.Router, got, c.Topo.ASOf(n.Router), want)
 		}
 	}
 	if la, oc3 := c.Sim.Lookahead(), netmodel.DefaultConfig(seed).OC3LatencyMin; la < oc3 {
 		t.Fatalf("Lookahead() = %v, want at least the OC3 minimum %v", la, oc3)
 	}
+}
+
+// laneOf returns the index of the registry lane node i's transport hands
+// its stack, or -1 when it hands none of c's lanes.
+func laneOf(c *Cluster, i int) int {
+	lane := telemetry.FromEnv(c.Nodes[i].Env)
+	for j := 0; j <= c.ShardCount(); j++ {
+		if lane != nil && lane == c.Telemetry.Lane(j) {
+			return j
+		}
+	}
+	return -1
 }
 
 // TestShardedOneASTopologyRuns covers the horizon's fallback: a topology

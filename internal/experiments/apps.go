@@ -104,7 +104,7 @@ func AblationTopologies(p Params) (*Result, error) {
 
 	// Overlay-sharing FUSE (the paper's implementation).
 	c := cluster.New(cluster.Options{N: n, Seed: p.Seed})
-	if err := row("overlay-tree", "overlay", c, randomGroups(c, groups, size)); err != nil {
+	if err := row("overlay-tree", "overlay", c, randomGroups(c, n, groups, size)); err != nil {
 		return nil, err
 	}
 	for _, kind := range []livetopo.Kind{livetopo.DirectTree, livetopo.AllToAll, livetopo.CentralServer} {

@@ -94,42 +94,35 @@ type (
 	echoReply struct{ transport.Body }
 )
 
-// randomGroups draws count groups of the given size: uniformly random
-// members, the first of them the root.
-func randomGroups(c *cluster.Cluster, count, size int) []scenario.GroupSpec {
+// randomGroups draws count groups of the given size: members uniformly
+// random among c's first nodes nodes, the first of them the root.
+func randomGroups(c *cluster.Cluster, nodes, count, size int) []scenario.GroupSpec {
 	rng := c.Sim.Rand()
 	out := make([]scenario.GroupSpec, count)
 	for g := range out {
-		perm := rng.Perm(len(c.Nodes))[:size]
+		perm := rng.Perm(nodes)[:size]
 		out[g] = scenario.GroupSpec{Root: perm[0], Members: perm[1:]}
 	}
 	return out
 }
 
-// createGroups creates count randomGroups one after the other, adding
-// each blocking creation's latency to lat (when non-nil).
-func createGroups(c *cluster.Cluster, count, size int, lat *stats.Sample) error {
-	for g, spec := range randomGroups(c, count, size) {
-		start := c.Sim.Elapsed()
-		if _, err := c.CreateGroup(spec.Root, spec.Members...); err != nil {
-			return fmt.Errorf("creating group %d (size %d): %w", g, size, err)
-		}
-		if lat != nil {
-			lat.AddDuration(c.Sim.Elapsed() - start)
-		}
+// millis is stats.Sample.AddDuration's unit, for auditedLatencies.
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// audited returns an error when rep's run broke an invariant.
+func audited(rep *scenario.Report) error {
+	if !rep.OK() {
+		return fmt.Errorf("%s violated invariants:\n%s", rep.Name, rep.Stats())
 	}
 	return nil
 }
-
-// millis is stats.Sample.AddDuration's unit, for auditedLatencies.
-func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // auditedLatencies returns rep's notification latencies - each the span
 // from the fault the engine attributes it to, in the given unit - or an
 // error when the run broke an invariant.
 func auditedLatencies(rep *scenario.Report, unit func(time.Duration) float64) (*stats.Sample, error) {
-	if !rep.OK() {
-		return nil, fmt.Errorf("%s violated invariants:\n%s", rep.Name, rep.Stats())
+	if err := audited(rep); err != nil {
+		return nil, err
 	}
 	lat := stats.NewSample(len(rep.Deliveries))
 	for _, d := range rep.Deliveries {
@@ -163,7 +156,8 @@ func crashRun(c *cluster.Cluster, name string, specs []scenario.GroupSpec, victi
 
 // Fig7GroupCreation reproduces Figure 7: latency of blocking group
 // creation versus group size (20 groups per size; 25th/50th/75th
-// percentiles).
+// percentiles). It times each creation, so it creates its groups itself
+// rather than through a script.
 func Fig7GroupCreation(p Params) (*Result, error) {
 	n := p.nodes(400)
 	perSize := 20
@@ -177,8 +171,12 @@ func Fig7GroupCreation(p Params) (*Result, error) {
 	r := newResult("fig7", "group creation latency (ms): size -> p25 / median / p75")
 	for _, size := range groupSizes {
 		lat := stats.NewSample(perSize)
-		if err := createGroups(c, perSize, size, lat); err != nil {
-			return nil, err
+		for g, spec := range randomGroups(c, n, perSize, size) {
+			start := c.Sim.Elapsed()
+			if _, err := c.CreateGroup(spec.Root, spec.Members...); err != nil {
+				return nil, fmt.Errorf("creating group %d (size %d): %w", g, size, err)
+			}
+			lat.AddDuration(c.Sim.Elapsed() - start)
 		}
 		p25, p50, p75 := lat.Quartiles()
 		r.addLine("size %2d: %7.1f / %7.1f / %7.1f", size, p25, p50, p75)
@@ -204,7 +202,7 @@ func Fig8SignaledNotification(p Params) (*Result, error) {
 	overallMax := 0.0
 	const gap = 30 * time.Second // one group's notification settles before the next signal
 	for _, size := range groupSizes {
-		s := scenario.Script{Name: fmt.Sprintf("fig8 size %d", size), Groups: randomGroups(c, perSize, size),
+		s := scenario.Script{Name: fmt.Sprintf("fig8 size %d", size), Groups: randomGroups(c, n, perSize, size),
 			Duration: scenario.Duration(time.Duration(perSize) * gap)}
 		for gi, g := range s.Groups {
 			members := append([]int{g.Root}, g.Members...)
@@ -249,7 +247,7 @@ func Fig9CrashNotification(p Params) (*Result, error) {
 	// Let creation traffic settle for a minute, then disconnect `kill`
 	// nodes at once (the paper pulls one 10-process machine off the
 	// network) and watch for ten minutes.
-	specs := randomGroups(c, groups, size)
+	specs := randomGroups(c, n, groups, size)
 	s := scenario.CrashScript("fig9", specs, time.Minute, c.Sim.Rand().Perm(n)[:kill])
 	s.Duration = scenario.Duration(11 * time.Minute)
 	rep, err := scenario.Run(c, s)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"time"
+
+	"fuse/internal/scenario"
 )
 
 // ManyGroupsSteadyState stresses steady-state liveness checking far
@@ -15,7 +17,7 @@ import (
 // node count, reporting the background message rate, the simulator's
 // wall-clock throughput over the measurement window (virtual seconds per
 // real second - the number the per-link checking index moves), and the
-// per-node checking-state sizes.
+// per-node checking-state sizes. Every group must survive the run.
 func ManyGroupsSteadyState(p Params) (*Result, error) {
 	n := p.nodes(100)
 	groups, size := 2000, 3
@@ -30,11 +32,13 @@ func ManyGroupsSteadyState(p Params) (*Result, error) {
 		window = p.Window
 	}
 
+	const drain = 2 * time.Minute
 	c := paperCluster(p, n)
-	if err := createGroups(c, groups, size, nil); err != nil {
-		return nil, fmt.Errorf("manygroups: %w", err)
+	e, err := scenario.Start(c, idleScript(c, "manygroups", groups, size, drain+window))
+	if err != nil {
+		return nil, err
 	}
-	c.Sim.RunFor(2 * time.Minute) // drain creation and install traffic
+	c.Sim.RunFor(drain) // drain creation and install traffic
 
 	pairs, timers := checkingTotals(c)
 
@@ -42,6 +46,9 @@ func ManyGroupsSteadyState(p Params) (*Result, error) {
 	rate := msgRate(c, 0, window)
 	elapsed := time.Since(wall)
 	simSpeed := window.Seconds() / elapsed.Seconds()
+	if err := audited(e.Report()); err != nil {
+		return nil, err
+	}
 
 	r := newResult("manygroups", fmt.Sprintf("steady state with %d groups of %d on %d nodes", groups, size, n))
 	r.addLine("background load:        %9.1f msg/s", rate)

@@ -132,9 +132,9 @@ func PaperScaleSimulation(p Params) (*Result, error) {
 	r := newResult("paperscale", fmt.Sprintf(
 		"§7.3 paper-scale simulation: %d nodes, %d groups of %d, %d crashed (%d shards, %d workers)",
 		n, groups, size, kill, c.ShardCount(), c.Workers()))
-	r.addLine("setup: route warmup %.1fs wall (%d sweeps for %d pairs over %d border routers, %d edges; by the run's end %d more sweeps, %d trees pooled), %d groups created in %.1fs wall, live heap %.1f MB after the steady window, peak RSS %.0f MB",
+	r.addLine("setup: route warmup %.1fs wall (%d sweeps for %d pairs over %d border routers, %d edges; by the run's end %d more sweeps, %d trees pooled of a cap of %d, %d memo misses answered from the pool, %d regrets), %d groups created in %.1fs wall, live heap %.1f MB after the steady window, peak RSS %.0f MB",
 		warmWall.Seconds(), routes.Sweeps, routes.Pairs, routes.Borders, routes.BorderEdges,
-		pooled.Sweeps-routes.Sweeps, pooled.Trees, groups, createWall.Seconds(), liveMB, peakRSSMB())
+		pooled.Sweeps-routes.Sweeps, pooled.Trees, pooled.Cap, pooled.PoolHits, pooled.Regrets, groups, createWall.Seconds(), liveMB, peakRSSMB())
 	r.addLine("steady state:  %10.1f msg/s background  (%d monitored pairs, %d shared timers)",
 		rate, pairs, timers)
 	r.addLine("sim throughput: %9.1f virtual s / wall s  (%.0f events/s wall)", simSpeed, evRate)

@@ -51,6 +51,7 @@ import (
 
 	"fuse/internal/cluster"
 	"fuse/internal/core"
+	"fuse/internal/telemetry"
 )
 
 // GroupSpec declares one FUSE group: a root node index, further member
@@ -243,16 +244,17 @@ func (e *Engine) attribute(gi int) int {
 
 // attach registers a failure handler for group gi on node's current
 // incarnation. The handler runs in the node's event context - possibly on
-// its shard's worker goroutine - so it records a notice event on the
-// node's lane at the node-local clock, and consults engine state that
-// mutates exclusively at fences (the fault schedule). Attribution happens
-// here, at delivery: the merge sorts a Signal's synchronous notice after
-// every same-instant control-lane event, faults applied after the signal
-// included, so attribution recomputed from the stream could change.
+// its shard's worker goroutine - so it records a notice event on the lane
+// the node's transport hands it, at the node-local clock, and consults
+// engine state that mutates exclusively at fences (the fault schedule).
+// Attribution happens here, at delivery: the merge sorts a Signal's
+// synchronous notice after every same-instant control-lane event, faults
+// applied after the signal included, so attribution recomputed from the
+// stream could change.
 func (e *Engine) attach(gi, node int) {
 	id, inc := e.ids[gi], e.inc[node]
-	lane := e.c.Telemetry.Lane(1 + e.c.ShardOf(node))
 	env := e.c.Nodes[node].Env
+	lane := telemetry.FromEnv(env)
 	e.c.Nodes[node].Groups.RegisterFailureHandler(func(n core.Notice) {
 		if !e.reported {
 			lane.Record(env.Elapsed(), "notice", cluster.NameOf(node), id.String(), 0, 0,

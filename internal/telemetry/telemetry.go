@@ -59,22 +59,17 @@ const (
 	kindHistogram
 )
 
+// metricDef is one registered name. A slot metric's value lives in the
+// lanes' slabs from slot on; a collector (fn set) takes no slot: it reads
+// a counter its owner already maintains (simnet's per-slot delivery
+// counters, tcpnet's connection-table sizes, eventsim's executed-event
+// count) at snapshot/scrape time only, so the hot path counts nothing
+// twice.
 type metricDef struct {
 	name string
 	help string
 	kind kind
 	slot uint32
-}
-
-// funcDef is a snapshot-time collector: an existing counter the owner
-// already maintains (simnet's per-slot delivery counters, tcpnet's
-// connection-table sizes, eventsim's executed-event count) exported
-// without double-counting on the hot path. The function runs at
-// snapshot/scrape time only.
-type funcDef struct {
-	name string
-	help string
-	kind kind // kindCounter or kindGauge (rendering only)
 	fn   func() int64
 }
 
@@ -87,8 +82,6 @@ type Registry struct {
 	defs     []metricDef
 	byName   map[string]int
 	nextSlot uint32
-	funcs    []funcDef
-	fnByName map[string]int
 
 	level atomic.Int32 // trace Level
 }
@@ -113,11 +106,7 @@ func New(epoch time.Time, lanes int) *Registry {
 	if lanes < 1 {
 		lanes = 1
 	}
-	r := &Registry{
-		epoch:    epoch,
-		byName:   make(map[string]int),
-		fnByName: make(map[string]int),
-	}
+	r := &Registry{epoch: epoch, byName: make(map[string]int)}
 	for i := 0; i < lanes; i++ {
 		r.lanes = append(r.lanes, &Lane{reg: r, id: i, slots: make([]uint64, maxSlots)})
 	}
@@ -165,14 +154,19 @@ func FromEnv(v any) *Lane {
 	return nil
 }
 
-func (r *Registry) register(name, help string, k kind, width uint32) uint32 {
+// register adds name, or resolves it when it is registered already: a
+// name is one metric of one kind, slot metric or collector. A collector's
+// width is 0, and re-registering one replaces its function (a restart
+// rebuilds the stack that owns it).
+func (r *Registry) register(name, help string, k kind, width uint32, fn func() int64) uint32 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if i, ok := r.byName[name]; ok {
-		d := r.defs[i]
-		if d.kind != k {
+		d := &r.defs[i]
+		if d.kind != k || (d.fn == nil) != (fn == nil) {
 			panic(fmt.Sprintf("telemetry: %s re-registered with a different kind", name))
 		}
+		d.fn = fn
 		return d.slot
 	}
 	if r.nextSlot+width > maxSlots {
@@ -181,42 +175,31 @@ func (r *Registry) register(name, help string, k kind, width uint32) uint32 {
 	slot := r.nextSlot
 	r.nextSlot += width
 	r.byName[name] = len(r.defs)
-	r.defs = append(r.defs, metricDef{name: name, help: help, kind: k, slot: slot})
+	r.defs = append(r.defs, metricDef{name: name, help: help, kind: k, slot: slot, fn: fn})
 	return slot
 }
 
 // Counter registers (or resolves) a monotonically increasing counter.
 func (r *Registry) Counter(name, help string) Counter {
-	return Counter{slot: r.register(name, help, kindCounter, 1), ok: true}
+	return Counter{slot: r.register(name, help, kindCounter, 1, nil), ok: true}
 }
 
 // Histogram registers (or resolves) a duration histogram with
 // power-of-two-millisecond buckets.
 func (r *Registry) Histogram(name, help string) Histogram {
-	return Histogram{slot: r.register(name, help, kindHistogram, numBuckets+2), ok: true}
+	return Histogram{slot: r.register(name, help, kindHistogram, numBuckets+2, nil), ok: true}
 }
 
 // CounterFunc registers a snapshot-time collector rendered as a
 // counter. The function must be cheap and safe to call from the scrape
 // goroutine; in sim it only runs at fences.
 func (r *Registry) CounterFunc(name, help string, fn func() int64) {
-	r.registerFunc(name, help, kindCounter, fn)
+	r.register(name, help, kindCounter, 0, fn)
 }
 
 // GaugeFunc registers a snapshot-time collector rendered as a gauge.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
-	r.registerFunc(name, help, kindGauge, fn)
-}
-
-func (r *Registry) registerFunc(name, help string, k kind, fn func() int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i, ok := r.fnByName[name]; ok {
-		r.funcs[i].fn = fn // restart replaces the closure, keeps the slot
-		return
-	}
-	r.fnByName[name] = len(r.funcs)
-	r.funcs = append(r.funcs, funcDef{name: name, help: help, kind: k, fn: fn})
+	r.register(name, help, kindGauge, 0, fn)
 }
 
 // Counter is a handle to one registered counter; the lane is passed per
@@ -275,18 +258,20 @@ type metricVal struct {
 	sum     time.Duration
 }
 
-// snapshot merges all lanes (and collectors) into a name-sorted list.
+// snapshot merges all lanes (and reads the collectors) into a
+// name-sorted list.
 func (r *Registry) snapshot() []metricVal {
 	r.mu.Lock()
 	defs := append([]metricDef(nil), r.defs...)
-	funcs := append([]funcDef(nil), r.funcs...)
 	r.mu.Unlock()
 
-	out := make([]metricVal, 0, len(defs)+len(funcs))
+	out := make([]metricVal, 0, len(defs))
 	for _, d := range defs {
 		mv := metricVal{name: d.name, help: d.help, kind: d.kind}
-		switch d.kind {
-		case kindHistogram:
+		switch {
+		case d.fn != nil:
+			mv.val = d.fn()
+		case d.kind == kindHistogram:
 			for _, l := range r.lanes {
 				for i := 0; i < numBuckets; i++ {
 					mv.buckets[i] += atomic.LoadUint64(&l.slots[d.slot+uint32(i)])
@@ -302,9 +287,6 @@ func (r *Registry) snapshot() []metricVal {
 			mv.val = int64(sum)
 		}
 		out = append(out, mv)
-	}
-	for _, f := range funcs {
-		out = append(out, metricVal{name: f.name, help: f.help, kind: f.kind, val: f.fn()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out

@@ -75,6 +75,29 @@ func TestCollectorsAndReRegistration(t *testing.T) {
 	}
 }
 
+// TestNameIsOneMetric registers one name as a slot counter and as a
+// collector, in either order: the second registration must panic, so a
+// name never renders twice.
+func TestNameIsOneMetric(t *testing.T) {
+	counter := func(r *Registry) { r.Counter("both_total", "slot") }
+	collector := func(r *Registry) { r.CounterFunc("both_total", "collector", func() int64 { return 1 }) }
+	for _, order := range []struct {
+		name          string
+		first, second func(*Registry)
+	}{{"counter then collector", counter, collector}, {"collector then counter", collector, counter}} {
+		t.Run(order.name, func(t *testing.T) {
+			r := New(epoch, 1)
+			order.first(r)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("second registration did not panic; rendered:\n%s", r.RenderProm())
+				}
+			}()
+			order.second(r)
+		})
+	}
+}
+
 func TestNilLaneAndZeroHandleAreNoOps(t *testing.T) {
 	var l *Lane
 	var c Counter

@@ -199,9 +199,6 @@ func MinDeliveryDelay(topo *netmodel.Topology, opts Options) time.Duration {
 // link and clears MinDeliveryDelay.
 func (n *Net) shardOf(router netmodel.RouterID) int { return n.topo.ASOf(router) % len(n.shards) }
 
-// ShardIndex returns addr's shard assignment.
-func (n *Net) ShardIndex(addr transport.Addr) int { return n.mustNode(addr).slot }
-
 // node implements transport.Env for one simulated endpoint.
 type node struct {
 	net     *Net
