@@ -105,6 +105,29 @@ func TestTopologyBytes(t *testing.T) {
 	}
 }
 
+// TestStaticGraphBytes pins the bytes the router graph holds at paper
+// scale once contracted, per router: each intra-AS link kept once in 8
+// bytes, AS by AS, the border graph, and the query sweep's scratch. It
+// reads ~31.5 B a router; a flat intra-AS adjacency over every router (a
+// row index and two 12-byte entries a link) read ~52 and fails.
+func TestStaticGraphBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation changes the heap; memory pins run without -race")
+	}
+	before := liveHeap()
+	topo := Generate(PaperScaleConfig(1))
+	topo.contract(1)
+	grew := liveHeap() - before
+	routers := uint64(topo.NumRouters())
+	t.Logf("%d routers, %d intra-AS links, %d border routers: %d B, %.1f B a router",
+		routers, len(topo.links), len(topo.borders), grew, float64(grew)/float64(routers))
+	if bound := 40 * routers; grew > bound {
+		t.Errorf("the contracted graph holds %d B over %d routers (%.1f B a router), bound %d",
+			grew, routers, float64(grew)/float64(routers), bound)
+	}
+	runtime.KeepAlive(topo)
+}
+
 // liveHeap is the bytes of live heap objects after a full collection.
 func liveHeap() uint64 {
 	runtime.GC()

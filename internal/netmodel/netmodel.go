@@ -18,13 +18,14 @@
 // ASes meet only at border routers (routers with an inter-AS link; ~19.6k
 // of the ~104k at paper scale), so every route is a walk inside the
 // source's AS, a walk over border routers, and a walk inside the
-// destination's AS. The topology keeps the intra-AS links as one flat
-// adjacency and, built on first use, a second flat adjacency over border
-// routers only: the inter-AS links plus, per AS, the best intra-AS route
-// between each pair of its border routers. A single-source sweep is
-// then Dijkstra over the border graph with a 39-router pass at either
-// end, which is ~6x less work than a sweep over every router and gives
-// the same answers.
+// destination's AS. The topology keeps each AS's intra-AS links once, as
+// a short list a sweep lays out as an adjacency when it enters the AS,
+// and, built on first use, a flat adjacency over border routers only:
+// the inter-AS links plus, per AS, the best intra-AS route between each
+// pair of its border routers. A single-source sweep is then Dijkstra
+// over the border graph with a 39-router pass at either end, which is
+// ~6x less work than a sweep over every router and gives the same
+// answers.
 //
 // The sweep's queue is a ring of latency buckets (Dial's algorithm), one
 // bucket as wide as the topology's cheapest link. Every entry a sweep
@@ -39,7 +40,8 @@
 // A route's cost - latency, then hop count - is one packed integer (see
 // cost), 8 bytes wherever it is stored: in the adjacencies beside the
 // vertex an entry leads to, in a sweep's labels and pooled trees, and in
-// the pair memo, which rebuilds a Path from it on every read.
+// the pair memo, which rebuilds a Path from it on every read. An
+// intra-AS link, kept once, is 8 bytes in all (see intraLink).
 //
 // Path answers one pair and WarmRoutes a batch; both fill the one memo
 // under one mutex (see Topology).
@@ -173,25 +175,44 @@ type rawLink struct {
 	lat  time.Duration
 }
 
+// intraLink is an intra-AS link as the topology keeps it: its ends
+// numbered within the AS and its latency in nanoseconds, 8 bytes.
+// Generate refuses a config whose ends or latencies would not fit.
+type intraLink struct {
+	a, b uint16
+	lat  uint32
+}
+
+// link is what flatten lays out: a link's two ends and its cost.
+type link interface{ ends() (a, b int32, c cost) }
+
+func (l rawLink) ends() (a, b int32, c cost) { return l.a, l.b, pack(l.lat, 1) }
+
+func (l intraLink) ends() (a, b int32, c cost) {
+	return int32(l.a), int32(l.b), pack(time.Duration(l.lat), 1)
+}
+
 // Topology is an immutable router graph in contracted form plus two path
 // caches.
 //
-// The graph: intraCost and intraTo hold every intra-AS link (row r of
-// intraStart is router r's neighbours), which is all a route needs
-// inside an AS - RoutersPer routers, so a pass over one is microseconds.
-// Both flat adjacencies are two parallel arrays, an entry's cost and the
-// vertex it leads to: 12 bytes an entry. The border graph (borders,
-// asBorders, borderStart, borderSplit, borderCost, borderTo) has one
-// vertex per border router, numbered in router order so an AS's are
-// contiguous; a row holds the best intra-AS route to each other border
-// router of the same AS, then, from borderSplit on, the router's inter-AS
-// links. It is built by contract on first use rather than in Generate,
-// because it costs one intra-AS pass per border router (~0.8 ms on the
-// default topology, ~25 ms at paper scale, on one goroutine) and
-// generating the default topology takes a third of that; until then inter
-// holds the generator's inter-AS links. Nothing else of the router graph
-// is kept. width and span size a sweep's bucket ring: the cheapest link,
-// and the most one step of a sweep can add to a route (see stepBound).
+// The graph: links holds every intra-AS link once, 8 bytes each, AS by
+// AS (AS a's are links[asLinks[a]:asLinks[a+1]]), which is all a route
+// needs inside an AS - RoutersPer routers, so a pass over one is
+// microseconds. A sweep lays the AS it enters out as a flat adjacency
+// of its own (see sweep.within), so no per-router index is kept. The
+// border graph (borders, asBorders, borderStart, borderSplit, borderCost,
+// borderTo) is a flat adjacency of two parallel arrays, an entry's cost
+// and the vertex it leads to, 12 bytes an entry. It has one vertex per
+// border router, numbered in router order so an AS's are contiguous; a
+// row holds the best intra-AS route to each other border router of the
+// same AS, then, from borderSplit on, the router's inter-AS links. It is
+// built by contract on first use rather than in Generate, because it
+// costs one intra-AS pass per border router (~0.8 ms on the default
+// topology, ~25 ms at paper scale, on one goroutine) and generating the
+// default topology takes a third of that; until then inter holds the
+// generator's inter-AS links. Nothing else of the router graph is kept.
+// width and span size a sweep's bucket ring: the cheapest link, and the
+// most one step of a sweep can add to a route (see stepBound).
 //
 // The caches: a memo of answered (src, dst) queries (exact, never evicted
 // - the working set of a simulation is the pairs its nodes actually talk
@@ -211,7 +232,7 @@ type rawLink struct {
 // reduced to router ids), and a cold miss that sweeps with either end a
 // ghost is a regret - a sweep a larger pool would have saved - which drops
 // that ghost and adds regretGrowth trees. The ceiling is 256 trees, or a
-// ~32 MB budget's worth (214 at paper scale), and the ghost list is at
+// ~4 MB budget's worth (26 at paper scale), and the ghost list is at
 // most that long. A pool that is not growing hands its oldest tree's
 // array to the next sweep, so a cold miss on a full pool allocates
 // nothing that grows with the topology.
@@ -231,9 +252,8 @@ type Topology struct {
 	minInterAS  time.Duration
 	width, span time.Duration
 
-	intraStart []int32
-	intraCost  []cost
-	intraTo    []int32
+	asLinks []int32     // AS -> its first link in links; ASes+1 long
+	links   []intraLink // intra-AS links, AS by AS
 
 	inter       []rawLink  // inter-AS links; nil once contracted
 	borders     []RouterID // border vertex -> router
@@ -298,6 +318,19 @@ func Generate(cfg Config) *Topology {
 	if (cfg.ASes+1)*cfg.RoutersPer >= 1<<hopBits {
 		panic(fmt.Sprintf("netmodel: %d routers of %d per AS overflow a route's %d hop bits", cfg.ASes*cfg.RoutersPer, cfg.RoutersPer, hopBits))
 	}
+	// An intra-AS link numbers its ends within the AS in 16 bits and
+	// keeps its latency in 32. With one continent the T3 ring's one link
+	// joins the anchor AS to itself.
+	maxIntraLat := cfg.IntraASLatencyMax
+	if cfg.Continents == 1 {
+		maxIntraLat = max(maxIntraLat, cfg.T3LatencyMax)
+	}
+	if cfg.RoutersPer > 1<<16 {
+		panic(fmt.Sprintf("netmodel: %d routers per AS overflow an intra-AS link's 16-bit ends", cfg.RoutersPer))
+	}
+	if maxIntraLat >= 1<<32 {
+		panic(fmt.Sprintf("netmodel: %v intra-AS links overflow an intra-AS link's 32-bit latency", maxIntraLat))
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	t := &Topology{
 		cfg:     cfg,
@@ -305,7 +338,7 @@ func Generate(cfg Config) *Topology {
 		deliver: []float64{1},
 		cache:   make(map[RouterID][]cost),
 	}
-	// A link inside one AS goes to the intra-AS adjacency, one between
+	// A link inside one AS goes to its AS's list of links, one between
 	// two to the list contract turns into the border graph.
 	intra := make([]rawLink, 0, cfg.ASes*(cfg.RoutersPer+cfg.IntraASDegree))
 	t.inter = make([]rawLink, 0, cfg.ASes*(1+cfg.InterASDegree)+cfg.InterContinentLinks)
@@ -422,31 +455,52 @@ func Generate(cfg Config) *Topology {
 		t.minInterAS = t.width
 	}
 	t.span = stepBound(maxInter, maxIntra, cfg.RoutersPer)
-	t.intraStart = make([]int32, t.NumRouters()+1)
-	t.intraCost, t.intraTo = flatten(t.intraStart, intra)
+
+	// The links go AS by AS, each AS's in the order they were drawn. A
+	// counting pass places them, since the one-continent T3 link lands
+	// in AS 0 after every other AS's links.
+	t.asLinks = make([]int32, cfg.ASes+1)
+	for _, l := range intra {
+		t.asLinks[t.ASOf(RouterID(l.a))+1]++
+	}
+	for as := 1; as <= cfg.ASes; as++ {
+		t.asLinks[as] += t.asLinks[as-1]
+	}
+	next := slices.Clone(t.asLinks[:cfg.ASes])
+	t.links = make([]intraLink, len(intra))
+	for _, l := range intra {
+		as := t.ASOf(RouterID(l.a))
+		base := int32(as * cfg.RoutersPer)
+		t.links[next[as]] = intraLink{uint16(l.a - base), uint16(l.b - base), uint32(l.lat)}
+		next[as]++
+	}
 	return t
 }
 
-// flatten lays undirected links out as a flat adjacency: on return row v
-// is costs[start[v]:start[v+1]], each entry's far end at the same index
-// of to. On entry start[v+1] holds the number of leading entries to leave
-// empty in row v for the caller to fill.
-func flatten(start []int32, links []rawLink) (costs []cost, to []int32) {
+// flatten lays undirected links out as a flat adjacency in the caller's
+// buffers, growing costs and to only if they are too short: on return row
+// v is costs[start[v]:start[v+1]], each entry's far end at the same index
+// of to, and the row's links start at split[v]. On entry start[v+1] holds
+// the number of leading entries to leave empty in row v for the caller to
+// fill, and split is one shorter than start.
+func flatten[L link](start, split []int32, links []L, costs []cost, to []int32) ([]cost, []int32) {
 	for _, l := range links {
-		start[l.a+1]++
-		start[l.b+1]++
+		a, b, _ := l.ends()
+		start[a+1]++
+		start[b+1]++
 	}
 	for v := 1; v < len(start); v++ {
 		start[v] += start[v-1]
 	}
-	costs, to = make([]cost, start[len(start)-1]), make([]int32, start[len(start)-1])
-	next := append([]int32(nil), start[1:]...) // rows fill from their ends
+	n := int(start[len(start)-1])
+	costs, to = slices.Grow(costs[:0], n)[:n], slices.Grow(to[:0], n)[:n]
+	copy(split, start[1:]) // rows fill from their ends
 	for _, l := range links {
-		c := pack(l.lat, 1)
-		next[l.a]--
-		costs[next[l.a]], to[next[l.a]] = c, l.b
-		next[l.b]--
-		costs[next[l.b]], to[next[l.b]] = c, l.a
+		a, b, c := l.ends()
+		split[a]--
+		costs[split[a]], to[split[a]] = c, b
+		split[b]--
+		costs[split[b]], to[split[b]] = c, a
 	}
 	return costs, to
 }
@@ -641,17 +695,13 @@ func (t *Topology) contract(workers int) {
 	split := make([]int32, len(t.borders))
 	for v, r := range t.borders {
 		as := t.ASOf(r)
-		split[v] = t.asBorders[as+1] - t.asBorders[as] - 1
-		start[v+1] = split[v]
+		start[v+1] = t.asBorders[as+1] - t.asBorders[as] - 1
 	}
 	for i, l := range t.inter {
 		t.inter[i].a, t.inter[i].b = vertex[l.a], vertex[l.b]
 	}
-	costs, to := flatten(start, t.inter)
+	costs, to := flatten(start, split, t.inter, nil, nil)
 	t.inter = nil
-	for v := range split {
-		split[v] += start[v]
-	}
 
 	t.sw = t.newSweep()
 	t.fanOut(workers, t.cfg.ASes, func(sw *sweep, as int) {
@@ -670,16 +720,18 @@ func (t *Topology) contract(workers int) {
 	t.borderStart, t.borderSplit, t.borderCost, t.borderTo = start, split, costs, to
 
 	// The tree pool starts at minTrees and grows on regrets up to a
-	// ceiling: a ~32 MB memory budget, and 256 trees. The pairs of a
+	// ceiling: a ~4 MB memory budget, and 256 trees. The pairs of a
 	// node's assembled links cost it one batched sweep (WarmRoutes, from
 	// simnet) that pools nothing, so the pool serves only pairs nobody
 	// dialed ahead: a root's messages to its members, a repair's new
 	// neighbour. How many sources a deployment keeps reusing for those
 	// varies by workload - a 1,000-node steady run grows the pool to 36
 	// trees, a 150-node churn run to ~70, 5,000 standing groups on 100
-	// nodes to ~100 - so no fixed size fits. The ceiling does not bind at paper
-	// scale, where the budget allows 214.
-	const treeBudget, costBytes, treeCap, minTrees = 32 << 20, 8, 256, 16
+	// nodes to ~100 - so no fixed size fits. On the default topology the
+	// budget would allow ~370 trees, so 256 binds. At paper scale the
+	// budget binds at 26: a 214-tree pool there held ~33 MB and answered
+	// only 79 of the full 16k run's ~1,000 misses after warm-up.
+	const treeBudget, costBytes, treeCap, minTrees = 4 << 20, 8, 256, 16
 	t.maxTrees = min(max(treeBudget/(costBytes*len(t.borders)+1), minTrees), treeCap)
 	t.capTrees = minTrees
 	t.ghosts = make([]RouterID, 0, t.maxTrees)
@@ -807,18 +859,18 @@ func stepBound(maxInter, maxIntra time.Duration, routersPer int) time.Duration {
 func buckets(width, span time.Duration) int { return int(span/width) + 2 }
 
 // sweep is the reusable working state of route computation: a bucket
-// ring and one AS's worth of routes. Its arrays are sized once, from the
-// topology, and nothing is allocated per run.
+// ring, and one AS's adjacency and worth of routes. Its arrays are sized
+// once, from the topology, and nothing is allocated per run.
 //
 // The ring is circular doubly linked lists threaded through next and
-// prev: queued vertex i (a vertex minus the run's base) is node i, and
-// bucket b's list starts and ends at node heads+b. A bucket holds the
-// vertices whose label lies within width of the bucket's floor; cur is
-// the bucket being settled and floor its lower edge. Between runs the
-// cursor waits one bucket before latency 0, so every route queued, seeds
-// included, lands past it. Linking a vertex in or out of a bucket is
-// O(1), so a label that improves moves buckets without leaving a stale
-// entry behind.
+// prev: queued vertex i (a border vertex, or a router numbered within its
+// AS) is node i, and bucket b's list starts and ends at node heads+b. A
+// bucket holds the vertices whose label lies within width of the
+// bucket's floor; cur is the bucket being settled and floor its lower
+// edge. Between runs the cursor waits one bucket before latency 0, so
+// every route queued, seeds included, lands past it. Linking a vertex in
+// or out of a bucket is O(1), so a label that improves moves buckets
+// without leaving a stale entry behind.
 type sweep struct {
 	width      time.Duration
 	next, prev []int32
@@ -832,11 +884,25 @@ type sweep struct {
 	intra []cost   // set by within; indexed by router minus base
 	base  RouterID // first router of the AS within last covered
 
+	// The adjacency of AS as, laid out by within when it moves to another
+	// AS: row i (router base+i) is costs[start[i]:start[i+1]], each
+	// entry's far end, numbered within the AS, at the same index of to.
+	// Every entry is a link, so split equals start. The buffers are
+	// sized once, for the AS with the most links.
+	as           int
+	start, split []int32
+	costs        []cost
+	to           []int32
+
 	tree []cost // a WarmRoutes batch's tree; nil until the first batch
 }
 
 func (t *Topology) newSweep() *sweep {
 	n, ring := max(len(t.borders), t.cfg.RoutersPer), buckets(t.width, t.span)
+	most := int32(0)
+	for as := 0; as < t.cfg.ASes; as++ {
+		most = max(most, t.asLinks[as+1]-t.asLinks[as])
+	}
 	sw := &sweep{
 		width: t.width,
 		next:  make([]int32, n+ring),
@@ -847,6 +913,11 @@ func (t *Topology) newSweep() *sweep {
 		floor: -t.width,
 		short: make([]bool, n),
 		intra: make([]cost, t.cfg.RoutersPer),
+		as:    -1,
+		start: make([]int32, t.cfg.RoutersPer+1),
+		split: make([]int32, t.cfg.RoutersPer),
+		costs: make([]cost, 0, 2*most),
+		to:    make([]int32, 0, 2*most),
 	}
 	for h := n; h < n+ring; h++ {
 		sw.next[h], sw.prev[h] = int32(h), int32(h)
@@ -882,14 +953,14 @@ func (sw *sweep) unlink(i int32) {
 }
 
 // settle runs Dijkstra from the queued vertices over a flat adjacency;
-// dist[v-base] is the best route to vertex v. Row v is
+// dist[v] is the best route to vertex v. Row v is
 // costs[start[v]:start[v+1]] (and the same span of to), and its entries
 // before split[v] are intra-AS routes, which a vertex whose label arrived
 // over one need not relax. Buckets are settled in latency order, each in
 // any order; the ring is left empty with its cursor back before 0, ready
 // to be seeded again. A label is extended only once settled, so an
 // unreached one never is.
-func (sw *sweep) settle(dist []cost, base int32, start, split []int32, costs []cost, to []int32) {
+func (sw *sweep) settle(dist []cost, start, split []int32, costs []cost, to []int32) {
 	for sw.queued > 0 {
 		if sw.cur++; sw.cur == sw.ring {
 			sw.cur = 0
@@ -898,14 +969,14 @@ func (sw *sweep) settle(dist []cost, base int32, start, split []int32, costs []c
 		h := sw.heads + sw.cur
 		for i := sw.next[h]; i != h; i = sw.next[h] {
 			sw.unlink(i)
-			at, v := dist[i], i+base
-			lo, mid := start[v], split[v]
+			at := dist[i]
+			lo, mid := start[i], split[i]
 			if sw.short[i] {
 				lo = mid
 			}
-			cs, ts := costs[lo:start[v+1]], to[lo:start[v+1]]
+			cs, ts := costs[lo:start[i+1]], to[lo:start[i+1]]
 			for k, c := range cs {
-				j := ts[k] - base
+				j := ts[k]
 				if alt := at + c; alt < dist[j] {
 					if dist[j] != unreached {
 						sw.unlink(j) // queued under a worse label
@@ -920,18 +991,21 @@ func (sw *sweep) settle(dist []cost, base int32, start, split []int32, costs []c
 }
 
 // within sets sw.intra to the best routes from r that stay inside its AS,
-// and returns the AS.
+// and returns the AS. It lays the AS's links out first if the last call
+// was in another AS.
 func (sw *sweep) within(t *Topology, r RouterID) (as int) {
-	as = t.ASOf(r)
-	sw.base = RouterID(as * t.cfg.RoutersPer)
+	if as = t.ASOf(r); as != sw.as {
+		clear(sw.start)
+		sw.costs, sw.to = flatten(sw.start, sw.split, t.links[t.asLinks[as]:t.asLinks[as+1]], sw.costs, sw.to)
+		sw.as, sw.base = as, RouterID(as*t.cfg.RoutersPer)
+	}
 	for i := range sw.intra {
 		sw.intra[i] = unreached
 	}
 	i := int32(r - sw.base)
 	sw.intra[i] = 0
 	sw.push(i, 0, false)
-	// Every entry is a link: split at the row start, so none is skipped.
-	sw.settle(sw.intra, int32(sw.base), t.intraStart, t.intraStart, t.intraCost, t.intraTo)
+	sw.settle(sw.intra, sw.start, sw.split, sw.costs, sw.to)
 	return as
 }
 
@@ -955,7 +1029,7 @@ func (sw *sweep) run(t *Topology, src RouterID, tree []cost) {
 		tree[v] = sw.toBorder(t, v)
 		sw.push(v, tree[v].lat(), true)
 	}
-	sw.settle(tree, 0, t.borderStart, t.borderSplit, t.borderCost, t.borderTo)
+	sw.settle(tree, t.borderStart, t.borderSplit, t.borderCost, t.borderTo)
 }
 
 // path reads the cost of route src -> dst off src's tree: the best over

@@ -66,10 +66,19 @@ func TestInvalidConfigPanics(t *testing.T) {
 		"slow-t3":          {with(func(c *Config) { c.T3LatencyMax = 1000 * time.Hour }), "invalid config"},
 		// The fewest ASes with routers + RoutersPer >= 2^hopBits.
 		"too-many-hops": {with(func(c *Config) { c.ASes = (1<<hopBits+c.RoutersPer-1)/c.RoutersPer - 1 }), "hop bits"},
-		// Hour-long links fit the ring (a step spans 6 of its buckets)
-		// but sum past 2^43 ns within the first 3 links.
+		// Few ASes and 1 ms intra-AS links, so that only the ends' 16
+		// bits overflow.
+		"wide-as": {with(func(c *Config) {
+			c.ASes, c.RoutersPer = 4, 1<<16+1
+			c.IntraASLatencyMax = c.IntraASLatencyMin
+		}), "16-bit ends"},
+		"slow-intra": {with(func(c *Config) { c.IntraASLatencyMax = 1 << 32 }), "32-bit latency"},
+		// Hour-long inter-AS links beside one-second intra-AS ones (an
+		// intra-AS link holds under ~4.3 s) fit the ring (a step spans
+		// 3,600 of its buckets), but after the 2,880 intra-AS links' 48
+		// minutes they sum past 2^43 ns within the first 2 inter-AS links.
 		"latency-sum": {with(func(c *Config) {
-			c.IntraASLatencyMin, c.IntraASLatencyMax = time.Hour, time.Hour
+			c.IntraASLatencyMin, c.IntraASLatencyMax = time.Second, time.Second
 			c.OC3LatencyMin, c.OC3LatencyMax = time.Hour, time.Hour
 			c.T3LatencyMin, c.T3LatencyMax = time.Hour, time.Hour
 		}), "latencies sum past"},
@@ -351,24 +360,33 @@ type refRoute struct {
 // referenceGraph rebuilds the plain router-level adjacency - every link,
 // intra-AS and inter-AS - from a topology that has not answered a route
 // yet (the first route turns the inter-AS links into the border graph).
-// An intra-AS entry is one link, so it decodes to the link's latency
-// (the packed cost shifted down) and one hop.
+// An AS's links number their ends within the AS, so both ends of each
+// must be one of its routers, and an inter-AS link must join two ASes.
 func referenceGraph(t *testing.T, topo *Topology) [][]refRoute {
 	t.Helper()
 	if topo.borderStart != nil {
 		t.Fatal("referenceGraph after the topology was contracted")
 	}
 	adj := make([][]refRoute, topo.NumRouters())
-	for r := range adj {
-		for k := topo.intraStart[r]; k < topo.intraStart[r+1]; k++ {
-			c := uint64(topo.intraCost[k])
-			if c&(1<<hopBits-1) != 1 {
-				t.Fatalf("intra-AS entry %d of router %d is %d hops, want one link", k, r, c&(1<<hopBits-1))
+	per := topo.cfg.RoutersPer
+	if n := int(topo.asLinks[topo.cfg.ASes]); n != len(topo.links) {
+		t.Fatalf("the AS lists cover %d links of %d", n, len(topo.links))
+	}
+	for as := 0; as < topo.cfg.ASes; as++ {
+		base := int32(as * per)
+		for _, l := range topo.links[topo.asLinks[as]:topo.asLinks[as+1]] {
+			if int(l.a) >= per || int(l.b) >= per {
+				t.Fatalf("AS %d's link %+v leaves its %d routers", as, l, per)
 			}
-			adj[r] = append(adj[r], refRoute{time.Duration(c >> hopBits), 1, topo.intraTo[k]})
+			a, b := base+int32(l.a), base+int32(l.b)
+			adj[a] = append(adj[a], refRoute{time.Duration(l.lat), 1, b})
+			adj[b] = append(adj[b], refRoute{time.Duration(l.lat), 1, a})
 		}
 	}
 	for _, l := range topo.inter {
+		if topo.ASOf(RouterID(l.a)) == topo.ASOf(RouterID(l.b)) {
+			t.Fatalf("inter-AS link %+v stays inside AS %d", l, topo.ASOf(RouterID(l.a)))
+		}
 		adj[l.a] = append(adj[l.a], refRoute{l.lat, 1, l.b})
 		adj[l.b] = append(adj[l.b], refRoute{l.lat, 1, l.a})
 	}
@@ -481,6 +499,9 @@ func TestRoutesMatchReference(t *testing.T) {
 		{"lossy", with(func(c *Config) { c.LinkLoss = 0.016 }), 50},
 		{"three-routers", with(func(c *Config) { c.RoutersPer = 3 }), 50},
 		{"no-chords", with(func(c *Config) { c.IntraASDegree = 0 }), 50},
+		// Eight chords over four routers: parallel links, repeated
+		// chords and chords along the ring.
+		{"dense-chords", with(func(c *Config) { c.RoutersPer, c.IntraASDegree = 4, 8 }), 50},
 		{"tree-only", with(func(c *Config) { c.InterASDegree = 0 }), 50},
 		{"one-as-per-continent", with(func(c *Config) {
 			c.ASes, c.Continents, c.InterContinentLinks = 12, 12, 40
@@ -901,8 +922,8 @@ func TestWarmRoutesSweepsTheGreedySources(t *testing.T) {
 
 // TestTreePoolCap pins the pool's starting size, 16 trees, and its
 // ceiling on both shipped topologies: 256 trees on the default one,
-// where the 32 MB budget alone would allow ~3,000, and the budget's 214
-// at paper scale.
+// where the 4 MB budget alone would allow ~370, and the budget's 26 at
+// paper scale.
 func TestTreePoolCap(t *testing.T) {
 	cases := []struct {
 		name string
@@ -910,7 +931,7 @@ func TestTreePoolCap(t *testing.T) {
 		want int
 	}{
 		{"default", DefaultConfig(1), 256},
-		{"paper-scale", PaperScaleConfig(1), 214},
+		{"paper-scale", PaperScaleConfig(1), 26},
 	}
 	for _, tc := range cases {
 		topo := Generate(tc.cfg)
