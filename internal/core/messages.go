@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+
 	"fuse/internal/overlay"
 	"fuse/internal/transport"
 )
@@ -44,8 +46,6 @@ type msgSoftNotification struct {
 	// Trace is the telemetry span of the failure observation that
 	// started this spread; 0 when tracing is off. Carried for causal
 	// trigger→delivery chains only — never read by protocol logic.
-	// (gob is self-describing, so the added field stays wire-compatible
-	// within a run, the repo's stated compatibility bound.)
 	Trace uint64
 }
 
@@ -97,6 +97,64 @@ type listEntry struct {
 	ID  GroupID
 	Seq uint64
 }
+
+// The live fast path's core records - install, soft and hard
+// notification - write their own wire bodies (transport.Wire): fields in
+// declaration order, a GroupID as its root's NodeRef then its number.
+
+func appendGroupID(b []byte, id GroupID) []byte {
+	b = overlay.AppendNodeRef(b, id.Root)
+	return binary.AppendUvarint(b, id.Num)
+}
+
+func parseGroupID(p *transport.Parser) GroupID {
+	root := overlay.ParseNodeRef(p)
+	return GroupID{Root: root, Num: p.Uvarint()}
+}
+
+func (m *msgInstallChecking) AppendWire(b []byte) ([]byte, error) {
+	b = appendGroupID(b, m.ID)
+	b = binary.AppendUvarint(b, m.Seq)
+	return overlay.AppendNodeRef(b, m.Member), nil
+}
+
+func (m *msgInstallChecking) ParseWire(p *transport.Parser) {
+	m.ID = parseGroupID(p)
+	m.Seq = p.Uvarint()
+	m.Member = overlay.ParseNodeRef(p)
+}
+
+func (m *msgSoftNotification) AppendWire(b []byte) ([]byte, error) {
+	b = appendGroupID(b, m.ID)
+	b = binary.AppendUvarint(b, m.Seq)
+	b = overlay.AppendNodeRef(b, m.From)
+	return binary.AppendUvarint(b, m.Trace), nil
+}
+
+func (m *msgSoftNotification) ParseWire(p *transport.Parser) {
+	m.ID = parseGroupID(p)
+	m.Seq = p.Uvarint()
+	m.From = overlay.ParseNodeRef(p)
+	m.Trace = p.Uvarint()
+}
+
+func (m *msgHardNotification) AppendWire(b []byte) ([]byte, error) {
+	b = appendGroupID(b, m.ID)
+	b = overlay.AppendNodeRef(b, m.From)
+	return binary.AppendUvarint(b, m.Trace), nil
+}
+
+func (m *msgHardNotification) ParseWire(p *transport.Parser) {
+	m.ID = parseGroupID(p)
+	m.From = overlay.ParseNodeRef(p)
+	m.Trace = p.Uvarint()
+}
+
+var (
+	_ transport.Wire = (*msgInstallChecking)(nil)
+	_ transport.Wire = (*msgSoftNotification)(nil)
+	_ transport.Wire = (*msgHardNotification)(nil)
+)
 
 func init() {
 	transport.Register("core.groupCreateRequest", func() transport.Message { return new(msgGroupCreateRequest) })

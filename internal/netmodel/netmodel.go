@@ -183,15 +183,6 @@ type intraLink struct {
 	lat  uint32
 }
 
-// link is what flatten lays out: a link's two ends and its cost.
-type link interface{ ends() (a, b int32, c cost) }
-
-func (l rawLink) ends() (a, b int32, c cost) { return l.a, l.b, pack(l.lat, 1) }
-
-func (l intraLink) ends() (a, b int32, c cost) {
-	return int32(l.a), int32(l.b), pack(time.Duration(l.lat), 1)
-}
-
 // Topology is an immutable router graph in contracted form plus two path
 // caches.
 //
@@ -482,27 +473,49 @@ func Generate(cfg Config) *Topology {
 // v is costs[start[v]:start[v+1]], each entry's far end at the same index
 // of to, and the row's links start at split[v]. On entry start[v+1] holds
 // the number of leading entries to leave empty in row v for the caller to
-// fill, and split is one shorter than start.
-func flatten[L link](start, split []int32, links []L, costs []cost, to []int32) ([]cost, []int32) {
+// fill, and split is one shorter than start. flattenIntra is the same
+// fill for one AS's intra-AS links.
+func flatten(start, split []int32, links []rawLink, costs []cost, to []int32) ([]cost, []int32) {
 	for _, l := range links {
-		a, b, _ := l.ends()
-		start[a+1]++
-		start[b+1]++
+		start[l.a+1]++
+		start[l.b+1]++
 	}
-	for v := 1; v < len(start); v++ {
-		start[v] += start[v-1]
-	}
-	n := int(start[len(start)-1])
-	costs, to = slices.Grow(costs[:0], n)[:n], slices.Grow(to[:0], n)[:n]
-	copy(split, start[1:]) // rows fill from their ends
+	costs, to = rows(start, split, costs, to)
 	for _, l := range links {
-		a, b, c := l.ends()
+		c := pack(l.lat, 1)
+		split[l.a]--
+		costs[split[l.a]], to[split[l.a]] = c, l.b
+		split[l.b]--
+		costs[split[l.b]], to[split[l.b]] = c, l.a
+	}
+	return costs, to
+}
+
+func flattenIntra(start, split []int32, links []intraLink, costs []cost, to []int32) ([]cost, []int32) {
+	for _, l := range links {
+		start[l.a+1]++
+		start[l.b+1]++
+	}
+	costs, to = rows(start, split, costs, to)
+	for _, l := range links {
+		c, a, b := pack(time.Duration(l.lat), 1), int32(l.a), int32(l.b)
 		split[a]--
 		costs[split[a]], to[split[a]] = c, b
 		split[b]--
 		costs[split[b]], to[split[b]] = c, a
 	}
 	return costs, to
+}
+
+// rows turns start's per-row counts into offsets, sizes costs and to,
+// and points each row's split at its end.
+func rows(start, split []int32, costs []cost, to []int32) ([]cost, []int32) {
+	for v := 1; v < len(start); v++ {
+		start[v] += start[v-1]
+	}
+	n := int(start[len(start)-1])
+	copy(split, start[1:]) // rows fill from their ends
+	return slices.Grow(costs[:0], n)[:n], slices.Grow(to[:0], n)[:n]
 }
 
 // MinInterASLatency returns the smallest inter-AS link latency: a lower
@@ -996,7 +1009,7 @@ func (sw *sweep) settle(dist []cost, start, split []int32, costs []cost, to []in
 func (sw *sweep) within(t *Topology, r RouterID) (as int) {
 	if as = t.ASOf(r); as != sw.as {
 		clear(sw.start)
-		sw.costs, sw.to = flatten(sw.start, sw.split, t.links[t.asLinks[as]:t.asLinks[as+1]], sw.costs, sw.to)
+		sw.costs, sw.to = flattenIntra(sw.start, sw.split, t.links[t.asLinks[as]:t.asLinks[as+1]], sw.costs, sw.to)
 		sw.as, sw.base = as, RouterID(as*t.cfg.RoutersPer)
 	}
 	for i := range sw.intra {

@@ -1,6 +1,8 @@
 package overlay
 
 import (
+	"encoding/binary"
+	"errors"
 	"sync"
 
 	"fuse/internal/transport"
@@ -173,6 +175,81 @@ type msgSetRingNeighbor struct {
 	Level int
 	Right bool // set recipient's right pointer (else left)
 }
+
+// The live fast path's overlay records write their own wire bodies
+// (transport.Wire): fields in declaration order, a NodeRef as its name
+// and address, a routed payload as a nested frame.
+
+// AppendNodeRef appends r's wire form, its name then its address.
+func AppendNodeRef(b []byte, r NodeRef) []byte {
+	b = transport.AppendString(b, r.Name)
+	return transport.AppendString(b, string(r.Addr))
+}
+
+// ParseNodeRef reads a NodeRef AppendNodeRef wrote.
+func ParseNodeRef(p *transport.Parser) NodeRef {
+	name := p.Str()
+	return NodeRef{Name: name, Addr: transport.Addr(p.Str())}
+}
+
+func (m *msgPing) AppendWire(b []byte) ([]byte, error) {
+	b = AppendNodeRef(b, m.From)
+	b = binary.AppendUvarint(b, m.Seq)
+	b = transport.AppendBytes(b, m.Payload)
+	b = binary.AppendUvarint(b, uint64(m.Link))
+	return binary.AppendUvarint(b, uint64(m.PeerLink)), nil
+}
+
+func (m *msgPing) ParseWire(p *transport.Parser) {
+	m.From = ParseNodeRef(p)
+	m.Seq = p.Uvarint()
+	m.Payload = p.Bytes()
+	m.Link = p.Uint32()
+	m.PeerLink = p.Uint32()
+}
+
+func (m *msgPingAck) AppendWire(b []byte) ([]byte, error) {
+	b = AppendNodeRef(b, m.From)
+	b = binary.AppendUvarint(b, m.Seq)
+	b = binary.AppendUvarint(b, uint64(m.Link))
+	return binary.AppendUvarint(b, uint64(m.PeerLink)), nil
+}
+
+func (m *msgPingAck) ParseWire(p *transport.Parser) {
+	m.From = ParseNodeRef(p)
+	m.Seq = p.Uvarint()
+	m.Link = p.Uint32()
+	m.PeerLink = p.Uint32()
+}
+
+var errRouteInRoute = errors.New("overlay: routed envelope inside a routed envelope")
+
+func (m *msgRoute) AppendWire(b []byte) ([]byte, error) {
+	if _, ok := m.Inner.(*msgRoute); ok {
+		return b, errRouteInRoute // a nested frame may not nest again
+	}
+	b = transport.AppendString(b, m.Dest)
+	b = AppendNodeRef(b, m.Origin)
+	b = AppendNodeRef(b, m.LastHop)
+	b = binary.AppendVarint(b, int64(m.Hops))
+	b = binary.AppendVarint(b, int64(m.TTL))
+	return transport.AppendMessage(b, m.Inner)
+}
+
+func (m *msgRoute) ParseWire(p *transport.Parser) {
+	m.Dest = p.Str()
+	m.Origin = ParseNodeRef(p)
+	m.LastHop = ParseNodeRef(p)
+	m.Hops = p.Int()
+	m.TTL = p.Int()
+	m.Inner = p.Message()
+}
+
+var (
+	_ transport.Wire = (*msgPing)(nil)
+	_ transport.Wire = (*msgPingAck)(nil)
+	_ transport.Wire = (*msgRoute)(nil)
+)
 
 func init() {
 	transport.Register("overlay.ping", func() transport.Message { return newMsgPing() })

@@ -216,9 +216,9 @@ type Env interface {
 // The registry maps stable wire tags to message factories (decode side,
 // ReadFrame) and concrete types back to tags (encode side, AppendFrame).
 // Tags are assigned by the protocol packages' init functions, so both
-// endpoints of a run built from the same binary agree on them; the codec
-// (codec.go) additionally gob-encodes each record self-describingly,
-// keeping frames decodable within a run even as field sets evolve.
+// endpoints of a run built from the same binary agree on them, and on
+// the field order of the records that write their own bodies (Wire);
+// the codec (codec.go) gob-encodes every other record.
 
 type registryEntry struct {
 	name string
@@ -234,8 +234,8 @@ var (
 // Register records a concrete message type under a stable wire tag. The
 // factory must return a fresh (or pooled, zeroed) record of one pointer
 // type; byte-oriented transports decode into it. Registration also makes
-// the type gob-encodable inside interface-typed fields (the overlay's
-// routed envelope carries its payload that way). Protocol packages
+// the type gob-encodable inside the interface-typed fields of records
+// with gob bodies (svtree's event data may hold anything). Protocol packages
 // register their messages in init; duplicate tags or types panic.
 func Register(name string, newFn func() Message) {
 	if name == "" || newFn == nil {
@@ -264,6 +264,15 @@ func messageName(msg Message) (string, bool) {
 	e, ok := registryByType[reflect.TypeOf(msg)]
 	registryMu.RUnlock()
 	return e.name, ok
+}
+
+// lookupTag returns the registry entry for a tag read off the wire,
+// without copying it into a string of its own.
+func lookupTag(tag []byte) (registryEntry, bool) {
+	registryMu.RLock()
+	e, ok := registryByName[string(tag)]
+	registryMu.RUnlock()
+	return e, ok
 }
 
 // NewMessage returns a fresh record for the given wire tag.
