@@ -253,10 +253,10 @@ func (f *Fuse) detachLinks(g *groupState) {
 // resetLinkTimer re-arms the link's shared CheckTimeout deadline. Only
 // evidence that the neighbor is alive (a matching-hash ping, or
 // reconciliation agreement) may call this. This runs once per received
-// ping, so the deadline moves in place where the transport supports it
-// instead of cancelling and reallocating a timer each time.
+// ping, so the deadline moves in place while it is pending instead of
+// cancelling and reallocating a timer each time.
 func (f *Fuse) resetLinkTimer(ls *linkState) {
-	if ls.timer != nil && transport.ResetTimer(ls.timer, f.scaled(checkTimeout)) {
+	if ls.timer != nil && ls.timer.Reset(f.scaled(checkTimeout)) {
 		return
 	}
 	stopTimer(ls.timer)

@@ -14,6 +14,13 @@
 //     through it. Minimal member load, server is the throughput
 //     bottleneck.
 //
+// A topology is stated once, as the peers a node pings for a group, and
+// there is one fan-out rule: a node that decides a group failed notifies
+// the peers it pings, and a hub (a direct tree's root, or the central
+// server) that receives a notice passes it on to its own. The central
+// server is enlisted in every group like one more member: the root sends
+// it the same join and activate.
+//
 // The package exists for the ablation benchmarks comparing these
 // topologies' message load and notification latency against the
 // overlay-sharing implementation in internal/core. A Service speaks
@@ -152,10 +159,6 @@ func (s *Service) HasState(id GroupID) bool {
 	return ok
 }
 
-func (s *Service) send(to transport.Addr, msg transport.Message) {
-	s.env.Send(to, msg)
-}
-
 // --- API (mirrors Figure 1) ---
 
 // CreateGroup creates a group over members (the caller becomes the root)
@@ -174,19 +177,10 @@ func (s *Service) CreateGroup(members []overlay.NodeRef, done func(GroupID, erro
 		}
 	}
 	c := &creating{id: id, members: full, pending: make(map[string]bool), done: done}
-	for _, m := range full[1:] {
-		c.pending[m.Name] = true
-	}
-	if s.cfg.Kind == CentralServer && s.self.Name != s.cfg.Server.Name {
-		c.pending[s.cfg.Server.Name] = true
-	}
 	s.creating[id] = c
-
-	for _, m := range full[1:] {
-		s.send(m.Addr, &msgJoin{ID: id, Members: full})
-	}
-	if s.cfg.Kind == CentralServer && s.self.Name != s.cfg.Server.Name {
-		s.send(s.cfg.Server.Addr, &msgRegister{ID: id, Members: full})
+	for _, m := range s.enlisted(full) {
+		c.pending[m.Name] = true
+		s.env.Send(m.Addr, &msgJoin{ID: id, Members: full})
 	}
 	if len(c.pending) == 0 {
 		delete(s.creating, id)
@@ -200,10 +194,27 @@ func (s *Service) CreateGroup(members []overlay.NodeRef, done func(GroupID, erro
 		}
 		delete(s.creating, id)
 		for _, m := range full[1:] {
-			s.send(m.Addr, &msgNotify{ID: id})
+			s.env.Send(m.Addr, &msgNotify{ID: id})
 		}
 		done(GroupID{}, ErrCreateTimeout)
 	})
+}
+
+// enlisted returns the participants a root enlists in a group over
+// members (the root first): every other member and, on a central
+// server's topology, the server, which joins and activates every group
+// as one more participant.
+func (s *Service) enlisted(members []overlay.NodeRef) []overlay.NodeRef {
+	others := members[1:]
+	if s.cfg.Kind == CentralServer && !s.isServer() {
+		return append(others[:len(others):len(others)], s.cfg.Server)
+	}
+	return others
+}
+
+// isServer reports whether this node is the central server.
+func (s *Service) isServer() bool {
+	return s.cfg.Kind == CentralServer && s.self.Name == s.cfg.Server.Name
 }
 
 // RegisterFailureHandler mirrors the FUSE API: unknown groups fire
@@ -242,11 +253,8 @@ func (s *Service) install(id GroupID, members []overlay.NodeRef, isRoot bool) {
 	s.groups[id] = g
 	if isRoot {
 		s.activate(g)
-		for _, m := range members[1:] {
-			s.send(m.Addr, &msgActivate{ID: id})
-		}
-		if s.cfg.Kind == CentralServer && s.self.Name != s.cfg.Server.Name {
-			s.send(s.cfg.Server.Addr, &msgActivate{ID: id})
+		for _, m := range s.enlisted(members) {
+			s.env.Send(m.Addr, &msgActivate{ID: id})
 		}
 		return
 	}
@@ -275,35 +283,31 @@ func (s *Service) activate(g *group) {
 	}
 }
 
-// monitorTargets returns which members this node pings for g.
+// monitorTargets returns the peers this node pings for g, which are
+// also the peers it notifies when g fails: the one statement of a
+// topology's fan-out.
 func (s *Service) monitorTargets(g *group) []overlay.NodeRef {
-	var out []overlay.NodeRef
-	switch s.cfg.Kind {
-	case DirectTree:
-		if g.isRoot {
-			out = append(out, g.members[1:]...)
-		} else {
-			out = append(out, g.id.Root)
-		}
-	case AllToAll:
-		for _, m := range g.members {
-			if m.Name != s.self.Name {
-				out = append(out, m)
-			}
-		}
-	case CentralServer:
-		if s.self.Name == s.cfg.Server.Name {
-			// The server monitors every registered member.
-			for _, m := range g.members {
-				if m.Name != s.self.Name {
-					out = append(out, m)
-				}
-			}
-		} else {
-			out = append(out, s.cfg.Server)
+	switch {
+	case s.cfg.Kind == DirectTree && g.isRoot:
+		return g.members[1:]
+	case s.cfg.Kind == DirectTree:
+		return []overlay.NodeRef{g.id.Root}
+	case s.cfg.Kind == CentralServer && !s.isServer():
+		return []overlay.NodeRef{s.cfg.Server}
+	}
+	var out []overlay.NodeRef // all-to-all, and the server: every other member
+	for _, m := range g.members {
+		if m.Name != s.self.Name {
+			out = append(out, m)
 		}
 	}
 	return out
+}
+
+// hub reports whether this node passes on a notice it receives for g: a
+// direct tree's root, or the central server.
+func (s *Service) hub(g *group) bool {
+	return s.cfg.Kind == DirectTree && g.isRoot || s.isServer()
 }
 
 func (s *Service) addPeer(g *group, ref overlay.NodeRef) {
@@ -322,68 +326,30 @@ func (s *Service) pingPeer(g *group, p *peer) {
 	}
 	p.seq++
 	seq := p.seq
-	s.send(p.ref.Addr, &msgPing{ID: g.id, From: s.self, Seq: seq})
+	s.env.Send(p.ref.Addr, &msgPing{ID: g.id, From: s.self, Seq: seq})
 	if p.timeout != nil {
 		p.timeout.Stop()
 	}
-	p.timeout = s.env.After(ping.PingTimeout, func() { s.peerDead(g, p) })
+	p.timeout = s.env.After(ping.PingTimeout, func() { s.failGroup(g) })
 	p.sendT = s.env.After(ping.PingInterval, func() { s.pingPeer(g, p) })
 }
 
-// peerDead converts a missed ack into a group failure decision.
-func (s *Service) peerDead(g *group, p *peer) {
-	if s.groups[g.id] != g {
-		return
-	}
-	if s.cfg.Kind == CentralServer && s.self.Name == s.cfg.Server.Name {
-		// Server-side: notify every member of every group containing
-		// the dead node. (This group certainly contains it.)
-		s.serverFail(g)
-		return
-	}
-	s.failGroup(g)
-}
-
-// failGroup is the local failure decision: notify the application, stop
-// acknowledging (so everyone else converges), and propagate as the
-// topology allows.
+// failGroup is the local failure decision: notify the peers this node
+// pings, then the application, and stop acknowledging, so everyone else
+// converges. The central server has no application to notify; it only
+// drops its state.
 func (s *Service) failGroup(g *group) {
 	if s.groups[g.id] != g {
 		return
 	}
-	switch s.cfg.Kind {
-	case DirectTree:
-		if g.isRoot {
-			for _, m := range g.members[1:] {
-				s.send(m.Addr, &msgNotify{ID: g.id})
-			}
-		} else {
-			s.send(g.id.Root.Addr, &msgNotify{ID: g.id})
-		}
-	case AllToAll:
-		for _, m := range g.members {
-			if m.Name != s.self.Name {
-				s.send(m.Addr, &msgNotify{ID: g.id})
-			}
-		}
-	case CentralServer:
-		if s.self.Name == s.cfg.Server.Name {
-			s.serverFail(g)
-			return
-		}
-		s.send(s.cfg.Server.Addr, &msgNotify{ID: g.id})
+	for _, m := range s.monitorTargets(g) {
+		s.env.Send(m.Addr, &msgNotify{ID: g.id})
+	}
+	if s.isServer() {
+		s.dropGroup(g.id)
+		return
 	}
 	s.notifyAndDrop(g.id)
-}
-
-// serverFail is the central server's fan-out.
-func (s *Service) serverFail(g *group) {
-	for _, m := range g.members {
-		if m.Name != s.self.Name {
-			s.send(m.Addr, &msgNotify{ID: g.id})
-		}
-	}
-	s.dropGroup(g.id)
 }
 
 func (s *Service) notifyAndDrop(id GroupID) {

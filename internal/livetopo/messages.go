@@ -24,13 +24,6 @@ type msgJoinAck struct {
 	From overlay.NodeRef
 }
 
-// msgRegister installs a group at the central server.
-type msgRegister struct {
-	body
-	ID      GroupID
-	Members []overlay.NodeRef
-}
-
 // msgPing is the per-group liveness check: one ping and ack per peer per
 // group per interval, the O(groups) cost FUSE's piggybacking eliminates.
 type msgPing struct {
@@ -66,7 +59,6 @@ type msgNotify struct {
 func init() {
 	transport.Register("livetopo.join", func() transport.Message { return new(msgJoin) })
 	transport.Register("livetopo.joinAck", func() transport.Message { return new(msgJoinAck) })
-	transport.Register("livetopo.register", func() transport.Message { return new(msgRegister) })
 	transport.Register("livetopo.activate", func() transport.Message { return new(msgActivate) })
 	transport.Register("livetopo.ping", func() transport.Message { return new(msgPing) })
 	transport.Register("livetopo.pingAck", func() transport.Message { return new(msgPingAck) })
@@ -80,8 +72,6 @@ func (s *Service) Handle(from transport.Addr, msg transport.Message) bool {
 		s.handleJoin(m)
 	case *msgJoinAck:
 		s.handleJoinAck(m)
-	case *msgRegister:
-		s.handleRegister(m)
 	case *msgActivate:
 		s.handleActivate(m)
 	case *msgPing:
@@ -98,7 +88,7 @@ func (s *Service) Handle(from transport.Addr, msg transport.Message) bool {
 
 func (s *Service) handleJoin(m *msgJoin) {
 	s.install(m.ID, m.Members, false)
-	s.send(m.ID.Root.Addr, &msgJoinAck{ID: m.ID, From: s.self})
+	s.env.Send(m.ID.Root.Addr, &msgJoinAck{ID: m.ID, From: s.self})
 }
 
 func (s *Service) handleJoinAck(m *msgJoinAck) {
@@ -118,11 +108,6 @@ func (s *Service) handleJoinAck(m *msgJoinAck) {
 	c.done(c.id, nil)
 }
 
-func (s *Service) handleRegister(m *msgRegister) {
-	s.install(m.ID, m.Members, false)
-	s.send(m.ID.Root.Addr, &msgJoinAck{ID: m.ID, From: s.self})
-}
-
 func (s *Service) handleActivate(m *msgActivate) {
 	if g, ok := s.groups[m.ID]; ok {
 		s.activate(g)
@@ -133,7 +118,7 @@ func (s *Service) handlePing(m *msgPing) {
 	if _, ok := s.groups[m.ID]; !ok {
 		return // ceasing to ack is how failure propagates
 	}
-	s.send(m.From.Addr, &msgPingAck{ID: m.ID, From: s.self, Seq: m.Seq})
+	s.env.Send(m.From.Addr, &msgPingAck{ID: m.ID, From: s.self, Seq: m.Seq})
 }
 
 func (s *Service) handlePingAck(m *msgPingAck) {
@@ -151,29 +136,17 @@ func (s *Service) handlePingAck(m *msgPingAck) {
 	}
 }
 
+// handleNotify fails the group here: a hub passes the notice on to the
+// peers it pings, as its own decision would; everyone else notifies the
+// application and goes quiet. A notice for a group this node holds no
+// state for (a creation that failed after it joined, or a duplicate)
+// still fires any handlers left for it.
 func (s *Service) handleNotify(m *msgNotify) {
 	g, ok := s.groups[m.ID]
-	if !ok {
-		// Possibly a creation-failure notice for a group we briefly
-		// joined, or a duplicate; fire pending handlers if any.
-		if hs := s.handlers[m.ID]; len(hs) > 0 {
-			s.notifyAndDrop(m.ID)
-		}
-		return
+	switch {
+	case ok && s.hub(g):
+		s.failGroup(g)
+	case ok || len(s.handlers[m.ID]) > 0:
+		s.notifyAndDrop(m.ID)
 	}
-	// Fan out per topology before going quiet.
-	switch s.cfg.Kind {
-	case DirectTree:
-		if g.isRoot {
-			for _, mem := range g.members[1:] {
-				s.send(mem.Addr, &msgNotify{ID: g.id})
-			}
-		}
-	case CentralServer:
-		if s.self.Name == s.cfg.Server.Name {
-			s.serverFail(g)
-			return
-		}
-	}
-	s.notifyAndDrop(m.ID)
 }

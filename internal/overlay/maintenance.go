@@ -222,11 +222,11 @@ func (n *Node) startPinging(ref NodeRef) int {
 }
 
 // arm sets the node's timer to fire at at, now being the current reading
-// of the env's Elapsed clock; in place when the transport can, which is
-// always from pingTick and whenever the timer is still pending.
+// of the env's Elapsed clock; in place from pingTick and whenever the
+// timer is still pending.
 func (n *Node) arm(at, now time.Duration) {
 	n.armed = at
-	if n.timer != nil && transport.ResetTimer(n.timer, at-now) {
+	if n.timer != nil && n.timer.Reset(at-now) {
 		return
 	}
 	n.timer = n.env.After(at-now, n.tick)

@@ -18,7 +18,11 @@ package transport
 // path's records: overlay.ping, overlay.pingAck, overlay.route,
 // core.installChecking, core.softNotification and core.hardNotification.
 // Every other record's body is its gob encoding by a fresh per-frame
-// encoder, so those bodies are self-describing.
+// encoder, so those bodies are self-describing. Either way the body is
+// appended after its tag, and its length is then put in front of it as
+// a minimal uvarint: one way to frame every body. (Frames of older
+// binaries padded a gob body's length to ten bytes with zero-payload
+// continuation bytes; the same reader still parses them.)
 //
 // Compatibility holds within a run: both endpoints are built from the
 // same binary, so they assign identical tags and write hand-written
@@ -107,70 +111,45 @@ var (
 	errValueTooWide = errors.New("transport: value exceeds its field's width")
 )
 
-// AppendFrame appends one framed message to buf: the registry tag, then
-// the length-prefixed body. buf is reused across frames by the
-// connection writer, and a Wire record's frame is appended into its free
-// capacity, so a buffer that has held such a frame before takes the next
-// one without allocating.
+// AppendFrame appends one framed message to buf, into its free capacity:
+// a buffer reused across frames, as the connection writer reuses its own,
+// takes the next frame without growing once it has held one as large.
 func AppendFrame(buf *bytes.Buffer, msg Message) error {
-	if _, ok := msg.(Wire); ok {
-		b, err := AppendMessage(buf.AvailableBuffer(), msg)
-		if err != nil {
-			return err
-		}
-		buf.Write(b)
-		return nil
+	b, err := AppendMessage(buf.AvailableBuffer(), msg)
+	if err != nil {
+		return err
 	}
-	tag, ok := messageName(msg)
-	if !ok {
-		return fmt.Errorf("transport: unregistered message type %T", msg)
-	}
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(tag)))
-	buf.Write(lenBuf[:n])
-	buf.WriteString(tag)
-
-	// Reserve a fixed-width length slot, gob straight into the buffer,
-	// then fill the slot in: one encode pass, no second body copy.
-	lenAt := buf.Len()
-	buf.Write(lenBuf[:binary.MaxVarintLen64])
-	bodyAt := buf.Len()
-	if err := gob.NewEncoder(buf).Encode(msg); err != nil {
-		return fmt.Errorf("transport: encode %s: %w", tag, err)
-	}
-	bodyLen := buf.Len() - bodyAt
-	if bodyLen > maxBodyLen {
-		return errBodyTooLong
-	}
-	putUvarintPadded(buf.Bytes()[lenAt:bodyAt], uint64(bodyLen))
+	buf.Write(b)
 	return nil
 }
 
-// AppendMessage appends msg to b as one frame, the grammar AppendFrame
-// writes; a Wire record uses it for a record field (nil appends an empty
-// tag, which no record is registered under). On an error it returns b as
-// it was.
+// AppendMessage appends msg to b as one frame: the registry tag, then the
+// body (the record's own, or its gob encoding), then the body's length,
+// put in front of the body. A Wire record uses it for a record field (nil
+// appends an empty tag, which no record is registered under). On an error
+// it returns b as it was.
 func AppendMessage(b []byte, msg Message) ([]byte, error) {
 	if msg == nil {
 		return append(b, 0), nil
-	}
-	w, ok := msg.(Wire)
-	if !ok {
-		buf := bytes.NewBuffer(b)
-		if err := AppendFrame(buf, msg); err != nil {
-			return b, err
-		}
-		return buf.Bytes(), nil
 	}
 	tag, ok := messageName(msg)
 	if !ok {
 		return b, fmt.Errorf("transport: unregistered message type %T", msg)
 	}
 	start := len(b)
-	b = binary.AppendUvarint(b, uint64(len(tag)))
-	b = append(b, tag...)
+	b = AppendString(b, tag)
 	at := len(b)
-	b, err := w.AppendWire(b)
+	var err error
+	if w, ok := msg.(Wire); ok {
+		b, err = w.AppendWire(b)
+	} else {
+		gw := gobWriters.Get().(*bytes.Buffer)
+		*gw = *bytes.NewBuffer(b)
+		err = gob.NewEncoder(gw).Encode(msg)
+		b = gw.Bytes()
+		*gw = bytes.Buffer{}
+		gobWriters.Put(gw)
+	}
 	if err != nil {
 		return b[:start], fmt.Errorf("transport: encode %s: %w", tag, err)
 	}
@@ -186,6 +165,12 @@ func AppendMessage(b []byte, msg Message) ([]byte, error) {
 	copy(b[at:], lenBuf[:k])
 	return b, nil
 }
+
+// gobWriters recycles the writers a gob body is encoded into: one handed
+// to the encoder, an interface, would otherwise escape to the heap on
+// every frame. Each body gets a fresh encoder, so it describes its own
+// types.
+var gobWriters = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // AppendString appends s with its length in front.
 func AppendString(b []byte, s string) []byte {
@@ -348,18 +333,6 @@ func decode(tag, body []byte, nested bool) (Message, error) {
 // parsers recycles Parsers: one handed to a record's ParseWire, an
 // interface call, would otherwise escape to the heap on every frame.
 var parsers = sync.Pool{New: func() any { return new(Parser) }}
-
-// putUvarintPadded writes v into slot using continuation-padded varint
-// encoding: the standard uvarint bytes, then 0x80 continuation bytes
-// carrying zero payload up to the fixed width. Decoders using the
-// standard binary.ReadUvarint accept this form unchanged.
-func putUvarintPadded(slot []byte, v uint64) {
-	for i := 0; i < len(slot)-1; i++ {
-		slot[i] = byte(v)&0x7f | 0x80
-		v >>= 7
-	}
-	slot[len(slot)-1] = byte(v) & 0x7f
-}
 
 // ReadFrame reads one framed message, consulting the registry for the
 // record to decode into. Any malformed input — unknown tag, length over

@@ -11,7 +11,7 @@
 // Each node runs a single mailbox goroutine that serializes message
 // handling and timer callbacks, giving protocol code the same
 // single-threaded execution model as the simulated transport. Timers
-// support the transport.Resetter reschedule contract, so the periodic
+// keep the transport.Timer reset contract, so the periodic
 // protocol timers written against it (overlay pings, FUSE check
 // deadlines) run identically here and in simulation.
 //
@@ -251,7 +251,7 @@ func (n *Node) Elapsed() time.Duration { return time.Since(n.start) }
 // mailbox goroutine, matching the Env contract.
 func (n *Node) Rand() *rand.Rand { return n.rng }
 
-// liveTimer implements Timer and Resetter over time.AfterFunc. Each arm
+// liveTimer implements transport.Timer over time.AfterFunc. Each arm
 // (the initial After and every Reset) carries its own generation; a fire
 // posted to the mailbox by an earlier arm fails the generation check and
 // is discarded, so resetting a timer whose old expiry is already in
@@ -300,7 +300,7 @@ func (lt *liveTimer) Stop() bool {
 }
 
 // Reset re-arms the timer to fire d from now with its original callback,
-// matching the simulated transport's Resetter semantics: it succeeds
+// matching the simulated transport's timers: it succeeds
 // while the timer is pending and from within the timer's own callback,
 // and reports false once the timer was stopped or its callback has
 // completed. Like every Env method it must only be called from the
@@ -317,8 +317,6 @@ func (lt *liveTimer) Reset(d time.Duration) bool {
 	lt.arm(d) // new generation invalidates any in-flight posted fire
 	return true
 }
-
-var _ transport.Resetter = (*liveTimer)(nil)
 
 // After schedules fn on the mailbox goroutine after d.
 func (n *Node) After(d time.Duration, fn func()) transport.Timer {

@@ -258,7 +258,7 @@ func TestTimerStopPreventsFire(t *testing.T) {
 	}
 }
 
-// TestTimerResetSemantics pins the transport.Resetter contract shared
+// TestTimerResetSemantics pins the transport.Timer reset contract shared
 // with the simulated transport: Reset succeeds while pending and from
 // within the timer's own callback (making a periodic timer), and reports
 // false once the timer was stopped or its callback completed.
@@ -268,7 +268,7 @@ func TestTimerResetSemantics(t *testing.T) {
 	// Pending: Reset moves the deadline and the timer still fires once.
 	fired := make(chan struct{}, 4)
 	tm := a.After(time.Hour, func() { fired <- struct{}{} })
-	if !transport.ResetTimer(tm, 20*time.Millisecond) {
+	if !tm.Reset(20 * time.Millisecond) {
 		t.Fatal("Reset on pending timer reported false")
 	}
 	select {
@@ -278,14 +278,14 @@ func TestTimerResetSemantics(t *testing.T) {
 	}
 
 	// Completed (no reset from within the callback): Reset reports false.
-	if transport.ResetTimer(tm, time.Millisecond) {
+	if tm.Reset(time.Millisecond) {
 		t.Fatal("Reset after completed fire reported true")
 	}
 
 	// Stopped: Reset reports false and nothing fires.
 	tm2 := a.After(time.Hour, func() { fired <- struct{}{} })
 	tm2.Stop()
-	if transport.ResetTimer(tm2, time.Millisecond) {
+	if tm2.Reset(time.Millisecond) {
 		t.Fatal("Reset after Stop reported true")
 	}
 
@@ -304,7 +304,7 @@ func TestTimerResetSemantics(t *testing.T) {
 		count++
 		ticks <- struct{}{}
 		if count < 3 {
-			if !transport.ResetTimer(tm3, 10*time.Millisecond) {
+			if !tm3.Reset(10 * time.Millisecond) {
 				t.Error("Reset from own callback reported false")
 			}
 		}

@@ -314,6 +314,34 @@ func TestWireRecordsEncodeWithoutAllocating(t *testing.T) {
 	}
 }
 
+// TestGobFramesAllocateNoMore pins the send side of the gob-bodied
+// records a live cycle sends (a group's creation and a leaf-set reply):
+// AppendFrame into a reused buffer allocates no more than a fresh gob
+// encoder does for the record, the counts read when the codec still
+// wrote a gob body's length into a reserved, padded slot.
+func TestGobFramesAllocateNoMore(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; alloc pin runs without -race")
+	}
+	var buf bytes.Buffer
+	for tag, bound := range map[string]float64{
+		"core.groupCreateRequest": 19,
+		"core.groupCreateReply":   17,
+		"overlay.leafReply":       19,
+	} {
+		msg := filledWire(tag, 5)
+		allocs := testing.AllocsPerRun(100, func() {
+			buf.Reset()
+			if err := transport.AppendFrame(&buf, msg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > bound {
+			t.Errorf("AppendFrame(%s) allocates %.1f/op into a reused buffer, want at most %.0f", tag, allocs, bound)
+		}
+	}
+}
+
 // heldAllocs counts what a decoded record may allocate: itself, every
 // record nested in it, and each of their non-empty strings and byte
 // slices.
@@ -394,9 +422,12 @@ func TestDecodeRejectsUnknownTag(t *testing.T) {
 // re-encodes into a frame that decodes back to the same tag. The seed
 // corpus holds a valid frame for every registered type (zero and filled)
 // plus truncations and corruptions of them, so coverage starts at the
-// interesting surface instead of random noise. The last seeds put a
+// interesting surface instead of random noise. The next seeds put a
 // type's zero and filled frames back to back in one stream, so the
-// per-input frame loop runs past its first frame.
+// per-input frame loop runs past its first frame. The last ones take the
+// checked-in filled frames of tags no package registers any more, as an
+// older peer would still send them: each corrupted, and each behind a
+// live frame in one stream, so the decoder must refuse it mid-stream.
 func FuzzWireRoundTrip(f *testing.F) {
 	var streams [][]byte
 	for _, name := range transport.RegisteredMessages() {
@@ -428,6 +459,16 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
 	for _, s := range streams {
 		f.Add(s)
+	}
+	retired, err := retiredFrames()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, frame := range retired {
+		mut := bytes.Clone(frame)
+		mut[len(mut)/2] ^= 0xff
+		f.Add(mut)
+		f.Add(append(bytes.Clone(streams[0]), frame...))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -492,18 +533,71 @@ func TestGobFramesOfWireTagsRejected(t *testing.T) {
 		t.Fatalf("%d gob-bodied seeds, want a zero and a filled one for each of %v plus two linked ones", len(files), wireTags())
 	}
 	for _, f := range files {
-		content, err := os.ReadFile(f)
+		data, err := readSeed(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines := strings.Split(strings.TrimSpace(string(content)), "\n")
-		quoted, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
-		data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
-		if !ok || err != nil {
-			t.Fatalf("%s: not a one-value []byte corpus file: %v", f, err)
-		}
-		requireClean(t, filepath.Base(f), []byte(data))
+		requireClean(t, filepath.Base(f), data)
 	}
+}
+
+// readSeed returns the frame a one-value []byte corpus file holds.
+func readSeed(path string) ([]byte, error) {
+	content, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	lines := strings.Split(strings.TrimSpace(string(content)), "\n")
+	quoted, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+	data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+	if !ok || err != nil {
+		return nil, fmt.Errorf("%s: not a one-value []byte corpus file: %v", path, err)
+	}
+	return []byte(data), nil
+}
+
+// retiredFrames returns the checked-in filled_ seeds whose frames carry
+// a tag no package registers, in file-name order.
+func retiredFrames() ([][]byte, error) {
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzWireRoundTrip", "filled_*"))
+	if err != nil {
+		return nil, err
+	}
+	var frames [][]byte
+	for _, path := range files {
+		frame, err := readSeed(path)
+		if err != nil {
+			return nil, err
+		}
+		tagLen, n := binary.Uvarint(frame)
+		if n <= 0 || tagLen > uint64(len(frame)-n) {
+			return nil, fmt.Errorf("%s: no tag", path)
+		}
+		if _, ok := transport.NewMessage(string(frame[n : n+int(tagLen)])); !ok {
+			frames = append(frames, frame)
+		}
+	}
+	return frames, nil
+}
+
+// seedRecord decodes a seed's frame to its record: through the codec, or,
+// for a gob_ seed (a frame the codec refuses), by gob from its body.
+func seedRecord(name string, frame []byte) (transport.Message, error) {
+	if !strings.HasPrefix(name, "gob_") {
+		return decodeFromBytes(frame)
+	}
+	r := bytes.NewReader(frame)
+	tagLen, err := binary.ReadUvarint(r)
+	if err != nil || tagLen > uint64(r.Len()) {
+		return nil, fmt.Errorf("%s: no tag", name)
+	}
+	tag := make([]byte, tagLen)
+	r.Read(tag)
+	if _, err := binary.ReadUvarint(r); err != nil {
+		return nil, err
+	}
+	msg, _ := transport.NewMessage(string(tag))
+	return msg, gob.NewDecoder(r).Decode(msg)
 }
 
 // TestGenerateFuzzCorpus regenerates the checked-in seed corpus under
@@ -515,10 +609,17 @@ func TestGobFramesOfWireTagsRejected(t *testing.T) {
 // decoder must refuse cleanly (TestGobFramesOfWireTagsRejected); so must
 // the checked-in linked_overlay_ping and _pingAck, gob frames of the
 // ping and ack with both link ids set, which this does not rewrite. The
-// *_rpcx_request and _response frames, and the *_swim_ping, _ack,
-// _pingReq and _indirectAck frames, carry tags no package registers any
-// more, and stay as frames a decoder must reject cleanly. It is a no-op
-// unless GEN_FUZZ_CORPUS=1 is set:
+// *_rpcx_request and _response frames, the *_swim_ping, _ack, _pingReq
+// and _indirectAck frames, and the *_livetopo_register frames carry tags
+// no package registers any more, and stay as frames a decoder must
+// reject cleanly.
+//
+// A seed is written only when it is missing or its frame decodes to
+// another record than the generator's: gob numbers types in the order a
+// binary registers them, and older binaries padded a gob body's length
+// to ten bytes, so frames of equal records need not be equal bytes, and
+// the checked-in ones stay. A truncated_ seed is rewritten with its
+// filled_ seed. It is a no-op unless GEN_FUZZ_CORPUS=1 is set:
 //
 //	GEN_FUZZ_CORPUS=1 go test ./internal/transport/tcpnet -run TestGenerateFuzzCorpus
 func TestGenerateFuzzCorpus(t *testing.T) {
@@ -529,12 +630,24 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	write := func(name string, data []byte) {
+	// write writes seed name unless force is false and the seed holds a
+	// frame that decodes to data's record (or, like data, to none),
+	// reporting whether it wrote.
+	write := func(name string, data []byte, force bool) bool {
 		t.Helper()
+		path := filepath.Join(dir, name)
+		if old, err := readSeed(path); err == nil && !force {
+			was, errWas := seedRecord(name, old)
+			now, errNow := seedRecord(name, data)
+			if (errWas == nil) == (errNow == nil) && reflect.DeepEqual(was, now) {
+				return false
+			}
+		}
 		content := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		return true
 	}
 	for _, tag := range transport.RegisteredMessages() {
 		if strings.Contains(tag, "test") {
@@ -542,21 +655,20 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		}
 		slug := strings.ReplaceAll(tag, ".", "_")
 		msg, _ := transport.NewMessage(tag)
-		write("zero_"+slug, encodeToBytes(t, msg))
+		write("zero_"+slug, encodeToBytes(t, msg), false)
 
-		filled := filledWire(tag, 64)
-		data := encodeToBytes(t, filled)
-		write("filled_"+slug, data)
-		write("truncated_"+slug, data[:len(data)/2])
+		data := encodeToBytes(t, filledWire(tag, 64))
+		rewrote := write("filled_"+slug, data, false)
+		write("truncated_"+slug, data[:len(data)/2], rewrote)
 
 		if _, ok := msg.(transport.Wire); ok {
-			write("gob_zero_"+slug, gobFrame(t, tag, msg))
+			write("gob_zero_"+slug, gobFrame(t, tag, msg), false)
 			seed := 0
 			filled, _ := transport.NewMessage(tag)
 			fillValue(reflect.ValueOf(filled), &seed, 64)
-			write("gob_filled_"+slug, gobFrame(t, tag, filled))
+			write("gob_filled_"+slug, gobFrame(t, tag, filled), false)
 		}
 	}
-	write("empty", nil)
-	write("varint_overflow", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
+	write("empty", nil, false)
+	write("varint_overflow", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, false)
 }

@@ -93,34 +93,24 @@ func ReleaseMessage(msg Message) {
 // serialized with the node's timer callbacks.
 type Handler func(from Addr, msg Message)
 
-// Timer is a cancellable pending callback.
+// Timer is a cancellable pending callback that can be re-armed in place.
+// Periodic protocol timers (overlay pings, FUSE check deadlines) re-arm
+// with Reset, so the simulated transport reuses one pooled event per
+// timer instead of allocating a fresh one every period.
 type Timer interface {
 	// Stop cancels the timer, reporting whether it was still pending.
 	Stop() bool
-}
 
-// Resetter is optionally implemented by Timers that can be re-armed in
-// place with their original callback. Periodic protocol timers (overlay
-// pings, FUSE check deadlines) use it through ResetTimer so the simulated
-// transport can reuse one pooled event per timer instead of allocating a
-// fresh one every period.
-type Resetter interface {
-	// Reset re-arms the timer to fire d from now, reporting whether it
-	// succeeded. Implementations must support being called both while the
-	// timer is pending and from within the timer's own callback.
+	// Reset re-arms the timer to fire d from now with its original
+	// callback, reporting whether it did: it must succeed while the timer
+	// is pending and from within the timer's own callback, and reports
+	// false once the timer was stopped or its callback has completed, when
+	// the caller schedules a fresh timer with Env.After.
 	Reset(d time.Duration) bool
 }
 
-// ResetTimer re-arms t for d when its implementation supports in-place
-// reset, reporting whether it did. On false the caller schedules a fresh
-// timer with Env.After; protocol code is thereby written once and runs
-// allocation-free on transports that implement Resetter.
-func ResetTimer(t Timer, d time.Duration) bool {
-	if r, ok := t.(Resetter); ok {
-		return r.Reset(d)
-	}
-	return false
-}
+// ResetTimer is t.Reset(d).
+func ResetTimer(t Timer, d time.Duration) bool { return t.Reset(d) }
 
 // Route is a destination a sender keeps and sends to many times: the
 // address, plus what a Dialer resolved it to at the route's first send
@@ -141,7 +131,7 @@ type Route struct {
 
 // Dialer is optionally implemented by Envs that resolve a destination
 // once into send state the caller's Route keeps (the simulated
-// transport's node and topology path). Like Resetter it is an
+// transport's node and topology path). It is an
 // optimization protocol code reaches through helpers, NewRoute and
 // SendRoute, and never depends on.
 type Dialer interface {

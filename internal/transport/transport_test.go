@@ -136,9 +136,9 @@ func TestRegisterReleasesPooledProbeRecord(t *testing.T) {
 	}
 }
 
-// --- Timer / Resetter contract ---
+// --- Timer reset contract ---
 
-// fakeResettable implements both Timer and Resetter; fakeTimer only Timer.
+// fakeResettable is a Timer whose Reset reports ok.
 type fakeResettable struct {
 	stopped bool
 	resets  []time.Duration
@@ -151,20 +151,14 @@ func (f *fakeResettable) Reset(d time.Duration) bool {
 	return f.ok
 }
 
-type fakeTimer struct{ stopped bool }
-
-func (f *fakeTimer) Stop() bool { f.stopped = true; return true }
-
 // TestResetTimerContract pins the behaviour both transports' timers are
-// written against: ResetTimer forwards to Reset when the implementation
-// supports in-place re-arming (reporting its verdict verbatim), and
-// reports false - telling the caller to schedule a fresh timer - when it
-// does not. It must never Stop the timer itself; the protocol layer owns
-// that decision.
+// written against: ResetTimer forwards to Reset, reporting its verdict
+// verbatim (false tells the caller to schedule a fresh timer). It must
+// never Stop the timer itself; the protocol layer owns that decision.
 func TestResetTimerContract(t *testing.T) {
 	r := &fakeResettable{ok: true}
 	if !ResetTimer(r, 5*time.Second) {
-		t.Fatal("ResetTimer = false for a willing Resetter")
+		t.Fatal("ResetTimer = false for a willing timer")
 	}
 	r.ok = false
 	if ResetTimer(r, time.Second) {
@@ -175,14 +169,6 @@ func TestResetTimerContract(t *testing.T) {
 	}
 	if r.stopped {
 		t.Fatal("ResetTimer stopped the timer")
-	}
-
-	plain := &fakeTimer{}
-	if ResetTimer(plain, time.Second) {
-		t.Fatal("ResetTimer = true for a non-Resetter timer")
-	}
-	if plain.stopped {
-		t.Fatal("ResetTimer stopped a non-Resetter timer")
 	}
 }
 

@@ -125,9 +125,9 @@ func (e *Env) After(d time.Duration, fn func()) transport.Timer {
 	return t
 }
 
-// Timer is a pending callback on a Net. It implements transport.Resetter
-// as the simulator's timers do: Reset moves a pending timer in place and
-// re-arms a firing one from inside its own callback.
+// Timer is a pending callback on a Net. It resets as the simulator's
+// timers do: Reset moves a pending timer in place and re-arms a firing
+// one from inside its own callback.
 type Timer struct {
 	net *Net
 	fn  func()
